@@ -124,7 +124,6 @@ def _schedule_record(cfg: ExperimentConfig, result) -> dict:
         final_population=result.final_population,
     )
     record["config_hash"] = config_hash(cfg)
-    record["gradient_method"] = result.gradient_method
     record["converged"] = result.converged
     return record
 
@@ -198,19 +197,15 @@ def _table_rows_closed(cfg: ExperimentConfig, mode: str):
     return rows
 
 
-def _dissipation_delta(cfg: ExperimentConfig, n: int, t: float) -> float:
-    case_cfg = apply_overrides(cfg, mode="rydberg", n_sites=n, t_total=t)
-    result = run_optimize(_grape_config(case_cfg))
-    model = build_model(case_cfg)
-    target2 = complete_graph_state(n)
-    closed = closed_system_trace(model, result.schedule, plus_product_state(n), target2)[-1]
+def _dissipation_delta(case_cfg: ExperimentConfig, model, result) -> float:
+    n = case_cfg.n_sites
     psi0 = embed_spin_state(plus_product_state(n), n, EMISSION_BASIS)
     rho0 = np.outer(psi0, psi0.conj())
-    target3 = embed_spin_state(target2, n, EMISSION_BASIS)
+    target = embed_spin_state(complete_graph_state(n), n, EMISSION_BASIS)
     open_run = evolve_master(
-        model, result.schedule, build_jump_channels(case_cfg), rho0, target=target3
+        model, result.schedule, build_jump_channels(case_cfg), rho0, target=target
     )
-    return closed - open_run.populations[-1]
+    return result.final_population - float(open_run.populations[-1])
 
 
 @main.command("table")
@@ -271,44 +266,43 @@ def cmd_table(which, config_path, out, **overrides) -> None:
     click.echo(f"csv: {csv_path}")
 
 
-def _vibration_delta(cfg: ExperimentConfig, n: int, t: float) -> float:
-    case_cfg = apply_overrides(cfg, mode="rydberg", n_sites=n, t_total=t)
-    result = run_optimize(_grape_config(case_cfg))
-    model = build_model(case_cfg)
+def _vibration_delta(model: RydbergModel, result) -> float:
+    n = model.n_sites
     target = complete_graph_state(n)
     psi0 = plus_product_state(n)
-    nominal = closed_system_trace(model, result.schedule, psi0, target)[-1]
     deltas = []
     for offset in VIBRATION_OFFSETS_NM:
         geometry = model.geometry.with_delta_r(offset / 1000.0)
         shifted = closed_system_trace(
             RydbergModel(geometry), result.schedule, psi0, target
         )[-1]
-        deltas.append(nominal - shifted)
+        deltas.append(result.final_population - shifted)
     return float(np.mean(deltas))
 
 
-def _protocol_prep_delta(cfg: ExperimentConfig) -> float:
-    case_cfg = apply_overrides(cfg, mode="rydberg", n_sites=3, t_total=TABLE_RYDBERG[0][1])
-    result = run_optimize(_grape_config(case_cfg))
-    model = build_model(case_cfg)
-    closed = closed_system_trace(
-        model, result.schedule, plus_product_state(3), complete_graph_state(3)
-    )[-1]
-    plan = standard_plan(model.geometry, result.schedule)
-    protocol = run_full_protocol(plan)
-    return closed - protocol.stage_reports[-1].reference_population
+def _protocol_prep_delta(model: RydbergModel, result) -> float:
+    protocol = run_full_protocol(standard_plan(model.geometry, result.schedule))
+    return result.final_population - protocol.stage_reports[-1].reference_population
 
 
 def _error_budget_rows(cfg: ExperimentConfig):
-    prep = _protocol_prep_delta(cfg)
-    rows = []
+    """One optimization per (N, T) case, shared by every column of its row.
+    The staged protocol is built for three atoms, so the preparation loss
+    of the first (N=3) case applies to every row."""
+    cases = []
     for n, t in TABLE_RYDBERG:
         case_cfg = apply_overrides(cfg, mode="rydberg", n_sites=n, t_total=t)
-        closed = _optimized_population(case_cfg)
-        diss = _dissipation_delta(cfg, n, t)
-        vibr = _vibration_delta(cfg, n, t)
-        rows.append((n, t, closed, diss, vibr, prep, closed - diss - vibr - prep))
+        cases.append((case_cfg, build_model(case_cfg), run_optimize(_grape_config(case_cfg))))
+    prep = _protocol_prep_delta(*cases[0][1:])
+    rows = []
+    for case_cfg, model, result in cases:
+        closed = result.final_population
+        diss = _dissipation_delta(case_cfg, model, result)
+        vibr = _vibration_delta(model, result)
+        rows.append(
+            (case_cfg.n_sites, case_cfg.t_total, closed, diss, vibr, prep,
+             closed - diss - vibr - prep)
+        )
     return rows
 
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from datetime import datetime, timezone
 
 import yaml
 
-from . import __version__
 from .chain import (
     DEFAULT_CONSTANTS,
     ChainGeometry,
@@ -32,7 +30,6 @@ from .targets import TargetForm, TargetSpec
 __all__ = [
     "ExperimentConfig",
     "ConfigError",
-    "ResultRecord",
     "load_config",
     "apply_overrides",
     "config_hash",
@@ -44,7 +41,6 @@ __all__ = [
     "constants_version",
     "default_b0",
     "config_from_mapping",
-    "make_record",
 ]
 
 TWO_PI = 6.283185307179586
@@ -230,22 +226,3 @@ def build_target_spec(config: ExperimentConfig) -> TargetSpec:
 
 def constants_version(config: ExperimentConfig) -> str:
     return _constants(config).version
-
-
-@dataclass
-class ResultRecord:
-    config_hash: str
-    constants_version: str
-    tool_version: str
-    created_utc: str
-    payload: dict
-
-
-def make_record(config: ExperimentConfig, payload: dict) -> ResultRecord:
-    return ResultRecord(
-        config_hash=config_hash(config),
-        constants_version=constants_version(config),
-        tool_version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-        payload=payload,
-    )

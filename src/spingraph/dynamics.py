@@ -13,7 +13,6 @@ quoted in nm (as measured) and converted here.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from .chain import (
     assemble_system,
     build_control_hz,
 )
-from .grape import ControlSchedule
+from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import EMISSION_BASIS, LocalBasis
 
 __all__ = [
@@ -52,8 +51,6 @@ MAX_PHASE_PER_SUBSTEP = 0.1
 
 #: Refusal threshold on the total substep count of one run.
 MAX_TOTAL_SUBSTEPS = 1_000_000
-
-WORKERS_ENV = "SPINGRAPH_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -329,19 +326,16 @@ def closed_system_trace(
     psi0: np.ndarray,
     target: np.ndarray,
 ) -> np.ndarray:
-    """Target population at every slice boundary under unitary evolution."""
-    h0 = assemble_system(model)
-    hz_diag = np.real(np.diag(build_control_hz(model.n_sites)))
-    w, v = np.linalg.eigh(h0)
-    u0 = (v * np.exp(-1j * w * schedule.dt)) @ v.conj().T
-    pops = np.zeros(schedule.n_slices + 1)
-    psi = psi0.astype(complex)
-    pops[0] = abs(np.vdot(target, psi)) ** 2
-    for k in range(schedule.n_slices):
-        phase = np.exp(-1j * schedule.amplitudes[k] * schedule.dt * hz_diag)
-        psi = u0 @ (phase * psi)
-        pops[k + 1] = abs(np.vdot(target, psi)) ** 2
-    return pops
+    """Target population at every slice boundary under unitary evolution.
+
+    Boundary k sits at t_k = k dt with the partial field area
+    A_k = dt (B_0 + ... + B_{k-1}); the closed form evaluates them all at
+    once.
+    """
+    times = schedule.dt * np.arange(schedule.n_slices + 1)
+    areas = schedule.dt * np.concatenate(([0.0], np.cumsum(schedule.amplitudes)))
+    overlaps = ClosedFormPropagator(model).overlaps(target, psi0, times, areas)
+    return np.abs(overlaps) ** 2
 
 
 def _noisy_sample_trace(
@@ -367,14 +361,6 @@ def _noisy_sample_trace(
     return closed_system_trace(sample_model, sample_schedule, psi0, target)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def ensemble_average(
     model: ModelKind,
     schedule: ControlSchedule,
@@ -384,24 +370,13 @@ def ensemble_average(
 ) -> EnsembleResult:
     """Monte Carlo average over disorder samples.
 
-    Sample i draws its noise from seed base_seed + i, so the result is
-    independent of execution order and of the worker count (set via the
-    SPINGRAPH_WORKERS environment variable; default sequential).
+    Sample i draws its noise from seed base_seed + i, so the result does
+    not depend on the order in which samples are evaluated.
     """
-    indices = list(range(spec.samples))
-    workers = _worker_count()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        job = partial(_noisy_sample_trace, model, schedule, spec, psi0, target)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(job, indices))
-    else:
-        traces = [
-            _noisy_sample_trace(model, schedule, spec, psi0, target, i)
-            for i in indices
-        ]
+    traces = [
+        _noisy_sample_trace(model, schedule, spec, psi0, target, i)
+        for i in range(spec.samples)
+    ]
     stack = np.vstack(traces)
     times = np.linspace(0.0, schedule.t_total, schedule.n_slices + 1)
     finals = stack[:, -1]

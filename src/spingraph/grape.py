@@ -1,16 +1,19 @@
-"""Gradient-ascent pulse engineering of the global field B(t).
+"""Gradient-ascent pulse engineering (GRAPE) of the global field B(t).
 
 The control problem has one scalar field B(t), piecewise constant over n
 slices. Every drift Hamiltonian in scope commutes with the control term
-Hz, so the slice propagator factorizes exactly:
+Hz, so the evolution under any schedule collapses to a closed form:
 
-    exp(-i (H0 + B_k Hz) dt) = exp(-i H0 dt) exp(-i B_k dt Hz)
+    U(t) = exp(-i H0 t) exp(-i A(t) Hz),   A(t) = integral of B up to t
 
-and the derivative of the landscape with respect to B_k is available in
-closed form. The optimizer is plain gradient ascent with a backtracking
-line search; accepted landscape values are non-decreasing by
-construction. If a model ever fails the commutator check, the gradient
-falls back to central finite differences and the result is flagged.
+One eigendecomposition of H0 per model serves every duration and field
+area. The landscape depends on a schedule only through (T, A), and its
+gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. The
+optimizer is plain gradient ascent with a backtracking line search
+(Khaneja et al., J. Magn. Reson. 172, 296 (2005), specialized to this
+commuting control); accepted landscape values are non-decreasing by
+construction. A model that fails the commutator check raises
+``GrapeError``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "GrapeConfig",
     "GrapeResult",
     "ScanResult",
+    "ClosedFormPropagator",
     "GrapeError",
     "gaussian_guess",
     "random_guess",
@@ -160,7 +164,6 @@ class GrapeResult:
     final_population: float
     iterations: int
     converged: bool
-    gradient_method: Literal["exact", "finite-difference"] = "exact"
 
 
 @dataclass
@@ -204,95 +207,51 @@ def make_guess(spec: GuessSpec, t_total: float) -> ControlSchedule:
     raise ValueError(f"unknown guess kind {spec.kind!r}")
 
 
-class _Propagator:
-    """Shared forward/backward machinery for one (model, basis) pair.
+class ClosedFormPropagator:
+    """Overlaps <target| exp(-i H0 t) exp(-i A Hz) |psi> for one model.
 
-    Diagonalizes H0 once. Hz is diagonal in the computational basis, and
-    the commutator with H0 vanishes identically (H0 only connects states
-    of equal magnetization), which the constructor verifies.
+    Diagonalizes H0 once. Hz is diagonal in the computational basis and
+    is applied as phases. The constructor verifies [H0, Hz] = 0, which the
+    factorization depends on; H0 only connects states of equal
+    magnetization, so the check holds for every model in scope.
     """
 
-    def __init__(self, model: ModelKind, basis=SPIN_BASIS):
-        self.h0 = assemble_system(model, basis)
-        self.hz_diag = np.real(np.diag(build_control_hz(model.n_sites, basis)))
-        comm = self.hz_diag[:, None] * self.h0 - self.h0 * self.hz_diag[None, :]
-        self.commutator_norm = float(np.max(np.abs(comm)))
-        self.exact_gradient = self.commutator_norm < COMMUTATOR_TOL
-        self._w, self._v = np.linalg.eigh(self.h0)
-        self._u0_cache: tuple[float, np.ndarray] | None = None
+    def __init__(self, model: ModelKind):
+        h0 = assemble_system(model, SPIN_BASIS)
+        self.hz_diag = np.real(np.diag(build_control_hz(model.n_sites, SPIN_BASIS)))
+        comm = self.hz_diag[:, None] * h0 - h0 * self.hz_diag[None, :]
+        comm_norm = float(np.max(np.abs(comm)))
+        if not comm_norm < COMMUTATOR_TOL:
+            raise GrapeError(
+                f"drift does not commute with the control (|[H0, Hz]| = "
+                f"{comm_norm:.3e}); the closed-form propagator needs it"
+            )
+        self._w, self._v = np.linalg.eigh(h0)
 
-    def _u0(self, dt: float) -> np.ndarray:
-        # drift propagator for one slice; cached per slice duration
-        if self._u0_cache is None or self._u0_cache[0] != dt:
-            u = (self._v * np.exp(-1j * self._w * dt)) @ self._v.conj().T
-            self._u0_cache = (dt, u)
-        return self._u0_cache[1]
-
-    def phases(self, schedule: ControlSchedule) -> np.ndarray:
-        # (n, dim) control phases per slice
-        return np.exp(
-            -1j * schedule.dt * np.outer(schedule.amplitudes, self.hz_diag)
-        )
-
-    def propagate(self, schedule: ControlSchedule, psi0: np.ndarray) -> np.ndarray:
-        u0 = self._u0(schedule.dt)
-        phases = self.phases(schedule)
-        psi = psi0
-        for k in range(schedule.n_slices):
-            psi = u0 @ (phases[k] * psi)
-        return psi
+    def overlaps(self, target: np.ndarray, psi: np.ndarray, t, area) -> np.ndarray:
+        """Overlap at each (t, area) pair; the two broadcast together."""
+        t, area = np.broadcast_arrays(np.asarray(t, float), np.asarray(area, float))
+        kicked = np.exp(-1j * area[..., None] * self.hz_diag) * psi
+        drift = np.exp(-1j * t[..., None] * self._w)
+        return ((kicked @ self._v.conj()) * drift) @ (target.conj() @ self._v)
 
     def landscape(
         self, schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray
     ) -> float:
-        return float(abs(np.vdot(target, self.propagate(schedule, psi0))) ** 2)
+        overlap = self.overlaps(target, psi0, schedule.t_total, schedule.field_area)
+        return float(abs(overlap) ** 2)
 
     def landscape_and_gradient(
         self, schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        if not self.exact_gradient:
-            return self._landscape_and_fd_gradient(schedule, psi0, target)
-        n = schedule.n_slices
-        dt = schedule.dt
-        u0 = self._u0(dt)
-        phases = self.phases(schedule)
-
-        forward = np.empty((n, psi0.size), dtype=complex)
-        psi = psi0
-        for k in range(n):
-            psi = u0 @ (phases[k] * psi)
-            forward[k] = psi
-        overlap = np.vdot(target, forward[-1])
-        phi = float(abs(overlap) ** 2)
-
-        backward = np.empty_like(forward)
-        chi = target
-        backward[n - 1] = chi
-        for k in range(n - 1, 0, -1):
-            chi = phases[k].conj() * (u0.conj().T @ chi)
-            backward[k - 1] = chi
-
-        # d(phi)/dB_k = 2 dt Im(<chi_k| Hz |fwd_k> conj(overlap))
-        inner = np.sum(backward.conj() * (self.hz_diag * forward), axis=1)
-        grad = 2.0 * dt * np.imag(inner * np.conj(overlap))
-        return phi, grad
-
-    def _landscape_and_fd_gradient(
-        self, schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        # central differences, step 1e-6 rad/us per slice
-        step = 1e-6
-        phi = self.landscape(schedule, psi0, target)
-        grad = np.zeros(schedule.n_slices)
-        for k in range(schedule.n_slices):
-            amps_p = schedule.amplitudes.copy()
-            amps_m = schedule.amplitudes.copy()
-            amps_p[k] += step
-            amps_m[k] -= step
-            phi_p = self.landscape(replace(schedule, amplitudes=amps_p), psi0, target)
-            phi_m = self.landscape(replace(schedule, amplitudes=amps_m), psi0, target)
-            grad[k] = (phi_p - phi_m) / (2.0 * step)
-        return phi, grad
+        t, area = schedule.t_total, schedule.field_area
+        overlap = self.overlaps(target, psi0, t, area)
+        # dPhi/dA from the same kernel applied to -i Hz psi0; every slice
+        # moves the area by dt per unit amplitude, so dPhi/dB_k = dt dPhi/dA
+        slope = 2.0 * np.real(
+            np.conj(overlap) * self.overlaps(target, -1j * self.hz_diag * psi0, t, area)
+        )
+        return float(abs(overlap) ** 2), np.full(schedule.n_slices, schedule.dt * slope)
 
 
 def landscape_and_gradient(
@@ -303,10 +262,9 @@ def landscape_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Landscape value |<target|U(T,0)|psi0>|^2 and its exact gradient.
 
-    Falls back to central finite differences if the model's drift does
-    not commute with Hz; ``optimize`` records which path was taken.
+    Raises ``GrapeError`` if the model's drift does not commute with Hz.
     """
-    return _Propagator(model).landscape_and_gradient(schedule, psi0, target)
+    return ClosedFormPropagator(model).landscape_and_gradient(schedule, psi0, target)
 
 
 def optimize(config: GrapeConfig, psi0: np.ndarray | None = None) -> GrapeResult:
@@ -328,7 +286,7 @@ def optimize(config: GrapeConfig, psi0: np.ndarray | None = None) -> GrapeResult
     removed (see ``reduce_field_winding``); the landscape value is
     unchanged by construction.
     """
-    prop = _Propagator(config.model)
+    prop = ClosedFormPropagator(config.model)
     target = target_state(config.target)
     if psi0 is None:
         psi0 = plus_product_state(config.model.n_sites)
@@ -338,7 +296,6 @@ def optimize(config: GrapeConfig, psi0: np.ndarray | None = None) -> GrapeResult
     phi, grad = prop.landscape_and_gradient(schedule, psi0, target)
     if not np.isfinite(phi) or not np.all(np.isfinite(grad)):
         raise GrapeError("non-finite landscape or gradient at the starting point")
-    method = "exact" if prop.exact_gradient else "finite-difference"
     history = [phi]
 
     if np.max(np.abs(grad)) == 0.0:
@@ -348,7 +305,6 @@ def optimize(config: GrapeConfig, psi0: np.ndarray | None = None) -> GrapeResult
             final_population=phi,
             iterations=0,
             converged=True,
-            gradient_method=method,
         )
 
     # d(area)/dB_k = dt, so stepping the area by rate * dPhi/d(area)
@@ -403,7 +359,6 @@ def optimize(config: GrapeConfig, psi0: np.ndarray | None = None) -> GrapeResult
         final_population=final_population,
         iterations=iterations,
         converged=converged,
-        gradient_method=method,
     )
 
 

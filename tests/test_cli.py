@@ -54,7 +54,7 @@ def test_optimize_outputs_and_determinism(runner, tmp_path):
     assert record["seed"] is None  # gaussian guess carries no seed
     assert record["final_population"] > 0.995
     assert record["converged"] is True
-    assert record["gradient_method"] == "exact"
+    assert "gradient_method" not in record
     assert len(record["config_hash"]) == 64
     assert "final population" in res_a.output
 
@@ -264,3 +264,32 @@ def test_table_1_ideal(runner, tmp_path):
         assert float(row[2]) == pytest.approx(expected[n], abs=0.005)
     table_lines = [line for line in result.output.splitlines() if line.strip()]
     assert table_lines[0].split() == ["N", "J*T", "population"]
+
+
+def test_table_3_optimizes_each_case_once(runner, tmp_path, monkeypatch):
+    import spingraph.cli as cli
+
+    monkeypatch.setattr(cli, "TABLE_RYDBERG", cli.TABLE_RYDBERG[:1])
+    original = cli.run_optimize
+    calls = []
+
+    def counting_optimize(config, *args, **kwargs):
+        calls.append(config.t_total)
+        return original(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_optimize", counting_optimize)
+    out = tmp_path / "table3.csv"
+    result = runner.invoke(main, ["table", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert calls == [0.141]
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    row = {key: float(value) for key, value in rows[0].items()
+           if key not in ("config_hash", "constants_version")}
+    assert row["n"] == 3
+    assert row["budgeted"] == (
+        row["closed"] - row["dissipation_delta"] - row["vibration_delta"] - row["prep_delta"]
+    )
+    assert row["closed"] > 0.99
+    assert 0.0 < row["dissipation_delta"] < 0.01

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from spingraph import __version__
 from spingraph.chain import DEFAULT_CONSTANTS, IdealModel, RydbergModel
 from spingraph.config import (
     ConfigError,
@@ -18,7 +17,6 @@ from spingraph.config import (
     constants_version,
     default_b0,
     load_config,
-    make_record,
 )
 from spingraph.targets import TargetForm
 
@@ -193,13 +191,3 @@ def test_build_target_spec():
     spec = build_target_spec(ExperimentConfig(n_sites=5, target_form="cz-circuit"))
     assert spec.n_sites == 5
     assert spec.form == TargetForm.CZ_CIRCUIT
-
-
-def test_make_record():
-    cfg = ExperimentConfig()
-    record = make_record(cfg, {"answer": 42})
-    assert record.config_hash == config_hash(cfg)
-    assert record.constants_version == DEFAULT_CONSTANTS.version
-    assert record.tool_version == __version__
-    assert record.payload == {"answer": 42}
-    assert record.created_utc.endswith("+00:00")

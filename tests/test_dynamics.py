@@ -26,6 +26,7 @@ from spingraph.operators import (
     EMISSION_BASIS,
     basis_state,
     embed_spin_state,
+    evolve_unitary,
 )
 from spingraph.targets import complete_graph_state, plus_product_state
 
@@ -266,18 +267,6 @@ def replace_spec(spec: NoiseSpec, **kw) -> NoiseSpec:
     return replace(spec, **kw)
 
 
-def test_ensemble_parallel_matches_sequential(monkeypatch):
-    model = RydbergModel(ChainGeometry.regular(2))
-    schedule = ControlSchedule(t_total=0.1, amplitudes=np.linspace(-2, 2, 5))
-    spec = NoiseSpec(position_sigma=(193.5, 193.5, 1242.9), samples=4, base_seed=1)
-    psi0, target = plus_product_state(2), complete_graph_state(2)
-    seq = ensemble_average(model, schedule, spec, psi0, target)
-    monkeypatch.setenv("SPINGRAPH_WORKERS", "2")
-    par = ensemble_average(model, schedule, spec, psi0, target)
-    assert np.array_equal(seq.mean_trace, par.mean_trace)
-    assert np.array_equal(seq.sample_finals, par.sample_finals)
-
-
 def test_field_noise_only_ensemble_mean_degrades_gently():
     # zero-mean field noise perturbs the population quadratically, so the
     # ensemble mean sits close to (and below) the noiseless value
@@ -297,3 +286,30 @@ def test_noise_spec_validation():
         NoiseSpec(field_sigma=-0.1)
     with pytest.raises(ValueError):
         NoiseSpec(samples=0)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["ideal", "rydberg"])
+def test_closed_system_trace_matches_slice_product(n_sites, kind):
+    # oracle: diagonalize every full slice Hamiltonian H0 + B_k Hz and
+    # step slice by slice, without using [H0, Hz] = 0
+    rng = np.random.default_rng(10 * n_sites + (kind == "rydberg"))
+    if kind == "ideal":
+        model = IdealModel(n_sites, coupling=float(rng.uniform(0.5, 2.0)))
+        t_total, scale = float(rng.uniform(0.5, 3.0)), 3.0
+    else:
+        model = RydbergModel(ChainGeometry.regular(n_sites))
+        t_total, scale = float(rng.uniform(0.05, 0.25)), 40.0
+    schedule = ControlSchedule(
+        t_total=t_total, amplitudes=rng.uniform(-scale, scale, int(rng.integers(3, 13)))
+    )
+    psi0, target = plus_product_state(n_sites), complete_graph_state(n_sites)
+    h0 = assemble_system(model)
+    hz = build_control_hz(n_sites)
+    psi = psi0.astype(complex)
+    oracle = [abs(np.vdot(target, psi)) ** 2]
+    for b in schedule.amplitudes:
+        psi = evolve_unitary(h0 + b * hz, schedule.dt, psi)
+        oracle.append(abs(np.vdot(target, psi)) ** 2)
+    pops = closed_system_trace(model, schedule, psi0, target)
+    assert np.max(np.abs(pops - np.array(oracle))) < 1e-10

@@ -206,7 +206,6 @@ def test_phi_history_monotone_and_final_matches(ideal_gaussian_results):
         hist = np.asarray(result.phi_history)
         assert np.all(np.diff(hist) >= -1e-12)
         assert result.final_population == pytest.approx(hist[-1], abs=1e-10)
-        assert result.gradient_method == "exact"
         assert result.converged
 
 
@@ -317,3 +316,26 @@ def test_optimize_rejects_bad_config():
         )
     with pytest.raises(ValueError):
         GuessSpec(kind="triangular", b0=1.0)
+
+
+def test_non_commuting_drift_is_refused(monkeypatch):
+    # a transverse field breaks [H0, Hz] = 0, on which the closed form rests
+    import spingraph.grape as grape
+    from spingraph.operators import SIGMA_X, SPIN_BASIS, embed_local_operator
+
+    original = grape.assemble_system
+
+    def transverse_drift(model, basis=SPIN_BASIS):
+        h0 = original(model, basis)
+        for site in range(model.n_sites):
+            h0 = h0 + 0.3 * embed_local_operator(SIGMA_X, site, model.n_sites, basis)
+        return h0
+
+    monkeypatch.setattr(grape, "assemble_system", transverse_drift)
+    schedule = ControlSchedule(t_total=2.3, amplitudes=np.ones(5))
+    with pytest.raises(GrapeError, match="commute"):
+        landscape_and_gradient(
+            IdealModel(3), schedule, plus_product_state(3), complete_graph_state(3)
+        )
+    with pytest.raises(GrapeError, match="commute"):
+        optimize(ideal_config(3, 2.3, GuessSpec(kind="gaussian", b0=1.0)))
