@@ -17,18 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .operators import (
-    SPIN_BASIS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    LocalBasis,
-    level_projector,
-    level_transition,
-    spin_half_operator,
-    embed_local_operator,
-    two_site_operator,
-)
+from .operators import SPIN_BASIS, LocalBasis, site_levels, transition_indices
 
 __all__ = [
     "PhysicalConstants",
@@ -187,6 +176,22 @@ def vdw_strength(geometry: ChainGeometry, i: int, j: int, level: str) -> float:
     return -c6 / r_eff**6
 
 
+def _hopping_hamiltonian(hops, n_sites: int, basis: LocalBasis) -> np.ndarray:
+    """Sum over (strength, i, j) of strength (|ud><du| + h.c.); the flip-flop
+    |up><down|_i |down><up|_j is an index map, its conjugate the swapped one."""
+    # indices first: they refuse an over-budget dimension before h exists
+    flips = [
+        (strength, *transition_indices(n_sites, basis, {i: ("up", "down"), j: ("down", "up")}))
+        for strength, i, j in hops
+    ]
+    dim = basis.dim**n_sites
+    h = np.zeros((dim, dim), dtype=complex)
+    for strength, dst, src in flips:
+        h[dst, src] += strength
+        h[src, dst] += strength
+    return h
+
+
 def build_xx_chain(
     n_sites: int, coupling: float, basis: LocalBasis = SPIN_BASIS
 ) -> np.ndarray:
@@ -197,16 +202,8 @@ def build_xx_chain(
     """
     if n_sites < 2:
         raise ValueError("need at least two sites")
-    sx = spin_half_operator(SIGMA_X, basis)
-    sy = spin_half_operator(SIGMA_Y, basis)
-    dim = basis.dim**n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_sites - 1):
-        h += (coupling / 2.0) * (
-            two_site_operator(sx, i, sx, i + 1, n_sites, basis)
-            + two_site_operator(sy, i, sy, i + 1, n_sites, basis)
-        )
-    return h
+    hops = [(coupling, i, i + 1) for i in range(n_sites - 1)]
+    return _hopping_hamiltonian(hops, n_sites, basis)
 
 
 def build_control_hz(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
@@ -214,24 +211,9 @@ def build_control_hz(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray
     configuration with m up and k down spins. Non-spin levels count zero."""
     if n_sites < 1:
         raise ValueError("need at least one site")
-    sz_half = spin_half_operator(0.5 * SIGMA_Z, basis)
-    dim = basis.dim**n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_sites):
-        h += embed_local_operator(sz_half, i, n_sites, basis)
-    return h
-
-
-def _flip_flop(
-    strength: float, i: int, j: int, n_sites: int, basis: LocalBasis
-) -> np.ndarray:
-    # strength * (|u>_i<d| |d>_j<u| + h.c.) == (strength/2)(sx sx + sy sy)
-    up_dn = level_transition("up", "down", basis)
-    dn_up = level_transition("down", "up", basis)
-    return strength * (
-        two_site_operator(up_dn, i, dn_up, j, n_sites, basis)
-        + two_site_operator(dn_up, i, up_dn, j, n_sites, basis)
-    )
+    levels = site_levels(n_sites, basis.dim)
+    spins = (levels == basis.index("up")).astype(int) - (levels == basis.index("down"))
+    return np.diag(0.5 * spins.sum(axis=1).astype(complex))
 
 
 def build_error_hamiltonian(
@@ -245,20 +227,17 @@ def build_error_hamiltonian(
     purely van der Waals.
     """
     n = geometry.n_sites
-    dim = basis.dim**n
-    h = np.zeros((dim, dim), dtype=complex)
-    p_up = level_projector("up", basis)
-    p_dn = level_projector("down", basis)
+    shifts = np.zeros(basis.dim**n)
+    hops = []
     for i in range(n):
         for j in range(i + 1, n):
-            h += vdw_strength(geometry, i, j, "up") * two_site_operator(
-                p_up, i, p_up, j, n, basis
-            )
-            h += vdw_strength(geometry, i, j, "down") * two_site_operator(
-                p_dn, i, p_dn, j, n, basis
-            )
+            for level in ("up", "down"):
+                _, both = transition_indices(n, basis, {i: (level, level), j: (level, level)})
+                shifts[both] += vdw_strength(geometry, i, j, level)
             if j > i + 1:
-                h += _flip_flop(dipole_strength(geometry, i, j), i, j, n, basis)
+                hops.append((dipole_strength(geometry, i, j), i, j))
+    h = _hopping_hamiltonian(hops, n, basis)
+    h[np.diag_indices(len(h))] += shifts
     return h
 
 
@@ -267,11 +246,8 @@ def build_rydberg_system(
 ) -> np.ndarray:
     """Nearest-neighbor dipolar exchange with per-bond strengths."""
     n = geometry.n_sites
-    dim = basis.dim**n
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n - 1):
-        h += _flip_flop(dipole_strength(geometry, i, i + 1), i, i + 1, n, basis)
-    return h
+    hops = [(dipole_strength(geometry, i, i + 1), i, i + 1) for i in range(n - 1)]
+    return _hopping_hamiltonian(hops, n, basis)
 
 
 def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:

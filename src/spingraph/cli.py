@@ -51,7 +51,7 @@ from .grape import (
     save_result,
     load_result,
 )
-from .operators import EMISSION_BASIS, embed_spin_state
+from .operators import EMISSION_BASIS
 from .protocol import run_full_protocol, standard_plan, write_timeline_csv
 from .targets import complete_graph_state, plus_product_state
 
@@ -197,14 +197,16 @@ def _table_rows_closed(cfg: ExperimentConfig, mode: str):
     return rows
 
 
-def _dissipation_delta(case_cfg: ExperimentConfig, model, result) -> float:
-    n = case_cfg.n_sites
-    psi0 = embed_spin_state(plus_product_state(n), n, EMISSION_BASIS)
+def _open_system_run(cfg: ExperimentConfig, model, schedule):
+    """Master equation from |+>^N towards the graph state on the emission basis."""
+    psi0 = plus_product_state(model.n_sites, basis=EMISSION_BASIS)
+    target = complete_graph_state(model.n_sites, EMISSION_BASIS)
     rho0 = np.outer(psi0, psi0.conj())
-    target = embed_spin_state(complete_graph_state(n), n, EMISSION_BASIS)
-    open_run = evolve_master(
-        model, result.schedule, build_jump_channels(case_cfg), rho0, target=target
-    )
+    return evolve_master(model, schedule, build_jump_channels(cfg), rho0, target=target)
+
+
+def _dissipation_delta(case_cfg: ExperimentConfig, model, result) -> float:
+    open_run = _open_system_run(case_cfg, model, result.schedule)
     return result.final_population - float(open_run.populations[-1])
 
 
@@ -217,12 +219,13 @@ def _dissipation_delta(case_cfg: ExperimentConfig, model, result) -> float:
 def cmd_table(which, config_path, out, **overrides) -> None:
     """Reproduce a results table (1 ideal, 2 dipolar chain, 3 error budget).
 
-    Tables 2 and 3 default to the documented random guess (seed 1); the
-    Gaussian guess stalls in a flat region for the N=4 chain case.
+    Tables 2 and 3 default to the documented random guess (seed 1 unless
+    --seed says otherwise); the Gaussian guess stalls in a flat region for
+    the N=4 chain case.
     """
     cfg = _merged_config(config_path, **overrides)
     if which in ("2", "3") and overrides.get("guess_kind") is None and config_path is None:
-        cfg = apply_overrides(cfg, guess_kind="random", seed=1)
+        cfg = apply_overrides(cfg, guess_kind="random")
     outdir = _outdir(cfg)
 
     if which == "1":
@@ -427,14 +430,9 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
     schedule, _ = _resolve_schedule(cfg, schedule_path)
     model = build_model(cfg)
     n = cfg.n_sites
-    target2 = complete_graph_state(n)
-    closed = closed_system_trace(model, schedule, plus_product_state(n), target2)[-1]
-    psi0 = embed_spin_state(plus_product_state(n), n, EMISSION_BASIS)
-    rho0 = np.outer(psi0, psi0.conj())
-    target3 = embed_spin_state(target2, n, EMISSION_BASIS)
-    result = evolve_master(
-        model, schedule, build_jump_channels(cfg), rho0, target=target3
-    )
+    psi0, target = plus_product_state(n), complete_graph_state(n)
+    closed = closed_system_trace(model, schedule, psi0, target)[-1]
+    result = _open_system_run(cfg, model, schedule)
     outdir = _outdir(cfg)
     trace_path = outdir / f"{out_prefix}_trace.csv"
     _write_csv(

@@ -25,7 +25,7 @@ from .chain import (
     build_control_hz,
 )
 from .grape import ClosedFormPropagator, ControlSchedule
-from .operators import EMISSION_BASIS, LocalBasis
+from .operators import EMISSION_BASIS, LocalBasis, transition_indices
 
 __all__ = [
     "JumpChannels",
@@ -146,24 +146,15 @@ class _LindbladRhs:
                  n_sites: int, basis: LocalBasis):
         self.h0 = h0
         self.hz = hz_diag
-        dim = h0.shape[0]
-        d = basis.dim
         self.gains: list[tuple[float, np.ndarray, np.ndarray]] = []
-        decay = np.zeros(dim)
-        codes = np.arange(dim)
+        self.decay = np.zeros(h0.shape[0])
         for site in range(n_sites):
-            stride = d ** (n_sites - 1 - site)
-            site_level = (codes // stride) % d
             for src_name, dst_name, rate in jumps.channels:
                 if rate == 0.0:
                     continue
-                src_level = basis.index(src_name)
-                dst_level = basis.index(dst_name)
-                src_idx = codes[site_level == src_level]
-                dst_idx = src_idx + (dst_level - src_level) * stride
-                self.gains.append((rate, src_idx, dst_idx))
-                decay[src_idx] += rate
-        self.decay = decay
+                dst, src = transition_indices(n_sites, basis, {site: (dst_name, src_name)})
+                self.gains.append((rate, src, dst))
+                self.decay[src] += rate
 
     def __call__(self, rho: np.ndarray, b_field: float) -> np.ndarray:
         hr = self.h0 @ rho
@@ -332,33 +323,15 @@ def closed_system_trace(
     A_k = dt (B_0 + ... + B_{k-1}); the closed form evaluates them all at
     once.
     """
+    return _boundary_populations(ClosedFormPropagator(model), schedule, psi0, target)
+
+
+def _boundary_populations(
+    prop: ClosedFormPropagator, schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray
+) -> np.ndarray:
     times = schedule.dt * np.arange(schedule.n_slices + 1)
     areas = schedule.dt * np.concatenate(([0.0], np.cumsum(schedule.amplitudes)))
-    overlaps = ClosedFormPropagator(model).overlaps(target, psi0, times, areas)
-    return np.abs(overlaps) ** 2
-
-
-def _noisy_sample_trace(
-    model: ModelKind,
-    schedule: ControlSchedule,
-    spec: NoiseSpec,
-    psi0: np.ndarray,
-    target: np.ndarray,
-    sample_index: int,
-) -> np.ndarray:
-    sample_model = model
-    if spec.delta_r is not None or any(s > 0 for s in spec.position_sigma):
-        if not isinstance(model, RydbergModel):
-            raise ValueError("geometry noise requires a Rydberg model")
-        geometry = sample_geometry_noise(model.geometry, spec, sample_index)
-        sample_model = RydbergModel(geometry=geometry)
-    sample_schedule = schedule
-    if spec.field_sigma > 0:
-        # disjoint seed block so field draws never reuse position draws
-        sample_schedule = sample_field_noise(
-            schedule, spec.field_sigma, spec.base_seed + spec.samples + sample_index
-        )
-    return closed_system_trace(sample_model, sample_schedule, psi0, target)
+    return np.abs(prop.overlaps(target, psi0, times, areas)) ** 2
 
 
 def ensemble_average(
@@ -371,12 +344,26 @@ def ensemble_average(
     """Monte Carlo average over disorder samples.
 
     Sample i draws its noise from seed base_seed + i, so the result does
-    not depend on the order in which samples are evaluated.
+    not depend on the order in which samples are evaluated. Field noise
+    leaves the drift alone, so without geometry noise one propagator
+    serves the whole ensemble.
     """
-    traces = [
-        _noisy_sample_trace(model, schedule, spec, psi0, target, i)
-        for i in range(spec.samples)
-    ]
+    geometry_noise = spec.delta_r is not None or any(s > 0 for s in spec.position_sigma)
+    if geometry_noise and not isinstance(model, RydbergModel):
+        raise ValueError("geometry noise requires a Rydberg model")
+    prop = None if geometry_noise else ClosedFormPropagator(model)
+    traces = []
+    for i in range(spec.samples):
+        if geometry_noise:
+            geometry = sample_geometry_noise(model.geometry, spec, i)
+            prop = ClosedFormPropagator(RydbergModel(geometry=geometry))
+        sample_schedule = schedule
+        if spec.field_sigma > 0:
+            # disjoint seed block so field draws never reuse position draws
+            sample_schedule = sample_field_noise(
+                schedule, spec.field_sigma, spec.base_seed + spec.samples + i
+            )
+        traces.append(_boundary_populations(prop, sample_schedule, psi0, target))
     stack = np.vstack(traces)
     times = np.linspace(0.0, schedule.t_total, schedule.n_slices + 1)
     finals = stack[:, -1]

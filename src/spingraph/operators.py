@@ -1,12 +1,17 @@
 """Dense linear algebra for tensor-product spin systems.
 
-Site-local bases, operator embedding, exact Hermitian propagation, and
-state/overlap arithmetic. Everything here is a pure function on numpy
-arrays; no internal mutability.
+Site-local bases, the site-index table, operator embedding, exact
+Hermitian propagation, and state/overlap arithmetic. Everything here is a
+pure function on numpy arrays; no internal mutability.
 
 Conventions
 -----------
-* Site 0 is the leftmost tensor factor, so kets read left to right.
+* Site 0 is the leftmost tensor factor, so kets read left to right: a
+  basis index is the base-d number whose digits are the N site levels,
+  site 0 most significant. ``site_levels`` is the single owner of that
+  rule; every Hamiltonian, drive, jump and embedded state is built from
+  its table, mostly through ``transition_indices``. The ``kron``
+  embeddings below are kept as the dense reference.
 * ``sigma_z |up> = +|up>`` and ``S_z = sigma_z / 2``.
 * hbar = 1. Energies and Rabi rates are angular frequencies in rad/us,
   times in us. A value quoted as "2 pi x f MHz" enters as 2*pi*f rad/us.
@@ -16,7 +21,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +38,8 @@ __all__ = [
     "level_transition",
     "embed_local_operator",
     "two_site_operator",
+    "site_levels",
+    "transition_indices",
     "evolve_unitary",
     "population",
     "basis_state",
@@ -175,6 +182,37 @@ def two_site_operator(
     return out
 
 
+def site_levels(n_sites: int, d: int) -> np.ndarray:
+    """(d**N, N) table: row k holds the site levels of basis state k, in
+    C order (site 0 most significant). Refuses dimensions beyond budget."""
+    _check_dim_budget(d, n_sites)
+    return np.arange(d**n_sites)[:, None] // _place_values(n_sites, d) % d
+
+
+def transition_indices(
+    n_sites: int, basis: LocalBasis, moves: Mapping[int, tuple[str, str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index form of a product of single-site transitions |to><from|.
+
+    ``moves`` maps each acted-on site to its (to, from) level names; the
+    other sites carry the identity. Returns (dst, src), src ascending, such
+    that the operator is sum_k |dst_k><src_k|; to == from on every site
+    gives a projector (dst == src).
+    """
+    levels = site_levels(n_sites, basis.dim)
+    sites = list(moves)
+    to = np.array([basis.index(pair[0]) for pair in moves.values()], dtype=int)
+    frm = np.array([basis.index(pair[1]) for pair in moves.values()], dtype=int)
+    src = np.flatnonzero(np.all(levels[:, sites] == frm, axis=1))
+    return src + (to - frm) @ _place_values(n_sites, basis.dim)[sites], src
+
+
+def _place_values(n_sites: int, d: int) -> np.ndarray:
+    # a basis index is its site levels dotted with these: site 0 is the
+    # most significant base-d digit
+    return d ** np.arange(n_sites - 1, -1, -1)
+
+
 def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
     """Raise if ``h`` is not Hermitian within ``tol`` or has NaN/Inf entries."""
     if not np.all(np.isfinite(h)):
@@ -231,21 +269,18 @@ def basis_state(labels: Sequence[str], basis: LocalBasis) -> np.ndarray:
     n = len(labels)
     d = basis.dim
     _check_dim_budget(d, n)
-    idx = 0
-    for name in labels:
-        idx = idx * d + basis.index(name)
+    levels = np.array([basis.index(name) for name in labels], dtype=int)
     out = np.zeros(d**n, dtype=complex)
-    out[idx] = 1.0
+    out[levels @ _place_values(n, d)] = 1.0
     return out
 
 
 def product_state(local: np.ndarray, n_sites: int) -> np.ndarray:
     """N-fold tensor power of one normalized single-site vector."""
     local = np.asarray(local, dtype=complex)
-    _check_dim_budget(local.size, n_sites)
-    out = np.array([1.0 + 0.0j])
-    for _ in range(n_sites):
-        out = np.kron(out, local)
+    out = np.ones(local.size**n_sites, dtype=complex)
+    for column in site_levels(n_sites, local.size).T:
+        out *= local[column]
     return out
 
 
@@ -259,18 +294,11 @@ def embed_spin_state(psi2: np.ndarray, n_sites: int, basis: LocalBasis) -> np.nd
     psi2 = np.asarray(psi2, dtype=complex)
     if psi2.size != 2**n_sites:
         raise ValueError(f"expected 2^{n_sites} amplitudes, got {psi2.size}")
-    d = basis.dim
-    if d == 2:
-        return psi2.copy()
-    _check_dim_budget(d, n_sites)
-    iu, idn = basis.index("up"), basis.index("down")
-    out = np.zeros(d**n_sites, dtype=complex)
-    for code in range(2**n_sites):
-        idx = 0
-        for site in range(n_sites):
-            bit = (code >> (n_sites - 1 - site)) & 1
-            idx = idx * d + (idn if bit else iu)
-        out[idx] = psi2[code]
+    _check_dim_budget(basis.dim, n_sites)
+    # relabel the spin levels (up, down) = (0, 1) into the basis
+    slots = np.array([basis.index("up"), basis.index("down")])[site_levels(n_sites, 2)]
+    out = np.zeros(basis.dim**n_sites, dtype=complex)
+    out[slots @ _place_values(n_sites, basis.dim)] = psi2
     return out
 
 

@@ -35,9 +35,10 @@ from .operators import (
     PROTOCOL_BASIS,
     LocalBasis,
     basis_state,
-    embed_local_operator,
     evolve_unitary,
     product_state,
+    site_levels,
+    transition_indices,
 )
 
 __all__ = [
@@ -149,14 +150,17 @@ def _drive_hamiltonian(
     n_sites: int,
     basis: LocalBasis,
 ) -> np.ndarray:
+    # indices first: they refuse an over-budget dimension before h exists
+    terms = [
+        (0.5 * rate * np.exp(1j * phase), *transition_indices(n_sites, basis, {site: (a, b)}))
+        for a, b, rate, phase in drives
+        for site in range(n_sites)
+    ]
     dim = basis.dim**n_sites
     h = np.zeros((dim, dim), dtype=complex)
-    for name_a, name_b, rate, phase in drives:
-        local = np.zeros((basis.dim, basis.dim), dtype=complex)
-        local[basis.index(name_a), basis.index(name_b)] = 0.5 * rate * np.exp(1j * phase)
-        local += local.conj().T
-        for site in range(n_sites):
-            h += embed_local_operator(local, site, n_sites, basis)
+    for coeff, dst, src in terms:
+        h[dst, src] += coeff
+        h[src, dst] += np.conj(coeff)
     return h
 
 
@@ -217,21 +221,16 @@ def mapped_graph_state(
     to ``level_for_down``, and multiplies the listed factor per site of
     each role. These are the protocol's stage-boundary references.
     """
-    dim = basis.dim**n_sites
-    out = np.zeros(dim, dtype=complex)
-    for code in range(2**n_sites):
-        bits = [(code >> (n_sites - 1 - site)) & 1 for site in range(n_sites)]
-        m_up = sum(1 for b in bits if b == 0)
-        amp = (-1.0) ** (m_up * (m_up - 1) // 2) / np.sqrt(2.0**n_sites)
-        labels = []
-        for b in bits:
-            if b == 0:
-                labels.append(level_for_up)
-                amp *= factor_per_up
-            else:
-                labels.append(level_for_down)
-                amp *= factor_per_down
-        out += amp * basis_state(labels, basis)
+    levels = site_levels(n_sites, basis.dim)
+    is_up = levels == basis.index(level_for_up)
+    rows = np.flatnonzero(np.all(is_up | (levels == basis.index(level_for_down)), axis=1))
+    m_up = np.sum(is_up[rows], axis=1)
+    amps = (-1.0) ** (m_up * (m_up - 1) // 2) / np.sqrt(2.0**n_sites)
+    for site in range(n_sites):
+        amps = amps * np.where(is_up[rows, site], factor_per_up, factor_per_down)
+    out = np.zeros(len(levels), dtype=complex)
+    # adding onto zeros turns -0.0 parts into +0.0, as a sum of kets does
+    out[rows] += amps
     return out
 
 
@@ -260,8 +259,6 @@ def run_full_protocol(
     final report's population is the mapped graph state on the clock
     levels.
     """
-    if basis.dim**plan.n_sites > 4096:
-        raise ValueError("protocol dimension budget exceeded")
     refs = _reference_states(plan.n_sites, basis)
     tracked = [
         refs["half-rotate"],
@@ -269,9 +266,7 @@ def run_full_protocol(
         refs["decouple"],
         refs["map-to-clock"],
     ]
-    zero_site = np.zeros(basis.dim, dtype=complex)
-    zero_site[basis.index("0")] = 1.0
-    state = product_state(zero_site, plan.n_sites)
+    state = basis_state(["0"] * plan.n_sites, basis)
 
     timeline: list[tuple[float, float, float, float, float, str]] = []
     reports: list[StageReport] = []

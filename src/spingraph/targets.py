@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import SPIN_BASIS, LocalBasis, embed_spin_state
+from .operators import SPIN_BASIS, LocalBasis, embed_spin_state, site_levels
 
 __all__ = [
     "TargetForm",
@@ -57,13 +57,9 @@ def _check_n(n_sites: int) -> None:
         raise ValueError(f"n_sites must be in [2, {MAX_TARGET_SITES}]")
 
 
-def _up_counts(n_sites: int) -> np.ndarray:
-    # number of up-spins per computational index; bit 0 = up, bit 1 = down
-    codes = np.arange(2**n_sites)
-    k_down = np.zeros(2**n_sites, dtype=int)
-    for site in range(n_sites):
-        k_down += (codes >> (n_sites - 1 - site)) & 1
-    return n_sites - k_down
+def _down_bits(n_sites: int) -> np.ndarray:
+    # (2^N, N) table, True where a site is down in that spin configuration
+    return site_levels(n_sites, 2) == SPIN_BASIS.index("down")
 
 
 def complete_graph_state(
@@ -76,7 +72,7 @@ def complete_graph_state(
     phase of the serialized representative.
     """
     _check_n(n_sites)
-    m = _up_counts(n_sites)
+    m = n_sites - np.sum(_down_bits(n_sites), axis=1)
     amps = ((-1.0) ** (m * (m - 1) // 2)) / np.sqrt(2.0**n_sites)
     return embed_spin_state(amps.astype(complex), n_sites, basis)
 
@@ -90,12 +86,10 @@ def cz_graph_state(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     _check_n(n_sites)
     dim = 2**n_sites
     psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    codes = np.arange(dim)
+    down = _down_bits(n_sites)
     for i in range(n_sites):
-        bit_i = (codes >> (n_sites - 1 - i)) & 1
         for j in range(i + 1, n_sites):
-            bit_j = (codes >> (n_sites - 1 - j)) & 1
-            psi = np.where((bit_i == 1) & (bit_j == 1), -psi, psi)
+            psi = np.where(down[:, i] & down[:, j], -psi, psi)
     return embed_spin_state(psi, n_sites, basis)
 
 
@@ -110,10 +104,8 @@ def plus_product_state(
     if not (basis.has_level("up") and basis.has_level("down")):
         raise ValueError("basis lacks up/down levels")
     amps = np.ones(2**n_sites, dtype=complex)
-    codes = np.arange(2**n_sites)
-    for site in range(n_sites):
-        bit = (codes >> (n_sites - 1 - site)) & 1
-        amps *= np.where(bit, phase, 1.0)
+    for down in _down_bits(n_sites).T:
+        amps *= np.where(down, phase, 1.0)
     amps /= np.sqrt(2.0**n_sites)
     return embed_spin_state(amps, n_sites, basis)
 
@@ -128,17 +120,8 @@ def target_state(spec: TargetSpec, basis: LocalBasis = SPIN_BASIS) -> np.ndarray
 
 def spin_config_labels(n_sites: int, basis: LocalBasis) -> list[str]:
     """Ket label per basis index, sites left to right, levels joined by '.'."""
-    d = basis.dim
-    labels = []
-    for idx in range(d**n_sites):
-        names = []
-        rest = idx
-        for site in range(n_sites):
-            power = d ** (n_sites - 1 - site)
-            names.append(basis.levels[rest // power])
-            rest %= power
-        labels.append(".".join(names))
-    return labels
+    names = np.array(basis.levels)[site_levels(n_sites, basis.dim)]
+    return [".".join(row) for row in names]
 
 
 def state_to_json(state: np.ndarray, n_sites: int, basis: LocalBasis) -> str:

@@ -1,7 +1,8 @@
 """Chain Hamiltonians: XX exchange, global control term, dipolar couplings.
 
 Interaction strengths are checked against independently computed scalars
-(frozen below), matrix structure against literal index bookkeeping.
+(frozen below), matrix structure against literal index bookkeeping, and
+every index-built Hamiltonian against a dense kron-product reference.
 """
 
 import numpy as np
@@ -21,7 +22,19 @@ from spingraph.chain import (
     dipole_strength,
     vdw_strength,
 )
-from spingraph.operators import EMISSION_BASIS, SPIN_BASIS
+from spingraph.operators import (
+    EMISSION_BASIS,
+    PROTOCOL_BASIS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    SPIN_BASIS,
+    embed_local_operator,
+    level_projector,
+    level_transition,
+    spin_half_operator,
+    two_site_operator,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -199,3 +212,77 @@ def test_custom_constants_propagate():
     consts = PhysicalConstants(c3=TWO_PI * 1000.0, spacing=10.0)
     geo = ChainGeometry.regular(2, constants=consts)
     assert abs(dipole_strength(geo, 0, 1) - TWO_PI * 1000.0 * (-2.0) / 1000.0) < 1e-10
+
+
+def kron_flip_flop(strength, i, j, n, basis):
+    up_dn = level_transition("up", "down", basis)
+    dn_up = level_transition("down", "up", basis)
+    return strength * (
+        two_site_operator(up_dn, i, dn_up, j, n, basis)
+        + two_site_operator(dn_up, i, up_dn, j, n, basis)
+    )
+
+
+def kron_drift(model, basis):
+    """Reference H0 as a sum of dense N-fold kron products."""
+    n = model.n_sites
+    h = np.zeros((basis.dim**n,) * 2, dtype=complex)
+    if isinstance(model, IdealModel):
+        sx = spin_half_operator(SIGMA_X, basis)
+        sy = spin_half_operator(SIGMA_Y, basis)
+        for i in range(n - 1):
+            h += (model.coupling / 2.0) * (
+                two_site_operator(sx, i, sx, i + 1, n, basis)
+                + two_site_operator(sy, i, sy, i + 1, n, basis)
+            )
+        return h
+    geo = model.geometry
+    for i in range(n - 1):
+        h += kron_flip_flop(dipole_strength(geo, i, i + 1), i, i + 1, n, basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for level in ("up", "down"):
+                proj = level_projector(level, basis)
+                h += vdw_strength(geo, i, j, level) * two_site_operator(
+                    proj, i, proj, j, n, basis
+                )
+            if j > i + 1:
+                h += kron_flip_flop(dipole_strength(geo, i, j), i, j, n, basis)
+    return h
+
+
+def kron_control_hz(n, basis):
+    sz_half = spin_half_operator(0.5 * SIGMA_Z, basis)
+    return sum(embed_local_operator(sz_half, i, n, basis) for i in range(n))
+
+
+ORACLE_CASES = [
+    (basis, n)
+    for basis, n_max in ((SPIN_BASIS, 7), (EMISSION_BASIS, 5), (PROTOCOL_BASIS, 4))
+    for n in range(2, n_max + 1)
+]
+
+
+@pytest.mark.parametrize("basis,n", ORACLE_CASES, ids=lambda v: getattr(v, "dim", v))
+def test_index_builders_match_kron_reference(basis, n):
+    # ideal chain J (|ud><du| + h.c.) == (J/2)(sx sx + sy sy) bit for bit;
+    # the displaced chain makes every pair strength distinct
+    geo = ChainGeometry.regular(n).with_delta_r(0.013)
+    for model in (IdealModel(n, 1.3), RydbergModel(geo)):
+        assert np.array_equal(assemble_system(model, basis), kron_drift(model, basis))
+    assert np.array_equal(build_control_hz(n, basis), kron_control_hz(n, basis))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: assemble_system(IdealModel(6), PROTOCOL_BASIS),
+        lambda: assemble_system(RydbergModel(ChainGeometry.regular(6)), PROTOCOL_BASIS),
+        lambda: build_control_hz(6, PROTOCOL_BASIS),
+        lambda: build_error_hamiltonian(ChainGeometry.regular(6), PROTOCOL_BASIS),
+    ],
+)
+def test_builders_refuse_beyond_dimension_budget(build):
+    # 5^6 = 15625 > 4096: refused before any dense matrix is allocated
+    with pytest.raises(ValueError, match="exceeds the supported budget"):
+        build()

@@ -293,3 +293,24 @@ def test_table_3_optimizes_each_case_once(runner, tmp_path, monkeypatch):
     )
     assert row["closed"] > 0.99
     assert 0.0 < row["dissipation_delta"] < 0.01
+
+
+@pytest.mark.parametrize("seed_args,expected_seed", [([], 1), (["--seed", "5"], 5)])
+def test_table_2_passes_the_seed_to_the_guess(
+    runner, tmp_path, monkeypatch, seed_args, expected_seed
+):
+    import spingraph.cli as cli
+
+    monkeypatch.setattr(cli, "TABLE_RYDBERG", cli.TABLE_RYDBERG[:1])
+    original = cli.run_optimize
+    guesses = []
+
+    def recording_optimize(config, *args, **kwargs):
+        guesses.append(config.guess)
+        return original(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_optimize", recording_optimize)
+    out = tmp_path / "table2.csv"
+    result = runner.invoke(main, ["table", "2", "--out", str(out), *seed_args])
+    assert result.exit_code == 0, result.output
+    assert [(g.kind, g.seed) for g in guesses] == [("random", expected_seed)]

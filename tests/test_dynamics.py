@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from spingraph.chain import ChainGeometry, IdealModel, RydbergModel, assemble_system, build_control_hz
+import spingraph.dynamics as dynamics
 from spingraph.dynamics import (
     DEFAULT_JUMPS,
     EnsembleResult,
@@ -25,8 +26,10 @@ from spingraph.grape import ControlSchedule
 from spingraph.operators import (
     EMISSION_BASIS,
     basis_state,
+    embed_local_operator,
     embed_spin_state,
     evolve_unitary,
+    level_transition,
 )
 from spingraph.targets import complete_graph_state, plus_product_state
 
@@ -313,3 +316,76 @@ def test_closed_system_trace_matches_slice_product(n_sites, kind):
         oracle.append(abs(np.vdot(target, psi)) ** 2)
     pops = closed_system_trace(model, schedule, psi0, target)
     assert np.max(np.abs(pops - np.array(oracle))) < 1e-10
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_lindblad_jump_terms_match_explicit_operators(n_sites):
+    # each index-selected gain block is L rho L^dag, and the decay vector
+    # is the diagonal of sum_L L^dag L, with L = |dst><src| at one site
+    basis = EMISSION_BASIS
+    jumps = JumpChannels(channels=(("up", "g", 0.3), ("down", "g", 0.0), ("down", "up", 0.7)))
+    dim = basis.dim**n_sites
+    rng = np.random.default_rng(n_sites)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rhs = dynamics._LindbladRhs(np.zeros((dim, dim)), np.zeros(dim), jumps, n_sites, basis)
+    expected = []
+    decay = np.zeros((dim, dim), dtype=complex)
+    for site in range(n_sites):
+        for src, dst, rate in jumps.channels:
+            if rate == 0.0:
+                continue
+            jump = embed_local_operator(level_transition(dst, src, basis), site, n_sites, basis)
+            expected.append((rate, jump @ rho @ jump.conj().T))
+            decay += rate * (jump.conj().T @ jump)
+    assert len(rhs.gains) == len(expected)
+    for (rate, src_idx, dst_idx), (expected_rate, block) in zip(rhs.gains, expected):
+        gained = np.zeros((dim, dim), dtype=complex)
+        gained[np.ix_(dst_idx, dst_idx)] = rho[np.ix_(src_idx, src_idx)]
+        assert rate == expected_rate
+        assert np.array_equal(gained, block)
+    assert np.array_equal(np.diag(rhs.decay).astype(complex), decay)
+
+
+def count_propagators(monkeypatch):
+    built = []
+    original = dynamics.ClosedFormPropagator
+
+    def counting(model):
+        built.append(model)
+        return original(model)
+
+    monkeypatch.setattr(dynamics, "ClosedFormPropagator", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NoiseSpec(field_sigma=TWO_PI * 0.5, samples=6, base_seed=3),
+        NoiseSpec(position_sigma=(193.5, 193.5, 1242.9), samples=6, base_seed=3),
+        NoiseSpec(position_sigma=(193.5, 0.0, 0.0), field_sigma=2.0, samples=6, base_seed=3),
+        NoiseSpec(delta_r=100.0, field_sigma=2.0, samples=6, base_seed=3),
+    ],
+    ids=["field", "position", "position+field", "delta_r+field"],
+)
+def test_ensemble_shares_one_propagator_under_field_noise(spec, monkeypatch):
+    model = RydbergModel(ChainGeometry.regular(3))
+    rng = np.random.default_rng(5)
+    schedule = ControlSchedule(t_total=0.141, amplitudes=rng.uniform(-20, 20, 12))
+    psi0, target = plus_product_state(3), complete_graph_state(3)
+    # oracle: an independent closed-system trace per sample
+    geometry_noise = spec.delta_r is not None or any(s > 0 for s in spec.position_sigma)
+    per_sample = []
+    for i in range(spec.samples):
+        sample_model = model
+        if geometry_noise:
+            sample_model = RydbergModel(sample_geometry_noise(model.geometry, spec, i))
+        sample_schedule = sample_field_noise(
+            schedule, spec.field_sigma, spec.base_seed + spec.samples + i
+        )
+        per_sample.append(closed_system_trace(sample_model, sample_schedule, psi0, target)[-1])
+    built = count_propagators(monkeypatch)
+    result = ensemble_average(model, schedule, spec, psi0, target)
+    assert len(built) == (spec.samples if geometry_noise else 1)
+    assert np.array_equal(result.sample_finals, per_sample)

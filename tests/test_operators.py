@@ -24,7 +24,9 @@ from spingraph.operators import (
     level_transition,
     population,
     product_state,
+    site_levels,
     spin_half_operator,
+    transition_indices,
     two_site_operator,
 )
 
@@ -215,3 +217,69 @@ def test_embed_spin_state_index_map():
     # protocol basis: up has local index 2, down 3
     out5 = embed_spin_state(dd, 2, PROTOCOL_BASIS)
     assert out5[3 * 5 + 3] == 1.0
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 3), (5, 2)])
+def test_site_levels_rows_are_base_d_digits(d, n):
+    table = site_levels(n, d)
+    assert table.shape == (d**n, n)
+    for index, row in enumerate(table):
+        # site 0 is the most significant digit
+        assert int("".join(map(str, row)), d) == index
+
+
+def test_site_levels_refuses_beyond_budget():
+    assert site_levels(5, 5).shape == (3125, 5)
+    with pytest.raises(ValueError, match="exceeds the supported budget"):
+        site_levels(6, 5)
+    with pytest.raises(ValueError):
+        transition_indices(6, PROTOCOL_BASIS, {0: ("up", "down")})
+
+
+def dense_from_indices(dst, src, dim):
+    out = np.zeros((dim, dim), dtype=complex)
+    out[dst, src] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("basis,n", [(SPIN_BASIS, 4), (EMISSION_BASIS, 3), (PROTOCOL_BASIS, 3)])
+def test_transition_indices_match_kron_reference(basis, n):
+    levels = basis.levels
+    dim = basis.dim**n
+    for site in range(n):
+        for to in levels:
+            for frm in levels:
+                dst, src = transition_indices(n, basis, {site: (to, frm)})
+                reference = embed_local_operator(level_transition(to, frm, basis), site, n, basis)
+                assert np.array_equal(dense_from_indices(dst, src, dim), reference)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        i, j = rng.choice(n, size=2, replace=False)
+        a_to, a_from, b_to, b_from = rng.choice(levels, size=4)
+        dst, src = transition_indices(n, basis, {i: (a_to, a_from), j: (b_to, b_from)})
+        assert np.all(np.diff(src) > 0)
+        reference = two_site_operator(
+            level_transition(a_to, a_from, basis), i,
+            level_transition(b_to, b_from, basis), j, n, basis,
+        )
+        assert np.array_equal(dense_from_indices(dst, src, dim), reference)
+
+
+@pytest.mark.parametrize("basis", [EMISSION_BASIS, PROTOCOL_BASIS])
+def test_embed_spin_state_matches_basis_ket_sum(basis):
+    n = 4
+    rng = np.random.default_rng(7)
+    psi2 = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    reference = np.zeros(basis.dim**n, dtype=complex)
+    for code, amp in enumerate(psi2):
+        labels = [SPIN_BASIS.levels[int(b)] for b in format(code, f"0{n}b")]
+        reference += amp * basis_state(labels, basis)
+    assert np.array_equal(embed_spin_state(psi2, n, basis), reference)
+
+
+def test_basis_state_matches_kron_of_local_kets():
+    labels = ["r", "0", "down", "up"]
+    ket = np.ones(1)
+    for name in labels:
+        ket = np.kron(ket, np.eye(PROTOCOL_BASIS.dim)[PROTOCOL_BASIS.index(name)])
+    assert np.array_equal(basis_state(labels, PROTOCOL_BASIS), ket)

@@ -7,8 +7,14 @@ import pytest
 
 from spingraph.chain import ChainGeometry
 from spingraph.grape import ControlSchedule
-from spingraph.operators import PROTOCOL_BASIS, basis_state, product_state
+from spingraph.operators import (
+    PROTOCOL_BASIS,
+    basis_state,
+    embed_local_operator,
+    product_state,
+)
 from spingraph.protocol import (
+    _drive_hamiltonian,
     OMEGA_MICROWAVE_A,
     OMEGA_MICROWAVE_B,
     OMEGA_TWO_PHOTON,
@@ -228,3 +234,56 @@ def test_write_timeline_csv(tmp_path, core_result):
     ]
     assert len(rows) == 1 + len(result.timeline)
     assert float(rows[-1][4]) == pytest.approx(0.993114, abs=5e-4)
+
+
+def kron_drive_hamiltonian(drives, n_sites):
+    """Reference: sum over sites of the embedded local drive operator."""
+    basis = PROTOCOL_BASIS
+    h = np.zeros((basis.dim**n_sites,) * 2, dtype=complex)
+    for name_a, name_b, rate, phase in drives:
+        local = np.zeros((basis.dim, basis.dim), dtype=complex)
+        local[basis.index(name_a), basis.index(name_b)] = 0.5 * rate * np.exp(1j * phase)
+        local += local.conj().T
+        for site in range(n_sites):
+            h += embed_local_operator(local, site, n_sites, basis)
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_drive_hamiltonian_matches_kron_reference(n):
+    plan = standard_plan(
+        ChainGeometry.regular(n), ControlSchedule(t_total=0.1, amplitudes=np.zeros(2))
+    )
+    for stage in plan.stages:
+        for drives in (stage.drives, tuple((a, b, r, 0.7) for a, b, r, _ in stage.drives)):
+            assert np.array_equal(
+                _drive_hamiltonian(drives, n, PROTOCOL_BASIS),
+                kron_drive_hamiltonian(drives, n),
+            )
+
+
+def basis_ket_graph_state(n, level_for_up, level_for_down, factor_per_down, factor_per_up):
+    """Reference: the graph state as an explicit sum of relabeled basis kets."""
+    out = np.zeros(PROTOCOL_BASIS.dim**n, dtype=complex)
+    for code in range(2**n):
+        bits = [(code >> (n - 1 - site)) & 1 for site in range(n)]
+        m_up = bits.count(0)
+        amp = (-1.0) ** (m_up * (m_up - 1) // 2) / np.sqrt(2.0**n)
+        for b in bits:
+            amp *= factor_per_down if b else factor_per_up
+        labels = [level_for_down if b else level_for_up for b in bits]
+        out += amp * basis_state(labels, PROTOCOL_BASIS)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "roles",
+    [("up", "down", -1.0j, 1.0), ("up", "r", -1.0, 1.0), ("0", "1", 1.0, -1.0)],
+)
+def test_mapped_graph_state_matches_basis_ket_sum(n, roles):
+    up, down, f_down, f_up = roles
+    assert np.array_equal(
+        mapped_graph_state(n, up, down, factor_per_down=f_down, factor_per_up=f_up),
+        basis_ket_graph_state(n, up, down, f_down, f_up),
+    )
