@@ -30,6 +30,7 @@ __all__ = [
     "vdw_strength",
     "build_xx_chain",
     "build_control_hz",
+    "build_control_hz_diagonal",
     "build_error_hamiltonian",
     "build_rydberg_system",
     "assemble_system",
@@ -206,14 +207,21 @@ def build_xx_chain(
     return _hopping_hamiltonian(hops, n_sites, basis)
 
 
-def build_control_hz(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
-    """Global control term sum_i S^z_i; diagonal, eigenvalue (m - k)/2 on a
-    configuration with m up and k down spins. Non-spin levels count zero."""
+def build_control_hz_diagonal(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
+    """Diagonal of the global control term sum_i S^z_i, as a real vector:
+    (m - k)/2 on a configuration with m up and k down spins. Non-spin
+    levels count zero."""
     if n_sites < 1:
         raise ValueError("need at least one site")
     levels = site_levels(n_sites, basis.dim)
     spins = (levels == basis.index("up")).astype(int) - (levels == basis.index("down"))
-    return np.diag(0.5 * spins.sum(axis=1).astype(complex))
+    return 0.5 * spins.sum(axis=1)
+
+
+def build_control_hz(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
+    """Global control term sum_i S^z_i as a dense matrix; its diagonal is
+    ``build_control_hz_diagonal``."""
+    return np.diag(build_control_hz_diagonal(n_sites, basis).astype(complex))
 
 
 def build_error_hamiltonian(
@@ -260,7 +268,7 @@ def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndar
     if isinstance(model, IdealModel):
         return build_xx_chain(model.n_sites, model.coupling, basis)
     if isinstance(model, RydbergModel):
-        return build_rydberg_system(model.geometry, basis) + build_error_hamiltonian(
-            model.geometry, basis
-        )
+        h = build_rydberg_system(model.geometry, basis)
+        h += build_error_hamiltonian(model.geometry, basis)
+        return h
     raise TypeError(f"unknown model kind: {type(model).__name__}")

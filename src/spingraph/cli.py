@@ -17,6 +17,7 @@ from typing import NoReturn
 
 import click
 import numpy as np
+import yaml
 
 from . import __version__
 from .analytic import (
@@ -72,6 +73,15 @@ def _merged_config(config_path, **overrides) -> ExperimentConfig:
         return apply_overrides(cfg, **overrides)
     except ConfigError as exc:
         _fail(f"config error: {exc}")
+
+
+def _file_sets_guess_kind(config_path) -> bool:
+    # called after _merged_config, which has already validated the file
+    if not config_path:
+        return False
+    with open(config_path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh) or {}
+    return "guess_kind" in data.get("guess", {})
 
 
 def _grape_config(cfg: ExperimentConfig) -> GrapeConfig:
@@ -220,11 +230,16 @@ def cmd_table(which, config_path, out, **overrides) -> None:
     """Reproduce a results table (1 ideal, 2 dipolar chain, 3 error budget).
 
     Tables 2 and 3 default to the documented random guess (seed 1 unless
-    --seed says otherwise); the Gaussian guess stalls in a flat region for
-    the N=4 chain case.
+    --seed says otherwise) unless --guess or the config file's
+    guess.guess_kind picks a kind; the Gaussian guess stalls in a flat
+    region for the N=4 chain case.
     """
     cfg = _merged_config(config_path, **overrides)
-    if which in ("2", "3") and overrides.get("guess_kind") is None and config_path is None:
+    if (
+        which in ("2", "3")
+        and overrides.get("guess_kind") is None
+        and not _file_sets_guess_kind(config_path)
+    ):
         cfg = apply_overrides(cfg, guess_kind="random")
     outdir = _outdir(cfg)
 

@@ -22,7 +22,7 @@ from .chain import (
     ModelKind,
     RydbergModel,
     assemble_system,
-    build_control_hz,
+    build_control_hz_diagonal,
 )
 from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import EMISSION_BASIS, LocalBasis, transition_indices
@@ -244,7 +244,7 @@ def evolve_master(
     h0 = assemble_system(model, basis)
     if rho0.shape[0] != h0.shape[0]:
         raise ValueError("density matrix dimension does not match the model basis")
-    hz_diag = np.real(np.diag(build_control_hz(model.n_sites, basis)))
+    hz_diag = build_control_hz_diagonal(model.n_sites, basis)
     rhs = _LindbladRhs(h0, hz_diag, jumps, model.n_sites, basis)
 
     result = _integrate_master(rhs, schedule, rho0, target, MAX_SUBSTEP)

@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .chain import ModelKind, assemble_system, build_control_hz
+from .chain import ModelKind, assemble_system, build_control_hz_diagonal
 from .operators import SPIN_BASIS
 from .targets import TargetSpec, plus_product_state, target_state
 
@@ -218,7 +218,7 @@ class ClosedFormPropagator:
 
     def __init__(self, model: ModelKind):
         h0 = assemble_system(model, SPIN_BASIS)
-        self.hz_diag = np.real(np.diag(build_control_hz(model.n_sites, SPIN_BASIS)))
+        self.hz_diag = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
         comm = self.hz_diag[:, None] * h0 - h0 * self.hz_diag[None, :]
         comm_norm = float(np.max(np.abs(comm)))
         if not comm_norm < COMMUTATOR_TOL:

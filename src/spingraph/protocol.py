@@ -20,6 +20,13 @@ with a factor -i per down-spin; after stage 4 the same with down mapped
 to r and factor -1; at the end the graph state on the clock states with
 a factor -1 per former up-spin. The simulation is pure-state; emission
 is budgeted separately by the master-equation module.
+
+Each stage is diagonalized once. A drive stage's Hamiltonian is
+constant, so every traced state is V exp(-i w t) V^dag psi from one
+eigendecomposition. The core stage uses the commuting factorization
+exp(-i h_sys t) exp(-i A(t) Hz), with A(t) the field area so far: the
+interactions conserve magnetization, so the field schedule enters as
+diagonal phases and one eigendecomposition of h_sys serves every slice.
 """
 
 from __future__ import annotations
@@ -29,13 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz
-from .grape import ControlSchedule
+from .chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz_diagonal
+from .grape import COMMUTATOR_TOL, ControlSchedule
 from .operators import (
     PROTOCOL_BASIS,
     LocalBasis,
     basis_state,
-    evolve_unitary,
+    check_hermitian,
     product_state,
     site_levels,
     transition_indices,
@@ -174,36 +181,48 @@ def run_stage(
     """Evolve through one stage; optionally report intermediate states.
 
     ``trace_hook(t_local, state)`` is called at sub-sampled times inside
-    the stage (excluding t_local = 0).
+    the stage (excluding t_local = 0): at TRACE_POINTS_PER_STAGE equal
+    steps of a drive stage, and at every slice boundary of the core.
+
+    One eigendecomposition per stage (see the module docstring). The core
+    stage's factorization needs [h_sys, Hz] = 0; a background that breaks
+    it raises ValueError.
     """
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("stage input state not normalized")
-    h_sys = (
-        assemble_system(RydbergModel(plan.geometry), basis)
-        if stage.background
-        else 0.0
-    )
-    if stage.uses_core_schedule:
-        hz = build_control_hz(plan.n_sites, basis)
-        schedule = plan.core_schedule
-        for k in range(schedule.n_slices):
-            h = h_sys + schedule.amplitudes[k] * hz
-            state = evolve_unitary(h, schedule.dt, state)
-            if trace_hook is not None:
-                trace_hook((k + 1) * schedule.dt, state)
-        return state
-    if not stage.drives and not stage.background:
+    if not stage.uses_core_schedule and not stage.drives and not stage.background:
         raise ValueError("stage has neither drives nor interactions")
-    h = h_sys + _drive_hamiltonian(stage.drives, plan.n_sites, basis)
-    if trace_hook is None:
-        return evolve_unitary(h, stage.duration, state)
-    steps = TRACE_POINTS_PER_STAGE
-    dt = stage.duration / steps
-    for step in range(steps):
-        state = evolve_unitary(h, dt, state)
-        trace_hook((step + 1) * dt, state)
-    return state
+    # the core stage has no drives, so this is its bare background
+    h = _drive_hamiltonian(stage.drives, plan.n_sites, basis)
+    if stage.background:
+        h += assemble_system(RydbergModel(plan.geometry), basis)
+    check_hermitian(h)
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (h.shape[0],):
+        raise ValueError(f"state dim {state.shape} does not match operator dim {h.shape[0]}")
+    if stage.uses_core_schedule:
+        hz = build_control_hz_diagonal(plan.n_sites, basis)
+        comm = float(np.max(np.abs(hz[:, None] * h - h * hz[None, :])))
+        if not comm < COMMUTATOR_TOL:
+            raise ValueError(
+                f"core background does not commute with the field (|[H, Hz]| = "
+                f"{comm:.3e}); the core stage needs it"
+            )
+        schedule = plan.core_schedule
+        times = np.arange(1, schedule.n_slices + 1) * schedule.dt
+        areas = schedule.dt * np.cumsum(schedule.amplitudes)
+        kicked = np.exp(-1j * areas[:, None] * hz) * state
+    else:
+        steps = TRACE_POINTS_PER_STAGE if trace_hook is not None else 1
+        times = np.arange(1, steps + 1) * (stage.duration / steps)
+        kicked = state
+    w, v = np.linalg.eigh(h)
+    states = ((kicked @ v.conj()) * np.exp(-1j * np.outer(times, w))) @ v.T
+    if trace_hook is not None:
+        for t, s in zip(times, states):
+            trace_hook(float(t), s)
+    return states[-1]
 
 
 def mapped_graph_state(

@@ -314,3 +314,36 @@ def test_table_2_passes_the_seed_to_the_guess(
     result = runner.invoke(main, ["table", "2", "--out", str(out), *seed_args])
     assert result.exit_code == 0, result.output
     assert [(g.kind, g.seed) for g in guesses] == [("random", expected_seed)]
+
+
+@pytest.mark.parametrize(
+    "guess_section,guess_args,expected_kind",
+    [
+        ("", [], "random"),
+        ("guess:\n  guess_kind: gaussian\n", [], "gaussian"),
+        ("", ["--guess", "gaussian"], "gaussian"),
+        ("guess:\n  guess_kind: random\n", ["--guess", "gaussian"], "gaussian"),
+    ],
+)
+def test_table_2_guess_default_with_a_config_file(
+    runner, tmp_path, monkeypatch, guess_section, guess_args, expected_kind
+):
+    import spingraph.cli as cli
+
+    monkeypatch.setattr(cli, "TABLE_RYDBERG", cli.TABLE_RYDBERG[:1])
+    original = cli.run_optimize
+    kinds = []
+
+    def recording_optimize(config, *args, **kwargs):
+        kinds.append(config.guess.kind)
+        return original(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_optimize", recording_optimize)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"output:\n  output_dir: {tmp_path / 'results'}\n{guess_section}")
+    out = tmp_path / "table2.csv"
+    result = runner.invoke(
+        main, ["table", "2", "--config", str(cfg), "--out", str(out), *guess_args]
+    )
+    assert result.exit_code == 0, result.output
+    assert kinds == [expected_kind]

@@ -5,19 +5,24 @@ import csv
 import numpy as np
 import pytest
 
-from spingraph.chain import ChainGeometry
+import spingraph.protocol as protocol
+from spingraph.chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz
 from spingraph.grape import ControlSchedule
 from spingraph.operators import (
     PROTOCOL_BASIS,
+    SIGMA_X,
     basis_state,
     embed_local_operator,
+    evolve_unitary,
     product_state,
+    spin_half_operator,
 )
 from spingraph.protocol import (
     _drive_hamiltonian,
     OMEGA_MICROWAVE_A,
     OMEGA_MICROWAVE_B,
     OMEGA_TWO_PHOTON,
+    TRACE_POINTS_PER_STAGE,
     ProtocolPlan,
     ProtocolStage,
     mapped_graph_state,
@@ -146,6 +151,9 @@ def test_stage_validation():
         run_stage(state, empty, plan)
     with pytest.raises(ValueError):
         run_stage(2.0 * state, plan.stages[0], plan)
+    nan_rate = ProtocolStage("nan", 0.1, (("up", "0", float("nan"), 0.0),))
+    with pytest.raises(ValueError, match="NaN"):
+        run_stage(state, nan_rate, plan)
 
 
 def test_zero_duration_stage_is_identity():
@@ -153,6 +161,12 @@ def test_zero_duration_stage_is_identity():
     stage = ProtocolStage("noop", 0.0, (("up", "0", 1.0, 0.0),), background=False)
     state = product_state(basis_state(["0"], PROTOCOL_BASIS), 2)
     out = run_stage(state, stage, plan)
+    np.testing.assert_allclose(out, state, atol=1e-14)
+    hooked = []
+    out = run_stage(state, stage, plan, trace_hook=lambda t, s: hooked.append((t, s)))
+    assert [t for t, _ in hooked] == [0.0] * TRACE_POINTS_PER_STAGE
+    for _, s in hooked:
+        np.testing.assert_allclose(s, state, atol=1e-14)
     np.testing.assert_allclose(out, state, atol=1e-14)
 
 
@@ -287,3 +301,81 @@ def test_mapped_graph_state_matches_basis_ket_sum(n, roles):
         mapped_graph_state(n, up, down, factor_per_down=f_down, factor_per_up=f_up),
         basis_ket_graph_state(n, up, down, f_down, f_up),
     )
+
+
+def stepwise_stage(state, stage, plan):
+    """Reference: the per-step product of evolve_unitary, TRACE_POINTS_PER_STAGE
+    equal steps per drive stage and one step per core slice. Returns the
+    (t_local, state) pairs a trace hook sees, in order."""
+    basis = PROTOCOL_BASIS
+    h_sys = assemble_system(RydbergModel(plan.geometry), basis) if stage.background else 0.0
+    points = []
+    if stage.uses_core_schedule:
+        hz = build_control_hz(plan.n_sites, basis)
+        schedule = plan.core_schedule
+        for k in range(schedule.n_slices):
+            state = evolve_unitary(h_sys + schedule.amplitudes[k] * hz, schedule.dt, state)
+            points.append(((k + 1) * schedule.dt, state))
+        return points
+    h = h_sys + kron_drive_hamiltonian(stage.drives, plan.n_sites)
+    dt = stage.duration / TRACE_POINTS_PER_STAGE
+    for step in range(TRACE_POINTS_PER_STAGE):
+        state = evolve_unitary(h, dt, state)
+        points.append(((step + 1) * dt, state))
+    return points
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("interactions", [True, False])
+def test_run_stage_matches_stepwise_product(n, interactions):
+    core = ControlSchedule(t_total=0.15, amplitudes=np.array([-9.8, 3.1, -12.4]))
+    plan = (
+        standard_plan(ChainGeometry.regular(n), core)
+        if interactions
+        else drive_only_plan(n, core.amplitudes, core.t_total)
+    )
+    state = basis_state(["0"] * n, PROTOCOL_BASIS)
+    for stage in plan.stages:
+        hooked = []
+        out = run_stage(state, stage, plan, trace_hook=lambda t, s: hooked.append((t, s)))
+        reference = stepwise_stage(state, stage, plan)
+        assert [t for t, _ in hooked] == [t for t, _ in reference]
+        for (_, got), (_, want) in zip(hooked, reference):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, reference[-1][1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            run_stage(state, stage, plan), reference[-1][1], rtol=0, atol=1e-12
+        )
+        state = reference[-1][1]
+
+
+def test_full_protocol_diagonalizes_once_per_stage(monkeypatch, core_result):
+    calls = []
+    original = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    plan = standard_plan(ChainGeometry.regular(3), core_result.schedule)
+    run_full_protocol(plan)
+    assert calls == [PROTOCOL_BASIS.dim**3] * len(plan.stages)
+
+
+def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypatch):
+    n = 2
+    plan = standard_plan(
+        ChainGeometry.regular(n), ControlSchedule(t_total=0.1, amplitudes=np.ones(3))
+    )
+    transverse = embed_local_operator(
+        spin_half_operator(SIGMA_X, PROTOCOL_BASIS), 0, n, PROTOCOL_BASIS
+    )
+
+    def background_with_transverse_field(model, basis):
+        return assemble_system(model, basis) + transverse
+
+    monkeypatch.setattr(protocol, "assemble_system", background_with_transverse_field)
+    state = mapped_graph_state(n, "up", "down", factor_per_down=-1.0j)
+    with pytest.raises(ValueError, match="commute"):
+        run_stage(state, plan.stages[2], plan)
