@@ -41,7 +41,7 @@ from .config import (
     constants_version,
     load_config,
 )
-from .dynamics import closed_system_trace, ensemble_average, evolve_master
+from .dynamics import closed_system_trace, ensemble_average, open_system_trace
 from .grape import (
     GrapeConfig,
     GrapeError,
@@ -52,7 +52,6 @@ from .grape import (
     save_result,
     load_result,
 )
-from .operators import EMISSION_BASIS
 from .protocol import run_full_protocol, standard_plan, write_timeline_csv
 from .targets import complete_graph_state, plus_product_state
 
@@ -139,9 +138,12 @@ def _schedule_record(cfg: ExperimentConfig, result) -> dict:
 
 
 def _resolve_schedule(cfg: ExperimentConfig, schedule_path):
-    """Load a persisted schedule, or optimize one on demand."""
+    """Load a persisted schedule for this run's atom count, or optimize one
+    on demand."""
     if schedule_path:
         record = load_result(schedule_path)
+        if record.get("N") != cfg.n_sites:
+            _fail(f"schedule is for N={record.get('N')}, run is for N={cfg.n_sites}")
         return schedule_from_record(record), record.get("final_population")
     result = run_optimize(_grape_config(cfg))
     return result.schedule, result.final_population
@@ -208,16 +210,18 @@ def _table_rows_closed(cfg: ExperimentConfig, mode: str):
 
 
 def _open_system_run(cfg: ExperimentConfig, model, schedule):
-    """Master equation from |+>^N towards the graph state on the emission basis."""
-    psi0 = plus_product_state(model.n_sites, basis=EMISSION_BASIS)
-    target = complete_graph_state(model.n_sites, EMISSION_BASIS)
-    rho0 = np.outer(psi0, psi0.conj())
-    return evolve_master(model, schedule, build_jump_channels(cfg), rho0, target=target)
+    """Closed and spontaneous-emission graph-state populations from |+>^N at
+    every slice boundary (exact no-jump traces)."""
+    n = model.n_sites
+    return open_system_trace(
+        model, schedule, build_jump_channels(cfg),
+        plus_product_state(n), complete_graph_state(n),
+    )
 
 
 def _dissipation_delta(case_cfg: ExperimentConfig, model, result) -> float:
-    open_run = _open_system_run(case_cfg, model, result.schedule)
-    return result.final_population - float(open_run.populations[-1])
+    _, opened = _open_system_run(case_cfg, model, result.schedule)
+    return result.final_population - float(opened[-1])
 
 
 @main.command("table")
@@ -440,35 +444,30 @@ def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
 @click.option("--schedule", "schedule_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out-prefix", default="master", help="Output file prefix.")
 def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
-    """Master-equation run with spontaneous emission; reports the closed-system delta."""
+    """Open-system run with spontaneous emission; reports the closed-system delta."""
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
     schedule, _ = _resolve_schedule(cfg, schedule_path)
-    model = build_model(cfg)
-    n = cfg.n_sites
-    psi0, target = plus_product_state(n), complete_graph_state(n)
-    closed = closed_system_trace(model, schedule, psi0, target)[-1]
-    result = _open_system_run(cfg, model, schedule)
+    closed_trace, open_trace = _open_system_run(cfg, build_model(cfg), schedule)
+    closed, opened = closed_trace[-1], open_trace[-1]
+    times = np.linspace(0.0, schedule.t_total, schedule.n_slices + 1)
     outdir = _outdir(cfg)
     trace_path = outdir / f"{out_prefix}_trace.csv"
     _write_csv(
         trace_path,
         ["time", "population"],
-        [[repr(float(t)), repr(float(p))] for t, p in zip(result.times, result.populations)],
+        [[repr(float(t)), repr(float(p))] for t, p in zip(times, open_trace)],
     )
     summary_path = outdir / f"{out_prefix}_summary.json"
     _write_json(
         summary_path,
         {
             "closed_population": float(closed),
-            "open_population": float(result.populations[-1]),
-            "dissipation_delta": float(closed - result.populations[-1]),
+            "open_population": float(opened),
+            "dissipation_delta": float(closed - opened),
             **_stamp(cfg),
         },
     )
-    click.echo(
-        f"closed {closed:.6f}  open {result.populations[-1]:.6f}  "
-        f"delta {closed - result.populations[-1]:.6f}"
-    )
+    click.echo(f"closed {closed:.6f}  open {opened:.6f}  delta {closed - opened:.6f}")
     click.echo(f"trace: {trace_path}")
     click.echo(f"summary: {summary_path}")
 
@@ -516,20 +515,27 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
 
 @main.command("protocol")
 @config_option
+@click.option("--n", "n_sites", type=int, default=None, help="Atom count.")
 @click.option("--t", "t_total", type=float, default=None, help="Core evolution time.")
 @click.option("--guess", "guess_kind", type=click.Choice(["gaussian", "random"]), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--schedule", "schedule_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out-prefix", default="protocol", help="Output file prefix.")
 def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
-    """Full staged run: prepare, evolve, decouple, map to clock states."""
-    cfg = _merged_config(config_path, mode="rydberg", n_sites=3, **overrides)
-    if cfg.t_total is None:
-        cfg = apply_overrides(cfg, t_total=TABLE_RYDBERG[0][1])
+    """Full staged run: prepare, evolve, decouple, map to clock states.
+
+    Without a time, the core runs for the table-2 duration of the atom count.
+    """
+    cfg = _merged_config(config_path, mode="rydberg", **overrides)
+    if cfg.t_total is None and cfg.n_sites in dict(TABLE_RYDBERG):
+        cfg = apply_overrides(cfg, t_total=dict(TABLE_RYDBERG)[cfg.n_sites])
     schedule, _ = _resolve_schedule(cfg, schedule_path)
     model = build_model(cfg)
     plan = standard_plan(model.geometry, schedule)
-    result = run_full_protocol(plan)
+    try:
+        result = run_full_protocol(plan)
+    except ValueError as exc:  # e.g. more atoms than the 5-level budget allows
+        _fail(f"protocol failed: {exc}")
     outdir = _outdir(cfg)
     timeline_path = outdir / f"{out_prefix}_timeline.csv"
     write_timeline_csv(timeline_path, result.timeline)

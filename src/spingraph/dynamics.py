@@ -2,10 +2,13 @@
 
 Spontaneous emission is modeled on the 3-level basis {up, down, g}: both
 spin levels decay into an empty ground level that carries no interaction
-or field terms. Geometric disorder draws one static displacement per
-atom per sample; field noise draws one offset per control slice. All
-randomness flows through numpy's seeded Generator, one seed per sample,
-so ensembles are reproducible and order-independent.
+or field terms. Nothing returns from g, so ``open_system_trace`` follows
+the spin block exactly by its no-jump evolution; ``evolve_master``
+integrates the full Lindblad equation for any channel set and is the
+oracle the tests compare against. Geometric disorder draws one static
+displacement per atom per sample; field noise draws one offset per
+control slice. All randomness flows through numpy's seeded Generator,
+one seed per sample, so ensembles are reproducible and order-independent.
 
 Distance units: geometry positions are um, noise sigmas and delta_r are
 quoted in nm (as measured) and converted here.
@@ -25,7 +28,13 @@ from .chain import (
     build_control_hz_diagonal,
 )
 from .grape import ClosedFormPropagator, ControlSchedule
-from .operators import EMISSION_BASIS, LocalBasis, transition_indices
+from .operators import (
+    EMISSION_BASIS,
+    SPIN_BASIS,
+    LocalBasis,
+    site_levels,
+    transition_indices,
+)
 
 __all__ = [
     "JumpChannels",
@@ -38,6 +47,7 @@ __all__ = [
     "sample_field_noise",
     "ensemble_average",
     "closed_system_trace",
+    "open_system_trace",
 ]
 
 NM_PER_UM = 1000.0
@@ -326,11 +336,62 @@ def closed_system_trace(
     return _boundary_populations(ClosedFormPropagator(model), schedule, psi0, target)
 
 
+def open_system_trace(
+    model: ModelKind,
+    schedule: ControlSchedule,
+    jumps: JumpChannels,
+    psi0: np.ndarray,
+    target: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed- and open-system target populations at every slice boundary.
+
+    ``psi0`` and ``target`` are spin-basis states. When every channel
+    leads from up or down out of the spin block, nothing returns to it,
+    and the open-system population of a spin-basis target is exactly
+    |<target| exp(-i H0 t_k) exp(-i A_k Hz) exp(-D t_k / 2) |psi0>|^2,
+    the no-jump evolution (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).
+    D, the summed decay rate of each spin configuration, is affine in Hz,
+    so it commutes with the drift and is one more diagonal on psi0. The
+    closed trace comes from the same propagator and equals
+    ``closed_system_trace``. Other channels raise ValueError;
+    ``evolve_master`` integrates them.
+    """
+    decay = _no_jump_decay(jumps, model.n_sites)
+    prop = ClosedFormPropagator(model)
+    return (
+        _boundary_populations(prop, schedule, psi0, target),
+        _boundary_populations(prop, schedule, psi0, target, decay),
+    )
+
+
+def _no_jump_decay(jumps: JumpChannels, n_sites: int) -> np.ndarray:
+    """Summed decay rate of every spin configuration, from the site-level
+    table; refuses channels that keep population inside the spin block."""
+    jumps.validate(EMISSION_BASIS)
+    rates = np.zeros(SPIN_BASIS.dim)
+    for src, dst, rate in jumps.channels:
+        if not SPIN_BASIS.has_level(src) or SPIN_BASIS.has_level(dst):
+            raise ValueError(
+                f"channel {src}->{dst} does not lead from a spin level out of the "
+                "spin block, so the no-jump trace cannot represent it; integrate "
+                "it with evolve_master"
+            )
+        rates[SPIN_BASIS.index(src)] += rate
+    return rates[site_levels(n_sites, SPIN_BASIS.dim)].sum(axis=1)
+
+
 def _boundary_populations(
-    prop: ClosedFormPropagator, schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray
+    prop: ClosedFormPropagator,
+    schedule: ControlSchedule,
+    psi0: np.ndarray,
+    target: np.ndarray,
+    decay: np.ndarray | None = None,
 ) -> np.ndarray:
     times = schedule.dt * np.arange(schedule.n_slices + 1)
     areas = schedule.dt * np.concatenate(([0.0], np.cumsum(schedule.amplitudes)))
+    if decay is not None:
+        # the damped state exp(-D t_k / 2) psi0 of every boundary, as one stack
+        psi0 = np.exp(-0.5 * np.outer(times, decay)) * psi0
     return np.abs(prop.overlaps(target, psi0, times, areas)) ** 2
 
 

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import spingraph.dynamics as dynamics
 from spingraph import __version__
+from spingraph.chain import ChainGeometry, RydbergModel
 from spingraph.cli import main
+from spingraph.grape import load_result, schedule_from_record
+from spingraph.targets import complete_graph_state, plus_product_state
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 @pytest.fixture(scope="module")
@@ -181,15 +187,31 @@ def test_noise_rejects_short_sigma_triple(runner):
     assert "three comma-separated values" in result.output
 
 
-def test_master_with_saved_schedule(runner, core_schedule_path, tmp_path):
+def test_master_with_saved_schedule(runner, core_schedule_path, tmp_path, monkeypatch):
     config = tmp_path / "cfg.yaml"
     config.write_text(f"output:\n  output_dir: {tmp_path}\n", encoding="utf-8")
+    schedule = schedule_from_record(load_result(core_schedule_path))
+    closed = dynamics.closed_system_trace(
+        RydbergModel(ChainGeometry.regular(3)), schedule,
+        plus_product_state(3), complete_graph_state(3),
+    )[-1]
+    original = dynamics.ClosedFormPropagator
+    built = []
+
+    def counting(model):
+        built.append(model)
+        return original(model)
+
+    monkeypatch.setattr(dynamics, "ClosedFormPropagator", counting)
     result = runner.invoke(
         main,
         ["master", "--config", str(config), "--schedule", str(core_schedule_path)],
     )
     assert result.exit_code == 0, result.output
+    # closed and open traces share one propagator, and closed is unchanged by it
+    assert len(built) == 1
     summary = json.loads((tmp_path / "master_summary.json").read_text())
+    assert summary["closed_population"] == float(closed)
     assert summary["closed_population"] > 0.99
     assert summary["dissipation_delta"] == pytest.approx(
         summary["closed_population"] - summary["open_population"]
@@ -220,6 +242,44 @@ def test_protocol_with_saved_schedule(runner, core_schedule_path, tmp_path):
     assert rows[0][0] == "time_us"
     assert rows[0][-1] == "stage"
     assert len(rows) > 100
+
+
+def test_protocol_honours_the_atom_count(runner, tmp_path):
+    out = tmp_path / "p4"
+    result = runner.invoke(
+        main,
+        [
+            "protocol", "--n", "4", "--schedule", str(INPUTS / "schedules" / "protocol_n4.json"),
+            "--out-prefix", str(out),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    stages = json.loads((tmp_path / "p4_summary.json").read_text())["stages"]
+    references = json.loads((INPUTS / "references.json").read_text())["protocol"]
+    expected = references["protocol_n4.json"]
+    assert len(stages) == len(expected)
+    for stage, ref in zip(stages, expected):
+        if ref is None:
+            assert stage["reference_population"] is None
+        else:
+            assert abs(stage["reference_population"] - ref) <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["master", "protocol"])
+def test_schedule_for_another_atom_count_is_refused(runner, core_schedule_path, command):
+    result = runner.invoke(
+        main, [command, "--n", "4", "--schedule", str(core_schedule_path)]
+    )
+    assert result.exit_code != 0
+    assert "schedule is for N=3, run is for N=4" in result.output
+
+
+def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path):
+    result = runner.invoke(
+        main, ["protocol", "--n", "6", "--t", "0.233", "--out-prefix", str(tmp_path / "p6")]
+    )
+    assert result.exit_code != 0
+    assert "protocol failed: dimension 5^6 exceeds the supported budget" in result.output
 
 
 def test_scan_t_small_grid(runner, tmp_path):

@@ -1,13 +1,17 @@
-"""Master equation, disorder sampling, and ensemble averaging.
+"""Master equation, no-jump traces, disorder sampling, and ensemble averaging.
 
 Two independent oracles pin the Lindblad integrator: a dense matrix
 exponential of the vectorized generator (built with explicit jump
 operators), and closed-form pure-decay populations from an initial
-configuration the Hamiltonian cannot move.
+configuration the Hamiltonian cannot move. The exact no-jump trace is
+checked against that integrator, against the dense exponential slice by
+slice, and against the closed-system trace.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingraph.chain import ChainGeometry, IdealModel, RydbergModel, assemble_system, build_control_hz
 import spingraph.dynamics as dynamics
@@ -19,6 +23,7 @@ from spingraph.dynamics import (
     closed_system_trace,
     ensemble_average,
     evolve_master,
+    open_system_trace,
     sample_field_noise,
     sample_geometry_noise,
 )
@@ -389,3 +394,143 @@ def test_ensemble_shares_one_propagator_under_field_noise(spec, monkeypatch):
     result = ensemble_average(model, schedule, spec, psi0, target)
     assert len(built) == (spec.samples if geometry_noise else 1)
     assert np.array_equal(result.sample_finals, per_sample)
+
+
+def scaled_default_jumps(scale: float) -> JumpChannels:
+    return JumpChannels(
+        channels=tuple((src, dst, scale * rate) for src, dst, rate in DEFAULT_JUMPS.channels)
+    )
+
+
+def random_rydberg_schedule(rng: np.random.Generator, n_slices: int) -> ControlSchedule:
+    return ControlSchedule(
+        t_total=float(rng.uniform(0.1, 0.25)), amplitudes=rng.uniform(-40.0, 40.0, n_slices)
+    )
+
+
+@pytest.mark.parametrize("rate_scale", [1.0, 100.0])
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_open_system_trace_matches_rk4_master(n_sites, rate_scale):
+    # oracle: the 3^N Lindblad equation integrated by RK4 on the emission basis
+    rng = np.random.default_rng(20 + n_sites)
+    model = RydbergModel(ChainGeometry.regular(n_sites))
+    schedule = random_rydberg_schedule(rng, 10)
+    jumps = scaled_default_jumps(rate_scale)
+    psi0, target = plus_product_state(n_sites), complete_graph_state(n_sites)
+    closed, opened = open_system_trace(model, schedule, jumps, psi0, target)
+    psi0_emission = embed_spin_state(psi0, n_sites, EMISSION_BASIS)
+    master = evolve_master(
+        model,
+        schedule,
+        jumps,
+        np.outer(psi0_emission, psi0_emission.conj()),
+        target=embed_spin_state(target, n_sites, EMISSION_BASIS),
+    )
+    assert np.max(np.abs(opened - master.populations)) < 1e-6
+    # the decay loss is ten times the tolerance or more, so the match resolves it
+    assert np.max(closed - opened) > 1e-5
+
+
+def test_open_system_trace_matches_dense_lindblad_oracle():
+    # oracle: the exact exponential of each slice's Liouvillian on the
+    # 9-level emission basis, with explicit jump operators
+    n_sites, basis = 2, EMISSION_BASIS
+    model = RydbergModel(ChainGeometry.regular(n_sites))
+    schedule = random_rydberg_schedule(np.random.default_rng(31), 8)
+    jumps = scaled_default_jumps(100.0)
+    h0 = assemble_system(model, basis)
+    hz = build_control_hz(n_sites, basis)
+    cs = [
+        np.sqrt(rate) * site_jump(basis.index(dst), basis.index(src), site, n_sites, basis.dim)
+        for site in range(n_sites)
+        for src, dst, rate in jumps.channels
+    ]
+    psi0, target = plus_product_state(n_sites), complete_graph_state(n_sites)
+    psi0_emission = embed_spin_state(psi0, n_sites, basis)
+    target_emission = embed_spin_state(target, n_sites, basis)
+    dim = basis.dim**n_sites
+    rho = np.outer(psi0_emission, psi0_emission.conj()).reshape(-1)
+    oracle = []
+    for b in [None, *schedule.amplitudes]:
+        if b is not None:
+            rho = dense_expm(vectorized_lindbladian(h0 + b * hz, cs) * schedule.dt) @ rho
+        oracle.append(np.real(np.vdot(target_emission, rho.reshape(dim, dim) @ target_emission)))
+    _, opened = open_system_trace(model, schedule, jumps, psi0, target)
+    assert np.max(np.abs(opened - np.array(oracle))) < 1e-10
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["ideal", "rydberg"])
+def test_open_system_trace_without_decay_is_the_closed_trace(n_sites, kind):
+    rng = np.random.default_rng(40 + n_sites)
+    if kind == "ideal":
+        model = IdealModel(n_sites)
+        schedule = ControlSchedule(t_total=2.3, amplitudes=rng.uniform(-3.0, 3.0, 7))
+    else:
+        model = RydbergModel(ChainGeometry.regular(n_sites))
+        schedule = random_rydberg_schedule(rng, 7)
+    psi0, target = plus_product_state(n_sites), complete_graph_state(n_sites)
+    closed, opened = open_system_trace(
+        model, schedule, scaled_default_jumps(0.0), psi0, target
+    )
+    assert np.array_equal(closed, closed_system_trace(model, schedule, psi0, target))
+    assert np.max(np.abs(opened - closed)) < 1e-14
+
+
+schedule_strategy = st.builds(
+    ControlSchedule,
+    t_total=st.floats(0.01, 0.3),
+    amplitudes=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12).map(np.array),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_sites=st.integers(2, 4), schedule=schedule_strategy, gamma=st.floats(0.0, 30.0))
+def test_open_trace_under_one_decay_rate_is_the_damped_closed_trace(n_sites, schedule, gamma):
+    # every configuration decays at N gamma, so open = exp(-N gamma t) closed <= closed
+    model = RydbergModel(ChainGeometry.regular(n_sites))
+    jumps = JumpChannels(channels=(("up", "g", gamma), ("down", "g", gamma)))
+    closed, opened = open_system_trace(
+        model, schedule, jumps, plus_product_state(n_sites), complete_graph_state(n_sites)
+    )
+    times = schedule.dt * np.arange(schedule.n_slices + 1)
+    np.testing.assert_allclose(
+        opened, np.exp(-n_sites * gamma * times) * closed, rtol=1e-9, atol=1e-15
+    )
+    assert np.all(opened <= closed + 1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sites=st.integers(2, 4),
+    schedule=schedule_strategy,
+    gamma_up=st.floats(0.0, 30.0),
+    gamma_down=st.floats(0.0, 30.0),
+)
+def test_open_trace_stays_below_the_surviving_spin_population(
+    n_sites, schedule, gamma_up, gamma_down
+):
+    # with unequal rates the open trace can rise above the closed one where
+    # the closed overlap cancels between magnetization sectors, so the bound
+    # is the population left in the spin levels: from |+>^N every site
+    # survives with probability (exp(-gamma_up t) + exp(-gamma_down t)) / 2
+    model = RydbergModel(ChainGeometry.regular(n_sites))
+    jumps = JumpChannels(channels=(("up", "g", gamma_up), ("down", "g", gamma_down)))
+    closed, opened = open_system_trace(
+        model, schedule, jumps, plus_product_state(n_sites), complete_graph_state(n_sites)
+    )
+    times = schedule.dt * np.arange(schedule.n_slices + 1)
+    survival = (0.5 * (np.exp(-gamma_up * times) + np.exp(-gamma_down * times))) ** n_sites
+    assert opened[0] == closed[0]
+    assert np.all(opened <= survival * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize(
+    "channel", [("up", "down", 0.1), ("g", "up", 0.1), ("down", "down", 0.0)]
+)
+def test_open_system_trace_refuses_channels_inside_the_spin_block(channel):
+    model = RydbergModel(ChainGeometry.regular(2))
+    schedule = ControlSchedule(t_total=0.1, amplitudes=np.ones(3))
+    jumps = JumpChannels(channels=(DEFAULT_JUMPS.channels[0], channel))
+    with pytest.raises(ValueError, match=f"channel {channel[0]}->{channel[1]}.*evolve_master"):
+        open_system_trace(model, schedule, jumps, plus_product_state(2), complete_graph_state(2))
