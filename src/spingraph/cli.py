@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 from typing import NoReturn
 
@@ -44,7 +45,6 @@ from .config import (
 from .dynamics import closed_system_trace, ensemble_average, open_system_trace
 from .grape import (
     GrapeConfig,
-    GrapeError,
     optimize as run_optimize,
     scan_duration,
     schedule_from_record,
@@ -64,6 +64,13 @@ VIBRATION_OFFSETS_NM = (100.0, -100.0)
 
 def _fail(message: str) -> NoReturn:
     raise click.ClickException(message)
+
+
+def _echo(message: str) -> None:
+    # click.echo without a file caches sys.stdout in a weak-keyed map whose
+    # value is the stream itself, so every stdout an in-process caller swaps
+    # in (a test runner, the benchmark) would stay alive with all its text
+    click.echo(message, file=sys.stdout)
 
 
 def _merged_config(config_path, **overrides) -> ExperimentConfig:
@@ -155,7 +162,18 @@ config_option = click.option(
 )
 
 
-@click.group()
+class _Commands(click.Group):
+    """Turns a ``ValueError`` (``GrapeError`` is one) raised by any command
+    into a one-line ``<command> failed: ...`` message and exit code 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            _fail(f"{ctx.invoked_subcommand} failed: {exc}")
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="spingraph")
 def main() -> None:
     """Global-field pulse engineering for complete-graph-state preparation."""
@@ -175,10 +193,7 @@ def main() -> None:
 def cmd_optimize(config_path, out, **overrides) -> None:
     """Optimize a field schedule and persist it as JSON plus a convergence CSV."""
     cfg = _merged_config(config_path, **overrides)
-    try:
-        result = run_optimize(_grape_config(cfg))
-    except GrapeError as exc:
-        _fail(f"optimization failed: {exc}")
+    result = run_optimize(_grape_config(cfg))
     outdir = _outdir(cfg)
     json_path = Path(out) if out else outdir / f"schedule_{cfg.mode}_n{cfg.n_sites}.json"
     save_result(json_path, _schedule_record(cfg, result))
@@ -188,12 +203,12 @@ def cmd_optimize(config_path, out, **overrides) -> None:
         ["iteration", "phi"],
         [[i, repr(p)] for i, p in enumerate(result.phi_history)],
     )
-    click.echo(
+    _echo(
         f"final population {result.final_population:.6f} after "
         f"{result.iterations} iterations (converged={result.converged})"
     )
-    click.echo(f"schedule: {json_path}")
-    click.echo(f"convergence: {csv_path}")
+    _echo(f"schedule: {json_path}")
+    _echo(f"convergence: {csv_path}")
 
 
 def _optimized_population(cfg: ExperimentConfig) -> float:
@@ -250,27 +265,27 @@ def cmd_table(which, config_path, out, **overrides) -> None:
     if which == "1":
         rows = _table_rows_closed(cfg, "ideal")
         header = ["n", "J*T", "population"]
-        click.echo(f"{'N':>3} {'J*T':>8} {'population':>12}")
+        _echo(f"{'N':>3} {'J*T':>8} {'population':>12}")
         for n, t, p in rows:
-            click.echo(f"{n:>3} {t:>8.3f} {p:>12.4f}")
+            _echo(f"{n:>3} {t:>8.3f} {p:>12.4f}")
     elif which == "2":
         rows = _table_rows_closed(cfg, "rydberg")
         header = ["n", "T_us", "population"]
-        click.echo(f"{'N':>3} {'T(us)':>8} {'population':>12}")
+        _echo(f"{'N':>3} {'T(us)':>8} {'population':>12}")
         for n, t, p in rows:
-            click.echo(f"{n:>3} {t:>8.3f} {p:>12.4f}")
+            _echo(f"{n:>3} {t:>8.3f} {p:>12.4f}")
     else:
         rows = _error_budget_rows(cfg)
         header = [
             "n", "T_us", "closed", "dissipation_delta", "vibration_delta",
             "prep_delta", "budgeted",
         ]
-        click.echo(
+        _echo(
             f"{'N':>3} {'T(us)':>7} {'closed':>8} {'diss':>8} {'vibr':>8} "
             f"{'prep':>8} {'budget':>8}"
         )
         for row in rows:
-            click.echo(
+            _echo(
                 f"{row[0]:>3} {row[1]:>7.3f} {row[2]:>8.4f} {row[3]:>8.4f} "
                 f"{row[4]:>8.4f} {row[5]:>8.4f} {row[6]:>8.4f}"
             )
@@ -285,7 +300,7 @@ def cmd_table(which, config_path, out, **overrides) -> None:
             for row in rows
         ],
     )
-    click.echo(f"csv: {csv_path}")
+    _echo(f"csv: {csv_path}")
 
 
 def _vibration_delta(model: RydbergModel, result) -> float:
@@ -386,9 +401,9 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
     }
     summary_path = outdir / f"{out_prefix}_summary.json"
     _write_json(summary_path, summary)
-    click.echo(f"mean final population {result.mean_final:.6f} (std {result.std_final:.6f})")
-    click.echo(f"trace: {trace_path}")
-    click.echo(f"summary: {summary_path}")
+    _echo(f"mean final population {result.mean_final:.6f} (std {result.std_final:.6f})")
+    _echo(f"trace: {trace_path}")
+    _echo(f"summary: {summary_path}")
 
 
 @main.command("scan-t")
@@ -410,10 +425,7 @@ def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
         guess=build_guess_spec(cfg),
         target=build_target_spec(cfg),
     )
-    try:
-        scan = scan_duration(grape_cfg, cfg.t_min, cfg.t_max, cfg.scan_steps)
-    except GrapeError as exc:
-        _fail(f"scan failed: {exc}")
+    scan = scan_duration(grape_cfg, cfg.t_min, cfg.t_max, cfg.scan_steps)
     outdir = _outdir(cfg)
     curve_path = outdir / f"{out_prefix}_curve.csv"
     _write_csv(
@@ -426,11 +438,11 @@ def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
         peaks_path,
         {"peaks": [{"t": t, "population": p} for t, p in scan.maxima], **_stamp(cfg)},
     )
-    click.echo("peaks (ranked by population):")
+    _echo("peaks (ranked by population):")
     for t, p in scan.maxima:
-        click.echo(f"  T={t:.4f}  population={p:.4f}")
-    click.echo(f"curve: {curve_path}")
-    click.echo(f"peaks: {peaks_path}")
+        _echo(f"  T={t:.4f}  population={p:.4f}")
+    _echo(f"curve: {curve_path}")
+    _echo(f"peaks: {peaks_path}")
 
 
 @main.command("master")
@@ -467,9 +479,9 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
             **_stamp(cfg),
         },
     )
-    click.echo(f"closed {closed:.6f}  open {opened:.6f}  delta {closed - opened:.6f}")
-    click.echo(f"trace: {trace_path}")
-    click.echo(f"summary: {summary_path}")
+    _echo(f"closed {closed:.6f}  open {opened:.6f}  delta {closed - opened:.6f}")
+    _echo(f"trace: {trace_path}")
+    _echo(f"summary: {summary_path}")
 
 
 @main.command("analytic")
@@ -484,13 +496,10 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
 def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_prefix) -> None:
     """Constant-field closed-form benchmark and optional parameter scan."""
     cfg = _merged_config(config_path)
-    try:
-        solution = constant_field_params(c1, c2, j_coupling)
-    except ValueError as exc:
-        _fail(str(exc))
+    solution = constant_field_params(c1, c2, j_coupling)
     pop_closed = constant_field_population(j_coupling, solution.b, solution.t_star)
     pop_prop = propagated_population(j_coupling, solution.b, solution.t_star)
-    click.echo(
+    _echo(
         f"C1={c1} C2={c2}: B={solution.b:.6f}, t*={solution.t_star:.6f}, "
         f"population closed-form {pop_closed:.9f}, propagated {pop_prop:.9f}"
     )
@@ -509,8 +518,8 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
                 **_stamp(cfg),
             },
         )
-        click.echo(f"grid: {grid_path}")
-        click.echo(f"maxima: {peaks_path}")
+        _echo(f"grid: {grid_path}")
+        _echo(f"maxima: {peaks_path}")
 
 
 @main.command("protocol")
@@ -532,10 +541,7 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     schedule, _ = _resolve_schedule(cfg, schedule_path)
     model = build_model(cfg)
     plan = standard_plan(model.geometry, schedule)
-    try:
-        result = run_full_protocol(plan)
-    except ValueError as exc:  # e.g. more atoms than the 5-level budget allows
-        _fail(f"protocol failed: {exc}")
+    result = run_full_protocol(plan)
     outdir = _outdir(cfg)
     timeline_path = outdir / f"{out_prefix}_timeline.csv"
     write_timeline_csv(timeline_path, result.timeline)
@@ -553,14 +559,14 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     }
     summary_path = outdir / f"{out_prefix}_summary.json"
     _write_json(summary_path, summary)
-    click.echo(f"total duration {result.total_duration:.6f} us")
+    _echo(f"total duration {result.total_duration:.6f} us")
     for r in result.stage_reports:
         if r.reference_population is not None:
-            click.echo(
+            _echo(
                 f"  after {r.label:<13s} reference population {r.reference_population:.6f}"
             )
-    click.echo(f"timeline: {timeline_path}")
-    click.echo(f"summary: {summary_path}")
+    _echo(f"timeline: {timeline_path}")
+    _echo(f"summary: {summary_path}")
 
 
 if __name__ == "__main__":

@@ -333,7 +333,7 @@ def closed_system_trace(
     A_k = dt (B_0 + ... + B_{k-1}); the closed form evaluates them all at
     once.
     """
-    return _boundary_populations(ClosedFormPropagator(model), schedule, psi0, target)
+    return _boundary_populations(ClosedFormPropagator.for_model(model), schedule, psi0, target)
 
 
 def open_system_trace(
@@ -357,7 +357,7 @@ def open_system_trace(
     ``evolve_master`` integrates them.
     """
     decay = _no_jump_decay(jumps, model.n_sites)
-    prop = ClosedFormPropagator(model)
+    prop = ClosedFormPropagator.for_model(model)
     return (
         _boundary_populations(prop, schedule, psi0, target),
         _boundary_populations(prop, schedule, psi0, target, decay),
@@ -412,12 +412,12 @@ def ensemble_average(
     geometry_noise = spec.delta_r is not None or any(s > 0 for s in spec.position_sigma)
     if geometry_noise and not isinstance(model, RydbergModel):
         raise ValueError("geometry noise requires a Rydberg model")
-    prop = None if geometry_noise else ClosedFormPropagator(model)
+    prop = None if geometry_noise else ClosedFormPropagator.for_model(model)
     traces = []
     for i in range(spec.samples):
         if geometry_noise:
             geometry = sample_geometry_noise(model.geometry, spec, i)
-            prop = ClosedFormPropagator(RydbergModel(geometry=geometry))
+            prop = ClosedFormPropagator.for_model(RydbergModel(geometry=geometry))
         sample_schedule = schedule
         if spec.field_sigma > 0:
             # disjoint seed block so field draws never reuse position draws

@@ -4,22 +4,24 @@ The control problem has one scalar field B(t), piecewise constant over n
 slices. Every drift Hamiltonian in scope commutes with the control term
 Hz, so the evolution under any schedule collapses to a closed form:
 
-    U(t) = exp(-i H0 t) exp(-i A(t) Hz),   A(t) = integral of B up to t
+    U(t) = exp(-i H t) exp(-i A(t) Hz),   A(t) = integral of B up to t
 
-One eigendecomposition of H0 per model serves every duration and field
-area. The landscape depends on a schedule only through (T, A), and its
-gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. The
-optimizer is plain gradient ascent with a backtracking line search
-(Khaneja et al., J. Magn. Reson. 172, 296 (2005), specialized to this
-commuting control); accepted landscape values are non-decreasing by
-construction. A model that fails the commutator check raises
-``GrapeError``.
+``ClosedFormPropagator`` owns that kernel: one eigendecomposition of H
+serves every duration and field area. It serves the spin-basis chain
+models here and in ``dynamics``, and every stage of the staged protocol.
+The landscape depends on a schedule only through (T, A), and its
+gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. So the
+optimizer is gradient ascent on the scalar area A with a backtracking
+line search (Khaneja et al., J. Magn. Reson. 172, 296 (2005),
+specialized to this commuting control); accepted landscape values are
+non-decreasing by construction. A model that fails the commutator check
+raises ``GrapeError``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -31,7 +33,6 @@ from .targets import TargetSpec, plus_product_state, target_state
 __all__ = [
     "ControlSchedule",
     "GuessSpec",
-    "LearningSettings",
     "GrapeConfig",
     "GrapeResult",
     "ScanResult",
@@ -56,9 +57,24 @@ COMMUTATOR_TOL = 1e-12
 GAUSSIAN_SLICES = 100
 RANDOM_SLICES = 10
 
+#: Line search of ``optimize``. The running rate starts at INITIAL_RATE;
+#: backtracking multiplies it by BACKTRACK_FACTOR until the landscape does
+#: not decrease, and each accepted step multiplies it by GROW_FACTOR for
+#: the next iteration. The search gives up below RATE_FLOOR. The ascent
+#: stops after FLAT_ITERATIONS consecutive accepted steps that change the
+#: landscape by less than STOP_TOLERANCE, or after MAX_ITERATIONS steps.
+INITIAL_RATE = 1.0
+BACKTRACK_FACTOR = 0.5
+GROW_FACTOR = 2.0
+RATE_FLOOR = 1e-6
+MAX_ITERATIONS = 5000
+STOP_TOLERANCE = 1e-8
+FLAT_ITERATIONS = 10
 
-class GrapeError(RuntimeError):
-    """Raised when optimization cannot proceed (non-finite landscape, bad config)."""
+
+class GrapeError(ValueError):
+    """Raised when optimization cannot proceed (non-commuting drift,
+    non-finite landscape)."""
 
 
 @dataclass(frozen=True)
@@ -118,37 +134,11 @@ class GuessSpec:
 
 
 @dataclass(frozen=True)
-class LearningSettings:
-    """Line-search knobs.
-
-    The search keeps a running rate: backtracking halves it until the
-    landscape does not decrease, and each accepted step doubles it for
-    the next iteration. The doubling is a documented extension of a
-    fixed-restart backtracking scheme; with the tiny per-slice gradients
-    of short-duration schedules a fixed unit rate would need many
-    thousands of iterations to move the integrated field at all.
-    """
-
-    initial_rate: float = 1.0
-    backtrack_factor: float = 0.5
-    grow_factor: float = 2.0
-    rate_floor: float = 1e-6
-    max_iterations: int = 5000
-    stop_tolerance: float = 1e-8
-    flat_iterations: int = 10
-
-    def __post_init__(self) -> None:
-        if self.initial_rate <= 0 or self.max_iterations < 1 or self.stop_tolerance <= 0:
-            raise ValueError("invalid learning settings")
-
-
-@dataclass(frozen=True)
 class GrapeConfig:
     model: ModelKind
     t_total: float
     guess: GuessSpec
     target: TargetSpec
-    learning: LearningSettings = field(default_factory=LearningSettings)
 
     def __post_init__(self) -> None:
         if not self.t_total > 0.0:
@@ -208,50 +198,57 @@ def make_guess(spec: GuessSpec, t_total: float) -> ControlSchedule:
 
 
 class ClosedFormPropagator:
-    """Overlaps <target| exp(-i H0 t) exp(-i A Hz) |psi> for one model.
+    """exp(-i H t) exp(-i A Hz) applied to states, for a Hermitian H that
+    commutes with a diagonal Hz.
 
-    Diagonalizes H0 once. Hz is diagonal in the computational basis and
-    is applied as phases. The constructor verifies [H0, Hz] = 0, which the
-    factorization depends on; H0 only connects states of equal
-    magnetization, so the check holds for every model in scope.
+    Diagonalizes H once; Hz enters as phases. The constructor verifies
+    [H, Hz] = 0, which the factorization depends on. Every (t, A) the
+    methods take broadcasts against the other and against a stack of
+    input states.
     """
 
-    def __init__(self, model: ModelKind):
-        h0 = assemble_system(model, SPIN_BASIS)
-        self.hz_diag = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
-        comm = self.hz_diag[:, None] * h0 - h0 * self.hz_diag[None, :]
-        comm_norm = float(np.max(np.abs(comm)))
+    def __init__(self, h: np.ndarray, hz_diag: np.ndarray):
+        # a float, so that no d x d temporary outlives the check into eigh
+        comm_norm = float(np.max(np.abs(hz_diag[:, None] * h - h * hz_diag[None, :])))
         if not comm_norm < COMMUTATOR_TOL:
             raise GrapeError(
-                f"drift does not commute with the control (|[H0, Hz]| = "
+                f"drift does not commute with the control (|[H, Hz]| = "
                 f"{comm_norm:.3e}); the closed-form propagator needs it"
             )
-        self._w, self._v = np.linalg.eigh(h0)
+        self.hz_diag = hz_diag
+        self._w, self._v = np.linalg.eigh(h)
+
+    @classmethod
+    def for_model(cls, model: ModelKind) -> "ClosedFormPropagator":
+        """Spin-basis propagator of a chain model: H = H0, Hz = sum_i S^z_i.
+        H0 only connects states of equal magnetization, so every model in
+        scope passes the commutator check."""
+        return cls(
+            assemble_system(model, SPIN_BASIS),
+            build_control_hz_diagonal(model.n_sites, SPIN_BASIS),
+        )
+
+    def _eigen_components(self, psi: np.ndarray, t, area) -> np.ndarray:
+        kicked = np.exp(-1j * np.asarray(area, float)[..., None] * self.hz_diag) * psi
+        return (kicked @ self._v.conj()) * np.exp(-1j * np.asarray(t, float)[..., None] * self._w)
+
+    def states(self, psi: np.ndarray, t, area) -> np.ndarray:
+        """exp(-i H t) exp(-i A Hz) psi, one state per (t, area)."""
+        return self._eigen_components(psi, t, area) @ self._v.T
 
     def overlaps(self, target: np.ndarray, psi: np.ndarray, t, area) -> np.ndarray:
-        """Overlap at each (t, area) pair; the two broadcast together."""
-        t, area = np.broadcast_arrays(np.asarray(t, float), np.asarray(area, float))
-        kicked = np.exp(-1j * area[..., None] * self.hz_diag) * psi
-        drift = np.exp(-1j * t[..., None] * self._w)
-        return ((kicked @ self._v.conj()) * drift) @ (target.conj() @ self._v)
+        """<target| exp(-i H t) exp(-i A Hz) |psi>, one per (t, area)."""
+        return self._eigen_components(psi, t, area) @ (target.conj() @ self._v)
 
-    def landscape(
-        self, schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray
-    ) -> float:
-        overlap = self.overlaps(target, psi0, schedule.t_total, schedule.field_area)
-        return float(abs(overlap) ** 2)
-
-    def landscape_and_gradient(
-        self, schedule: ControlSchedule, psi0: np.ndarray, target: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        t, area = schedule.t_total, schedule.field_area
-        overlap = self.overlaps(target, psi0, t, area)
-        # dPhi/dA from the same kernel applied to -i Hz psi0; every slice
-        # moves the area by dt per unit amplitude, so dPhi/dB_k = dt dPhi/dA
-        slope = 2.0 * np.real(
-            np.conj(overlap) * self.overlaps(target, -1j * self.hz_diag * psi0, t, area)
+    def landscape_and_slope(
+        self, target: np.ndarray, psi0: np.ndarray, t: float, area: float
+    ) -> tuple[float, float]:
+        """Phi = |<target|U|psi0>|^2 at one (t, area) and dPhi/dA, both
+        from one kernel call on psi0 and -i Hz psi0."""
+        overlap, d_overlap = self.overlaps(
+            target, np.stack([psi0, -1j * self.hz_diag * psi0]), t, area
         )
-        return float(abs(overlap) ** 2), np.full(schedule.n_slices, schedule.dt * slope)
+        return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
 
 
 def landscape_and_gradient(
@@ -262,97 +259,76 @@ def landscape_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Landscape value |<target|U(T,0)|psi0>|^2 and its exact gradient.
 
-    Raises ``GrapeError`` if the model's drift does not commute with Hz.
+    Every slice moves the field area by dt per unit amplitude, so
+    dPhi/dB_k = dt dPhi/dA on every slice. Raises ``GrapeError`` if the
+    model's drift does not commute with Hz.
     """
-    return ClosedFormPropagator(model).landscape_and_gradient(schedule, psi0, target)
+    phi, slope = ClosedFormPropagator.for_model(model).landscape_and_slope(
+        target, psi0, schedule.t_total, schedule.field_area
+    )
+    return phi, np.full(schedule.n_slices, schedule.dt * slope)
 
 
 def optimize(config: GrapeConfig, psi0: np.ndarray | None = None) -> GrapeResult:
-    """Gradient ascent from the configured guess field.
+    """Gradient ascent from the configured guess field, on its field area.
 
-    Backtracking line search accepts only non-decreasing landscape
-    values; the running rate doubles after each accepted step and halves
-    inside the search, with a hard floor. Stops after
-    ``flat_iterations`` consecutive accepted steps changing the
-    landscape by less than ``stop_tolerance``, or at the iteration cap,
-    or when no acceptable step exists above the rate floor.
+    The landscape depends on the schedule only through (T, A), so the
+    ascent moves the scalar area A: each step adds rate * dPhi/dA, with
+    a dimensionless rate that does not depend on how finely the field is
+    sliced. The backtracking line search accepts only non-decreasing
+    landscape values; its constants are the module's INITIAL_RATE,
+    BACKTRACK_FACTOR, GROW_FACTOR and RATE_FLOOR. The ascent stops after
+    FLAT_ITERATIONS consecutive accepted steps changing the landscape by
+    less than STOP_TOLERANCE, at MAX_ITERATIONS, or when no acceptable
+    step exists above the rate floor.
 
-    The rate is dimensionless: it multiplies the gradient taken with
-    respect to the field area (the summed amplitude-times-duration of
-    the schedule), so step sizes do not depend on how finely the same
-    physical field is sliced.
-
-    The returned schedule has whole 2 pi windings of its field area
-    removed (see ``reduce_field_winding``); the landscape value is
-    unchanged by construction.
+    The returned schedule is the guess shifted uniformly by the area
+    gained, with whole 2 pi windings of its field area removed (see
+    ``reduce_field_winding``); the landscape value is unchanged by the
+    winding reduction.
     """
-    prop = ClosedFormPropagator(config.model)
+    prop = ClosedFormPropagator.for_model(config.model)
     target = target_state(config.target)
     if psi0 is None:
         psi0 = plus_product_state(config.model.n_sites)
-    schedule = make_guess(config.guess, config.t_total)
-    settings = config.learning
+    guess = make_guess(config.guess, config.t_total)
+    t = config.t_total
 
-    phi, grad = prop.landscape_and_gradient(schedule, psi0, target)
-    if not np.isfinite(phi) or not np.all(np.isfinite(grad)):
+    area = guess.field_area
+    phi, slope = prop.landscape_and_slope(target, psi0, t, area)
+    if not (np.isfinite(phi) and np.isfinite(slope)):
         raise GrapeError("non-finite landscape or gradient at the starting point")
     history = [phi]
 
-    if np.max(np.abs(grad)) == 0.0:
-        return GrapeResult(
-            schedule=reduce_field_winding(schedule),
-            phi_history=history,
-            final_population=phi,
-            iterations=0,
-            converged=True,
-        )
-
-    # d(area)/dB_k = dt, so stepping the area by rate * dPhi/d(area)
-    # means stepping each amplitude by rate * n / T^2 times dPhi/dB_k.
-    area_scale = schedule.n_slices / config.t_total**2
-    rate = settings.initial_rate
+    rate = INITIAL_RATE
     flat = 0
     iterations = 0
-    converged = False
-    for iterations in range(1, settings.max_iterations + 1):
-        candidate = None
-        phi_new = phi
-        while rate >= settings.rate_floor:
-            trial = replace(
-                schedule, amplitudes=schedule.amplitudes + (rate * area_scale) * grad
-            )
-            phi_trial = prop.landscape(trial, psi0, target)
+    converged = slope == 0.0
+    while not converged and iterations < MAX_ITERATIONS:
+        while rate >= RATE_FLOOR:
+            trial = area + rate * slope
+            phi_trial, slope_trial = prop.landscape_and_slope(target, psi0, t, trial)
             if not np.isfinite(phi_trial):
                 raise GrapeError(f"non-finite landscape during line search at rate {rate}")
             if phi_trial >= phi:
-                candidate = trial
-                phi_new = phi_trial
                 break
-            rate *= settings.backtrack_factor
-        if candidate is None:
-            converged = True
-            iterations -= 1
-            break
-
-        delta = phi_new - phi
-        schedule = candidate
-        phi = phi_new
-        history.append(phi)
-        rate *= settings.grow_factor
-        _, grad = prop.landscape_and_gradient(schedule, psi0, target)
-        if not np.all(np.isfinite(grad)):
-            raise GrapeError("non-finite gradient after accepted step")
-
-        if abs(delta) < settings.stop_tolerance:
-            flat += 1
-            if flat >= settings.flat_iterations:
-                converged = True
-                break
+            rate *= BACKTRACK_FACTOR
         else:
-            flat = 0
+            converged = True  # no ascent step above the rate floor
+            break
+        if not np.isfinite(slope_trial):
+            raise GrapeError("non-finite gradient after accepted step")
+        iterations += 1
+        flat = flat + 1 if abs(phi_trial - phi) < STOP_TOLERANCE else 0
+        converged = flat >= FLAT_ITERATIONS
+        area, phi, slope = trial, phi_trial, slope_trial
+        history.append(phi)
+        rate *= GROW_FACTOR
 
-    schedule = reduce_field_winding(schedule)
-    final_population = prop.landscape(schedule, psi0, target)
+    schedule = reduce_field_winding(
+        replace(guess, amplitudes=guess.amplitudes + (area - guess.field_area) / t)
+    )
+    final_population, _ = prop.landscape_and_slope(target, psi0, t, schedule.field_area)
     return GrapeResult(
         schedule=schedule,
         phi_history=history,

@@ -1,7 +1,11 @@
 """Command-line interface: outputs, determinism, and error handling."""
 
+import contextlib
 import csv
+import gc
+import io
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,19 @@ def test_version(runner):
     assert result.exit_code == 0
     assert "spingraph" in result.output
     assert __version__ in result.output
+
+
+def test_commands_release_the_stdout_they_wrote_to():
+    # in-process callers swap sys.stdout per command; each swapped-in stream
+    # must be freed afterwards, not kept alive by the echo path
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        main.main(args=["analytic"], standalone_mode=False)
+    assert "C1=0 C2=0" in stream.getvalue()
+    released = weakref.ref(stream)
+    del stream
+    gc.collect()
+    assert released() is None
 
 
 def test_optimize_outputs_and_determinism(runner, tmp_path):
@@ -195,14 +212,14 @@ def test_master_with_saved_schedule(runner, core_schedule_path, tmp_path, monkey
         RydbergModel(ChainGeometry.regular(3)), schedule,
         plus_product_state(3), complete_graph_state(3),
     )[-1]
-    original = dynamics.ClosedFormPropagator
+    original = dynamics.ClosedFormPropagator.for_model
     built = []
 
     def counting(model):
         built.append(model)
         return original(model)
 
-    monkeypatch.setattr(dynamics, "ClosedFormPropagator", counting)
+    monkeypatch.setattr(dynamics.ClosedFormPropagator, "for_model", counting)
     result = runner.invoke(
         main,
         ["master", "--config", str(config), "--schedule", str(core_schedule_path)],
@@ -280,6 +297,28 @@ def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path):
     )
     assert result.exit_code != 0
     assert "protocol failed: dimension 5^6 exceeds the supported budget" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan-t", "--t-min", "0.5", "--t-max", "0.1", "--steps", "5"],
+        ["scan-t", "--steps", "1"],
+        ["noise", "--n", "3", "--t", "0.141", "--samples", "0"],
+        ["noise", "--n", "3", "--t", "0.141", "--field-sigma", "-1"],
+        ["optimize", "--n", "3", "--t", "0.141", "--slices", "0"],
+        ["optimize", "--n", "3", "--t", "-1"],
+        ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {args[0]} failed: " in result.output
+    assert "Traceback" not in result.output
 
 
 def test_scan_t_small_grid(runner, tmp_path):

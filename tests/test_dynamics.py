@@ -354,13 +354,13 @@ def test_lindblad_jump_terms_match_explicit_operators(n_sites):
 
 def count_propagators(monkeypatch):
     built = []
-    original = dynamics.ClosedFormPropagator
+    original = dynamics.ClosedFormPropagator.for_model
 
     def counting(model):
         built.append(model)
         return original(model)
 
-    monkeypatch.setattr(dynamics, "ClosedFormPropagator", counting)
+    monkeypatch.setattr(dynamics.ClosedFormPropagator, "for_model", counting)
     return built
 
 

@@ -11,11 +11,11 @@ import pytest
 
 from spingraph.chain import ChainGeometry, IdealModel, RydbergModel
 from spingraph.grape import (
+    ClosedFormPropagator,
     ControlSchedule,
     GrapeConfig,
     GrapeError,
     GuessSpec,
-    LearningSettings,
     gaussian_guess,
     landscape_and_gradient,
     load_result,
@@ -231,13 +231,39 @@ def test_guess_independence_ideal(ideal_gaussian_results, ideal_random_results):
         assert abs(a - b) < 0.005
 
 
-def test_learning_settings_validation():
-    with pytest.raises(ValueError):
-        LearningSettings(initial_rate=0.0)
-    with pytest.raises(ValueError):
-        LearningSettings(max_iterations=0)
-    with pytest.raises(ValueError):
-        LearningSettings(stop_tolerance=0.0)
+@pytest.mark.parametrize(
+    "config",
+    [
+        ideal_config(3, 2.3, GuessSpec(kind="gaussian", b0=1.0)),
+        rydberg_config(3, 0.141, GuessSpec(kind="random", b0=TWO_PI, seed=1)),
+        rydberg_config(4, 0.172, GuessSpec(kind="random", b0=TWO_PI, seed=1)),
+    ],
+    ids=["ideal-3-gaussian", "rydberg-3-random", "rydberg-4-random"],
+)
+def test_optimize_shifts_the_guess_uniformly(config):
+    # the ascent moves only the field area, so the schedule keeps the
+    # guess's shape and differs from it by one offset on every slice
+    result = optimize(config)
+    guess = make_guess(config.guess, config.t_total)
+    shift = result.schedule.amplitudes - guess.amplitudes
+    assert np.ptp(shift) <= 1e-9 * np.max(np.abs(result.schedule.amplitudes))
+    assert result.final_population > result.phi_history[0]
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_propagated_states_give_the_overlaps(n_sites):
+    prop = ClosedFormPropagator.for_model(RydbergModel(ChainGeometry.regular(n_sites)))
+    rng = np.random.default_rng(n_sites)
+    psi = plus_product_state(n_sites)
+    target = complete_graph_state(n_sites)
+    t = rng.uniform(0.0, 0.3, 7)
+    area = rng.uniform(-4.0, 4.0, 7)
+    states = prop.states(psi, t, area)
+    assert states.shape == (7, 2**n_sites)
+    np.testing.assert_allclose(
+        states @ target.conj(), prop.overlaps(target, psi, t, area), rtol=0, atol=1e-14
+    )
+    np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_scan_duration_grid_and_peaks():
