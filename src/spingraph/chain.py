@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .operators import SPIN_BASIS, LocalBasis, site_levels, transition_indices
+from .operators import SPIN_BASIS, LocalBasis, hermitian_sum, site_levels, transition_indices
 
 __all__ = [
     "PhysicalConstants",
@@ -177,20 +177,10 @@ def vdw_strength(geometry: ChainGeometry, i: int, j: int, level: str) -> float:
     return -c6 / r_eff**6
 
 
-def _hopping_hamiltonian(hops, n_sites: int, basis: LocalBasis) -> np.ndarray:
-    """Sum over (strength, i, j) of strength (|ud><du| + h.c.); the flip-flop
-    |up><down|_i |down><up|_j is an index map, its conjugate the swapped one."""
-    # indices first: they refuse an over-budget dimension before h exists
-    flips = [
-        (strength, *transition_indices(n_sites, basis, {i: ("up", "down"), j: ("down", "up")}))
-        for strength, i, j in hops
-    ]
-    dim = basis.dim**n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for strength, dst, src in flips:
-        h[dst, src] += strength
-        h[src, dst] += strength
-    return h
+def _flip_flop(i: int, j: int) -> dict[int, tuple[str, str]]:
+    """Moves of |up><down|_i |down><up|_j; ``hermitian_sum`` adds the
+    conjugate, so a term (strength, moves) is strength (|ud><du| + h.c.)."""
+    return {i: ("up", "down"), j: ("down", "up")}
 
 
 def build_xx_chain(
@@ -203,8 +193,8 @@ def build_xx_chain(
     """
     if n_sites < 2:
         raise ValueError("need at least two sites")
-    hops = [(coupling, i, i + 1) for i in range(n_sites - 1)]
-    return _hopping_hamiltonian(hops, n_sites, basis)
+    terms = [(coupling, _flip_flop(i, i + 1)) for i in range(n_sites - 1)]
+    return hermitian_sum(terms, n_sites, basis)
 
 
 def build_control_hz_diagonal(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
@@ -236,15 +226,15 @@ def build_error_hamiltonian(
     """
     n = geometry.n_sites
     shifts = np.zeros(basis.dim**n)
-    hops = []
+    terms = []
     for i in range(n):
         for j in range(i + 1, n):
             for level in ("up", "down"):
                 _, both = transition_indices(n, basis, {i: (level, level), j: (level, level)})
                 shifts[both] += vdw_strength(geometry, i, j, level)
             if j > i + 1:
-                hops.append((dipole_strength(geometry, i, j), i, j))
-    h = _hopping_hamiltonian(hops, n, basis)
+                terms.append((dipole_strength(geometry, i, j), _flip_flop(i, j)))
+    h = hermitian_sum(terms, n, basis)
     h[np.diag_indices(len(h))] += shifts
     return h
 
@@ -254,8 +244,8 @@ def build_rydberg_system(
 ) -> np.ndarray:
     """Nearest-neighbor dipolar exchange with per-bond strengths."""
     n = geometry.n_sites
-    hops = [(dipole_strength(geometry, i, i + 1), i, i + 1) for i in range(n - 1)]
-    return _hopping_hamiltonian(hops, n, basis)
+    terms = [(dipole_strength(geometry, i, i + 1), _flip_flop(i, i + 1)) for i in range(n - 1)]
+    return hermitian_sum(terms, n, basis)
 
 
 def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:

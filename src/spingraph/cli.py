@@ -11,7 +11,6 @@ reproduce every numeric output bit for bit.
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -105,12 +104,6 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.output_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_json(path: Path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -224,18 +217,17 @@ def _table_rows_closed(cfg: ExperimentConfig, mode: str):
     return rows
 
 
-def _open_system_run(cfg: ExperimentConfig, model, schedule):
+def _open_system_run(jumps, model, schedule):
     """Closed and spontaneous-emission graph-state populations from |+>^N at
     every slice boundary (exact no-jump traces)."""
     n = model.n_sites
     return open_system_trace(
-        model, schedule, build_jump_channels(cfg),
-        plus_product_state(n), complete_graph_state(n),
+        model, schedule, jumps, plus_product_state(n), complete_graph_state(n)
     )
 
 
 def _dissipation_delta(case_cfg: ExperimentConfig, model, result) -> float:
-    _, opened = _open_system_run(case_cfg, model, result.schedule)
+    _, opened = _open_system_run(build_jump_channels(case_cfg), model, result.schedule)
     return result.final_population - float(opened[-1])
 
 
@@ -369,9 +361,9 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
         any(s > 0 for s in cfg.position_sigma) or cfg.delta_r is not None
     ):
         _fail("geometry noise requires rydberg mode")
+    spec = build_noise_spec(cfg)
     schedule, _ = _resolve_schedule(cfg, schedule_path)
     model = build_model(cfg)
-    spec = build_noise_spec(cfg)
     result = ensemble_average(
         model,
         schedule,
@@ -400,7 +392,7 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
         **_stamp(cfg),
     }
     summary_path = outdir / f"{out_prefix}_summary.json"
-    _write_json(summary_path, summary)
+    save_result(summary_path, summary)
     _echo(f"mean final population {result.mean_final:.6f} (std {result.std_final:.6f})")
     _echo(f"trace: {trace_path}")
     _echo(f"summary: {summary_path}")
@@ -419,12 +411,7 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
 def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
     """Optimize across a duration grid and report the population peaks."""
     cfg = _merged_config(config_path, **overrides)
-    grape_cfg = GrapeConfig(
-        model=build_model(cfg),
-        t_total=cfg.t_max,
-        guess=build_guess_spec(cfg),
-        target=build_target_spec(cfg),
-    )
+    grape_cfg = _grape_config(apply_overrides(cfg, t_total=cfg.t_max))
     scan = scan_duration(grape_cfg, cfg.t_min, cfg.t_max, cfg.scan_steps)
     outdir = _outdir(cfg)
     curve_path = outdir / f"{out_prefix}_curve.csv"
@@ -434,7 +421,7 @@ def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
         [[repr(t), repr(p)] for t, p in scan.points],
     )
     peaks_path = outdir / f"{out_prefix}_peaks.json"
-    _write_json(
+    save_result(
         peaks_path,
         {"peaks": [{"t": t, "population": p} for t, p in scan.maxima], **_stamp(cfg)},
     )
@@ -458,19 +445,19 @@ def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
 def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Open-system run with spontaneous emission; reports the closed-system delta."""
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
+    jumps = build_jump_channels(cfg)
     schedule, _ = _resolve_schedule(cfg, schedule_path)
-    closed_trace, open_trace = _open_system_run(cfg, build_model(cfg), schedule)
+    closed_trace, open_trace = _open_system_run(jumps, build_model(cfg), schedule)
     closed, opened = closed_trace[-1], open_trace[-1]
-    times = np.linspace(0.0, schedule.t_total, schedule.n_slices + 1)
     outdir = _outdir(cfg)
     trace_path = outdir / f"{out_prefix}_trace.csv"
     _write_csv(
         trace_path,
         ["time", "population"],
-        [[repr(float(t)), repr(float(p))] for t, p in zip(times, open_trace)],
+        [[repr(float(t)), repr(float(p))] for t, p in zip(schedule.boundary_times, open_trace)],
     )
     summary_path = outdir / f"{out_prefix}_summary.json"
-    _write_json(
+    save_result(
         summary_path,
         {
             "closed_population": float(closed),
@@ -511,7 +498,7 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
         grid_path = outdir / f"{out_prefix}_grid.csv"
         write_scan_csv(grid_path, b_grid, t_grid, pops)
         peaks_path = outdir / f"{out_prefix}_maxima.json"
-        _write_json(
+        save_result(
             peaks_path,
             {
                 "maxima": [{"b": b, "t": t, "population": p} for b, t, p in maxima[:20]],
@@ -558,7 +545,7 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
         **_stamp(cfg),
     }
     summary_path = outdir / f"{out_prefix}_summary.json"
-    _write_json(summary_path, summary)
+    save_result(summary_path, summary)
     _echo(f"total duration {result.total_duration:.6f} us")
     for r in result.stage_reports:
         if r.reference_population is not None:

@@ -17,13 +17,14 @@ import yaml
 
 from .chain import (
     DEFAULT_CONSTANTS,
+    TWO_PI,
     ChainGeometry,
     IdealModel,
     ModelKind,
     PhysicalConstants,
     RydbergModel,
 )
-from .dynamics import JumpChannels, NoiseSpec
+from .dynamics import GAMMA_DOWN, GAMMA_UP, JumpChannels, NoiseSpec
 from .grape import GuessSpec
 from .targets import TargetForm, TargetSpec
 
@@ -42,8 +43,6 @@ __all__ = [
     "default_b0",
     "config_from_mapping",
 ]
-
-TWO_PI = 6.283185307179586
 
 
 class ConfigError(ValueError):
@@ -75,8 +74,8 @@ class ExperimentConfig:
     base_seed: int = 0
     delta_r: float | None = None
     # jumps
-    gamma_up: float = 1.0 / 569.0
-    gamma_down: float = 1.0 / 1100.0
+    gamma_up: float = GAMMA_UP
+    gamma_down: float = GAMMA_DOWN
     # constants overrides (None keeps the package defaults)
     spacing: float | None = None
     c3: float | None = None

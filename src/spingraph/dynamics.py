@@ -38,6 +38,8 @@ from .operators import (
 
 __all__ = [
     "JumpChannels",
+    "GAMMA_UP",
+    "GAMMA_DOWN",
     "DEFAULT_JUMPS",
     "NoiseSpec",
     "MasterResult",
@@ -80,10 +82,12 @@ class JumpChannels:
                 raise ValueError(f"channel {src}->{dst} not supported by basis")
 
 
-#: Rydberg-state lifetimes 569 us (up) and 1100 us (down), decaying to g.
-DEFAULT_JUMPS = JumpChannels(
-    channels=(("up", "g", 1.0 / 569.0), ("down", "g", 1.0 / 1100.0))
-)
+#: Decay rates of the Rydberg spin levels into g, 1/us: one over the
+#: lifetimes of up and down, in us.
+GAMMA_UP = 1.0 / 569.0
+GAMMA_DOWN = 1.0 / 1100.0
+
+DEFAULT_JUMPS = JumpChannels(channels=(("up", "g", GAMMA_UP), ("down", "g", GAMMA_DOWN)))
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,6 @@ def _integrate_master(
         )
     dt = slice_dt / substeps
 
-    times = np.linspace(0.0, schedule.t_total, n + 1)
     pops = np.zeros(n + 1)
 
     def record(idx: int) -> None:
@@ -227,7 +230,7 @@ def _integrate_master(
     trace_err = abs(np.trace(rho).real - 1.0)
     if trace_err > 1e-8:
         raise RuntimeError(f"trace drifted by {trace_err:.3e}; reduce the substep")
-    return MasterResult(rho_final=rho, times=times, populations=pops)
+    return MasterResult(rho_final=rho, times=schedule.boundary_times, populations=pops)
 
 
 def evolve_master(
@@ -329,9 +332,8 @@ def closed_system_trace(
 ) -> np.ndarray:
     """Target population at every slice boundary under unitary evolution.
 
-    Boundary k sits at t_k = k dt with the partial field area
-    A_k = dt (B_0 + ... + B_{k-1}); the closed form evaluates them all at
-    once.
+    The closed form evaluates all of the schedule's ``boundary_times`` and
+    ``boundary_areas`` at once.
     """
     return _boundary_populations(ClosedFormPropagator.for_model(model), schedule, psi0, target)
 
@@ -387,8 +389,7 @@ def _boundary_populations(
     target: np.ndarray,
     decay: np.ndarray | None = None,
 ) -> np.ndarray:
-    times = schedule.dt * np.arange(schedule.n_slices + 1)
-    areas = schedule.dt * np.concatenate(([0.0], np.cumsum(schedule.amplitudes)))
+    times, areas = schedule.boundary_times, schedule.boundary_areas
     if decay is not None:
         # the damped state exp(-D t_k / 2) psi0 of every boundary, as one stack
         psi0 = np.exp(-0.5 * np.outer(times, decay)) * psi0
@@ -426,10 +427,9 @@ def ensemble_average(
             )
         traces.append(_boundary_populations(prop, sample_schedule, psi0, target))
     stack = np.vstack(traces)
-    times = np.linspace(0.0, schedule.t_total, schedule.n_slices + 1)
     finals = stack[:, -1]
     return EnsembleResult(
-        times=times,
+        times=schedule.boundary_times,
         mean_trace=stack.mean(axis=0),
         min_trace=stack.min(axis=0),
         max_trace=stack.max(axis=0),

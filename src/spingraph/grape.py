@@ -104,6 +104,16 @@ class ControlSchedule:
         return self.t_total / self.n_slices
 
     @property
+    def boundary_times(self) -> np.ndarray:
+        """t_k = k dt at the n + 1 slice boundaries, from t_0 = 0."""
+        return self.dt * np.arange(self.n_slices + 1)
+
+    @property
+    def boundary_areas(self) -> np.ndarray:
+        """Field area A_k = dt (B_0 + ... + B_{k-1}) at each slice boundary."""
+        return self.dt * np.concatenate(([0.0], np.cumsum(self.amplitudes)))
+
+    @property
     def field_area(self) -> float:
         """Integrated field sum_k B_k dt; the landscape depends on the
         schedule only through (t_total, field_area) for commuting models."""
@@ -416,6 +426,8 @@ def schedule_from_record(record: dict) -> ControlSchedule:
 
 
 def save_result(path, record: dict) -> None:
+    """Write a JSON record (indent 1, trailing newline); every JSON output
+    of the package goes through here."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -10,8 +10,8 @@ Conventions
   basis index is the base-d number whose digits are the N site levels,
   site 0 most significant. ``site_levels`` is the single owner of that
   rule; every Hamiltonian, drive, jump and embedded state is built from
-  its table, mostly through ``transition_indices``. The ``kron``
-  embeddings below are kept as the dense reference.
+  its table, mostly through ``transition_indices`` and ``hermitian_sum``.
+  The ``kron`` embeddings below are kept as the dense reference.
 * ``sigma_z |up> = +|up>`` and ``S_z = sigma_z / 2``.
 * hbar = 1. Energies and Rabi rates are angular frequencies in rad/us,
   times in us. A value quoted as "2 pi x f MHz" enters as 2*pi*f rad/us.
@@ -40,6 +40,7 @@ __all__ = [
     "two_site_operator",
     "site_levels",
     "transition_indices",
+    "hermitian_sum",
     "evolve_unitary",
     "population",
     "basis_state",
@@ -205,6 +206,24 @@ def transition_indices(
     frm = np.array([basis.index(pair[1]) for pair in moves.values()], dtype=int)
     src = np.flatnonzero(np.all(levels[:, sites] == frm, axis=1))
     return src + (to - frm) @ _place_values(n_sites, basis.dim)[sites], src
+
+
+def hermitian_sum(
+    terms: Sequence[tuple[complex, Mapping[int, tuple[str, str]]]],
+    n_sites: int,
+    basis: LocalBasis,
+) -> np.ndarray:
+    """Dense sum over (coeff, moves) terms of coeff T + h.c., where T is the
+    product of single-site transitions ``moves`` (see ``transition_indices``).
+    Refuses an over-budget dimension before any d^N x d^N allocation."""
+    _check_dim_budget(basis.dim, n_sites)
+    dim = basis.dim**n_sites
+    h = np.zeros((dim, dim), dtype=complex)
+    for coeff, moves in terms:
+        dst, src = transition_indices(n_sites, basis, moves)
+        h[dst, src] += coeff
+        h[src, dst] += np.conj(coeff)
+    return h
 
 
 def _place_values(n_sites: int, d: int) -> np.ndarray:

@@ -38,17 +38,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz_diagonal
+from .chain import TWO_PI, ChainGeometry, RydbergModel, assemble_system, build_control_hz_diagonal
 from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import (
     PROTOCOL_BASIS,
     LocalBasis,
     basis_state,
     check_hermitian,
+    hermitian_sum,
     product_state,
     site_levels,
-    transition_indices,
 )
+from .targets import complete_graph_state
 
 __all__ = [
     "ProtocolStage",
@@ -64,8 +65,6 @@ __all__ = [
     "mapped_graph_state",
     "write_timeline_csv",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 #: Effective two-photon Rabi rate for 0 <-> up, rad/us.
 OMEGA_TWO_PHOTON = TWO_PI * 4.0
@@ -104,9 +103,12 @@ class ProtocolStage:
 @dataclass(frozen=True)
 class ProtocolPlan:
     stages: tuple[ProtocolStage, ...]
-    n_sites: int
     geometry: ChainGeometry
     core_schedule: ControlSchedule
+
+    @property
+    def n_sites(self) -> int:
+        return self.geometry.n_sites
 
     @property
     def total_duration(self) -> float:
@@ -146,31 +148,7 @@ def standard_plan(
             (("0", "up", omega, 0.0), ("1", "r", omega, 0.0)),
         ),
     )
-    return ProtocolPlan(
-        stages=stages,
-        n_sites=geometry.n_sites,
-        geometry=geometry,
-        core_schedule=core_schedule,
-    )
-
-
-def _drive_hamiltonian(
-    drives: tuple[tuple[str, str, float, float], ...],
-    n_sites: int,
-    basis: LocalBasis,
-) -> np.ndarray:
-    # indices first: they refuse an over-budget dimension before h exists
-    terms = [
-        (0.5 * rate * np.exp(1j * phase), *transition_indices(n_sites, basis, {site: (a, b)}))
-        for a, b, rate, phase in drives
-        for site in range(n_sites)
-    ]
-    dim = basis.dim**n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for coeff, dst, src in terms:
-        h[dst, src] += coeff
-        h[src, dst] += np.conj(coeff)
-    return h
+    return ProtocolPlan(stages=stages, geometry=geometry, core_schedule=core_schedule)
 
 
 def run_stage(
@@ -195,8 +173,13 @@ def run_stage(
         raise ValueError("stage input state not normalized")
     if not stage.uses_core_schedule and not stage.drives and not stage.background:
         raise ValueError("stage has neither drives nor interactions")
+    drives = [
+        (0.5 * rate * np.exp(1j * phase), {site: (a, b)})
+        for a, b, rate, phase in stage.drives
+        for site in range(plan.n_sites)
+    ]
     # the core stage has no drives, so this is its bare background
-    h = _drive_hamiltonian(stage.drives, plan.n_sites, basis)
+    h = hermitian_sum(drives, plan.n_sites, basis)
     if stage.background:
         h += assemble_system(RydbergModel(plan.geometry), basis)
     check_hermitian(h)
@@ -206,8 +189,7 @@ def run_stage(
     if stage.uses_core_schedule:
         schedule = plan.core_schedule
         hz = build_control_hz_diagonal(plan.n_sites, basis)
-        times = np.arange(1, schedule.n_slices + 1) * schedule.dt
-        areas = schedule.dt * np.cumsum(schedule.amplitudes)
+        times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
     else:
         steps = TRACE_POINTS_PER_STAGE if trace_hook is not None else 1
         times = np.arange(1, steps + 1) * (stage.duration / steps)
@@ -229,16 +211,18 @@ def mapped_graph_state(
 ) -> np.ndarray:
     """Complete graph state with its two spin roles relabeled.
 
-    Starts from the operator-product amplitudes (sign (-1)^{m(m-1)/2}
-    for m up-spins), sends up-spins to ``level_for_up`` and down-spins
-    to ``level_for_down``, and multiplies the listed factor per site of
-    each role. These are the protocol's stage-boundary references.
+    Takes the amplitudes of ``targets.complete_graph_state``, sends
+    up-spins to ``level_for_up`` and down-spins to ``level_for_down``, and
+    multiplies the listed factor per site of each role. These are the
+    protocol's stage-boundary references.
     """
     levels = site_levels(n_sites, basis.dim)
     is_up = levels == basis.index(level_for_up)
-    rows = np.flatnonzero(np.all(is_up | (levels == basis.index(level_for_down)), axis=1))
-    m_up = np.sum(is_up[rows], axis=1)
-    amps = (-1.0) ** (m_up * (m_up - 1) // 2) / np.sqrt(2.0**n_sites)
+    is_down = levels == basis.index(level_for_down)
+    rows = np.flatnonzero(np.all(is_up | is_down, axis=1))
+    # each row's (up, down) = (0, 1) configuration as a spin-basis index
+    spins = np.ravel_multi_index(is_down[rows].T, (2,) * n_sites)
+    amps = complete_graph_state(n_sites)[spins]
     for site in range(n_sites):
         amps = amps * np.where(is_up[rows, site], factor_per_up, factor_per_down)
     out = np.zeros(len(levels), dtype=complex)

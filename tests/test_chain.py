@@ -30,6 +30,7 @@ from spingraph.operators import (
     SIGMA_Z,
     SPIN_BASIS,
     embed_local_operator,
+    hermitian_sum,
     level_projector,
     level_transition,
     spin_half_operator,
@@ -280,6 +281,7 @@ def test_index_builders_match_kron_reference(basis, n):
         lambda: assemble_system(RydbergModel(ChainGeometry.regular(6)), PROTOCOL_BASIS),
         lambda: build_control_hz(6, PROTOCOL_BASIS),
         lambda: build_error_hamiltonian(ChainGeometry.regular(6), PROTOCOL_BASIS),
+        lambda: hermitian_sum([], 6, PROTOCOL_BASIS),
     ],
 )
 def test_builders_refuse_beyond_dimension_budget(build):

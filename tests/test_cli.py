@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import spingraph.cli as cli
 import spingraph.dynamics as dynamics
 from spingraph import __version__
 from spingraph.chain import ChainGeometry, RydbergModel
@@ -313,8 +314,12 @@ def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path):
     ids=lambda args: " ".join(args),
 )
 def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monkeypatch, args):
+    """Refused before any schedule is optimized."""
     monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "run_optimize", lambda *a, **k: calls.append(a))
     result = runner.invoke(main, args)
+    assert calls == []
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"Error: {args[0]} failed: " in result.output
@@ -366,7 +371,6 @@ def test_table_1_ideal(runner, tmp_path):
 
 
 def test_table_3_optimizes_each_case_once(runner, tmp_path, monkeypatch):
-    import spingraph.cli as cli
 
     monkeypatch.setattr(cli, "TABLE_RYDBERG", cli.TABLE_RYDBERG[:1])
     original = cli.run_optimize
@@ -398,7 +402,6 @@ def test_table_3_optimizes_each_case_once(runner, tmp_path, monkeypatch):
 def test_table_2_passes_the_seed_to_the_guess(
     runner, tmp_path, monkeypatch, seed_args, expected_seed
 ):
-    import spingraph.cli as cli
 
     monkeypatch.setattr(cli, "TABLE_RYDBERG", cli.TABLE_RYDBERG[:1])
     original = cli.run_optimize
@@ -427,7 +430,6 @@ def test_table_2_passes_the_seed_to_the_guess(
 def test_table_2_guess_default_with_a_config_file(
     runner, tmp_path, monkeypatch, guess_section, guess_args, expected_kind
 ):
-    import spingraph.cli as cli
 
     monkeypatch.setattr(cli, "TABLE_RYDBERG", cli.TABLE_RYDBERG[:1])
     original = cli.run_optimize

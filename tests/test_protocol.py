@@ -1,6 +1,7 @@
 """Stage-by-stage protocol checks on the 5-level basis."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from spingraph.operators import (
     spin_half_operator,
 )
 from spingraph.protocol import (
-    _drive_hamiltonian,
     OMEGA_MICROWAVE_A,
     OMEGA_MICROWAVE_B,
     OMEGA_TWO_PHOTON,
@@ -53,10 +53,7 @@ def drive_only_plan(n_sites=2, core_amplitudes=(0.0,), core_t=0.1):
         for s in plan.stages
     )
     return ProtocolPlan(
-        stages=stages,
-        n_sites=plan.n_sites,
-        geometry=plan.geometry,
-        core_schedule=plan.core_schedule,
+        stages=stages, geometry=plan.geometry, core_schedule=plan.core_schedule
     )
 
 
@@ -264,16 +261,24 @@ def kron_drive_hamiltonian(drives, n_sites):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_drive_hamiltonian_matches_kron_reference(n):
-    plan = standard_plan(
-        ChainGeometry.regular(n), ControlSchedule(t_total=0.1, amplitudes=np.zeros(2))
-    )
+def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch):
+    """The Hamiltonian run_stage hands to the propagator, interactions off."""
+    seen = []
+
+    class RecordingPropagator:
+        def __init__(self, h, hz_diag):
+            seen.append(h)
+
+        def states(self, psi, t, area):
+            return [psi]
+
+    monkeypatch.setattr(protocol, "ClosedFormPropagator", RecordingPropagator)
+    plan = drive_only_plan(n, core_amplitudes=np.zeros(2))
+    state = basis_state(["0"] * n, PROTOCOL_BASIS)
     for stage in plan.stages:
         for drives in (stage.drives, tuple((a, b, r, 0.7) for a, b, r, _ in stage.drives)):
-            assert np.array_equal(
-                _drive_hamiltonian(drives, n, PROTOCOL_BASIS),
-                kron_drive_hamiltonian(drives, n),
-            )
+            run_stage(state, replace(stage, drives=drives), plan)
+            assert np.array_equal(seen.pop(), kron_drive_hamiltonian(drives, n))
 
 
 def basis_ket_graph_state(n, level_for_up, level_for_down, factor_per_down, factor_per_up):
