@@ -22,7 +22,6 @@ up-down-up, up-up-down, up-up-up), i.e. all-down first.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,6 @@ __all__ = [
     "constant_field_population",
     "propagated_population",
     "scan_constant_field",
-    "write_scan_csv",
 ]
 
 SQRT2 = np.sqrt(2.0)
@@ -176,12 +174,3 @@ def scan_constant_field(
                 maxima.append((float(b_grid[i]), float(t_grid[k]), float(pops[i, k])))
     maxima.sort(key=lambda row: -row[2])
     return pops, maxima
-
-
-def write_scan_csv(path, b_grid, t_grid, pops) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["b", "t", "population"])
-        for i, b in enumerate(b_grid):
-            for k, t in enumerate(t_grid):
-                writer.writerow([repr(float(b)), repr(float(t)), repr(float(pops[i, k]))])

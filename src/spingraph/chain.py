@@ -100,15 +100,12 @@ class ChainGeometry:
 
     @classmethod
     def regular(
-        cls,
-        n_sites: int,
-        constants: PhysicalConstants = DEFAULT_CONSTANTS,
-        spacing: float | None = None,
+        cls, n_sites: int, constants: PhysicalConstants = DEFAULT_CONSTANTS
     ) -> "ChainGeometry":
-        """Evenly spaced chain along the quantization axis z."""
-        r = constants.spacing if spacing is None else spacing
+        """Evenly spaced chain along the quantization axis z, at the
+        constants' spacing."""
         pos = np.zeros((n_sites, 3))
-        pos[:, 2] = r * np.arange(n_sites)
+        pos[:, 2] = constants.spacing * np.arange(n_sites)
         return cls(positions=pos, constants=constants)
 
     def with_delta_r(self, delta_r_um: float) -> "ChainGeometry":

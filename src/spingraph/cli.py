@@ -25,7 +25,6 @@ from .analytic import (
     constant_field_population,
     propagated_population,
     scan_constant_field,
-    write_scan_csv,
 )
 from .chain import RydbergModel
 from .config import (
@@ -226,8 +225,8 @@ def _open_system_run(jumps, model, schedule):
     )
 
 
-def _dissipation_delta(case_cfg: ExperimentConfig, model, result) -> float:
-    _, opened = _open_system_run(build_jump_channels(case_cfg), model, result.schedule)
+def _dissipation_delta(jumps, model, result) -> float:
+    _, opened = _open_system_run(jumps, model, result.schedule)
     return result.final_population - float(opened[-1])
 
 
@@ -317,7 +316,9 @@ def _protocol_prep_delta(model: RydbergModel, result) -> float:
 def _error_budget_rows(cfg: ExperimentConfig):
     """One optimization per (N, T) case, shared by every column of its row.
     The staged protocol is built for three atoms, so the preparation loss
-    of the first (N=3) case applies to every row."""
+    of the first (N=3) case applies to every row. The decay channels are
+    built first, so bad rates are refused before any optimization."""
+    jumps = build_jump_channels(cfg)
     cases = []
     for n, t in TABLE_RYDBERG:
         case_cfg = apply_overrides(cfg, mode="rydberg", n_sites=n, t_total=t)
@@ -326,7 +327,7 @@ def _error_budget_rows(cfg: ExperimentConfig):
     rows = []
     for case_cfg, model, result in cases:
         closed = result.final_population
-        diss = _dissipation_delta(case_cfg, model, result)
+        diss = _dissipation_delta(jumps, model, result)
         vibr = _vibration_delta(model, result)
         rows.append(
             (case_cfg.n_sites, case_cfg.t_total, closed, diss, vibr, prep,
@@ -496,7 +497,15 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
         pops, maxima = scan_constant_field(j_coupling, b_grid, t_grid)
         outdir = _outdir(cfg)
         grid_path = outdir / f"{out_prefix}_grid.csv"
-        write_scan_csv(grid_path, b_grid, t_grid, pops)
+        _write_csv(
+            grid_path,
+            ["b", "t", "population"],
+            [
+                [repr(float(b)), repr(float(t)), repr(float(pops[i, k]))]
+                for i, b in enumerate(b_grid)
+                for k, t in enumerate(t_grid)
+            ],
+        )
         peaks_path = outdir / f"{out_prefix}_maxima.json"
         save_result(
             peaks_path,

@@ -26,7 +26,7 @@ from .chain import (
 )
 from .dynamics import GAMMA_DOWN, GAMMA_UP, JumpChannels, NoiseSpec
 from .grape import GuessSpec
-from .targets import TargetForm, TargetSpec
+from .targets import TargetForm
 
 __all__ = [
     "ExperimentConfig",
@@ -219,8 +219,8 @@ def build_jump_channels(config: ExperimentConfig) -> JumpChannels:
     )
 
 
-def build_target_spec(config: ExperimentConfig) -> TargetSpec:
-    return TargetSpec(n_sites=config.n_sites, form=TargetForm(config.target_form))
+def build_target_spec(config: ExperimentConfig) -> TargetForm:
+    return TargetForm(config.target_form)
 
 
 def constants_version(config: ExperimentConfig) -> str:

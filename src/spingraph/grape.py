@@ -28,7 +28,7 @@ import numpy as np
 
 from .chain import ModelKind, assemble_system, build_control_hz_diagonal
 from .operators import SPIN_BASIS
-from .targets import TargetSpec, plus_product_state, target_state
+from .targets import TargetForm, plus_product_state, target_state
 
 __all__ = [
     "ControlSchedule",
@@ -148,13 +148,11 @@ class GrapeConfig:
     model: ModelKind
     t_total: float
     guess: GuessSpec
-    target: TargetSpec
+    target: TargetForm
 
     def __post_init__(self) -> None:
         if not self.t_total > 0.0:
             raise ValueError("t_total must be positive")
-        if self.model.n_sites != self.target.n_sites:
-            raise ValueError("model and target disagree on the site count")
 
 
 @dataclass
@@ -200,11 +198,10 @@ def random_guess(n_slices: int, t_total: float, b0: float, seed: int) -> Control
 
 def make_guess(spec: GuessSpec, t_total: float) -> ControlSchedule:
     n = spec.slice_count()
+    # GuessSpec admits only the two kinds
     if spec.kind == "gaussian":
         return gaussian_guess(n, t_total, spec.b0, spec.sigma_g)
-    if spec.kind == "random":
-        return random_guess(n, t_total, spec.b0, spec.seed)
-    raise ValueError(f"unknown guess kind {spec.kind!r}")
+    return random_guess(n, t_total, spec.b0, spec.seed)
 
 
 class ClosedFormPropagator:
@@ -279,8 +276,9 @@ def landscape_and_gradient(
     return phi, np.full(schedule.n_slices, schedule.dt * slope)
 
 
-def optimize(config: GrapeConfig, psi0: np.ndarray | None = None) -> GrapeResult:
-    """Gradient ascent from the configured guess field, on its field area.
+def optimize(config: GrapeConfig) -> GrapeResult:
+    """Gradient ascent from |+>^N and the configured guess field, on the
+    field area, towards the configured complete-graph target.
 
     The landscape depends on the schedule only through (T, A), so the
     ascent moves the scalar area A: each step adds rate * dPhi/dA, with
@@ -298,9 +296,8 @@ def optimize(config: GrapeConfig, psi0: np.ndarray | None = None) -> GrapeResult
     winding reduction.
     """
     prop = ClosedFormPropagator.for_model(config.model)
-    target = target_state(config.target)
-    if psi0 is None:
-        psi0 = plus_product_state(config.model.n_sites)
+    target = target_state(config.target, config.model.n_sites)
+    psi0 = plus_product_state(config.model.n_sites)
     guess = make_guess(config.guess, config.t_total)
     t = config.t_total
 

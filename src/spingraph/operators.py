@@ -232,12 +232,13 @@ def _place_values(n_sites: int, d: int) -> np.ndarray:
     return d ** np.arange(n_sites - 1, -1, -1)
 
 
-def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Raise if ``h`` is not Hermitian within ``tol`` or has NaN/Inf entries."""
+def check_hermitian(h: np.ndarray) -> None:
+    """Raise if ``h`` is not Hermitian within HERMITICITY_TOL or has NaN/Inf
+    entries."""
     if not np.all(np.isfinite(h)):
         raise ValueError("operator has NaN or Inf entries")
     dev = np.max(np.abs(h - h.conj().T))
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise ValueError(f"operator not Hermitian: max|H - H^dag| = {dev:.3e}")
 
 

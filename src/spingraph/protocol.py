@@ -42,7 +42,6 @@ from .chain import TWO_PI, ChainGeometry, RydbergModel, assemble_system, build_c
 from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import (
     PROTOCOL_BASIS,
-    LocalBasis,
     basis_state,
     check_hermitian,
     hermitian_sum,
@@ -130,13 +129,9 @@ class ProtocolResult:
     total_duration: float
 
 
-def standard_plan(
-    geometry: ChainGeometry,
-    core_schedule: ControlSchedule,
-    omega: float = OMEGA_TWO_PHOTON,
-    omega_a: float = OMEGA_MICROWAVE_A,
-    omega_b: float = OMEGA_MICROWAVE_B,
-) -> ProtocolPlan:
+def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> ProtocolPlan:
+    """The five stages of the module docstring at the OMEGA_* rates."""
+    omega, omega_a, omega_b = OMEGA_TWO_PHOTON, OMEGA_MICROWAVE_A, OMEGA_MICROWAVE_B
     stages = (
         ProtocolStage("prepare-up", np.pi / omega, (("up", "0", omega, 0.0),)),
         ProtocolStage("half-rotate", np.pi / (2.0 * omega_a), (("down", "up", omega_a, 0.0),)),
@@ -155,7 +150,6 @@ def run_stage(
     state: np.ndarray,
     stage: ProtocolStage,
     plan: ProtocolPlan,
-    basis: LocalBasis = PROTOCOL_BASIS,
     trace_hook=None,
 ) -> np.ndarray:
     """Evolve through one stage; optionally report intermediate states.
@@ -179,16 +173,16 @@ def run_stage(
         for site in range(plan.n_sites)
     ]
     # the core stage has no drives, so this is its bare background
-    h = hermitian_sum(drives, plan.n_sites, basis)
+    h = hermitian_sum(drives, plan.n_sites, PROTOCOL_BASIS)
     if stage.background:
-        h += assemble_system(RydbergModel(plan.geometry), basis)
+        h += assemble_system(RydbergModel(plan.geometry), PROTOCOL_BASIS)
     check_hermitian(h)
     state = np.asarray(state, dtype=complex)
     if state.shape != (h.shape[0],):
         raise ValueError(f"state dim {state.shape} does not match operator dim {h.shape[0]}")
     if stage.uses_core_schedule:
         schedule = plan.core_schedule
-        hz = build_control_hz_diagonal(plan.n_sites, basis)
+        hz = build_control_hz_diagonal(plan.n_sites, PROTOCOL_BASIS)
         times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
     else:
         steps = TRACE_POINTS_PER_STAGE if trace_hook is not None else 1
@@ -207,7 +201,6 @@ def mapped_graph_state(
     level_for_down: str,
     factor_per_down: complex,
     factor_per_up: complex = 1.0,
-    basis: LocalBasis = PROTOCOL_BASIS,
 ) -> np.ndarray:
     """Complete graph state with its two spin roles relabeled.
 
@@ -216,9 +209,9 @@ def mapped_graph_state(
     multiplies the listed factor per site of each role. These are the
     protocol's stage-boundary references.
     """
-    levels = site_levels(n_sites, basis.dim)
-    is_up = levels == basis.index(level_for_up)
-    is_down = levels == basis.index(level_for_down)
+    levels = site_levels(n_sites, PROTOCOL_BASIS.dim)
+    is_up = levels == PROTOCOL_BASIS.index(level_for_up)
+    is_down = levels == PROTOCOL_BASIS.index(level_for_down)
     rows = np.flatnonzero(np.all(is_up | is_down, axis=1))
     # each row's (up, down) = (0, 1) configuration as a spin-basis index
     spins = np.ravel_multi_index(is_down[rows].T, (2,) * n_sites)
@@ -231,24 +224,22 @@ def mapped_graph_state(
     return out
 
 
-def _reference_states(n_sites: int, basis: LocalBasis) -> dict[str, np.ndarray | None]:
-    single = np.zeros(basis.dim, dtype=complex)
-    single[basis.index("up")] = 1.0 / np.sqrt(2.0)
-    single[basis.index("down")] = -1.0j / np.sqrt(2.0)
+def _reference_states(n_sites: int) -> dict[str, np.ndarray | None]:
+    single = np.zeros(PROTOCOL_BASIS.dim, dtype=complex)
+    single[PROTOCOL_BASIS.index("up")] = 1.0 / np.sqrt(2.0)
+    single[PROTOCOL_BASIS.index("down")] = -1.0j / np.sqrt(2.0)
     return {
         "prepare-up": None,
         "half-rotate": product_state(single, n_sites),
-        "core": mapped_graph_state(n_sites, "up", "down", factor_per_down=-1.0j, basis=basis),
-        "decouple": mapped_graph_state(n_sites, "up", "r", factor_per_down=-1.0, basis=basis),
+        "core": mapped_graph_state(n_sites, "up", "down", factor_per_down=-1.0j),
+        "decouple": mapped_graph_state(n_sites, "up", "r", factor_per_down=-1.0),
         "map-to-clock": mapped_graph_state(
-            n_sites, "0", "1", factor_per_down=1.0, factor_per_up=-1.0, basis=basis
+            n_sites, "0", "1", factor_per_down=1.0, factor_per_up=-1.0
         ),
     }
 
 
-def run_full_protocol(
-    plan: ProtocolPlan, basis: LocalBasis = PROTOCOL_BASIS
-) -> ProtocolResult:
+def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
     """Execute all stages from the all-zero start.
 
     Records each reference-state population at its stage boundary and a
@@ -256,14 +247,14 @@ def run_full_protocol(
     final report's population is the mapped graph state on the clock
     levels.
     """
-    refs = _reference_states(plan.n_sites, basis)
+    refs = _reference_states(plan.n_sites)
     tracked = [
         refs["half-rotate"],
         refs["core"],
         refs["decouple"],
         refs["map-to-clock"],
     ]
-    state = basis_state(["0"] * plan.n_sites, basis)
+    state = basis_state(["0"] * plan.n_sites, PROTOCOL_BASIS)
 
     timeline: list[tuple[float, float, float, float, float, str]] = []
     reports: list[StageReport] = []
@@ -277,7 +268,7 @@ def run_full_protocol(
         def hook(t_local: float, s: np.ndarray, _label=stage.label) -> None:
             timeline.append((elapsed + t_local, *pops(s), _label))
 
-        state = run_stage(state, stage, plan, basis, trace_hook=hook)
+        state = run_stage(state, stage, plan, trace_hook=hook)
         elapsed += stage.duration
         ref = refs.get(stage.label)
         reports.append(

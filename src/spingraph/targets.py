@@ -9,21 +9,22 @@ the number of down-spins. The two vectors agree up to a global phase for
 odd N and differ by a uniform Z layer for even N; the per-configuration
 sign ratio is (-1)^{C(N,2) + k(1-N)}. Optimization targets use the
 operator-product form; the CZ form is the independent oracle.
+
+Every builder returns a spin-basis vector; ``operators.embed_spin_state``
+lifts one into a larger local basis.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .operators import SPIN_BASIS, LocalBasis, embed_spin_state, site_levels
+from .operators import SPIN_BASIS, LocalBasis, site_levels
 
 __all__ = [
     "TargetForm",
-    "TargetSpec",
     "complete_graph_state",
     "cz_graph_state",
     "plus_product_state",
@@ -43,15 +44,6 @@ class TargetForm(str, Enum):
     CZ_CIRCUIT = "cz-circuit"
 
 
-@dataclass(frozen=True)
-class TargetSpec:
-    n_sites: int
-    form: TargetForm = TargetForm.OPERATOR_PRODUCT
-
-    def __post_init__(self) -> None:
-        _check_n(self.n_sites)
-
-
 def _check_n(n_sites: int) -> None:
     if not 2 <= n_sites <= MAX_TARGET_SITES:
         raise ValueError(f"n_sites must be in [2, {MAX_TARGET_SITES}]")
@@ -62,9 +54,7 @@ def _down_bits(n_sites: int) -> np.ndarray:
     return site_levels(n_sites, 2) == SPIN_BASIS.index("down")
 
 
-def complete_graph_state(
-    n_sites: int, basis: LocalBasis = SPIN_BASIS
-) -> np.ndarray:
+def complete_graph_state(n_sites: int) -> np.ndarray:
     """Operator-product complete graph state.
 
     Amplitude 2^{-N/2} (-1)^{m(m-1)/2} on each configuration with m
@@ -74,10 +64,10 @@ def complete_graph_state(
     _check_n(n_sites)
     m = n_sites - np.sum(_down_bits(n_sites), axis=1)
     amps = ((-1.0) ** (m * (m - 1) // 2)) / np.sqrt(2.0**n_sites)
-    return embed_spin_state(amps.astype(complex), n_sites, basis)
+    return amps.astype(complex)
 
 
-def cz_graph_state(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
+def cz_graph_state(n_sites: int) -> np.ndarray:
     """prod_{i<j} CZ_{ij} |+>^N built by explicit gate application.
 
     |up> plays the role of |0> and |down> of |1>; each CZ flips the sign
@@ -90,32 +80,21 @@ def cz_graph_state(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     for i in range(n_sites):
         for j in range(i + 1, n_sites):
             psi = np.where(down[:, i] & down[:, j], -psi, psi)
-    return embed_spin_state(psi, n_sites, basis)
+    return psi
 
 
-def plus_product_state(
-    n_sites: int, phase: complex = 1.0, basis: LocalBasis = SPIN_BASIS
-) -> np.ndarray:
-    """(|up> + phase |down>)^{x N} / 2^{N/2} embedded in the given basis."""
+def plus_product_state(n_sites: int) -> np.ndarray:
+    """(|up> + |down>)^{x N} / 2^{N/2}, the equal-weight start state."""
     if n_sites < 1:
         raise ValueError("need at least one site")
-    if abs(abs(phase) - 1.0) > 1e-12:
-        raise ValueError("phase must be a unit complex number")
-    if not (basis.has_level("up") and basis.has_level("down")):
-        raise ValueError("basis lacks up/down levels")
-    amps = np.ones(2**n_sites, dtype=complex)
-    for down in _down_bits(n_sites).T:
-        amps *= np.where(down, phase, 1.0)
-    amps /= np.sqrt(2.0**n_sites)
-    return embed_spin_state(amps, n_sites, basis)
+    return np.full(2**n_sites, 1.0 / np.sqrt(2.0**n_sites), dtype=complex)
 
 
-def target_state(spec: TargetSpec, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
-    if spec.form is TargetForm.OPERATOR_PRODUCT:
-        return complete_graph_state(spec.n_sites, basis)
-    if spec.form is TargetForm.CZ_CIRCUIT:
-        return cz_graph_state(spec.n_sites, basis)
-    raise ValueError(f"unknown target form {spec.form!r}")
+def target_state(form: TargetForm, n_sites: int) -> np.ndarray:
+    """The N-site complete graph state in the chosen construction."""
+    if TargetForm(form) is TargetForm.CZ_CIRCUIT:
+        return cz_graph_state(n_sites)
+    return complete_graph_state(n_sites)
 
 
 def spin_config_labels(n_sites: int, basis: LocalBasis) -> list[str]:

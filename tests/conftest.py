@@ -5,7 +5,7 @@ import pytest
 
 from spingraph.chain import ChainGeometry, IdealModel, RydbergModel
 from spingraph.grape import GrapeConfig, GuessSpec, optimize
-from spingraph.targets import TargetForm, TargetSpec
+from spingraph.targets import TargetForm
 
 TWO_PI = 2.0 * np.pi
 
@@ -19,7 +19,7 @@ def ideal_config(n, t, guess):
         model=IdealModel(n),
         t_total=t,
         guess=guess,
-        target=TargetSpec(n, TargetForm.OPERATOR_PRODUCT),
+        target=TargetForm.OPERATOR_PRODUCT,
     )
 
 
@@ -28,7 +28,7 @@ def rydberg_config(n, t, guess):
         model=RydbergModel(ChainGeometry.regular(n)),
         t_total=t,
         guess=guess,
-        target=TargetSpec(n, TargetForm.OPERATOR_PRODUCT),
+        target=TargetForm.OPERATOR_PRODUCT,
     )
 
 

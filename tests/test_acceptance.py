@@ -48,7 +48,6 @@ from spingraph.operators import EMISSION_BASIS, SPIN_BASIS, embed_spin_state, ev
 from spingraph.protocol import run_full_protocol, standard_plan
 from spingraph.targets import (
     TargetForm,
-    TargetSpec,
     complete_graph_state,
     cz_graph_state,
     plus_product_state,

@@ -1,7 +1,5 @@
 """Closed-form three-site benchmark against numerical propagation."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from spingraph.analytic import (
     constant_field_population,
     propagated_population,
     scan_constant_field,
-    write_scan_csv,
 )
 from spingraph.operators import SPIN_BASIS, evolve_unitary
 from spingraph.targets import complete_graph_state, plus_product_state, spin_config_labels
@@ -134,16 +131,3 @@ def test_scan_grid_and_maxima():
 def test_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
         scan_constant_field(1.0, np.array([]), np.array([1.0]))
-
-
-def test_write_scan_csv(tmp_path):
-    b_grid = np.array([0.0, 1.0])
-    t_grid = np.array([0.5])
-    pops, _ = scan_constant_field(1.0, b_grid, t_grid)
-    path = tmp_path / "scan.csv"
-    write_scan_csv(path, b_grid, t_grid, pops)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["b", "t", "population"]
-    assert len(rows) == 3
-    assert float(rows[1][2]) == pops[0, 0]

@@ -126,7 +126,7 @@ def test_dipole_nearest_neighbor_value():
 
 def test_dipole_cubic_distance_scaling():
     geo1 = ChainGeometry.regular(2)
-    geo2 = ChainGeometry.regular(2, spacing=2 * 19.3)
+    geo2 = ChainGeometry.regular(2, PhysicalConstants(spacing=2 * 19.3))
     assert abs(dipole_strength(geo2, 0, 1) / dipole_strength(geo1, 0, 1) - 0.125) < 1e-12
 
 

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 import spingraph.cli as cli
 import spingraph.dynamics as dynamics
 from spingraph import __version__
+from spingraph.analytic import scan_constant_field
 from spingraph.chain import ChainGeometry, RydbergModel
 from spingraph.cli import main
 from spingraph.grape import load_result, schedule_from_record
@@ -160,6 +161,14 @@ def test_analytic_scan_outputs(runner, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["b", "t", "population"]
     assert len(rows) == 1 + 21 * 31
+    # b-major rows of repr cells, so every value reads back bit for bit
+    b_grid, t_grid = np.linspace(-10.0, 10.0, 21), np.linspace(0.01, 3.5, 31)
+    pops, _ = scan_constant_field(1.0, b_grid, t_grid)
+    assert rows[1:] == [
+        [repr(float(b)), repr(float(t)), repr(float(pops[i, k]))]
+        for i, b in enumerate(b_grid)
+        for k, t in enumerate(t_grid)
+    ]
     data = json.loads(peaks.read_text())
     assert "maxima" in data and "config_hash" in data
 
@@ -310,12 +319,14 @@ def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path):
         ["optimize", "--n", "3", "--t", "0.141", "--slices", "0"],
         ["optimize", "--n", "3", "--t", "-1"],
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1"],
+        ["table", "3", "--config", "negative_decay.yaml"],
     ],
     ids=lambda args: " ".join(args),
 )
 def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monkeypatch, args):
     """Refused before any schedule is optimized."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "negative_decay.yaml").write_text("jumps:\n  gamma_up: -1\n", encoding="utf-8")
     calls = []
     monkeypatch.setattr(cli, "run_optimize", lambda *a, **k: calls.append(a))
     result = runner.invoke(main, args)
@@ -324,6 +335,8 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
     assert isinstance(result.exception, SystemExit)
     assert f"Error: {args[0]} failed: " in result.output
     assert "Traceback" not in result.output
+    if args[0] == "table":
+        assert "Error: table failed: decay rates must be non-negative" in result.output
 
 
 def test_scan_t_small_grid(runner, tmp_path):

@@ -189,5 +189,4 @@ def test_build_jump_channels():
 
 def test_build_target_spec():
     spec = build_target_spec(ExperimentConfig(n_sites=5, target_form="cz-circuit"))
-    assert spec.n_sites == 5
-    assert spec.form == TargetForm.CZ_CIRCUIT
+    assert spec == TargetForm.CZ_CIRCUIT

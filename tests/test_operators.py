@@ -179,7 +179,7 @@ def test_check_hermitian_tolerance():
     h = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         check_hermitian(h)
-    check_hermitian(h, tol=1e-3)
+    check_hermitian(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]], dtype=complex))
 
 
 def test_population_vector_and_matrix():

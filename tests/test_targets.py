@@ -22,7 +22,6 @@ from spingraph.operators import (
 )
 from spingraph.targets import (
     TargetForm,
-    TargetSpec,
     complete_graph_state,
     cz_graph_state,
     plus_product_state,
@@ -158,18 +157,11 @@ def test_stabilizers(n):
     assert np.vdot(literal, op @ literal).real == pytest.approx(expected, abs=1e-12)
 
 
-def test_plus_product_state_with_phase():
-    psi = plus_product_state(1, phase=-1.0j)
-    assert np.allclose(psi, np.array([1.0, -1.0j]) / np.sqrt(2.0))
-    psi2 = plus_product_state(2, phase=-1.0j)
-    assert psi2[3] == pytest.approx(-0.5)  # (-i)^2 / 2
-
-
 def test_target_state_dispatch():
-    spec = TargetSpec(3, TargetForm.OPERATOR_PRODUCT)
-    assert np.array_equal(target_state(spec), complete_graph_state(3))
-    spec_cz = TargetSpec(3, TargetForm.CZ_CIRCUIT)
-    assert np.array_equal(target_state(spec_cz), cz_graph_state(3))
+    assert np.array_equal(
+        target_state(TargetForm.OPERATOR_PRODUCT, 3), complete_graph_state(3)
+    )
+    assert np.array_equal(target_state(TargetForm.CZ_CIRCUIT, 3), cz_graph_state(3))
 
 
 def test_site_count_bounds():
@@ -178,7 +170,7 @@ def test_site_count_bounds():
     with pytest.raises(ValueError):
         complete_graph_state(8)
     with pytest.raises(ValueError):
-        TargetSpec(1, TargetForm.OPERATOR_PRODUCT)
+        target_state(TargetForm.OPERATOR_PRODUCT, 1)
 
 
 def test_labels_order():
