@@ -1,7 +1,10 @@
 """Closed-form three-site benchmark against numerical propagation."""
 
+import csv
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from spingraph.analytic import (
     PRINTED_ORDER_LABELS,
@@ -14,6 +17,7 @@ from spingraph.analytic import (
     propagated_population,
     scan_constant_field,
 )
+from spingraph.cli import main
 from spingraph.operators import SPIN_BASIS, evolve_unitary
 from spingraph.targets import complete_graph_state, plus_product_state, spin_config_labels
 
@@ -131,3 +135,22 @@ def test_scan_grid_and_maxima():
 def test_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
         scan_constant_field(1.0, np.array([]), np.array([1.0]))
+
+
+def test_write_scan_csv(tmp_path):
+    """The scan grid is written by the CLI's CSV writer as b-major repr cells."""
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"output:\n  output_dir: {tmp_path}\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["analytic", "--config", str(config), "--scan", "--b-points", "2", "--t-points", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    b_grid = np.array([-10.0, 10.0])
+    t_grid = np.array([0.01])
+    pops, _ = scan_constant_field(1.0, b_grid, t_grid)
+    with open(tmp_path / "analytic_grid.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["b", "t", "population"]
+    assert len(rows) == 3
+    assert float(rows[1][2]) == pops[0, 0]
