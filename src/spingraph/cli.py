@@ -17,7 +17,6 @@ from typing import NoReturn
 
 import click
 import numpy as np
-import yaml
 
 from . import __version__
 from .analytic import (
@@ -77,15 +76,6 @@ def _merged_config(config_path, **overrides) -> ExperimentConfig:
         return apply_overrides(cfg, **overrides)
     except ConfigError as exc:
         _fail(f"config error: {exc}")
-
-
-def _file_sets_guess_kind(config_path) -> bool:
-    # called after _merged_config, which has already validated the file
-    if not config_path:
-        return False
-    with open(config_path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
-    return "guess_kind" in data.get("guess", {})
 
 
 def _grape_config(cfg: ExperimentConfig) -> GrapeConfig:
@@ -148,10 +138,33 @@ def _resolve_schedule(cfg: ExperimentConfig, schedule_path):
     return result.schedule, result.final_population
 
 
-config_option = click.option(
-    "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-    default=None, help="YAML config file; flags override its values.",
-)
+#: Options several commands take, declared once. A destination that names an
+#: ExperimentConfig field overrides that field.
+SHARED_OPTIONS = {
+    "config": click.option(
+        "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+        default=None, help="YAML config file; flags override its values.",
+    ),
+    "mode": click.option("--mode", type=click.Choice(["ideal", "rydberg"]), default=None),
+    "n": click.option("--n", "n_sites", type=int, default=None, help="Atom count."),
+    "t": click.option("--t", "t_total", type=float, default=None, help="Evolution time."),
+    "guess": click.option("--guess", "guess_kind", type=click.Choice(["gaussian", "random"]), default=None),
+    "seed": click.option("--seed", type=int, default=None, help="Random-guess seed."),
+    "schedule": click.option("--schedule", "schedule_path", type=click.Path(exists=True, dir_okay=False), default=None),
+}
+
+
+def shared_options(*names: str):
+    """Add ``--config`` and the shared options ``names`` to a command."""
+    def decorate(command):
+        for name in reversed(("config", *names)):
+            command = SHARED_OPTIONS[name](command)
+        return command
+    return decorate
+
+
+def out_prefix_option(default: str):
+    return click.option("--out-prefix", default=default, help="Output file prefix.")
 
 
 class _Commands(click.Group):
@@ -172,12 +185,7 @@ def main() -> None:
 
 
 @main.command("optimize")
-@config_option
-@click.option("--mode", type=click.Choice(["ideal", "rydberg"]), default=None)
-@click.option("--n", "n_sites", type=int, default=None, help="Atom count.")
-@click.option("--t", "t_total", type=float, default=None, help="Evolution time.")
-@click.option("--guess", "guess_kind", type=click.Choice(["gaussian", "random"]), default=None)
-@click.option("--seed", type=int, default=None, help="Random-guess seed.")
+@shared_options("mode", "n", "t", "guess", "seed")
 @click.option("--b0", "guess_b0", type=float, default=None, help="Guess amplitude scale.")
 @click.option("--slices", "guess_slices", type=int, default=None, help="Slice count.")
 @click.option("--target", "target_form", type=click.Choice(["operator-product", "cz-circuit"]), default=None)
@@ -203,16 +211,12 @@ def cmd_optimize(config_path, out, **overrides) -> None:
     _echo(f"convergence: {csv_path}")
 
 
-def _optimized_population(cfg: ExperimentConfig) -> float:
-    return run_optimize(_grape_config(cfg)).final_population
-
-
 def _table_rows_closed(cfg: ExperimentConfig, mode: str):
     cases = TABLE_IDEAL if mode == "ideal" else TABLE_RYDBERG
     rows = []
     for n, t in cases:
         case_cfg = apply_overrides(cfg, mode=mode, n_sites=n, t_total=t)
-        rows.append((n, t, _optimized_population(case_cfg)))
+        rows.append((n, t, run_optimize(_grape_config(case_cfg)).final_population))
     return rows
 
 
@@ -232,9 +236,7 @@ def _dissipation_delta(jumps, model, result) -> float:
 
 @main.command("table")
 @click.argument("which", type=click.Choice(["1", "2", "3"]))
-@config_option
-@click.option("--guess", "guess_kind", type=click.Choice(["gaussian", "random"]), default=None)
-@click.option("--seed", type=int, default=None)
+@shared_options("guess", "seed")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="CSV path.")
 def cmd_table(which, config_path, out, **overrides) -> None:
     """Reproduce a results table (1 ideal, 2 dipolar chain, 3 error budget).
@@ -245,11 +247,7 @@ def cmd_table(which, config_path, out, **overrides) -> None:
     region for the N=4 chain case.
     """
     cfg = _merged_config(config_path, **overrides)
-    if (
-        which in ("2", "3")
-        and overrides.get("guess_kind") is None
-        and not _file_sets_guess_kind(config_path)
-    ):
+    if which in ("2", "3") and cfg.guess_kind is None:
         cfg = apply_overrides(cfg, guess_kind="random")
     outdir = _outdir(cfg)
 
@@ -337,19 +335,12 @@ def _error_budget_rows(cfg: ExperimentConfig):
 
 
 @main.command("noise")
-@config_option
-@click.option("--mode", type=click.Choice(["ideal", "rydberg"]), default=None)
-@click.option("--n", "n_sites", type=int, default=None)
-@click.option("--t", "t_total", type=float, default=None)
-@click.option("--guess", "guess_kind", type=click.Choice(["gaussian", "random"]), default=None)
-@click.option("--seed", type=int, default=None)
+@shared_options("mode", "n", "t", "guess", "seed", "schedule")
 @click.option("--position-sigma", default=None, help="Comma triple in nm, e.g. 193.5,193.5,1242.9.")
 @click.option("--field-sigma", type=float, default=None, help="Per-slice sigma, rad/us.")
-@click.option("--delta-r", type=float, default=None, help="Deterministic distance offset, nm.")
 @click.option("--samples", type=int, default=None)
 @click.option("--base-seed", type=int, default=None)
-@click.option("--schedule", "schedule_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--out-prefix", default="noise", help="Output file prefix.")
+@out_prefix_option("noise")
 def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **overrides) -> None:
     """Monte Carlo ensemble under geometric and/or field noise."""
     if position_sigma is not None:
@@ -358,9 +349,7 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
             _fail("--position-sigma needs three comma-separated values")
         overrides["position_sigma"] = tuple(float(p) for p in parts)
     cfg = _merged_config(config_path, **overrides)
-    if cfg.mode != "rydberg" and (
-        any(s > 0 for s in cfg.position_sigma) or cfg.delta_r is not None
-    ):
+    if cfg.mode != "rydberg" and any(s > 0 for s in cfg.position_sigma):
         _fail("geometry noise requires rydberg mode")
     spec = build_noise_spec(cfg)
     schedule, _ = _resolve_schedule(cfg, schedule_path)
@@ -400,15 +389,11 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
 
 
 @main.command("scan-t")
-@config_option
-@click.option("--mode", type=click.Choice(["ideal", "rydberg"]), default=None)
-@click.option("--n", "n_sites", type=int, default=None)
+@shared_options("mode", "n", "guess", "seed")
 @click.option("--t-min", type=float, default=None)
 @click.option("--t-max", type=float, default=None)
 @click.option("--steps", "scan_steps", type=int, default=None)
-@click.option("--guess", "guess_kind", type=click.Choice(["gaussian", "random"]), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out-prefix", default="scan", help="Output file prefix.")
+@out_prefix_option("scan")
 def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
     """Optimize across a duration grid and report the population peaks."""
     cfg = _merged_config(config_path, **overrides)
@@ -434,15 +419,10 @@ def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
 
 
 @main.command("master")
-@config_option
-@click.option("--n", "n_sites", type=int, default=None)
-@click.option("--t", "t_total", type=float, default=None)
-@click.option("--guess", "guess_kind", type=click.Choice(["gaussian", "random"]), default=None)
-@click.option("--seed", type=int, default=None)
+@shared_options("n", "t", "guess", "seed", "schedule")
 @click.option("--gamma-up", type=float, default=None, help="Decay rate of up, 1/us.")
 @click.option("--gamma-down", type=float, default=None, help="Decay rate of down, 1/us.")
-@click.option("--schedule", "schedule_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--out-prefix", default="master", help="Output file prefix.")
+@out_prefix_option("master")
 def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Open-system run with spontaneous emission; reports the closed-system delta."""
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
@@ -473,14 +453,14 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
 
 
 @main.command("analytic")
-@config_option
+@shared_options()
 @click.option("--c1", type=int, default=0)
 @click.option("--c2", type=int, default=0)
 @click.option("--j", "j_coupling", type=float, default=1.0, help="Coupling of the constant-field model.")
 @click.option("--scan/--no-scan", default=False, help="Also write a (B, t) population grid.")
 @click.option("--b-points", type=int, default=81)
 @click.option("--t-points", type=int, default=121)
-@click.option("--out-prefix", default="analytic", help="Output file prefix.")
+@out_prefix_option("analytic")
 def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_prefix) -> None:
     """Constant-field closed-form benchmark and optional parameter scan."""
     cfg = _merged_config(config_path)
@@ -519,13 +499,8 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
 
 
 @main.command("protocol")
-@config_option
-@click.option("--n", "n_sites", type=int, default=None, help="Atom count.")
-@click.option("--t", "t_total", type=float, default=None, help="Core evolution time.")
-@click.option("--guess", "guess_kind", type=click.Choice(["gaussian", "random"]), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--schedule", "schedule_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--out-prefix", default="protocol", help="Output file prefix.")
+@shared_options("n", "t", "guess", "seed", "schedule")
+@out_prefix_option("protocol")
 def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Full staged run: prepare, evolve, decouple, map to clock states.
 

@@ -1,7 +1,8 @@
 """Experiment configuration: file loading, override merging, hashing.
 
-A config file is YAML with nested sections (run, guess, noise, jumps,
-constants, output). Command-line overrides win over file values. The
+A config file is YAML with nested sections (run, guess, scan, noise,
+jumps, output) whose keys are the destinations of the command-line flags.
+Command-line overrides win over file values. The
 sha256 hash of the fully merged config is embedded in every output file,
 together with the interaction-constants version, so any emitted number
 can be traced back to the inputs that produced it.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import asdict, dataclass, replace
 
 import yaml
@@ -21,7 +23,6 @@ from .chain import (
     ChainGeometry,
     IdealModel,
     ModelKind,
-    PhysicalConstants,
     RydbergModel,
 )
 from .dynamics import GAMMA_DOWN, GAMMA_UP, JumpChannels, NoiseSpec
@@ -56,11 +57,9 @@ class ExperimentConfig:
     n_sites: int = 3
     t_total: float | None = None
     target_form: str = "operator-product"
-    coupling: float = 1.0
-    # guess
-    guess_kind: str = "gaussian"
+    # guess (None: the command's default kind)
+    guess_kind: str | None = None
     guess_b0: float | None = None
-    guess_sigma: float = 0.1
     guess_slices: int | None = None
     seed: int = 1
     # scan
@@ -72,22 +71,16 @@ class ExperimentConfig:
     field_sigma: float = 0.0
     samples: int = 50
     base_seed: int = 0
-    delta_r: float | None = None
     # jumps
     gamma_up: float = GAMMA_UP
     gamma_down: float = GAMMA_DOWN
-    # constants overrides (None keeps the package defaults)
-    spacing: float | None = None
-    c3: float | None = None
-    c6_up: float | None = None
-    c6_down: float | None = None
     # output
     output_dir: str = "."
 
     def __post_init__(self) -> None:
         if self.mode not in ("ideal", "rydberg"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.guess_kind not in ("gaussian", "random"):
+        if self.guess_kind not in (None, "gaussian", "random"):
             raise ConfigError(f"unknown guess kind {self.guess_kind!r}")
         if self.target_form not in ("operator-product", "cz-circuit"):
             raise ConfigError(f"unknown target form {self.target_form!r}")
@@ -96,18 +89,32 @@ class ExperimentConfig:
 
 
 _SECTIONS = {
-    "run": ("mode", "n_sites", "t_total", "target_form", "coupling"),
-    "guess": ("guess_kind", "guess_b0", "guess_sigma", "guess_slices", "seed"),
+    "run": ("mode", "n_sites", "t_total", "target_form"),
+    "guess": ("guess_kind", "guess_b0", "guess_slices", "seed"),
     "scan": ("t_min", "t_max", "scan_steps"),
-    "noise": ("position_sigma", "field_sigma", "samples", "base_seed", "delta_r"),
+    "noise": ("position_sigma", "field_sigma", "samples", "base_seed"),
     "jumps": ("gamma_up", "gamma_down"),
-    "constants": ("spacing", "c3", "c6_up", "c6_down"),
     "output": ("output_dir",),
 }
 
-_FIELD_TO_SECTION = {
-    name: section for section, names in _SECTIONS.items() for name in names
-}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _checked(name: str, hint, value):
+    """The file value of a field whose annotation is ``hint``, refused
+    unless it has that type; an int stands for a float."""
+    if typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)
+        if not (isinstance(value, (list, tuple)) and len(value) == len(items)):
+            raise ConfigError(f"{name} must be a {len(items)}-item list")
+        return tuple(_checked(name, item, v) for item, v in zip(items, value))
+    allowed = typing.get_args(hint) or (hint,)
+    if type(value) in allowed:
+        return value
+    if type(value) is int and float in allowed:
+        return float(value)
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise ConfigError(f"{name} must be {names}, not {value!r}")
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
@@ -122,16 +129,8 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         for key, value in content.items():
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
-            kwargs[key] = value
-    if "position_sigma" in kwargs and kwargs["position_sigma"] is not None:
-        sig = kwargs["position_sigma"]
-        if not (isinstance(sig, (list, tuple)) and len(sig) == 3):
-            raise ConfigError("position_sigma must be a 3-item list")
-        kwargs["position_sigma"] = tuple(float(s) for s in sig)
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+            kwargs[key] = _checked(f"{section}.{key}", _FIELD_TYPES[key], value)
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -153,11 +152,9 @@ def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _FIELD_TO_SECTION:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config field {key!r}")
         updates[key] = value
-    if not updates:
-        return config
     return replace(config, **updates)
 
 
@@ -166,38 +163,23 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _constants(config: ExperimentConfig) -> PhysicalConstants:
-    base = DEFAULT_CONSTANTS
-    fields = {}
-    for name in ("spacing", "c3", "c6_up", "c6_down"):
-        value = getattr(config, name)
-        if value is not None:
-            fields[name] = float(value)
-    if not fields:
-        return base
-    fields["version"] = base.version + "+custom"
-    return replace(base, **fields)
-
-
 def build_model(config: ExperimentConfig) -> ModelKind:
     if config.mode == "ideal":
-        return IdealModel(n_sites=config.n_sites, coupling=config.coupling)
-    geometry = ChainGeometry.regular(config.n_sites, constants=_constants(config))
-    return RydbergModel(geometry=geometry)
+        return IdealModel(n_sites=config.n_sites)
+    return RydbergModel(geometry=ChainGeometry.regular(config.n_sites))
 
 
 def default_b0(config: ExperimentConfig) -> float:
-    # guess amplitude scale: the coupling in ideal mode, 2 pi rad/us otherwise
+    # guess amplitude scale: J = 1 in ideal mode, 2 pi rad/us otherwise
     if config.guess_b0 is not None:
         return config.guess_b0
-    return abs(config.coupling) if config.mode == "ideal" else TWO_PI
+    return 1.0 if config.mode == "ideal" else TWO_PI
 
 
 def build_guess_spec(config: ExperimentConfig) -> GuessSpec:
     return GuessSpec(
-        kind=config.guess_kind,
+        kind=config.guess_kind or "gaussian",
         b0=default_b0(config),
-        sigma_g=config.guess_sigma,
         seed=config.seed,
         n_slices=config.guess_slices,
     )
@@ -209,7 +191,6 @@ def build_noise_spec(config: ExperimentConfig) -> NoiseSpec:
         field_sigma=config.field_sigma,
         samples=config.samples,
         base_seed=config.base_seed,
-        delta_r=config.delta_r,
     )
 
 
@@ -224,4 +205,4 @@ def build_target_spec(config: ExperimentConfig) -> TargetForm:
 
 
 def constants_version(config: ExperimentConfig) -> str:
-    return _constants(config).version
+    return DEFAULT_CONSTANTS.version

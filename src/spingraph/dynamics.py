@@ -10,8 +10,8 @@ displacement per atom per sample; field noise draws one offset per
 control slice. All randomness flows through numpy's seeded Generator,
 one seed per sample, so ensembles are reproducible and order-independent.
 
-Distance units: geometry positions are um, noise sigmas and delta_r are
-quoted in nm (as measured) and converted here.
+Distance units: geometry positions are um, noise sigmas are quoted in nm
+(as measured) and converted here.
 """
 
 from __future__ import annotations
@@ -96,15 +96,12 @@ class NoiseSpec:
         component is taken along the chain axis, the other two along the
         transverse directions.
     field_sigma : per-slice field offset deviation, rad/us.
-    delta_r : deterministic pairwise-distance offset in nm; when set,
-        geometry sampling applies it instead of drawing displacements.
     """
 
     position_sigma: tuple[float, float, float] = (0.0, 0.0, 0.0)
     field_sigma: float = 0.0
     samples: int = 50
     base_seed: int = 0
-    delta_r: float | None = None
 
     def __post_init__(self) -> None:
         if any(s < 0 for s in self.position_sigma) or self.field_sigma < 0:
@@ -277,14 +274,10 @@ def sample_geometry_noise(
 ) -> ChainGeometry:
     """One static disorder realization of the chain geometry.
 
-    With ``delta_r`` set the modification is deterministic: every
-    pairwise distance gains delta_r while angles stay fixed. Otherwise
-    each atom is displaced by an independent Gaussian 3-vector with the
+    Each atom is displaced by an independent Gaussian 3-vector with the
     spec's sigmas, drawn from seed base_seed + sample_index and resolved
     in the chain frame. Displacements are static for the whole evolution.
     """
-    if spec.delta_r is not None:
-        return geometry.with_delta_r(spec.delta_r / NM_PER_UM)
     sigma_um = np.asarray(spec.position_sigma, dtype=float) / NM_PER_UM
     if np.all(sigma_um == 0.0):
         return geometry
@@ -393,7 +386,7 @@ def ensemble_average(
     leaves the drift alone, so without geometry noise one propagator
     serves the whole ensemble.
     """
-    geometry_noise = spec.delta_r is not None or any(s > 0 for s in spec.position_sigma)
+    geometry_noise = any(s > 0 for s in spec.position_sigma)
     if geometry_noise and not isinstance(model, RydbergModel):
         raise ValueError("geometry noise requires a Rydberg model")
     prop = None if geometry_noise else ClosedFormPropagator.for_model(model)

@@ -57,6 +57,9 @@ COMMUTATOR_TOL = 1e-12
 GAUSSIAN_SLICES = 100
 RANDOM_SLICES = 10
 
+#: Standard deviation of the Gaussian guess, as a fraction of the duration.
+GAUSSIAN_WIDTH = 0.1
+
 #: Line search of ``optimize``. The running rate starts at INITIAL_RATE;
 #: backtracking multiplies it by BACKTRACK_FACTOR until the landscape does
 #: not decrease, and each accepted step multiplies it by GROW_FACTOR for
@@ -91,8 +94,8 @@ class ControlSchedule:
             raise ValueError("schedule needs at least one slice")
         if not np.all(np.isfinite(amps)):
             raise ValueError("slice amplitudes must be finite")
-        if self.t_total <= 0.0:
-            raise ValueError("t_total must be positive")
+        if not (np.isfinite(self.t_total) and self.t_total > 0.0):
+            raise ValueError("t_total must be finite and positive")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -127,7 +130,6 @@ class GuessSpec:
 
     kind: Literal["gaussian", "random"]
     b0: float
-    sigma_g: float = 0.1
     seed: int = 1
     n_slices: int | None = None
 
@@ -173,19 +175,17 @@ class ScanResult:
     maxima: list[tuple[float, float]]
 
 
-def gaussian_guess(
-    n_slices: int, t_total: float, b0: float, sigma_g: float = 0.1
-) -> ControlSchedule:
-    """Gaussian profile B0/(sqrt(2 pi) sigma) exp(-t_g^2 / 2 sigma^2).
+def gaussian_guess(n_slices: int, t_total: float, b0: float) -> ControlSchedule:
+    """Gaussian profile B0/(sqrt(2 pi) sigma) exp(-t_g^2 / 2 sigma^2) with
+    sigma = GAUSSIAN_WIDTH.
 
     The slice midpoint k maps to t_g = (k + 0.5)/n - 0.5, so the profile
     is symmetric about the schedule center regardless of t_total.
     """
-    if sigma_g == 0.0:
-        raise ValueError("sigma_g must be nonzero")
+    sigma = GAUSSIAN_WIDTH
     k = np.arange(n_slices)
     t_g = (k + 0.5) / n_slices - 0.5
-    amps = b0 / (np.sqrt(2.0 * np.pi) * sigma_g) * np.exp(-(t_g**2) / (2.0 * sigma_g**2))
+    amps = b0 / (np.sqrt(2.0 * np.pi) * sigma) * np.exp(-(t_g**2) / (2.0 * sigma**2))
     return ControlSchedule(t_total=t_total, amplitudes=amps)
 
 
@@ -200,7 +200,7 @@ def make_guess(spec: GuessSpec, t_total: float) -> ControlSchedule:
     n = spec.slice_count()
     # GuessSpec admits only the two kinds
     if spec.kind == "gaussian":
-        return gaussian_guess(n, t_total, spec.b0, spec.sigma_g)
+        return gaussian_guess(n, t_total, spec.b0)
     return random_guess(n, t_total, spec.b0, spec.seed)
 
 

@@ -2,12 +2,14 @@
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 import json
 import weakref
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -18,6 +20,7 @@ from spingraph import __version__
 from spingraph.analytic import scan_constant_field
 from spingraph.chain import ChainGeometry, RydbergModel
 from spingraph.cli import main
+from spingraph.config import ExperimentConfig
 from spingraph.grape import load_result, schedule_from_record
 from spingraph.targets import complete_graph_state, plus_product_state
 
@@ -126,6 +129,41 @@ def test_malformed_config_fails_cleanly(runner, tmp_path):
     assert result.exit_code != 0
     assert "config error" in result.output
     assert not out.exists()
+
+
+def test_config_keys_are_the_cli_flags(runner):
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    destinations = {
+        param.name
+        for command in main.commands.values()
+        for param in command.params
+        if isinstance(param, click.Option)
+    }
+    assert destinations & fields == fields - {"output_dir"}
+    result = runner.invoke(main, ["noise", "--delta-r", "100"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--delta-r" in result.output
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("run.t_total", '"0.141"', ["optimize"]),
+        ("noise.samples", '"5"', ["noise", "--t", "0.141"]),
+        ("guess.seed", "1.5", ["optimize", "--t", "0.141", "--guess", "random"]),
+        ("scan.scan_steps", "3.0", ["scan-t"]),
+    ],
+    ids=lambda case: case[0],
+)
+def test_config_value_of_the_wrong_type_ends_in_one_line(runner, tmp_path, case):
+    key, value, args = case
+    section, name = key.split(".")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"{section}:\n  {name}: {value}\n", encoding="utf-8")
+    result = runner.invoke(main, [*args, "--config", str(path)])
+    assert result.exit_code == 1
+    assert f"Error: config error: {key} must be " in result.output
+    assert "Traceback" not in result.output
 
 
 def test_analytic_family_point(runner):
@@ -299,6 +337,23 @@ def test_schedule_for_another_atom_count_is_refused(runner, core_schedule_path, 
     )
     assert result.exit_code != 0
     assert "schedule is for N=3, run is for N=4" in result.output
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["master", "noise"])
+def test_non_finite_schedule_duration_is_refused(
+    runner, core_schedule_path, tmp_path, monkeypatch, command, duration
+):
+    monkeypatch.chdir(tmp_path)
+    record = json.loads(core_schedule_path.read_text())
+    record["T"] = duration
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    result = runner.invoke(main, [command, "--schedule", str(path)])
+    assert result.exit_code == 1
+    assert f"Error: {command} failed: t_total must be finite and positive" in result.output
+    assert "Traceback" not in result.output
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path):

@@ -28,7 +28,7 @@ def test_defaults():
     assert cfg.mode == "rydberg"
     assert cfg.n_sites == 3
     assert cfg.t_total is None
-    assert cfg.guess_kind == "gaussian"
+    assert build_guess_spec(cfg).kind == "gaussian"
     assert cfg.samples == 50
     assert cfg.base_seed == 0
     assert cfg.gamma_up == pytest.approx(1.0 / 569.0)
@@ -59,7 +59,9 @@ def test_load_config(tmp_path):
         "  guess_kind: random\n"
         "  seed: 7\n"
         "noise:\n"
-        "  position_sigma: [193.5, 193.5, 1242.9]\n",
+        "  position_sigma: [193.5, 193.5, 1242.9]\n"
+        "jumps:\n"
+        "  gamma_up: 1\n",
         encoding="utf-8",
     )
     cfg = load_config(path)
@@ -70,6 +72,8 @@ def test_load_config(tmp_path):
     assert cfg.seed == 7
     assert cfg.position_sigma == (193.5, 193.5, 1242.9)
     assert isinstance(cfg.position_sigma, tuple)
+    # a YAML int is taken where the field is a float
+    assert cfg.gamma_up == 1.0 and type(cfg.gamma_up) is float
     # untouched sections keep their defaults
     assert cfg.samples == 50
 
@@ -134,27 +138,19 @@ def test_config_hash_stability_and_sensitivity():
 
 
 def test_build_model():
-    ideal = build_model(ExperimentConfig(mode="ideal", n_sites=4, coupling=2.0))
+    ideal = build_model(ExperimentConfig(mode="ideal", n_sites=4))
     assert isinstance(ideal, IdealModel)
     assert ideal.n_sites == 4
-    assert ideal.coupling == pytest.approx(2.0)
+    assert ideal.coupling == 1.0
     ryd = build_model(ExperimentConfig(mode="rydberg", n_sites=3))
     assert isinstance(ryd, RydbergModel)
     assert ryd.geometry.n_sites == 3
     assert ryd.geometry.constants == DEFAULT_CONSTANTS
-
-
-def test_constants_override():
-    cfg = ExperimentConfig(spacing=19.6)
-    model = build_model(cfg)
-    assert model.geometry.constants.spacing == pytest.approx(19.6)
-    assert constants_version(cfg) == DEFAULT_CONSTANTS.version + "+custom"
     assert constants_version(ExperimentConfig()) == DEFAULT_CONSTANTS.version
 
 
 def test_default_b0():
-    assert default_b0(ExperimentConfig(mode="ideal", coupling=1.0)) == pytest.approx(1.0)
-    assert default_b0(ExperimentConfig(mode="ideal", coupling=-2.0)) == pytest.approx(2.0)
+    assert default_b0(ExperimentConfig(mode="ideal")) == 1.0
     assert default_b0(ExperimentConfig(mode="rydberg")) == pytest.approx(TWO_PI)
     assert default_b0(ExperimentConfig(guess_b0=5.5)) == pytest.approx(5.5)
 
@@ -179,7 +175,6 @@ def test_build_noise_spec():
     assert spec.field_sigma == pytest.approx(0.5)
     assert spec.samples == 10
     assert spec.base_seed == 4
-    assert spec.delta_r is None
 
 
 def test_build_jump_channels():

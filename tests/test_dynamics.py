@@ -212,14 +212,6 @@ def test_sample_geometry_noise_frame_axes():
     assert np.max(np.abs(delta[:, :2])) > 0.0
 
 
-def test_sample_geometry_noise_delta_r():
-    geo = ChainGeometry.regular(3)
-    spec = NoiseSpec(delta_r=100.0)  # nm
-    shifted = sample_geometry_noise(geo, spec, 0)
-    assert shifted.delta_r == pytest.approx(0.1)
-    assert np.array_equal(shifted.positions, geo.positions)
-
-
 def test_sample_field_noise():
     schedule = ControlSchedule(t_total=1.0, amplitudes=np.zeros(2000))
     assert sample_field_noise(schedule, 0.0, 3) is schedule
@@ -365,9 +357,8 @@ def count_propagators(monkeypatch):
         NoiseSpec(field_sigma=TWO_PI * 0.5, samples=6, base_seed=3),
         NoiseSpec(position_sigma=(193.5, 193.5, 1242.9), samples=6, base_seed=3),
         NoiseSpec(position_sigma=(193.5, 0.0, 0.0), field_sigma=2.0, samples=6, base_seed=3),
-        NoiseSpec(delta_r=100.0, field_sigma=2.0, samples=6, base_seed=3),
     ],
-    ids=["field", "position", "position+field", "delta_r+field"],
+    ids=["field", "position", "position+field"],
 )
 def test_ensemble_shares_one_propagator_under_field_noise(spec, monkeypatch):
     model = RydbergModel(ChainGeometry.regular(3))
@@ -375,7 +366,7 @@ def test_ensemble_shares_one_propagator_under_field_noise(spec, monkeypatch):
     schedule = ControlSchedule(t_total=0.141, amplitudes=rng.uniform(-20, 20, 12))
     psi0, target = plus_product_state(3), complete_graph_state(3)
     # oracle: an independent closed-system trace per sample
-    geometry_noise = spec.delta_r is not None or any(s > 0 for s in spec.position_sigma)
+    geometry_noise = any(s > 0 for s in spec.position_sigma)
     per_sample = []
     for i in range(spec.samples):
         sample_model = model

@@ -45,8 +45,9 @@ def test_schedule_invariants():
     assert s.n_slices == 4
     assert s.dt == 0.5
     assert s.field_area == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        ControlSchedule(t_total=0.0, amplitudes=np.ones(3))
+    for t_total in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ControlSchedule(t_total=t_total, amplitudes=np.ones(3))
     with pytest.raises(ValueError):
         ControlSchedule(t_total=1.0, amplitudes=np.array([]))
     with pytest.raises(ValueError):
@@ -63,8 +64,6 @@ def test_gaussian_guess_shape():
     s100 = gaussian_guess(100, 2.0, b0=1.0)
     assert s100.amplitudes[0] == pytest.approx(1.906600903122814e-05, rel=1e-12)
     assert np.argmax(s100.amplitudes) in (49, 50)
-    with pytest.raises(ValueError):
-        gaussian_guess(100, 2.0, b0=1.0, sigma_g=0.0)
 
 
 def test_random_guess_range_and_determinism():
