@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .operators import SPIN_BASIS, LocalBasis, hermitian_sum, site_levels, transition_indices
+from .operators import SPIN_BASIS, LocalBasis, hermitian_sum, site_levels
 
 __all__ = [
     "PhysicalConstants",
@@ -33,6 +33,7 @@ __all__ = [
     "build_control_hz_diagonal",
     "build_error_hamiltonian",
     "build_rydberg_system",
+    "rydberg_background",
     "assemble_system",
 ]
 
@@ -208,7 +209,33 @@ def build_control_hz_diagonal(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> n
 def build_control_hz(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     """Global control term sum_i S^z_i as a dense matrix; its diagonal is
     ``build_control_hz_diagonal``."""
-    return np.diag(build_control_hz_diagonal(n_sites, basis).astype(complex))
+    h = hermitian_sum([], n_sites, basis)  # zeros, refused beyond the dense budget
+    h[np.diag_indices(len(h))] = build_control_hz_diagonal(n_sites, basis)
+    return h
+
+
+def rydberg_background(
+    geometry: ChainGeometry, basis: LocalBasis = SPIN_BASIS
+) -> tuple[list[tuple[float, dict[int, tuple[str, str]]]], np.ndarray]:
+    """The Rydberg drift as ``hermitian_sum`` terms plus a diagonal.
+
+    The terms are the dipolar flip-flops of every pair, nearest-neighbor
+    bonds first; the diagonal holds the van der Waals shifts of like
+    levels. ``assemble_system`` sums both densely, and the protocol sums
+    them block by block (``operators.hermitian_blocks``).
+    """
+    n = geometry.n_sites
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [(i, j) for i in range(n) for j in range(i + 2, n)]
+    terms = [(dipole_strength(geometry, i, j), _flip_flop(i, j)) for i, j in pairs]
+    levels = site_levels(n, basis.dim)
+    shifts = np.zeros(len(levels))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for level in ("up", "down"):
+                both = np.all(levels[:, [i, j]] == basis.index(level), axis=1)
+                shifts[both] += vdw_strength(geometry, i, j, level)
+    return terms, shifts
 
 
 def build_error_hamiltonian(
@@ -221,17 +248,8 @@ def build_error_hamiltonian(
     part being the system Hamiltonian itself. For N = 2 the result is
     purely van der Waals.
     """
-    n = geometry.n_sites
-    shifts = np.zeros(basis.dim**n)
-    terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for level in ("up", "down"):
-                _, both = transition_indices(n, basis, {i: (level, level), j: (level, level)})
-                shifts[both] += vdw_strength(geometry, i, j, level)
-            if j > i + 1:
-                terms.append((dipole_strength(geometry, i, j), _flip_flop(i, j)))
-    h = hermitian_sum(terms, n, basis)
+    terms, shifts = rydberg_background(geometry, basis)
+    h = hermitian_sum(terms[geometry.n_sites - 1 :], geometry.n_sites, basis)
     h[np.diag_indices(len(h))] += shifts
     return h
 
@@ -240,22 +258,23 @@ def build_rydberg_system(
     geometry: ChainGeometry, basis: LocalBasis = SPIN_BASIS
 ) -> np.ndarray:
     """Nearest-neighbor dipolar exchange with per-bond strengths."""
-    n = geometry.n_sites
-    terms = [(dipole_strength(geometry, i, i + 1), _flip_flop(i, i + 1)) for i in range(n - 1)]
-    return hermitian_sum(terms, n, basis)
+    terms, _ = rydberg_background(geometry, basis)
+    return hermitian_sum(terms[: geometry.n_sites - 1], geometry.n_sites, basis)
 
 
 def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     """Full drift Hamiltonian H0 for either model kind.
 
-    Ideal: the bare XX chain. Rydberg: nearest-neighbor dipolar exchange
-    plus the long-range error Hamiltonian. In both cases H0 commutes with
+    Ideal: the bare XX chain. Rydberg: the dense sum of
+    ``rydberg_background``, nearest-neighbor dipolar exchange plus the
+    long-range error Hamiltonian. In both cases H0 commutes with
     build_control_hz to better than 1e-12 (diagonal magnetization blocks).
     """
     if isinstance(model, IdealModel):
         return build_xx_chain(model.n_sites, model.coupling, basis)
     if isinstance(model, RydbergModel):
-        h = build_rydberg_system(model.geometry, basis)
-        h += build_error_hamiltonian(model.geometry, basis)
+        terms, shifts = rydberg_background(model.geometry, basis)
+        h = hermitian_sum(terms, model.n_sites, basis)
+        h[np.diag_indices(len(h))] += shifts
         return h
     raise TypeError(f"unknown model kind: {type(model).__name__}")

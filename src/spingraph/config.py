@@ -78,6 +78,10 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self) -> None:
+        # one type check for config files, overrides and Python callers
+        for name, hint in _FIELD_TYPES.items():
+            value = _checked(f"{_SECTION_OF[name]}.{name}", hint, getattr(self, name))
+            object.__setattr__(self, name, value)
         if self.mode not in ("ideal", "rydberg"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.guess_kind not in (None, "gaussian", "random"):
@@ -97,12 +101,14 @@ _SECTIONS = {
     "output": ("output_dir",),
 }
 
+_SECTION_OF = {key: section for section, keys in _SECTIONS.items() for key in keys}
+
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _checked(name: str, hint, value):
-    """The file value of a field whose annotation is ``hint``, refused
-    unless it has that type; an int stands for a float."""
+    """The value of a field whose annotation is ``hint``, refused unless it
+    has that type; an int stands for a float, a list for a tuple."""
     if typing.get_origin(hint) is tuple:
         items = typing.get_args(hint)
         if not (isinstance(value, (list, tuple)) and len(value) == len(items)):
@@ -129,7 +135,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
         for key, value in content.items():
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
-            kwargs[key] = _checked(f"{section}.{key}", _FIELD_TYPES[key], value)
+            kwargs[key] = value
     return ExperimentConfig(**kwargs)
 
 

@@ -74,6 +74,8 @@ class JumpChannels:
 
     def __post_init__(self) -> None:
         for src, dst, rate in self.channels:
+            if not np.isfinite(rate):
+                raise ValueError(f"decay rates must be finite, not {rate}")
             if rate < 0:
                 raise ValueError("decay rates must be non-negative")
             if not (EMISSION_BASIS.has_level(src) and EMISSION_BASIS.has_level(dst)):
@@ -104,7 +106,10 @@ class NoiseSpec:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if any(s < 0 for s in self.position_sigma) or self.field_sigma < 0:
+        sigmas = (*self.position_sigma, self.field_sigma)
+        if not np.all(np.isfinite(sigmas)):
+            raise ValueError(f"noise sigmas must be finite, not {sigmas}")
+        if any(s < 0 for s in sigmas):
             raise ValueError("noise sigmas must be non-negative")
         if self.samples < 1:
             raise ValueError("need at least one sample")

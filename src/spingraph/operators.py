@@ -10,8 +10,11 @@ Conventions
   basis index is the base-d number whose digits are the N site levels,
   site 0 most significant. ``site_levels`` is the single owner of that
   rule; every Hamiltonian, drive, jump and embedded state is built from
-  its table, mostly through ``transition_indices`` and ``hermitian_sum``.
+  its table, mostly through ``transition_indices`` and ``hermitian_sum``
+  (dense) or ``hermitian_blocks`` (the coupled blocks a state reaches).
   The ``kron`` embeddings below are kept as the dense reference.
+* Two budgets: dense matrices (operators, Hamiltonians, blocks) stay within
+  MAX_DIM, and state vectors and the site-level table within MAX_STATE_DIM.
 * ``sigma_z |up> = +|up>`` and ``S_z = sigma_z / 2``.
 * hbar = 1. Energies and Rabi rates are angular frequencies in rad/us,
   times in us. A value quoted as "2 pi x f MHz" enters as 2*pi*f rad/us.
@@ -41,6 +44,7 @@ __all__ = [
     "site_levels",
     "transition_indices",
     "hermitian_sum",
+    "hermitian_blocks",
     "evolve_unitary",
     "population",
     "basis_state",
@@ -49,7 +53,11 @@ __all__ = [
     "check_hermitian",
 ]
 
+#: Largest dense matrix dimension.
 MAX_DIM = 4096
+#: Largest state-vector and site-level-table dimension: 5^6, six atoms on
+#: the protocol's five levels.
+MAX_STATE_DIM = 5**6
 
 HERMITICITY_TOL = 1e-9
 NORM_TOL = 1e-8
@@ -185,8 +193,9 @@ def two_site_operator(
 
 def site_levels(n_sites: int, d: int) -> np.ndarray:
     """(d**N, N) table: row k holds the site levels of basis state k, in
-    C order (site 0 most significant). Refuses dimensions beyond budget."""
-    _check_dim_budget(d, n_sites)
+    C order (site 0 most significant). Refuses dimensions beyond
+    MAX_STATE_DIM."""
+    _check_dim_budget(d, n_sites, MAX_STATE_DIM)
     return np.arange(d**n_sites)[:, None] // _place_values(n_sites, d) % d
 
 
@@ -224,6 +233,73 @@ def hermitian_sum(
         h[dst, src] += coeff
         h[src, dst] += np.conj(coeff)
     return h
+
+
+def hermitian_blocks(
+    terms: Sequence[tuple[complex, Mapping[int, tuple[str, str]]]],
+    diagonal: np.ndarray,
+    n_sites: int,
+    basis: LocalBasis,
+    support: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of h = ``hermitian_sum(terms) + diag(diagonal)`` that the
+    basis indices ``support`` reach, without forming h.
+
+    The terms' transitions join basis indices into connected components,
+    and h has no entry between two components. Each component holding an
+    index of ``support`` gives one (idx, block) pair: idx ascending, and
+    block equal to h[np.ix_(idx, idx)], each entry summed in the same order
+    as ``hermitian_sum`` and ``assemble_system`` do. Refuses a block beyond
+    MAX_DIM before allocating any.
+    """
+    _check_dim_budget(basis.dim, n_sites, MAX_STATE_DIM)
+    dim = basis.dim**n_sites
+    edges = [transition_indices(n_sites, basis, moves) for _, moves in terms]
+    labels = _component_labels(dim, edges)
+    reached = np.isin(labels, labels[support])
+    rows = np.flatnonzero(reached)
+    rows = rows[np.argsort(labels[rows], kind="stable")]
+    starts = np.flatnonzero(np.diff(labels[rows], prepend=-1))
+    sizes = np.diff(starts, append=len(rows))
+    if sizes.max(initial=0) > MAX_DIM:
+        raise ValueError(f"block dimension {sizes.max()} exceeds the supported budget {MAX_DIM}")
+    # all blocks side by side in one flat buffer: a reached index's block
+    # starts at offset[index], has width[index] rows, and holds it at pos[index]
+    first = np.cumsum(sizes**2) - sizes**2
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    offset, width, pos = np.zeros((3, dim), dtype=int)
+    offset[rows] = first[block]
+    width[rows] = sizes[block]
+    pos[rows] = np.arange(len(rows)) - starts[block]
+    flat = np.zeros(int(np.sum(sizes**2)), dtype=complex)
+    for (coeff, _), (dst, src) in zip(terms, edges):
+        keep = reached[src]
+        dst, src = dst[keep], src[keep]
+        flat[offset[src] + pos[dst] * width[src] + pos[src]] += coeff
+        flat[offset[src] + pos[src] * width[src] + pos[dst]] += np.conj(coeff)
+    flat[offset[rows] + pos[rows] * (width[rows] + 1)] += diagonal[rows]
+    return [
+        (rows[s : s + k], flat[f : f + k * k].reshape(k, k))
+        for s, k, f in zip(starts, sizes, first)
+    ]
+
+
+def _component_labels(dim: int, edges: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Smallest index of each basis index's connected component under the
+    (dst, src) edges: min-label propagation with pointer jumping. Every
+    label stays inside its component and only falls, so the loop ends with
+    one label, the component's smallest index, per component."""
+    labels = np.arange(dim)
+    if not edges:
+        return labels
+    dst = np.concatenate([d for d, _ in edges])
+    src = np.concatenate([s for _, s in edges])
+    while not np.array_equal(labels[dst], labels[src]):
+        low = np.minimum(labels[dst], labels[src])
+        np.minimum.at(labels, dst, low)
+        np.minimum.at(labels, src, low)
+        labels = labels[labels]
+    return labels
 
 
 def _place_values(n_sites: int, d: int) -> np.ndarray:
@@ -288,7 +364,7 @@ def basis_state(labels: Sequence[str], basis: LocalBasis) -> np.ndarray:
     """Computational basis ket |l_0 l_1 ... l_{N-1}> (site 0 leftmost)."""
     n = len(labels)
     d = basis.dim
-    _check_dim_budget(d, n)
+    _check_dim_budget(d, n, MAX_STATE_DIM)
     levels = np.array([basis.index(name) for name in labels], dtype=int)
     out = np.zeros(d**n, dtype=complex)
     out[levels @ _place_values(n, d)] = 1.0
@@ -314,7 +390,7 @@ def embed_spin_state(psi2: np.ndarray, n_sites: int, basis: LocalBasis) -> np.nd
     psi2 = np.asarray(psi2, dtype=complex)
     if psi2.size != 2**n_sites:
         raise ValueError(f"expected 2^{n_sites} amplitudes, got {psi2.size}")
-    _check_dim_budget(basis.dim, n_sites)
+    _check_dim_budget(basis.dim, n_sites, MAX_STATE_DIM)
     # relabel the spin levels (up, down) = (0, 1) into the basis
     slots = np.array([basis.index("up"), basis.index("down")])[site_levels(n_sites, 2)]
     out = np.zeros(basis.dim**n_sites, dtype=complex)
@@ -322,8 +398,8 @@ def embed_spin_state(psi2: np.ndarray, n_sites: int, basis: LocalBasis) -> np.nd
     return out
 
 
-def _check_dim_budget(local_dim: int, n_sites: int) -> None:
-    if local_dim**n_sites > MAX_DIM:
+def _check_dim_budget(local_dim: int, n_sites: int, budget: int = MAX_DIM) -> None:
+    if local_dim**n_sites > budget:
         raise ValueError(
-            f"dimension {local_dim}^{n_sites} exceeds the supported budget {MAX_DIM}"
+            f"dimension {local_dim}^{n_sites} exceeds the supported budget {budget}"
         )

@@ -21,14 +21,24 @@ to r and factor -1; at the end the graph state on the clock states with
 a factor -1 per former up-spin. The simulation is pure-state; emission
 is budgeted separately by the master-equation module.
 
-Every stage runs through ``grape.ClosedFormPropagator``, the kernel
-exp(-i H t) exp(-i A Hz), so each stage is diagonalized once. A drive
+A stage's couplings (drive transitions and dipolar flip-flops) conserve
+per-site level classes, so its Hamiltonian splits into small blocks, and
+the stage diagonalizes only the blocks the state reaches
+(``operators.hermitian_blocks``), never the d^N x d^N matrix; blocks the
+state does not reach stay exactly zero. This is symmetry-block exact
+diagonalization (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The largest
+block per stage grows from 8 / 8 / 3 / 12 / 12 at N=3 to
+64 / 64 / 20 / 240 / 240 at N=6, well within the dense budget; the d^N
+state vectors cap the protocol at six atoms (``MAX_STATE_DIM``).
+
+Every block runs through ``grape.ClosedFormPropagator``, the kernel
+exp(-i H t) exp(-i A Hz), so each block is diagonalized once. A drive
 stage's Hamiltonian is constant: it passes a zero Hz and area 0, and
-every traced state comes from the one eigendecomposition. The core stage
-passes the interactions as H, the field term as Hz and the field area
-so far, A(t_k) = dt (B_0 + ... + B_{k-1}), at every slice boundary: the
-interactions conserve magnetization, so the schedule enters as diagonal
-phases.
+every traced state comes from the one eigendecomposition per block. The
+core stage passes the interactions as H, the field term as Hz and the
+field area so far, A(t_k) = dt (B_0 + ... + B_{k-1}), at every slice
+boundary: the interactions conserve magnetization, so the schedule enters
+as diagonal phases.
 """
 
 from __future__ import annotations
@@ -38,13 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TWO_PI, ChainGeometry, RydbergModel, assemble_system, build_control_hz_diagonal
+from .chain import TWO_PI, ChainGeometry, build_control_hz_diagonal, rydberg_background
 from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import (
     PROTOCOL_BASIS,
     basis_state,
     check_hermitian,
-    hermitian_sum,
+    hermitian_blocks,
     product_state,
     site_levels,
 )
@@ -158,37 +168,41 @@ def run_stage(
     the stage (excluding t_local = 0): at TRACE_POINTS_PER_STAGE equal
     steps of a drive stage, and at every slice boundary of the core.
 
-    One eigendecomposition per stage (see the module docstring). The core
-    stage's factorization needs [h_sys, Hz] = 0; a background that breaks
-    it raises ``GrapeError``, a ValueError.
+    One eigendecomposition per reached block (see the module docstring).
+    The core stage's factorization needs [h_sys, Hz] = 0 on every block; a
+    background that breaks it raises ``GrapeError``, a ValueError.
     """
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("stage input state not normalized")
     if not stage.uses_core_schedule and not stage.drives and not stage.background:
         raise ValueError("stage has neither drives nor interactions")
-    drives = [
+    n, dim = plan.n_sites, PROTOCOL_BASIS.dim**plan.n_sites
+    terms = [
         (0.5 * rate * np.exp(1j * phase), {site: (a, b)})
         for a, b, rate, phase in stage.drives
-        for site in range(plan.n_sites)
+        for site in range(n)
     ]
-    # the core stage has no drives, so this is its bare background
-    h = hermitian_sum(drives, plan.n_sites, PROTOCOL_BASIS)
+    diagonal = np.zeros(dim)
     if stage.background:
-        h += assemble_system(RydbergModel(plan.geometry), PROTOCOL_BASIS)
-    check_hermitian(h)
+        exchange, diagonal = rydberg_background(plan.geometry, PROTOCOL_BASIS)
+        terms += exchange
     state = np.asarray(state, dtype=complex)
-    if state.shape != (h.shape[0],):
-        raise ValueError(f"state dim {state.shape} does not match operator dim {h.shape[0]}")
+    if state.shape != (dim,):
+        raise ValueError(f"state dim {state.shape} does not match operator dim {dim}")
     if stage.uses_core_schedule:
         schedule = plan.core_schedule
-        hz = build_control_hz_diagonal(plan.n_sites, PROTOCOL_BASIS)
+        hz = build_control_hz_diagonal(n, PROTOCOL_BASIS)
         times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
     else:
         steps = TRACE_POINTS_PER_STAGE if trace_hook is not None else 1
         times = np.arange(1, steps + 1) * (stage.duration / steps)
-        hz, areas = np.zeros(len(state)), 0.0
-    states = ClosedFormPropagator(h, hz).states(state, times, areas)
+        hz, areas = np.zeros(dim), 0.0
+    states = np.zeros((len(times), dim), dtype=complex)
+    blocks = hermitian_blocks(terms, diagonal, n, PROTOCOL_BASIS, np.flatnonzero(state))
+    for idx, h in blocks:
+        check_hermitian(h)
+        states[:, idx] = ClosedFormPropagator(h, hz[idx]).states(state[idx], times, areas)
     if trace_hook is not None:
         for t, s in zip(times, states):
             trace_hook(float(t), s)

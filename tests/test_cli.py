@@ -328,6 +328,16 @@ def test_protocol_honours_the_atom_count(runner, tmp_path):
             assert stage["reference_population"] is None
         else:
             assert abs(stage["reference_population"] - ref) <= 1e-9
+    # six atoms, the paper's largest case, with the table-2 core duration
+    result = runner.invoke(main, ["protocol", "--n", "6", "--out-prefix", str(tmp_path / "p6")])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "p6_summary.json").read_text())
+    assert [s["label"] for s in summary["stages"]] == [
+        "prepare-up", "half-rotate", "core", "decouple", "map-to-clock"
+    ]
+    assert summary["total_duration"] == pytest.approx(0.125 + 1.0 / 280.0 + 0.233 + 0.0025 + 0.125)
+    for stage in summary["stages"][1:]:
+        assert 0.9 < stage["reference_population"] <= 1.0
 
 
 @pytest.mark.parametrize("command", ["master", "protocol"])
@@ -358,10 +368,11 @@ def test_non_finite_schedule_duration_is_refused(
 
 def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path):
     result = runner.invoke(
-        main, ["protocol", "--n", "6", "--t", "0.233", "--out-prefix", str(tmp_path / "p6")]
+        main, ["protocol", "--n", "7", "--t", "0.25", "--out-prefix", str(tmp_path / "p7")]
     )
-    assert result.exit_code != 0
-    assert "protocol failed: dimension 5^6 exceeds the supported budget" in result.output
+    assert result.exit_code == 1
+    assert "protocol failed: dimension 5^7 exceeds the supported budget 15625" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -374,6 +385,9 @@ def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path):
         ["optimize", "--n", "3", "--t", "0.141", "--slices", "0"],
         ["optimize", "--n", "3", "--t", "-1"],
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1"],
+        ["master", "--n", "3", "--t", "0.141", "--gamma-up", "nan"],
+        ["noise", "--n", "3", "--t", "0.141", "--field-sigma", "nan", "--samples", "3"],
+        ["noise", "--n", "3", "--t", "0.141", "--position-sigma", "nan,0,0"],
         ["table", "3", "--config", "negative_decay.yaml"],
     ],
     ids=lambda args: " ".join(args),

@@ -48,6 +48,20 @@ def test_validation():
         ExperimentConfig(n_sites=8)
 
 
+def test_python_callers_get_the_config_file_type_check():
+    # refused at construction, not as a TypeError deep inside optimize
+    with pytest.raises(ConfigError, match="guess.seed must be int, not 1.5"):
+        ExperimentConfig(t_total=0.141, guess_kind="random", seed=1.5)
+    with pytest.raises(ConfigError, match="run.n_sites must be int"):
+        ExperimentConfig(n_sites=True)
+    # the same conversions a config file gets
+    cfg = ExperimentConfig(t_total=1, position_sigma=[1, 2.5, 3])
+    assert type(cfg.t_total) is float
+    assert cfg.position_sigma == (1.0, 2.5, 3.0)
+    same = ExperimentConfig(t_total=1.0, position_sigma=(1.0, 2.5, 3.0))
+    assert config_hash(cfg) == config_hash(same)
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(

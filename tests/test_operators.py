@@ -20,6 +20,8 @@ from spingraph.operators import (
     embed_local_operator,
     embed_spin_state,
     evolve_unitary,
+    hermitian_blocks,
+    hermitian_sum,
     level_projector,
     level_transition,
     population,
@@ -229,11 +231,12 @@ def test_site_levels_rows_are_base_d_digits(d, n):
 
 
 def test_site_levels_refuses_beyond_budget():
-    assert site_levels(5, 5).shape == (3125, 5)
-    with pytest.raises(ValueError, match="exceeds the supported budget"):
-        site_levels(6, 5)
+    # the table shares the state-vector budget 5^6, above the dense one
+    assert site_levels(6, 5).shape == (15625, 6)
+    with pytest.raises(ValueError, match="exceeds the supported budget 15625"):
+        site_levels(7, 5)
     with pytest.raises(ValueError):
-        transition_indices(6, PROTOCOL_BASIS, {0: ("up", "down")})
+        transition_indices(7, PROTOCOL_BASIS, {0: ("up", "down")})
 
 
 def dense_from_indices(dst, src, dim):
@@ -263,6 +266,44 @@ def test_transition_indices_match_kron_reference(basis, n):
             level_transition(b_to, b_from, basis), j, n, basis,
         )
         assert np.array_equal(dense_from_indices(dst, src, dim), reference)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hermitian_blocks_match_the_dense_sum(n):
+    """Every block equals the dense sum on its indices, entry for entry, and
+    the dense sum couples no reached index to an unreached one."""
+    rng = np.random.default_rng(n)
+    levels = PROTOCOL_BASIS.levels
+    terms = [
+        (complex(*rng.normal(size=2)), {site: tuple(rng.choice(levels, size=2, replace=False))})
+        for site in rng.integers(n, size=3)
+    ]
+    terms.append((0.7, {0: ("up", "down"), n - 1: ("down", "up")}))
+    dim = PROTOCOL_BASIS.dim**n
+    diagonal = rng.normal(size=dim)
+    dense = hermitian_sum(terms, n, PROTOCOL_BASIS)
+    dense[np.diag_indices(dim)] += diagonal
+    for support in ([0], rng.choice(dim, size=4, replace=False), np.arange(dim)):
+        blocks = hermitian_blocks(terms, diagonal, n, PROTOCOL_BASIS, np.asarray(support))
+        got = np.zeros_like(dense)
+        for idx, block in blocks:
+            assert np.all(np.diff(idx) > 0)
+            got[np.ix_(idx, idx)] = block
+        reached = np.concatenate([idx for idx, _ in blocks])
+        assert len(np.unique(reached)) == len(reached)
+        assert np.all(np.isin(support, reached))
+        assert np.array_equal(got[reached], dense[reached])
+    assert np.array_equal(got, dense)
+
+
+def test_hermitian_blocks_refuse_a_block_beyond_the_dense_budget():
+    # single-site moves that chain all five levels join all 5^6 indices
+    chain = [("0", "1"), ("1", "up"), ("up", "down"), ("down", "r")]
+    terms = [(1.0, {site: pair}) for site in range(6) for pair in chain]
+    with pytest.raises(ValueError, match="block dimension 15625 exceeds the supported budget 4096"):
+        hermitian_blocks(terms, np.zeros(5**6), 6, PROTOCOL_BASIS, np.array([0]))
+    with pytest.raises(ValueError, match="exceeds the supported budget 15625"):
+        hermitian_blocks([], np.zeros(5**7), 7, PROTOCOL_BASIS, np.array([0]))
 
 
 @pytest.mark.parametrize("basis", [EMISSION_BASIS, PROTOCOL_BASIS])

@@ -1,13 +1,20 @@
 """Stage-by-stage protocol checks on the 5-level basis."""
 
 import csv
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spingraph.protocol as protocol
-from spingraph.chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz
+from spingraph.chain import (
+    ChainGeometry,
+    RydbergModel,
+    assemble_system,
+    build_control_hz,
+    rydberg_background,
+)
 from spingraph.grape import ControlSchedule
 from spingraph.operators import (
     PROTOCOL_BASIS,
@@ -15,6 +22,7 @@ from spingraph.operators import (
     basis_state,
     embed_local_operator,
     evolve_unitary,
+    hermitian_sum,
     product_state,
     spin_half_operator,
 )
@@ -124,18 +132,41 @@ def test_decouple_pulse_empties_down_level():
     assert level_population(out, "r", 2) == pytest.approx(1.0, abs=1e-12)
 
 
+def single_atom_stages(plan):
+    """Oracle without interactions: the one-atom state after each stage,
+    from the exact 5x5 evolution of the stage's drive (or field) term."""
+    basis = PROTOCOL_BASIS
+    local = basis_state(["0"], basis)
+    hz = np.diag([{"up": 0.5, "down": -0.5}.get(name, 0.0) for name in basis.levels])
+    out = []
+    for stage in plan.stages:
+        if stage.uses_core_schedule:
+            local = evolve_unitary(hz, plan.core_schedule.field_area, local)
+        else:
+            local = evolve_unitary(kron_drive_hamiltonian(stage.drives, 1), stage.duration, local)
+        out.append(local)
+    return out
+
+
 def test_drive_only_protocol_hits_stage_references():
     # without interactions the first two stages are perfect single-atom
-    # rotations, and decoupling plus mapping stay complete transfers
-    plan = drive_only_plan(core_amplitudes=np.zeros(5), core_t=0.05)
-    result = run_full_protocol(plan)
-    by_label = {r.label: r.reference_population for r in result.stage_reports}
-    assert by_label["prepare-up"] is None
-    assert by_label["half-rotate"] == pytest.approx(1.0, abs=1e-10)
-    assert abs(np.linalg.norm(result.final_state) - 1.0) < 1e-10
-    assert level_population(result.final_state, "up", 2) < 1e-12
-    assert level_population(result.final_state, "down", 2) < 1e-12
-    assert level_population(result.final_state, "r", 2) < 1e-12
+    # rotations, and decoupling plus mapping stay complete transfers; every
+    # stage is a product of exact single-atom evolutions
+    for n in (2, 5, 6):
+        plan = drive_only_plan(n, core_amplitudes=np.linspace(-3.0, 7.0, 5), core_t=0.05)
+        result = run_full_protocol(plan)
+        by_label = {r.label: r.reference_population for r in result.stage_reports}
+        assert by_label["prepare-up"] is None
+        assert by_label["half-rotate"] == pytest.approx(1.0, abs=1e-10)
+        assert abs(np.linalg.norm(result.final_state) - 1.0) < 1e-10
+        assert level_population(result.final_state, "up", n) < 1e-12
+        assert level_population(result.final_state, "down", n) < 1e-12
+        assert level_population(result.final_state, "r", n) < 1e-12
+        state = basis_state(["0"] * n, PROTOCOL_BASIS)
+        for stage, local in zip(plan.stages, single_atom_stages(plan)):
+            state = run_stage(state, stage, plan)
+            np.testing.assert_allclose(state, product_state(local, n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.final_state, state, rtol=0, atol=1e-12)
 
 
 def test_stage_validation():
@@ -168,12 +199,16 @@ def test_zero_duration_stage_is_identity():
 
 
 def test_dimension_budget():
+    # six atoms run (see the block tests); seven exceed the state budget 5^6
+    # and are refused at once, before any stage
     plan = standard_plan(
-        ChainGeometry.regular(6),
+        ChainGeometry.regular(7),
         ControlSchedule(t_total=0.1, amplitudes=np.zeros(2)),
     )
-    with pytest.raises(ValueError):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="5\\^7 exceeds the supported budget 15625"):
         run_full_protocol(plan)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_mapped_graph_state_amplitudes():
@@ -262,23 +297,47 @@ def kron_drive_hamiltonian(drives, n_sites):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch):
-    """The Hamiltonian run_stage hands to the propagator, interactions off."""
-    seen = []
+    """The blocks run_stage hands to the propagator, interactions off: each
+    equals the kron reference on its indices, and the reference couples no
+    reached index to an unreached one. A state on every basis index reaches
+    every block, so there the blocks rebuild the whole reference."""
+    blocks, seen = [], []
+    original_blocks = protocol.hermitian_blocks
+
+    def recording_blocks(*args):
+        out = original_blocks(*args)
+        blocks.extend(out)
+        return out
 
     class RecordingPropagator:
         def __init__(self, h, hz_diag):
             seen.append(h)
 
         def states(self, psi, t, area):
-            return [psi]
+            return np.zeros((np.size(t), len(psi)), dtype=complex)
 
+    monkeypatch.setattr(protocol, "hermitian_blocks", recording_blocks)
     monkeypatch.setattr(protocol, "ClosedFormPropagator", RecordingPropagator)
     plan = drive_only_plan(n, core_amplitudes=np.zeros(2))
-    state = basis_state(["0"] * n, PROTOCOL_BASIS)
-    for stage in plan.stages:
-        for drives in (stage.drives, tuple((a, b, r, 0.7) for a, b, r, _ in stage.drives)):
-            run_stage(state, replace(stage, drives=drives), plan)
-            assert np.array_equal(seen.pop(), kron_drive_hamiltonian(drives, n))
+    dim = PROTOCOL_BASIS.dim**n
+    starts = (basis_state(["0"] * n, PROTOCOL_BASIS), np.full(dim, dim**-0.5, dtype=complex))
+    for state in starts:
+        for stage in plan.stages:
+            for drives in (stage.drives, tuple((a, b, r, 0.7) for a, b, r, _ in stage.drives)):
+                run_stage(state, replace(stage, drives=drives), plan)
+                reference = kron_drive_hamiltonian(drives, n)
+                got = np.zeros_like(reference)
+                for (idx, block), h in zip(blocks, seen, strict=True):
+                    assert h is block
+                    got[np.ix_(idx, idx)] = block
+                reached = np.concatenate([idx for idx, _ in blocks])
+                assert len(np.unique(reached)) == len(reached)
+                assert np.all(np.isin(np.flatnonzero(state), reached))
+                assert np.array_equal(got[reached], reference[reached])
+                if len(reached) == dim:
+                    assert np.array_equal(got, reference)
+                blocks.clear()
+                seen.clear()
 
 
 def basis_ket_graph_state(n, level_for_up, level_for_down, factor_per_down, factor_per_up):
@@ -357,17 +416,40 @@ def test_run_stage_matches_stepwise_product(n, interactions):
 
 
 def test_full_protocol_diagonalizes_once_per_stage(monkeypatch, core_result):
-    calls = []
-    original = np.linalg.eigh
+    """One eigh per reached block of each stage, never a d^N x d^N matrix;
+    pins the largest block of every stage at N=3 and N=4."""
+    calls, blocks = [], []
+    original_eigh, original_blocks, original_stage = (
+        np.linalg.eigh, protocol.hermitian_blocks, protocol.run_stage
+    )
 
     def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape[0])
-        return original(a, *args, **kwargs)
+        calls[-1].append(a.shape[0])
+        return original_eigh(a, *args, **kwargs)
+
+    def recording_blocks(*args):
+        out = original_blocks(*args)
+        blocks.append(sorted(len(idx) for idx, _ in out))
+        return out
+
+    def marking_stage(*args, **kwargs):
+        calls.append([])
+        return original_stage(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    plan = standard_plan(ChainGeometry.regular(3), core_result.schedule)
-    run_full_protocol(plan)
-    assert calls == [PROTOCOL_BASIS.dim**3] * len(plan.stages)
+    monkeypatch.setattr(protocol, "hermitian_blocks", recording_blocks)
+    monkeypatch.setattr(protocol, "run_stage", marking_stage)
+    largest = {3: [8, 8, 3, 12, 12], 4: [16, 16, 6, 32, 32]}
+    for n, schedule in ((3, core_result.schedule), (4, ControlSchedule(0.172, np.ones(4)))):
+        calls.clear()
+        blocks.clear()
+        plan = standard_plan(ChainGeometry.regular(n), schedule)
+        run_full_protocol(plan)
+        assert len(calls) == len(blocks) == len(plan.stages)
+        assert [sorted(sizes) for sizes in calls] == blocks
+        assert [max(sizes) for sizes in calls] == largest[n]
+        # the last stage reaches every basis index, each in one block
+        assert sum(blocks[-1]) == PROTOCOL_BASIS.dim**n
 
 
 def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypatch):
@@ -375,14 +457,18 @@ def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypa
     plan = standard_plan(
         ChainGeometry.regular(n), ControlSchedule(t_total=0.1, amplitudes=np.ones(3))
     )
-    transverse = embed_local_operator(
-        spin_half_operator(SIGMA_X, PROTOCOL_BASIS), 0, n, PROTOCOL_BASIS
+    # sigma_x on site 0, as a term of the background
+    transverse = (1.0, {0: ("up", "down")})
+    assert np.array_equal(
+        hermitian_sum([transverse], n, PROTOCOL_BASIS),
+        embed_local_operator(spin_half_operator(SIGMA_X, PROTOCOL_BASIS), 0, n, PROTOCOL_BASIS),
     )
 
-    def background_with_transverse_field(model, basis):
-        return assemble_system(model, basis) + transverse
+    def background_with_transverse_field(geometry, basis):
+        terms, shifts = rydberg_background(geometry, basis)
+        return [*terms, transverse], shifts
 
-    monkeypatch.setattr(protocol, "assemble_system", background_with_transverse_field)
+    monkeypatch.setattr(protocol, "rydberg_background", background_with_transverse_field)
     state = mapped_graph_state(n, "up", "down", factor_per_down=-1.0j)
     with pytest.raises(ValueError, match="commute"):
         run_stage(state, plan.stages[2], plan)
