@@ -7,8 +7,9 @@ The three-site chain with Hamiltonian
 admits closed-form amplitudes from the plus-product start. Note the two
 conventions baked into this module:
 
-* The coupling here carries NO factor 1/2, so against ``build_xx_chain``
-  the equivalent coupling is 2 J (see ``constant_field_hamiltonian``).
+* The coupling here carries NO factor 1/2, so against the ideal chain
+  (``IdealModel``) the equivalent coupling is 2 J (see
+  ``constant_field_hamiltonian``).
 * The printed amplitude list pairs e^{-3iBt/2} with the all-down
   configuration, which corresponds to the field entering with a minus
   sign relative to this package's S^z convention. The propagation oracle
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import build_control_hz, build_xx_chain
+from .chain import IdealModel, assemble_system, build_control_hz
 from .operators import evolve_unitary
 from .targets import complete_graph_state, plus_product_state
 
@@ -120,7 +121,7 @@ def analytic_state(j: float, b: float, t: float) -> np.ndarray:
 
 def constant_field_hamiltonian(j: float, b: float) -> np.ndarray:
     """H_con on 3 sites; coupling without the 1/2, field sign resolved."""
-    return build_xx_chain(3, 2.0 * j) + FIELD_SIGN * b * build_control_hz(3)
+    return assemble_system(IdealModel(3, 2.0 * j)) + FIELD_SIGN * b * build_control_hz(3)
 
 
 def constant_field_params(c1: int, c2: int, j: float) -> ConstantFieldSolution:

@@ -1,6 +1,10 @@
 """Hamiltonian builders: ideal XX chain, global-field control term, and the
 Rydberg dipolar chain with its long-range error terms.
 
+Every Hamiltonian here is one coupling list: ``operators.hermitian_sum``
+terms (coefficient, single-site moves) plus a real diagonal, summed densely
+by ``hermitian_sum`` or block by block by ``hermitian_blocks``.
+
 Two drift models are supported. The ideal model is a nearest-neighbor XX
 chain with a single coupling J (dimensionless units, J = 1 by default).
 The Rydberg model derives every pairwise coupling from 3D atom positions:
@@ -28,11 +32,8 @@ __all__ = [
     "ModelKind",
     "dipole_strength",
     "vdw_strength",
-    "build_xx_chain",
     "build_control_hz",
     "build_control_hz_diagonal",
-    "build_error_hamiltonian",
-    "build_rydberg_system",
     "rydberg_background",
     "assemble_system",
 ]
@@ -181,20 +182,6 @@ def _flip_flop(i: int, j: int) -> dict[int, tuple[str, str]]:
     return {i: ("up", "down"), j: ("down", "up")}
 
 
-def build_xx_chain(
-    n_sites: int, coupling: float, basis: LocalBasis = SPIN_BASIS
-) -> np.ndarray:
-    """Open-boundary sum over bonds of (J/2)(sx sx + sy sy).
-
-    Equivalently J times the flip-flop hopping |ud><du| + h.c. per bond.
-    Conserves the total excitation number.
-    """
-    if n_sites < 2:
-        raise ValueError("need at least two sites")
-    terms = [(coupling, _flip_flop(i, i + 1)) for i in range(n_sites - 1)]
-    return hermitian_sum(terms, n_sites, basis)
-
-
 def build_control_hz_diagonal(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     """Diagonal of the global control term sum_i S^z_i, as a real vector:
     (m - k)/2 on a configuration with m up and k down spins. Non-spin
@@ -209,9 +196,7 @@ def build_control_hz_diagonal(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> n
 def build_control_hz(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     """Global control term sum_i S^z_i as a dense matrix; its diagonal is
     ``build_control_hz_diagonal``."""
-    h = hermitian_sum([], n_sites, basis)  # zeros, refused beyond the dense budget
-    h[np.diag_indices(len(h))] = build_control_hz_diagonal(n_sites, basis)
-    return h
+    return hermitian_sum([], build_control_hz_diagonal(n_sites, basis), n_sites, basis)
 
 
 def rydberg_background(
@@ -220,8 +205,9 @@ def rydberg_background(
     """The Rydberg drift as ``hermitian_sum`` terms plus a diagonal.
 
     The terms are the dipolar flip-flops of every pair, nearest-neighbor
-    bonds first; the diagonal holds the van der Waals shifts of like
-    levels. ``assemble_system`` sums both densely, and the protocol sums
+    bonds first (the dense sum's rounding, and so every output byte,
+    depends on that order); the diagonal holds the van der Waals shifts of
+    like levels. ``assemble_system`` sums both densely, and the protocol sums
     them block by block (``operators.hermitian_blocks``).
     """
     n = geometry.n_sites
@@ -238,43 +224,22 @@ def rydberg_background(
     return terms, shifts
 
 
-def build_error_hamiltonian(
-    geometry: ChainGeometry, basis: LocalBasis = SPIN_BASIS
-) -> np.ndarray:
-    """Everything beyond the nearest-neighbor exchange.
-
-    Van der Waals shifts act between every pair; the dipolar exchange
-    appears here only for non-adjacent pairs (j > i + 1), the adjacent
-    part being the system Hamiltonian itself. For N = 2 the result is
-    purely van der Waals.
-    """
-    terms, shifts = rydberg_background(geometry, basis)
-    h = hermitian_sum(terms[geometry.n_sites - 1 :], geometry.n_sites, basis)
-    h[np.diag_indices(len(h))] += shifts
-    return h
-
-
-def build_rydberg_system(
-    geometry: ChainGeometry, basis: LocalBasis = SPIN_BASIS
-) -> np.ndarray:
-    """Nearest-neighbor dipolar exchange with per-bond strengths."""
-    terms, _ = rydberg_background(geometry, basis)
-    return hermitian_sum(terms[: geometry.n_sites - 1], geometry.n_sites, basis)
-
-
 def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
-    """Full drift Hamiltonian H0 for either model kind.
+    """Full drift Hamiltonian H0 for either model kind, as one dense
+    ``hermitian_sum``.
 
-    Ideal: the bare XX chain. Rydberg: the dense sum of
-    ``rydberg_background``, nearest-neighbor dipolar exchange plus the
-    long-range error Hamiltonian. In both cases H0 commutes with
-    build_control_hz to better than 1e-12 (diagonal magnetization blocks).
+    Ideal: open-boundary sum over bonds of (J/2)(sx sx + sy sy), that is J
+    times the flip-flop |ud><du| + h.c. per bond, with a zero diagonal.
+    Rydberg: ``rydberg_background``, dipolar exchange between every pair
+    plus the van der Waals diagonal. In both cases H0 conserves the total
+    excitation number, so it commutes with build_control_hz to better than
+    1e-12 (diagonal magnetization blocks).
     """
     if isinstance(model, IdealModel):
-        return build_xx_chain(model.n_sites, model.coupling, basis)
-    if isinstance(model, RydbergModel):
-        terms, shifts = rydberg_background(model.geometry, basis)
-        h = hermitian_sum(terms, model.n_sites, basis)
-        h[np.diag_indices(len(h))] += shifts
-        return h
-    raise TypeError(f"unknown model kind: {type(model).__name__}")
+        terms = [(model.coupling, _flip_flop(i, i + 1)) for i in range(model.n_sites - 1)]
+        diagonal = np.zeros(basis.dim**model.n_sites)
+    elif isinstance(model, RydbergModel):
+        terms, diagonal = rydberg_background(model.geometry, basis)
+    else:
+        raise TypeError(f"unknown model kind: {type(model).__name__}")
+    return hermitian_sum(terms, diagonal, model.n_sites, basis)

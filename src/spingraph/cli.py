@@ -312,21 +312,19 @@ def _protocol_prep_delta(model: RydbergModel, result) -> float:
 
 
 def _error_budget_rows(cfg: ExperimentConfig):
-    """One optimization per (N, T) case, shared by every column of its row.
-    The staged protocol is built for three atoms, so the preparation loss
-    of the first (N=3) case applies to every row. The decay channels are
-    built first, so bad rates are refused before any optimization."""
+    """One optimization per (N, T) case, shared by every column of its row;
+    the preparation loss comes from the staged protocol run on that row's
+    atoms and schedule. The decay channels are built first, so bad rates
+    are refused before any optimization."""
     jumps = build_jump_channels(cfg)
-    cases = []
+    rows = []
     for n, t in TABLE_RYDBERG:
         case_cfg = apply_overrides(cfg, mode="rydberg", n_sites=n, t_total=t)
-        cases.append((case_cfg, build_model(case_cfg), run_optimize(_grape_config(case_cfg))))
-    prep = _protocol_prep_delta(*cases[0][1:])
-    rows = []
-    for case_cfg, model, result in cases:
+        model, result = build_model(case_cfg), run_optimize(_grape_config(case_cfg))
         closed = result.final_population
         diss = _dissipation_delta(jumps, model, result)
         vibr = _vibration_delta(model, result)
+        prep = _protocol_prep_delta(model, result)
         rows.append(
             (case_cfg.n_sites, case_cfg.t_total, closed, diss, vibr, prep,
              closed - diss - vibr - prep)

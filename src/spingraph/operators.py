@@ -1,7 +1,7 @@
 """Dense linear algebra for tensor-product spin systems.
 
 Site-local bases, the site-index table, operator embedding, exact
-Hermitian propagation, and state/overlap arithmetic. Everything here is a
+Hermitian propagation, and basis and product states. Everything here is a
 pure function on numpy arrays; no internal mutability.
 
 Conventions
@@ -46,7 +46,6 @@ __all__ = [
     "hermitian_sum",
     "hermitian_blocks",
     "evolve_unitary",
-    "population",
     "basis_state",
     "product_state",
     "embed_spin_state",
@@ -60,7 +59,6 @@ MAX_DIM = 4096
 MAX_STATE_DIM = 5**6
 
 HERMITICITY_TOL = 1e-9
-NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,8 @@ class LocalBasis:
     """Ordered set of named site levels.
 
     The position of each name in ``levels`` is its basis index; that
-    ordering is part of the public contract and is relied on by state
-    serialization and by the jump-operator builders.
+    ordering is part of the public contract and is relied on by every
+    index-built operator and state.
     """
 
     levels: tuple[str, ...]
@@ -219,12 +217,15 @@ def transition_indices(
 
 def hermitian_sum(
     terms: Sequence[tuple[complex, Mapping[int, tuple[str, str]]]],
+    diagonal: np.ndarray,
     n_sites: int,
     basis: LocalBasis,
 ) -> np.ndarray:
-    """Dense sum over (coeff, moves) terms of coeff T + h.c., where T is the
-    product of single-site transitions ``moves`` (see ``transition_indices``).
-    Refuses an over-budget dimension before any d^N x d^N allocation."""
+    """Dense h = sum over (coeff, moves) terms of coeff T + h.c., plus
+    diag(diagonal), where T is the product of single-site transitions
+    ``moves`` (see ``transition_indices``). The diagonal is added after the
+    terms. Refuses an over-budget dimension before any d^N x d^N
+    allocation."""
     _check_dim_budget(basis.dim, n_sites)
     dim = basis.dim**n_sites
     h = np.zeros((dim, dim), dtype=complex)
@@ -232,6 +233,7 @@ def hermitian_sum(
         dst, src = transition_indices(n_sites, basis, moves)
         h[dst, src] += coeff
         h[src, dst] += np.conj(coeff)
+    h[np.diag_indices(dim)] += diagonal
     return h
 
 
@@ -242,15 +244,15 @@ def hermitian_blocks(
     basis: LocalBasis,
     support: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The blocks of h = ``hermitian_sum(terms) + diag(diagonal)`` that the
-    basis indices ``support`` reach, without forming h.
+    """The blocks of h = ``hermitian_sum(terms, diagonal)`` that the basis
+    indices ``support`` reach, without forming h.
 
     The terms' transitions join basis indices into connected components,
     and h has no entry between two components. Each component holding an
     index of ``support`` gives one (idx, block) pair: idx ascending, and
     block equal to h[np.ix_(idx, idx)], each entry summed in the same order
-    as ``hermitian_sum`` and ``assemble_system`` do. Refuses a block beyond
-    MAX_DIM before allocating any.
+    as ``hermitian_sum`` does. Refuses a block beyond MAX_DIM before
+    allocating any.
     """
     _check_dim_budget(basis.dim, n_sites, MAX_STATE_DIM)
     dim = basis.dim**n_sites
@@ -334,30 +336,6 @@ def evolve_unitary(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
         return psi.copy()
     w, v = np.linalg.eigh(h)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi))
-
-
-def population(
-    state: np.ndarray, target: np.ndarray
-) -> float:
-    """Target-state population of a pure state or a density matrix.
-
-    Returns |<target|psi>|^2 for a state vector and Re <target|rho|target>
-    for a density matrix. Invariant under global phases of either input.
-    """
-    target = np.asarray(target, dtype=complex)
-    state = np.asarray(state, dtype=complex)
-    tnorm = np.linalg.norm(target)
-    if abs(tnorm - 1.0) > NORM_TOL:
-        raise ValueError(f"target not normalized: |norm - 1| = {abs(tnorm - 1.0):.3e}")
-    if state.ndim == 1:
-        if state.shape != target.shape:
-            raise ValueError("state and target dimensions differ")
-        return float(abs(np.vdot(target, state)) ** 2)
-    if state.ndim == 2:
-        if state.shape != (target.size, target.size):
-            raise ValueError("density matrix and target dimensions differ")
-        return float(np.real(np.vdot(target, state @ target)))
-    raise ValueError("state must be a vector or a square matrix")
 
 
 def basis_state(labels: Sequence[str], basis: LocalBasis) -> np.ndarray:

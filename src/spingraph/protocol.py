@@ -167,6 +167,8 @@ def run_stage(
     ``trace_hook(t_local, state)`` is called at sub-sampled times inside
     the stage (excluding t_local = 0): at TRACE_POINTS_PER_STAGE equal
     steps of a drive stage, and at every slice boundary of the core.
+    Without a hook only the last of those points, the returned state, is
+    evaluated.
 
     One eigendecomposition per reached block (see the module docstring).
     The core stage's factorization needs [h_sys, Hz] = 0 on every block; a
@@ -190,13 +192,14 @@ def run_stage(
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
         raise ValueError(f"state dim {state.shape} does not match operator dim {dim}")
+    points = slice(None) if trace_hook is not None else slice(-1, None)
     if stage.uses_core_schedule:
         schedule = plan.core_schedule
         hz = build_control_hz_diagonal(n, PROTOCOL_BASIS)
-        times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
+        times, areas = schedule.boundary_times[1:][points], schedule.boundary_areas[1:][points]
     else:
-        steps = TRACE_POINTS_PER_STAGE if trace_hook is not None else 1
-        times = np.arange(1, steps + 1) * (stage.duration / steps)
+        steps = TRACE_POINTS_PER_STAGE
+        times = (np.arange(1, steps + 1) * (stage.duration / steps))[points]
         hz, areas = np.zeros(dim), 0.0
     states = np.zeros((len(times), dim), dtype=complex)
     blocks = hermitian_blocks(terms, diagonal, n, PROTOCOL_BASIS, np.flatnonzero(state))

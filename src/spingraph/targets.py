@@ -16,12 +16,11 @@ lifts one into a larger local basis.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 
 import numpy as np
 
-from .operators import SPIN_BASIS, LocalBasis, site_levels
+from .operators import SPIN_BASIS, site_levels
 
 __all__ = [
     "TargetForm",
@@ -29,9 +28,6 @@ __all__ = [
     "cz_graph_state",
     "plus_product_state",
     "target_state",
-    "state_to_json",
-    "state_from_json",
-    "spin_config_labels",
 ]
 
 MAX_TARGET_SITES = 7
@@ -59,7 +55,7 @@ def complete_graph_state(n_sites: int) -> np.ndarray:
 
     Amplitude 2^{-N/2} (-1)^{m(m-1)/2} on each configuration with m
     up-spins; the all-down amplitude is positive, which fixes the global
-    phase of the serialized representative.
+    phase of this representative.
     """
     _check_n(n_sites)
     m = n_sites - np.sum(_down_bits(n_sites), axis=1)
@@ -95,30 +91,3 @@ def target_state(form: TargetForm, n_sites: int) -> np.ndarray:
     if TargetForm(form) is TargetForm.CZ_CIRCUIT:
         return cz_graph_state(n_sites)
     return complete_graph_state(n_sites)
-
-
-def spin_config_labels(n_sites: int, basis: LocalBasis) -> list[str]:
-    """Ket label per basis index, sites left to right, levels joined by '.'."""
-    names = np.array(basis.levels)[site_levels(n_sites, basis.dim)]
-    return [".".join(row) for row in names]
-
-
-def state_to_json(state: np.ndarray, n_sites: int, basis: LocalBasis) -> str:
-    """Serialize a state as a list of (basis label, re, im) triples.
-
-    float repr round-trips every finite double exactly, so loading the
-    string back reproduces the vector bit for bit.
-    """
-    labels = spin_config_labels(n_sites, basis)
-    if state.size != len(labels):
-        raise ValueError("state dimension does not match n_sites and basis")
-    rows = [
-        [labels[i], float(np.real(state[i])), float(np.imag(state[i]))]
-        for i in range(state.size)
-    ]
-    return json.dumps(rows)
-
-
-def state_from_json(text: str) -> np.ndarray:
-    rows = json.loads(text)
-    return np.array([complex(re, im) for _, re, im in rows])

@@ -51,8 +51,6 @@ from spingraph.targets import (
     complete_graph_state,
     cz_graph_state,
     plus_product_state,
-    state_from_json,
-    state_to_json,
 )
 from conftest import IDEAL_CASES, RYDBERG_CASES, rydberg_config
 
@@ -417,12 +415,8 @@ def _check_serialization(schedule: ControlSchedule) -> tuple[bool, str]:
         schedule, mode="rydberg", n_sites=3, seed=1, constants_version="x"
     )
     back = schedule_from_record(record)
-    schedules_ok = back.t_total == schedule.t_total and np.array_equal(
-        back.amplitudes, schedule.amplitudes
-    )
-    state = complete_graph_state(4)
-    states_ok = np.array_equal(state_from_json(state_to_json(state, 4, SPIN_BASIS)), state)
-    return schedules_ok and states_ok, "serialization bit-exact"
+    ok = back.t_total == schedule.t_total and np.array_equal(back.amplitudes, schedule.amplitudes)
+    return ok, "schedule serialization bit-exact"
 
 
 def test_criterion_10_property_suite(rydberg_results):

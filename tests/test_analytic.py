@@ -18,8 +18,8 @@ from spingraph.analytic import (
     scan_constant_field,
 )
 from spingraph.cli import main
-from spingraph.operators import SPIN_BASIS, evolve_unitary
-from spingraph.targets import complete_graph_state, plus_product_state, spin_config_labels
+from spingraph.operators import SPIN_BASIS, evolve_unitary, site_levels
+from spingraph.targets import complete_graph_state, plus_product_state
 
 SQRT2 = np.sqrt(2.0)
 
@@ -32,7 +32,8 @@ FAMILY_CASES = [
 
 
 def test_printed_order_mapping():
-    labels = spin_config_labels(3, SPIN_BASIS)
+    # ket label per basis index, sites left to right, levels joined by '.'
+    labels = [".".join(row) for row in np.array(SPIN_BASIS.levels)[site_levels(3, 2)]]
     for printed_idx, canonical_idx in enumerate(PRINTED_TO_CANONICAL):
         assert labels[canonical_idx] == PRINTED_ORDER_LABELS[printed_idx]
 

@@ -16,9 +16,6 @@ from spingraph.chain import (
     RydbergModel,
     assemble_system,
     build_control_hz,
-    build_error_hamiltonian,
-    build_rydberg_system,
-    build_xx_chain,
     dipole_strength,
     vdw_strength,
 )
@@ -77,7 +74,7 @@ def test_geometry_validation():
 
 def test_xx_chain_two_sites_structure():
     j = 1.7
-    h = build_xx_chain(2, j)
+    h = assemble_system(IdealModel(2, j))
     # only the flip-flop pair |ud><du| + |du><ud| survives
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 2] = expected[2, 1] = j
@@ -88,7 +85,7 @@ def test_xx_chain_single_excitation_spectrum():
     # one-down sector of the N=3 chain is the 3-site hopping matrix with
     # eigenvalues {0, +-sqrt(2) J}
     j = 1.3
-    h = build_xx_chain(3, j)
+    h = assemble_system(IdealModel(3, j))
     idx = [4, 2, 1]  # down at site 0, 1, 2
     block = h[np.ix_(idx, idx)]
     evals = np.sort(np.linalg.eigvalsh(block))
@@ -165,48 +162,36 @@ def test_delta_r_rescales_couplings():
         dipole_strength(geo.with_delta_r(-19.3), 0, 1)
 
 
-def test_error_hamiltonian_two_sites_vdw_only():
-    geo = ChainGeometry.regular(2)
-    h = build_error_hamiltonian(geo)
+def test_assemble_ideal_matches_xx_chain():
+    # J on every pair of configurations one bond flip-flop apart, zero diagonal
+    h = assemble_system(IdealModel(3, 1.4))
+    expected = np.zeros((8, 8), dtype=complex)
+    for a, b in ((4, 2), (2, 1), (6, 5), (5, 3)):
+        expected[a, b] = expected[b, a] = 1.4
+    assert np.array_equal(h, expected)
+    doubled = assemble_system(IdealModel(3, 2.8))
+    assert np.max(np.abs(doubled - 2.0 * h)) < 1e-14
+
+
+def test_assemble_rydberg_is_system_plus_error():
+    # N=2: the nearest-neighbor exchange plus a van der Waals diagonal only
+    h = assemble_system(RydbergModel(ChainGeometry.regular(2)))
     expected = np.diag([U_UP_NN, 0.0, 0.0, U_DOWN_NN]).astype(complex)
+    expected[1, 2] = expected[2, 1] = V_NN
     assert np.max(np.abs(h - expected)) < 1e-10
-
-
-def test_error_hamiltonian_three_sites_content():
-    # vdW on all three pairs; dipolar exchange only on the (0, 2) pair
+    # N=3: nearest-neighbor exchange, dipolar exchange on the (0, 2) pair,
+    # and van der Waals shifts on all three pairs
     geo = ChainGeometry.regular(3)
-    h = build_error_hamiltonian(geo)
-    # diagonal of |up,up,up>: U_up at R and at 2R
-    u_2r = vdw_strength(geo, 0, 2, "up")
-    assert abs(h[0, 0] - (2 * U_UP_NN + u_2r)) < 1e-10
+    h = assemble_system(RydbergModel(geo))
+    assert abs(h[4, 2] - V_NN) < 1e-10
+    assert abs(h[2, 1] - V_NN) < 1e-10
     # flip-flop between |d,u,u> (4) and |u,u,d> (1) with the 2R dipole strength
     v_2r = dipole_strength(geo, 0, 2)
     assert abs(h[4, 1] - v_2r) < 1e-12
     assert abs(v_2r - V_NN / 8.0) < 1e-10
-    # no nearest-neighbor exchange in the error part
-    assert h[4, 2] == 0.0 and h[2, 1] == 0.0
-
-
-def test_rydberg_system_is_nearest_neighbor_exchange():
-    geo = ChainGeometry.regular(3)
-    h = build_rydberg_system(geo)
-    assert abs(h[4, 2] - V_NN) < 1e-10
-    assert abs(h[2, 1] - V_NN) < 1e-10
-    assert h[4, 1] == 0.0
-    assert np.max(np.abs(np.diag(h))) == 0.0
-
-
-def test_assemble_ideal_matches_xx_chain():
-    assert np.array_equal(assemble_system(IdealModel(3, 1.4)), build_xx_chain(3, 1.4))
-    doubled = assemble_system(IdealModel(3, 2.8))
-    assert np.max(np.abs(doubled - 2.0 * assemble_system(IdealModel(3, 1.4)))) < 1e-14
-
-
-def test_assemble_rydberg_is_system_plus_error():
-    geo = ChainGeometry.regular(3)
-    total = assemble_system(RydbergModel(geo))
-    parts = build_rydberg_system(geo) + build_error_hamiltonian(geo)
-    assert np.array_equal(total, parts)
+    # diagonal of |up,up,up>: U_up at R (twice) and at 2R
+    u_2r = vdw_strength(geo, 0, 2, "up")
+    assert abs(h[0, 0] - (2 * U_UP_NN + u_2r)) < 1e-10
 
 
 def test_custom_constants_propagate():
@@ -280,11 +265,12 @@ def test_index_builders_match_kron_reference(basis, n):
         lambda: assemble_system(IdealModel(6), PROTOCOL_BASIS),
         lambda: assemble_system(RydbergModel(ChainGeometry.regular(6)), PROTOCOL_BASIS),
         lambda: build_control_hz(6, PROTOCOL_BASIS),
-        lambda: build_error_hamiltonian(ChainGeometry.regular(6), PROTOCOL_BASIS),
-        lambda: hermitian_sum([], 6, PROTOCOL_BASIS),
+        lambda: assemble_system(IdealModel(13)),
+        lambda: hermitian_sum([], np.zeros(5**6), 6, PROTOCOL_BASIS),
     ],
 )
 def test_builders_refuse_beyond_dimension_budget(build):
-    # 5^6 = 15625 > 4096: refused before any dense matrix is allocated
+    # 5^6 = 15625 and 2^13 = 8192 exceed 4096: refused before any dense
+    # matrix is allocated
     with pytest.raises(ValueError, match="exceeds the supported budget"):
         build()

@@ -454,30 +454,40 @@ def test_table_1_ideal(runner, tmp_path):
 
 def test_table_3_optimizes_each_case_once(runner, tmp_path, monkeypatch):
 
-    monkeypatch.setattr(cli, "TABLE_RYDBERG", cli.TABLE_RYDBERG[:1])
-    original = cli.run_optimize
-    calls = []
+    monkeypatch.setattr(cli, "TABLE_RYDBERG", cli.TABLE_RYDBERG[:2])
+    original_optimize, original_protocol = cli.run_optimize, cli.run_full_protocol
+    calls, plans = [], []
 
     def counting_optimize(config, *args, **kwargs):
         calls.append(config.t_total)
-        return original(config, *args, **kwargs)
+        return original_optimize(config, *args, **kwargs)
+
+    def recording_protocol(plan):
+        plans.append((plan.n_sites, plan.core_schedule.t_total))
+        return original_protocol(plan)
 
     monkeypatch.setattr(cli, "run_optimize", counting_optimize)
+    monkeypatch.setattr(cli, "run_full_protocol", recording_protocol)
     out = tmp_path / "table3.csv"
     result = runner.invoke(main, ["table", "3", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert calls == [0.141]
+    assert calls == [0.141, 0.172]
+    # each row's preparation loss comes from its own protocol run
+    assert plans == [(3, 0.141), (4, 0.172)]
     with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1
-    row = {key: float(value) for key, value in rows[0].items()
-           if key not in ("config_hash", "constants_version")}
-    assert row["n"] == 3
-    assert row["budgeted"] == (
-        row["closed"] - row["dissipation_delta"] - row["vibration_delta"] - row["prep_delta"]
-    )
-    assert row["closed"] > 0.99
-    assert 0.0 < row["dissipation_delta"] < 0.01
+        rows = [
+            {key: float(value) for key, value in row.items()
+             if key not in ("config_hash", "constants_version")}
+            for row in csv.DictReader(fh)
+        ]
+    assert [row["n"] for row in rows] == [3, 4]
+    for row in rows:
+        assert row["budgeted"] == (
+            row["closed"] - row["dissipation_delta"] - row["vibration_delta"] - row["prep_delta"]
+        )
+        assert row["closed"] > 0.99
+        assert 0.0 < row["dissipation_delta"] < 0.01
+    assert rows[0]["prep_delta"] < rows[1]["prep_delta"]
 
 
 @pytest.mark.parametrize("seed_args,expected_seed", [([], 1), (["--seed", "5"], 5)])

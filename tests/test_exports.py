@@ -1,0 +1,18 @@
+"""Every public name a spingraph module exports still exists, so deleting a
+function cannot leave a dangling entry in ``__all__``."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import spingraph
+
+MODULES = sorted(f"spingraph.{info.name}" for info in pkgutil.iter_modules(spingraph.__path__))
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

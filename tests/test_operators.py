@@ -24,7 +24,6 @@ from spingraph.operators import (
     hermitian_sum,
     level_projector,
     level_transition,
-    population,
     product_state,
     site_levels,
     spin_half_operator,
@@ -184,24 +183,6 @@ def test_check_hermitian_tolerance():
     check_hermitian(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]], dtype=complex))
 
 
-def test_population_vector_and_matrix():
-    up = basis_state(["up"], SPIN_BASIS)
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    assert abs(population(plus, up) - 0.5) < 1e-14
-    rho = 0.25 * np.outer(up, up.conj()) + 0.75 * np.diag([0.0, 1.0])
-    assert abs(population(rho, up) - 0.25) < 1e-14
-
-
-def test_population_rejects_unnormalized_target():
-    with pytest.raises(ValueError):
-        population(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-
-
-def test_population_rejects_dim_mismatch():
-    with pytest.raises(ValueError):
-        population(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0]))
-
-
 def test_embed_spin_state_index_map():
     # spin |down,down> (index 3) lands on emission index 1*3 + 1 = 4
     dd = basis_state(["down", "down"], SPIN_BASIS)
@@ -281,8 +262,7 @@ def test_hermitian_blocks_match_the_dense_sum(n):
     terms.append((0.7, {0: ("up", "down"), n - 1: ("down", "up")}))
     dim = PROTOCOL_BASIS.dim**n
     diagonal = rng.normal(size=dim)
-    dense = hermitian_sum(terms, n, PROTOCOL_BASIS)
-    dense[np.diag_indices(dim)] += diagonal
+    dense = hermitian_sum(terms, diagonal, n, PROTOCOL_BASIS)
     for support in ([0], rng.choice(dim, size=4, replace=False), np.arange(dim)):
         blocks = hermitian_blocks(terms, diagonal, n, PROTOCOL_BASIS, np.asarray(support))
         got = np.zeros_like(dense)

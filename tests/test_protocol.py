@@ -415,6 +415,32 @@ def test_run_stage_matches_stepwise_product(n, interactions):
         state = reference[-1][1]
 
 
+def test_unhooked_stage_evaluates_only_its_end_state(monkeypatch):
+    """Without a trace hook every block is evaluated at one (t, A), the last
+    point the hooked run traces, and both runs return the same state."""
+    core = ControlSchedule(t_total=0.15, amplitudes=np.array([-9.8, 3.1, -12.4]))
+    plan = standard_plan(ChainGeometry.regular(3), core)
+    sizes = []
+    original_states = protocol.ClosedFormPropagator.states
+
+    def counting_states(self, psi, t, area):
+        sizes.append(np.size(t))
+        return original_states(self, psi, t, area)
+
+    monkeypatch.setattr(protocol.ClosedFormPropagator, "states", counting_states)
+    state = basis_state(["0"] * 3, PROTOCOL_BASIS)
+    for stage in plan.stages:
+        sizes.clear()
+        out = run_stage(state, stage, plan)
+        assert sizes and set(sizes) == {1}
+        sizes.clear()
+        hooked = run_stage(state, stage, plan, trace_hook=lambda t, s: None)
+        traced = core.n_slices if stage.uses_core_schedule else TRACE_POINTS_PER_STAGE
+        assert set(sizes) == {traced}
+        np.testing.assert_allclose(out, hooked, rtol=0, atol=1e-14)
+        state = hooked
+
+
 def test_full_protocol_diagonalizes_once_per_stage(monkeypatch, core_result):
     """One eigh per reached block of each stage, never a d^N x d^N matrix;
     pins the largest block of every stage at N=3 and N=4."""
@@ -460,7 +486,7 @@ def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypa
     # sigma_x on site 0, as a term of the background
     transverse = (1.0, {0: ("up", "down")})
     assert np.array_equal(
-        hermitian_sum([transverse], n, PROTOCOL_BASIS),
+        hermitian_sum([transverse], np.zeros(PROTOCOL_BASIS.dim**n), n, PROTOCOL_BASIS),
         embed_local_operator(spin_half_operator(SIGMA_X, PROTOCOL_BASIS), 0, n, PROTOCOL_BASIS),
     )
 

@@ -7,8 +7,6 @@ up branch, the up branch carrying the prefactor (-1)^(n-i) and a sigma_z
 eigenvalue for every later site's ket.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -25,9 +23,6 @@ from spingraph.targets import (
     complete_graph_state,
     cz_graph_state,
     plus_product_state,
-    spin_config_labels,
-    state_from_json,
-    state_to_json,
     target_state,
 )
 
@@ -171,24 +166,3 @@ def test_site_count_bounds():
         complete_graph_state(8)
     with pytest.raises(ValueError):
         target_state(TargetForm.OPERATOR_PRODUCT, 1)
-
-
-def test_labels_order():
-    labels = spin_config_labels(2, SPIN_BASIS)
-    assert labels == ["up.up", "up.down", "down.up", "down.down"]
-
-
-def test_state_json_round_trip_bit_exact():
-    state = complete_graph_state(3)
-    text = state_to_json(state, 3, SPIN_BASIS)
-    back = state_from_json(text)
-    assert np.array_equal(state, back)
-    # labels ride along as (basis-string, re, im) triples
-    rows = json.loads(text)
-    assert rows[0][0] == "up.up.up"
-    assert len(rows) == 8
-    # an irrational-amplitude state survives the round trip exactly
-    rng = np.random.default_rng(5)
-    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi /= np.linalg.norm(psi)
-    assert np.array_equal(state_from_json(state_to_json(psi, 3, SPIN_BASIS)), psi)
