@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .operators import SPIN_BASIS, LocalBasis, hermitian_sum, site_levels
+from .operators import SPIN_BASIS, LocalBasis, hermitian_sum, site_levels, transition_indices
 
 __all__ = [
     "PhysicalConstants",
@@ -42,6 +42,10 @@ TWO_PI = 2.0 * np.pi
 
 #: Minimum admissible interatomic distance, in um (1 nm).
 MIN_DISTANCE = 1e-3
+
+#: Levels with a van der Waals constant, in the order ``_pair_strengths``
+#: returns their shifts.
+VDW_LEVELS = ("up", "down")
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,10 @@ class ChainGeometry:
     delta_r : deterministic offset, um, added to every pairwise distance
         in the coupling laws while leaving all angles unchanged. Used for
         the systematic distance-mismatch sweeps; 0 for the nominal chain.
+
+    Non-finite values, two atoms closer than 1 nm, and a delta_r that
+    brings a pair's effective distance below 1 nm are refused here; the
+    last two name the pair.
     """
 
     positions: np.ndarray
@@ -85,16 +93,23 @@ class ChainGeometry:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 2:
             raise ValueError("positions must be an (N >= 2, 3) array")
+        if not (np.all(np.isfinite(pos)) and np.isfinite(self.delta_r)):
+            raise ValueError("positions and delta_r must be finite")
         object.__setattr__(self, "positions", pos)
         axis = np.asarray(self.quantization_axis, dtype=float)
         norm = np.linalg.norm(axis)
         if norm == 0.0:
             raise ValueError("quantization axis must be nonzero")
         object.__setattr__(self, "quantization_axis", axis / norm)
-        for i in range(pos.shape[0]):
-            for j in range(i + 1, pos.shape[0]):
-                if np.linalg.norm(pos[j] - pos[i]) < MIN_DISTANCE:
-                    raise ValueError(f"atoms {i} and {j} closer than 1 nm")
+        i, j = np.triu_indices(pos.shape[0], 1)
+        r = np.linalg.norm(pos[j] - pos[i], axis=1)
+        for too_short, message in (
+            (r < MIN_DISTANCE, "atoms ({}, {}) closer than 1 nm"),
+            (r + self.delta_r < MIN_DISTANCE, "effective distance of atoms ({}, {}) below 1 nm"),
+        ):
+            if np.any(too_short):
+                k = np.argmax(too_short)
+                raise ValueError(message.format(i[k], j[k]))
 
     @property
     def n_sites(self) -> int:
@@ -142,15 +157,16 @@ class RydbergModel:
 ModelKind = Union[IdealModel, RydbergModel]
 
 
-def _pair_distance_angle(geometry: ChainGeometry, i: int, j: int) -> tuple[float, float]:
-    # returns (R + delta_r, cos theta); theta from the undisplaced separation
+def _pair_strengths(geometry: ChainGeometry, i: int, j: int) -> tuple[float, float, float]:
+    """(dipole, van der Waals up, van der Waals down) strengths of one pair,
+    from one distance R + delta_r and one angle theta, the angle taken
+    from the undisplaced separation."""
     sep = geometry.positions[j] - geometry.positions[i]
     r = float(np.linalg.norm(sep))
     cos_t = float(np.dot(sep, geometry.quantization_axis) / r)
     r_eff = r + geometry.delta_r
-    if r_eff < MIN_DISTANCE:
-        raise ValueError(f"effective distance for pair ({i},{j}) below 1 nm")
-    return r_eff, cos_t
+    c = geometry.constants
+    return c.c3 * (1.0 - 3.0 * cos_t**2) / r_eff**3, -c.c6_up / r_eff**6, -c.c6_down / r_eff**6
 
 
 def dipole_strength(geometry: ChainGeometry, i: int, j: int) -> float:
@@ -160,20 +176,14 @@ def dipole_strength(geometry: ChainGeometry, i: int, j: int) -> float:
     quantization axis. Vanishes at the magic angle cos theta = 1/sqrt(3);
     negative (-2 C3 / R^3) for a chain along the axis.
     """
-    r_eff, cos_t = _pair_distance_angle(geometry, i, j)
-    return geometry.constants.c3 * (1.0 - 3.0 * cos_t**2) / r_eff**3
+    return _pair_strengths(geometry, i, j)[0]
 
 
 def vdw_strength(geometry: ChainGeometry, i: int, j: int, level: str) -> float:
     """Van der Waals pair shift -C6 / R^6 for like levels ("up" or "down")."""
-    r_eff, _ = _pair_distance_angle(geometry, i, j)
-    if level == "up":
-        c6 = geometry.constants.c6_up
-    elif level == "down":
-        c6 = geometry.constants.c6_down
-    else:
+    if level not in VDW_LEVELS:
         raise ValueError(f"no van der Waals constant for level {level!r}")
-    return -c6 / r_eff**6
+    return _pair_strengths(geometry, i, j)[1 + VDW_LEVELS.index(level)]
 
 
 def _flip_flop(i: int, j: int) -> dict[int, tuple[str, str]]:
@@ -211,16 +221,15 @@ def rydberg_background(
     them block by block (``operators.hermitian_blocks``).
     """
     n = geometry.n_sites
+    strengths = {(i, j): _pair_strengths(geometry, i, j) for i in range(n) for j in range(i + 1, n)}
     pairs = [(i, i + 1) for i in range(n - 1)]
     pairs += [(i, j) for i in range(n) for j in range(i + 2, n)]
-    terms = [(dipole_strength(geometry, i, j), _flip_flop(i, j)) for i, j in pairs]
-    levels = site_levels(n, basis.dim)
-    shifts = np.zeros(len(levels))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for level in ("up", "down"):
-                both = np.all(levels[:, [i, j]] == basis.index(level), axis=1)
-                shifts[both] += vdw_strength(geometry, i, j, level)
+    terms = [(strengths[i, j][0], _flip_flop(i, j)) for i, j in pairs]
+    shifts = np.zeros(basis.dim**n)
+    for (i, j), (_, *vdw) in strengths.items():
+        for level, shift in zip(VDW_LEVELS, vdw):
+            _, both = transition_indices(n, basis, {i: (level, level), j: (level, level)})
+            shifts[both] += shift
     return terms, shifts
 
 

@@ -266,12 +266,12 @@ def _chain_frame(positions: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(axis)
     if norm == 0.0:
         raise ValueError("degenerate chain: endpoints coincide")
-    u = axis / norm
-    ref = np.array([0.0, 0.0, 1.0]) if abs(u[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    v = np.cross(ref, u)
+    ux, uy, uz = axis / norm
+    # v = ref x u for the reference z (x when u is close to z), w = u x v
+    v = np.array([-uy, ux, 0.0] if abs(uz) < 0.9 else [0.0, -uz, uy])
     v /= np.linalg.norm(v)
-    w = np.cross(u, v)
-    return np.vstack([u, v, w])
+    w = [uy * v[2] - uz * v[1], uz * v[0] - ux * v[2], ux * v[1] - uy * v[0]]
+    return np.array([[ux, uy, uz], v, w])
 
 
 def sample_geometry_noise(

@@ -7,8 +7,9 @@ Hz, so the evolution under any schedule collapses to a closed form:
     U(t) = exp(-i H t) exp(-i A(t) Hz),   A(t) = integral of B up to t
 
 ``ClosedFormPropagator`` owns that kernel: one eigendecomposition of H
-serves every duration and field area. It serves the spin-basis chain
-models here and in ``dynamics``, and every stage of the staged protocol.
+per eigenspace of Hz serves every duration and field area. It serves the
+spin-basis chain models here and in ``dynamics``, and every stage of the
+staged protocol.
 The landscape depends on a schedule only through (T, A), and its
 gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. So the
 optimizer is gradient ascent on the scalar area A with a backtracking
@@ -208,10 +209,14 @@ class ClosedFormPropagator:
     """exp(-i H t) exp(-i A Hz) applied to states, for a Hermitian H that
     commutes with a diagonal Hz.
 
-    Diagonalizes H once; Hz enters as phases. The constructor verifies
-    [H, Hz] = 0, which the factorization depends on. Every (t, A) the
-    methods take broadcasts against the other and against a stack of
-    input states.
+    Because [H, Hz] = 0, every eigenspace of Hz (a magnetization sector,
+    for the chain models) is an exact block of H, so H is diagonalized
+    once per sector, never as a whole; a single-sector H is one block.
+    Each eigenvector keeps its sector's Hz value, so exp(-i A Hz) is a
+    phase on the eigen-components, as exp(-i H t) is. The constructor
+    verifies the commutator, which the factorization depends on. Every
+    (t, A) the methods take broadcasts against the other and against a
+    stack of input states.
     """
 
     def __init__(self, h: np.ndarray, hz_diag: np.ndarray):
@@ -223,7 +228,20 @@ class ClosedFormPropagator:
                 f"{comm_norm:.3e}); the closed-form propagator needs it"
             )
         self.hz_diag = hz_diag
-        self._w, self._v = np.linalg.eigh(h)
+        if np.all(hz_diag == hz_diag[0]):
+            self._w, self._v = np.linalg.eigh(h)
+            self._hz = hz_diag
+            return
+        # eigenvector columns ordered by sector, each sector's block of rows
+        order = np.argsort(hz_diag, kind="stable")
+        self._hz = hz_diag[order]
+        self._w = np.empty(len(order))
+        self._v = np.zeros(h.shape, dtype=np.result_type(h, float))
+        start = 0
+        for idx in np.split(order, np.flatnonzero(np.diff(self._hz)) + 1):
+            cols = slice(start, start + len(idx))
+            self._w[cols], self._v[idx, cols] = np.linalg.eigh(h[np.ix_(idx, idx)])
+            start = cols.stop
 
     @classmethod
     def for_model(cls, model: ModelKind) -> "ClosedFormPropagator":
@@ -236,8 +254,8 @@ class ClosedFormPropagator:
         )
 
     def _eigen_components(self, psi: np.ndarray, t, area) -> np.ndarray:
-        kicked = np.exp(-1j * np.asarray(area, float)[..., None] * self.hz_diag) * psi
-        return (kicked @ self._v.conj()) * np.exp(-1j * np.asarray(t, float)[..., None] * self._w)
+        t, area = np.asarray(t, float)[..., None], np.asarray(area, float)[..., None]
+        return (psi @ self._v.conj()) * np.exp(-1j * (t * self._w + area * self._hz))
 
     def states(self, psi: np.ndarray, t, area) -> np.ndarray:
         """exp(-i H t) exp(-i A Hz) psi, one state per (t, area)."""

@@ -12,7 +12,8 @@ Conventions
   rule; every Hamiltonian, drive, jump and embedded state is built from
   its table, mostly through ``transition_indices`` and ``hermitian_sum``
   (dense) or ``hermitian_blocks`` (the coupled blocks a state reaches).
-  The ``kron`` embeddings below are kept as the dense reference.
+  Both tables are memoised and returned read-only, so every caller shares
+  one copy. The ``kron`` embeddings below are kept as the dense reference.
 * Two budgets: dense matrices (operators, Hamiltonians, blocks) stay within
   MAX_DIM, and state vectors and the site-level table within MAX_STATE_DIM.
 * ``sigma_z |up> = +|up>`` and ``S_z = sigma_z / 2``.
@@ -23,6 +24,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -189,12 +191,13 @@ def two_site_operator(
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def site_levels(n_sites: int, d: int) -> np.ndarray:
     """(d**N, N) table: row k holds the site levels of basis state k, in
-    C order (site 0 most significant). Refuses dimensions beyond
-    MAX_STATE_DIM."""
+    C order (site 0 most significant). Memoised and read-only. Refuses
+    dimensions beyond MAX_STATE_DIM."""
     _check_dim_budget(d, n_sites, MAX_STATE_DIM)
-    return np.arange(d**n_sites)[:, None] // _place_values(n_sites, d) % d
+    return _read_only(np.arange(d**n_sites)[:, None] // _place_values(n_sites, d) % d)
 
 
 def transition_indices(
@@ -205,14 +208,27 @@ def transition_indices(
     ``moves`` maps each acted-on site to its (to, from) level names; the
     other sites carry the identity. Returns (dst, src), src ascending, such
     that the operator is sum_k |dst_k><src_k|; to == from on every site
-    gives a projector (dst == src).
+    gives a projector (dst == src). Memoised per (n_sites, basis, moves);
+    both arrays are read-only.
     """
+    return _transition_indices(n_sites, basis, tuple(moves.items()))
+
+
+@functools.lru_cache(maxsize=256)
+def _transition_indices(
+    n_sites: int, basis: LocalBasis, moves: tuple[tuple[int, tuple[str, str]], ...]
+) -> tuple[np.ndarray, np.ndarray]:
     levels = site_levels(n_sites, basis.dim)
-    sites = list(moves)
-    to = np.array([basis.index(pair[0]) for pair in moves.values()], dtype=int)
-    frm = np.array([basis.index(pair[1]) for pair in moves.values()], dtype=int)
+    sites = [site for site, _ in moves]
+    to = np.array([basis.index(pair[0]) for _, pair in moves], dtype=int)
+    frm = np.array([basis.index(pair[1]) for _, pair in moves], dtype=int)
     src = np.flatnonzero(np.all(levels[:, sites] == frm, axis=1))
-    return src + (to - frm) @ _place_values(n_sites, basis.dim)[sites], src
+    return _read_only(src + (to - frm) @ _place_values(n_sites, basis.dim)[sites]), _read_only(src)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 def hermitian_sum(

@@ -37,7 +37,6 @@ from spingraph.dynamics import (
 )
 from spingraph.grape import (
     ControlSchedule,
-    GrapeConfig,
     GuessSpec,
     landscape_and_gradient,
     scan_duration,
@@ -46,12 +45,7 @@ from spingraph.grape import (
 )
 from spingraph.operators import EMISSION_BASIS, SPIN_BASIS, embed_spin_state, evolve_unitary
 from spingraph.protocol import run_full_protocol, standard_plan
-from spingraph.targets import (
-    TargetForm,
-    complete_graph_state,
-    cz_graph_state,
-    plus_product_state,
-)
+from spingraph.targets import complete_graph_state, cz_graph_state, plus_product_state
 from conftest import IDEAL_CASES, RYDBERG_CASES, rydberg_config
 
 TWO_PI = 2.0 * np.pi

@@ -162,6 +162,26 @@ def test_delta_r_rescales_couplings():
         dipole_strength(geo.with_delta_r(-19.3), 0, 1)
 
 
+def test_geometry_refuses_pairs_below_one_nanometre():
+    pos = np.zeros((4, 3))
+    pos[:, 2] = [0.0, 19.3, 38.6, 19.3 + 5e-4]
+    with pytest.raises(ValueError, match=r"atoms \(1, 3\) closer than 1 nm"):
+        ChainGeometry(positions=pos)
+    pos[3, 2] = 19.3 + 2e-3
+    geo = ChainGeometry(positions=pos)
+    assert geo.with_delta_r(-5e-4).delta_r == -5e-4
+    with pytest.raises(ValueError, match=r"effective distance of atoms \(1, 3\) below 1 nm"):
+        geo.with_delta_r(-1.5e-3)
+    with pytest.raises(ValueError, match=r"atoms \(0, 1\)"):
+        ChainGeometry.regular(3).with_delta_r(-19.3)
+    # NaN compares false with every bound, so it is refused on its own
+    with pytest.raises(ValueError, match="finite"):
+        geo.with_delta_r(float("nan"))
+    pos[2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        ChainGeometry(positions=pos)
+
+
 def test_assemble_ideal_matches_xx_chain():
     # J on every pair of configurations one bond flip-flop apart, zero diagonal
     h = assemble_system(IdealModel(3, 1.4))

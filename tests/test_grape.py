@@ -4,10 +4,10 @@ The gradient oracle is central finite differences; frozen-scalar checks
 pin the guess-field formulas.
 """
 
-import json
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingraph.chain import ChainGeometry, IdealModel, RydbergModel
 from spingraph.grape import (
@@ -28,6 +28,7 @@ from spingraph.grape import (
     schedule_from_record,
     schedule_to_record,
 )
+from spingraph.operators import evolve_unitary
 from spingraph.targets import (
     TargetForm,
     complete_graph_state,
@@ -381,3 +382,62 @@ def test_non_commuting_drift_is_refused(monkeypatch):
         )
     with pytest.raises(GrapeError, match="commute"):
         optimize(ideal_config(3, 2.3, GuessSpec(kind="gaussian", b0=1.0)))
+
+
+def random_state(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+)
+def test_sector_kernel_matches_the_dense_propagator(dim, seed, degenerate):
+    """A random Hermitian h, block diagonal in a random integer Hz, against
+    dense exp(-i (h + (A/t) Hz) t). With ``degenerate`` every block's
+    spectrum comes from {-1, 0, 1}, so eigenvalues repeat across sectors,
+    as in the ideal XX chain, and a dense eigh of h may mix the sectors."""
+    rng = np.random.default_rng(seed)
+    hz = rng.integers(-2, 3, dim).astype(float)
+    h = np.zeros((dim, dim), dtype=complex)
+    for value in np.unique(hz):
+        idx = np.flatnonzero(hz == value)
+        a = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+        if degenerate:
+            q, _ = np.linalg.qr(a)
+            a = q @ np.diag(rng.integers(-1, 2, len(idx))) @ q.conj().T
+        h[np.ix_(idx, idx)] = 0.5 * (a + a.conj().T)
+    prop = ClosedFormPropagator(h, hz)
+    psi, target = random_state(rng, dim), random_state(rng, dim)
+    for t, area in zip(rng.uniform(0.1, 2.0, 3), rng.uniform(-4.0, 4.0, 3)):
+        dense = evolve_unitary(h + np.diag(area / t * hz), t, psi)
+        np.testing.assert_allclose(prop.states(psi, t, area), dense, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            prop.overlaps(target, psi, t, area), np.vdot(target, dense), rtol=0, atol=1e-12
+        )
+    # any coupling between two sectors breaks [h, Hz] = 0
+    i, j = np.argmin(hz), np.argmax(hz)
+    if hz[i] != hz[j]:
+        h[i, j] = h[j, i] = 1e-6
+        with pytest.raises(GrapeError, match="commute"):
+            ClosedFormPropagator(h, hz)
+
+
+@pytest.mark.parametrize(
+    "model", [IdealModel(6), RydbergModel(ChainGeometry.regular(6))], ids=["ideal", "rydberg"]
+)
+def test_for_model_diagonalizes_one_magnetization_sector_at_a_time(model, monkeypatch):
+    sizes = []
+    original_eigh = np.linalg.eigh
+
+    def spying_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return original_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spying_eigh)
+    ClosedFormPropagator.for_model(model)
+    # C(6, m) spin configurations with m up-spins, the largest C(6, 3) = 20
+    assert sorted(sizes) == [1, 1, 6, 6, 15, 15, 20]

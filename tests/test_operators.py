@@ -220,6 +220,22 @@ def test_site_levels_refuses_beyond_budget():
         transition_indices(7, PROTOCOL_BASIS, {0: ("up", "down")})
 
 
+def test_index_tables_are_shared_and_read_only():
+    table = site_levels(3, 5)
+    assert site_levels(3, 5) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    moves = {0: ("up", "down"), 2: ("down", "up")}
+    dst, src = transition_indices(3, PROTOCOL_BASIS, moves)
+    again = transition_indices(3, PROTOCOL_BASIS, dict(moves))
+    assert again[0] is dst and again[1] is src
+    for array in (dst, src):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def dense_from_indices(dst, src, dim):
     out = np.zeros((dim, dim), dtype=complex)
     out[dst, src] = 1.0

@@ -24,6 +24,7 @@ from spingraph.operators import (
     evolve_unitary,
     hermitian_sum,
     product_state,
+    site_levels,
     spin_half_operator,
 )
 from spingraph.protocol import (
@@ -476,6 +477,17 @@ def test_full_protocol_diagonalizes_once_per_stage(monkeypatch, core_result):
         assert [max(sizes) for sizes in calls] == largest[n]
         # the last stage reaches every basis index, each in one block
         assert sum(blocks[-1]) == PROTOCOL_BASIS.dim**n
+
+
+def test_full_protocol_builds_each_level_table_once():
+    """The memoised site-level table: one N=6 run builds no table twice, and
+    the (5^6, 6) table is among those it built."""
+    site_levels.cache_clear()
+    run_full_protocol(standard_plan(ChainGeometry.regular(6), ControlSchedule(0.233, np.ones(4))))
+    built = site_levels.cache_info()
+    assert built.misses == built.currsize < built.hits
+    assert site_levels(6, PROTOCOL_BASIS.dim).shape == (5**6, 6)
+    assert site_levels.cache_info().misses == built.misses
 
 
 def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypatch):
