@@ -33,7 +33,6 @@ from .targets import complete_graph_state, plus_product_state
 
 __all__ = [
     "FIELD_SIGN",
-    "PRINTED_ORDER_LABELS",
     "PRINTED_TO_CANONICAL",
     "ConstantFieldSolution",
     "analytic_n3_amplitudes",
@@ -50,18 +49,6 @@ SQRT2 = np.sqrt(2.0)
 #: Sign with which B enters H_con relative to +B * sum S^z; determined by
 #: matching the closed forms against numerical propagation.
 FIELD_SIGN = -1.0
-
-#: Configuration per printed amplitude index (site 0 first).
-PRINTED_ORDER_LABELS = (
-    "down.down.down",
-    "down.down.up",
-    "down.up.down",
-    "down.up.up",
-    "up.down.down",
-    "up.down.up",
-    "up.up.down",
-    "up.up.up",
-)
 
 #: printed index -> computational basis index (up = bit 0).
 PRINTED_TO_CANONICAL = (7, 6, 5, 4, 3, 2, 1, 0)

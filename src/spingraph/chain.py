@@ -16,7 +16,7 @@ is what makes the exact GRAPE gradient available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -30,8 +30,6 @@ __all__ = [
     "IdealModel",
     "RydbergModel",
     "ModelKind",
-    "dipole_strength",
-    "vdw_strength",
     "build_control_hz",
     "build_control_hz_diagonal",
     "rydberg_background",
@@ -69,10 +67,10 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 
 @dataclass(frozen=True)
 class ChainGeometry:
-    """Atom positions plus interaction constants and quantization axis.
+    """Atom positions plus interaction constants.
 
-    positions : (N, 3) array, um. The default regular chain places atom i
-        at (0, 0, i * spacing).
+    positions : (N, 3) array, um. The quantization axis is z, and the
+        default regular chain places atom i at (0, 0, i * spacing).
     delta_r : deterministic offset, um, added to every pairwise distance
         in the coupling laws while leaving all angles unchanged. Used for
         the systematic distance-mismatch sweeps; 0 for the nominal chain.
@@ -84,9 +82,6 @@ class ChainGeometry:
 
     positions: np.ndarray
     constants: PhysicalConstants = DEFAULT_CONSTANTS
-    quantization_axis: np.ndarray = field(
-        default_factory=lambda: np.array([0.0, 0.0, 1.0])
-    )
     delta_r: float = 0.0
 
     def __post_init__(self) -> None:
@@ -96,11 +91,6 @@ class ChainGeometry:
         if not (np.all(np.isfinite(pos)) and np.isfinite(self.delta_r)):
             raise ValueError("positions and delta_r must be finite")
         object.__setattr__(self, "positions", pos)
-        axis = np.asarray(self.quantization_axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if norm == 0.0:
-            raise ValueError("quantization axis must be nonzero")
-        object.__setattr__(self, "quantization_axis", axis / norm)
         i, j = np.triu_indices(pos.shape[0], 1)
         r = np.linalg.norm(pos[j] - pos[i], axis=1)
         for too_short, message in (
@@ -160,30 +150,18 @@ ModelKind = Union[IdealModel, RydbergModel]
 def _pair_strengths(geometry: ChainGeometry, i: int, j: int) -> tuple[float, float, float]:
     """(dipole, van der Waals up, van der Waals down) strengths of one pair,
     from one distance R + delta_r and one angle theta, the angle taken
-    from the undisplaced separation."""
+    from the undisplaced separation.
+
+    Dipolar exchange C3 (1 - 3 cos^2 theta) / R^3, with theta the polar
+    angle of the separation from the quantization axis z: it vanishes at
+    the magic angle cos theta = 1/sqrt(3) and is -2 C3 / R^3 along the
+    axis. Van der Waals shifts -C6 / R^6 between like levels."""
     sep = geometry.positions[j] - geometry.positions[i]
     r = float(np.linalg.norm(sep))
-    cos_t = float(np.dot(sep, geometry.quantization_axis) / r)
+    cos_t = float(sep[2] / r)
     r_eff = r + geometry.delta_r
     c = geometry.constants
     return c.c3 * (1.0 - 3.0 * cos_t**2) / r_eff**3, -c.c6_up / r_eff**6, -c.c6_down / r_eff**6
-
-
-def dipole_strength(geometry: ChainGeometry, i: int, j: int) -> float:
-    """Resonant dipole-dipole coupling C3 (1 - 3 cos^2 theta) / R^3.
-
-    theta is the polar angle between the pair separation and the
-    quantization axis. Vanishes at the magic angle cos theta = 1/sqrt(3);
-    negative (-2 C3 / R^3) for a chain along the axis.
-    """
-    return _pair_strengths(geometry, i, j)[0]
-
-
-def vdw_strength(geometry: ChainGeometry, i: int, j: int, level: str) -> float:
-    """Van der Waals pair shift -C6 / R^6 for like levels ("up" or "down")."""
-    if level not in VDW_LEVELS:
-        raise ValueError(f"no van der Waals constant for level {level!r}")
-    return _pair_strengths(geometry, i, j)[1 + VDW_LEVELS.index(level)]
 
 
 def _flip_flop(i: int, j: int) -> dict[int, tuple[str, str]]:

@@ -127,15 +127,16 @@ def _schedule_record(cfg: ExperimentConfig, result) -> dict:
 
 
 def _resolve_schedule(cfg: ExperimentConfig, schedule_path):
-    """Load a persisted schedule for this run's atom count, or optimize one
-    on demand."""
+    """Load a persisted schedule for this run's atom count and duration (if
+    one is given), or optimize one on demand."""
     if schedule_path:
         record = load_result(schedule_path)
         if record.get("N") != cfg.n_sites:
             _fail(f"schedule is for N={record.get('N')}, run is for N={cfg.n_sites}")
-        return schedule_from_record(record), record.get("final_population")
-    result = run_optimize(_grape_config(cfg))
-    return result.schedule, result.final_population
+        if cfg.t_total is not None and record.get("T") != cfg.t_total:
+            _fail(f"schedule is for T={record.get('T')}, run is for T={cfg.t_total}")
+        return schedule_from_record(record)
+    return run_optimize(_grape_config(cfg)).schedule
 
 
 #: Options several commands take, declared once. A destination that names an
@@ -350,7 +351,7 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
     if cfg.mode != "rydberg" and any(s > 0 for s in cfg.position_sigma):
         _fail("geometry noise requires rydberg mode")
     spec = build_noise_spec(cfg)
-    schedule, _ = _resolve_schedule(cfg, schedule_path)
+    schedule = _resolve_schedule(cfg, schedule_path)
     model = build_model(cfg)
     result = ensemble_average(
         model,
@@ -425,7 +426,7 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Open-system run with spontaneous emission; reports the closed-system delta."""
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
     jumps = build_jump_channels(cfg)
-    schedule, _ = _resolve_schedule(cfg, schedule_path)
+    schedule = _resolve_schedule(cfg, schedule_path)
     closed_trace, open_trace = _open_system_run(jumps, build_model(cfg), schedule)
     closed, opened = closed_trace[-1], open_trace[-1]
     outdir = _outdir(cfg)
@@ -502,12 +503,13 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
 def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Full staged run: prepare, evolve, decouple, map to clock states.
 
-    Without a time, the core runs for the table-2 duration of the atom count.
+    Without a schedule or a time, the core is optimized for the table-2
+    duration of the atom count.
     """
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
-    if cfg.t_total is None and cfg.n_sites in dict(TABLE_RYDBERG):
+    if schedule_path is None and cfg.t_total is None and cfg.n_sites in dict(TABLE_RYDBERG):
         cfg = apply_overrides(cfg, t_total=dict(TABLE_RYDBERG)[cfg.n_sites])
-    schedule, _ = _resolve_schedule(cfg, schedule_path)
+    schedule = _resolve_schedule(cfg, schedule_path)
     model = build_model(cfg)
     plan = standard_plan(model.geometry, schedule)
     result = run_full_protocol(plan)

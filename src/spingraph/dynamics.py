@@ -40,7 +40,6 @@ __all__ = [
     "JumpChannels",
     "GAMMA_UP",
     "GAMMA_DOWN",
-    "DEFAULT_JUMPS",
     "NoiseSpec",
     "MasterResult",
     "EnsembleResult",
@@ -86,8 +85,6 @@ class JumpChannels:
 #: lifetimes of up and down, in us.
 GAMMA_UP = 1.0 / 569.0
 GAMMA_DOWN = 1.0 / 1100.0
-
-DEFAULT_JUMPS = JumpChannels(channels=(("up", "g", GAMMA_UP), ("down", "g", GAMMA_DOWN)))
 
 
 @dataclass(frozen=True)
@@ -260,13 +257,11 @@ def _chain_frame(positions: np.ndarray) -> np.ndarray:
     """Orthonormal triad (axis, transverse, transverse) for the chain.
 
     The measured sigma triple is resolved in this frame: first component
-    along the chain direction, the remaining two across it.
+    along the chain direction, the remaining two across it. The endpoints
+    never coincide: ``ChainGeometry`` refuses any pair closer than 1 nm.
     """
     axis = positions[-1] - positions[0]
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
-        raise ValueError("degenerate chain: endpoints coincide")
-    ux, uy, uz = axis / norm
+    ux, uy, uz = axis / np.linalg.norm(axis)
     # v = ref x u for the reference z (x when u is close to z), w = u x v
     v = np.array([-uy, ux, 0.0] if abs(uz) < 0.9 else [0.0, -uz, uy])
     v /= np.linalg.norm(v)

@@ -42,7 +42,6 @@ __all__ = [
     "gaussian_guess",
     "random_guess",
     "make_guess",
-    "landscape_and_gradient",
     "optimize",
     "reduce_field_winding",
     "scan_duration",
@@ -274,24 +273,6 @@ class ClosedFormPropagator:
             target, np.stack([psi0, -1j * self.hz_diag * psi0]), t, area
         )
         return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
-
-
-def landscape_and_gradient(
-    model: ModelKind,
-    schedule: ControlSchedule,
-    psi0: np.ndarray,
-    target: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Landscape value |<target|U(T,0)|psi0>|^2 and its exact gradient.
-
-    Every slice moves the field area by dt per unit amplitude, so
-    dPhi/dB_k = dt dPhi/dA on every slice. Raises ``GrapeError`` if the
-    model's drift does not commute with Hz.
-    """
-    phi, slope = ClosedFormPropagator.for_model(model).landscape_and_slope(
-        target, psi0, schedule.t_total, schedule.field_area
-    )
-    return phi, np.full(schedule.n_slices, schedule.dt * slope)
 
 
 def optimize(config: GrapeConfig) -> GrapeResult:

@@ -4,16 +4,21 @@ Site-local bases, the site-index table, operator embedding, exact
 Hermitian propagation, and basis and product states. Everything here is a
 pure function on numpy arrays; no internal mutability.
 
+No command calls the two ``kron`` embeddings, ``embed_local_operator`` and
+``two_site_operator``. They stay because the benchmark's span tracer
+(``perfbench/spans.py``, ``TARGETS``) wraps them by name, as it wraps
+``evolve_unitary`` and ``chain.build_control_hz``; the tests build their
+dense kron reference from them (``tests/kron_reference.py``).
+
 Conventions
 -----------
 * Site 0 is the leftmost tensor factor, so kets read left to right: a
   basis index is the base-d number whose digits are the N site levels,
   site 0 most significant. ``site_levels`` is the single owner of that
-  rule; every Hamiltonian, drive, jump and embedded state is built from
-  its table, mostly through ``transition_indices`` and ``hermitian_sum``
-  (dense) or ``hermitian_blocks`` (the coupled blocks a state reaches).
-  Both tables are memoised and returned read-only, so every caller shares
-  one copy. The ``kron`` embeddings below are kept as the dense reference.
+  rule; every Hamiltonian, drive, jump and state is built from its table,
+  mostly through ``transition_indices`` and ``hermitian_sum`` (dense) or
+  ``hermitian_blocks`` (the coupled blocks a state reaches). Both tables
+  are memoised and returned read-only, so every caller shares one copy.
 * Two budgets: dense matrices (operators, Hamiltonians, blocks) stay within
   MAX_DIM, and state vectors and the site-level table within MAX_STATE_DIM.
 * ``sigma_z |up> = +|up>`` and ``S_z = sigma_z / 2``.
@@ -35,12 +40,6 @@ __all__ = [
     "SPIN_BASIS",
     "EMISSION_BASIS",
     "PROTOCOL_BASIS",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "spin_half_operator",
-    "level_projector",
-    "level_transition",
     "embed_local_operator",
     "two_site_operator",
     "site_levels",
@@ -50,7 +49,6 @@ __all__ = [
     "evolve_unitary",
     "basis_state",
     "product_state",
-    "embed_spin_state",
     "check_hermitian",
 ]
 
@@ -105,44 +103,6 @@ EMISSION_BASIS = LocalBasis(("up", "down", "g"))
 #: Clock states, spin levels, and the auxiliary decoupling level:
 #: indices (0, 1, up, down, r) = (0, 1, 2, 3, 4).
 PROTOCOL_BASIS = LocalBasis(("0", "1", "up", "down", "r"))
-
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def spin_half_operator(op2: np.ndarray, basis: LocalBasis) -> np.ndarray:
-    """Lift a 2x2 spin operator onto a (possibly larger) local basis.
-
-    The 2x2 block is written into the (up, down) rows/columns; every
-    other level gets zero rows and columns. That makes extra levels
-    spectators of the spin dynamics: coupling terms and the field term
-    both vanish on them.
-    """
-    op2 = np.asarray(op2, dtype=complex)
-    if op2.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {op2.shape}")
-    iu, idn = basis.index("up"), basis.index("down")
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    sub = np.ix_((iu, idn), (iu, idn))
-    out[sub] = op2
-    return out
-
-
-def level_projector(name: str, basis: LocalBasis) -> np.ndarray:
-    """|name><name| on one site."""
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    i = basis.index(name)
-    out[i, i] = 1.0
-    return out
-
-
-def level_transition(to_name: str, from_name: str, basis: LocalBasis) -> np.ndarray:
-    """|to><from| on one site."""
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    out[basis.index(to_name), basis.index(from_name)] = 1.0
-    return out
 
 
 def embed_local_operator(
@@ -371,24 +331,6 @@ def product_state(local: np.ndarray, n_sites: int) -> np.ndarray:
     out = np.ones(local.size**n_sites, dtype=complex)
     for column in site_levels(n_sites, local.size).T:
         out *= local[column]
-    return out
-
-
-def embed_spin_state(psi2: np.ndarray, n_sites: int, basis: LocalBasis) -> np.ndarray:
-    """Map a 2^N spin state onto the (up, down) slots of a d^N space.
-
-    Amplitudes land on the basis states whose every site is "up" or
-    "down"; all other levels stay unpopulated. With basis = SPIN_BASIS
-    this is the identity.
-    """
-    psi2 = np.asarray(psi2, dtype=complex)
-    if psi2.size != 2**n_sites:
-        raise ValueError(f"expected 2^{n_sites} amplitudes, got {psi2.size}")
-    _check_dim_budget(basis.dim, n_sites, MAX_STATE_DIM)
-    # relabel the spin levels (up, down) = (0, 1) into the basis
-    slots = np.array([basis.index("up"), basis.index("down")])[site_levels(n_sites, 2)]
-    out = np.zeros(basis.dim**n_sites, dtype=complex)
-    out[slots @ _place_values(n_sites, basis.dim)] = psi2
     return out
 
 

@@ -2,8 +2,9 @@
 
 Runs on the 5-level basis (0, 1, up, down, r). The dipolar and van der
 Waals interactions act on the (up, down) sublevels and are on during
-every stage; global resonant drives (Omega/2)(e^{i phi}|a><b| + h.c.)
-implement the transfers. The default 5-stage plan:
+every stage; global resonant drives (Omega/2)(|a><b| + h.c.), each given
+as a (level_a, level_b, Omega) tuple, implement the transfers. The
+default 5-stage plan:
 
   1. pi pulse 0 -> up, duration pi/Omega
   2. pi/2 pulse up -> down, duration pi/(2 Omega_a)
@@ -90,8 +91,8 @@ TRACE_POINTS_PER_STAGE = 20
 class ProtocolStage:
     """One globally driven stage.
 
-    drives : tuple of (level_a, level_b, rabi_rate, phase) entries, each
-        contributing (rate/2)(e^{i phase}|a><b| + h.c.) on every atom.
+    drives : tuple of (level_a, level_b, rabi_rate) entries, each
+        contributing (rate/2)(|a><b| + h.c.) on every atom.
         Empty for the core stage, which instead applies the plan's field
         schedule.
     background : include the interaction Hamiltonian (True in every
@@ -100,7 +101,7 @@ class ProtocolStage:
 
     label: str
     duration: float
-    drives: tuple[tuple[str, str, float, float], ...] = ()
+    drives: tuple[tuple[str, str, float], ...] = ()
     uses_core_schedule: bool = False
     background: bool = True
 
@@ -111,9 +112,21 @@ class ProtocolStage:
 
 @dataclass(frozen=True)
 class ProtocolPlan:
+    """Stages run in order on one chain. A core stage lasts exactly the
+    core schedule's duration, so the stage end times and the timeline
+    follow the evolution that runs."""
+
     stages: tuple[ProtocolStage, ...]
     geometry: ChainGeometry
     core_schedule: ControlSchedule
+
+    def __post_init__(self) -> None:
+        for stage in self.stages:
+            if stage.uses_core_schedule and stage.duration != self.core_schedule.t_total:
+                raise ValueError(
+                    f"core stage {stage.label!r} lasts {stage.duration}, but the core "
+                    f"schedule lasts T = {self.core_schedule.t_total}"
+                )
 
     @property
     def n_sites(self) -> int:
@@ -143,15 +156,11 @@ def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> Pr
     """The five stages of the module docstring at the OMEGA_* rates."""
     omega, omega_a, omega_b = OMEGA_TWO_PHOTON, OMEGA_MICROWAVE_A, OMEGA_MICROWAVE_B
     stages = (
-        ProtocolStage("prepare-up", np.pi / omega, (("up", "0", omega, 0.0),)),
-        ProtocolStage("half-rotate", np.pi / (2.0 * omega_a), (("down", "up", omega_a, 0.0),)),
+        ProtocolStage("prepare-up", np.pi / omega, (("up", "0", omega),)),
+        ProtocolStage("half-rotate", np.pi / (2.0 * omega_a), (("down", "up", omega_a),)),
         ProtocolStage("core", core_schedule.t_total, (), uses_core_schedule=True),
-        ProtocolStage("decouple", np.pi / omega_b, (("r", "down", omega_b, 0.0),)),
-        ProtocolStage(
-            "map-to-clock",
-            np.pi / omega,
-            (("0", "up", omega, 0.0), ("1", "r", omega, 0.0)),
-        ),
+        ProtocolStage("decouple", np.pi / omega_b, (("r", "down", omega_b),)),
+        ProtocolStage("map-to-clock", np.pi / omega, (("0", "up", omega), ("1", "r", omega))),
     )
     return ProtocolPlan(stages=stages, geometry=geometry, core_schedule=core_schedule)
 
@@ -180,11 +189,7 @@ def run_stage(
     if not stage.uses_core_schedule and not stage.drives and not stage.background:
         raise ValueError("stage has neither drives nor interactions")
     n, dim = plan.n_sites, PROTOCOL_BASIS.dim**plan.n_sites
-    terms = [
-        (0.5 * rate * np.exp(1j * phase), {site: (a, b)})
-        for a, b, rate, phase in stage.drives
-        for site in range(n)
-    ]
+    terms = [(0.5 * rate, {site: (a, b)}) for a, b, rate in stage.drives for site in range(n)]
     diagonal = np.zeros(dim)
     if stage.background:
         exchange, diagonal = rydberg_background(plan.geometry, PROTOCOL_BASIS)

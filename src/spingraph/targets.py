@@ -10,8 +10,9 @@ odd N and differ by a uniform Z layer for even N; the per-configuration
 sign ratio is (-1)^{C(N,2) + k(1-N)}. Optimization targets use the
 operator-product form; the CZ form is the independent oracle.
 
-Every builder returns a spin-basis vector; ``operators.embed_spin_state``
-lifts one into a larger local basis.
+Every builder returns a spin-basis vector. The protocol relabels the
+spin levels of ``complete_graph_state`` onto its five-level basis itself
+(``protocol.mapped_graph_state``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ import pytest
 from click.testing import CliRunner
 
 from spingraph.analytic import (
-    PRINTED_ORDER_LABELS,
     PRINTED_TO_CANONICAL,
     analytic_n3_amplitudes,
     analytic_state,
@@ -20,6 +19,8 @@ from spingraph.analytic import (
 from spingraph.cli import main
 from spingraph.operators import SPIN_BASIS, evolve_unitary, site_levels
 from spingraph.targets import complete_graph_state, plus_product_state
+
+from kron_reference import PRINTED_ORDER_LABELS
 
 SQRT2 = np.sqrt(2.0)
 

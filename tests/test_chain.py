@@ -1,8 +1,10 @@
 """Chain Hamiltonians: XX exchange, global control term, dipolar couplings.
 
-Interaction strengths are checked against independently computed scalars
-(frozen below), matrix structure against literal index bookkeeping, and
-every index-built Hamiltonian against a dense kron-product reference.
+Interaction strengths, the coefficients and diagonal that
+``rydberg_background`` returns, are checked against independently computed
+scalars (frozen below), matrix structure against literal index
+bookkeeping, and every index-built Hamiltonian against the dense
+kron-product reference of ``kron_reference``.
 """
 
 import numpy as np
@@ -16,23 +18,11 @@ from spingraph.chain import (
     RydbergModel,
     assemble_system,
     build_control_hz,
-    dipole_strength,
-    vdw_strength,
+    rydberg_background,
 )
-from spingraph.operators import (
-    EMISSION_BASIS,
-    PROTOCOL_BASIS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    SPIN_BASIS,
-    embed_local_operator,
-    hermitian_sum,
-    level_projector,
-    level_transition,
-    spin_half_operator,
-    two_site_operator,
-)
+from spingraph.operators import EMISSION_BASIS, PROTOCOL_BASIS, SPIN_BASIS, hermitian_sum
+
+from kron_reference import kron_control_hz, kron_drift
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,6 +31,18 @@ TWO_PI = 2.0 * np.pi
 V_NN = -15.34731662220421
 U_UP_NN = 0.5059308141049417
 U_DOWN_NN = -0.4197418579084047
+
+
+def dipole(geo, i=0, j=1):
+    """The flip-flop coefficient of pair (i, j) in the Rydberg drift."""
+    terms, _ = rydberg_background(geo)
+    return {tuple(moves): coeff for coeff, moves in terms}[i, j]
+
+
+def vdw_shifts(geo):
+    """Van der Waals diagonal of a two-atom chain at |up,up> and |down,down>."""
+    _, diagonal = rydberg_background(geo)
+    return diagonal[0], diagonal[3]
 
 
 def test_constants_frozen():
@@ -56,7 +58,6 @@ def test_regular_chain_positions():
     assert geo.n_sites == 4
     assert np.array_equal(geo.positions[:, :2], np.zeros((4, 2)))
     assert np.allclose(geo.positions[:, 2], 19.3 * np.arange(4))
-    assert np.array_equal(geo.quantization_axis, [0.0, 0.0, 1.0])
 
 
 def test_geometry_validation():
@@ -64,8 +65,6 @@ def test_geometry_validation():
         ChainGeometry(positions=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         ChainGeometry(positions=np.zeros((2, 3)))  # coincident atoms
-    with pytest.raises(ValueError):
-        ChainGeometry(positions=np.zeros((2, 3)), quantization_axis=np.zeros(3))
     with pytest.raises(ValueError):
         IdealModel(n_sites=3, coupling=0.0)
     with pytest.raises(ValueError):
@@ -117,14 +116,16 @@ def test_drift_commutes_with_control():
 
 def test_dipole_nearest_neighbor_value():
     geo = ChainGeometry.regular(2)
-    assert abs(dipole_strength(geo, 0, 1) - V_NN) < 1e-10
+    terms, _ = rydberg_background(geo)
+    assert [moves for _, moves in terms] == [{0: ("up", "down"), 1: ("down", "up")}]
+    assert abs(dipole(geo) - V_NN) < 1e-10
     assert abs(V_NN + TWO_PI * 2.44260130362021) < 1e-10
 
 
 def test_dipole_cubic_distance_scaling():
     geo1 = ChainGeometry.regular(2)
     geo2 = ChainGeometry.regular(2, PhysicalConstants(spacing=2 * 19.3))
-    assert abs(dipole_strength(geo2, 0, 1) / dipole_strength(geo1, 0, 1) - 0.125) < 1e-12
+    assert abs(dipole(geo2) / dipole(geo1) - 0.125) < 1e-12
 
 
 def test_dipole_magic_angle():
@@ -133,33 +134,36 @@ def test_dipole_magic_angle():
     s = np.sqrt(1.0 - c**2)
     pos = np.array([[0.0, 0.0, 0.0], [19.3 * s, 0.0, 19.3 * c]])
     geo = ChainGeometry(positions=pos)
-    assert abs(dipole_strength(geo, 0, 1)) < 1e-12
+    assert abs(dipole(geo)) < 1e-12
 
 
 def test_dipole_transverse_pair_positive():
     # perpendicular to the axis: 1 - 3 cos^2 = 1, so C3 / R^3 > 0
     pos = np.array([[0.0, 0.0, 0.0], [19.3, 0.0, 0.0]])
     geo = ChainGeometry(positions=pos)
-    assert abs(dipole_strength(geo, 0, 1) - TWO_PI * 8780.0 / 19.3**3) < 1e-10
+    assert abs(dipole(geo) - TWO_PI * 8780.0 / 19.3**3) < 1e-10
 
 
 def test_vdw_values_and_signs():
     geo = ChainGeometry.regular(2)
-    assert abs(vdw_strength(geo, 0, 1, "up") - U_UP_NN) < 1e-10
-    assert abs(vdw_strength(geo, 0, 1, "down") - U_DOWN_NN) < 1e-10
-    with pytest.raises(ValueError):
-        vdw_strength(geo, 0, 1, "g")
+    up, down = vdw_shifts(geo)
+    assert abs(up - U_UP_NN) < 1e-10
+    assert abs(down - U_DOWN_NN) < 1e-10
+    # only like spin levels shift: unlike spins and the g level do not
+    _, diagonal = rydberg_background(geo, EMISSION_BASIS)
+    assert np.array_equal(np.flatnonzero(diagonal), [0, 4])
+    assert np.array_equal(diagonal[[0, 4]], [up, down])
 
 
 def test_delta_r_rescales_couplings():
     geo = ChainGeometry.regular(2)
     shifted = geo.with_delta_r(0.3)
-    ratio = dipole_strength(shifted, 0, 1) / dipole_strength(geo, 0, 1)
+    ratio = dipole(shifted) / dipole(geo)
     assert abs(ratio - (19.3 / 19.6) ** 3) < 1e-12
-    ratio6 = vdw_strength(shifted, 0, 1, "up") / vdw_strength(geo, 0, 1, "up")
+    ratio6 = vdw_shifts(shifted)[0] / vdw_shifts(geo)[0]
     assert abs(ratio6 - (19.3 / 19.6) ** 6) < 1e-12
     with pytest.raises(ValueError):
-        dipole_strength(geo.with_delta_r(-19.3), 0, 1)
+        geo.with_delta_r(-19.3)
 
 
 def test_geometry_refuses_pairs_below_one_nanometre():
@@ -206,60 +210,17 @@ def test_assemble_rydberg_is_system_plus_error():
     assert abs(h[4, 2] - V_NN) < 1e-10
     assert abs(h[2, 1] - V_NN) < 1e-10
     # flip-flop between |d,u,u> (4) and |u,u,d> (1) with the 2R dipole strength
-    v_2r = dipole_strength(geo, 0, 2)
+    v_2r = dipole(geo, 0, 2)
     assert abs(h[4, 1] - v_2r) < 1e-12
     assert abs(v_2r - V_NN / 8.0) < 1e-10
     # diagonal of |up,up,up>: U_up at R (twice) and at 2R
-    u_2r = vdw_strength(geo, 0, 2, "up")
-    assert abs(h[0, 0] - (2 * U_UP_NN + u_2r)) < 1e-10
+    assert abs(h[0, 0] - (2 * U_UP_NN + U_UP_NN / 64.0)) < 1e-10
 
 
 def test_custom_constants_propagate():
     consts = PhysicalConstants(c3=TWO_PI * 1000.0, spacing=10.0)
     geo = ChainGeometry.regular(2, constants=consts)
-    assert abs(dipole_strength(geo, 0, 1) - TWO_PI * 1000.0 * (-2.0) / 1000.0) < 1e-10
-
-
-def kron_flip_flop(strength, i, j, n, basis):
-    up_dn = level_transition("up", "down", basis)
-    dn_up = level_transition("down", "up", basis)
-    return strength * (
-        two_site_operator(up_dn, i, dn_up, j, n, basis)
-        + two_site_operator(dn_up, i, up_dn, j, n, basis)
-    )
-
-
-def kron_drift(model, basis):
-    """Reference H0 as a sum of dense N-fold kron products."""
-    n = model.n_sites
-    h = np.zeros((basis.dim**n,) * 2, dtype=complex)
-    if isinstance(model, IdealModel):
-        sx = spin_half_operator(SIGMA_X, basis)
-        sy = spin_half_operator(SIGMA_Y, basis)
-        for i in range(n - 1):
-            h += (model.coupling / 2.0) * (
-                two_site_operator(sx, i, sx, i + 1, n, basis)
-                + two_site_operator(sy, i, sy, i + 1, n, basis)
-            )
-        return h
-    geo = model.geometry
-    for i in range(n - 1):
-        h += kron_flip_flop(dipole_strength(geo, i, i + 1), i, i + 1, n, basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for level in ("up", "down"):
-                proj = level_projector(level, basis)
-                h += vdw_strength(geo, i, j, level) * two_site_operator(
-                    proj, i, proj, j, n, basis
-                )
-            if j > i + 1:
-                h += kron_flip_flop(dipole_strength(geo, i, j), i, j, n, basis)
-    return h
-
-
-def kron_control_hz(n, basis):
-    sz_half = spin_half_operator(0.5 * SIGMA_Z, basis)
-    return sum(embed_local_operator(sz_half, i, n, basis) for i in range(n))
+    assert abs(dipole(geo) - TWO_PI * 1000.0 * (-2.0) / 1000.0) < 1e-10
 
 
 ORACLE_CASES = [

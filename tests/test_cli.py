@@ -349,6 +349,39 @@ def test_schedule_for_another_atom_count_is_refused(runner, core_schedule_path, 
     assert "schedule is for N=3, run is for N=4" in result.output
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["master", "noise", "protocol"])
+def test_schedule_for_another_duration_is_refused(
+    runner, core_schedule_path, tmp_path, monkeypatch, command, source
+):
+    # the run would follow the schedule's T = 0.141 and stamp 0.5 into its hash
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_optimize", lambda config: pytest.fail("optimized"))
+    if source == "flag":
+        args = ["--t", "0.5"]
+    else:
+        config = tmp_path / "cfg.yaml"
+        config.write_text("run:\n  t_total: 0.5\n", encoding="utf-8")
+        args = ["--config", str(config)]
+    result = runner.invoke(main, [command, *args, "--schedule", str(core_schedule_path)])
+    assert result.exit_code == 1
+    assert result.output == "Error: schedule is for T=0.141, run is for T=0.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.yaml"] if source == "config" else [])
+
+
+def test_protocol_takes_the_duration_of_its_schedule(runner, core_schedule_path, tmp_path):
+    # the table-2 default T applies only without a schedule
+    record = json.loads(core_schedule_path.read_text())
+    record["T"] = 0.15
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    out = tmp_path / "p"
+    result = runner.invoke(main, ["protocol", "--schedule", str(path), "--out-prefix", str(out)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "p_summary.json").read_text())
+    assert summary["total_duration"] == pytest.approx(0.125 + 1.0 / 280.0 + 0.15 + 0.0025 + 0.125)
+
+
 @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["master", "noise"])
 def test_non_finite_schedule_duration_is_refused(

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from spingraph.chain import ChainGeometry, IdealModel, RydbergModel, assemble_system, build_control_hz
 import spingraph.dynamics as dynamics
+from spingraph.config import ExperimentConfig, build_jump_channels
 from spingraph.dynamics import (
-    DEFAULT_JUMPS,
     EnsembleResult,
     JumpChannels,
     NoiseSpec,
@@ -28,15 +28,10 @@ from spingraph.dynamics import (
     sample_geometry_noise,
 )
 from spingraph.grape import ControlSchedule
-from spingraph.operators import (
-    EMISSION_BASIS,
-    basis_state,
-    embed_local_operator,
-    embed_spin_state,
-    evolve_unitary,
-    level_transition,
-)
+from spingraph.operators import EMISSION_BASIS, basis_state, embed_local_operator, evolve_unitary
 from spingraph.targets import complete_graph_state, plus_product_state
+
+from kron_reference import DEFAULT_JUMPS, embed_spin_state, level_transition
 
 TWO_PI = 2.0 * np.pi
 
@@ -90,6 +85,8 @@ def test_default_jump_rates():
         ("up", "g", 1.0 / 569.0),
         ("down", "g", 1.0 / 1100.0),
     )
+    # the channels every command builds without a config
+    assert build_jump_channels(ExperimentConfig()) == DEFAULT_JUMPS
 
 
 def test_master_matches_dense_expm_oracle():

@@ -1,7 +1,8 @@
 """Tensor-product operator construction and exact unitary propagation.
 
 Embedding oracles are written out as literal matrices (site 0 is the
-leftmost factor; up has local index 0 and sigma_z eigenvalue +1).
+leftmost factor; up has local index 0 and sigma_z eigenvalue +1). The
+local matrices of ``kron_reference`` are pinned here too.
 """
 
 import numpy as np
@@ -10,25 +11,28 @@ import pytest
 from spingraph.operators import (
     EMISSION_BASIS,
     PROTOCOL_BASIS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     SPIN_BASIS,
     LocalBasis,
     basis_state,
     check_hermitian,
     embed_local_operator,
-    embed_spin_state,
     evolve_unitary,
     hermitian_blocks,
     hermitian_sum,
-    level_projector,
-    level_transition,
     product_state,
     site_levels,
-    spin_half_operator,
     transition_indices,
     two_site_operator,
+)
+
+from kron_reference import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    embed_spin_state,
+    level_projector,
+    level_transition,
+    spin_half_operator,
 )
 
 

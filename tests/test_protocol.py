@@ -18,14 +18,12 @@ from spingraph.chain import (
 from spingraph.grape import ControlSchedule
 from spingraph.operators import (
     PROTOCOL_BASIS,
-    SIGMA_X,
     basis_state,
     embed_local_operator,
     evolve_unitary,
     hermitian_sum,
     product_state,
     site_levels,
-    spin_half_operator,
 )
 from spingraph.protocol import (
     OMEGA_MICROWAVE_A,
@@ -41,6 +39,8 @@ from spingraph.protocol import (
     write_timeline_csv,
 )
 from spingraph.targets import complete_graph_state
+
+from kron_reference import SIGMA_X, kron_drive_hamiltonian, spin_half_operator
 
 TWO_PI = 2.0 * np.pi
 
@@ -100,6 +100,24 @@ def test_stage_durations_and_total():
     assert OMEGA_TWO_PHOTON == pytest.approx(TWO_PI * 4.0)
     assert OMEGA_MICROWAVE_A == pytest.approx(TWO_PI * 70.0)
     assert OMEGA_MICROWAVE_B == pytest.approx(TWO_PI * 200.0)
+
+
+def test_plan_refuses_a_core_stage_that_outlasts_its_schedule():
+    # the core evolution runs the schedule's T whatever the stage says, so a
+    # longer stage would shift every later end time and timeline point
+    plan = standard_plan(
+        ChainGeometry.regular(3), ControlSchedule(t_total=0.141, amplitudes=np.zeros(10))
+    )
+    stages = list(plan.stages)
+    stages[2] = replace(stages[2], duration=1.0)
+    with pytest.raises(ValueError, match=r"core stage 'core' lasts 1.0, but the core schedule lasts T = 0.141"):
+        replace(plan, stages=tuple(stages))
+    # drive stages keep their own durations
+    stages = list(plan.stages)
+    stages[0] = replace(stages[0], duration=1.0)
+    assert replace(plan, stages=tuple(stages)).total_duration == pytest.approx(
+        plan.total_duration + 1.0 - np.pi / OMEGA_TWO_PHOTON
+    )
 
 
 def test_pi_pulse_transfers_zero_to_up():
@@ -180,14 +198,14 @@ def test_stage_validation():
         run_stage(state, empty, plan)
     with pytest.raises(ValueError):
         run_stage(2.0 * state, plan.stages[0], plan)
-    nan_rate = ProtocolStage("nan", 0.1, (("up", "0", float("nan"), 0.0),))
+    nan_rate = ProtocolStage("nan", 0.1, (("up", "0", float("nan")),))
     with pytest.raises(ValueError, match="NaN"):
         run_stage(state, nan_rate, plan)
 
 
 def test_zero_duration_stage_is_identity():
     plan = drive_only_plan()
-    stage = ProtocolStage("noop", 0.0, (("up", "0", 1.0, 0.0),), background=False)
+    stage = ProtocolStage("noop", 0.0, (("up", "0", 1.0),), background=False)
     state = product_state(basis_state(["0"], PROTOCOL_BASIS), 2)
     out = run_stage(state, stage, plan)
     np.testing.assert_allclose(out, state, atol=1e-14)
@@ -283,19 +301,6 @@ def test_write_timeline_csv(tmp_path, core_result):
     assert float(rows[-1][4]) == pytest.approx(0.993114, abs=5e-4)
 
 
-def kron_drive_hamiltonian(drives, n_sites):
-    """Reference: sum over sites of the embedded local drive operator."""
-    basis = PROTOCOL_BASIS
-    h = np.zeros((basis.dim**n_sites,) * 2, dtype=complex)
-    for name_a, name_b, rate, phase in drives:
-        local = np.zeros((basis.dim, basis.dim), dtype=complex)
-        local[basis.index(name_a), basis.index(name_b)] = 0.5 * rate * np.exp(1j * phase)
-        local += local.conj().T
-        for site in range(n_sites):
-            h += embed_local_operator(local, site, n_sites, basis)
-    return h
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch):
     """The blocks run_stage hands to the propagator, interactions off: each
@@ -324,21 +329,20 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch):
     starts = (basis_state(["0"] * n, PROTOCOL_BASIS), np.full(dim, dim**-0.5, dtype=complex))
     for state in starts:
         for stage in plan.stages:
-            for drives in (stage.drives, tuple((a, b, r, 0.7) for a, b, r, _ in stage.drives)):
-                run_stage(state, replace(stage, drives=drives), plan)
-                reference = kron_drive_hamiltonian(drives, n)
-                got = np.zeros_like(reference)
-                for (idx, block), h in zip(blocks, seen, strict=True):
-                    assert h is block
-                    got[np.ix_(idx, idx)] = block
-                reached = np.concatenate([idx for idx, _ in blocks])
-                assert len(np.unique(reached)) == len(reached)
-                assert np.all(np.isin(np.flatnonzero(state), reached))
-                assert np.array_equal(got[reached], reference[reached])
-                if len(reached) == dim:
-                    assert np.array_equal(got, reference)
-                blocks.clear()
-                seen.clear()
+            run_stage(state, stage, plan)
+            reference = kron_drive_hamiltonian(stage.drives, n)
+            got = np.zeros_like(reference)
+            for (idx, block), h in zip(blocks, seen, strict=True):
+                assert h is block
+                got[np.ix_(idx, idx)] = block
+            reached = np.concatenate([idx for idx, _ in blocks])
+            assert len(np.unique(reached)) == len(reached)
+            assert np.all(np.isin(np.flatnonzero(state), reached))
+            assert np.array_equal(got[reached], reference[reached])
+            if len(reached) == dim:
+                assert np.array_equal(got, reference)
+            blocks.clear()
+            seen.clear()
 
 
 def basis_ket_graph_state(n, level_for_up, level_for_down, factor_per_down, factor_per_up):

@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from spingraph.chain import build_control_hz
-from spingraph.operators import (
-    SIGMA_X,
-    SIGMA_Z,
-    SPIN_BASIS,
-    embed_local_operator,
-    spin_half_operator,
-)
+from spingraph.operators import SPIN_BASIS, embed_local_operator
 from spingraph.targets import (
     TargetForm,
     complete_graph_state,
@@ -25,6 +19,8 @@ from spingraph.targets import (
     plus_product_state,
     target_state,
 )
+
+from kron_reference import SIGMA_X, SIGMA_Z, spin_half_operator
 
 
 def literal_product_expansion(n: int) -> np.ndarray:
