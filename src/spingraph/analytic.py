@@ -56,13 +56,11 @@ PRINTED_TO_CANONICAL = (7, 6, 5, 4, 3, 2, 1, 0)
 
 @dataclass(frozen=True)
 class ConstantFieldSolution:
-    """One member of the constant-field solution family."""
+    """One member of the constant-field solution family: the field and
+    the arrival time."""
 
     b: float
     t_star: float
-    c1: int
-    c2: int
-    global_phase: complex = -1.0j
 
 
 def analytic_n3_amplitudes(j: float, b: float, t: float) -> np.ndarray:
@@ -120,7 +118,7 @@ def constant_field_params(c1: int, c2: int, j: float) -> ConstantFieldSolution:
         raise ValueError("requires j > 0")
     b = 4.0 * j * (1.0 - 4.0 * c1) / (SQRT2 * (2.0 * c1 - 2.0 * c2 - 1.0))
     t_star = SQRT2 * np.pi * (1.0 + 2.0 * (c2 - c1)) / (4.0 * j)
-    return ConstantFieldSolution(b=b, t_star=t_star, c1=c1, c2=c2)
+    return ConstantFieldSolution(b=b, t_star=t_star)
 
 
 def constant_field_population(j: float, b: float, t: float) -> float:

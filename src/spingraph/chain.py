@@ -24,8 +24,6 @@ import numpy as np
 from .operators import SPIN_BASIS, LocalBasis, hermitian_sum, site_levels, transition_indices
 
 __all__ = [
-    "PhysicalConstants",
-    "DEFAULT_CONSTANTS",
     "ChainGeometry",
     "IdealModel",
     "RydbergModel",
@@ -38,6 +36,17 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
+#: Interaction constants of the Rydberg chain, angular: rad/us times um^3
+#: (C3) or um^6 (C6_UP, C6_DOWN).
+C3 = TWO_PI * 8780.0
+C6_UP = -TWO_PI * 4161550.0
+C6_DOWN = TWO_PI * 3452600.0
+#: Atom spacing of the regular chain, um.
+SPACING = 19.3
+#: Tag of these constants in every serialized artifact, so that numbers
+#: stay traceable to the constants that produced them.
+CONSTANTS_VERSION = "rydberg-constants-v1"
+
 #: Minimum admissible interatomic distance, in um (1 nm).
 MIN_DISTANCE = 1e-3
 
@@ -47,30 +56,11 @@ VDW_LEVELS = ("up", "down")
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """Interaction constants for the Rydberg chain.
-
-    Units are angular: rad/us times um^3 (c3) or um^6 (c6_up, c6_down).
-    ``version`` tags every serialized artifact so numbers stay traceable
-    to the constants that produced them.
-    """
-
-    c3: float = TWO_PI * 8780.0
-    c6_up: float = -TWO_PI * 4161550.0
-    c6_down: float = TWO_PI * 3452600.0
-    spacing: float = 19.3
-    version: str = "rydberg-constants-v1"
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
 class ChainGeometry:
-    """Atom positions plus interaction constants.
+    """Atom positions of the Rydberg chain.
 
     positions : (N, 3) array, um. The quantization axis is z, and the
-        default regular chain places atom i at (0, 0, i * spacing).
+        regular chain places atom i at (0, 0, i * SPACING).
     delta_r : deterministic offset, um, added to every pairwise distance
         in the coupling laws while leaving all angles unchanged. Used for
         the systematic distance-mismatch sweeps; 0 for the nominal chain.
@@ -81,7 +71,6 @@ class ChainGeometry:
     """
 
     positions: np.ndarray
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
     delta_r: float = 0.0
 
     def __post_init__(self) -> None:
@@ -106,14 +95,11 @@ class ChainGeometry:
         return self.positions.shape[0]
 
     @classmethod
-    def regular(
-        cls, n_sites: int, constants: PhysicalConstants = DEFAULT_CONSTANTS
-    ) -> "ChainGeometry":
-        """Evenly spaced chain along the quantization axis z, at the
-        constants' spacing."""
+    def regular(cls, n_sites: int) -> "ChainGeometry":
+        """Chain along the quantization axis z at the SPACING."""
         pos = np.zeros((n_sites, 3))
-        pos[:, 2] = constants.spacing * np.arange(n_sites)
-        return cls(positions=pos, constants=constants)
+        pos[:, 2] = SPACING * np.arange(n_sites)
+        return cls(positions=pos)
 
     def with_delta_r(self, delta_r_um: float) -> "ChainGeometry":
         return replace(self, delta_r=delta_r_um)
@@ -160,8 +146,7 @@ def _pair_strengths(geometry: ChainGeometry, i: int, j: int) -> tuple[float, flo
     r = float(np.linalg.norm(sep))
     cos_t = float(sep[2] / r)
     r_eff = r + geometry.delta_r
-    c = geometry.constants
-    return c.c3 * (1.0 - 3.0 * cos_t**2) / r_eff**3, -c.c6_up / r_eff**6, -c.c6_down / r_eff**6
+    return C3 * (1.0 - 3.0 * cos_t**2) / r_eff**3, -C6_UP / r_eff**6, -C6_DOWN / r_eff**6
 
 
 def _flip_flop(i: int, j: int) -> dict[int, tuple[str, str]]:

@@ -103,9 +103,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def _stamp(cfg: ExperimentConfig) -> dict:
+def _stamp(cfg: ExperimentConfig, schedule=None) -> dict:
     return {
-        "config_hash": config_hash(cfg),
+        "config_hash": config_hash(cfg, schedule),
         "constants_version": constants_version(cfg),
         "tool_version": __version__,
     }
@@ -127,16 +127,24 @@ def _schedule_record(cfg: ExperimentConfig, result) -> dict:
 
 
 def _resolve_schedule(cfg: ExperimentConfig, schedule_path):
-    """Load a persisted schedule for this run's atom count and duration (if
-    one is given), or optimize one on demand."""
+    """The run's schedule and the stamp of its outputs. A persisted
+    schedule (if one is given) must be for this run's atom count and
+    duration; it is an input the config does not hold, so it joins the
+    config hash. Otherwise one is optimized on demand from the config."""
     if schedule_path:
         record = load_result(schedule_path)
         if record.get("N") != cfg.n_sites:
             _fail(f"schedule is for N={record.get('N')}, run is for N={cfg.n_sites}")
         if cfg.t_total is not None and record.get("T") != cfg.t_total:
             _fail(f"schedule is for T={record.get('T')}, run is for T={cfg.t_total}")
-        return schedule_from_record(record)
-    return run_optimize(_grape_config(cfg)).schedule
+        schedule = schedule_from_record(record)
+        return schedule, _stamp(cfg, schedule)
+    return run_optimize(_grape_config(cfg)).schedule, _stamp(cfg)
+
+
+def _with_table_guess(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The guess of tables 2 and 3 (see ``table``): random, unless a kind is set."""
+    return cfg if cfg.guess_kind is not None else apply_overrides(cfg, guess_kind="random")
 
 
 #: Options several commands take, declared once. A destination that names an
@@ -248,8 +256,8 @@ def cmd_table(which, config_path, out, **overrides) -> None:
     region for the N=4 chain case.
     """
     cfg = _merged_config(config_path, **overrides)
-    if which in ("2", "3") and cfg.guess_kind is None:
-        cfg = apply_overrides(cfg, guess_kind="random")
+    if which in ("2", "3"):
+        cfg = _with_table_guess(cfg)
     outdir = _outdir(cfg)
 
     if which == "1":
@@ -351,7 +359,7 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
     if cfg.mode != "rydberg" and any(s > 0 for s in cfg.position_sigma):
         _fail("geometry noise requires rydberg mode")
     spec = build_noise_spec(cfg)
-    schedule = _resolve_schedule(cfg, schedule_path)
+    schedule, stamp = _resolve_schedule(cfg, schedule_path)
     model = build_model(cfg)
     result = ensemble_average(
         model,
@@ -378,7 +386,7 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
         "sample_finals": [float(x) for x in result.sample_finals],
         "samples": spec.samples,
         "base_seed": spec.base_seed,
-        **_stamp(cfg),
+        **stamp,
     }
     summary_path = outdir / f"{out_prefix}_summary.json"
     save_result(summary_path, summary)
@@ -426,7 +434,7 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Open-system run with spontaneous emission; reports the closed-system delta."""
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
     jumps = build_jump_channels(cfg)
-    schedule = _resolve_schedule(cfg, schedule_path)
+    schedule, stamp = _resolve_schedule(cfg, schedule_path)
     closed_trace, open_trace = _open_system_run(jumps, build_model(cfg), schedule)
     closed, opened = closed_trace[-1], open_trace[-1]
     outdir = _outdir(cfg)
@@ -443,7 +451,7 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
             "closed_population": float(closed),
             "open_population": float(opened),
             "dissipation_delta": float(closed - opened),
-            **_stamp(cfg),
+            **stamp,
         },
     )
     _echo(f"closed {closed:.6f}  open {opened:.6f}  delta {closed - opened:.6f}")
@@ -503,13 +511,13 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
 def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Full staged run: prepare, evolve, decouple, map to clock states.
 
-    Without a schedule or a time, the core is optimized for the table-2
-    duration of the atom count.
+    Without a schedule or a time, the core is optimized as in table 2: at
+    its duration for the atom count, and from its guess.
     """
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
     if schedule_path is None and cfg.t_total is None and cfg.n_sites in dict(TABLE_RYDBERG):
-        cfg = apply_overrides(cfg, t_total=dict(TABLE_RYDBERG)[cfg.n_sites])
-    schedule = _resolve_schedule(cfg, schedule_path)
+        cfg = _with_table_guess(apply_overrides(cfg, t_total=dict(TABLE_RYDBERG)[cfg.n_sites]))
+    schedule, stamp = _resolve_schedule(cfg, schedule_path)
     model = build_model(cfg)
     plan = standard_plan(model.geometry, schedule)
     result = run_full_protocol(plan)
@@ -526,7 +534,7 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
             }
             for r in result.stage_reports
         ],
-        **_stamp(cfg),
+        **stamp,
     }
     summary_path = outdir / f"{out_prefix}_summary.json"
     save_result(summary_path, summary)

@@ -3,9 +3,10 @@
 A config file is YAML with nested sections (run, guess, scan, noise,
 jumps, output) whose keys are the destinations of the command-line flags.
 Command-line overrides win over file values. The
-sha256 hash of the fully merged config is embedded in every output file,
-together with the interaction-constants version, so any emitted number
-can be traced back to the inputs that produced it.
+sha256 hash of the fully merged config, and of the schedule a command read
+from a file, is embedded in every output file, together with the
+interaction-constants version, so any emitted number can be traced back
+to the inputs that produced it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import yaml
 
 from .chain import (
-    DEFAULT_CONSTANTS,
+    CONSTANTS_VERSION,
     TWO_PI,
     ChainGeometry,
     IdealModel,
@@ -26,7 +27,7 @@ from .chain import (
     RydbergModel,
 )
 from .dynamics import GAMMA_DOWN, GAMMA_UP, JumpChannels, NoiseSpec
-from .grape import GuessSpec
+from .grape import ControlSchedule, GuessSpec
 from .targets import TargetForm
 
 __all__ = [
@@ -164,8 +165,14 @@ def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
     return replace(config, **updates)
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    canonical = json.dumps(asdict(config), sort_keys=True)
+def config_hash(config: ExperimentConfig, schedule: ControlSchedule | None = None) -> str:
+    """sha256 of the merged config, and of a schedule read from a file when
+    one is given: its duration and amplitudes are inputs the config does
+    not hold."""
+    record = asdict(config)
+    if schedule is not None:
+        record["schedule"] = {"T": schedule.t_total, "amplitudes": schedule.amplitudes.tolist()}
+    canonical = json.dumps(record, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -211,4 +218,4 @@ def build_target_spec(config: ExperimentConfig) -> TargetForm:
 
 
 def constants_version(config: ExperimentConfig) -> str:
-    return DEFAULT_CONSTANTS.version
+    return CONSTANTS_VERSION

@@ -32,14 +32,14 @@ block per stage grows from 8 / 8 / 3 / 12 / 12 at N=3 to
 64 / 64 / 20 / 240 / 240 at N=6, well within the dense budget; the d^N
 state vectors cap the protocol at six atoms (``MAX_STATE_DIM``).
 
-Every block runs through ``grape.ClosedFormPropagator``, the kernel
-exp(-i H t) exp(-i A Hz), so each block is diagonalized once. A drive
-stage's Hamiltonian is constant: it passes a zero Hz and area 0, and
-every traced state comes from the one eigendecomposition per block. The
-core stage passes the interactions as H, the field term as Hz and the
-field area so far, A(t_k) = dt (B_0 + ... + B_{k-1}), at every slice
-boundary: the interactions conserve magnetization, so the schedule enters
-as diagonal phases.
+Each stage is its drives over its own schedule: TRACE_POINTS_PER_STAGE
+zero-field slices over a pulse, or the optimized field for the core.
+Every reached block runs through ``grape.ClosedFormPropagator``, the
+kernel exp(-i H t) exp(-i A Hz), at each slice boundary t_k with the area
+so far, A(t_k) = dt (B_0 + ... + B_{k-1}). H holds the drives and the
+interactions, and Hz is on only where the schedule carries a field; the
+interactions conserve magnetization, so the field enters as diagonal
+phases, while drives do not, so a stage with both is refused.
 """
 
 from __future__ import annotations
@@ -89,44 +89,40 @@ TRACE_POINTS_PER_STAGE = 20
 
 @dataclass(frozen=True)
 class ProtocolStage:
-    """One globally driven stage.
+    """One globally driven stage: its drives over its own schedule.
 
+    schedule : the stage's time slices and field; its duration is the
+        schedule's ``t_total``, finite and positive.
     drives : tuple of (level_a, level_b, rabi_rate) entries, each
-        contributing (rate/2)(|a><b| + h.c.) on every atom.
-        Empty for the core stage, which instead applies the plan's field
-        schedule.
-    background : include the interaction Hamiltonian (True in every
-        physical run; switchable to isolate drive-only behavior).
+        contributing (rate/2)(|a><b| + h.c.) on every atom; empty for the
+        core stage.
     """
 
     label: str
-    duration: float
+    schedule: ControlSchedule
     drives: tuple[tuple[str, str, float], ...] = ()
-    uses_core_schedule: bool = False
-    background: bool = True
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError("stage duration must be non-negative")
+    @classmethod
+    def pulse(cls, label: str, duration: float, drives) -> "ProtocolStage":
+        """A drive stage: TRACE_POINTS_PER_STAGE zero-field slices."""
+        return cls(label, ControlSchedule(duration, np.zeros(TRACE_POINTS_PER_STAGE)), drives)
+
+    @property
+    def duration(self) -> float:
+        return self.schedule.t_total
+
+    @property
+    def uses_core_schedule(self) -> bool:
+        """True for the core stage, the one without drives."""
+        return not self.drives
 
 
 @dataclass(frozen=True)
 class ProtocolPlan:
-    """Stages run in order on one chain. A core stage lasts exactly the
-    core schedule's duration, so the stage end times and the timeline
-    follow the evolution that runs."""
+    """Stages run in order on one chain."""
 
     stages: tuple[ProtocolStage, ...]
     geometry: ChainGeometry
-    core_schedule: ControlSchedule
-
-    def __post_init__(self) -> None:
-        for stage in self.stages:
-            if stage.uses_core_schedule and stage.duration != self.core_schedule.t_total:
-                raise ValueError(
-                    f"core stage {stage.label!r} lasts {stage.duration}, but the core "
-                    f"schedule lasts T = {self.core_schedule.t_total}"
-                )
 
     @property
     def n_sites(self) -> int:
@@ -155,14 +151,15 @@ class ProtocolResult:
 def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> ProtocolPlan:
     """The five stages of the module docstring at the OMEGA_* rates."""
     omega, omega_a, omega_b = OMEGA_TWO_PHOTON, OMEGA_MICROWAVE_A, OMEGA_MICROWAVE_B
+    pulse = ProtocolStage.pulse
     stages = (
-        ProtocolStage("prepare-up", np.pi / omega, (("up", "0", omega),)),
-        ProtocolStage("half-rotate", np.pi / (2.0 * omega_a), (("down", "up", omega_a),)),
-        ProtocolStage("core", core_schedule.t_total, (), uses_core_schedule=True),
-        ProtocolStage("decouple", np.pi / omega_b, (("r", "down", omega_b),)),
-        ProtocolStage("map-to-clock", np.pi / omega, (("0", "up", omega), ("1", "r", omega))),
+        pulse("prepare-up", np.pi / omega, (("up", "0", omega),)),
+        pulse("half-rotate", np.pi / (2.0 * omega_a), (("down", "up", omega_a),)),
+        ProtocolStage("core", core_schedule),
+        pulse("decouple", np.pi / omega_b, (("r", "down", omega_b),)),
+        pulse("map-to-clock", np.pi / omega, (("0", "up", omega), ("1", "r", omega))),
     )
-    return ProtocolPlan(stages=stages, geometry=geometry, core_schedule=core_schedule)
+    return ProtocolPlan(stages=stages, geometry=geometry)
 
 
 def run_stage(
@@ -173,39 +170,31 @@ def run_stage(
 ) -> np.ndarray:
     """Evolve through one stage; optionally report intermediate states.
 
-    ``trace_hook(t_local, state)`` is called at sub-sampled times inside
-    the stage (excluding t_local = 0): at TRACE_POINTS_PER_STAGE equal
-    steps of a drive stage, and at every slice boundary of the core.
-    Without a hook only the last of those points, the returned state, is
-    evaluated.
+    ``trace_hook(t_local, state)`` is called at every slice boundary of
+    the stage's schedule after t_local = 0. Without a hook only the last
+    of those points, the returned state, is evaluated.
 
     One eigendecomposition per reached block (see the module docstring).
-    The core stage's factorization needs [h_sys, Hz] = 0 on every block; a
-    background that breaks it raises ``GrapeError``, a ValueError.
+    The field's factorization needs [H, Hz] = 0 on every block; drives or
+    a background that break it raise ``GrapeError``, a ValueError.
     """
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError("stage input state not normalized")
-    if not stage.uses_core_schedule and not stage.drives and not stage.background:
-        raise ValueError("stage has neither drives nor interactions")
     n, dim = plan.n_sites, PROTOCOL_BASIS.dim**plan.n_sites
-    terms = [(0.5 * rate, {site: (a, b)}) for a, b, rate in stage.drives for site in range(n)]
-    diagonal = np.zeros(dim)
-    if stage.background:
-        exchange, diagonal = rydberg_background(plan.geometry, PROTOCOL_BASIS)
-        terms += exchange
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
         raise ValueError(f"state dim {state.shape} does not match operator dim {dim}")
+    norm = np.linalg.norm(state)
+    # written so that a NaN norm is refused too
+    if not abs(norm - 1.0) <= 1e-8:
+        raise ValueError(f"stage input state not normalized (norm {norm})")
+    terms = [(0.5 * rate, {site: (a, b)}) for a, b, rate in stage.drives for site in range(n)]
+    exchange, diagonal = rydberg_background(plan.geometry, PROTOCOL_BASIS)
+    terms += exchange
+    schedule = stage.schedule
+    # Hz only under a field, since it does not commute with the drives
+    field = schedule.amplitudes.any()
+    hz = build_control_hz_diagonal(n, PROTOCOL_BASIS) if field else np.zeros(dim)
     points = slice(None) if trace_hook is not None else slice(-1, None)
-    if stage.uses_core_schedule:
-        schedule = plan.core_schedule
-        hz = build_control_hz_diagonal(n, PROTOCOL_BASIS)
-        times, areas = schedule.boundary_times[1:][points], schedule.boundary_areas[1:][points]
-    else:
-        steps = TRACE_POINTS_PER_STAGE
-        times = (np.arange(1, steps + 1) * (stage.duration / steps))[points]
-        hz, areas = np.zeros(dim), 0.0
+    times, areas = schedule.boundary_times[1:][points], schedule.boundary_areas[1:][points]
     states = np.zeros((len(times), dim), dtype=complex)
     blocks = hermitian_blocks(terms, diagonal, n, PROTOCOL_BASIS, np.flatnonzero(state))
     for idx, h in blocks:

@@ -8,7 +8,7 @@ local matrices, and against the literal constants below.
 
 import numpy as np
 
-from spingraph.chain import IdealModel
+from spingraph.chain import C3, C6_DOWN, C6_UP, IdealModel
 from spingraph.dynamics import GAMMA_DOWN, GAMMA_UP, JumpChannels
 from spingraph.operators import (
     PROTOCOL_BASIS,
@@ -89,8 +89,7 @@ def pair_strengths(geometry, i: int, j: int) -> tuple[float, float, float]:
     r = float(np.linalg.norm(sep))
     cos_t = float(sep[2] / r)
     r_eff = r + geometry.delta_r
-    c = geometry.constants
-    return c.c3 * (1.0 - 3.0 * cos_t**2) / r_eff**3, -c.c6_up / r_eff**6, -c.c6_down / r_eff**6
+    return C3 * (1.0 - 3.0 * cos_t**2) / r_eff**3, -C6_UP / r_eff**6, -C6_DOWN / r_eff**6
 
 
 def kron_flip_flop(strength, i, j, n, basis):

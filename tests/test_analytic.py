@@ -99,7 +99,7 @@ def test_solution_family_global_phase():
     sol = constant_field_params(0, 0, 1.0)
     psi = analytic_state(1.0, sol.b, sol.t_star)
     overlap = np.vdot(complete_graph_state(3), psi)
-    assert overlap == pytest.approx(sol.global_phase, abs=1e-12)
+    assert overlap == pytest.approx(-1.0j, abs=1e-12)
 
 
 def test_solution_family_scales_with_coupling():

@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from spingraph.chain import (
-    DEFAULT_CONSTANTS,
+    C3,
+    C6_DOWN,
+    C6_UP,
+    CONSTANTS_VERSION,
+    SPACING,
     ChainGeometry,
     IdealModel,
-    PhysicalConstants,
     RydbergModel,
     assemble_system,
     build_control_hz,
@@ -46,11 +49,11 @@ def vdw_shifts(geo):
 
 
 def test_constants_frozen():
-    assert DEFAULT_CONSTANTS.c3 == TWO_PI * 8780.0
-    assert DEFAULT_CONSTANTS.c6_up == -TWO_PI * 4161550.0
-    assert DEFAULT_CONSTANTS.c6_down == TWO_PI * 3452600.0
-    assert DEFAULT_CONSTANTS.spacing == 19.3
-    assert DEFAULT_CONSTANTS.version == "rydberg-constants-v1"
+    assert C3 == TWO_PI * 8780.0
+    assert C6_UP == -TWO_PI * 4161550.0
+    assert C6_DOWN == TWO_PI * 3452600.0
+    assert SPACING == 19.3
+    assert CONSTANTS_VERSION == "rydberg-constants-v1"
 
 
 def test_regular_chain_positions():
@@ -124,7 +127,7 @@ def test_dipole_nearest_neighbor_value():
 
 def test_dipole_cubic_distance_scaling():
     geo1 = ChainGeometry.regular(2)
-    geo2 = ChainGeometry.regular(2, PhysicalConstants(spacing=2 * 19.3))
+    geo2 = ChainGeometry(positions=[[0.0, 0.0, 0.0], [0.0, 0.0, 2 * 19.3]])
     assert abs(dipole(geo2) / dipole(geo1) - 0.125) < 1e-12
 
 
@@ -218,9 +221,10 @@ def test_assemble_rydberg_is_system_plus_error():
 
 
 def test_custom_constants_propagate():
-    consts = PhysicalConstants(c3=TWO_PI * 1000.0, spacing=10.0)
-    geo = ChainGeometry.regular(2, constants=consts)
-    assert abs(dipole(geo) - TWO_PI * 1000.0 * (-2.0) / 1000.0) < 1e-10
+    # a pair at a custom distance on the axis: -2 C3 / R^3 and -C6 / R^6
+    geo = ChainGeometry(positions=[[0.0, 0.0, 0.0], [0.0, 0.0, 10.0]])
+    assert abs(dipole(geo) - TWO_PI * 8780.0 * (-2.0) / 1000.0) < 1e-10
+    assert vdw_shifts(geo) == (TWO_PI * 4161550.0 / 1e6, -TWO_PI * 3452600.0 / 1e6)
 
 
 ORACLE_CASES = [

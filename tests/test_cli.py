@@ -20,7 +20,7 @@ from spingraph import __version__
 from spingraph.analytic import scan_constant_field
 from spingraph.chain import ChainGeometry, RydbergModel
 from spingraph.cli import main
-from spingraph.config import ExperimentConfig
+from spingraph.config import ExperimentConfig, config_hash
 from spingraph.grape import load_result, schedule_from_record
 from spingraph.targets import complete_graph_state, plus_product_state
 
@@ -382,6 +382,56 @@ def test_protocol_takes_the_duration_of_its_schedule(runner, core_schedule_path,
     assert summary["total_duration"] == pytest.approx(0.125 + 1.0 / 280.0 + 0.15 + 0.0025 + 0.125)
 
 
+def test_protocol_without_a_schedule_optimizes_as_table_2(runner, tmp_path):
+    # table 2's duration comes with table 2's random guess: from the Gaussian
+    # guess the N=4 ascent stalls (core 0.001349, clock 0.001364)
+    summaries = {}
+    for name, args in (("table", []), ("gaussian", ["--guess", "gaussian"])):
+        out = tmp_path / name
+        result = runner.invoke(main, ["protocol", "--n", "4", *args, "--out-prefix", str(out)])
+        assert result.exit_code == 0, result.output
+        summaries[name] = json.loads((tmp_path / f"{name}_summary.json").read_text())
+    stages = {s["label"]: s["reference_population"] for s in summaries["table"]["stages"]}
+    assert stages["core"] >= 0.98
+    assert stages["map-to-clock"] >= 0.98
+    cfg = ExperimentConfig(mode="rydberg", n_sites=4, t_total=0.172, guess_kind="random")
+    assert summaries["table"]["config_hash"] == config_hash(cfg)
+    # an explicit guess still wins
+    assert summaries["gaussian"]["stages"][-1]["reference_population"] < 0.01
+
+
+@pytest.mark.parametrize("command", ["master", "noise", "protocol"])
+def test_config_hash_covers_the_schedule_file(runner, tmp_path, monkeypatch, command):
+    # two schedules for the same N and T under the same flags are different
+    # inputs and get different hashes; the same file gets the same hash
+    monkeypatch.chdir(tmp_path)
+    names = ("rydberg_n3.json", "protocol_n3_3.json", "rydberg_n3.json")
+    hashes = []
+    for name in names:
+        path = INPUTS / "schedules" / name
+        result = runner.invoke(main, [command, "--n", "3", "--t", "0.141", "--schedule", str(path)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
+        hashes.append(summary["config_hash"])
+    assert hashes[0] != hashes[1]
+    assert hashes[0] == hashes[2]
+    schedule = schedule_from_record(load_result(INPUTS / "schedules" / names[0]))
+    cfg = ExperimentConfig(mode="rydberg", n_sites=3, t_total=0.141)
+    assert hashes[0] == config_hash(cfg, schedule) != config_hash(cfg)
+
+
+def test_config_hash_without_a_schedule_is_the_config_alone(runner, tmp_path, monkeypatch):
+    # the value every earlier version stamped on this run
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["master", "--n", "3", "--t", "0.141"])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "master_summary.json").read_text())
+    cfg = ExperimentConfig(mode="rydberg", n_sites=3, t_total=0.141)
+    assert summary["config_hash"] == config_hash(cfg) == (
+        "97a6b174c628342397d01daa96b47489cba798ab2f8b2f52399f3f8f7fadfd85"
+    )
+
+
 @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["master", "noise"])
 def test_non_finite_schedule_duration_is_refused(
@@ -496,7 +546,7 @@ def test_table_3_optimizes_each_case_once(runner, tmp_path, monkeypatch):
         return original_optimize(config, *args, **kwargs)
 
     def recording_protocol(plan):
-        plans.append((plan.n_sites, plan.core_schedule.t_total))
+        plans.append((plan.n_sites, plan.stages[2].schedule.t_total))
         return original_protocol(plan)
 
     monkeypatch.setattr(cli, "run_optimize", counting_optimize)

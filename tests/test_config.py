@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spingraph.chain import DEFAULT_CONSTANTS, IdealModel, RydbergModel
+from spingraph.chain import ChainGeometry, IdealModel, RydbergModel
 from spingraph.config import (
     ConfigError,
     ExperimentConfig,
@@ -159,8 +159,8 @@ def test_build_model():
     ryd = build_model(ExperimentConfig(mode="rydberg", n_sites=3))
     assert isinstance(ryd, RydbergModel)
     assert ryd.geometry.n_sites == 3
-    assert ryd.geometry.constants == DEFAULT_CONSTANTS
-    assert constants_version(ExperimentConfig()) == DEFAULT_CONSTANTS.version
+    assert np.array_equal(ryd.geometry.positions, ChainGeometry.regular(3).positions)
+    assert constants_version(ExperimentConfig()) == "rydberg-constants-v1"
 
 
 def test_default_b0():

@@ -15,7 +15,7 @@ from spingraph.chain import (
     build_control_hz,
     rydberg_background,
 )
-from spingraph.grape import ControlSchedule
+from spingraph.grape import ControlSchedule, GrapeError
 from spingraph.operators import (
     PROTOCOL_BASIS,
     basis_state,
@@ -30,7 +30,6 @@ from spingraph.protocol import (
     OMEGA_MICROWAVE_B,
     OMEGA_TWO_PHOTON,
     TRACE_POINTS_PER_STAGE,
-    ProtocolPlan,
     ProtocolStage,
     mapped_graph_state,
     run_full_protocol,
@@ -45,24 +44,26 @@ from kron_reference import SIGMA_X, kron_drive_hamiltonian, spin_half_operator
 TWO_PI = 2.0 * np.pi
 
 
-def drive_only_plan(n_sites=2, core_amplitudes=(0.0,), core_t=0.1):
-    """Standard stage sequence with interactions switched off everywhere."""
-    plan = standard_plan(
+def switch_off_interactions(monkeypatch):
+    """Every later stage runs its drives and field alone: the background
+    has no exchange terms and a zero diagonal."""
+
+    def no_background(geometry, basis):
+        return [], np.zeros(basis.dim**geometry.n_sites)
+
+    monkeypatch.setattr(protocol, "rydberg_background", no_background)
+
+
+@pytest.fixture
+def no_interactions(monkeypatch):
+    switch_off_interactions(monkeypatch)
+
+
+def plan_for(n_sites=2, core_amplitudes=(0.0,), core_t=0.1):
+    """The standard stage sequence on a regular chain."""
+    return standard_plan(
         ChainGeometry.regular(n_sites),
         ControlSchedule(t_total=core_t, amplitudes=np.asarray(core_amplitudes, float)),
-    )
-    stages = tuple(
-        ProtocolStage(
-            label=s.label,
-            duration=s.duration,
-            drives=s.drives,
-            uses_core_schedule=s.uses_core_schedule,
-            background=False,
-        )
-        for s in plan.stages
-    )
-    return ProtocolPlan(
-        stages=stages, geometry=plan.geometry, core_schedule=plan.core_schedule
     )
 
 
@@ -102,26 +103,23 @@ def test_stage_durations_and_total():
     assert OMEGA_MICROWAVE_B == pytest.approx(TWO_PI * 200.0)
 
 
-def test_plan_refuses_a_core_stage_that_outlasts_its_schedule():
-    # the core evolution runs the schedule's T whatever the stage says, so a
-    # longer stage would shift every later end time and timeline point
+def test_each_stage_lasts_its_own_schedule():
+    # the core stage lasts the core schedule's T, and drive stages keep
+    # their own durations
     plan = standard_plan(
         ChainGeometry.regular(3), ControlSchedule(t_total=0.141, amplitudes=np.zeros(10))
     )
+    assert plan.stages[2].duration == plan.stages[2].schedule.t_total == 0.141
+    assert [s.uses_core_schedule for s in plan.stages] == [False, False, True, False, False]
     stages = list(plan.stages)
-    stages[2] = replace(stages[2], duration=1.0)
-    with pytest.raises(ValueError, match=r"core stage 'core' lasts 1.0, but the core schedule lasts T = 0.141"):
-        replace(plan, stages=tuple(stages))
-    # drive stages keep their own durations
-    stages = list(plan.stages)
-    stages[0] = replace(stages[0], duration=1.0)
+    stages[0] = ProtocolStage.pulse(stages[0].label, 1.0, stages[0].drives)
     assert replace(plan, stages=tuple(stages)).total_duration == pytest.approx(
         plan.total_duration + 1.0 - np.pi / OMEGA_TWO_PHOTON
     )
 
 
-def test_pi_pulse_transfers_zero_to_up():
-    plan = drive_only_plan()
+def test_pi_pulse_transfers_zero_to_up(no_interactions):
+    plan = plan_for()
     state = product_state(basis_state(["0"], PROTOCOL_BASIS), 2)
     out = run_stage(state, plan.stages[0], plan)
     target = product_state(basis_state(["up"], PROTOCOL_BASIS), 2)
@@ -130,8 +128,8 @@ def test_pi_pulse_transfers_zero_to_up():
     assert np.vdot(target, out) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_half_pulse_phase_convention():
-    plan = drive_only_plan()
+def test_half_pulse_phase_convention(no_interactions):
+    plan = plan_for()
     state = product_state(basis_state(["up"], PROTOCOL_BASIS), 2)
     out = run_stage(state, plan.stages[1], plan)
     single = np.zeros(PROTOCOL_BASIS.dim, dtype=complex)
@@ -140,8 +138,8 @@ def test_half_pulse_phase_convention():
     np.testing.assert_allclose(out, product_state(single, 2), atol=1e-12)
 
 
-def test_decouple_pulse_empties_down_level():
-    plan = drive_only_plan()
+def test_decouple_pulse_empties_down_level(no_interactions):
+    plan = plan_for()
     single = np.zeros(PROTOCOL_BASIS.dim, dtype=complex)
     single[PROTOCOL_BASIS.index("up")] = 1.0 / np.sqrt(2.0)
     single[PROTOCOL_BASIS.index("down")] = -1.0j / np.sqrt(2.0)
@@ -160,19 +158,19 @@ def single_atom_stages(plan):
     out = []
     for stage in plan.stages:
         if stage.uses_core_schedule:
-            local = evolve_unitary(hz, plan.core_schedule.field_area, local)
+            local = evolve_unitary(hz, stage.schedule.field_area, local)
         else:
             local = evolve_unitary(kron_drive_hamiltonian(stage.drives, 1), stage.duration, local)
         out.append(local)
     return out
 
 
-def test_drive_only_protocol_hits_stage_references():
+def test_drive_only_protocol_hits_stage_references(no_interactions):
     # without interactions the first two stages are perfect single-atom
     # rotations, and decoupling plus mapping stay complete transfers; every
     # stage is a product of exact single-atom evolutions
     for n in (2, 5, 6):
-        plan = drive_only_plan(n, core_amplitudes=np.linspace(-3.0, 7.0, 5), core_t=0.05)
+        plan = plan_for(n, core_amplitudes=np.linspace(-3.0, 7.0, 5), core_t=0.05)
         result = run_full_protocol(plan)
         by_label = {r.label: r.reference_population for r in result.stage_reports}
         assert by_label["prepare-up"] is None
@@ -189,32 +187,51 @@ def test_drive_only_protocol_hits_stage_references():
 
 
 def test_stage_validation():
-    with pytest.raises(ValueError):
-        ProtocolStage("bad", -0.1)
-    plan = drive_only_plan()
-    empty = ProtocolStage("empty", 0.1, (), background=False)
+    plan = plan_for()
     state = product_state(basis_state(["0"], PROTOCOL_BASIS), 2)
     with pytest.raises(ValueError):
-        run_stage(state, empty, plan)
-    with pytest.raises(ValueError):
         run_stage(2.0 * state, plan.stages[0], plan)
-    nan_rate = ProtocolStage("nan", 0.1, (("up", "0", float("nan")),))
+    nan_rate = ProtocolStage.pulse("nan", 0.1, (("up", "0", float("nan")),))
     with pytest.raises(ValueError, match="NaN"):
         run_stage(state, nan_rate, plan)
 
 
-def test_zero_duration_stage_is_identity():
-    plan = drive_only_plan()
-    stage = ProtocolStage("noop", 0.0, (("up", "0", 1.0),), background=False)
+def test_stage_refuses_a_state_that_is_not_finite():
+    # abs(nan - 1) > tol is False, so the norm check must be written to fail
+    # on NaN; an infinite entry has an infinite norm
+    plan = plan_for()
     state = product_state(basis_state(["0"], PROTOCOL_BASIS), 2)
-    out = run_stage(state, stage, plan)
-    np.testing.assert_allclose(out, state, atol=1e-14)
-    hooked = []
-    out = run_stage(state, stage, plan, trace_hook=lambda t, s: hooked.append((t, s)))
-    assert [t for t, _ in hooked] == [0.0] * TRACE_POINTS_PER_STAGE
-    for _, s in hooked:
-        np.testing.assert_allclose(s, state, atol=1e-14)
-    np.testing.assert_allclose(out, state, atol=1e-14)
+    for bad in (np.nan, np.inf):
+        broken = state.copy()
+        broken[0] = bad
+        with pytest.raises(ValueError, match="not normalized"):
+            run_stage(broken, plan.stages[0], plan)
+
+
+def test_stage_refuses_a_duration_that_is_not_positive():
+    # a stage lasts its schedule, which refuses zero, negative and NaN
+    # durations; a NaN duration once ran through every stage to NaN
+    # populations
+    for duration in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="t_total must be finite and positive"):
+            ProtocolStage.pulse("noop", duration, (("up", "0", 1.0),))
+        with pytest.raises(ValueError, match="t_total must be finite and positive"):
+            plan_for(core_t=duration)
+
+
+def test_stage_refuses_drives_during_a_field():
+    # the field enters as a phase only while it commutes with H; a drive
+    # between levels of different Hz breaks that and is refused, not ignored
+    plan = plan_for()
+    mixed = ProtocolStage(
+        "mixed", ControlSchedule(0.1, np.ones(3)), (("up", "0", OMEGA_TWO_PHOTON),)
+    )
+    state = product_state(basis_state(["0"], PROTOCOL_BASIS), 2)
+    with pytest.raises(GrapeError, match="commute"):
+        run_stage(state, mixed, plan)
+    # the same drives over a zero field run
+    still = ProtocolStage("still", ControlSchedule(0.1, np.zeros(3)), mixed.drives)
+    assert abs(np.linalg.norm(run_stage(state, still, plan)) - 1.0) < 1e-12
 
 
 def test_dimension_budget():
@@ -302,7 +319,7 @@ def test_write_timeline_csv(tmp_path, core_result):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch):
+def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interactions):
     """The blocks run_stage hands to the propagator, interactions off: each
     equals the kron reference on its indices, and the reference couples no
     reached index to an unreached one. A state on every basis index reaches
@@ -324,7 +341,7 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch):
 
     monkeypatch.setattr(protocol, "hermitian_blocks", recording_blocks)
     monkeypatch.setattr(protocol, "ClosedFormPropagator", RecordingPropagator)
-    plan = drive_only_plan(n, core_amplitudes=np.zeros(2))
+    plan = plan_for(n, core_amplitudes=np.zeros(2))
     dim = PROTOCOL_BASIS.dim**n
     starts = (basis_state(["0"] * n, PROTOCOL_BASIS), np.full(dim, dim**-0.5, dtype=complex))
     for state in starts:
@@ -372,44 +389,39 @@ def test_mapped_graph_state_matches_basis_ket_sum(n, roles):
     )
 
 
-def stepwise_stage(state, stage, plan):
-    """Reference: the per-step product of exp(-i h dt), TRACE_POINTS_PER_STAGE
-    equal steps per drive stage and one evolve_unitary step per core slice.
-    Returns the (t_local, state) pairs a trace hook sees, in order."""
+def stepwise_stage(state, stage, plan, interactions=True):
+    """Reference: the per-slice product of exp(-i (h + B_k Hz) dt) over the
+    stage's schedule, h the dense drift plus the kron drive. Returns the
+    (t_local, state) pairs a trace hook sees, in order."""
     basis = PROTOCOL_BASIS
-    h_sys = assemble_system(RydbergModel(plan.geometry), basis) if stage.background else 0.0
+    h = kron_drive_hamiltonian(stage.drives, plan.n_sites)
+    if interactions:
+        h = h + assemble_system(RydbergModel(plan.geometry), basis)
+    hz = build_control_hz(plan.n_sites, basis)
+    schedule = stage.schedule
+    # evolve_unitary's formula, with each distinct slice diagonalized once
+    spectra = {}
     points = []
-    if stage.uses_core_schedule:
-        hz = build_control_hz(plan.n_sites, basis)
-        schedule = plan.core_schedule
-        for k in range(schedule.n_slices):
-            state = evolve_unitary(h_sys + schedule.amplitudes[k] * hz, schedule.dt, state)
-            points.append(((k + 1) * schedule.dt, state))
-        return points
-    h = h_sys + kron_drive_hamiltonian(stage.drives, plan.n_sites)
-    dt = stage.duration / TRACE_POINTS_PER_STAGE
-    # evolve_unitary's formula, with h diagonalized once for all its steps
-    w, v = np.linalg.eigh(h)
-    for step in range(TRACE_POINTS_PER_STAGE):
-        state = v @ (np.exp(-1j * w * dt) * (v.conj().T @ state))
-        points.append(((step + 1) * dt, state))
+    for k, amplitude in enumerate(schedule.amplitudes):
+        if amplitude not in spectra:
+            spectra[amplitude] = np.linalg.eigh(h + amplitude * hz)
+        w, v = spectra[amplitude]
+        state = v @ (np.exp(-1j * w * schedule.dt) * (v.conj().T @ state))
+        points.append(((k + 1) * schedule.dt, state))
     return points
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("interactions", [True, False])
-def test_run_stage_matches_stepwise_product(n, interactions):
-    core = ControlSchedule(t_total=0.15, amplitudes=np.array([-9.8, 3.1, -12.4]))
-    plan = (
-        standard_plan(ChainGeometry.regular(n), core)
-        if interactions
-        else drive_only_plan(n, core.amplitudes, core.t_total)
-    )
+def test_run_stage_matches_stepwise_product(n, interactions, monkeypatch):
+    if not interactions:
+        switch_off_interactions(monkeypatch)
+    plan = plan_for(n, core_amplitudes=[-9.8, 3.1, -12.4], core_t=0.15)
     state = basis_state(["0"] * n, PROTOCOL_BASIS)
     for stage in plan.stages:
         hooked = []
         out = run_stage(state, stage, plan, trace_hook=lambda t, s: hooked.append((t, s)))
-        reference = stepwise_stage(state, stage, plan)
+        reference = stepwise_stage(state, stage, plan, interactions)
         assert [t for t, _ in hooked] == [t for t, _ in reference]
         for (_, got), (_, want) in zip(hooked, reference):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
