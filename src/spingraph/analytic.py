@@ -8,13 +8,13 @@ admits closed-form amplitudes from the plus-product start. Note the two
 conventions baked into this module:
 
 * The coupling here carries NO factor 1/2, so against the ideal chain
-  (``IdealModel``) the equivalent coupling is 2 J (see
-  ``constant_field_hamiltonian``).
+  (``IdealModel``) the equivalent coupling is 2 J.
 * The printed amplitude list pairs e^{-3iBt/2} with the all-down
   configuration, which corresponds to the field entering with a minus
-  sign relative to this package's S^z convention. The propagation oracle
-  fixes that sign; it is recorded as ``FIELD_SIGN`` and applied when
-  building H_con rather than by altering the printed formulas.
+  sign relative to this package's S^z convention. The kernel check
+  (``propagated_population``: field area FIELD_SIGN B t through
+  ``grape.ClosedFormPropagator``) fixes that sign; the printed formulas
+  are left as they are. Every function of (b, t) broadcasts.
 
 Amplitudes are returned in the documented configuration order
 (down-down-down, down-down-up, down-up-down, down-up-up, up-down-down,
@@ -26,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .chain import IdealModel, assemble_system, build_control_hz
-from .operators import evolve_unitary
+from .chain import IdealModel
+from .grape import ClosedFormPropagator
 from .targets import complete_graph_state, plus_product_state
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "ConstantFieldSolution",
     "analytic_n3_amplitudes",
     "analytic_state",
-    "constant_field_hamiltonian",
     "constant_field_params",
     "constant_field_population",
     "propagated_population",
@@ -63,8 +63,9 @@ class ConstantFieldSolution:
     t_star: float
 
 
-def analytic_n3_amplitudes(j: float, b: float, t: float) -> np.ndarray:
-    """Eight closed-form amplitudes, printed configuration order.
+def analytic_n3_amplitudes(j: float, b, t) -> np.ndarray:
+    """Eight closed-form amplitudes, printed configuration order, on a
+    last axis after the broadcast shape of (b, t).
 
     ``j`` is the coupling of H_con (no 1/2); all frequencies below are
     multiples of 4 j / sqrt(2) = 2 sqrt(2) j, the single-excitation
@@ -93,20 +94,16 @@ def analytic_n3_amplitudes(j: float, b: float, t: float) -> np.ndarray:
         * (SQRT2 * np.cos(4.0 * j * t / SQRT2) - 2.0j * np.sin(4.0 * j * t / SQRT2))
     )
     psi8 = e(1.5j * t * b) / (2.0 * SQRT2)
-    return np.array([psi1, psi2, psi3, psi4, psi2, psi6, psi4, psi8])
+    amps = (psi1, psi2, psi3, psi4, psi2, psi6, psi4, psi8)
+    return np.stack(np.broadcast_arrays(*amps), axis=-1)
 
 
-def analytic_state(j: float, b: float, t: float) -> np.ndarray:
+def analytic_state(j: float, b, t) -> np.ndarray:
     """Closed-form state reordered into the computational basis."""
     printed = analytic_n3_amplitudes(j, b, t)
-    out = np.zeros(8, dtype=complex)
-    out[list(PRINTED_TO_CANONICAL)] = printed
+    out = np.empty_like(printed)
+    out[..., list(PRINTED_TO_CANONICAL)] = printed
     return out
-
-
-def constant_field_hamiltonian(j: float, b: float) -> np.ndarray:
-    """H_con on 3 sites; coupling without the 1/2, field sign resolved."""
-    return assemble_system(IdealModel(3, 2.0 * j)) + FIELD_SIGN * b * build_control_hz(3)
 
 
 def constant_field_params(c1: int, c2: int, j: float) -> ConstantFieldSolution:
@@ -114,25 +111,27 @@ def constant_field_params(c1: int, c2: int, j: float) -> ConstantFieldSolution:
     complete graph state, for any integers c2 >= c1."""
     if c2 < c1:
         raise ValueError("requires c2 >= c1")
-    if j <= 0:
-        raise ValueError("requires j > 0")
-    b = 4.0 * j * (1.0 - 4.0 * c1) / (SQRT2 * (2.0 * c1 - 2.0 * c2 - 1.0))
-    t_star = SQRT2 * np.pi * (1.0 + 2.0 * (c2 - c1)) / (4.0 * j)
+    if not (np.isfinite(j) and j > 0):
+        raise ValueError("requires a finite j > 0")
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        b = 4.0 * j * (1.0 - 4.0 * c1) / (SQRT2 * (2.0 * c1 - 2.0 * c2 - 1.0))
+        t_star = SQRT2 * np.pi * (1.0 + 2.0 * (c2 - c1)) / (4.0 * j)
+    if not (np.isfinite(b) and np.isfinite(t_star)):
+        raise ValueError(f"j = {j!r} puts the field or the arrival time out of float range")
     return ConstantFieldSolution(b=b, t_star=t_star)
 
 
-def constant_field_population(j: float, b: float, t: float) -> float:
+def constant_field_population(j: float, b, t):
     """Graph-state population from the closed forms at (b, t)."""
-    psi = analytic_state(j, b, t)
-    target = complete_graph_state(3)
-    return float(abs(np.vdot(target, psi)) ** 2)
+    return np.abs(analytic_state(j, b, t) @ complete_graph_state(3).conj()) ** 2
 
 
-def propagated_population(j: float, b: float, t: float) -> float:
-    """Same quantity via numerical propagation; the independent check."""
-    psi = evolve_unitary(constant_field_hamiltonian(j, b), t, plus_product_state(3))
-    target = complete_graph_state(3)
-    return float(abs(np.vdot(target, psi)) ** 2)
+def propagated_population(j: float, b, t):
+    """Same quantity propagated by the package's kernel from |+>^3; the
+    independent check."""
+    prop = ClosedFormPropagator.for_model(IdealModel(3, 2.0 * j))
+    overlap = prop.overlaps(complete_graph_state(3), plus_product_state(3), t, FIELD_SIGN * b * t)
+    return np.abs(overlap) ** 2
 
 
 def scan_constant_field(
@@ -148,15 +147,15 @@ def scan_constant_field(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if b_grid.size == 0 or t_grid.size == 0:
         raise ValueError("grids must be non-empty")
-    pops = np.zeros((b_grid.size, t_grid.size))
-    for i, b in enumerate(b_grid):
-        for k, t in enumerate(t_grid):
-            pops[i, k] = constant_field_population(j, b, t)
-    maxima = []
-    for i in range(1, b_grid.size - 1):
-        for k in range(1, t_grid.size - 1):
-            patch = pops[i - 1 : i + 2, k - 1 : k + 2]
-            if pops[i, k] == np.max(patch) and pops[i, k] > np.min(patch):
-                maxima.append((float(b_grid[i]), float(t_grid[k]), float(pops[i, k])))
+    pops = constant_field_population(j, b_grid[:, None], t_grid[None, :])
+    if min(pops.shape) < 3:
+        return pops, []  # no interior point
+    patches = sliding_window_view(pops, (3, 3))
+    centre = pops[1:-1, 1:-1]
+    peak = (centre == patches.max(axis=(2, 3))) & (centre > patches.min(axis=(2, 3)))
+    maxima = [
+        (float(b_grid[i + 1]), float(t_grid[k + 1]), float(centre[i, k]))
+        for i, k in zip(*np.nonzero(peak))
+    ]
     maxima.sort(key=lambda row: -row[2])
     return pops, maxima

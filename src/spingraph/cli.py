@@ -103,6 +103,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
+def _write_float_outputs(cfg, prefix, csv_name, header, rows, json_name, record, stamp) -> None:
+    """``<prefix>_<csv_name>.csv`` with every value written as repr(float),
+    then ``<prefix>_<json_name>.json`` holding ``record`` and ``stamp``;
+    one echo line per path."""
+    outdir = _outdir(cfg)
+    csv_path = outdir / f"{prefix}_{csv_name}.csv"
+    _write_csv(csv_path, header, ([repr(float(x)) for x in row] for row in rows))
+    json_path = outdir / f"{prefix}_{json_name}.json"
+    save_result(json_path, {**record, **stamp})
+    _echo(f"{csv_name}: {csv_path}")
+    _echo(f"{json_name}: {json_path}")
+
+
 def _stamp(cfg: ExperimentConfig, schedule=None) -> dict:
     return {
         "config_hash": config_hash(cfg, schedule),
@@ -260,16 +273,11 @@ def cmd_table(which, config_path, out, **overrides) -> None:
         cfg = _with_table_guess(cfg)
     outdir = _outdir(cfg)
 
-    if which == "1":
-        rows = _table_rows_closed(cfg, "ideal")
-        header = ["n", "J*T", "population"]
-        _echo(f"{'N':>3} {'J*T':>8} {'population':>12}")
-        for n, t, p in rows:
-            _echo(f"{n:>3} {t:>8.3f} {p:>12.4f}")
-    elif which == "2":
-        rows = _table_rows_closed(cfg, "rydberg")
-        header = ["n", "T_us", "population"]
-        _echo(f"{'N':>3} {'T(us)':>8} {'population':>12}")
+    if which in ("1", "2"):
+        mode, label, column = ("ideal", "J*T", "J*T") if which == "1" else ("rydberg", "T(us)", "T_us")
+        rows = _table_rows_closed(cfg, mode)
+        header = ["n", column, "population"]
+        _echo(f"{'N':>3} {label:>8} {'population':>12}")
         for n, t, p in rows:
             _echo(f"{n:>3} {t:>8.3f} {p:>12.4f}")
     else:
@@ -368,31 +376,19 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
         plus_product_state(cfg.n_sites),
         complete_graph_state(cfg.n_sites),
     )
-    outdir = _outdir(cfg)
-    trace_path = outdir / f"{out_prefix}_trace.csv"
-    _write_csv(
-        trace_path,
-        ["time", "mean", "min", "max"],
-        [
-            [repr(float(t)), repr(float(m)), repr(float(lo)), repr(float(hi))]
-            for t, m, lo, hi in zip(
-                result.times, result.mean_trace, result.min_trace, result.max_trace
-            )
-        ],
-    )
+    _echo(f"mean final population {result.mean_final:.6f} (std {result.std_final:.6f})")
     summary = {
         "mean_final": result.mean_final,
         "std_final": result.std_final,
         "sample_finals": [float(x) for x in result.sample_finals],
         "samples": spec.samples,
         "base_seed": spec.base_seed,
-        **stamp,
     }
-    summary_path = outdir / f"{out_prefix}_summary.json"
-    save_result(summary_path, summary)
-    _echo(f"mean final population {result.mean_final:.6f} (std {result.std_final:.6f})")
-    _echo(f"trace: {trace_path}")
-    _echo(f"summary: {summary_path}")
+    _write_float_outputs(
+        cfg, out_prefix, "trace", ["time", "mean", "min", "max"],
+        zip(result.times, result.mean_trace, result.min_trace, result.max_trace),
+        "summary", summary, stamp,
+    )
 
 
 @main.command("scan-t")
@@ -406,23 +402,13 @@ def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
     cfg = _merged_config(config_path, **overrides)
     grape_cfg = _grape_config(apply_overrides(cfg, t_total=cfg.t_max))
     scan = scan_duration(grape_cfg, cfg.t_min, cfg.t_max, cfg.scan_steps)
-    outdir = _outdir(cfg)
-    curve_path = outdir / f"{out_prefix}_curve.csv"
-    _write_csv(
-        curve_path,
-        ["t", "population"],
-        [[repr(t), repr(p)] for t, p in scan.points],
-    )
-    peaks_path = outdir / f"{out_prefix}_peaks.json"
-    save_result(
-        peaks_path,
-        {"peaks": [{"t": t, "population": p} for t, p in scan.maxima], **_stamp(cfg)},
-    )
     _echo("peaks (ranked by population):")
     for t, p in scan.maxima:
         _echo(f"  T={t:.4f}  population={p:.4f}")
-    _echo(f"curve: {curve_path}")
-    _echo(f"peaks: {peaks_path}")
+    peaks = {"peaks": [{"t": t, "population": p} for t, p in scan.maxima]}
+    _write_float_outputs(
+        cfg, out_prefix, "curve", ["t", "population"], scan.points, "peaks", peaks, _stamp(cfg)
+    )
 
 
 @main.command("master")
@@ -437,26 +423,16 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
     schedule, stamp = _resolve_schedule(cfg, schedule_path)
     closed_trace, open_trace = _open_system_run(jumps, build_model(cfg), schedule)
     closed, opened = closed_trace[-1], open_trace[-1]
-    outdir = _outdir(cfg)
-    trace_path = outdir / f"{out_prefix}_trace.csv"
-    _write_csv(
-        trace_path,
-        ["time", "population"],
-        [[repr(float(t)), repr(float(p))] for t, p in zip(schedule.boundary_times, open_trace)],
-    )
-    summary_path = outdir / f"{out_prefix}_summary.json"
-    save_result(
-        summary_path,
-        {
-            "closed_population": float(closed),
-            "open_population": float(opened),
-            "dissipation_delta": float(closed - opened),
-            **stamp,
-        },
-    )
     _echo(f"closed {closed:.6f}  open {opened:.6f}  delta {closed - opened:.6f}")
-    _echo(f"trace: {trace_path}")
-    _echo(f"summary: {summary_path}")
+    summary = {
+        "closed_population": float(closed),
+        "open_population": float(opened),
+        "dissipation_delta": float(closed - opened),
+    }
+    _write_float_outputs(
+        cfg, out_prefix, "trace", ["time", "population"],
+        zip(schedule.boundary_times, open_trace), "summary", summary, stamp,
+    )
 
 
 @main.command("analytic")
@@ -482,27 +458,12 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
         b_grid = np.linspace(-10.0 * j_coupling, 10.0 * j_coupling, b_points)
         t_grid = np.linspace(0.01, 3.5 / j_coupling, t_points)
         pops, maxima = scan_constant_field(j_coupling, b_grid, t_grid)
-        outdir = _outdir(cfg)
-        grid_path = outdir / f"{out_prefix}_grid.csv"
-        _write_csv(
-            grid_path,
-            ["b", "t", "population"],
-            [
-                [repr(float(b)), repr(float(t)), repr(float(pops[i, k]))]
-                for i, b in enumerate(b_grid)
-                for k, t in enumerate(t_grid)
-            ],
+        b_col, t_col = np.meshgrid(b_grid, t_grid, indexing="ij")
+        top = {"maxima": [{"b": b, "t": t, "population": p} for b, t, p in maxima[:20]]}
+        _write_float_outputs(
+            cfg, out_prefix, "grid", ["b", "t", "population"],
+            zip(b_col.ravel(), t_col.ravel(), pops.ravel()), "maxima", top, _stamp(cfg),
         )
-        peaks_path = outdir / f"{out_prefix}_maxima.json"
-        save_result(
-            peaks_path,
-            {
-                "maxima": [{"b": b, "t": t, "population": p} for b, t, p in maxima[:20]],
-                **_stamp(cfg),
-            },
-        )
-        _echo(f"grid: {grid_path}")
-        _echo(f"maxima: {peaks_path}")
 
 
 @main.command("protocol")

@@ -28,7 +28,7 @@ from .chain import (
 )
 from .dynamics import GAMMA_DOWN, GAMMA_UP, JumpChannels, NoiseSpec
 from .grape import ControlSchedule, GuessSpec
-from .targets import TargetForm
+from .targets import MAX_TARGET_SITES, TargetForm
 
 __all__ = [
     "ExperimentConfig",
@@ -89,8 +89,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown guess kind {self.guess_kind!r}")
         if self.target_form not in ("operator-product", "cz-circuit"):
             raise ConfigError(f"unknown target form {self.target_form!r}")
-        if not 2 <= self.n_sites <= 7:
-            raise ConfigError("n_sites must be in [2, 7]")
+        if not 2 <= self.n_sites <= MAX_TARGET_SITES:
+            raise ConfigError(f"n_sites must be in [2, {MAX_TARGET_SITES}]")
 
 
 _SECTIONS = {

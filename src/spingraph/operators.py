@@ -5,10 +5,11 @@ Hermitian propagation, and basis and product states. Everything here is a
 pure function on numpy arrays; no internal mutability.
 
 No command calls the two ``kron`` embeddings, ``embed_local_operator`` and
-``two_site_operator``. They stay because the benchmark's span tracer
-(``perfbench/spans.py``, ``TARGETS``) wraps them by name, as it wraps
-``evolve_unitary`` and ``chain.build_control_hz``; the tests build their
-dense kron reference from them (``tests/kron_reference.py``).
+``two_site_operator``, nor the dense ``evolve_unitary`` and
+``chain.build_control_hz`` (``tests/test_one_kernel.py`` holds the last two
+to that). They stay because the benchmark's span tracer
+(``perfbench/spans.py``, ``TARGETS``) wraps them by name; the tests build
+their dense reference from them (``tests/kron_reference.py``).
 
 Conventions
 -----------

@@ -3,12 +3,15 @@
 The package builds every operator and state from the site-level table
 (``operators.site_levels``). The tests check those builders against this
 module, which writes each one out as a sum of N-fold kron products of
-local matrices, and against the literal constants below.
+local matrices, and against the literal constants below. It also holds
+the dense constant-field Hamiltonian of the N=3 closed form, for the
+dense-expm check of ``spingraph.analytic``.
 """
 
 import numpy as np
 
-from spingraph.chain import C3, C6_DOWN, C6_UP, IdealModel
+from spingraph.analytic import FIELD_SIGN
+from spingraph.chain import C3, C6_DOWN, C6_UP, IdealModel, assemble_system, build_control_hz
 from spingraph.dynamics import GAMMA_DOWN, GAMMA_UP, JumpChannels
 from spingraph.operators import (
     PROTOCOL_BASIS,
@@ -143,3 +146,10 @@ def kron_drive_hamiltonian(drives, n_sites):
         for site in range(n_sites):
             h += embed_local_operator(local, site, n_sites, basis)
     return h
+
+
+def constant_field_hamiltonian(j, b):
+    """Dense H_con of the N=3 closed form (``spingraph.analytic``): the
+    ideal chain at coupling 2 j (the closed form's coupling has no 1/2)
+    plus the field, with its sign resolved."""
+    return assemble_system(IdealModel(3, 2.0 * j)) + FIELD_SIGN * b * build_control_hz(3)

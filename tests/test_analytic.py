@@ -1,6 +1,8 @@
-"""Closed-form three-site benchmark against numerical propagation."""
+"""Closed-form three-site benchmark against the package's kernel and a
+dense expm."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from spingraph.analytic import (
     PRINTED_TO_CANONICAL,
     analytic_n3_amplitudes,
     analytic_state,
-    constant_field_hamiltonian,
     constant_field_params,
     constant_field_population,
     propagated_population,
@@ -20,7 +21,7 @@ from spingraph.cli import main
 from spingraph.operators import SPIN_BASIS, evolve_unitary, site_levels
 from spingraph.targets import complete_graph_state, plus_product_state
 
-from kron_reference import PRINTED_ORDER_LABELS
+from kron_reference import PRINTED_ORDER_LABELS, constant_field_hamiltonian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -54,7 +55,8 @@ def test_state_is_normalized_everywhere():
 
 
 def test_closed_form_matches_propagation():
-    # full complex amplitudes, not just the overlap, at random points
+    # full complex amplitudes against the dense expm, and the population
+    # against the kernel, at random points
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):
@@ -66,6 +68,32 @@ def test_closed_form_matches_propagation():
         worst = max(worst, float(np.max(np.abs(exact - prop))))
         assert abs(constant_field_population(j, b, t) - propagated_population(j, b, t)) < 1e-10
     assert worst < 1e-8
+
+
+def test_kernel_matches_dense_expm_on_the_family():
+    # the kernel's field area FIELD_SIGN b t is the dense H_con's field term
+    target = complete_graph_state(3)
+    for c1 in range(3):
+        for c2 in range(c1, c1 + 5):
+            sol = constant_field_params(c1, c2, 1.0)
+            psi = evolve_unitary(constant_field_hamiltonian(1.0, sol.b), sol.t_star, plus_product_state(3))
+            dense = abs(np.vdot(target, psi)) ** 2
+            assert abs(propagated_population(1.0, sol.b, sol.t_star) - dense) < 1e-14
+
+
+def test_closed_forms_broadcast_over_b_and_t():
+    b = np.array([-3.0, 0.5, 7.25])[:, None]
+    t = np.array([0.0, 0.4, 1.3, 2.9])[None, :]
+    states = analytic_state(1.3, b, t)
+    pops = constant_field_population(1.3, b, t)
+    assert states.shape == (3, 4, 8) and pops.shape == (3, 4)
+    kernel = propagated_population(1.3, b, t)
+    for i in range(3):
+        for k in range(4):
+            point = analytic_state(1.3, b[i, 0], t[0, k])
+            np.testing.assert_allclose(states[i, k], point, atol=1e-15)
+            assert pops[i, k] == pytest.approx(constant_field_population(1.3, b[i, 0], t[0, k]), abs=1e-15)
+            assert kernel[i, k] == pytest.approx(pops[i, k], abs=1e-12)
 
 
 def test_amplitude_magnitudes_do_not_depend_on_field():
@@ -116,6 +144,30 @@ def test_constant_field_params_validation():
         constant_field_params(0, 0, 0.0)
     with pytest.raises(ValueError):
         constant_field_params(0, 0, -1.0)
+    for j in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="requires a finite j > 0"):
+            constant_field_params(0, 0, j)
+    # finite couplings whose field or arrival time overflows
+    for j in (1e308, 1e-320):
+        with pytest.raises(ValueError, match="out of float range"):
+            constant_field_params(0, 0, j)
+
+
+@pytest.mark.parametrize(
+    "j, message",
+    [
+        ("nan", "requires a finite j > 0"),
+        ("inf", "requires a finite j > 0"),
+        ("1e-320", "j = 1e-320 puts the field or the arrival time out of float range"),
+    ],
+)
+def test_cli_refuses_an_unusable_coupling(j, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, ["analytic", "--j", j])
+    assert result.exit_code == 1
+    assert result.output == f"Error: analytic failed: {message}\n"
+    assert caught == []
 
 
 def test_scan_grid_and_maxima():
@@ -132,6 +184,42 @@ def test_scan_grid_and_maxima():
     assert top_b == pytest.approx(sol.b)
     assert top_t == pytest.approx(sol.t_star)
     assert top_pop == pytest.approx(1.0, abs=1e-12)
+
+
+def loop_maxima(b_grid, t_grid, pops):
+    """Strict interior local maxima, one 3 x 3 patch at a time."""
+    maxima = []
+    for i in range(1, b_grid.size - 1):
+        for k in range(1, t_grid.size - 1):
+            patch = pops[i - 1 : i + 2, k - 1 : k + 2]
+            if pops[i, k] == np.max(patch) and pops[i, k] > np.min(patch):
+                maxima.append((float(b_grid[i]), float(t_grid[k]), float(pops[i, k])))
+    maxima.sort(key=lambda row: -row[2])
+    return maxima
+
+
+def test_scan_maxima_match_the_patch_loop():
+    # the default CLI grid; a repeated arrival time, whose two copies tie
+    # as maxima; and a t = 0 grid, flat in b, which has none
+    sol = constant_field_params(0, 0, 1.0)
+    t_near = sol.t_star + np.array([-0.1, 0.0, 0.0, 0.1])
+    grids = (
+        (np.linspace(-10.0, 10.0, 81), np.linspace(0.01, 3.5, 121), 106),
+        (sol.b + np.linspace(-0.5, 0.5, 5), t_near, 2),
+        (np.linspace(-1.0, 1.0, 5), np.zeros(4), 0),
+    )
+    for b_grid, t_grid, count in grids:
+        pops, maxima = scan_constant_field(1.0, b_grid, t_grid)
+        assert maxima == loop_maxima(b_grid, t_grid, pops)
+        assert len(maxima) == count
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 5), (2, 7), (7, 2)])
+def test_scan_without_an_interior_has_no_maxima(shape):
+    b_grid, t_grid = np.linspace(-2.0, 2.0, shape[0]), np.linspace(0.1, 2.0, shape[1])
+    pops, maxima = scan_constant_field(1.0, b_grid, t_grid)
+    assert pops.shape == shape
+    assert maxima == []
 
 
 def test_scan_rejects_empty_grid():

@@ -336,8 +336,10 @@ def test_protocol_honours_the_atom_count(runner, tmp_path):
         "prepare-up", "half-rotate", "core", "decouple", "map-to-clock"
     ]
     assert summary["total_duration"] == pytest.approx(0.125 + 1.0 / 280.0 + 0.233 + 0.0025 + 0.125)
-    for stage in summary["stages"][1:]:
-        assert 0.9 < stage["reference_population"] <= 1.0
+    # the README's N=6 stage reports
+    readme = [0.994937, 0.924456, 0.922047, 0.917442]
+    for stage, value in zip(summary["stages"][1:], readme, strict=True):
+        assert abs(stage["reference_population"] - value) <= 5e-7
 
 
 @pytest.mark.parametrize("command", ["master", "protocol"])
@@ -531,6 +533,9 @@ def test_table_1_ideal(runner, tmp_path):
     for row in rows[1:]:
         n = int(row[0])
         assert float(row[2]) == pytest.approx(expected[n], abs=0.005)
+    # the README's three-atom value at J*T = 2.3
+    assert rows[1][:2] == ["3", "2.3"]
+    assert abs(float(rows[1][2]) - 0.996920) <= 5e-7
     table_lines = [line for line in result.output.splitlines() if line.strip()]
     assert table_lines[0].split() == ["N", "J*T", "population"]
 

@@ -18,7 +18,7 @@ from spingraph.config import (
     default_b0,
     load_config,
 )
-from spingraph.targets import TargetForm
+from spingraph.targets import MAX_TARGET_SITES, TargetForm, complete_graph_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,6 +46,16 @@ def test_validation():
         ExperimentConfig(n_sites=1)
     with pytest.raises(ConfigError):
         ExperimentConfig(n_sites=8)
+
+
+def test_atom_count_limit_is_the_targets_limit():
+    # one limit, MAX_TARGET_SITES, behind both messages
+    assert ExperimentConfig(n_sites=MAX_TARGET_SITES).n_sites == 7
+    for n in (1, 8):
+        with pytest.raises(ConfigError, match=r"^n_sites must be in \[2, 7\]$"):
+            ExperimentConfig(n_sites=n)
+        with pytest.raises(ValueError, match=r"^n_sites must be in \[2, 7\]$"):
+            complete_graph_state(n)
 
 
 def test_python_callers_get_the_config_file_type_check():

@@ -8,6 +8,8 @@ checked against that integrator, against the dense exponential slice by
 slice, and against the closed-system trace.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,13 +29,15 @@ from spingraph.dynamics import (
     sample_field_noise,
     sample_geometry_noise,
 )
-from spingraph.grape import ControlSchedule
+from spingraph.grape import ControlSchedule, load_result, schedule_from_record
 from spingraph.operators import EMISSION_BASIS, basis_state, embed_local_operator, evolve_unitary
 from spingraph.targets import complete_graph_state, plus_product_state
 
 from kron_reference import DEFAULT_JUMPS, embed_spin_state, level_transition
 
 TWO_PI = 2.0 * np.pi
+
+SCHEDULES = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "schedules"
 
 
 def dense_expm(mat: np.ndarray) -> np.ndarray:
@@ -412,6 +416,35 @@ def test_open_system_trace_matches_rk4_master(n_sites, rate_scale):
     assert np.max(np.abs(opened - master.populations)) < 1e-6
     # the decay loss is ten times the tolerance or more, so the match resolves it
     assert np.max(closed - opened) > 1e-5
+
+
+def rk4_gaps(name: str) -> np.ndarray:
+    """|no-jump - RK4| graph-state population at every slice boundary of
+    a checked-in benchmark schedule, with the two emission channels."""
+    record = load_result(SCHEDULES / name)
+    n = record["N"]
+    model, schedule = RydbergModel(ChainGeometry.regular(n)), schedule_from_record(record)
+    psi0, target = plus_product_state(n), complete_graph_state(n)
+    _, opened = open_system_trace(model, schedule, DEFAULT_JUMPS, psi0, target)
+    psi0_emission = embed_spin_state(psi0, n, EMISSION_BASIS)
+    master = evolve_master(
+        model,
+        schedule,
+        DEFAULT_JUMPS,
+        np.outer(psi0_emission, psi0_emission.conj()),
+        target=embed_spin_state(target, n, EMISSION_BASIS),
+    )
+    return np.abs(opened - master.populations)
+
+
+@pytest.mark.parametrize("name", ["rydberg_n3.json", "rydberg_n4.json", "protocol_n4.json"])
+def test_readme_rk4_agreement_on_benchmark_schedules(name):
+    # README Known limits: 1.1e-8 in the final population, 5.3e-8 at every
+    # boundary; the N=5 schedule (about 6 s of RK4) is measured once, with
+    # the command the README gives
+    gaps = rk4_gaps(name)
+    assert gaps[-1] <= 1.1e-8
+    assert np.max(gaps) <= 5.3e-8
 
 
 def test_open_system_trace_matches_dense_lindblad_oracle():
