@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import IdealModel
-from .grape import ClosedFormPropagator
+from .grape import ClosedFormPropagator, local_maxima
 from .targets import complete_graph_state, plus_product_state
 
 __all__ = [
@@ -139,23 +138,17 @@ def scan_constant_field(
 ) -> tuple[np.ndarray, list[tuple[float, float, float]]]:
     """Closed-form population over a (B, t) grid.
 
-    Returns the grid (len(b_grid) x len(t_grid)) and its strict interior
-    local maxima as (b, t, population) rows. The analytic family points
-    land on maxima of any grid that contains them.
+    Returns the grid (len(b_grid) x len(t_grid)) and its interior local
+    maxima as (b, t, population) rows, ranked by ``grape.local_maxima``.
+    The analytic family points land on maxima of any grid that contains
+    them.
     """
     b_grid = np.atleast_1d(np.asarray(b_grid, dtype=float))
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if b_grid.size == 0 or t_grid.size == 0:
         raise ValueError("grids must be non-empty")
     pops = constant_field_population(j, b_grid[:, None], t_grid[None, :])
-    if min(pops.shape) < 3:
-        return pops, []  # no interior point
-    patches = sliding_window_view(pops, (3, 3))
-    centre = pops[1:-1, 1:-1]
-    peak = (centre == patches.max(axis=(2, 3))) & (centre > patches.min(axis=(2, 3)))
     maxima = [
-        (float(b_grid[i + 1]), float(t_grid[k + 1]), float(centre[i, k]))
-        for i, k in zip(*np.nonzero(peak))
+        (float(b_grid[i]), float(t_grid[k]), float(pops[i, k])) for i, k in local_maxima(pops)
     ]
-    maxima.sort(key=lambda row: -row[2])
     return pops, maxima

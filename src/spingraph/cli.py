@@ -49,6 +49,7 @@ from .grape import (
     save_result,
     load_result,
 )
+from .operators import PROTOCOL_BASIS, site_levels
 from .protocol import run_full_protocol, standard_plan, write_timeline_csv
 from .targets import complete_graph_state, plus_product_state
 
@@ -476,6 +477,9 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     its duration for the atom count, and from its guess.
     """
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
+    # the protocol's level table refuses more atoms than the state budget
+    # holds, before a schedule is loaded or optimized
+    site_levels(cfg.n_sites, PROTOCOL_BASIS.dim)
     if schedule_path is None and cfg.t_total is None and cfg.n_sites in dict(TABLE_RYDBERG):
         cfg = _with_table_guess(apply_overrides(cfg, t_total=dict(TABLE_RYDBERG)[cfg.n_sites]))
     schedule, stamp = _resolve_schedule(cfg, schedule_path)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelKind, assemble_system, build_control_hz_diagonal
 from .operators import SPIN_BASIS
@@ -45,6 +46,7 @@ __all__ = [
     "optimize",
     "reduce_field_winding",
     "scan_duration",
+    "local_maxima",
     "schedule_to_record",
     "schedule_from_record",
     "save_result",
@@ -162,8 +164,13 @@ class GrapeResult:
     schedule: ControlSchedule
     phi_history: list[float]
     final_population: float
-    iterations: int
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        """Accepted ascent steps: the history holds the start and one
+        landscape value per step."""
+        return len(self.phi_history) - 1
 
 
 @dataclass
@@ -308,9 +315,8 @@ def optimize(config: GrapeConfig) -> GrapeResult:
 
     rate = INITIAL_RATE
     flat = 0
-    iterations = 0
     converged = slope == 0.0
-    while not converged and iterations < MAX_ITERATIONS:
+    while not converged and len(history) <= MAX_ITERATIONS:
         while rate >= RATE_FLOOR:
             trial = area + rate * slope
             phi_trial, slope_trial = prop.landscape_and_slope(target, psi0, t, trial)
@@ -324,7 +330,6 @@ def optimize(config: GrapeConfig) -> GrapeResult:
             break
         if not np.isfinite(slope_trial):
             raise GrapeError("non-finite gradient after accepted step")
-        iterations += 1
         flat = flat + 1 if abs(phi_trial - phi) < STOP_TOLERANCE else 0
         converged = flat >= FLAT_ITERATIONS
         area, phi, slope = trial, phi_trial, slope_trial
@@ -339,7 +344,6 @@ def optimize(config: GrapeConfig) -> GrapeResult:
         schedule=schedule,
         phi_history=history,
         final_population=final_population,
-        iterations=iterations,
         converged=converged,
     )
 
@@ -381,15 +385,29 @@ def scan_duration(
     for t in grid:
         result = optimize(replace(config, t_total=float(t)))
         points.append((float(t), result.final_population))
-    maxima = [
-        points[i]
-        for i in range(1, len(points) - 1)
-        if points[i][1] >= points[i - 1][1]
-        and points[i][1] >= points[i + 1][1]
-        and (points[i][1] > points[i - 1][1] or points[i][1] > points[i + 1][1])
-    ]
-    maxima.sort(key=lambda tp: -tp[1])
+    maxima = [points[i] for (i,) in local_maxima([p for _, p in points])]
     return ScanResult(points=points, maxima=maxima)
+
+
+def local_maxima(values) -> list[tuple[int, ...]]:
+    """Grid positions of the interior local maxima of an n-d grid, ranked.
+
+    A maximum is at least every neighbour in its 3 x ... x 3 window and
+    above one of them. The ranking is by value rounded to 12 decimals,
+    dominant first, then by grid position, so values that differ in their
+    last bits only (a +B / -B pair, say) keep the grid's order. A grid
+    with fewer than 3 points on an axis has no interior and no maxima.
+    """
+    values = np.asarray(values, dtype=float)
+    if min(values.shape) < 3:
+        return []
+    patches = sliding_window_view(values, (3,) * values.ndim)
+    window = tuple(range(values.ndim, 2 * values.ndim))
+    centre = values[(slice(1, -1),) * values.ndim]
+    peak = (centre == patches.max(axis=window)) & (centre > patches.min(axis=window))
+    # np.argwhere lists positions in grid order, which the stable sort keeps
+    order = np.argsort(-np.round(centre[peak], 12), kind="stable")
+    return [tuple(int(i) + 1 for i in pos) for pos in np.argwhere(peak)[order]]
 
 
 def schedule_to_record(

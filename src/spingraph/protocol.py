@@ -40,6 +40,8 @@ so far, A(t_k) = dt (B_0 + ... + B_{k-1}). H holds the drives and the
 interactions, and Hz is on only where the schedule carries a field; the
 interactions conserve magnetization, so the field enters as diagonal
 phases, while drives do not, so a stage with both is refused.
+``run_stage`` returns the states at those boundaries; the timeline is
+their reference populations, and the next stage starts from the last.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import (
     PROTOCOL_BASIS,
     basis_state,
-    check_hermitian,
     hermitian_blocks,
     product_state,
     site_levels,
@@ -102,6 +103,13 @@ class ProtocolStage:
     schedule: ControlSchedule
     drives: tuple[tuple[str, str, float], ...] = ()
 
+    def __post_init__(self) -> None:
+        # the only outside value in a stage's blocks; the geometry's
+        # interaction strengths are finite by its own checks
+        for _, _, rate in self.drives:
+            if not np.isfinite(rate):
+                raise ValueError(f"drive rates must be finite, not {rate}")
+
     @classmethod
     def pulse(cls, label: str, duration: float, drives) -> "ProtocolStage":
         """A drive stage: TRACE_POINTS_PER_STAGE zero-field slices."""
@@ -127,10 +135,6 @@ class ProtocolPlan:
     @property
     def n_sites(self) -> int:
         return self.geometry.n_sites
-
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.stages)
 
 
 @dataclass
@@ -162,17 +166,10 @@ def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> Pr
     return ProtocolPlan(stages=stages, geometry=geometry)
 
 
-def run_stage(
-    state: np.ndarray,
-    stage: ProtocolStage,
-    plan: ProtocolPlan,
-    trace_hook=None,
-) -> np.ndarray:
-    """Evolve through one stage; optionally report intermediate states.
-
-    ``trace_hook(t_local, state)`` is called at every slice boundary of
-    the stage's schedule after t_local = 0. Without a hook only the last
-    of those points, the returned state, is evaluated.
+def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np.ndarray:
+    """Evolve through one stage: the (n_slices, d^N) stack of states at the
+    slice boundaries of the stage's schedule after t = 0, its last row the
+    stage's end state.
 
     One eigendecomposition per reached block (see the module docstring).
     The field's factorization needs [H, Hz] = 0 on every block; drives or
@@ -193,17 +190,11 @@ def run_stage(
     # Hz only under a field, since it does not commute with the drives
     field = schedule.amplitudes.any()
     hz = build_control_hz_diagonal(n, PROTOCOL_BASIS) if field else np.zeros(dim)
-    points = slice(None) if trace_hook is not None else slice(-1, None)
-    times, areas = schedule.boundary_times[1:][points], schedule.boundary_areas[1:][points]
+    times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
     states = np.zeros((len(times), dim), dtype=complex)
-    blocks = hermitian_blocks(terms, diagonal, n, PROTOCOL_BASIS, np.flatnonzero(state))
-    for idx, h in blocks:
-        check_hermitian(h)
+    for idx, h in hermitian_blocks(terms, diagonal, n, PROTOCOL_BASIS, np.flatnonzero(state)):
         states[:, idx] = ClosedFormPropagator(h, hz[idx]).states(state[idx], times, areas)
-    if trace_hook is not None:
-        for t, s in zip(times, states):
-            trace_hook(float(t), s)
-    return states[-1]
+    return states
 
 
 def mapped_graph_state(
@@ -235,12 +226,13 @@ def mapped_graph_state(
     return out
 
 
-def _reference_states(n_sites: int) -> dict[str, np.ndarray | None]:
+def _reference_states(n_sites: int) -> dict[str, np.ndarray]:
+    """Stage label -> the reference state at that stage's end, in the
+    timeline's column order."""
     single = np.zeros(PROTOCOL_BASIS.dim, dtype=complex)
     single[PROTOCOL_BASIS.index("up")] = 1.0 / np.sqrt(2.0)
     single[PROTOCOL_BASIS.index("down")] = -1.0j / np.sqrt(2.0)
     return {
-        "prepare-up": None,
         "half-rotate": product_state(single, n_sites),
         "core": mapped_graph_state(n_sites, "up", "down", factor_per_down=-1.0j),
         "decouple": mapped_graph_state(n_sites, "up", "r", factor_per_down=-1.0),
@@ -253,44 +245,29 @@ def _reference_states(n_sites: int) -> dict[str, np.ndarray | None]:
 def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
     """Execute all stages from the all-zero start.
 
-    Records each reference-state population at its stage boundary and a
-    timeline of all four reference populations for the trace CSV. The
-    final report's population is the mapped graph state on the clock
-    levels.
+    The timeline holds the populations of all four reference states at
+    the start and at every slice boundary of every stage, for the trace
+    CSV. Each stage's report takes its own reference's population from
+    the stage's last row (none for prepare-up, which has no reference);
+    the final report's is the mapped graph state on the clock levels.
     """
     refs = _reference_states(plan.n_sites)
-    tracked = [
-        refs["half-rotate"],
-        refs["core"],
-        refs["decouple"],
-        refs["map-to-clock"],
-    ]
     state = basis_state(["0"] * plan.n_sites, PROTOCOL_BASIS)
 
-    timeline: list[tuple[float, float, float, float, float, str]] = []
+    def pops(s: np.ndarray) -> tuple[float, float, float, float]:
+        return tuple(float(abs(np.vdot(r, s)) ** 2) for r in refs.values())
+
+    timeline = [(0.0, *pops(state), "start")]
     reports: list[StageReport] = []
     elapsed = 0.0
-
-    def pops(s: np.ndarray) -> tuple[float, float, float, float]:
-        return tuple(float(abs(np.vdot(r, s)) ** 2) for r in tracked)
-
-    timeline.append((0.0, *pops(state), "start"))
     for stage in plan.stages:
-        def hook(t_local: float, s: np.ndarray, _label=stage.label) -> None:
-            timeline.append((elapsed + t_local, *pops(s), _label))
-
-        state = run_stage(state, stage, plan, trace_hook=hook)
+        states = run_stage(state, stage, plan)
+        for t, s in zip(stage.schedule.boundary_times[1:], states):
+            timeline.append((elapsed + float(t), *pops(s), stage.label))
+        state = states[-1]
         elapsed += stage.duration
-        ref = refs.get(stage.label)
-        reports.append(
-            StageReport(
-                label=stage.label,
-                end_time=elapsed,
-                reference_population=(
-                    float(abs(np.vdot(ref, state)) ** 2) if ref is not None else None
-                ),
-            )
-        )
+        end_pops = dict(zip(refs, timeline[-1][1:5]))
+        reports.append(StageReport(stage.label, elapsed, end_pops.get(stage.label)))
     return ProtocolResult(
         final_state=state,
         stage_reports=reports,

@@ -18,6 +18,7 @@ from spingraph.analytic import (
     scan_constant_field,
 )
 from spingraph.cli import main
+from spingraph.grape import local_maxima
 from spingraph.operators import SPIN_BASIS, evolve_unitary, site_levels
 from spingraph.targets import complete_graph_state, plus_product_state
 
@@ -187,14 +188,15 @@ def test_scan_grid_and_maxima():
 
 
 def loop_maxima(b_grid, t_grid, pops):
-    """Strict interior local maxima, one 3 x 3 patch at a time."""
+    """Interior local maxima, one 3 x 3 patch at a time, ranked by
+    population to 12 decimals, then by grid position."""
     maxima = []
     for i in range(1, b_grid.size - 1):
         for k in range(1, t_grid.size - 1):
             patch = pops[i - 1 : i + 2, k - 1 : k + 2]
             if pops[i, k] == np.max(patch) and pops[i, k] > np.min(patch):
                 maxima.append((float(b_grid[i]), float(t_grid[k]), float(pops[i, k])))
-    maxima.sort(key=lambda row: -row[2])
+    maxima.sort(key=lambda row: -round(row[2], 12))
     return maxima
 
 
@@ -212,6 +214,26 @@ def test_scan_maxima_match_the_patch_loop():
         pops, maxima = scan_constant_field(1.0, b_grid, t_grid)
         assert maxima == loop_maxima(b_grid, t_grid, pops)
         assert len(maxima) == count
+
+
+def test_scan_ranks_plus_minus_field_pairs_by_grid_position():
+    # the population is even in B on a grid symmetric about 0, up to the
+    # last bits; each +B / -B pair of maxima ranks -B first
+    b_grid, t_grid = np.linspace(-10.0, 10.0, 81), np.linspace(0.01, 3.5, 121)
+    pops, maxima = scan_constant_field(1.0, b_grid, t_grid)
+    pairs = 0
+    for (b1, t1, p1), (b2, t2, p2) in zip(maxima, maxima[1:]):
+        if b1 == -b2 != 0.0 and t1 == t2:
+            assert b1 < b2 and p1 == pytest.approx(p2, rel=0, abs=1e-14)
+            pairs += 1
+    assert pairs >= 20
+    # so does a +-1 ulp change of every population
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        nudged = np.where(rng.random(pops.shape) < 0.5, np.nextafter(pops, 2.0), pops)
+        nudged = np.where(rng.random(pops.shape) < 0.5, np.nextafter(nudged, -1.0), nudged)
+        assert local_maxima(nudged) == local_maxima(pops)
+    assert [(b, t) for b, t, _ in maxima] == [(b_grid[i], t_grid[k]) for i, k in local_maxima(pops)]
 
 
 @pytest.mark.parametrize("shape", [(2, 1), (1, 5), (2, 7), (7, 2)])

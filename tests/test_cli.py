@@ -451,13 +451,19 @@ def test_non_finite_schedule_duration_is_refused(
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path):
-    result = runner.invoke(
-        main, ["protocol", "--n", "7", "--t", "0.25", "--out-prefix", str(tmp_path / "p7")]
-    )
-    assert result.exit_code == 1
-    assert "protocol failed: dimension 5^7 exceeds the supported budget 15625" in result.output
-    assert list(tmp_path.iterdir()) == []
+def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path, monkeypatch):
+    """Seven atoms are refused at once, with or without a time: neither the
+    missing time nor a 7-atom optimization comes first."""
+    calls = []
+    monkeypatch.setattr(cli, "run_optimize", lambda *a, **k: calls.append(a))
+    for t_args in ([], ["--t", "0.25"]):
+        result = runner.invoke(
+            main, ["protocol", "--n", "7", *t_args, "--out-prefix", str(tmp_path / "p7")]
+        )
+        assert calls == []
+        assert result.exit_code == 1
+        assert "protocol failed: dimension 5^7 exceeds the supported budget 15625" in result.output
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

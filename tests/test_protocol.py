@@ -2,7 +2,6 @@
 
 import csv
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,8 +88,8 @@ def test_stage_durations_and_total():
     assert durations[2] == pytest.approx(0.141)
     assert durations[3] == pytest.approx(0.0025)
     assert durations[4] == pytest.approx(0.125)
-    assert plan.total_duration == pytest.approx(0.125 + 1.0 / 280.0 + 0.141 + 0.0025 + 0.125)
-    assert plan.total_duration == pytest.approx(0.3970714285714286)
+    assert sum(durations) == pytest.approx(0.125 + 1.0 / 280.0 + 0.141 + 0.0025 + 0.125)
+    assert sum(durations) == pytest.approx(0.3970714285714286)
     assert [s.label for s in plan.stages] == [
         "prepare-up",
         "half-rotate",
@@ -113,15 +112,15 @@ def test_each_stage_lasts_its_own_schedule():
     assert [s.uses_core_schedule for s in plan.stages] == [False, False, True, False, False]
     stages = list(plan.stages)
     stages[0] = ProtocolStage.pulse(stages[0].label, 1.0, stages[0].drives)
-    assert replace(plan, stages=tuple(stages)).total_duration == pytest.approx(
-        plan.total_duration + 1.0 - np.pi / OMEGA_TWO_PHOTON
+    assert sum(s.duration for s in stages) == pytest.approx(
+        sum(s.duration for s in plan.stages) + 1.0 - np.pi / OMEGA_TWO_PHOTON
     )
 
 
 def test_pi_pulse_transfers_zero_to_up(no_interactions):
     plan = plan_for()
     state = product_state(basis_state(["0"], PROTOCOL_BASIS), 2)
-    out = run_stage(state, plan.stages[0], plan)
+    out = run_stage(state, plan.stages[0], plan)[-1]
     target = product_state(basis_state(["up"], PROTOCOL_BASIS), 2)
     assert abs(np.vdot(target, out)) ** 2 == pytest.approx(1.0, abs=1e-12)
     # each atom picks up -i from the half rotation
@@ -131,7 +130,7 @@ def test_pi_pulse_transfers_zero_to_up(no_interactions):
 def test_half_pulse_phase_convention(no_interactions):
     plan = plan_for()
     state = product_state(basis_state(["up"], PROTOCOL_BASIS), 2)
-    out = run_stage(state, plan.stages[1], plan)
+    out = run_stage(state, plan.stages[1], plan)[-1]
     single = np.zeros(PROTOCOL_BASIS.dim, dtype=complex)
     single[PROTOCOL_BASIS.index("up")] = 1.0 / np.sqrt(2.0)
     single[PROTOCOL_BASIS.index("down")] = -1.0j / np.sqrt(2.0)
@@ -144,7 +143,7 @@ def test_decouple_pulse_empties_down_level(no_interactions):
     single[PROTOCOL_BASIS.index("up")] = 1.0 / np.sqrt(2.0)
     single[PROTOCOL_BASIS.index("down")] = -1.0j / np.sqrt(2.0)
     state = product_state(single, 2)
-    out = run_stage(state, plan.stages[3], plan)
+    out = run_stage(state, plan.stages[3], plan)[-1]
     assert level_population(out, "down", 2) < 1e-12
     assert level_population(out, "r", 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -181,7 +180,7 @@ def test_drive_only_protocol_hits_stage_references(no_interactions):
         assert level_population(result.final_state, "r", n) < 1e-12
         state = basis_state(["0"] * n, PROTOCOL_BASIS)
         for stage, local in zip(plan.stages, single_atom_stages(plan)):
-            state = run_stage(state, stage, plan)
+            state = run_stage(state, stage, plan)[-1]
             np.testing.assert_allclose(state, product_state(local, n), rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.final_state, state, rtol=0, atol=1e-12)
 
@@ -191,9 +190,14 @@ def test_stage_validation():
     state = product_state(basis_state(["0"], PROTOCOL_BASIS), 2)
     with pytest.raises(ValueError):
         run_stage(2.0 * state, plan.stages[0], plan)
-    nan_rate = ProtocolStage.pulse("nan", 0.1, (("up", "0", float("nan")),))
-    with pytest.raises(ValueError, match="NaN"):
-        run_stage(state, nan_rate, plan)
+    # the drive rate is the one value in a stage's blocks that no other
+    # check covers, so the stage refuses a non-finite one when it is built
+    for rate in (float("nan"), float("inf"), -float("inf")):
+        drives = (("up", "0", OMEGA_TWO_PHOTON), ("1", "r", rate))
+        with pytest.raises(ValueError, match=f"^drive rates must be finite, not {rate}$"):
+            ProtocolStage.pulse("bad", 0.1, drives)
+        with pytest.raises(ValueError, match=f"^drive rates must be finite, not {rate}$"):
+            ProtocolStage("bad", ControlSchedule(0.1, np.zeros(3)), drives)
 
 
 def test_stage_refuses_a_state_that_is_not_finite():
@@ -231,7 +235,7 @@ def test_stage_refuses_drives_during_a_field():
         run_stage(state, mixed, plan)
     # the same drives over a zero field run
     still = ProtocolStage("still", ControlSchedule(0.1, np.zeros(3)), mixed.drives)
-    assert abs(np.linalg.norm(run_stage(state, still, plan)) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(run_stage(state, still, plan)[-1]) - 1.0) < 1e-12
 
 
 def test_dimension_budget():
@@ -392,7 +396,8 @@ def test_mapped_graph_state_matches_basis_ket_sum(n, roles):
 def stepwise_stage(state, stage, plan, interactions=True):
     """Reference: the per-slice product of exp(-i (h + B_k Hz) dt) over the
     stage's schedule, h the dense drift plus the kron drive. Returns the
-    (t_local, state) pairs a trace hook sees, in order."""
+    (t_local, state) pair at every slice boundary after t_local = 0, in
+    order."""
     basis = PROTOCOL_BASIS
     h = kron_drive_hamiltonian(stage.drives, plan.n_sites)
     if interactions:
@@ -419,43 +424,64 @@ def test_run_stage_matches_stepwise_product(n, interactions, monkeypatch):
     plan = plan_for(n, core_amplitudes=[-9.8, 3.1, -12.4], core_t=0.15)
     state = basis_state(["0"] * n, PROTOCOL_BASIS)
     for stage in plan.stages:
-        hooked = []
-        out = run_stage(state, stage, plan, trace_hook=lambda t, s: hooked.append((t, s)))
+        out = run_stage(state, stage, plan)
         reference = stepwise_stage(state, stage, plan, interactions)
-        assert [t for t, _ in hooked] == [t for t, _ in reference]
-        for (_, got), (_, want) in zip(hooked, reference):
+        traced = 3 if stage.uses_core_schedule else TRACE_POINTS_PER_STAGE
+        assert out.shape == (traced, PROTOCOL_BASIS.dim**n) and len(reference) == traced
+        assert list(stage.schedule.boundary_times[1:]) == [t for t, _ in reference]
+        for got, (_, want) in zip(out, reference):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out, reference[-1][1], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            run_stage(state, stage, plan), reference[-1][1], rtol=0, atol=1e-12
-        )
         state = reference[-1][1]
 
 
-def test_unhooked_stage_evaluates_only_its_end_state(monkeypatch):
-    """Without a trace hook every block is evaluated at one (t, A), the last
-    point the hooked run traces, and both runs return the same state."""
+def stage_references(n):
+    """The four tracked references, in the timeline's column order, keyed
+    by the stage whose end they describe."""
+    single = np.zeros(PROTOCOL_BASIS.dim, dtype=complex)
+    single[PROTOCOL_BASIS.index("up")] = 1.0 / np.sqrt(2.0)
+    single[PROTOCOL_BASIS.index("down")] = -1.0j / np.sqrt(2.0)
+    return {
+        "half-rotate": product_state(single, n),
+        "core": mapped_graph_state(n, "up", "down", factor_per_down=-1.0j),
+        "decouple": mapped_graph_state(n, "up", "r", factor_per_down=-1.0),
+        "map-to-clock": mapped_graph_state(n, "0", "1", factor_per_down=1.0, factor_per_up=-1.0),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_timeline_is_the_stacks_run_stage_returns(n, monkeypatch):
+    """Each stage's timeline rows are the tracked populations of exactly
+    the rows run_stage returns, at elapsed + boundary_times[1:], and each
+    report's population is its reference's value on the stage's last row."""
+    stacks = []
+    original_stage = protocol.run_stage
+
+    def recording_stage(*args):
+        stacks.append(original_stage(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(protocol, "run_stage", recording_stage)
     core = ControlSchedule(t_total=0.15, amplitudes=np.array([-9.8, 3.1, -12.4]))
-    plan = standard_plan(ChainGeometry.regular(3), core)
-    sizes = []
-    original_states = protocol.ClosedFormPropagator.states
-
-    def counting_states(self, psi, t, area):
-        sizes.append(np.size(t))
-        return original_states(self, psi, t, area)
-
-    monkeypatch.setattr(protocol.ClosedFormPropagator, "states", counting_states)
-    state = basis_state(["0"] * 3, PROTOCOL_BASIS)
-    for stage in plan.stages:
-        sizes.clear()
-        out = run_stage(state, stage, plan)
-        assert sizes and set(sizes) == {1}
-        sizes.clear()
-        hooked = run_stage(state, stage, plan, trace_hook=lambda t, s: None)
-        traced = core.n_slices if stage.uses_core_schedule else TRACE_POINTS_PER_STAGE
-        assert set(sizes) == {traced}
-        np.testing.assert_allclose(out, hooked, rtol=0, atol=1e-14)
-        state = hooked
+    plan = standard_plan(ChainGeometry.regular(n), core)
+    result = run_full_protocol(plan)
+    refs = stage_references(n)
+    assert len(stacks) == len(plan.stages)
+    assert result.timeline[0][5] == "start"
+    rows = iter(result.timeline[1:])
+    elapsed = 0.0
+    for stage, stack, report in zip(plan.stages, stacks, result.stage_reports, strict=True):
+        for t, state in zip(stage.schedule.boundary_times[1:], stack, strict=True):
+            row = next(rows)
+            assert row[0] == elapsed + t
+            assert row[1:] == (*(abs(np.vdot(r, state)) ** 2 for r in refs.values()), stage.label)
+        elapsed += stage.duration
+        assert (report.label, report.end_time) == (stage.label, elapsed)
+        if stage.label in refs:
+            assert report.reference_population == abs(np.vdot(refs[stage.label], stack[-1])) ** 2
+        else:
+            assert report.reference_population is None
+    assert next(rows, None) is None
+    assert np.array_equal(result.final_state, stacks[-1][-1])
 
 
 def test_full_protocol_diagonalizes_once_per_stage(monkeypatch, core_result):
