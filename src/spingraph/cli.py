@@ -90,9 +90,11 @@ def _grape_config(cfg: ExperimentConfig) -> GrapeConfig:
     )
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
-    path = Path(cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
+def _output_path(cfg: ExperimentConfig, name: str, out=None) -> Path:
+    """``out`` if given, else ``name`` in the config's output directory;
+    every missing directory on the way is created."""
+    path = Path(out) if out else Path(cfg.output_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -108,10 +110,9 @@ def _write_float_outputs(cfg, prefix, csv_name, header, rows, json_name, record,
     """``<prefix>_<csv_name>.csv`` with every value written as repr(float),
     then ``<prefix>_<json_name>.json`` holding ``record`` and ``stamp``;
     one echo line per path."""
-    outdir = _outdir(cfg)
-    csv_path = outdir / f"{prefix}_{csv_name}.csv"
+    csv_path = _output_path(cfg, f"{prefix}_{csv_name}.csv")
     _write_csv(csv_path, header, ([repr(float(x)) for x in row] for row in rows))
-    json_path = outdir / f"{prefix}_{json_name}.json"
+    json_path = _output_path(cfg, f"{prefix}_{json_name}.json")
     save_result(json_path, {**record, **stamp})
     _echo(f"{csv_name}: {csv_path}")
     _echo(f"{json_name}: {json_path}")
@@ -137,20 +138,23 @@ def _schedule_record(cfg: ExperimentConfig, result) -> dict:
     )
     record["config_hash"] = config_hash(cfg)
     record["converged"] = result.converged
+    record["target"] = cfg.target_form
     return record
 
 
 def _resolve_schedule(cfg: ExperimentConfig, schedule_path):
     """The run's schedule and the stamp of its outputs. A persisted
-    schedule (if one is given) must be for this run's atom count and
-    duration; it is an input the config does not hold, so it joins the
-    config hash. Otherwise one is optimized on demand from the config."""
+    schedule (if one is given) must be for this run's atom count, duration
+    (when the run sets one), mode and target form; a record without a
+    target form was made for the operator-product one. The schedule is an
+    input the config does not hold, so it joins the config hash. Otherwise
+    one is optimized on demand from the config."""
     if schedule_path:
-        record = load_result(schedule_path)
-        if record.get("N") != cfg.n_sites:
-            _fail(f"schedule is for N={record.get('N')}, run is for N={cfg.n_sites}")
-        if cfg.t_total is not None and record.get("T") != cfg.t_total:
-            _fail(f"schedule is for T={record.get('T')}, run is for T={cfg.t_total}")
+        record = {"target": "operator-product", **load_result(schedule_path)}
+        run = {"N": cfg.n_sites, "T": cfg.t_total, "mode": cfg.mode, "target": cfg.target_form}
+        for key, value in run.items():
+            if value is not None and record.get(key) != value:
+                _fail(f"schedule is for {key}={record.get(key)}, run is for {key}={value}")
         schedule = schedule_from_record(record)
         return schedule, _stamp(cfg, schedule)
     return run_optimize(_grape_config(cfg)).schedule, _stamp(cfg)
@@ -217,8 +221,7 @@ def cmd_optimize(config_path, out, **overrides) -> None:
     """Optimize a field schedule and persist it as JSON plus a convergence CSV."""
     cfg = _merged_config(config_path, **overrides)
     result = run_optimize(_grape_config(cfg))
-    outdir = _outdir(cfg)
-    json_path = Path(out) if out else outdir / f"schedule_{cfg.mode}_n{cfg.n_sites}.json"
+    json_path = _output_path(cfg, f"schedule_{cfg.mode}_n{cfg.n_sites}.json", out)
     save_result(json_path, _schedule_record(cfg, result))
     csv_path = json_path.with_suffix(".convergence.csv")
     _write_csv(
@@ -272,7 +275,6 @@ def cmd_table(which, config_path, out, **overrides) -> None:
     cfg = _merged_config(config_path, **overrides)
     if which in ("2", "3"):
         cfg = _with_table_guess(cfg)
-    outdir = _outdir(cfg)
 
     if which in ("1", "2"):
         mode, label, column = ("ideal", "J*T", "J*T") if which == "1" else ("rydberg", "T(us)", "T_us")
@@ -297,7 +299,7 @@ def cmd_table(which, config_path, out, **overrides) -> None:
                 f"{row[4]:>8.4f} {row[5]:>8.4f} {row[6]:>8.4f}"
             )
 
-    csv_path = Path(out) if out else outdir / f"table{which}.csv"
+    csv_path = _output_path(cfg, f"table{which}.csv", out)
     stamp = _stamp(cfg)
     _write_csv(
         csv_path,
@@ -486,8 +488,7 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     model = build_model(cfg)
     plan = standard_plan(model.geometry, schedule)
     result = run_full_protocol(plan)
-    outdir = _outdir(cfg)
-    timeline_path = outdir / f"{out_prefix}_timeline.csv"
+    timeline_path = _output_path(cfg, f"{out_prefix}_timeline.csv")
     write_timeline_csv(timeline_path, result.timeline)
     summary = {
         "total_duration": result.total_duration,
@@ -501,7 +502,7 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
         ],
         **stamp,
     }
-    summary_path = outdir / f"{out_prefix}_summary.json"
+    summary_path = _output_path(cfg, f"{out_prefix}_summary.json")
     save_result(summary_path, summary)
     _echo(f"total duration {result.total_duration:.6f} us")
     for r in result.stage_reports:

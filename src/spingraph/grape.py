@@ -82,6 +82,11 @@ class GrapeError(ValueError):
     non-finite landscape)."""
 
 
+def _check_duration(t_total: float) -> None:
+    if not (np.isfinite(t_total) and t_total > 0.0):
+        raise ValueError("t_total must be finite and positive")
+
+
 @dataclass(frozen=True)
 class ControlSchedule:
     """Piecewise-constant field: duration ``t_total`` split into n equal
@@ -96,8 +101,7 @@ class ControlSchedule:
             raise ValueError("schedule needs at least one slice")
         if not np.all(np.isfinite(amps)):
             raise ValueError("slice amplitudes must be finite")
-        if not (np.isfinite(self.t_total) and self.t_total > 0.0):
-            raise ValueError("t_total must be finite and positive")
+        _check_duration(self.t_total)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -155,8 +159,8 @@ class GrapeConfig:
     target: TargetForm
 
     def __post_init__(self) -> None:
-        if not self.t_total > 0.0:
-            raise ValueError("t_total must be positive")
+        # refused before any guess is built or ascent started
+        _check_duration(self.t_total)
 
 
 @dataclass

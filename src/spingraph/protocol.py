@@ -15,12 +15,19 @@ default 5-stage plan:
 With the default rates (2 pi x 4, 2 pi x 70, 2 pi x 200 rad/us) the
 stage durations sum to 0.125 + 1/280 + T + 0.0025 + 0.125 us.
 
-Reference states at the stage boundaries: after stage 2 the product
-state (|up> - i |down>)/sqrt(2) per atom; after stage 3 the graph state
-with a factor -i per down-spin; after stage 4 the same with down mapped
-to r and factor -1; at the end the graph state on the clock states with
-a factor -1 per former up-spin. The simulation is pure-state; emission
-is budgeted separately by the master-equation module.
+Reference states at the stage ends: a spin-basis state, times a phase
+per site, placed on two protocol levels; G is the complete graph state
+``targets.complete_graph_state`` and ``[1, -i]/sqrt 2`` the
+single-site vector of ``operators.product_state``:
+
+  stage          spin state                  phase per site (up, down)   levels
+  half-rotate    product of [1, -i]/sqrt 2   -                           up, down
+  core           G                           (1, -i)                     up, down
+  decouple       G                           (1, -1)                     up, r
+  map-to-clock   G                           (-1, 1)                     0, 1
+
+The simulation is pure-state; emission is budgeted separately by the
+master-equation module.
 
 A stage's couplings (drive transitions and dipolar flip-flops) conserve
 per-site level classes, so its Hamiltonian splits into small blocks, and
@@ -55,6 +62,7 @@ from .chain import TWO_PI, ChainGeometry, build_control_hz_diagonal, rydberg_bac
 from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import (
     PROTOCOL_BASIS,
+    SPIN_BASIS,
     basis_state,
     hermitian_blocks,
     product_state,
@@ -73,7 +81,6 @@ __all__ = [
     "standard_plan",
     "run_stage",
     "run_full_protocol",
-    "mapped_graph_state",
     "write_timeline_csv",
 ]
 
@@ -197,48 +204,34 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
     return states
 
 
-def mapped_graph_state(
-    n_sites: int,
-    level_for_up: str,
-    level_for_down: str,
-    factor_per_down: complex,
-    factor_per_up: complex = 1.0,
-) -> np.ndarray:
-    """Complete graph state with its two spin roles relabeled.
-
-    Takes the amplitudes of ``targets.complete_graph_state``, sends
-    up-spins to ``level_for_up`` and down-spins to ``level_for_down``, and
-    multiplies the listed factor per site of each role. These are the
-    protocol's stage-boundary references.
-    """
-    levels = site_levels(n_sites, PROTOCOL_BASIS.dim)
-    is_up = levels == PROTOCOL_BASIS.index(level_for_up)
-    is_down = levels == PROTOCOL_BASIS.index(level_for_down)
-    rows = np.flatnonzero(np.all(is_up | is_down, axis=1))
-    # each row's (up, down) = (0, 1) configuration as a spin-basis index
-    spins = np.ravel_multi_index(is_down[rows].T, (2,) * n_sites)
-    amps = complete_graph_state(n_sites)[spins]
-    for site in range(n_sites):
-        amps = amps * np.where(is_up[rows, site], factor_per_up, factor_per_down)
-    out = np.zeros(len(levels), dtype=complex)
+def _on_levels(spin_state: np.ndarray, level_for_up: str, level_for_down: str) -> np.ndarray:
+    """A spin-basis state placed on two protocol levels: each amplitude
+    goes to the row where every site holds ``level_for_up`` for up and
+    ``level_for_down`` for down; every other row is zero."""
+    n, d = spin_state.size.bit_length() - 1, PROTOCOL_BASIS.dim
+    # the protocol level of each spin level, up then down (SPIN_BASIS order)
+    levels = np.array([PROTOCOL_BASIS.index(level_for_up), PROTOCOL_BASIS.index(level_for_down)])
+    rows = np.ravel_multi_index(levels[site_levels(n, SPIN_BASIS.dim)].T, (d,) * n)
+    out = np.zeros(d**n, dtype=complex)
     # adding onto zeros turns -0.0 parts into +0.0, as a sum of kets does
-    out[rows] += amps
+    out[rows] += spin_state
     return out
 
 
 def _reference_states(n_sites: int) -> dict[str, np.ndarray]:
-    """Stage label -> the reference state at that stage's end, in the
-    timeline's column order."""
-    single = np.zeros(PROTOCOL_BASIS.dim, dtype=complex)
-    single[PROTOCOL_BASIS.index("up")] = 1.0 / np.sqrt(2.0)
-    single[PROTOCOL_BASIS.index("down")] = -1.0j / np.sqrt(2.0)
+    """Stage label -> the reference state at that stage's end (the module
+    docstring's table), in the timeline's column order."""
+    graph = complete_graph_state(n_sites)
+
+    def phased(up: complex, down: complex) -> np.ndarray:
+        return graph * product_state(np.array([up, down]), n_sites)
+
+    rotated = product_state(np.array([1.0, -1.0j]) / np.sqrt(2.0), n_sites)
     return {
-        "half-rotate": product_state(single, n_sites),
-        "core": mapped_graph_state(n_sites, "up", "down", factor_per_down=-1.0j),
-        "decouple": mapped_graph_state(n_sites, "up", "r", factor_per_down=-1.0),
-        "map-to-clock": mapped_graph_state(
-            n_sites, "0", "1", factor_per_down=1.0, factor_per_up=-1.0
-        ),
+        "half-rotate": _on_levels(rotated, "up", "down"),
+        "core": _on_levels(phased(1.0, -1.0j), "up", "down"),
+        "decouple": _on_levels(phased(1.0, -1.0), "up", "r"),
+        "map-to-clock": _on_levels(phased(-1.0, 1.0), "0", "1"),
     }
 
 
@@ -249,7 +242,7 @@ def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
     the start and at every slice boundary of every stage, for the trace
     CSV. Each stage's report takes its own reference's population from
     the stage's last row (none for prepare-up, which has no reference);
-    the final report's is the mapped graph state on the clock levels.
+    the final report's is the graph state placed on the clock levels.
     """
     refs = _reference_states(plan.n_sites)
     state = basis_state(["0"] * plan.n_sites, PROTOCOL_BASIS)

@@ -371,6 +371,57 @@ def test_schedule_for_another_duration_is_refused(
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.yaml"] if source == "config" else [])
 
 
+@pytest.fixture(scope="module")
+def foreign_schedule_paths(tmp_path_factory, runner):
+    """N=3, T=0.141 records made for another mode or another target form."""
+    folder = tmp_path_factory.mktemp("foreign")
+    flags = {"ideal": ["--mode", "ideal"], "cz": ["--mode", "rydberg", "--target", "cz-circuit"]}
+    paths = {}
+    for kind, args in flags.items():
+        paths[kind] = folder / f"{kind}.json"
+        result = runner.invoke(
+            main, ["optimize", *args, "--n", "3", "--t", "0.141", "--out", str(paths[kind])]
+        )
+        assert result.exit_code == 0, result.output
+    return paths
+
+
+FOREIGN_REFUSALS = {
+    "ideal": "schedule is for mode=ideal, run is for mode=rydberg",
+    "cz": "schedule is for target=cz-circuit, run is for target=operator-product",
+}
+
+
+@pytest.mark.parametrize("kind", FOREIGN_REFUSALS)
+@pytest.mark.parametrize("command", ["master", "noise", "protocol"])
+def test_schedule_for_another_mode_or_target_is_refused(
+    runner, foreign_schedule_paths, tmp_path, monkeypatch, command, kind
+):
+    # ideal-mode amplitudes are in J units, and a cz-circuit schedule aims
+    # at another state; either would be replayed as a wrong answer
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_optimize", lambda config: pytest.fail("optimized"))
+    path = foreign_schedule_paths[kind]
+    assert load_result(path)["target"] == ("cz-circuit" if kind == "cz" else "operator-product")
+    result = runner.invoke(main, [command, "--n", "3", "--t", "0.141", "--schedule", str(path)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {FOREIGN_REFUSALS[kind]}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (INPUTS / "schedules").iterdir()))
+def test_checked_in_schedules_without_a_target_are_accepted(name):
+    # the records predate the target key and read as operator-product
+    path = INPUTS / "schedules" / name
+    record = load_result(path)
+    assert "target" not in record
+    cfg = ExperimentConfig(mode="rydberg", n_sites=record["N"], t_total=record["T"])
+    schedule, stamp = cli._resolve_schedule(cfg, path)
+    assert schedule.t_total == record["T"]
+    assert schedule.amplitudes.tolist() == record["amplitudes"]
+    assert stamp["config_hash"] == config_hash(cfg, schedule)
+
+
 def test_protocol_takes_the_duration_of_its_schedule(runner, core_schedule_path, tmp_path):
     # the table-2 default T applies only without a schedule
     record = json.loads(core_schedule_path.read_text())
@@ -466,6 +517,10 @@ def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path, monkeypat
         assert list(tmp_path.iterdir()) == []
 
 
+#: Durations every command refuses: zero, negative and non-finite.
+BAD_DURATIONS = ("0", "-1", "nan", "inf")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -474,7 +529,8 @@ def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path, monkeypat
         ["noise", "--n", "3", "--t", "0.141", "--samples", "0"],
         ["noise", "--n", "3", "--t", "0.141", "--field-sigma", "-1"],
         ["optimize", "--n", "3", "--t", "0.141", "--slices", "0"],
-        ["optimize", "--n", "3", "--t", "-1"],
+        *(["optimize", "--n", "3", "--t", t] for t in BAD_DURATIONS),
+        *(["scan-t", "--t-min", t, "--t-max", "0.16", "--steps", "3"] for t in BAD_DURATIONS),
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1"],
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "nan"],
         ["noise", "--n", "3", "--t", "0.141", "--field-sigma", "nan", "--samples", "3"],
@@ -497,6 +553,36 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
     assert "Traceback" not in result.output
     if args[0] == "table":
         assert "Error: table failed: decay rates must be non-negative" in result.output
+
+
+SCHEDULE_N3 = str(INPUTS / "schedules" / "rydberg_n3.json")
+
+
+#: Command -> its arguments with outputs under a/b/, and the files it writes there.
+NESTED_OUTPUTS = {
+    "optimize": (["--n", "3", "--t", "0.141", "--out", "a/b/s.json"],
+                 ["s.convergence.csv", "s.json"]),
+    "table": (["1", "--out", "a/b/t.csv"], ["t.csv"]),
+    "scan-t": (["--n", "3", "--t-min", "0.12", "--t-max", "0.16", "--steps", "3",
+                "--out-prefix", "a/b/x"], ["x_curve.csv", "x_peaks.json"]),
+    "noise": (["--n", "3", "--samples", "2", "--schedule", SCHEDULE_N3, "--out-prefix", "a/b/x"],
+              ["x_summary.json", "x_trace.csv"]),
+    "master": (["--n", "3", "--schedule", SCHEDULE_N3, "--out-prefix", "a/b/x"],
+               ["x_summary.json", "x_trace.csv"]),
+    "analytic": (["--scan", "--b-points", "3", "--t-points", "3", "--out-prefix", "a/b/x"],
+                 ["x_grid.csv", "x_maxima.json"]),
+    "protocol": (["--n", "3", "--schedule", SCHEDULE_N3, "--out-prefix", "a/b/x"],
+                 ["x_summary.json", "x_timeline.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", NESTED_OUTPUTS)
+def test_outputs_may_name_a_directory_that_does_not_exist(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    args, written = NESTED_OUTPUTS[command]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == written
 
 
 def test_scan_t_small_grid(runner, tmp_path):

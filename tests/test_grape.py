@@ -442,13 +442,15 @@ def test_schedule_record_validates_slice_count():
 
 
 def test_optimize_rejects_bad_config():
-    with pytest.raises(ValueError):
-        GrapeConfig(
-            model=IdealModel(3),
-            t_total=-1.0,
-            guess=GuessSpec(kind="gaussian", b0=1.0),
-            target=TargetForm.OPERATOR_PRODUCT,
-        )
+    # the schedule's own duration check, so infinity is refused too
+    for t_total in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^t_total must be finite and positive$"):
+            GrapeConfig(
+                model=IdealModel(3),
+                t_total=t_total,
+                guess=GuessSpec(kind="gaussian", b0=1.0),
+                target=TargetForm.OPERATOR_PRODUCT,
+            )
     with pytest.raises(ValueError):
         GuessSpec(kind="triangular", b0=1.0)
 

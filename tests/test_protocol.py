@@ -30,7 +30,6 @@ from spingraph.protocol import (
     OMEGA_TWO_PHOTON,
     TRACE_POINTS_PER_STAGE,
     ProtocolStage,
-    mapped_graph_state,
     run_full_protocol,
     run_stage,
     standard_plan,
@@ -252,9 +251,10 @@ def test_dimension_budget():
 
 
 def test_mapped_graph_state_amplitudes():
+    # the core reference: the graph state on (up, down), -i per down-spin
     n = 3
     cgs = complete_graph_state(n)
-    mapped = mapped_graph_state(n, "up", "down", factor_per_down=-1.0j)
+    mapped = protocol._reference_states(n)["core"]
     assert abs(np.linalg.norm(mapped) - 1.0) < 1e-12
     for code in range(2**n):
         bits = [(code >> (n - 1 - site)) & 1 for site in range(n)]
@@ -266,7 +266,8 @@ def test_mapped_graph_state_amplitudes():
 
 
 def test_mapped_graph_state_role_relabeling():
-    mapped = mapped_graph_state(2, "0", "1", factor_per_down=1.0, factor_per_up=-1.0)
+    # the map-to-clock reference: the graph state on (0, 1), -1 per up-spin
+    mapped = protocol._reference_states(2)["map-to-clock"]
     # configuration 0,0 has two up-spins: sign -1 from the graph state and
     # (-1)^2 from the per-up factor
     assert mapped[np.nonzero(basis_state(["0", "0"], PROTOCOL_BASIS))[0][0]] == pytest.approx(-0.5)
@@ -366,13 +367,17 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interaction
             seen.clear()
 
 
-def basis_ket_graph_state(n, level_for_up, level_for_down, factor_per_down, factor_per_up):
-    """Reference: the graph state as an explicit sum of relabeled basis kets."""
+def basis_ket_graph_state(
+    n, level_for_up, level_for_down, factor_per_down, factor_per_up, graph_signs=True
+):
+    """Reference: the graph state as an explicit sum of relabeled basis kets.
+    Without ``graph_signs`` it is the expanded tensor product whose
+    single-site amplitudes are the two factors."""
     out = np.zeros(PROTOCOL_BASIS.dim**n, dtype=complex)
     for code in range(2**n):
         bits = [(code >> (n - 1 - site)) & 1 for site in range(n)]
         m_up = bits.count(0)
-        amp = (-1.0) ** (m_up * (m_up - 1) // 2) / np.sqrt(2.0**n)
+        amp = (-1.0) ** (m_up * (m_up - 1) // 2) / np.sqrt(2.0**n) if graph_signs else 1.0
         for b in bits:
             amp *= factor_per_down if b else factor_per_up
         labels = [level_for_down if b else level_for_up for b in bits]
@@ -380,17 +385,23 @@ def basis_ket_graph_state(n, level_for_up, level_for_down, factor_per_down, fact
     return out
 
 
+#: Stage label -> its reference's basis-ket oracle arguments after n.
+REFERENCE_ROLES = {
+    "core": ("up", "down", -1.0j, 1.0),
+    "decouple": ("up", "r", -1.0, 1.0),
+    "map-to-clock": ("0", "1", 1.0, -1.0),
+    "half-rotate": ("up", "down", -1.0j / np.sqrt(2.0), 1.0 / np.sqrt(2.0), False),
+}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-@pytest.mark.parametrize(
-    "roles",
-    [("up", "down", -1.0j, 1.0), ("up", "r", -1.0, 1.0), ("0", "1", 1.0, -1.0)],
-)
+@pytest.mark.parametrize("roles", [(label, *args) for label, args in REFERENCE_ROLES.items()])
 def test_mapped_graph_state_matches_basis_ket_sum(n, roles):
-    up, down, f_down, f_up = roles
-    assert np.array_equal(
-        mapped_graph_state(n, up, down, factor_per_down=f_down, factor_per_up=f_up),
-        basis_ket_graph_state(n, up, down, f_down, f_up),
-    )
+    """Each protocol reference is its sum of basis kets, with norm 1."""
+    label, *args = roles
+    reference = protocol._reference_states(n)[label]
+    assert np.array_equal(reference, basis_ket_graph_state(n, *args))
+    assert abs(np.linalg.norm(reference) - 1.0) < 1e-12
 
 
 def stepwise_stage(state, stage, plan, interactions=True):
@@ -436,16 +447,9 @@ def test_run_stage_matches_stepwise_product(n, interactions, monkeypatch):
 
 def stage_references(n):
     """The four tracked references, in the timeline's column order, keyed
-    by the stage whose end they describe."""
-    single = np.zeros(PROTOCOL_BASIS.dim, dtype=complex)
-    single[PROTOCOL_BASIS.index("up")] = 1.0 / np.sqrt(2.0)
-    single[PROTOCOL_BASIS.index("down")] = -1.0j / np.sqrt(2.0)
-    return {
-        "half-rotate": product_state(single, n),
-        "core": mapped_graph_state(n, "up", "down", factor_per_down=-1.0j),
-        "decouple": mapped_graph_state(n, "up", "r", factor_per_down=-1.0),
-        "map-to-clock": mapped_graph_state(n, "0", "1", factor_per_down=1.0, factor_per_up=-1.0),
-    }
+    by the stage whose end they describe, from the basis-ket oracle."""
+    labels = ("half-rotate", "core", "decouple", "map-to-clock")
+    return {label: basis_ket_graph_state(n, *REFERENCE_ROLES[label]) for label in labels}
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -549,6 +553,6 @@ def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypa
         return [*terms, transverse], shifts
 
     monkeypatch.setattr(protocol, "rydberg_background", background_with_transverse_field)
-    state = mapped_graph_state(n, "up", "down", factor_per_down=-1.0j)
+    state = basis_ket_graph_state(n, *REFERENCE_ROLES["core"])
     with pytest.raises(ValueError, match="commute"):
         run_stage(state, plan.stages[2], plan)
