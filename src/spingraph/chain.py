@@ -16,6 +16,7 @@ is what makes the exact GRAPE gradient available.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -31,6 +32,7 @@ __all__ = [
     "build_control_hz",
     "build_control_hz_diagonal",
     "rydberg_background",
+    "drift_terms",
     "assemble_system",
 ]
 
@@ -53,6 +55,16 @@ MIN_DISTANCE = 1e-3
 #: Levels with a van der Waals constant, in the order ``_pair_strengths``
 #: returns their shifts.
 VDW_LEVELS = ("up", "down")
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of every atom pair i < j, in ``np.triu_indices`` order.
+    Memoised and read-only."""
+    pairs = np.triu_indices(n_sites, 1)
+    for side in pairs:
+        side.flags.writeable = False
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -80,7 +92,7 @@ class ChainGeometry:
         if not (np.all(np.isfinite(pos)) and np.isfinite(self.delta_r)):
             raise ValueError("positions and delta_r must be finite")
         object.__setattr__(self, "positions", pos)
-        i, j = np.triu_indices(pos.shape[0], 1)
+        i, j = _pairs(pos.shape[0])
         r = np.linalg.norm(pos[j] - pos[i], axis=1)
         for too_short, message in (
             (r < MIN_DISTANCE, "atoms ({}, {}) closer than 1 nm"),
@@ -133,20 +145,29 @@ class RydbergModel:
 ModelKind = Union[IdealModel, RydbergModel]
 
 
-def _pair_strengths(geometry: ChainGeometry, i: int, j: int) -> tuple[float, float, float]:
-    """(dipole, van der Waals up, van der Waals down) strengths of one pair,
-    from one distance R + delta_r and one angle theta, the angle taken
-    from the undisplaced separation.
+def _pair_strengths(positions: np.ndarray, delta_r: float) -> tuple[np.ndarray, ...]:
+    """(dipole, van der Waals up, van der Waals down) strengths of every
+    pair i < j, in ``_pairs`` order, for a (..., N, 3) stack of
+    positions; each is a (..., N(N-1)/2) array. One distance R + delta_r
+    and one angle theta per pair, the angle taken from the undisplaced
+    separation.
 
     Dipolar exchange C3 (1 - 3 cos^2 theta) / R^3, with theta the polar
     angle of the separation from the quantization axis z: it vanishes at
     the magic angle cos theta = 1/sqrt(3) and is -2 C3 / R^3 along the
-    axis. Van der Waals shifts -C6 / R^6 between like levels."""
-    sep = geometry.positions[j] - geometry.positions[i]
-    r = float(np.linalg.norm(sep))
-    cos_t = float(sep[2] / r)
-    r_eff = r + geometry.delta_r
-    return C3 * (1.0 - 3.0 * cos_t**2) / r_eff**3, -C6_UP / r_eff**6, -C6_DOWN / r_eff**6
+    axis. Van der Waals shifts -C6 / R^6 between like levels.
+
+    Every output byte rests on these strengths, so each geometry of a
+    stack gets the rounding of the one-vector law: |R| is a dot product,
+    as ``np.linalg.norm`` takes it, and the powers are C ``pow`` on Python
+    floats, which numpy's vectorised power differs from in the last bit."""
+    i, j = _pairs(positions.shape[-2])
+    sep = positions[..., j, :] - positions[..., i, :]
+    r = np.sqrt((sep[..., None, :] @ sep[..., :, None])[..., 0, 0])
+    cos_t = (sep[..., 2] / r).astype(object)
+    r_eff = (r + delta_r).astype(object)
+    strengths = C3 * (1.0 - 3.0 * cos_t**2) / r_eff**3, -C6_UP / r_eff**6, -C6_DOWN / r_eff**6
+    return tuple(np.asarray(s, dtype=float) for s in strengths)
 
 
 def _flip_flop(i: int, j: int) -> dict[int, tuple[str, str]]:
@@ -183,22 +204,45 @@ def rydberg_background(
     like levels. ``assemble_system`` sums both densely, and the protocol sums
     them block by block (``operators.hermitian_blocks``).
     """
-    n = geometry.n_sites
-    strengths = {(i, j): _pair_strengths(geometry, i, j) for i in range(n) for j in range(i + 1, n)}
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    pairs += [(i, j) for i in range(n) for j in range(i + 2, n)]
-    terms = [(strengths[i, j][0], _flip_flop(i, j)) for i, j in pairs]
-    shifts = np.zeros(basis.dim**n)
-    for (i, j), (_, *vdw) in strengths.items():
+    moves, dipoles, shifts = drift_terms(RydbergModel(geometry), basis)
+    return list(zip(dipoles.tolist(), moves)), shifts
+
+
+def drift_terms(
+    model: ModelKind, basis: LocalBasis = SPIN_BASIS, positions: np.ndarray | None = None
+) -> tuple[list[dict[int, tuple[str, str]]], np.ndarray, np.ndarray]:
+    """H0 as the ``hermitian_sum`` moves of its terms, their coefficients
+    and its real diagonal.
+
+    Ideal: J times the flip-flop of every bond, and a zero diagonal.
+    Rydberg: ``rydberg_background``. ``positions``, a (G, N, 3) stack of
+    atom positions for a Rydberg model (its delta_r kept), gives one row
+    of coefficients and one diagonal per geometry from one evaluation of
+    the pair law; the moves are the same for all of them.
+    """
+    n = model.n_sites
+    if isinstance(model, IdealModel):
+        moves = [_flip_flop(i, i + 1) for i in range(n - 1)]
+        return moves, np.full(n - 1, model.coupling), np.zeros(basis.dim**n)
+    if not isinstance(model, RydbergModel):
+        raise TypeError(f"unknown model kind: {type(model).__name__}")
+    geometry = model.geometry
+    dipoles, *vdw = _pair_strengths(
+        geometry.positions if positions is None else positions, geometry.delta_r
+    )
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    shifts = np.zeros(dipoles.shape[:-1] + (basis.dim**n,))
+    for p, (i, j) in enumerate(pairs):
         for level, shift in zip(VDW_LEVELS, vdw):
             _, both = transition_indices(n, basis, {i: (level, level), j: (level, level)})
-            shifts[both] += shift
-    return terms, shifts
+            shifts[..., both] += shift[..., p, None]
+    bonds_first = sorted(range(len(pairs)), key=lambda p: pairs[p][1] > pairs[p][0] + 1)
+    return [_flip_flop(*pairs[p]) for p in bonds_first], dipoles[..., bonds_first], shifts
 
 
 def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     """Full drift Hamiltonian H0 for either model kind, as one dense
-    ``hermitian_sum``.
+    ``hermitian_sum`` of ``drift_terms``.
 
     Ideal: open-boundary sum over bonds of (J/2)(sx sx + sy sy), that is J
     times the flip-flop |ud><du| + h.c. per bond, with a zero diagonal.
@@ -207,11 +251,5 @@ def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndar
     excitation number, so it commutes with build_control_hz to better than
     1e-12 (diagonal magnetization blocks).
     """
-    if isinstance(model, IdealModel):
-        terms = [(model.coupling, _flip_flop(i, i + 1)) for i in range(model.n_sites - 1)]
-        diagonal = np.zeros(basis.dim**model.n_sites)
-    elif isinstance(model, RydbergModel):
-        terms, diagonal = rydberg_background(model.geometry, basis)
-    else:
-        raise TypeError(f"unknown model kind: {type(model).__name__}")
-    return hermitian_sum(terms, diagonal, model.n_sites, basis)
+    moves, coeffs, diagonal = drift_terms(model, basis)
+    return hermitian_sum(list(zip(coeffs.tolist(), moves)), diagonal, model.n_sites, basis)

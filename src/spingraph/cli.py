@@ -51,7 +51,7 @@ from .grape import (
 )
 from .operators import PROTOCOL_BASIS, site_levels
 from .protocol import run_full_protocol, standard_plan, write_timeline_csv
-from .targets import complete_graph_state, plus_product_state
+from .targets import TargetForm, complete_graph_state, plus_product_state, target_state
 
 TABLE_IDEAL = ((3, 2.3), (4, 2.808), (5, 3.386), (6, 3.952))
 TABLE_RYDBERG = ((3, 0.141), (4, 0.172), (5, 0.203), (6, 0.233))
@@ -92,7 +92,9 @@ def _grape_config(cfg: ExperimentConfig) -> GrapeConfig:
 
 def _output_path(cfg: ExperimentConfig, name: str, out=None) -> Path:
     """``out`` if given, else ``name`` in the config's output directory;
-    every missing directory on the way is created."""
+    every missing directory on the way is created. Commands resolve their
+    paths before the work, so that a destination that cannot be made
+    fails at once."""
     path = Path(out) if out else Path(cfg.output_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
@@ -106,13 +108,20 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def _write_float_outputs(cfg, prefix, csv_name, header, rows, json_name, record, stamp) -> None:
-    """``<prefix>_<csv_name>.csv`` with every value written as repr(float),
-    then ``<prefix>_<json_name>.json`` holding ``record`` and ``stamp``;
-    one echo line per path."""
-    csv_path = _output_path(cfg, f"{prefix}_{csv_name}.csv")
+def _float_outputs(cfg, prefix, csv_name, json_name) -> dict[str, Path]:
+    """The paths ``<prefix>_<csv_name>.csv`` and ``<prefix>_<json_name>.json``
+    of ``_write_float_outputs``, by name."""
+    return {
+        csv_name: _output_path(cfg, f"{prefix}_{csv_name}.csv"),
+        json_name: _output_path(cfg, f"{prefix}_{json_name}.json"),
+    }
+
+
+def _write_float_outputs(paths, header, rows, record, stamp) -> None:
+    """The ``_float_outputs`` CSV with every value written as repr(float),
+    then its JSON holding ``record`` and ``stamp``; one echo line per path."""
+    (csv_name, csv_path), (json_name, json_path) = paths.items()
     _write_csv(csv_path, header, ([repr(float(x)) for x in row] for row in rows))
-    json_path = _output_path(cfg, f"{prefix}_{json_name}.json")
     save_result(json_path, {**record, **stamp})
     _echo(f"{csv_name}: {csv_path}")
     _echo(f"{json_name}: {json_path}")
@@ -160,6 +169,14 @@ def _resolve_schedule(cfg: ExperimentConfig, schedule_path):
     return run_optimize(_grape_config(cfg)).schedule, _stamp(cfg)
 
 
+def _operator_product_only(cfg: ExperimentConfig) -> None:
+    """Refuse a cz-circuit run where the staged protocol scores it: its
+    references are built from the operator-product graph state."""
+    if build_target_spec(cfg) is TargetForm.CZ_CIRCUIT:
+        _fail("the staged protocol scores the operator-product graph state; "
+              "it cannot run target_form cz-circuit")
+
+
 def _with_table_guess(cfg: ExperimentConfig) -> ExperimentConfig:
     """The guess of tables 2 and 3 (see ``table``): random, unless a kind is set."""
     return cfg if cfg.guess_kind is not None else apply_overrides(cfg, guess_kind="random")
@@ -195,13 +212,14 @@ def out_prefix_option(default: str):
 
 
 class _Commands(click.Group):
-    """Turns a ``ValueError`` (``GrapeError`` is one) raised by any command
-    into a one-line ``<command> failed: ...`` message and exit code 1."""
+    """Turns a ``ValueError`` (``GrapeError`` is one) or an ``OSError`` (an
+    output that cannot be written) raised by any command into a one-line
+    ``<command> failed: ...`` message and exit code 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             _fail(f"{ctx.invoked_subcommand} failed: {exc}")
 
 
@@ -220,10 +238,11 @@ def main() -> None:
 def cmd_optimize(config_path, out, **overrides) -> None:
     """Optimize a field schedule and persist it as JSON plus a convergence CSV."""
     cfg = _merged_config(config_path, **overrides)
-    result = run_optimize(_grape_config(cfg))
+    grape_cfg = _grape_config(cfg)
     json_path = _output_path(cfg, f"schedule_{cfg.mode}_n{cfg.n_sites}.json", out)
-    save_result(json_path, _schedule_record(cfg, result))
     csv_path = json_path.with_suffix(".convergence.csv")
+    result = run_optimize(grape_cfg)
+    save_result(json_path, _schedule_record(cfg, result))
     _write_csv(
         csv_path,
         ["iteration", "phi"],
@@ -246,17 +265,15 @@ def _table_rows_closed(cfg: ExperimentConfig, mode: str):
     return rows
 
 
-def _open_system_run(jumps, model, schedule):
-    """Closed and spontaneous-emission graph-state populations from |+>^N at
+def _open_system_run(jumps, model, schedule, target):
+    """Closed and spontaneous-emission target populations from |+>^N at
     every slice boundary (exact no-jump traces)."""
-    n = model.n_sites
-    return open_system_trace(
-        model, schedule, jumps, plus_product_state(n), complete_graph_state(n)
-    )
+    return open_system_trace(model, schedule, jumps, plus_product_state(model.n_sites), target)
 
 
 def _dissipation_delta(jumps, model, result) -> float:
-    _, opened = _open_system_run(jumps, model, result.schedule)
+    target = complete_graph_state(model.n_sites)
+    _, opened = _open_system_run(jumps, model, result.schedule, target)
     return result.final_population - float(opened[-1])
 
 
@@ -275,6 +292,9 @@ def cmd_table(which, config_path, out, **overrides) -> None:
     cfg = _merged_config(config_path, **overrides)
     if which in ("2", "3"):
         cfg = _with_table_guess(cfg)
+    if which == "3":
+        _operator_product_only(cfg)
+    csv_path = _output_path(cfg, f"table{which}.csv", out)
 
     if which in ("1", "2"):
         mode, label, column = ("ideal", "J*T", "J*T") if which == "1" else ("rydberg", "T(us)", "T_us")
@@ -299,7 +319,6 @@ def cmd_table(which, config_path, out, **overrides) -> None:
                 f"{row[4]:>8.4f} {row[5]:>8.4f} {row[6]:>8.4f}"
             )
 
-    csv_path = _output_path(cfg, f"table{which}.csv", out)
     stamp = _stamp(cfg)
     _write_csv(
         csv_path,
@@ -370,14 +389,14 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
     if cfg.mode != "rydberg" and any(s > 0 for s in cfg.position_sigma):
         _fail("geometry noise requires rydberg mode")
     spec = build_noise_spec(cfg)
+    paths = _float_outputs(cfg, out_prefix, "trace", "summary")
     schedule, stamp = _resolve_schedule(cfg, schedule_path)
-    model = build_model(cfg)
     result = ensemble_average(
-        model,
+        build_model(cfg),
         schedule,
         spec,
         plus_product_state(cfg.n_sites),
-        complete_graph_state(cfg.n_sites),
+        target_state(build_target_spec(cfg), cfg.n_sites),
     )
     _echo(f"mean final population {result.mean_final:.6f} (std {result.std_final:.6f})")
     summary = {
@@ -388,9 +407,9 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
         "base_seed": spec.base_seed,
     }
     _write_float_outputs(
-        cfg, out_prefix, "trace", ["time", "mean", "min", "max"],
+        paths, ["time", "mean", "min", "max"],
         zip(result.times, result.mean_trace, result.min_trace, result.max_trace),
-        "summary", summary, stamp,
+        summary, stamp,
     )
 
 
@@ -404,14 +423,13 @@ def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
     """Optimize across a duration grid and report the population peaks."""
     cfg = _merged_config(config_path, **overrides)
     grape_cfg = _grape_config(apply_overrides(cfg, t_total=cfg.t_max))
+    paths = _float_outputs(cfg, out_prefix, "curve", "peaks")
     scan = scan_duration(grape_cfg, cfg.t_min, cfg.t_max, cfg.scan_steps)
     _echo("peaks (ranked by population):")
     for t, p in scan.maxima:
         _echo(f"  T={t:.4f}  population={p:.4f}")
     peaks = {"peaks": [{"t": t, "population": p} for t, p in scan.maxima]}
-    _write_float_outputs(
-        cfg, out_prefix, "curve", ["t", "population"], scan.points, "peaks", peaks, _stamp(cfg)
-    )
+    _write_float_outputs(paths, ["t", "population"], scan.points, peaks, _stamp(cfg))
 
 
 @main.command("master")
@@ -423,8 +441,10 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Open-system run with spontaneous emission; reports the closed-system delta."""
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
     jumps = build_jump_channels(cfg)
+    paths = _float_outputs(cfg, out_prefix, "trace", "summary")
     schedule, stamp = _resolve_schedule(cfg, schedule_path)
-    closed_trace, open_trace = _open_system_run(jumps, build_model(cfg), schedule)
+    target = target_state(build_target_spec(cfg), cfg.n_sites)
+    closed_trace, open_trace = _open_system_run(jumps, build_model(cfg), schedule, target)
     closed, opened = closed_trace[-1], open_trace[-1]
     _echo(f"closed {closed:.6f}  open {opened:.6f}  delta {closed - opened:.6f}")
     summary = {
@@ -433,8 +453,7 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
         "dissipation_delta": float(closed - opened),
     }
     _write_float_outputs(
-        cfg, out_prefix, "trace", ["time", "population"],
-        zip(schedule.boundary_times, open_trace), "summary", summary, stamp,
+        paths, ["time", "population"], zip(schedule.boundary_times, open_trace), summary, stamp
     )
 
 
@@ -450,6 +469,7 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
 def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_prefix) -> None:
     """Constant-field closed-form benchmark and optional parameter scan."""
     cfg = _merged_config(config_path)
+    paths = _float_outputs(cfg, out_prefix, "grid", "maxima") if scan else None
     solution = constant_field_params(c1, c2, j_coupling)
     pop_closed = constant_field_population(j_coupling, solution.b, solution.t_star)
     pop_prop = propagated_population(j_coupling, solution.b, solution.t_star)
@@ -464,8 +484,8 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
         b_col, t_col = np.meshgrid(b_grid, t_grid, indexing="ij")
         top = {"maxima": [{"b": b, "t": t, "population": p} for b, t, p in maxima[:20]]}
         _write_float_outputs(
-            cfg, out_prefix, "grid", ["b", "t", "population"],
-            zip(b_col.ravel(), t_col.ravel(), pops.ravel()), "maxima", top, _stamp(cfg),
+            paths, ["b", "t", "population"],
+            zip(b_col.ravel(), t_col.ravel(), pops.ravel()), top, _stamp(cfg),
         )
 
 
@@ -479,16 +499,16 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     its duration for the atom count, and from its guess.
     """
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
+    _operator_product_only(cfg)
     # the protocol's level table refuses more atoms than the state budget
     # holds, before a schedule is loaded or optimized
     site_levels(cfg.n_sites, PROTOCOL_BASIS.dim)
     if schedule_path is None and cfg.t_total is None and cfg.n_sites in dict(TABLE_RYDBERG):
         cfg = _with_table_guess(apply_overrides(cfg, t_total=dict(TABLE_RYDBERG)[cfg.n_sites]))
-    schedule, stamp = _resolve_schedule(cfg, schedule_path)
-    model = build_model(cfg)
-    plan = standard_plan(model.geometry, schedule)
-    result = run_full_protocol(plan)
     timeline_path = _output_path(cfg, f"{out_prefix}_timeline.csv")
+    summary_path = _output_path(cfg, f"{out_prefix}_summary.json")
+    schedule, stamp = _resolve_schedule(cfg, schedule_path)
+    result = run_full_protocol(standard_plan(build_model(cfg).geometry, schedule))
     write_timeline_csv(timeline_path, result.timeline)
     summary = {
         "total_duration": result.total_duration,
@@ -502,7 +522,6 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
         ],
         **stamp,
     }
-    summary_path = _output_path(cfg, f"{out_prefix}_summary.json")
     save_result(summary_path, summary)
     _echo(f"total duration {result.total_duration:.6f} us")
     for r in result.stage_reports:

@@ -16,7 +16,7 @@ Distance units: geometry positions are um, noise sigmas are quoted in nm
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,14 @@ from .chain import (
     RydbergModel,
     assemble_system,
     build_control_hz_diagonal,
+    drift_terms,
 )
 from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import (
     EMISSION_BASIS,
+    MAX_TRACE_STACK,
     SPIN_BASIS,
+    BlockPattern,
     LocalBasis,
     site_levels,
     transition_indices,
@@ -284,8 +287,7 @@ def sample_geometry_noise(
     rng = np.random.default_rng(spec.base_seed + sample_index)
     frame = _chain_frame(geometry.positions)
     draws = rng.normal(0.0, 1.0, size=(geometry.n_sites, 3)) * sigma_um
-    displaced = geometry.positions + draws @ frame
-    return replace(geometry, positions=displaced)
+    return ChainGeometry(geometry.positions + draws @ frame, geometry.delta_r)
 
 
 def sample_field_noise(
@@ -298,7 +300,7 @@ def sample_field_noise(
         return schedule
     rng = np.random.default_rng(seed)
     offsets = rng.normal(0.0, field_sigma, schedule.n_slices)
-    return replace(schedule, amplitudes=schedule.amplitudes + offsets)
+    return ControlSchedule(schedule.t_total, schedule.amplitudes + offsets)
 
 
 def closed_system_trace(
@@ -382,33 +384,61 @@ def ensemble_average(
     """Monte Carlo average over disorder samples.
 
     Sample i draws its noise from seed base_seed + i, so the result does
-    not depend on the order in which samples are evaluated. Field noise
-    leaves the drift alone, so without geometry noise one propagator
-    serves the whole ensemble.
+    not depend on the order in which samples are evaluated. H0 commutes
+    with Hz, so each sample's trace is a sum over the magnetisation
+    sectors m, |sum_m exp(-i A_k h_m) c_m(t_k)|^2, where h_m is the
+    sector's Hz value and c_m(t) = <target| P_m exp(-i H0 t) |psi0> its
+    return amplitude (Gorin et al., Phys. Rep. 435, 33 (2006)). One
+    evaluation of the pair law gives every sample geometry's drift; each
+    fills the sector blocks of one ``BlockPattern`` and never forms the
+    2^N matrix. Field noise moves only the areas A_k, so without geometry
+    noise one set of c_m serves the whole ensemble. An ensemble of more
+    than MAX_TRACE_STACK populations is refused before any draw.
     """
+    times = schedule.boundary_times
+    if spec.samples * times.size > MAX_TRACE_STACK:
+        raise ValueError(
+            f"{spec.samples} samples x {times.size} slice boundaries exceed the "
+            f"ensemble budget of {MAX_TRACE_STACK} populations"
+        )
     geometry_noise = any(s > 0 for s in spec.position_sigma)
     if geometry_noise and not isinstance(model, RydbergModel):
         raise ValueError("geometry noise requires a Rydberg model")
-    prop = None if geometry_noise else ClosedFormPropagator.for_model(model)
-    traces = []
+    positions = None
+    if geometry_noise:
+        positions = np.stack([
+            sample_geometry_noise(model.geometry, spec, i).positions
+            for i in range(spec.samples)
+        ])
+    moves, coeffs, diagonals = drift_terms(model, SPIN_BASIS, positions)
+    # one row per geometry: every sample's, or the model's own
+    coeffs = coeffs.reshape(-1, len(moves))
+    diagonals = diagonals.reshape(len(coeffs), -1)
+    hz = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
+    # every move is a flip-flop, so each block lies inside one sector
+    pattern = BlockPattern(moves, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
+    sector_hz = np.array([hz[idx[0]] for idx in pattern.indices])
+    traces = np.empty((spec.samples, times.size))
+    areas = schedule.boundary_areas
     for i in range(spec.samples):
-        if geometry_noise:
-            geometry = sample_geometry_noise(model.geometry, spec, i)
-            prop = ClosedFormPropagator.for_model(RydbergModel(geometry=geometry))
-        sample_schedule = schedule
+        if i < len(coeffs):
+            returns = np.stack([
+                ClosedFormPropagator(h, hz[idx]).overlaps(target[idx], psi0[idx], times, 0.0)
+                for idx, h in pattern.fill(coeffs[i], diagonals[i])
+            ], axis=1)
         if spec.field_sigma > 0:
             # disjoint seed block so field draws never reuse position draws
-            sample_schedule = sample_field_noise(
+            areas = sample_field_noise(
                 schedule, spec.field_sigma, spec.base_seed + spec.samples + i
-            )
-        traces.append(_boundary_populations(prop, sample_schedule, psi0, target))
-    stack = np.vstack(traces)
-    finals = stack[:, -1]
+            ).boundary_areas
+        phases = np.exp(-1j * np.outer(areas, sector_hz))
+        traces[i] = np.abs(np.sum(phases * returns, axis=1)) ** 2
+    finals = traces[:, -1]
     return EnsembleResult(
-        times=schedule.boundary_times,
-        mean_trace=stack.mean(axis=0),
-        min_trace=stack.min(axis=0),
-        max_trace=stack.max(axis=0),
+        times=times,
+        mean_trace=traces.mean(axis=0),
+        min_trace=traces.min(axis=0),
+        max_trace=traces.max(axis=0),
         sample_finals=finals,
         mean_final=float(finals.mean()),
         std_final=float(finals.std()),

@@ -20,8 +20,10 @@ Conventions
   mostly through ``transition_indices`` and ``hermitian_sum`` (dense) or
   ``hermitian_blocks`` (the coupled blocks a state reaches). Both tables
   are memoised and returned read-only, so every caller shares one copy.
-* Two budgets: dense matrices (operators, Hamiltonians, blocks) stay within
-  MAX_DIM, and state vectors and the site-level table within MAX_STATE_DIM.
+* Three budgets: dense matrices (operators, Hamiltonians, blocks) stay
+  within MAX_DIM, state vectors and the site-level table within
+  MAX_STATE_DIM, and the population traces of one noise ensemble (samples
+  times slice boundaries) within MAX_TRACE_STACK.
 * ``sigma_z |up> = +|up>`` and ``S_z = sigma_z / 2``.
 * hbar = 1. Energies and Rabi rates are angular frequencies in rad/us,
   times in us. A value quoted as "2 pi x f MHz" enters as 2*pi*f rad/us.
@@ -47,6 +49,7 @@ __all__ = [
     "transition_indices",
     "hermitian_sum",
     "hermitian_blocks",
+    "BlockPattern",
     "evolve_unitary",
     "basis_state",
     "product_state",
@@ -58,6 +61,8 @@ MAX_DIM = 4096
 #: Largest state-vector and site-level-table dimension: 5^6, six atoms on
 #: the protocol's five levels.
 MAX_STATE_DIM = 5**6
+#: Largest trace stack of one ensemble, in populations: 80 MB of floats.
+MAX_TRACE_STACK = 10**7
 
 HERMITICITY_TOL = 1e-9
 
@@ -222,45 +227,74 @@ def hermitian_blocks(
     support: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The blocks of h = ``hermitian_sum(terms, diagonal)`` that the basis
-    indices ``support`` reach, without forming h.
+    indices ``support`` reach, without forming h: one ``BlockPattern``
+    filled once."""
+    pattern = BlockPattern([moves for _, moves in terms], n_sites, basis, support)
+    return pattern.fill([coeff for coeff, _ in terms], diagonal)
+
+
+class BlockPattern:
+    """Where the entries of the blocks of a ``hermitian_sum`` land, for
+    one list of term moves; ``fill`` sums any coefficients and diagonal
+    into them, so a stack of Hamiltonians that share their moves shares
+    one pattern.
 
     The terms' transitions join basis indices into connected components,
     and h has no entry between two components. Each component holding an
-    index of ``support`` gives one (idx, block) pair: idx ascending, and
-    block equal to h[np.ix_(idx, idx)], each entry summed in the same order
-    as ``hermitian_sum`` does. Refuses a block beyond MAX_DIM before
+    index of ``support`` gives one block: its indices ascending, and its
+    matrix equal to h[np.ix_(idx, idx)], each entry summed in the same
+    order as ``hermitian_sum`` does. Refuses a block beyond MAX_DIM before
     allocating any.
     """
-    _check_dim_budget(basis.dim, n_sites, MAX_STATE_DIM)
-    dim = basis.dim**n_sites
-    edges = [transition_indices(n_sites, basis, moves) for _, moves in terms]
-    labels = _component_labels(dim, edges)
-    reached = np.isin(labels, labels[support])
-    rows = np.flatnonzero(reached)
-    rows = rows[np.argsort(labels[rows], kind="stable")]
-    starts = np.flatnonzero(np.diff(labels[rows], prepend=-1))
-    sizes = np.diff(starts, append=len(rows))
-    if sizes.max(initial=0) > MAX_DIM:
-        raise ValueError(f"block dimension {sizes.max()} exceeds the supported budget {MAX_DIM}")
-    # all blocks side by side in one flat buffer: a reached index's block
-    # starts at offset[index], has width[index] rows, and holds it at pos[index]
-    first = np.cumsum(sizes**2) - sizes**2
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    offset, width, pos = np.zeros((3, dim), dtype=int)
-    offset[rows] = first[block]
-    width[rows] = sizes[block]
-    pos[rows] = np.arange(len(rows)) - starts[block]
-    flat = np.zeros(int(np.sum(sizes**2)), dtype=complex)
-    for (coeff, _), (dst, src) in zip(terms, edges):
-        keep = reached[src]
-        dst, src = dst[keep], src[keep]
-        flat[offset[src] + pos[dst] * width[src] + pos[src]] += coeff
-        flat[offset[src] + pos[src] * width[src] + pos[dst]] += np.conj(coeff)
-    flat[offset[rows] + pos[rows] * (width[rows] + 1)] += diagonal[rows]
-    return [
-        (rows[s : s + k], flat[f : f + k * k].reshape(k, k))
-        for s, k, f in zip(starts, sizes, first)
-    ]
+
+    def __init__(self, moves: Sequence[Mapping], n_sites: int, basis: LocalBasis, support):
+        _check_dim_budget(basis.dim, n_sites, MAX_STATE_DIM)
+        dim = basis.dim**n_sites
+        edges = [transition_indices(n_sites, basis, m) for m in moves]
+        labels = _component_labels(dim, edges)
+        reached = np.isin(labels, labels[support])
+        rows = np.flatnonzero(reached)
+        rows = rows[np.argsort(labels[rows], kind="stable")]
+        starts = np.flatnonzero(np.diff(labels[rows], prepend=-1))
+        sizes = np.diff(starts, append=len(rows))
+        if sizes.max(initial=0) > MAX_DIM:
+            raise ValueError(
+                f"block dimension {sizes.max()} exceeds the supported budget {MAX_DIM}"
+            )
+        # all blocks side by side in one flat buffer: a reached index's block
+        # starts at offset[index], has width[index] rows, and holds it at pos[index]
+        first = np.cumsum(sizes**2) - sizes**2
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        offset, width, pos = np.zeros((3, dim), dtype=int)
+        offset[rows] = first[block]
+        width[rows] = sizes[block]
+        pos[rows] = np.arange(len(rows)) - starts[block]
+        self._size = int(np.sum(sizes**2))
+        # flat positions of each term's entries and of their conjugates
+        self._entries = []
+        for dst, src in edges:
+            keep = reached[src]
+            dst, src = dst[keep], src[keep]
+            self._entries.append((
+                offset[src] + pos[dst] * width[src] + pos[src],
+                offset[src] + pos[src] * width[src] + pos[dst],
+            ))
+        self._rows = rows
+        self._diagonal = offset[rows] + pos[rows] * (width[rows] + 1)
+        #: the basis indices of each block, ascending
+        self.indices = [rows[s : s + k] for s, k in zip(starts, sizes)]
+        self._spans = list(zip(first, sizes))
+
+    def fill(self, coeffs: Sequence[complex], diagonal: np.ndarray) -> list[tuple]:
+        """The (idx, block) pairs of h = sum of coeff T + h.c. over the
+        pattern's moves, plus diag(diagonal)."""
+        flat = np.zeros(self._size, dtype=complex)
+        for coeff, (entry, mirror) in zip(coeffs, self._entries):
+            flat[entry] += coeff
+            flat[mirror] += np.conj(coeff)
+        flat[self._diagonal] += diagonal[self._rows]
+        blocks = [flat[f : f + k * k].reshape(k, k) for f, k in self._spans]
+        return list(zip(self.indices, blocks))
 
 
 def _component_labels(dim: int, edges: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:

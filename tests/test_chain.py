@@ -21,6 +21,7 @@ from spingraph.chain import (
     RydbergModel,
     assemble_system,
     build_control_hz,
+    drift_terms,
     rydberg_background,
 )
 from spingraph.operators import EMISSION_BASIS, PROTOCOL_BASIS, SPIN_BASIS, hermitian_sum
@@ -225,6 +226,22 @@ def test_custom_constants_propagate():
     geo = ChainGeometry(positions=[[0.0, 0.0, 0.0], [0.0, 0.0, 10.0]])
     assert abs(dipole(geo) - TWO_PI * 8780.0 * (-2.0) / 1000.0) < 1e-10
     assert vdw_shifts(geo) == (TWO_PI * 4161550.0 / 1e6, -TWO_PI * 3452600.0 / 1e6)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_pair_law_on_a_stack_gives_each_geometry_its_own_drift_bit_for_bit(n):
+    # one evaluation over a stack of geometries, as a noise ensemble makes,
+    # against one evaluation per geometry
+    rng = np.random.default_rng(n)
+    base = ChainGeometry.regular(n).with_delta_r(0.013)
+    stack = base.positions + rng.normal(0.0, 0.5, size=(5, n, 3))
+    moves, coeffs, diagonals = drift_terms(RydbergModel(base), SPIN_BASIS, stack)
+    assert coeffs.shape == (5, n * (n - 1) // 2) and diagonals.shape == (5, 2**n)
+    for positions, row, diagonal in zip(stack, coeffs, diagonals):
+        terms, shifts = rydberg_background(ChainGeometry(positions, base.delta_r))
+        assert [m for _, m in terms] == moves
+        assert np.array_equal(row, [c for c, _ in terms])
+        assert np.array_equal(diagonal, shifts)
 
 
 ORACLE_CASES = [

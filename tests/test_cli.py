@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import io
 import json
+import time
 import weakref
 from pathlib import Path
 
@@ -409,6 +410,61 @@ def test_schedule_for_another_mode_or_target_is_refused(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.fixture(scope="module")
+def cz_record_n4(tmp_path_factory, runner):
+    """An N=4, T=0.172 schedule optimized for the cz-circuit graph state,
+    and a config that runs that target form."""
+    folder = tmp_path_factory.mktemp("cz")
+    path = folder / "cz.json"
+    result = runner.invoke(main, [
+        "optimize", "--mode", "rydberg", "--n", "4", "--t", "0.172", "--guess", "random",
+        "--target", "cz-circuit", "--out", str(path),
+    ])
+    assert result.exit_code == 0, result.output
+    config = folder / "cz.yaml"
+    config.write_text("run:\n  target_form: cz-circuit\n", encoding="utf-8")
+    return path, config
+
+
+@pytest.mark.parametrize(
+    "command,extra,key",
+    [
+        ("master", [], "closed_population"),
+        ("noise", ["--field-sigma", "1e-9", "--samples", "2"], "mean_final"),
+    ],
+)
+def test_a_cz_record_is_scored_against_the_cz_state(
+    runner, cz_record_n4, tmp_path, monkeypatch, command, extra, key
+):
+    monkeypatch.chdir(tmp_path)
+    path, config = cz_record_n4
+    population = load_result(path)["final_population"]
+    assert population > 0.99
+    result = runner.invoke(main, [
+        command, "--config", str(config), "--n", "4", "--t", "0.172", "--schedule", str(path),
+        *extra,
+    ])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
+    assert summary[key] == pytest.approx(population, abs=1e-9)
+
+
+@pytest.mark.parametrize("args", [["protocol", "--n", "4", "--t", "0.172"], ["table", "3"]])
+def test_runs_of_the_staged_protocol_refuse_the_cz_target(
+    runner, cz_record_n4, tmp_path, monkeypatch, args
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_optimize", lambda config: pytest.fail("optimized"))
+    _, config = cz_record_n4
+    result = runner.invoke(main, [*args, "--config", str(config)])
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: the staged protocol scores the operator-product graph state; "
+        "it cannot run target_form cz-circuit\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in (INPUTS / "schedules").iterdir()))
 def test_checked_in_schedules_without_a_target_are_accepted(name):
     # the records predate the target key and read as operator-product
@@ -583,6 +639,43 @@ def test_outputs_may_name_a_directory_that_does_not_exist(runner, tmp_path, monk
     result = runner.invoke(main, [command, *args])
     assert result.exit_code == 0, result.output
     assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == written
+
+
+#: What each command computes, by the name the CLI calls it under.
+COMPUTATIONS = (
+    "run_optimize", "scan_duration", "ensemble_average", "open_system_trace",
+    "run_full_protocol", "scan_constant_field",
+)
+
+
+@pytest.mark.parametrize("command", NESTED_OUTPUTS)
+def test_an_output_under_a_file_fails_before_any_work(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    for name in COMPUTATIONS:
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("computed"))
+    (tmp_path / "a").write_text("", encoding="utf-8")
+    args, _ = NESTED_OUTPUTS[command]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"Error: {command} failed: [Errno ")
+    assert result.output.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
+
+def test_noise_beyond_the_trace_budget_is_refused_at_once(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    result = runner.invoke(
+        main, ["noise", "--n", "3", "--schedule", SCHEDULE_N3, "--samples", "100000000"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: noise failed: 100000000 samples x 101 slice boundaries exceed the "
+        "ensemble budget of 10000000 populations\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_t_small_grid(runner, tmp_path):

@@ -8,6 +8,8 @@ checked against that integrator, against the dense exponential slice by
 slice, and against the closed-system trace.
 """
 
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +32,23 @@ from spingraph.dynamics import (
     sample_geometry_noise,
 )
 from spingraph.grape import ControlSchedule, load_result, schedule_from_record
-from spingraph.operators import EMISSION_BASIS, basis_state, embed_local_operator, evolve_unitary
+from spingraph.operators import (
+    EMISSION_BASIS,
+    MAX_TRACE_STACK,
+    SPIN_BASIS,
+    basis_state,
+    embed_local_operator,
+    evolve_unitary,
+)
 from spingraph.targets import complete_graph_state, plus_product_state
 
-from kron_reference import DEFAULT_JUMPS, embed_spin_state, level_transition
+from kron_reference import (
+    DEFAULT_JUMPS,
+    embed_spin_state,
+    kron_control_hz,
+    kron_drift,
+    level_transition,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -340,47 +355,137 @@ def test_lindblad_jump_terms_match_explicit_operators(n_sites):
     assert np.array_equal(np.diag(rhs.decay).astype(complex), decay)
 
 
-def count_propagators(monkeypatch):
-    built = []
-    original = dynamics.ClosedFormPropagator.for_model
-
-    def counting(model):
-        built.append(model)
-        return original(model)
-
-    monkeypatch.setattr(dynamics.ClosedFormPropagator, "for_model", counting)
-    return built
+ENSEMBLE_SPECS = {
+    "field": NoiseSpec(field_sigma=TWO_PI * 0.5, samples=6, base_seed=3),
+    "position": NoiseSpec(position_sigma=(193.5, 193.5, 1242.9), samples=6, base_seed=3),
+    "position+field": NoiseSpec(
+        position_sigma=(193.5, 0.0, 0.0), field_sigma=2.0, samples=6, base_seed=3
+    ),
+}
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        NoiseSpec(field_sigma=TWO_PI * 0.5, samples=6, base_seed=3),
-        NoiseSpec(position_sigma=(193.5, 193.5, 1242.9), samples=6, base_seed=3),
-        NoiseSpec(position_sigma=(193.5, 0.0, 0.0), field_sigma=2.0, samples=6, base_seed=3),
-    ],
-    ids=["field", "position", "position+field"],
-)
-def test_ensemble_shares_one_propagator_under_field_noise(spec, monkeypatch):
-    model = RydbergModel(ChainGeometry.regular(3))
-    rng = np.random.default_rng(5)
-    schedule = ControlSchedule(t_total=0.141, amplitudes=rng.uniform(-20, 20, 12))
-    psi0, target = plus_product_state(3), complete_graph_state(3)
-    # oracle: an independent closed-system trace per sample
+def sample_runs(model, schedule, spec):
+    """(model, schedule) of every sample, each drawn on its own through
+    ``sample_geometry_noise`` and ``sample_field_noise``."""
     geometry_noise = any(s > 0 for s in spec.position_sigma)
-    per_sample = []
     for i in range(spec.samples):
         sample_model = model
         if geometry_noise:
             sample_model = RydbergModel(sample_geometry_noise(model.geometry, spec, i))
-        sample_schedule = sample_field_noise(
-            schedule, spec.field_sigma, spec.base_seed + spec.samples + i
-        )
-        per_sample.append(closed_system_trace(sample_model, sample_schedule, psi0, target)[-1])
-    built = count_propagators(monkeypatch)
+        seed = spec.base_seed + spec.samples + i
+        yield sample_model, sample_field_noise(schedule, spec.field_sigma, seed)
+
+
+def ensemble_case(n_sites: int, n_slices: int = 12):
+    model = RydbergModel(ChainGeometry.regular(n_sites))
+    rng = np.random.default_rng(n_sites)
+    schedule = ControlSchedule(t_total=0.141, amplitudes=rng.uniform(-20, 20, n_slices))
+    return model, schedule, plus_product_state(n_sites), complete_graph_state(n_sites)
+
+
+def assert_matches_sample_traces(result, traces, tol):
+    traces = np.array(traces)
+    assert np.max(np.abs(result.sample_finals - traces[:, -1])) < tol
+    for got, want in [
+        (result.mean_trace, traces.mean(axis=0)),
+        (result.min_trace, traces.min(axis=0)),
+        (result.max_trace, traces.max(axis=0)),
+    ]:
+        assert np.max(np.abs(got - want)) < tol
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_SPECS)
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+def test_ensemble_matches_per_sample_closed_traces(n_sites, kind):
+    # oracle: one dense-drift closed-system trace per sample; the sector
+    # sums only reorder the arithmetic
+    spec = ENSEMBLE_SPECS[kind]
+    model, schedule, psi0, target = ensemble_case(n_sites)
+    traces = [
+        closed_system_trace(sample_model, sample_schedule, psi0, target)
+        for sample_model, sample_schedule in sample_runs(model, schedule, spec)
+    ]
     result = ensemble_average(model, schedule, spec, psi0, target)
-    assert len(built) == (spec.samples if geometry_noise else 1)
-    assert np.array_equal(result.sample_finals, per_sample)
+    assert_matches_sample_traces(result, traces, 1e-13)
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_SPECS)
+def test_ensemble_matches_dense_expm_per_sample(kind):
+    # oracle: the kron-product H0 + B_k Hz of every sample exponentiated
+    # slice by slice, without using [H0, Hz] = 0
+    spec = ENSEMBLE_SPECS[kind]
+    model, schedule, psi0, target = ensemble_case(3)
+    hz = kron_control_hz(3, SPIN_BASIS)
+    traces = []
+    for sample_model, sample_schedule in sample_runs(model, schedule, spec):
+        h0 = kron_drift(sample_model, SPIN_BASIS)
+        psi = psi0.copy()
+        trace = [abs(np.vdot(target, psi)) ** 2]
+        for b in sample_schedule.amplitudes:
+            psi = dense_expm(-1j * schedule.dt * (h0 + b * hz)) @ psi
+            trace.append(abs(np.vdot(target, psi)) ** 2)
+        traces.append(trace)
+    result = ensemble_average(model, schedule, spec, psi0, target)
+    assert_matches_sample_traces(result, traces, 1e-10)
+
+
+def spy_eigh(monkeypatch) -> list[int]:
+    """The dimension of every ``np.linalg.eigh`` call from here on."""
+    dims = []
+    original = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        dims.append(a.shape[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return dims
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_SPECS)
+@pytest.mark.parametrize("n_sites", [3, 6])
+def test_ensemble_decomposes_each_sector_block_once_per_geometry(n_sites, kind, monkeypatch):
+    # field noise leaves the drift alone: one eigh per magnetisation
+    # sector for the whole ensemble; geometry noise: one per sector and
+    # sample. No eigh sees the 2^N-dimensional drift.
+    spec = ENSEMBLE_SPECS[kind]
+    model, schedule, psi0, target = ensemble_case(n_sites)
+    dims = spy_eigh(monkeypatch)
+    ensemble_average(model, schedule, spec, psi0, target)
+    sectors = [math.comb(n_sites, k) for k in range(n_sites + 1)]
+    geometries = 1 if kind == "field" else spec.samples
+    assert sorted(dims) == sorted(sectors * geometries)
+    assert max(dims) < 2**n_sites
+
+
+@pytest.mark.parametrize("kind", ["position", "field"])
+def test_ensemble_memory_stays_flat(kind):
+    # tracemalloc peak of one 50-sample, 100-slice ensemble at N=6: no
+    # (samples x k x k) eigenvector stack and no (samples x boundaries x
+    # sectors) phase tensor is ever held
+    spec = replace_spec(ENSEMBLE_SPECS[kind], samples=50)
+    model, schedule, psi0, target = ensemble_case(6, n_slices=100)
+    args = (model, schedule, spec, psi0, target)
+    ensemble_average(*args)  # memoised index tables are built once, outside the peak
+    tracemalloc.start()
+    try:
+        ensemble_average(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600_000
+
+
+def test_ensemble_beyond_the_trace_budget_is_refused_before_any_draw(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(dynamics, "sample_geometry_noise", lambda *a: drawn.append(a))
+    monkeypatch.setattr(dynamics, "sample_field_noise", lambda *a: drawn.append(a))
+    model, schedule, psi0, target = ensemble_case(3, n_slices=99)
+    samples = MAX_TRACE_STACK // 100 + 1
+    spec = NoiseSpec(position_sigma=(1.0, 0.0, 0.0), field_sigma=1.0, samples=samples)
+    with pytest.raises(ValueError, match="slice boundaries exceed the ensemble budget"):
+        ensemble_average(model, schedule, spec, psi0, target)
+    assert drawn == []
 
 
 def scaled_default_jumps(scale: float) -> JumpChannels:

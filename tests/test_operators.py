@@ -12,6 +12,7 @@ from spingraph.operators import (
     EMISSION_BASIS,
     PROTOCOL_BASIS,
     SPIN_BASIS,
+    BlockPattern,
     LocalBasis,
     basis_state,
     check_hermitian,
@@ -294,6 +295,29 @@ def test_hermitian_blocks_match_the_dense_sum(n):
         assert np.all(np.isin(support, reached))
         assert np.array_equal(got[reached], dense[reached])
     assert np.array_equal(got, dense)
+
+
+def test_block_pattern_refilled_gives_each_dense_sum():
+    # one pattern serves every coefficient set of its moves: each fill
+    # equals that set's dense sum on every block, entry for entry
+    n, basis = 3, PROTOCOL_BASIS
+    rng = np.random.default_rng(7)
+    moves = [
+        {0: ("up", "down"), 2: ("down", "up")},
+        {1: ("0", "r")},
+        {1: ("up", "down"), 2: ("down", "up")},
+    ]
+    support = np.array([basis.index("up") * 25 + basis.index("down") * 5 + basis.index("r")])
+    pattern = BlockPattern(moves, n, basis, support)
+    for _ in range(3):
+        coeffs = rng.normal(size=len(moves)) + 1j * rng.normal(size=len(moves))
+        diagonal = rng.normal(size=basis.dim**n)
+        dense = hermitian_sum(list(zip(coeffs, moves)), diagonal, n, basis)
+        blocks = pattern.fill(coeffs, diagonal)
+        assert len(blocks) == len(pattern.indices) > 0
+        for (idx, block), indices in zip(blocks, pattern.indices):
+            assert np.array_equal(idx, indices)
+            assert np.array_equal(block, dense[np.ix_(idx, idx)])
 
 
 def test_hermitian_blocks_refuse_a_block_beyond_the_dense_budget():
