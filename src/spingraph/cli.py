@@ -389,6 +389,9 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
     if cfg.mode != "rydberg" and any(s > 0 for s in cfg.position_sigma):
         _fail("geometry noise requires rydberg mode")
     spec = build_noise_spec(cfg)
+    if schedule_path is None:
+        # the schedule to be optimized has the guess's slices
+        spec.check_trace_budget(build_guess_spec(cfg).slice_count() + 1)
     paths = _float_outputs(cfg, out_prefix, "trace", "summary")
     schedule, stamp = _resolve_schedule(cfg, schedule_path)
     result = ensemble_average(

@@ -114,6 +114,15 @@ class NoiseSpec:
         if self.samples < 1:
             raise ValueError("need at least one sample")
 
+    def check_trace_budget(self, boundaries: int) -> None:
+        """Refuse an ensemble whose traces, ``samples`` x ``boundaries``
+        populations, exceed MAX_TRACE_STACK."""
+        if self.samples * boundaries > MAX_TRACE_STACK:
+            raise ValueError(
+                f"{self.samples} samples x {boundaries} slice boundaries exceed the "
+                f"ensemble budget of {MAX_TRACE_STACK} populations"
+            )
+
 
 @dataclass
 class MasterResult:
@@ -396,11 +405,7 @@ def ensemble_average(
     than MAX_TRACE_STACK populations is refused before any draw.
     """
     times = schedule.boundary_times
-    if spec.samples * times.size > MAX_TRACE_STACK:
-        raise ValueError(
-            f"{spec.samples} samples x {times.size} slice boundaries exceed the "
-            f"ensemble budget of {MAX_TRACE_STACK} populations"
-        )
+    spec.check_trace_budget(times.size)
     geometry_noise = any(s > 0 for s in spec.position_sigma)
     if geometry_noise and not isinstance(model, RydbergModel):
         raise ValueError("geometry noise requires a Rydberg model")

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelKind, assemble_system, build_control_hz_diagonal
-from .operators import SPIN_BASIS
+from .operators import MAX_TRACE_STACK, SPIN_BASIS
 from .targets import TargetForm, plus_product_state, target_state
 
 __all__ = [
@@ -142,8 +142,12 @@ class GuessSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "random"):
             raise ValueError(f"unknown guess kind {self.kind!r}")
-        if self.n_slices is not None and self.n_slices < 1:
-            raise ValueError("n_slices must be at least 1")
+        # a trace holds one population per slice boundary
+        if self.n_slices is not None and not 1 <= self.n_slices < MAX_TRACE_STACK:
+            raise ValueError(
+                f"n_slices must be in [1, {MAX_TRACE_STACK - 1}], so that its "
+                f"boundaries fit the trace budget of {MAX_TRACE_STACK} populations"
+            )
 
     def slice_count(self) -> int:
         if self.n_slices is not None:
@@ -275,15 +279,23 @@ class ClosedFormPropagator:
         """<target| exp(-i H t) exp(-i A Hz) |psi>, one per (t, area)."""
         return self._eigen_components(psi, t, area) @ (target.conj() @ self._v)
 
-    def landscape_and_slope(
-        self, target: np.ndarray, psi0: np.ndarray, t: float, area: float
-    ) -> tuple[float, float]:
-        """Phi = |<target|U|psi0>|^2 at one (t, area) and dPhi/dA, both
-        from one kernel call on psi0 and -i Hz psi0."""
-        overlap, d_overlap = self.overlaps(
-            target, np.stack([psi0, -1j * self.hz_diag * psi0]), t, area
-        )
-        return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
+    def landscape(self, target: np.ndarray, psi0: np.ndarray, t: float):
+        """The function area -> (Phi, dPhi/dA) at duration t, with
+        Phi = |<target|U|psi0>|^2. psi0, -i Hz psi0 and the target are
+        projected onto the eigenbasis, and t times the eigenvalues formed,
+        once; each area then costs one phase vector, applied as
+        ``overlaps`` applies it, so the values equal those of ``overlaps``
+        bit for bit."""
+        components = np.stack([psi0, -1j * self.hz_diag * psi0]) @ self._v.conj()
+        target_components = target.conj() @ self._v
+        t_w = np.asarray(t, float)[..., None] * self._w
+
+        def at(area: float) -> tuple[float, float]:
+            phases = np.exp(-1j * (t_w + np.asarray(area, float)[..., None] * self._hz))
+            overlap, d_overlap = (components * phases) @ target_components
+            return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
+
+        return at
 
 
 def optimize(config: GrapeConfig) -> GrapeResult:
@@ -306,13 +318,13 @@ def optimize(config: GrapeConfig) -> GrapeResult:
     winding reduction.
     """
     prop = ClosedFormPropagator.for_model(config.model)
-    target = target_state(config.target, config.model.n_sites)
-    psi0 = plus_product_state(config.model.n_sites)
-    guess = make_guess(config.guess, config.t_total)
+    n_sites = config.model.n_sites
     t = config.t_total
+    landscape = prop.landscape(target_state(config.target, n_sites), plus_product_state(n_sites), t)
+    guess = make_guess(config.guess, t)
 
     area = guess.field_area
-    phi, slope = prop.landscape_and_slope(target, psi0, t, area)
+    phi, slope = landscape(area)
     if not (np.isfinite(phi) and np.isfinite(slope)):
         raise GrapeError("non-finite landscape or gradient at the starting point")
     history = [phi]
@@ -323,7 +335,7 @@ def optimize(config: GrapeConfig) -> GrapeResult:
     while not converged and len(history) <= MAX_ITERATIONS:
         while rate >= RATE_FLOOR:
             trial = area + rate * slope
-            phi_trial, slope_trial = prop.landscape_and_slope(target, psi0, t, trial)
+            phi_trial, slope_trial = landscape(trial)
             if not np.isfinite(phi_trial):
                 raise GrapeError(f"non-finite landscape during line search at rate {rate}")
             if phi_trial >= phi:
@@ -343,7 +355,7 @@ def optimize(config: GrapeConfig) -> GrapeResult:
     schedule = reduce_field_winding(
         replace(guess, amplitudes=guess.amplitudes + (area - guess.field_area) / t)
     )
-    final_population, _ = prop.landscape_and_slope(target, psi0, t, schedule.field_area)
+    final_population, _ = landscape(schedule.field_area)
     return GrapeResult(
         schedule=schedule,
         phi_history=history,
@@ -372,18 +384,26 @@ def reduce_field_winding(schedule: ControlSchedule) -> ControlSchedule:
     return replace(schedule, amplitudes=schedule.amplitudes - offset)
 
 
+#: Largest duration grid of ``scan_duration``. One grid point is one
+#: ``optimize`` run: 1.1-2.4 ms at N=3 and N=6 in either mode and from
+#: either guess (71-point scans, one thread of a 2-vCPU Xeon), so a grid
+#: at the cap takes 10-25 s.
+MAX_SCAN_STEPS = 10_000
+
+
 def scan_duration(
     config: GrapeConfig, t_min: float, t_max: float, steps: int
 ) -> ScanResult:
-    """Optimize at each duration on a uniform grid.
+    """Optimize at each duration on a uniform grid of 2 to MAX_SCAN_STEPS
+    points.
 
     Returns the (T, optimized population) curve in increasing T and its
     interior local maxima ranked by population, dominant first.
     """
     if not t_min < t_max:
         raise ValueError("t_min must be below t_max")
-    if steps < 2:
-        raise ValueError("need at least two grid points")
+    if not 2 <= steps <= MAX_SCAN_STEPS:
+        raise ValueError(f"the duration grid needs 2 to {MAX_SCAN_STEPS} points, not {steps}")
     grid = np.linspace(t_min, t_max, steps)
     points = []
     for t in grid:

@@ -298,8 +298,8 @@ def _check_gradient_against_finite_differences() -> tuple[bool, str]:
         )
         psi0, target = plus_product_state(n), complete_graph_state(n)
         # the optimizer's slope; every slice moves the area by dt per unit
-        _, slope = ClosedFormPropagator.for_model(model).landscape_and_slope(
-            target, psi0, t_total, schedule.field_area
+        _, slope = ClosedFormPropagator.for_model(model).landscape(target, psi0, t_total)(
+            schedule.field_area
         )
         grad = schedule.dt * slope
         eps = 1e-6

@@ -585,6 +585,8 @@ BAD_DURATIONS = ("0", "-1", "nan", "inf")
         ["noise", "--n", "3", "--t", "0.141", "--samples", "0"],
         ["noise", "--n", "3", "--t", "0.141", "--field-sigma", "-1"],
         ["optimize", "--n", "3", "--t", "0.141", "--slices", "0"],
+        ["optimize", "--n", "3", "--t", "0.141", "--slices", "300000000"],
+        ["scan-t", "--n", "3", "--steps", "100000000"],
         *(["optimize", "--n", "3", "--t", t] for t in BAD_DURATIONS),
         *(["scan-t", "--t-min", t, "--t-max", "0.16", "--steps", "3"] for t in BAD_DURATIONS),
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1"],
@@ -673,6 +675,26 @@ def test_noise_beyond_the_trace_budget_is_refused_at_once(runner, tmp_path, monk
     assert result.exit_code == 1
     assert result.output == (
         "Error: noise failed: 100000000 samples x 101 slice boundaries exceed the "
+        "ensemble budget of 10000000 populations\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_noise_to_be_optimized_is_held_to_the_trace_budget_first(runner, tmp_path, monkeypatch):
+    """Without a schedule the guess fixes the slice count, so the budget is
+    checked before any optimization."""
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "run_optimize", lambda *a, **k: calls.append(a))
+    start = time.perf_counter()
+    result = runner.invoke(
+        main, ["noise", "--n", "6", "--t", "0.233", "--guess", "random", "--samples", "100000000"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: noise failed: 100000000 samples x 11 slice boundaries exceed the "
         "ensemble budget of 10000000 populations\n"
     )
     assert list(tmp_path.iterdir()) == []

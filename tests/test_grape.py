@@ -1,17 +1,21 @@
 """Guess fields, landscape gradient, ascent loop, duration scan, persistence.
 
 The landscape and its slope come from ``ClosedFormPropagator``, the kernel
-``optimize`` runs. The gradient oracle is central finite differences of
-the final population of ``dynamics.closed_system_trace``, slice by slice,
-against dPhi/dB_k = dt dPhi/dA; frozen-scalar checks pin the guess-field
-formulas.
+``optimize`` runs; ``reference_optimize`` repeats the ascent with a fresh
+``overlaps`` call per step, and ``optimize`` must equal it bit for bit.
+The gradient oracle is central finite differences of the final population
+of ``dynamics.closed_system_trace``, slice by slice, against
+dPhi/dB_k = dt dPhi/dA; frozen-scalar checks pin the guess-field formulas.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spingraph import grape
 from spingraph.chain import ChainGeometry, IdealModel, RydbergModel
 from spingraph.dynamics import closed_system_trace
 from spingraph.grape import (
@@ -19,6 +23,7 @@ from spingraph.grape import (
     ControlSchedule,
     GrapeConfig,
     GrapeError,
+    GrapeResult,
     GuessSpec,
     gaussian_guess,
     load_result,
@@ -37,18 +42,61 @@ from spingraph.targets import (
     complete_graph_state,
     cz_graph_state,
     plus_product_state,
+    target_state,
 )
 
-from conftest import ideal_config, rydberg_config
+from conftest import IDEAL_CASES, RYDBERG_CASES, ideal_config, rydberg_config
 
 TWO_PI = 2.0 * np.pi
 
 
-def landscape_and_slope(model, schedule, psi0, target):
+def landscape_at(model, schedule, psi0, target):
     """Phi and dPhi/dA at the schedule's (T, A), as ``optimize`` evaluates them."""
-    return ClosedFormPropagator.for_model(model).landscape_and_slope(
-        target, psi0, schedule.t_total, schedule.field_area
+    landscape = ClosedFormPropagator.for_model(model).landscape(target, psi0, schedule.t_total)
+    return landscape(schedule.field_area)
+
+
+def overlap_landscape(prop, target, psi0, t, area):
+    """Phi and dPhi/dA from one ``overlaps`` call at (t, area) on psi0 and
+    -i Hz psi0, with nothing carried over from an earlier call."""
+    overlap, d_overlap = prop.overlaps(
+        target, np.stack([psi0, -1j * prop.hz_diag * psi0]), t, area
     )
+    return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
+
+
+def reference_optimize(config):
+    """The ascent of ``optimize``, line search and stop rule included, with
+    every landscape value from ``overlap_landscape`` at its (T, A)."""
+    prop = ClosedFormPropagator.for_model(config.model)
+    n_sites = config.model.n_sites
+    target, psi0 = target_state(config.target, n_sites), plus_product_state(n_sites)
+    t = config.t_total
+    guess = make_guess(config.guess, t)
+    area = guess.field_area
+    phi, slope = overlap_landscape(prop, target, psi0, t, area)
+    history = [phi]
+    rate, flat, converged = grape.INITIAL_RATE, 0, slope == 0.0
+    while not converged and len(history) <= grape.MAX_ITERATIONS:
+        while rate >= grape.RATE_FLOOR:
+            trial = area + rate * slope
+            phi_trial, slope_trial = overlap_landscape(prop, target, psi0, t, trial)
+            if phi_trial >= phi:
+                break
+            rate *= grape.BACKTRACK_FACTOR
+        else:
+            converged = True
+            break
+        flat = flat + 1 if abs(phi_trial - phi) < grape.STOP_TOLERANCE else 0
+        converged = flat >= grape.FLAT_ITERATIONS
+        area, phi, slope = trial, phi_trial, slope_trial
+        history.append(phi)
+        rate *= grape.GROW_FACTOR
+    schedule = reduce_field_winding(
+        ControlSchedule(t, guess.amplitudes + (area - guess.field_area) / t)
+    )
+    final, _ = overlap_landscape(prop, target, psi0, t, schedule.field_area)
+    return GrapeResult(schedule, history, final, converged)
 
 
 def final_population(model, schedule, psi0, target):
@@ -127,7 +175,7 @@ def test_gradient_matches_finite_differences(seed):
     )
     psi0 = plus_product_state(n_sites)
     target = complete_graph_state(n_sites)
-    phi, slope = landscape_and_slope(model, schedule, psi0, target)
+    phi, slope = landscape_at(model, schedule, psi0, target)
     assert abs(phi - final_population(model, schedule, psi0, target)) < 1e-12
     # every slice moves the field area by dt per unit amplitude
     grad = schedule.dt * slope
@@ -143,7 +191,7 @@ def test_gradient_uniform_across_slices():
     rng = np.random.default_rng(3)
     schedule = ControlSchedule(t_total=0.14, amplitudes=rng.uniform(-5, 5, 12))
     psi0, target = plus_product_state(3), complete_graph_state(3)
-    _, slope = landscape_and_slope(model, schedule, psi0, target)
+    _, slope = landscape_at(model, schedule, psi0, target)
     fd = slice_finite_differences(model, schedule, psi0, target)
     assert np.ptp(fd) < 1e-11
     assert np.max(np.abs(fd - schedule.dt * slope)) < 1e-10
@@ -180,8 +228,8 @@ def test_winding_reduction_preserves_landscape():
         np.testing.assert_allclose(
             reduced.amplitudes, wound.amplitudes - TWO_PI * turns / 0.141, atol=1e-9
         )
-        phi_wound = landscape_and_slope(model, wound, psi0, target)[0]
-        phi_reduced = landscape_and_slope(model, reduced, psi0, target)[0]
+        phi_wound = landscape_at(model, wound, psi0, target)[0]
+        phi_reduced = landscape_at(model, reduced, psi0, target)[0]
         assert abs(phi_wound - phi_reduced) < 1e-10
 
 
@@ -251,7 +299,7 @@ def test_zero_gradient_start_converges_immediately():
     target = evolve_unitary(assemble_system(model), 1.0, psi0)
     # assert through the optimizer's kernel: the slope at the constructed
     # point is zero
-    phi, slope = landscape_and_slope(model, schedule, psi0, target)
+    phi, slope = landscape_at(model, schedule, psi0, target)
     assert phi == pytest.approx(1.0, abs=1e-12)
     assert abs(schedule.dt * slope) < 1e-12
 
@@ -370,9 +418,52 @@ def test_cz_target_shifts_the_landscape_by_pi_in_area(n_sites):
     ):
         prop = ClosedFormPropagator.for_model(model)
         for t, area in zip(rng.uniform(0.0, t_scale, 5), rng.uniform(-np.pi, np.pi, 5)):
-            cz = prop.landscape_and_slope(cz_graph_state(n_sites), psi0, t, area)
-            op = prop.landscape_and_slope(complete_graph_state(n_sites), psi0, t, area - shift)
+            cz = prop.landscape(cz_graph_state(n_sites), psi0, t)(area)
+            op = prop.landscape(complete_graph_state(n_sites), psi0, t)(area - shift)
             np.testing.assert_allclose(cz, op, rtol=0, atol=1e-12)
+
+
+#: (mode, N, T) rows for the reference ascent: the table rows plus N=2.
+REFERENCE_CASES = [
+    *(("ideal", n, t) for n, t in ((2, 1.6), *IDEAL_CASES)),
+    *(("rydberg", n, t) for n, t in ((2, 0.11), *RYDBERG_CASES)),
+]
+
+
+@pytest.mark.parametrize("target", list(TargetForm), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", ["gaussian", "random"])
+@pytest.mark.parametrize(
+    "mode, n_sites, t_total", REFERENCE_CASES, ids=str
+)
+def test_optimize_equals_the_per_call_ascent(mode, n_sites, t_total, kind, target):
+    # the projected landscape applies the same phase vector to the same
+    # operands as a fresh ``overlaps`` call, so every accepted step agrees
+    # bit for bit
+    make_config = ideal_config if mode == "ideal" else rydberg_config
+    b0 = 1.0 if mode == "ideal" else TWO_PI
+    config = replace(make_config(n_sites, t_total, GuessSpec(kind=kind, b0=b0)), target=target)
+    result, expected = optimize(config), reference_optimize(config)
+    assert result.phi_history == expected.phi_history
+    assert np.array_equal(result.schedule.amplitudes, expected.schedule.amplitudes)
+    assert result.final_population == expected.final_population
+    assert result.converged == expected.converged
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_sites=st.integers(2, 6),
+    rydberg=st.booleans(),
+    cz=st.booleans(),
+    t_scale=st.floats(0.0, 1.0),
+    area=st.floats(-50.0, 50.0),
+)
+def test_landscape_equals_the_overlaps_bit_for_bit(n_sites, rydberg, cz, t_scale, area):
+    model = RydbergModel(ChainGeometry.regular(n_sites)) if rydberg else IdealModel(n_sites)
+    t = t_scale * (0.3 if rydberg else 4.0)
+    prop = ClosedFormPropagator.for_model(model)
+    psi0 = plus_product_state(n_sites)
+    target = (cz_graph_state if cz else complete_graph_state)(n_sites)
+    assert prop.landscape(target, psi0, t)(area) == overlap_landscape(prop, target, psi0, t, area)
 
 
 def test_scan_duration_grid_and_peaks():
@@ -473,7 +564,7 @@ def test_non_commuting_drift_is_refused(monkeypatch):
     monkeypatch.setattr(grape, "assemble_system", transverse_drift)
     schedule = ControlSchedule(t_total=2.3, amplitudes=np.ones(5))
     with pytest.raises(GrapeError, match="commute"):
-        landscape_and_slope(
+        landscape_at(
             IdealModel(3), schedule, plus_product_state(3), complete_graph_state(3)
         )
     with pytest.raises(GrapeError, match="commute"):
