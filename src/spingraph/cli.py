@@ -49,7 +49,7 @@ from .grape import (
     save_result,
     load_result,
 )
-from .operators import PROTOCOL_BASIS, site_levels
+from .operators import MAX_TRACE_STACK, PROTOCOL_BASIS, site_levels
 from .protocol import run_full_protocol, standard_plan, write_timeline_csv
 from .targets import TargetForm, complete_graph_state, plus_product_state, target_state
 
@@ -472,6 +472,11 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
 def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_prefix) -> None:
     """Constant-field closed-form benchmark and optional parameter scan."""
     cfg = _merged_config(config_path)
+    if scan and b_points * t_points > MAX_TRACE_STACK:
+        raise ValueError(
+            f"{b_points} x {t_points} grid points exceed the scan budget of "
+            f"{MAX_TRACE_STACK} populations"
+        )
     paths = _float_outputs(cfg, out_prefix, "grid", "maxima") if scan else None
     solution = constant_field_params(c1, c2, j_coupling)
     pop_closed = constant_field_population(j_coupling, solution.b, solution.t_star)

@@ -66,6 +66,11 @@ MAX_PHASE_PER_SUBSTEP = 0.1
 #: Refusal threshold on the total substep count of one run.
 MAX_TOTAL_SUBSTEPS = 1_000_000
 
+#: Bound on the complex elements of an ensemble chunk's eigen-component
+#: tensor, samples x slice boundaries x largest sector block: 4 samples at
+#: N=6 with 101 boundaries, 27 at N=3.
+CHUNK_ELEMENTS = 2**13
+
 
 @dataclass(frozen=True)
 class JumpChannels:
@@ -398,11 +403,14 @@ def ensemble_average(
     sectors m, |sum_m exp(-i A_k h_m) c_m(t_k)|^2, where h_m is the
     sector's Hz value and c_m(t) = <target| P_m exp(-i H0 t) |psi0> its
     return amplitude (Gorin et al., Phys. Rep. 435, 33 (2006)). One
-    evaluation of the pair law gives every sample geometry's drift; each
-    fills the sector blocks of one ``BlockPattern`` and never forms the
-    2^N matrix. Field noise moves only the areas A_k, so without geometry
-    noise one set of c_m serves the whole ensemble. An ensemble of more
-    than MAX_TRACE_STACK populations is refused before any draw.
+    evaluation of the pair law gives every sample geometry's drift. The
+    samples go in chunks of CHUNK_ELEMENTS / (boundaries x largest block):
+    a chunk fills the sector blocks of one ``BlockPattern`` as a stack,
+    one stacked ``ClosedFormPropagator`` per sector decomposes it in one
+    ``eigh`` call, and no 2^N matrix is formed. Field noise moves only the
+    areas A_k, so without geometry noise one set of c_m serves the whole
+    ensemble. An ensemble of more than MAX_TRACE_STACK populations is
+    refused before any draw.
     """
     times = schedule.boundary_times
     spec.check_trace_budget(times.size)
@@ -423,21 +431,28 @@ def ensemble_average(
     # every move is a flip-flop, so each block lies inside one sector
     pattern = BlockPattern(moves, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
     sector_hz = np.array([hz[idx[0]] for idx in pattern.indices])
+    largest = max(len(idx) for idx in pattern.indices)
+    chunk = max(1, CHUNK_ELEMENTS // (times.size * largest))
     traces = np.empty((spec.samples, times.size))
     areas = schedule.boundary_areas
-    for i in range(spec.samples):
-        if i < len(coeffs):
+    for start in range(0, spec.samples, chunk):
+        rows = slice(start, start + chunk)
+        if start < len(coeffs):
+            # (samples in the chunk, boundaries, sectors)
             returns = np.stack([
                 ClosedFormPropagator(h, hz[idx]).overlaps(target[idx], psi0[idx], times, 0.0)
-                for idx, h in pattern.fill(coeffs[i], diagonals[i])
-            ], axis=1)
+                for idx, h in pattern.fill(coeffs[rows], diagonals[rows])
+            ], axis=-1)
         if spec.field_sigma > 0:
             # disjoint seed block so field draws never reuse position draws
-            areas = sample_field_noise(
-                schedule, spec.field_sigma, spec.base_seed + spec.samples + i
-            ).boundary_areas
-        phases = np.exp(-1j * np.outer(areas, sector_hz))
-        traces[i] = np.abs(np.sum(phases * returns, axis=1)) ** 2
+            areas = np.stack([
+                sample_field_noise(
+                    schedule, spec.field_sigma, spec.base_seed + spec.samples + i
+                ).boundary_areas
+                for i in range(spec.samples)[rows]
+            ])
+        phases = np.exp(-1j * (areas[..., None] * sector_hz))
+        traces[rows] = np.abs(np.sum(phases * returns, axis=-1)) ** 2
     finals = traces[:, -1]
     return EnsembleResult(
         times=times,

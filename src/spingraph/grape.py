@@ -231,6 +231,11 @@ class ClosedFormPropagator:
     verifies the commutator, which the factorization depends on. Every
     (t, A) the methods take broadcasts against the other and against a
     stack of input states.
+
+    ``h`` may also be a stack, (G, k, k), of one-sector drifts that share
+    one constant ``hz_diag``: one gufunc ``eigh`` decomposes them all, and
+    ``states`` and ``overlaps`` of one input state put the stack axes
+    first, then the broadcast shape of (t, A).
     """
 
     def __init__(self, h: np.ndarray, hz_diag: np.ndarray):
@@ -246,6 +251,8 @@ class ClosedFormPropagator:
             self._w, self._v = np.linalg.eigh(h)
             self._hz = hz_diag
             return
+        if h.ndim > 2:
+            raise ValueError("a stack of drifts needs one Hz value; its blocks span several")
         # eigenvector columns ordered by sector, each sector's block of rows
         order = np.argsort(hz_diag, kind="stable")
         self._hz = hz_diag[order]
@@ -269,15 +276,35 @@ class ClosedFormPropagator:
 
     def _eigen_components(self, psi: np.ndarray, t, area) -> np.ndarray:
         t, area = np.asarray(t, float)[..., None], np.asarray(area, float)[..., None]
-        return (psi @ self._v.conj()) * np.exp(-1j * (t * self._w + area * self._hz))
+        if self._v.ndim == 2:
+            return (psi @ self._v.conj()) * np.exp(-1j * (t * self._w + area * self._hz))
+        # (stack..., one flat axis of the (t, area) pairs, k), built in place
+        # with the same arithmetic: it is the largest array an ensemble holds
+        t, area = (x.reshape(-1, 1) for x in np.broadcast_arrays(t, area))
+        phases = t * self._w[..., None, :]
+        phases += area * self._hz[0]
+        phases = phases.astype(complex)
+        phases *= -1j
+        np.exp(phases, out=phases)
+        return np.multiply((psi @ self._v.conj())[..., None, :], phases, out=phases)
+
+    def _unfold(self, out: np.ndarray, t, area, *tail: int) -> np.ndarray:
+        """A stack's results with its flat (t, area) axis unfolded."""
+        if self._v.ndim == 2:
+            return out
+        return out.reshape(self._v.shape[:-2] + np.broadcast_shapes(np.shape(t), np.shape(area)) + tail)
 
     def states(self, psi: np.ndarray, t, area) -> np.ndarray:
         """exp(-i H t) exp(-i A Hz) psi, one state per (t, area)."""
-        return self._eigen_components(psi, t, area) @ self._v.T
+        out = self._eigen_components(psi, t, area) @ self._v.swapaxes(-1, -2)
+        return self._unfold(out, t, area, self._v.shape[-1])
 
     def overlaps(self, target: np.ndarray, psi: np.ndarray, t, area) -> np.ndarray:
         """<target| exp(-i H t) exp(-i A Hz) |psi>, one per (t, area)."""
-        return self._eigen_components(psi, t, area) @ (target.conj() @ self._v)
+        projected = target.conj() @ self._v
+        if self._v.ndim > 2:
+            projected = projected[..., None]  # one column per block
+        return self._unfold(self._eigen_components(psi, t, area) @ projected, t, area)
 
     def landscape(self, target: np.ndarray, psi0: np.ndarray, t: float):
         """The function area -> (Phi, dPhi/dA) at duration t, with

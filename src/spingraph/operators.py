@@ -287,13 +287,17 @@ class BlockPattern:
 
     def fill(self, coeffs: Sequence[complex], diagonal: np.ndarray) -> list[tuple]:
         """The (idx, block) pairs of h = sum of coeff T + h.c. over the
-        pattern's moves, plus diag(diagonal)."""
-        flat = np.zeros(self._size, dtype=complex)
-        for coeff, (entry, mirror) in zip(coeffs, self._entries):
-            flat[entry] += coeff
-            flat[mirror] += np.conj(coeff)
-        flat[self._diagonal] += diagonal[self._rows]
-        blocks = [flat[f : f + k * k].reshape(k, k) for f, k in self._spans]
+        pattern's moves, plus diag(diagonal). A (G, M) coefficient stack
+        with a (G, dim) diagonal stack gives (G, k, k) blocks, one row per
+        Hamiltonian."""
+        coeffs, diagonal = np.asarray(coeffs), np.asarray(diagonal)
+        stack = diagonal.shape[:-1]
+        flat = np.zeros(stack + (self._size,), dtype=complex)
+        for m, (entry, mirror) in enumerate(self._entries):
+            flat[..., entry] += coeffs[..., m, None]
+            flat[..., mirror] += np.conj(coeffs[..., m, None])
+        flat[..., self._diagonal] += diagonal[..., self._rows]
+        blocks = [flat[..., f : f + k * k].reshape(stack + (k, k)) for f, k in self._spans]
         return list(zip(self.indices, blocks))
 
 

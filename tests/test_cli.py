@@ -587,6 +587,7 @@ BAD_DURATIONS = ("0", "-1", "nan", "inf")
         ["optimize", "--n", "3", "--t", "0.141", "--slices", "0"],
         ["optimize", "--n", "3", "--t", "0.141", "--slices", "300000000"],
         ["scan-t", "--n", "3", "--steps", "100000000"],
+        ["analytic", "--scan", "--b-points", "100000", "--t-points", "100000"],
         *(["optimize", "--n", "3", "--t", t] for t in BAD_DURATIONS),
         *(["scan-t", "--t-min", t, "--t-max", "0.16", "--steps", "3"] for t in BAD_DURATIONS),
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1"],

@@ -429,40 +429,55 @@ def test_ensemble_matches_dense_expm_per_sample(kind):
     assert_matches_sample_traces(result, traces, 1e-10)
 
 
-def spy_eigh(monkeypatch) -> list[int]:
-    """The dimension of every ``np.linalg.eigh`` call from here on."""
-    dims = []
+def spy_eigh(monkeypatch) -> list[tuple[int, int]]:
+    """(dimension, stack depth) of every ``np.linalg.eigh`` call from here on."""
+    calls = []
     original = np.linalg.eigh
 
     def spy(a, *args, **kwargs):
-        dims.append(a.shape[-1])
+        calls.append((a.shape[-1], math.prod(a.shape[:-2])))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    return dims
+    return calls
 
 
 @pytest.mark.parametrize("kind", ENSEMBLE_SPECS)
 @pytest.mark.parametrize("n_sites", [3, 6])
 def test_ensemble_decomposes_each_sector_block_once_per_geometry(n_sites, kind, monkeypatch):
-    # field noise leaves the drift alone: one eigh per magnetisation
-    # sector for the whole ensemble; geometry noise: one per sector and
-    # sample. No eigh sees the 2^N-dimensional drift.
+    # field noise leaves the drift alone: one decomposed matrix per
+    # magnetisation sector for the whole ensemble; geometry noise: one per
+    # sector and sample, however the samples are stacked into calls. No
+    # eigh sees the 2^N-dimensional drift.
     spec = ENSEMBLE_SPECS[kind]
     model, schedule, psi0, target = ensemble_case(n_sites)
-    dims = spy_eigh(monkeypatch)
+    calls = spy_eigh(monkeypatch)
     ensemble_average(model, schedule, spec, psi0, target)
+    dims = [dim for dim, depth in calls for _ in range(depth)]
     sectors = [math.comb(n_sites, k) for k in range(n_sites + 1)]
     geometries = 1 if kind == "field" else spec.samples
     assert sorted(dims) == sorted(sectors * geometries)
     assert max(dims) < 2**n_sites
 
 
+def test_position_ensemble_stacks_its_samples_into_few_eigh_calls(monkeypatch):
+    # N=6, 50 samples, 100 slices: one stacked eigh per sector and chunk
+    spec = replace_spec(ENSEMBLE_SPECS["position"], samples=50)
+    model, schedule, psi0, target = ensemble_case(6, n_slices=100)
+    calls = spy_eigh(monkeypatch)
+    ensemble_average(model, schedule, spec, psi0, target)
+    chunk = dynamics.CHUNK_ELEMENTS // (101 * math.comb(6, 3))
+    assert chunk >= 4
+    assert len(calls) <= 7 * math.ceil(50 / chunk)
+
+
 @pytest.mark.parametrize("kind", ["position", "field"])
 def test_ensemble_memory_stays_flat(kind):
-    # tracemalloc peak of one 50-sample, 100-slice ensemble at N=6: no
+    # tracemalloc peak of one 50-sample, 100-slice ensemble at N=6: the
+    # samples go in chunks whose (samples x boundaries x largest block)
+    # eigen-component tensor stays within dynamics.CHUNK_ELEMENTS, so no
     # (samples x k x k) eigenvector stack and no (samples x boundaries x
-    # sectors) phase tensor is ever held
+    # sectors) phase tensor of the whole ensemble is ever held
     spec = replace_spec(ENSEMBLE_SPECS[kind], samples=50)
     model, schedule, psi0, target = ensemble_case(6, n_slices=100)
     args = (model, schedule, spec, psi0, target)
@@ -474,6 +489,22 @@ def test_ensemble_memory_stays_flat(kind):
     finally:
         tracemalloc.stop()
     assert peak <= 600_000
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_SPECS)
+@pytest.mark.parametrize("samples", [1, 4, 5, 11])
+def test_chunked_ensemble_matches_per_sample_closed_traces(samples, kind):
+    # N=6, 100 slices: four samples fill one chunk, so 1, 4, 5 and 11 give
+    # one partial chunk, exactly one chunk, and a partial last chunk
+    spec = replace_spec(ENSEMBLE_SPECS[kind], samples=samples)
+    model, schedule, psi0, target = ensemble_case(6, n_slices=100)
+    assert dynamics.CHUNK_ELEMENTS // (101 * math.comb(6, 3)) == 4
+    traces = [
+        closed_system_trace(sample_model, sample_schedule, psi0, target)
+        for sample_model, sample_schedule in sample_runs(model, schedule, spec)
+    ]
+    result = ensemble_average(model, schedule, spec, psi0, target)
+    assert_matches_sample_traces(result, traces, 1e-13)
 
 
 def test_ensemble_beyond_the_trace_budget_is_refused_before_any_draw(monkeypatch):

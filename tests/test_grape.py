@@ -613,6 +613,55 @@ def test_sector_kernel_matches_the_dense_propagator(dim, seed, degenerate):
             ClosedFormPropagator(h, hz)
 
 
+def random_hermitian(rng, shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stack=st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+    dim=st.integers(1, 8),
+    grid=st.sampled_from([((), ()), ((3,), ()), ((), (2,)), ((4,), (4,)), ((2, 1), (3,))]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_kernel_matches_the_kernel_block_by_block(stack, dim, grid, seed):
+    """A stack of random Hermitian drifts that share one Hz value: the
+    stacked ``states`` and ``overlaps`` put the stack axes first, then the
+    broadcast shape of (t, A), and equal the one-block kernel row by row."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, stack + (dim, dim))
+    hz = np.full(dim, float(rng.integers(-3, 4)))
+    psi, target = random_state(rng, dim), random_state(rng, dim)
+    t = rng.uniform(0.1, 2.0, grid[0])
+    area = rng.uniform(-4.0, 4.0, grid[1])
+    prop = ClosedFormPropagator(h, hz)
+    states, overlaps = prop.states(psi, t, area), prop.overlaps(target, psi, t, area)
+    shape = stack + np.broadcast_shapes(t.shape, area.shape)
+    assert states.shape == shape + (dim,)
+    assert overlaps.shape == shape
+    for row in np.ndindex(stack):
+        block = ClosedFormPropagator(h[row], hz)
+        np.testing.assert_allclose(states[row], block.states(psi, t, area), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            overlaps[row], block.overlaps(target, psi, t, area), rtol=0, atol=1e-15
+        )
+
+
+def test_a_stack_spanning_several_hz_values_is_refused():
+    rng = np.random.default_rng(5)
+    hz = np.array([0.0, 0.0, 1.0])
+    h = np.zeros((2, 3, 3), dtype=complex)
+    h[:, :2, :2] = random_hermitian(rng, (2, 2, 2))
+    h[:, 2, 2] = 0.5
+    with pytest.raises(ValueError, match="one Hz value"):
+        ClosedFormPropagator(h, hz)
+    # any coupling between the two Hz values fails the commutator check first
+    h[1, 0, 2] = h[1, 2, 0] = 1e-6
+    with pytest.raises(GrapeError, match="commute"):
+        ClosedFormPropagator(h, hz)
+
+
 @pytest.mark.parametrize(
     "model", [IdealModel(6), RydbergModel(ChainGeometry.regular(6))], ids=["ideal", "rydberg"]
 )

@@ -320,6 +320,24 @@ def test_block_pattern_refilled_gives_each_dense_sum():
             assert np.array_equal(block, dense[np.ix_(idx, idx)])
 
 
+def test_block_pattern_fills_a_stack_row_by_row():
+    # a (G, M) coefficient stack and a (G, dim) diagonal stack give (G, k, k)
+    # blocks whose rows equal one fill per row, entry for entry
+    n, basis = 3, PROTOCOL_BASIS
+    rng = np.random.default_rng(8)
+    moves = [{0: ("up", "down"), 1: ("down", "up")}, {1: ("up", "down"), 2: ("down", "up")}]
+    support = np.array([basis.index("up") * 25 + basis.index("down") * 5 + basis.index("up")])
+    pattern = BlockPattern(moves, n, basis, support)
+    coeffs = rng.normal(size=(5, len(moves))) + 1j * rng.normal(size=(5, len(moves)))
+    diagonals = rng.normal(size=(5, basis.dim**n))
+    stacked = pattern.fill(coeffs, diagonals)
+    for g in range(5):
+        for (idx, blocks), (row_idx, block) in zip(stacked, pattern.fill(coeffs[g], diagonals[g])):
+            assert np.array_equal(idx, row_idx)
+            assert blocks.shape == (5,) + block.shape
+            assert np.array_equal(blocks[g], block)
+
+
 def test_hermitian_blocks_refuse_a_block_beyond_the_dense_budget():
     # single-site moves that chain all five levels join all 5^6 indices
     chain = [("0", "1"), ("1", "up"), ("up", "down"), ("down", "r")]
