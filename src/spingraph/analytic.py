@@ -13,8 +13,8 @@ conventions baked into this module:
   configuration, which corresponds to the field entering with a minus
   sign relative to this package's S^z convention. The kernel check
   (``propagated_population``: field area FIELD_SIGN B t through
-  ``grape.ClosedFormPropagator``) fixes that sign; the printed formulas
-  are left as they are. Every function of (b, t) broadcasts.
+  ``grape.SpinSectors``, the spin path's sector sum) fixes that sign; the
+  printed formulas are left as they are. Every function of (b, t) broadcasts.
 
 Amplitudes are returned in the documented configuration order
 (down-down-down, down-down-up, down-up-down, down-up-up, up-down-down,
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import IdealModel
-from .grape import ClosedFormPropagator, local_maxima
+from .grape import SpinSectors, local_maxima, spin_overlaps
 from .targets import complete_graph_state, plus_product_state
 
 __all__ = [
@@ -126,11 +126,11 @@ def constant_field_population(j: float, b, t):
 
 
 def propagated_population(j: float, b, t):
-    """Same quantity propagated by the package's kernel from |+>^3; the
-    independent check."""
-    prop = ClosedFormPropagator.for_model(IdealModel(3, 2.0 * j))
-    overlap = prop.overlaps(complete_graph_state(3), plus_product_state(3), t, FIELD_SIGN * b * t)
-    return np.abs(overlap) ** 2
+    """Same quantity propagated by the package's sector sum from |+>^3;
+    the independent check."""
+    sectors = SpinSectors(IdealModel(3, 2.0 * j), plus_product_state(3))
+    returns = sectors.returns(complete_graph_state(3), t)
+    return np.abs(spin_overlaps(sectors.hz, returns, FIELD_SIGN * b * t)) ** 2
 
 
 def scan_constant_field(

@@ -242,14 +242,13 @@ def drift_terms(
 
 def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     """Full drift Hamiltonian H0 for either model kind, as one dense
-    ``hermitian_sum`` of ``drift_terms``.
+    ``hermitian_sum`` of ``drift_terms``; only the RK4 integrator
+    ``dynamics.evolve_master`` needs the whole matrix.
 
     Ideal: open-boundary sum over bonds of (J/2)(sx sx + sy sy), that is J
     times the flip-flop |ud><du| + h.c. per bond, with a zero diagonal.
     Rydberg: ``rydberg_background``, dipolar exchange between every pair
-    plus the van der Waals diagonal. In both cases H0 conserves the total
-    excitation number, so it commutes with build_control_hz to better than
-    1e-12 (diagonal magnetization blocks).
+    plus the van der Waals diagonal.
     """
     moves, coeffs, diagonal = drift_terms(model, basis)
     return hermitian_sum(list(zip(coeffs.tolist(), moves)), diagonal, model.n_sites, basis)

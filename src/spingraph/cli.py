@@ -159,12 +159,13 @@ def _resolve_schedule(cfg: ExperimentConfig, schedule_path):
     input the config does not hold, so it joins the config hash. Otherwise
     one is optimized on demand from the config."""
     if schedule_path:
-        record = {"target": "operator-product", **load_result(schedule_path)}
+        record = load_result(schedule_path)
+        schedule = schedule_from_record(record)  # refuses a malformed record first
+        record = {"target": "operator-product", **record}
         run = {"N": cfg.n_sites, "T": cfg.t_total, "mode": cfg.mode, "target": cfg.target_form}
         for key, value in run.items():
             if value is not None and record.get(key) != value:
                 _fail(f"schedule is for {key}={record.get(key)}, run is for {key}={value}")
-        schedule = schedule_from_record(record)
         return schedule, _stamp(cfg, schedule)
     return run_optimize(_grape_config(cfg)).schedule, _stamp(cfg)
 

@@ -3,9 +3,10 @@
 Spontaneous emission is modeled on the 3-level basis {up, down, g}: both
 spin levels decay into an empty ground level that carries no interaction
 or field terms. Nothing returns from g, so ``open_system_trace`` follows
-the spin block exactly by its no-jump evolution; ``evolve_master``
-integrates the full Lindblad equation for any channel set and is the
-oracle the tests compare against. Geometric disorder draws one static
+the spin block exactly by its no-jump evolution; it, the closed trace and
+the ensembles are sector sums of ``grape.SpinSectors``. ``evolve_master``
+integrates the full Lindblad equation for any channel set on the dense
+drift and is the tests' oracle. Geometric disorder draws one static
 displacement per atom per sample; field noise draws one offset per
 control slice. All randomness flows through numpy's seeded Generator,
 one seed per sample, so ensembles are reproducible and order-independent.
@@ -26,16 +27,13 @@ from .chain import (
     RydbergModel,
     assemble_system,
     build_control_hz_diagonal,
-    drift_terms,
 )
-from .grape import ClosedFormPropagator, ControlSchedule
+from .grape import ControlSchedule, SpinSectors, spin_overlaps
 from .operators import (
     EMISSION_BASIS,
     MAX_TRACE_STACK,
     SPIN_BASIS,
-    BlockPattern,
     LocalBasis,
-    site_levels,
     transition_indices,
 )
 
@@ -325,10 +323,12 @@ def closed_system_trace(
 ) -> np.ndarray:
     """Target population at every slice boundary under unitary evolution.
 
-    The closed form evaluates all of the schedule's ``boundary_times`` and
-    ``boundary_areas`` at once.
+    The sector sum (``grape.SpinSectors``) evaluates all of the schedule's
+    ``boundary_times`` and ``boundary_areas`` at once.
     """
-    return _boundary_populations(ClosedFormPropagator.for_model(model), schedule, psi0, target)
+    sectors = SpinSectors(model, psi0)
+    returns = sectors.returns(target, schedule.boundary_times)
+    return np.abs(spin_overlaps(sectors.hz, returns, schedule.boundary_areas)) ** 2
 
 
 def open_system_trace(
@@ -346,23 +346,13 @@ def open_system_trace(
     |<target| exp(-i H0 t_k) exp(-i A_k Hz) exp(-D t_k / 2) |psi0>|^2,
     the no-jump evolution (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).
     D, the summed decay rate of each spin configuration, is affine in Hz,
-    so it commutes with the drift and is one more diagonal on psi0. The
-    closed trace comes from the same propagator and equals
+    D = (N/2 + h) gamma_up + (N/2 - h) gamma_down on the sector of Hz
+    value h: one damping exp(-D t / 2) of each sector's return amplitude.
+    The closed trace comes from the same sectors and equals
     ``closed_system_trace``. Other channels raise ValueError;
     ``evolve_master`` integrates them.
     """
-    decay = _no_jump_decay(jumps, model.n_sites)
-    prop = ClosedFormPropagator.for_model(model)
-    return (
-        _boundary_populations(prop, schedule, psi0, target),
-        _boundary_populations(prop, schedule, psi0, target, decay),
-    )
-
-
-def _no_jump_decay(jumps: JumpChannels, n_sites: int) -> np.ndarray:
-    """Summed decay rate of every spin configuration, from the site-level
-    table; refuses channels that keep population inside the spin block."""
-    rates = np.zeros(SPIN_BASIS.dim)
+    rates = dict.fromkeys(SPIN_BASIS.levels, 0.0)
     for src, dst, rate in jumps.channels:
         if not SPIN_BASIS.has_level(src) or SPIN_BASIS.has_level(dst):
             raise ValueError(
@@ -370,22 +360,14 @@ def _no_jump_decay(jumps: JumpChannels, n_sites: int) -> np.ndarray:
                 "spin block, so the no-jump trace cannot represent it; integrate "
                 "it with evolve_master"
             )
-        rates[SPIN_BASIS.index(src)] += rate
-    return rates[site_levels(n_sites, SPIN_BASIS.dim)].sum(axis=1)
-
-
-def _boundary_populations(
-    prop: ClosedFormPropagator,
-    schedule: ControlSchedule,
-    psi0: np.ndarray,
-    target: np.ndarray,
-    decay: np.ndarray | None = None,
-) -> np.ndarray:
+        rates[src] += rate
+    sectors = SpinSectors(model, psi0)
     times, areas = schedule.boundary_times, schedule.boundary_areas
-    if decay is not None:
-        # the damped state exp(-D t_k / 2) psi0 of every boundary, as one stack
-        psi0 = np.exp(-0.5 * np.outer(times, decay)) * psi0
-    return np.abs(prop.overlaps(target, psi0, times, areas)) ** 2
+    returns = sectors.returns(target, times)
+    half = 0.5 * model.n_sites
+    decay = (half + sectors.hz) * rates["up"] + (half - sectors.hz) * rates["down"]
+    damped = np.exp(-0.5 * np.outer(times, decay)) * returns
+    return tuple(np.abs(spin_overlaps(sectors.hz, c, areas)) ** 2 for c in (returns, damped))
 
 
 def ensemble_average(
@@ -398,19 +380,14 @@ def ensemble_average(
     """Monte Carlo average over disorder samples.
 
     Sample i draws its noise from seed base_seed + i, so the result does
-    not depend on the order in which samples are evaluated. H0 commutes
-    with Hz, so each sample's trace is a sum over the magnetisation
-    sectors m, |sum_m exp(-i A_k h_m) c_m(t_k)|^2, where h_m is the
-    sector's Hz value and c_m(t) = <target| P_m exp(-i H0 t) |psi0> its
-    return amplitude (Gorin et al., Phys. Rep. 435, 33 (2006)). One
-    evaluation of the pair law gives every sample geometry's drift. The
-    samples go in chunks of CHUNK_ELEMENTS / (boundaries x largest block):
-    a chunk fills the sector blocks of one ``BlockPattern`` as a stack,
-    one stacked ``ClosedFormPropagator`` per sector decomposes it in one
-    ``eigh`` call, and no 2^N matrix is formed. Field noise moves only the
-    areas A_k, so without geometry noise one set of c_m serves the whole
-    ensemble. An ensemble of more than MAX_TRACE_STACK populations is
-    refused before any draw.
+    not depend on the order in which samples are evaluated. One
+    ``grape.SpinSectors`` serves the ensemble: one evaluation of the pair
+    law gives every sample geometry's drift, and the samples go in chunks
+    of CHUNK_ELEMENTS / (boundaries x largest block), one stacked ``eigh``
+    call per sector and chunk. Field noise moves only the areas, so without
+    geometry noise one set of return amplitudes serves every sample. An
+    ensemble of more than MAX_TRACE_STACK populations is refused before
+    any draw.
     """
     times = schedule.boundary_times
     spec.check_trace_budget(times.size)
@@ -423,26 +400,16 @@ def ensemble_average(
             sample_geometry_noise(model.geometry, spec, i).positions
             for i in range(spec.samples)
         ])
-    moves, coeffs, diagonals = drift_terms(model, SPIN_BASIS, positions)
-    # one row per geometry: every sample's, or the model's own
-    coeffs = coeffs.reshape(-1, len(moves))
-    diagonals = diagonals.reshape(len(coeffs), -1)
-    hz = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
-    # every move is a flip-flop, so each block lies inside one sector
-    pattern = BlockPattern(moves, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
-    sector_hz = np.array([hz[idx[0]] for idx in pattern.indices])
-    largest = max(len(idx) for idx in pattern.indices)
+    sectors = SpinSectors(model, psi0, positions)
+    largest = max(len(idx) for idx in sectors.indices)
     chunk = max(1, CHUNK_ELEMENTS // (times.size * largest))
     traces = np.empty((spec.samples, times.size))
     areas = schedule.boundary_areas
     for start in range(0, spec.samples, chunk):
         rows = slice(start, start + chunk)
-        if start < len(coeffs):
+        if start == 0 or geometry_noise:
             # (samples in the chunk, boundaries, sectors)
-            returns = np.stack([
-                ClosedFormPropagator(h, hz[idx]).overlaps(target[idx], psi0[idx], times, 0.0)
-                for idx, h in pattern.fill(coeffs[rows], diagonals[rows])
-            ], axis=-1)
+            returns = sectors.returns(target, times, rows)
         if spec.field_sigma > 0:
             # disjoint seed block so field draws never reuse position draws
             areas = np.stack([
@@ -451,8 +418,7 @@ def ensemble_average(
                 ).boundary_areas
                 for i in range(spec.samples)[rows]
             ])
-        phases = np.exp(-1j * (areas[..., None] * sector_hz))
-        traces[rows] = np.abs(np.sum(phases * returns, axis=-1)) ** 2
+        traces[rows] = np.abs(spin_overlaps(sectors.hz, returns, areas)) ** 2
     finals = traces[:, -1]
     return EnsembleResult(
         times=times,

@@ -6,16 +6,17 @@ Hz, so the evolution under any schedule collapses to a closed form:
 
     U(t) = exp(-i H t) exp(-i A(t) Hz),   A(t) = integral of B up to t
 
-``ClosedFormPropagator`` owns that kernel: one eigendecomposition of H
-per eigenspace of Hz serves every duration and field area. It serves the
-spin-basis chain models here and in ``dynamics``, and every stage of the
-staged protocol.
+``ClosedFormPropagator`` owns that kernel on a block where Hz takes one
+value, one eigendecomposition per block for every duration and field
+area; it runs every stage of the staged protocol. ``SpinSectors`` and
+``spin_overlaps`` sum it over the magnetization sectors of a chain
+model, the whole spin path: ``optimize`` and the traces of ``dynamics``.
 The landscape depends on a schedule only through (T, A), and its
 gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. So the
 optimizer is gradient ascent on the scalar area A with a backtracking
 line search (Khaneja et al., J. Magn. Reson. 172, 296 (2005),
 specialized to this commuting control); accepted landscape values are
-non-decreasing by construction. A model that fails the commutator check
+non-decreasing by construction. A drift that does not commute with Hz
 raises ``GrapeError``.
 """
 
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chain import ModelKind, assemble_system, build_control_hz_diagonal
-from .operators import MAX_TRACE_STACK, SPIN_BASIS
+from .chain import ModelKind, build_control_hz_diagonal, drift_terms
+from .operators import MAX_TRACE_STACK, SPIN_BASIS, BlockPattern
 from .targets import TargetForm, plus_product_state, target_state
 
 __all__ = [
@@ -39,6 +40,8 @@ __all__ = [
     "GrapeResult",
     "ScanResult",
     "ClosedFormPropagator",
+    "SpinSectors",
+    "spin_overlaps",
     "GrapeError",
     "gaussian_guess",
     "random_guess",
@@ -52,8 +55,6 @@ __all__ = [
     "save_result",
     "load_result",
 ]
-
-COMMUTATOR_TOL = 1e-12
 
 #: Slice counts the guess generators default to.
 GAUSSIAN_SLICES = 100
@@ -220,109 +221,81 @@ def make_guess(spec: GuessSpec, t_total: float) -> ControlSchedule:
 
 
 class ClosedFormPropagator:
-    """exp(-i H t) exp(-i A Hz) applied to states, for a Hermitian H that
-    commutes with a diagonal Hz.
-
-    Because [H, Hz] = 0, every eigenspace of Hz (a magnetization sector,
-    for the chain models) is an exact block of H, so H is diagonalized
-    once per sector, never as a whole; a single-sector H is one block.
-    Each eigenvector keeps its sector's Hz value, so exp(-i A Hz) is a
-    phase on the eigen-components, as exp(-i H t) is. The constructor
-    verifies the commutator, which the factorization depends on. Every
-    (t, A) the methods take broadcasts against the other and against a
-    stack of input states.
-
-    ``h`` may also be a stack, (G, k, k), of one-sector drifts that share
-    one constant ``hz_diag``: one gufunc ``eigh`` decomposes them all, and
-    ``states`` and ``overlaps`` of one input state put the stack axes
-    first, then the broadcast shape of (t, A).
+    """exp(-i H t) exp(-i A Hz) applied to a state, for a Hermitian H on a
+    block where the diagonal Hz takes one value h: exp(-i A Hz) is then the
+    phase exp(-i A h), and one eigendecomposition of H serves every (t, A),
+    broadcast against each other. Hz with several values raises
+    ``GrapeError``, as H need not commute with it. One gufunc ``eigh``
+    decomposes a (G, k, k) stack of drifts sharing ``hz_diag``; ``states``
+    and ``overlaps`` put its axes first, then the shape of (t, A).
     """
 
     def __init__(self, h: np.ndarray, hz_diag: np.ndarray):
-        # a float, so that no d x d temporary outlives the check into eigh
-        comm_norm = float(np.max(np.abs(hz_diag[:, None] * h - h * hz_diag[None, :])))
-        if not comm_norm < COMMUTATOR_TOL:
-            raise GrapeError(
-                f"drift does not commute with the control (|[H, Hz]| = "
-                f"{comm_norm:.3e}); the closed-form propagator needs it"
-            )
-        self.hz_diag = hz_diag
-        if np.all(hz_diag == hz_diag[0]):
-            self._w, self._v = np.linalg.eigh(h)
-            self._hz = hz_diag
-            return
-        if h.ndim > 2:
-            raise ValueError("a stack of drifts needs one Hz value; its blocks span several")
-        # eigenvector columns ordered by sector, each sector's block of rows
-        order = np.argsort(hz_diag, kind="stable")
-        self._hz = hz_diag[order]
-        self._w = np.empty(len(order))
-        self._v = np.zeros(h.shape, dtype=np.result_type(h, float))
-        start = 0
-        for idx in np.split(order, np.flatnonzero(np.diff(self._hz)) + 1):
-            cols = slice(start, start + len(idx))
-            self._w[cols], self._v[idx, cols] = np.linalg.eigh(h[np.ix_(idx, idx)])
-            start = cols.stop
+        if np.any(hz_diag != hz_diag[0]):
+            raise GrapeError(f"drift does not commute with the control: a block "
+                             f"spans Hz values {hz_diag.min()} to {hz_diag.max()}")
+        self._hz = hz_diag[0]
+        self._w, self._v = np.linalg.eigh(h)
 
-    @classmethod
-    def for_model(cls, model: ModelKind) -> "ClosedFormPropagator":
-        """Spin-basis propagator of a chain model: H = H0, Hz = sum_i S^z_i.
-        H0 only connects states of equal magnetization, so every model in
-        scope passes the commutator check."""
-        return cls(
-            assemble_system(model, SPIN_BASIS),
-            build_control_hz_diagonal(model.n_sites, SPIN_BASIS),
-        )
-
-    def _eigen_components(self, psi: np.ndarray, t, area) -> np.ndarray:
-        t, area = np.asarray(t, float)[..., None], np.asarray(area, float)[..., None]
-        if self._v.ndim == 2:
-            return (psi @ self._v.conj()) * np.exp(-1j * (t * self._w + area * self._hz))
-        # (stack..., one flat axis of the (t, area) pairs, k), built in place
-        # with the same arithmetic: it is the largest array an ensemble holds
-        t, area = (x.reshape(-1, 1) for x in np.broadcast_arrays(t, area))
-        phases = t * self._w[..., None, :]
-        phases += area * self._hz[0]
+    def _eigen_components(self, psi: np.ndarray, t, area) -> tuple[tuple, np.ndarray]:
+        # the results' shape, and the (stack..., one flat axis of the (t, area)
+        # pairs, k) components, built in place: the largest array of an ensemble
+        t, area = np.broadcast_arrays(t, area)
+        phases = np.reshape(t, (-1, 1)) * self._w[..., None, :]
+        phases += np.reshape(area, (-1, 1)) * self._hz
         phases = phases.astype(complex)
         phases *= -1j
         np.exp(phases, out=phases)
-        return np.multiply((psi @ self._v.conj())[..., None, :], phases, out=phases)
-
-    def _unfold(self, out: np.ndarray, t, area, *tail: int) -> np.ndarray:
-        """A stack's results with its flat (t, area) axis unfolded."""
-        if self._v.ndim == 2:
-            return out
-        return out.reshape(self._v.shape[:-2] + np.broadcast_shapes(np.shape(t), np.shape(area)) + tail)
+        components = np.multiply((psi @ self._v.conj())[..., None, :], phases, out=phases)
+        return self._v.shape[:-2] + t.shape, components
 
     def states(self, psi: np.ndarray, t, area) -> np.ndarray:
         """exp(-i H t) exp(-i A Hz) psi, one state per (t, area)."""
-        out = self._eigen_components(psi, t, area) @ self._v.swapaxes(-1, -2)
-        return self._unfold(out, t, area, self._v.shape[-1])
+        shape, components = self._eigen_components(psi, t, area)
+        return (components @ self._v.swapaxes(-1, -2)).reshape(shape + self._v.shape[-1:])
 
     def overlaps(self, target: np.ndarray, psi: np.ndarray, t, area) -> np.ndarray:
         """<target| exp(-i H t) exp(-i A Hz) |psi>, one per (t, area)."""
-        projected = target.conj() @ self._v
-        if self._v.ndim > 2:
-            projected = projected[..., None]  # one column per block
-        return self._unfold(self._eigen_components(psi, t, area) @ projected, t, area)
+        shape, components = self._eigen_components(psi, t, area)
+        return (components @ (target.conj() @ self._v)[..., None]).reshape(shape)
 
-    def landscape(self, target: np.ndarray, psi0: np.ndarray, t: float):
-        """The function area -> (Phi, dPhi/dA) at duration t, with
-        Phi = |<target|U|psi0>|^2. psi0, -i Hz psi0 and the target are
-        projected onto the eigenbasis, and t times the eigenvalues formed,
-        once; each area then costs one phase vector, applied as
-        ``overlaps`` applies it, so the values equal those of ``overlaps``
-        bit for bit."""
-        components = np.stack([psi0, -1j * self.hz_diag * psi0]) @ self._v.conj()
-        target_components = target.conj() @ self._v
-        t_w = np.asarray(t, float)[..., None] * self._w
 
-        def at(area: float) -> tuple[float, float]:
-            phases = np.exp(-1j * (t_w + np.asarray(area, float)[..., None] * self._hz))
-            overlap, d_overlap = (components * phases) @ target_components
-            return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
+class SpinSectors:
+    """A chain model's spin-basis drift H0 on the blocks that psi0 reaches,
+    filled from ``chain.drift_terms`` through one ``operators.BlockPattern``
+    and never formed as the 2^N matrix. H0 conserves the magnetization, so
+    Hz = sum_i S^z_i takes one value h_b on each block b (``hz``), and
+    <target| exp(-i H0 t) exp(-i A Hz) |psi0> = sum_b exp(-i A h_b) c_b(t),
+    with c_b(t) = <target| P_b exp(-i H0 t) |psi0> the block's return
+    amplitude (Gorin et al., Phys. Rep. 435, 33 (2006)): ``returns`` gives
+    the c_b, ``spin_overlaps`` the sum. A (G, N, 3) stack of Rydberg atom
+    ``positions`` gives one drift per geometry.
+    """
 
-        return at
+    def __init__(self, model: ModelKind, psi0: np.ndarray, positions: np.ndarray | None = None):
+        moves, coeffs, diagonals = drift_terms(model, SPIN_BASIS, positions)
+        # one row per geometry: every position set's, or the model's own
+        self._coeffs, self._diagonals = np.atleast_2d(coeffs), np.atleast_2d(diagonals)
+        self._psi0 = psi0
+        self._pattern = BlockPattern(moves, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
+        self._hz = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
+        self.indices = self._pattern.indices
+        self.hz = np.array([self._hz[idx[0]] for idx in self.indices])
+
+    def returns(self, target: np.ndarray, t, rows=0) -> np.ndarray:
+        """c_b(t) on the last axis, after the shape of t and, for a slice of
+        geometry ``rows``, a first stack axis; an index gives one drift."""
+        blocks = self._pattern.fill(self._coeffs[rows], self._diagonals[rows])
+        return np.stack([
+            ClosedFormPropagator(h, self._hz[idx]).overlaps(target[idx], self._psi0[idx], t, 0.0)
+            for idx, h in blocks
+        ], axis=-1)
+
+
+def spin_overlaps(hz: np.ndarray, returns: np.ndarray, area) -> np.ndarray:
+    """sum_b exp(-i A h_b) c_b over the last axis of ``returns`` (see
+    ``SpinSectors``), with the field area A broadcast against the others."""
+    return np.sum(np.exp(-1j * (np.asarray(area, float)[..., None] * hz)) * returns, axis=-1)
 
 
 def optimize(config: GrapeConfig) -> GrapeResult:
@@ -344,10 +317,17 @@ def optimize(config: GrapeConfig) -> GrapeResult:
     ``reduce_field_winding``); the landscape value is unchanged by the
     winding reduction.
     """
-    prop = ClosedFormPropagator.for_model(config.model)
     n_sites = config.model.n_sites
     t = config.t_total
-    landscape = prop.landscape(target_state(config.target, n_sites), plus_product_state(n_sites), t)
+    sectors = SpinSectors(config.model, plus_product_state(n_sites))
+    returns = sectors.returns(target_state(config.target, n_sites), t)
+    # the overlap and its area derivative, one row each, formed once per run
+    stacked = np.stack([returns, -1j * sectors.hz * returns])
+
+    def landscape(area: float) -> tuple[float, float]:
+        overlap, d_overlap = stacked @ np.exp(-1j * (area * sectors.hz))
+        return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
+
     guess = make_guess(config.guess, t)
 
     area = guess.field_area
@@ -484,11 +464,24 @@ def schedule_to_record(
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def schedule_from_record(record: dict) -> ControlSchedule:
-    schedule = ControlSchedule(
-        t_total=record["T"], amplitudes=np.array(record["amplitudes"], dtype=float)
-    )
-    if schedule.n_slices != record["n"]:
+    """The schedule of a ``schedule_to_record`` record: ValueError unless it
+    maps a numeric T, an integer n and a list of n numbers in amplitudes."""
+    if not isinstance(record, Mapping):
+        raise ValueError(f"a schedule record is a JSON object, not a {type(record).__name__}")
+    t, n, amplitudes = record.get("T"), record.get("n"), record.get("amplitudes")
+    if not _is_number(t):
+        raise ValueError(f"schedule record needs a numeric T, not {t!r}")
+    if not (_is_number(n) and isinstance(n, int)):
+        raise ValueError(f"schedule record needs an integer n, not {n!r}")
+    if not (isinstance(amplitudes, list) and all(map(_is_number, amplitudes))):
+        raise ValueError("schedule record needs a list of numbers in amplitudes")
+    schedule = ControlSchedule(t_total=t, amplitudes=np.array(amplitudes, dtype=float))
+    if schedule.n_slices != n:
         raise ValueError("slice count does not match amplitude list")
     return schedule
 

@@ -6,8 +6,9 @@ pure function on numpy arrays; no internal mutability.
 
 No command calls the two ``kron`` embeddings, ``embed_local_operator`` and
 ``two_site_operator``, nor the dense ``evolve_unitary`` and
-``chain.build_control_hz`` (``tests/test_one_kernel.py`` holds the last two
-to that). They stay because the benchmark's span tracer
+``chain.build_control_hz``, and only ``dynamics.evolve_master`` calls the
+dense drift ``chain.assemble_system`` (``tests/test_one_kernel.py`` holds
+the last three to that). They stay because the benchmark's span tracer
 (``perfbench/spans.py``, ``TARGETS``) wraps them by name; the tests build
 their dense reference from them (``tests/kron_reference.py``).
 

@@ -45,8 +45,8 @@ Every reached block runs through ``grape.ClosedFormPropagator``, the
 kernel exp(-i H t) exp(-i A Hz), at each slice boundary t_k with the area
 so far, A(t_k) = dt (B_0 + ... + B_{k-1}). H holds the drives and the
 interactions, and Hz is on only where the schedule carries a field; the
-interactions conserve magnetization, so the field enters as diagonal
-phases, while drives do not, so a stage with both is refused.
+interactions conserve magnetization, so the field is one phase per
+block, while drives join levels of different Hz: a stage with both is refused.
 ``run_stage`` returns the states at those boundaries; the timeline is
 their reference populations, and the next stage starts from the last.
 """
@@ -179,7 +179,7 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
     stage's end state.
 
     One eigendecomposition per reached block (see the module docstring).
-    The field's factorization needs [H, Hz] = 0 on every block; drives or
+    The field's factorization needs one Hz value on every block; drives or
     a background that break it raise ``GrapeError``, a ValueError.
     """
     n, dim = plan.n_sites, PROTOCOL_BASIS.dim**plan.n_sites

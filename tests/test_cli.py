@@ -261,20 +261,20 @@ def test_master_with_saved_schedule(runner, core_schedule_path, tmp_path, monkey
         RydbergModel(ChainGeometry.regular(3)), schedule,
         plus_product_state(3), complete_graph_state(3),
     )[-1]
-    original = dynamics.ClosedFormPropagator.for_model
+    original = dynamics.SpinSectors
     built = []
 
-    def counting(model):
+    def counting(model, psi0):
         built.append(model)
-        return original(model)
+        return original(model, psi0)
 
-    monkeypatch.setattr(dynamics.ClosedFormPropagator, "for_model", counting)
+    monkeypatch.setattr(dynamics, "SpinSectors", counting)
     result = runner.invoke(
         main,
         ["master", "--config", str(config), "--schedule", str(core_schedule_path)],
     )
     assert result.exit_code == 0, result.output
-    # closed and open traces share one propagator, and closed is unchanged by it
+    # closed and open traces share one set of sectors, and closed is unchanged by it
     assert len(built) == 1
     summary = json.loads((tmp_path / "master_summary.json").read_text())
     assert summary["closed_population"] == float(closed)
@@ -555,6 +555,36 @@ def test_non_finite_schedule_duration_is_refused(
     assert result.exit_code == 1
     assert f"Error: {command} failed: t_total must be finite and positive" in result.output
     assert "Traceback" not in result.output
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _without(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+#: Edit of a saved schedule record that makes it malformed -> the end of
+#: the one-line refusal it gets.
+MALFORMED_SCHEDULES = {
+    "list": (lambda record: [record], "a schedule record is a JSON object, not a list"),
+    "no-amplitudes": (_without("amplitudes"), "schedule record needs a list of numbers in amplitudes"),
+    "string-T": (lambda record: {**record, "T": "0.141"}, "schedule record needs a numeric T, not '0.141'"),
+    "no-T": (_without("T"), "schedule record needs a numeric T, not None"),
+}
+
+
+@pytest.mark.parametrize("malformed", MALFORMED_SCHEDULES)
+@pytest.mark.parametrize("command", ["master", "protocol"])
+def test_malformed_schedule_file_is_refused_in_one_line(
+    runner, core_schedule_path, tmp_path, monkeypatch, command, malformed
+):
+    monkeypatch.chdir(tmp_path)
+    edit, message = MALFORMED_SCHEDULES[malformed]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(json.loads(core_schedule_path.read_text()))), encoding="utf-8")
+    result = runner.invoke(main, [command, "--schedule", str(path)])
+    assert result.exit_code == 1
+    [line] = result.output.splitlines()
+    assert line.startswith(f"Error: {command} failed: ") and line.endswith(message)
     assert list(tmp_path.iterdir()) == [path]
 
 

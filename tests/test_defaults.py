@@ -5,7 +5,9 @@ caller takes.
 A call sets a parameter by keyword or by position; a ``*args`` in the call
 may set every position from its own on, and a ``**kwargs`` every parameter.
 Calls are matched to definitions by name, through ``import ... as``
-aliases, and a method's positions start after ``self`` or ``cls``.
+aliases; a call of a class is a call of its ``__init__``, and a method's
+positions start after ``self`` or ``cls``. Methods are reported as
+``module.Class.method``.
 """
 
 import ast
@@ -23,27 +25,34 @@ ALLOWED = {
 
 
 def defaulted_parameters(tree: ast.Module):
-    """(function, parameter, position or None if keyword-only) for each
-    parameter with a default of every def in the module, nested ones too."""
+    """(name, called as, parameter, position or None if keyword-only) for
+    each parameter with a default of every def in the module, nested ones
+    too. A method is named ``Class.method``; an ``__init__`` is called as
+    its class."""
     methods = {
-        id(node)
+        id(node): cls.name
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, ast.FunctionDef)
-        and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
     }
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
         args = node.args
         positional = args.posonlyargs + args.args
-        skip = 1 if id(node) in methods else 0
+        name, called = node.name, node.name
+        skip = 0
+        if id(node) in methods:
+            cls = methods[id(node)]
+            name = f"{cls}.{node.name}"
+            called = cls if node.name == "__init__" else node.name
+            skip = 0 if any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list) else 1
         for arg in positional[len(positional) - len(args.defaults):]:
-            yield node.name, arg.arg, positional.index(arg) - skip
+            yield name, called, arg.arg, positional.index(arg) - skip
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield node.name, arg.arg, None
+                yield name, called, arg.arg, None
 
 
 def set_parameters(trees) -> set[tuple[str, str | int]]:
@@ -79,14 +88,14 @@ def unset_defaults(package: Path, benchmark: Path) -> list[str]:
     calls = set_parameters([*trees.values(), *scripts])
     out = []
     for module, tree in sorted(trees.items()):
-        for function, parameter, position in defaulted_parameters(tree):
+        for function, called, parameter, position in defaulted_parameters(tree):
             unpacked = position is not None and any(
-                (function, ("*", p)) in calls for p in range(position + 1)
+                (called, ("*", p)) in calls for p in range(position + 1)
             )
             if not (
-                (function, parameter) in calls
-                or (function, position) in calls
-                or (function, "**") in calls
+                (called, parameter) in calls
+                or (called, position) in calls
+                or (called, "**") in calls
                 or unpacked
             ):
                 out.append(f"{module}.{function}({parameter})")
@@ -105,22 +114,26 @@ def test_the_scan_finds_a_default_no_call_sets(tmp_path):
         "def benched(x, limit=None): pass\n"
         "def renamed(x, flag=False): pass\n"
         "class Box:\n"
+        "    def __init__(self, x, size=2): pass\n"
         "    def method(self, x, size=2): pass\n"
         "    def other(self, x, size=2): pass\n"
+        "class Crate:\n"
+        "    def __init__(self, x, size=2): pass\n"
         "def outer():\n"
         "    def inner(v, _label='x'): pass\n"
         "    inner(1)\n",
         encoding="utf-8",
     )
     (package / "b.py").write_text(
-        "from .a import by_keyword, by_position, unset, unpacked, renamed as r, Box\n"
+        "from .a import by_keyword, by_position, unset, unpacked, renamed as r, Box, Crate\n"
         "by_keyword(1, scale=2.0)\n"
         "by_position(1, 2.0)\n"
         "unset(1)\n"
         "unpacked(*(1, 2))\n"
         "r(1, True)\n"
-        "Box().method(1, 3)\n"
-        "Box().other(1)\n",
+        "Box(1, 3).method(1, 3)\n"
+        "Box(1).other(1)\n"
+        "Crate(1)\n",
         encoding="utf-8",
     )
     (benchmark / "run.py").write_text(
@@ -129,7 +142,8 @@ def test_the_scan_finds_a_default_no_call_sets(tmp_path):
     assert unset_defaults(package, benchmark) == [
         "a.unset(scale)",
         "a.unset(mode)",
-        "a.other(size)",
+        "a.Box.other(size)",
+        "a.Crate.__init__(size)",
         "a.inner(_label)",
     ]
 

@@ -47,6 +47,7 @@ from kron_reference import (
     embed_spin_state,
     kron_control_hz,
     kron_drift,
+    level_projector,
     level_transition,
 )
 
@@ -686,3 +687,37 @@ def test_open_system_trace_refuses_channels_inside_the_spin_block(channel):
     jumps = JumpChannels(channels=(DEFAULT_JUMPS.channels[0], channel))
     with pytest.raises(ValueError, match=f"channel {channel[0]}->{channel[1]}.*evolve_master"):
         open_system_trace(model, schedule, jumps, plus_product_state(2), complete_graph_state(2))
+
+
+@pytest.mark.parametrize("kind", ["ideal", "rydberg"])
+@pytest.mark.parametrize("n_sites", [5, 6])
+def test_open_system_trace_matches_dense_per_configuration_damping(n_sites, kind):
+    # oracle: every spin configuration damped by its own summed decay rate,
+    # D = sum over sites of the kron-embedded gamma_up |up><up| +
+    # gamma_down |down><down|, then the kron-product H0 and field applied to
+    # exp(-D t / 2) psi0 densely, boundary by boundary; unequal rates, so D
+    # is not a multiple of the identity
+    rng = np.random.default_rng(50 + n_sites)
+    if kind == "ideal":
+        model = IdealModel(n_sites)
+        schedule = ControlSchedule(t_total=2.3, amplitudes=rng.uniform(-3.0, 3.0, 8))
+    else:
+        model = RydbergModel(ChainGeometry.regular(n_sites))
+        schedule = random_rydberg_schedule(rng, 8)
+    gamma_up, gamma_down = 0.9, 0.25
+    jumps = JumpChannels(channels=(("up", "g", gamma_up), ("down", "g", gamma_down)))
+    psi0, target = plus_product_state(n_sites), complete_graph_state(n_sites)
+    decay = sum(
+        embed_local_operator(gamma * level_projector(level, SPIN_BASIS), site, n_sites, SPIN_BASIS)
+        for site in range(n_sites)
+        for level, gamma in (("up", gamma_up), ("down", gamma_down))
+    )
+    h0, hz = kron_drift(model, SPIN_BASIS), kron_control_hz(n_sites, SPIN_BASIS)
+    oracle = []
+    for t, area in zip(schedule.boundary_times, schedule.boundary_areas):
+        damped = np.exp(-0.5 * t * np.diag(decay).real) * psi0
+        psi = evolve_unitary(h0, t, np.exp(-1j * area * np.diag(hz).real) * damped)
+        oracle.append(abs(np.vdot(target, psi)) ** 2)
+    _, opened = open_system_trace(model, schedule, jumps, psi0, target)
+    np.testing.assert_allclose(opened, oracle, rtol=0, atol=1e-13)
+    assert np.ptp(np.diag(decay).real) > 0.0

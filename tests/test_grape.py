@@ -1,10 +1,12 @@
 """Guess fields, landscape gradient, ascent loop, duration scan, persistence.
 
-The landscape and its slope come from ``ClosedFormPropagator``, the kernel
-``optimize`` runs; ``reference_optimize`` repeats the ascent with a fresh
-``overlaps`` call per step, and ``optimize`` must equal it bit for bit.
-The gradient oracle is central finite differences of the final population
-of ``dynamics.closed_system_trace``, slice by slice, against
+The landscape and its slope come from the sector sum of ``SpinSectors``,
+the one ``optimize`` runs; ``reference_optimize`` repeats the ascent with
+fresh return amplitudes per step, and ``optimize`` must equal it bit for
+bit. The sector kernel is checked against the dense kron-product drift
+(``kron_reference``) by exponentiation, and the gradient against central
+finite differences of the final population of
+``dynamics.closed_system_trace``, slice by slice, against
 dPhi/dB_k = dt dPhi/dA; frozen-scalar checks pin the guess-field formulas.
 """
 
@@ -16,8 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spingraph import grape
-from spingraph.chain import ChainGeometry, IdealModel, RydbergModel
-from spingraph.dynamics import closed_system_trace
+from spingraph.chain import (
+    ChainGeometry,
+    IdealModel,
+    RydbergModel,
+    build_control_hz_diagonal,
+    drift_terms,
+)
+from spingraph.dynamics import closed_system_trace, open_system_trace
 from spingraph.grape import (
     ClosedFormPropagator,
     ControlSchedule,
@@ -25,6 +33,7 @@ from spingraph.grape import (
     GrapeError,
     GrapeResult,
     GuessSpec,
+    SpinSectors,
     gaussian_guess,
     load_result,
     make_guess,
@@ -35,8 +44,15 @@ from spingraph.grape import (
     scan_duration,
     schedule_from_record,
     schedule_to_record,
+    spin_overlaps,
 )
-from spingraph.operators import evolve_unitary
+from spingraph.operators import (
+    SPIN_BASIS,
+    BlockPattern,
+    embed_local_operator,
+    evolve_unitary,
+    hermitian_sum,
+)
 from spingraph.targets import (
     TargetForm,
     complete_graph_state,
@@ -46,41 +62,47 @@ from spingraph.targets import (
 )
 
 from conftest import IDEAL_CASES, RYDBERG_CASES, ideal_config, rydberg_config
+from kron_reference import DEFAULT_JUMPS, SIGMA_X, kron_control_hz, kron_drift
 
 TWO_PI = 2.0 * np.pi
 
 
+def overlap_landscape(sectors, target, t, area):
+    """Phi and dPhi/dA at (t, area) from return amplitudes computed for
+    this call alone, with nothing carried over from an earlier call."""
+    returns = sectors.returns(target, t)
+    stacked = np.stack([returns, -1j * sectors.hz * returns])
+    overlap, d_overlap = stacked @ np.exp(-1j * (area * sectors.hz))
+    return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
+
+
 def landscape_at(model, schedule, psi0, target):
     """Phi and dPhi/dA at the schedule's (T, A), as ``optimize`` evaluates them."""
-    landscape = ClosedFormPropagator.for_model(model).landscape(target, psi0, schedule.t_total)
-    return landscape(schedule.field_area)
+    return overlap_landscape(SpinSectors(model, psi0), target, schedule.t_total, schedule.field_area)
 
 
-def overlap_landscape(prop, target, psi0, t, area):
-    """Phi and dPhi/dA from one ``overlaps`` call at (t, area) on psi0 and
-    -i Hz psi0, with nothing carried over from an earlier call."""
-    overlap, d_overlap = prop.overlaps(
-        target, np.stack([psi0, -1j * prop.hz_diag * psi0]), t, area
-    )
-    return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
+def population(model, target, t, area):
+    """|<target| exp(-i H0 t) exp(-i A Hz) |+>^N|^2, broadcast over (t, A)."""
+    sectors = SpinSectors(model, plus_product_state(model.n_sites))
+    return np.abs(spin_overlaps(sectors.hz, sectors.returns(target, t), area)) ** 2
 
 
 def reference_optimize(config):
     """The ascent of ``optimize``, line search and stop rule included, with
     every landscape value from ``overlap_landscape`` at its (T, A)."""
-    prop = ClosedFormPropagator.for_model(config.model)
     n_sites = config.model.n_sites
-    target, psi0 = target_state(config.target, n_sites), plus_product_state(n_sites)
+    target = target_state(config.target, n_sites)
+    sectors = SpinSectors(config.model, plus_product_state(n_sites))
     t = config.t_total
     guess = make_guess(config.guess, t)
     area = guess.field_area
-    phi, slope = overlap_landscape(prop, target, psi0, t, area)
+    phi, slope = overlap_landscape(sectors, target, t, area)
     history = [phi]
     rate, flat, converged = grape.INITIAL_RATE, 0, slope == 0.0
     while not converged and len(history) <= grape.MAX_ITERATIONS:
         while rate >= grape.RATE_FLOOR:
             trial = area + rate * slope
-            phi_trial, slope_trial = overlap_landscape(prop, target, psi0, t, trial)
+            phi_trial, slope_trial = overlap_landscape(sectors, target, t, trial)
             if phi_trial >= phi:
                 break
             rate *= grape.BACKTRACK_FACTOR
@@ -95,7 +117,7 @@ def reference_optimize(config):
     schedule = reduce_field_winding(
         ControlSchedule(t, guess.amplitudes + (area - guess.field_area) / t)
     )
-    final, _ = overlap_landscape(prop, target, psi0, t, schedule.field_area)
+    final, _ = overlap_landscape(sectors, target, t, schedule.field_area)
     return GrapeResult(schedule, history, final, converged)
 
 
@@ -242,12 +264,10 @@ def mean_under_amplitude_error(model, t_total, area, sigma, points=80):
     """E[Phi(T, (1 + eps) A)] over a static relative amplitude error
     eps ~ N(0, sigma^2), by Gauss-Hermite quadrature in eps."""
     x, w = np.polynomial.hermite.hermgauss(points)
-    n = model.n_sites
-    overlaps = ClosedFormPropagator.for_model(model).overlaps(
-        complete_graph_state(n), plus_product_state(n), t_total,
-        (1.0 + np.sqrt(2.0) * sigma * x) * area,
+    pops = population(
+        model, complete_graph_state(model.n_sites), t_total, (1.0 + np.sqrt(2.0) * sigma * x) * area
     )
-    return float(np.sum(w * np.abs(overlaps) ** 2) / np.sqrt(np.pi))
+    return float(np.sum(w * pops) / np.sqrt(np.pi))
 
 
 @pytest.mark.parametrize(
@@ -363,10 +383,8 @@ def test_readme_gaussian_stalls(config, stalled, reachable):
     assert stalled[0] - 5e-5 <= result.final_population < stalled[1] + 5e-5
     n = config.model.n_sites
     areas = result.schedule.field_area + np.linspace(0.0, TWO_PI, 2001)
-    overlaps = ClosedFormPropagator.for_model(config.model).overlaps(
-        complete_graph_state(n), plus_product_state(n), config.t_total, areas
-    )
-    assert reachable[0] - 5e-4 <= np.max(np.abs(overlaps) ** 2) < reachable[1] + 5e-4
+    pops = population(config.model, complete_graph_state(n), config.t_total, areas)
+    assert reachable[0] - 5e-4 <= np.max(pops) < reachable[1] + 5e-4
 
 
 @pytest.mark.parametrize(
@@ -390,16 +408,25 @@ def test_optimize_shifts_the_guess_uniformly(config):
 
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
 def test_propagated_states_give_the_overlaps(n_sites):
-    prop = ClosedFormPropagator.for_model(RydbergModel(ChainGeometry.regular(n_sites)))
+    # the states the protocol propagates, block by block, against the
+    # sector sum of the spin path
+    model = RydbergModel(ChainGeometry.regular(n_sites))
     rng = np.random.default_rng(n_sites)
     psi = plus_product_state(n_sites)
     target = complete_graph_state(n_sites)
     t = rng.uniform(0.0, 0.3, 7)
     area = rng.uniform(-4.0, 4.0, 7)
-    states = prop.states(psi, t, area)
-    assert states.shape == (7, 2**n_sites)
+    moves, coeffs, diagonal = drift_terms(model)
+    hz = build_control_hz_diagonal(n_sites)
+    states = np.zeros((7, 2**n_sites), dtype=complex)
+    for idx, h in BlockPattern(moves, n_sites, SPIN_BASIS, np.flatnonzero(psi)).fill(coeffs, diagonal):
+        states[:, idx] = ClosedFormPropagator(h, hz[idx]).states(psi[idx], t, area)
+    sectors = SpinSectors(model, psi)
     np.testing.assert_allclose(
-        states @ target.conj(), prop.overlaps(target, psi, t, area), rtol=0, atol=1e-14
+        states @ target.conj(),
+        spin_overlaps(sectors.hz, sectors.returns(target, t), area),
+        rtol=0,
+        atol=1e-14,
     )
     np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -416,10 +443,10 @@ def test_cz_target_shifts_the_landscape_by_pi_in_area(n_sites):
         (IdealModel(n_sites), 4.0),
         (RydbergModel(ChainGeometry.regular(n_sites)), 0.3),
     ):
-        prop = ClosedFormPropagator.for_model(model)
+        sectors = SpinSectors(model, psi0)
         for t, area in zip(rng.uniform(0.0, t_scale, 5), rng.uniform(-np.pi, np.pi, 5)):
-            cz = prop.landscape(cz_graph_state(n_sites), psi0, t)(area)
-            op = prop.landscape(complete_graph_state(n_sites), psi0, t)(area - shift)
+            cz = overlap_landscape(sectors, cz_graph_state(n_sites), t, area)
+            op = overlap_landscape(sectors, complete_graph_state(n_sites), t, area - shift)
             np.testing.assert_allclose(cz, op, rtol=0, atol=1e-12)
 
 
@@ -436,8 +463,8 @@ REFERENCE_CASES = [
     "mode, n_sites, t_total", REFERENCE_CASES, ids=str
 )
 def test_optimize_equals_the_per_call_ascent(mode, n_sites, t_total, kind, target):
-    # the projected landscape applies the same phase vector to the same
-    # operands as a fresh ``overlaps`` call, so every accepted step agrees
+    # the landscape of ``optimize`` forms its return amplitudes once per
+    # run; fresh ones give the same operands, so every accepted step agrees
     # bit for bit
     make_config = ideal_config if mode == "ideal" else rydberg_config
     b0 = 1.0 if mode == "ideal" else TWO_PI
@@ -457,13 +484,22 @@ def test_optimize_equals_the_per_call_ascent(mode, n_sites, t_total, kind, targe
     t_scale=st.floats(0.0, 1.0),
     area=st.floats(-50.0, 50.0),
 )
-def test_landscape_equals_the_overlaps_bit_for_bit(n_sites, rydberg, cz, t_scale, area):
+def test_landscape_matches_the_dense_reference(n_sites, rydberg, cz, t_scale, area):
+    # oracle: the kron-product H0 exponentiated as a whole, and the slope as
+    # the overlap with -i Hz psi0, d/dA of exp(-i A Hz) psi0
     model = RydbergModel(ChainGeometry.regular(n_sites)) if rydberg else IdealModel(n_sites)
     t = t_scale * (0.3 if rydberg else 4.0)
-    prop = ClosedFormPropagator.for_model(model)
     psi0 = plus_product_state(n_sites)
     target = (cz_graph_state if cz else complete_graph_state)(n_sites)
-    assert prop.landscape(target, psi0, t)(area) == overlap_landscape(prop, target, psi0, t, area)
+    hz = np.diag(kron_control_hz(n_sites, SPIN_BASIS)).real
+    h0 = kron_drift(model, SPIN_BASIS)
+    dressed = np.exp(-1j * area * hz) * psi0
+    overlap, d_overlap = (
+        np.vdot(target, evolve_unitary(h0, t, psi)) for psi in (dressed, -1j * hz * dressed)
+    )
+    phi, slope = overlap_landscape(SpinSectors(model, psi0), target, t, area)
+    assert phi == pytest.approx(abs(overlap) ** 2, abs=1e-13)
+    assert slope == pytest.approx(2.0 * np.real(np.conj(overlap) * d_overlap), abs=1e-12)
 
 
 def test_scan_duration_grid_and_peaks():
@@ -532,6 +568,22 @@ def test_schedule_record_validates_slice_count():
         schedule_from_record(record)
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ([1.0], "JSON object, not a list"),
+        ({"T": True, "n": 1, "amplitudes": [1.0]}, "numeric T"),
+        ({"T": 1.0, "n": 1.0, "amplitudes": [1.0]}, "integer n"),
+        ({"T": 1.0, "n": True, "amplitudes": [1.0]}, "integer n"),
+        ({"T": 1.0, "n": 1, "amplitudes": "1.0"}, "list of numbers"),
+        ({"T": 1.0, "n": 1, "amplitudes": [None]}, "list of numbers"),
+    ],
+)
+def test_schedule_record_validates_its_fields(record, message):
+    with pytest.raises(ValueError, match=message):
+        schedule_from_record(record)
+
+
 def test_optimize_rejects_bad_config():
     # the schedule's own duration check, so infinity is refused too
     for t_total in (-1.0, 0.0, float("nan"), float("inf")):
@@ -547,28 +599,32 @@ def test_optimize_rejects_bad_config():
 
 
 def test_non_commuting_drift_is_refused(monkeypatch):
-    # a transverse field breaks [H0, Hz] = 0, on which the closed form rests
-    import spingraph.grape as grape
-    from spingraph.operators import SPIN_BASIS, embed_local_operator
+    # a transverse field breaks [H0, Hz] = 0, on which the closed form
+    # rests: its flips join the sectors into blocks that span several Hz
+    # values, and every spin-path entry refuses them
+    original = grape.drift_terms
+    flips = [{site: ("up", "down")} for site in range(3)]
 
-    from kron_reference import SIGMA_X
+    def transverse_drift(model, basis=SPIN_BASIS, positions=None):
+        moves, coeffs, diagonal = original(model, basis, positions)
+        return moves + flips, np.append(coeffs, np.full(len(flips), 0.3)), diagonal
 
-    original = grape.assemble_system
-
-    def transverse_drift(model, basis=SPIN_BASIS):
-        h0 = original(model, basis)
-        for site in range(model.n_sites):
-            h0 = h0 + 0.3 * embed_local_operator(SIGMA_X, site, model.n_sites, basis)
-        return h0
-
-    monkeypatch.setattr(grape, "assemble_system", transverse_drift)
+    moves, coeffs, diagonal = transverse_drift(IdealModel(3))
+    transverse = sum(0.3 * embed_local_operator(SIGMA_X, site, 3, SPIN_BASIS) for site in range(3))
+    assert np.array_equal(
+        hermitian_sum(list(zip(coeffs, moves)), diagonal, 3, SPIN_BASIS),
+        kron_drift(IdealModel(3), SPIN_BASIS) + transverse,
+    )
+    monkeypatch.setattr(grape, "drift_terms", transverse_drift)
     schedule = ControlSchedule(t_total=2.3, amplitudes=np.ones(5))
-    with pytest.raises(GrapeError, match="commute"):
-        landscape_at(
-            IdealModel(3), schedule, plus_product_state(3), complete_graph_state(3)
-        )
-    with pytest.raises(GrapeError, match="commute"):
-        optimize(ideal_config(3, 2.3, GuessSpec(kind="gaussian", b0=1.0)))
+    psi0, target = plus_product_state(3), complete_graph_state(3)
+    for run in (
+        lambda: landscape_at(IdealModel(3), schedule, psi0, target),
+        lambda: optimize(ideal_config(3, 2.3, GuessSpec(kind="gaussian", b0=1.0))),
+        lambda: closed_system_trace(IdealModel(3), schedule, psi0, target),
+    ):
+        with pytest.raises(GrapeError, match="does not commute"):
+            run()
 
 
 def random_state(rng, dim):
@@ -576,46 +632,42 @@ def random_state(rng, dim):
     return psi / np.linalg.norm(psi)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    dim=st.integers(1, 12),
-    seed=st.integers(0, 2**32 - 1),
-    degenerate=st.booleans(),
-)
-def test_sector_kernel_matches_the_dense_propagator(dim, seed, degenerate):
-    """A random Hermitian h, block diagonal in a random integer Hz, against
-    dense exp(-i (h + (A/t) Hz) t). With ``degenerate`` every block's
-    spectrum comes from {-1, 0, 1}, so eigenvalues repeat across sectors,
-    as in the ideal XX chain, and a dense eigh of h may mix the sectors."""
-    rng = np.random.default_rng(seed)
-    hz = rng.integers(-2, 3, dim).astype(float)
-    h = np.zeros((dim, dim), dtype=complex)
-    for value in np.unique(hz):
-        idx = np.flatnonzero(hz == value)
-        a = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
-        if degenerate:
-            q, _ = np.linalg.qr(a)
-            a = q @ np.diag(rng.integers(-1, 2, len(idx))) @ q.conj().T
-        h[np.ix_(idx, idx)] = 0.5 * (a + a.conj().T)
-    prop = ClosedFormPropagator(h, hz)
-    psi, target = random_state(rng, dim), random_state(rng, dim)
-    for t, area in zip(rng.uniform(0.1, 2.0, 3), rng.uniform(-4.0, 4.0, 3)):
-        dense = evolve_unitary(h + np.diag(area / t * hz), t, psi)
-        np.testing.assert_allclose(prop.states(psi, t, area), dense, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            prop.overlaps(target, psi, t, area), np.vdot(target, dense), rtol=0, atol=1e-12
-        )
-    # any coupling between two sectors breaks [h, Hz] = 0
-    i, j = np.argmin(hz), np.argmax(hz)
-    if hz[i] != hz[j]:
-        h[i, j] = h[j, i] = 1e-6
-        with pytest.raises(GrapeError, match="commute"):
-            ClosedFormPropagator(h, hz)
-
-
 def random_hermitian(rng, shape):
     a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    stack=st.sampled_from([(), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+)
+def test_sector_kernel_matches_the_dense_propagator(dim, stack, seed, degenerate):
+    """Random Hermitian drifts on a block where Hz takes one random integer
+    value, one drift or a stack, against dense exp(-i (h + (A/t) Hz) t).
+    With ``degenerate`` every spectrum comes from {-1, 0, 1}, so
+    eigenvalues repeat, as in the ideal XX chain."""
+    rng = np.random.default_rng(seed)
+    hz = np.full(dim, float(rng.integers(-2, 3)))
+    h = random_hermitian(rng, stack + (dim, dim))
+    if degenerate:
+        q, _ = np.linalg.qr(h)
+        h = (q * rng.integers(-1, 2, stack + (1, dim))) @ q.conj().swapaxes(-1, -2)
+    prop = ClosedFormPropagator(h, hz)
+    psi, target = random_state(rng, dim), random_state(rng, dim)
+    for t, area in zip(rng.uniform(0.1, 2.0, 3), rng.uniform(-4.0, 4.0, 3)):
+        states, overlaps = prop.states(psi, t, area), prop.overlaps(target, psi, t, area)
+        for row in np.ndindex(stack):
+            dense = evolve_unitary(h[row] + np.diag(area / t * hz), t, psi)
+            np.testing.assert_allclose(states[row], dense, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(overlaps[row], np.vdot(target, dense), rtol=0, atol=1e-12)
+    # the same drifts on a block where Hz takes two values are refused
+    if dim > 1:
+        hz[-1] += 1.0
+        with pytest.raises(GrapeError, match="commute"):
+            ClosedFormPropagator(h, hz)
 
 
 @settings(max_examples=60, deadline=None)
@@ -649,23 +701,45 @@ def test_stacked_kernel_matches_the_kernel_block_by_block(stack, dim, grid, seed
 
 
 def test_a_stack_spanning_several_hz_values_is_refused():
+    # the closed form needs one Hz value per block: a block or a stack on
+    # which Hz takes two is refused, whether or not its drift couples them
     rng = np.random.default_rng(5)
     hz = np.array([0.0, 0.0, 1.0])
     h = np.zeros((2, 3, 3), dtype=complex)
     h[:, :2, :2] = random_hermitian(rng, (2, 2, 2))
     h[:, 2, 2] = 0.5
-    with pytest.raises(ValueError, match="one Hz value"):
-        ClosedFormPropagator(h, hz)
-    # any coupling between the two Hz values fails the commutator check first
-    h[1, 0, 2] = h[1, 2, 0] = 1e-6
-    with pytest.raises(GrapeError, match="commute"):
-        ClosedFormPropagator(h, hz)
+    for drift in (h, h[0]):
+        with pytest.raises(GrapeError, match="does not commute.*Hz values 0.0 to 1.0"):
+            ClosedFormPropagator(drift, hz)
+
+
+@pytest.mark.parametrize("target_form", list(TargetForm), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", ["ideal", "rydberg"])
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6, 7])
+def test_returns_match_the_dense_sector_projections(n_sites, kind, target_form):
+    # oracle: <target| P_m exp(-i H0 t) |psi0> with the kron-product H0
+    # exponentiated as a whole and P_m the projector on the configurations
+    # where the kron-product Hz takes the value h_m
+    model = IdealModel(n_sites) if kind == "ideal" else RydbergModel(ChainGeometry.regular(n_sites))
+    psi0, target = plus_product_state(n_sites), target_state(target_form, n_sites)
+    t = np.random.default_rng(n_sites).uniform(0.0, 4.0 if kind == "ideal" else 0.3, 5)
+    hz = np.diag(kron_control_hz(n_sites, SPIN_BASIS)).real
+    h0 = kron_drift(model, SPIN_BASIS)
+    sectors = SpinSectors(model, psi0)
+    returns = sectors.returns(target, t)
+    assert returns.shape == (5, len(sectors.hz))
+    for k, t_k in enumerate(t):
+        psi = evolve_unitary(h0, t_k, psi0)
+        for value in np.unique(hz):
+            projected = np.vdot(target, np.where(hz == value, psi, 0.0))
+            got = returns[k, sectors.hz == value].sum()
+            assert abs(got - projected) < 1e-13
 
 
 @pytest.mark.parametrize(
     "model", [IdealModel(6), RydbergModel(ChainGeometry.regular(6))], ids=["ideal", "rydberg"]
 )
-def test_for_model_diagonalizes_one_magnetization_sector_at_a_time(model, monkeypatch):
+def test_spin_path_diagonalizes_one_magnetization_sector_at_a_time(model, monkeypatch):
     sizes = []
     original_eigh = np.linalg.eigh
 
@@ -674,6 +748,16 @@ def test_for_model_diagonalizes_one_magnetization_sector_at_a_time(model, monkey
         return original_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spying_eigh)
-    ClosedFormPropagator.for_model(model)
-    # C(6, m) spin configurations with m up-spins, the largest C(6, 3) = 20
-    assert sorted(sizes) == [1, 1, 6, 6, 15, 15, 20]
+    psi0, target = plus_product_state(6), complete_graph_state(6)
+    schedule = ControlSchedule(t_total=0.2, amplitudes=np.ones(4))
+    config = GrapeConfig(model, 0.2, GuessSpec(kind="gaussian", b0=1.0), TargetForm.OPERATOR_PRODUCT)
+    for run in (
+        lambda: optimize(config),
+        lambda: closed_system_trace(model, schedule, psi0, target),
+        lambda: open_system_trace(model, schedule, DEFAULT_JUMPS, psi0, target),
+    ):
+        sizes.clear()
+        run()
+        # C(6, m) spin configurations with m up-spins, the largest C(6, 3) = 20;
+        # never the 64-dimensional drift
+        assert sorted(sizes) == [1, 1, 6, 6, 15, 15, 20]
