@@ -112,11 +112,16 @@ def constant_field_params(c1: int, c2: int, j: float) -> ConstantFieldSolution:
         raise ValueError("requires c2 >= c1")
     if not (np.isfinite(j) and j > 0):
         raise ValueError("requires a finite j > 0")
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        b = 4.0 * j * (1.0 - 4.0 * c1) / (SQRT2 * (2.0 * c1 - 2.0 * c2 - 1.0))
-        t_star = SQRT2 * np.pi * (1.0 + 2.0 * (c2 - c1)) / (4.0 * j)
+    try:
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            b = 4.0 * j * (1.0 - 4.0 * c1) / (SQRT2 * (2.0 * c1 - 2.0 * c2 - 1.0))
+            t_star = SQRT2 * np.pi * (1.0 + 2.0 * (c2 - c1)) / (4.0 * j)
+    except OverflowError:  # an integer beyond float range
+        b = t_star = np.inf
     if not (np.isfinite(b) and np.isfinite(t_star)):
-        raise ValueError(f"j = {j!r} puts the field or the arrival time out of float range")
+        raise ValueError(
+            f"c1 = {c1}, c2 = {c2} and j = {j!r} put the field or arrival time out of float range"
+        )
     return ConstantFieldSolution(b=b, t_star=t_star)
 
 

@@ -1,9 +1,9 @@
 """Hamiltonian builders: ideal XX chain, global-field control term, and the
 Rydberg dipolar chain with its long-range error terms.
 
-Every Hamiltonian here is one coupling list: ``operators.hermitian_sum``
-terms (coefficient, single-site moves) plus a real diagonal, summed densely
-by ``hermitian_sum`` or block by block by ``hermitian_blocks``.
+Every Hamiltonian here is one ``drift_terms`` triple (term moves, their
+coefficients, a real diagonal), summed densely by ``operators.hermitian_sum``
+or block by block by ``operators.BlockPattern``.
 
 Two drift models are supported. The ideal model is a nearest-neighbor XX
 chain with a single coupling J (dimensionless units, J = 1 by default).
@@ -31,7 +31,6 @@ __all__ = [
     "ModelKind",
     "build_control_hz",
     "build_control_hz_diagonal",
-    "rydberg_background",
     "drift_terms",
     "assemble_system",
 ]
@@ -172,7 +171,7 @@ def _pair_strengths(positions: np.ndarray, delta_r: float) -> tuple[np.ndarray, 
 
 def _flip_flop(i: int, j: int) -> dict[int, tuple[str, str]]:
     """Moves of |up><down|_i |down><up|_j; ``hermitian_sum`` adds the
-    conjugate, so a term (strength, moves) is strength (|ud><du| + h.c.)."""
+    conjugate, so the term with coefficient v is v (|ud><du| + h.c.)."""
     return {i: ("up", "down"), j: ("down", "up")}
 
 
@@ -190,22 +189,7 @@ def build_control_hz_diagonal(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> n
 def build_control_hz(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     """Global control term sum_i S^z_i as a dense matrix; its diagonal is
     ``build_control_hz_diagonal``."""
-    return hermitian_sum([], build_control_hz_diagonal(n_sites, basis), n_sites, basis)
-
-
-def rydberg_background(
-    geometry: ChainGeometry, basis: LocalBasis = SPIN_BASIS
-) -> tuple[list[tuple[float, dict[int, tuple[str, str]]]], np.ndarray]:
-    """The Rydberg drift as ``hermitian_sum`` terms plus a diagonal.
-
-    The terms are the dipolar flip-flops of every pair, nearest-neighbor
-    bonds first (the dense sum's rounding, and so every output byte,
-    depends on that order); the diagonal holds the van der Waals shifts of
-    like levels. ``assemble_system`` sums both densely, and the protocol sums
-    them block by block (``operators.hermitian_blocks``).
-    """
-    moves, dipoles, shifts = drift_terms(RydbergModel(geometry), basis)
-    return list(zip(dipoles.tolist(), moves)), shifts
+    return hermitian_sum([], [], build_control_hz_diagonal(n_sites, basis), n_sites, basis)
 
 
 def drift_terms(
@@ -215,10 +199,13 @@ def drift_terms(
     and its real diagonal.
 
     Ideal: J times the flip-flop of every bond, and a zero diagonal.
-    Rydberg: ``rydberg_background``. ``positions``, a (G, N, 3) stack of
-    atom positions for a Rydberg model (its delta_r kept), gives one row
-    of coefficients and one diagonal per geometry from one evaluation of
-    the pair law; the moves are the same for all of them.
+    Rydberg: the dipolar flip-flop of every pair, nearest-neighbor bonds
+    first (the sums' rounding, and so every output byte, depends on that
+    order), and the van der Waals shifts of like levels on the diagonal.
+    ``positions``, a (G, N, 3) stack of atom positions for a Rydberg model
+    (its delta_r kept), gives one row of coefficients and one diagonal per
+    geometry from one evaluation of the pair law; the moves are the same
+    for all of them.
     """
     n = model.n_sites
     if isinstance(model, IdealModel):
@@ -247,8 +234,6 @@ def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndar
 
     Ideal: open-boundary sum over bonds of (J/2)(sx sx + sy sy), that is J
     times the flip-flop |ud><du| + h.c. per bond, with a zero diagonal.
-    Rydberg: ``rydberg_background``, dipolar exchange between every pair
-    plus the van der Waals diagonal.
+    Rydberg: dipolar exchange between every pair plus the van der Waals diagonal.
     """
-    moves, coeffs, diagonal = drift_terms(model, basis)
-    return hermitian_sum(list(zip(coeffs.tolist(), moves)), diagonal, model.n_sites, basis)
+    return hermitian_sum(*drift_terms(model, basis), model.n_sites, basis)

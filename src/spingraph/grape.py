@@ -23,7 +23,7 @@ raises ``GrapeError``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping
 
 import numpy as np
@@ -95,15 +95,21 @@ class ControlSchedule:
 
     t_total: float
     amplitudes: np.ndarray
+    #: Field area A_k = dt (B_0 + ... + B_{k-1}) at each slice boundary, read-only.
+    boundary_areas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
         if amps.size < 1:
             raise ValueError("schedule needs at least one slice")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("slice amplitudes must be finite")
         _check_duration(self.t_total)
         object.__setattr__(self, "amplitudes", amps)
+        with np.errstate(all="ignore"):  # a non-finite area is refused below
+            areas = self.dt * np.concatenate(([0.0], np.cumsum(amps)))
+        if not np.isfinite(areas).all():
+            raise ValueError("slice amplitudes and their field areas must be finite")
+        areas.flags.writeable = False
+        object.__setattr__(self, "boundary_areas", areas)
 
     @property
     def n_slices(self) -> int:
@@ -117,11 +123,6 @@ class ControlSchedule:
     def boundary_times(self) -> np.ndarray:
         """t_k = k dt at the n + 1 slice boundaries, from t_0 = 0."""
         return self.dt * np.arange(self.n_slices + 1)
-
-    @property
-    def boundary_areas(self) -> np.ndarray:
-        """Field area A_k = dt (B_0 + ... + B_{k-1}) at each slice boundary."""
-        return self.dt * np.concatenate(([0.0], np.cumsum(self.amplitudes)))
 
     @property
     def field_area(self) -> float:

@@ -18,9 +18,11 @@ Conventions
   basis index is the base-d number whose digits are the N site levels,
   site 0 most significant. ``site_levels`` is the single owner of that
   rule; every Hamiltonian, drive, jump and state is built from its table,
-  mostly through ``transition_indices`` and ``hermitian_sum`` (dense) or
-  ``hermitian_blocks`` (the coupled blocks a state reaches). Both tables
-  are memoised and returned read-only, so every caller shares one copy.
+  mostly through ``transition_indices``. Both tables are memoised and
+  returned read-only, so every caller shares one copy.
+* A Hamiltonian is one ``chain.drift_terms`` triple (term moves, their
+  coefficients, a real diagonal): ``BlockPattern`` fills the blocks a
+  state reaches, and the dense ``hermitian_sum`` is their reference.
 * Three budgets: dense matrices (operators, Hamiltonians, blocks) stay
   within MAX_DIM, state vectors and the site-level table within
   MAX_STATE_DIM, and the population traces of one noise ensemble (samples
@@ -49,7 +51,6 @@ __all__ = [
     "site_levels",
     "transition_indices",
     "hermitian_sum",
-    "hermitian_blocks",
     "BlockPattern",
     "evolve_unitary",
     "basis_state",
@@ -199,39 +200,25 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 
 
 def hermitian_sum(
-    terms: Sequence[tuple[complex, Mapping[int, tuple[str, str]]]],
+    moves: Sequence[Mapping[int, tuple[str, str]]],
+    coeffs: Sequence[complex],
     diagonal: np.ndarray,
     n_sites: int,
     basis: LocalBasis,
 ) -> np.ndarray:
-    """Dense h = sum over (coeff, moves) terms of coeff T + h.c., plus
-    diag(diagonal), where T is the product of single-site transitions
-    ``moves`` (see ``transition_indices``). The diagonal is added after the
-    terms. Refuses an over-budget dimension before any d^N x d^N
-    allocation."""
+    """Dense h = sum of coeff T + h.c. over the (moves, coeffs) terms,
+    plus diag(diagonal) added last, where T is the product of single-site
+    transitions of a term's moves (see ``transition_indices``). Refuses an
+    over-budget dimension before any d^N x d^N allocation."""
     _check_dim_budget(basis.dim, n_sites)
     dim = basis.dim**n_sites
     h = np.zeros((dim, dim), dtype=complex)
-    for coeff, moves in terms:
-        dst, src = transition_indices(n_sites, basis, moves)
+    for term, coeff in zip(moves, coeffs, strict=True):
+        dst, src = transition_indices(n_sites, basis, term)
         h[dst, src] += coeff
         h[src, dst] += np.conj(coeff)
     h[np.diag_indices(dim)] += diagonal
     return h
-
-
-def hermitian_blocks(
-    terms: Sequence[tuple[complex, Mapping[int, tuple[str, str]]]],
-    diagonal: np.ndarray,
-    n_sites: int,
-    basis: LocalBasis,
-    support: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The blocks of h = ``hermitian_sum(terms, diagonal)`` that the basis
-    indices ``support`` reach, without forming h: one ``BlockPattern``
-    filled once."""
-    pattern = BlockPattern([moves for _, moves in terms], n_sites, basis, support)
-    return pattern.fill([coeff for coeff, _ in terms], diagonal)
 
 
 class BlockPattern:

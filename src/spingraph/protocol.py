@@ -31,13 +31,14 @@ master-equation module.
 
 A stage's couplings (drive transitions and dipolar flip-flops) conserve
 per-site level classes, so its Hamiltonian splits into small blocks, and
-the stage diagonalizes only the blocks the state reaches
-(``operators.hermitian_blocks``), never the d^N x d^N matrix; blocks the
-state does not reach stay exactly zero. This is symmetry-block exact
-diagonalization (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The largest
-block per stage grows from 8 / 8 / 3 / 12 / 12 at N=3 to
-64 / 64 / 20 / 240 / 240 at N=6, well within the dense budget; the d^N
-state vectors cap the protocol at six atoms (``MAX_STATE_DIM``).
+the stage fills and diagonalizes only the blocks the state reaches (one
+``operators.BlockPattern`` over the drives and ``chain.drift_terms``),
+never the d^N x d^N matrix; blocks the state does not reach stay exactly
+zero. This is symmetry-block exact diagonalization (Sandvik, AIP Conf.
+Proc. 1297, 135 (2010)). The largest block per stage grows from
+8 / 8 / 3 / 12 / 12 at N=3 to 64 / 64 / 20 / 240 / 240 at N=6, well
+within the dense budget; the d^N state vectors cap the protocol at six
+atoms (``MAX_STATE_DIM``).
 
 Each stage is its drives over its own schedule: TRACE_POINTS_PER_STAGE
 zero-field slices over a pulse, or the optimized field for the core.
@@ -58,13 +59,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TWO_PI, ChainGeometry, build_control_hz_diagonal, rydberg_background
+from .chain import TWO_PI, ChainGeometry, RydbergModel, build_control_hz_diagonal, drift_terms
 from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import (
     PROTOCOL_BASIS,
     SPIN_BASIS,
+    BlockPattern,
     basis_state,
-    hermitian_blocks,
     product_state,
     site_levels,
 )
@@ -190,16 +191,18 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
     # written so that a NaN norm is refused too
     if not abs(norm - 1.0) <= 1e-8:
         raise ValueError(f"stage input state not normalized (norm {norm})")
-    terms = [(0.5 * rate, {site: (a, b)}) for a, b, rate in stage.drives for site in range(n)]
-    exchange, diagonal = rydberg_background(plan.geometry, PROTOCOL_BASIS)
-    terms += exchange
+    moves, coeffs, diagonal = drift_terms(RydbergModel(plan.geometry), PROTOCOL_BASIS)
+    # each drive's (rate/2)(|a><b| + h.c.) on every atom, ahead of the interactions
+    moves = [{site: (a, b)} for a, b, _ in stage.drives for site in range(n)] + moves
+    coeffs = np.concatenate([[0.5 * rate for *_, rate in stage.drives for _ in range(n)], coeffs])
     schedule = stage.schedule
     # Hz only under a field, since it does not commute with the drives
     field = schedule.amplitudes.any()
     hz = build_control_hz_diagonal(n, PROTOCOL_BASIS) if field else np.zeros(dim)
     times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
     states = np.zeros((len(times), dim), dtype=complex)
-    for idx, h in hermitian_blocks(terms, diagonal, n, PROTOCOL_BASIS, np.flatnonzero(state)):
+    pattern = BlockPattern(moves, n, PROTOCOL_BASIS, np.flatnonzero(state))
+    for idx, h in pattern.fill(coeffs, diagonal):
         states[:, idx] = ClosedFormPropagator(h, hz[idx]).states(state[idx], times, areas)
     return states
 

@@ -159,7 +159,8 @@ def test_constant_field_params_validation():
     [
         ("nan", "requires a finite j > 0"),
         ("inf", "requires a finite j > 0"),
-        ("1e-320", "j = 1e-320 puts the field or the arrival time out of float range"),
+        ("1e-320", "c1 = 0, c2 = 0 and j = 1e-320 put the field or arrival time out of "
+                   "float range"),
     ],
 )
 def test_cli_refuses_an_unusable_coupling(j, message):
@@ -168,6 +169,23 @@ def test_cli_refuses_an_unusable_coupling(j, message):
         result = CliRunner().invoke(main, ["analytic", "--j", j])
     assert result.exit_code == 1
     assert result.output == f"Error: analytic failed: {message}\n"
+    assert caught == []
+
+
+@pytest.mark.parametrize(
+    "c1, c2", [(0, 2**1023), (0, 10**400), (-(10**400), 0)], ids=["2^1023", "1e400", "-1e400"]
+)
+def test_cli_refuses_integers_beyond_float_range(c1, c2):
+    # a Python int too large for a float raises OverflowError, not a numpy
+    # overflow; both end in the same one-line message
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, ["analytic", f"--c1={c1}", f"--c2={c2}"])
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: analytic failed: c1 = {c1}, c2 = {c2} and j = 1.0 put the field or "
+        "arrival time out of float range\n"
+    )
     assert caught == []
 
 

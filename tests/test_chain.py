@@ -1,7 +1,7 @@
 """Chain Hamiltonians: XX exchange, global control term, dipolar couplings.
 
 Interaction strengths, the coefficients and diagonal that
-``rydberg_background`` returns, are checked against independently computed
+``drift_terms`` returns, are checked against independently computed
 scalars (frozen below), matrix structure against literal index
 bookkeeping, and every index-built Hamiltonian against the dense
 kron-product reference of ``kron_reference``.
@@ -22,7 +22,6 @@ from spingraph.chain import (
     assemble_system,
     build_control_hz,
     drift_terms,
-    rydberg_background,
 )
 from spingraph.operators import EMISSION_BASIS, PROTOCOL_BASIS, SPIN_BASIS, hermitian_sum
 
@@ -39,13 +38,13 @@ U_DOWN_NN = -0.4197418579084047
 
 def dipole(geo, i=0, j=1):
     """The flip-flop coefficient of pair (i, j) in the Rydberg drift."""
-    terms, _ = rydberg_background(geo)
-    return {tuple(moves): coeff for coeff, moves in terms}[i, j]
+    moves, coeffs, _ = drift_terms(RydbergModel(geo))
+    return dict(zip(map(tuple, moves), coeffs))[i, j]
 
 
 def vdw_shifts(geo):
     """Van der Waals diagonal of a two-atom chain at |up,up> and |down,down>."""
-    _, diagonal = rydberg_background(geo)
+    _, _, diagonal = drift_terms(RydbergModel(geo))
     return diagonal[0], diagonal[3]
 
 
@@ -120,8 +119,8 @@ def test_drift_commutes_with_control():
 
 def test_dipole_nearest_neighbor_value():
     geo = ChainGeometry.regular(2)
-    terms, _ = rydberg_background(geo)
-    assert [moves for _, moves in terms] == [{0: ("up", "down"), 1: ("down", "up")}]
+    moves, _, _ = drift_terms(RydbergModel(geo))
+    assert moves == [{0: ("up", "down"), 1: ("down", "up")}]
     assert abs(dipole(geo) - V_NN) < 1e-10
     assert abs(V_NN + TWO_PI * 2.44260130362021) < 1e-10
 
@@ -154,7 +153,7 @@ def test_vdw_values_and_signs():
     assert abs(up - U_UP_NN) < 1e-10
     assert abs(down - U_DOWN_NN) < 1e-10
     # only like spin levels shift: unlike spins and the g level do not
-    _, diagonal = rydberg_background(geo, EMISSION_BASIS)
+    _, _, diagonal = drift_terms(RydbergModel(geo), EMISSION_BASIS)
     assert np.array_equal(np.flatnonzero(diagonal), [0, 4])
     assert np.array_equal(diagonal[[0, 4]], [up, down])
 
@@ -238,9 +237,10 @@ def test_pair_law_on_a_stack_gives_each_geometry_its_own_drift_bit_for_bit(n):
     moves, coeffs, diagonals = drift_terms(RydbergModel(base), SPIN_BASIS, stack)
     assert coeffs.shape == (5, n * (n - 1) // 2) and diagonals.shape == (5, 2**n)
     for positions, row, diagonal in zip(stack, coeffs, diagonals):
-        terms, shifts = rydberg_background(ChainGeometry(positions, base.delta_r))
-        assert [m for _, m in terms] == moves
-        assert np.array_equal(row, [c for c, _ in terms])
+        one = RydbergModel(ChainGeometry(positions, base.delta_r))
+        one_moves, one_row, shifts = drift_terms(one)
+        assert one_moves == moves
+        assert np.array_equal(row, one_row)
         assert np.array_equal(diagonal, shifts)
 
 
@@ -268,7 +268,7 @@ def test_index_builders_match_kron_reference(basis, n):
         lambda: assemble_system(RydbergModel(ChainGeometry.regular(6)), PROTOCOL_BASIS),
         lambda: build_control_hz(6, PROTOCOL_BASIS),
         lambda: assemble_system(IdealModel(13)),
-        lambda: hermitian_sum([], np.zeros(5**6), 6, PROTOCOL_BASIS),
+        lambda: hermitian_sum([], [], np.zeros(5**6), 6, PROTOCOL_BASIS),
     ],
 )
 def test_builders_refuse_beyond_dimension_budget(build):

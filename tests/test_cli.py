@@ -238,6 +238,20 @@ def test_noise_with_saved_schedule(runner, core_schedule_path, tmp_path):
     assert float(finals[2]) <= float(finals[1]) <= float(finals[3])
 
 
+def test_noise_refuses_a_sample_whose_field_area_overflows(runner, tmp_path):
+    # one sample's running area overflows; its population would be NaN,
+    # which the JSON summary cannot hold
+    result = runner.invoke(main, [
+        "noise", "--n", "3", "--t", "0.141", "--schedule", SCHEDULE_N3,
+        "--field-sigma", "1e307", "--samples", "3", "--out-prefix", str(tmp_path / "x"),
+    ])
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: noise failed: slice amplitudes and their field areas must be finite\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_noise_rejects_geometry_noise_in_ideal_mode(runner):
     result = runner.invoke(
         main,

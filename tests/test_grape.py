@@ -10,6 +10,7 @@ finite differences of the final population of
 dPhi/dB_k = dt dPhi/dA; frozen-scalar checks pin the guess-field formulas.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -145,13 +146,20 @@ def test_schedule_invariants():
     assert s.n_slices == 4
     assert s.dt == 0.5
     assert s.field_area == pytest.approx(5.0)
+    assert np.array_equal(s.boundary_areas, [0.0, 0.5, 1.5, 3.0, 5.0])
+    assert not s.boundary_areas.flags.writeable
     for t_total in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             ControlSchedule(t_total=t_total, amplitudes=np.ones(3))
     with pytest.raises(ValueError):
         ControlSchedule(t_total=1.0, amplitudes=np.array([]))
-    with pytest.raises(ValueError):
-        ControlSchedule(t_total=1.0, amplitudes=np.array([np.inf]))
+    # the last two are finite amplitudes whose running area overflows, as a
+    # noise sample's can; all are refused without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for amplitudes in ([np.inf], [np.nan], [1e308, 1e308], [1e308, 1e308, -1e308]):
+            with pytest.raises(ValueError, match="their field areas must be finite"):
+                ControlSchedule(t_total=1.0, amplitudes=amplitudes)
 
 
 def test_gaussian_guess_shape():
@@ -612,7 +620,7 @@ def test_non_commuting_drift_is_refused(monkeypatch):
     moves, coeffs, diagonal = transverse_drift(IdealModel(3))
     transverse = sum(0.3 * embed_local_operator(SIGMA_X, site, 3, SPIN_BASIS) for site in range(3))
     assert np.array_equal(
-        hermitian_sum(list(zip(coeffs, moves)), diagonal, 3, SPIN_BASIS),
+        hermitian_sum(moves, coeffs, diagonal, 3, SPIN_BASIS),
         kron_drift(IdealModel(3), SPIN_BASIS) + transverse,
     )
     monkeypatch.setattr(grape, "drift_terms", transverse_drift)

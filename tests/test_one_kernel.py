@@ -8,7 +8,10 @@ in ``src/`` only because the benchmark's span tracer
 them as the dense-expm oracle. So no module other than ``operators`` may
 call ``evolve_unitary``, and no module may call ``build_control_hz``. The
 dense drift ``chain.assemble_system`` is wrapped there too; only the RK4
-integrator ``dynamics.evolve_master`` still uses it.
+integrator ``dynamics.evolve_master`` still uses it. Every other
+Hamiltonian is filled block by block (``operators.BlockPattern``), so only
+the two dense ``chain`` builders may call the dense sum
+``operators.hermitian_sum``.
 """
 
 import ast
@@ -17,7 +20,12 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spingraph"
 
 #: dense name -> the one module allowed to use it (None: no module)
-DENSE = {"evolve_unitary": "operators", "build_control_hz": None, "assemble_system": "dynamics"}
+DENSE = {
+    "evolve_unitary": "operators",
+    "build_control_hz": None,
+    "assemble_system": "dynamics",
+    "hermitian_sum": "chain",
+}
 
 
 def dense_uses(package: Path) -> list[str]:
@@ -47,7 +55,10 @@ def test_the_scan_finds_dense_propagation(tmp_path):
         "def evolve_unitary(h, t, psi): pass\nevolve_unitary(1, 2, 3)\n", encoding="utf-8"
     )
     (tmp_path / "chain.py").write_text(
-        "def build_control_hz(n): pass\ndef assemble_system(m): pass\n", encoding="utf-8"
+        "from .operators import hermitian_sum\n"
+        "def build_control_hz(n): return hermitian_sum([], [], 0, n, None)\n"
+        "def assemble_system(m): pass\n",
+        encoding="utf-8",
     )
     (tmp_path / "a.py").write_text(
         "from .operators import evolve_unitary as run\nfrom . import chain\n"
@@ -57,11 +68,16 @@ def test_the_scan_finds_dense_propagation(tmp_path):
     uses_drift = "from .chain import assemble_system\nassemble_system(1)\n"
     (tmp_path / "b.py").write_text(uses_drift, encoding="utf-8")
     (tmp_path / "dynamics.py").write_text(uses_drift, encoding="utf-8")
+    (tmp_path / "protocol.py").write_text(
+        "from . import operators\nh = operators.hermitian_sum([], [], 0, 2, None)\n",
+        encoding="utf-8",
+    )
     assert dense_uses(tmp_path) == [
         "a:1 evolve_unitary",
         "a:3 build_control_hz",
         "b:1 assemble_system",
         "b:2 assemble_system",
+        "protocol:2 hermitian_sum",
     ]
 
 

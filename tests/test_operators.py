@@ -18,7 +18,6 @@ from spingraph.operators import (
     check_hermitian,
     embed_local_operator,
     evolve_unitary,
-    hermitian_blocks,
     hermitian_sum,
     product_state,
     site_levels,
@@ -271,7 +270,7 @@ def test_transition_indices_match_kron_reference(basis, n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_hermitian_blocks_match_the_dense_sum(n):
+def test_block_pattern_matches_the_dense_sum(n):
     """Every block equals the dense sum on its indices, entry for entry, and
     the dense sum couples no reached index to an unreached one."""
     rng = np.random.default_rng(n)
@@ -281,11 +280,15 @@ def test_hermitian_blocks_match_the_dense_sum(n):
         for site in rng.integers(n, size=3)
     ]
     terms.append((0.7, {0: ("up", "down"), n - 1: ("down", "up")}))
+    coeffs, moves = [c for c, _ in terms], [m for _, m in terms]
     dim = PROTOCOL_BASIS.dim**n
     diagonal = rng.normal(size=dim)
-    dense = hermitian_sum(terms, diagonal, n, PROTOCOL_BASIS)
+    dense = hermitian_sum(moves, coeffs, diagonal, n, PROTOCOL_BASIS)
+    with pytest.raises(ValueError):  # one coefficient per term
+        hermitian_sum(moves, coeffs[1:], diagonal, n, PROTOCOL_BASIS)
     for support in ([0], rng.choice(dim, size=4, replace=False), np.arange(dim)):
-        blocks = hermitian_blocks(terms, diagonal, n, PROTOCOL_BASIS, np.asarray(support))
+        pattern = BlockPattern(moves, n, PROTOCOL_BASIS, np.asarray(support))
+        blocks = pattern.fill(coeffs, diagonal)
         got = np.zeros_like(dense)
         for idx, block in blocks:
             assert np.all(np.diff(idx) > 0)
@@ -312,7 +315,7 @@ def test_block_pattern_refilled_gives_each_dense_sum():
     for _ in range(3):
         coeffs = rng.normal(size=len(moves)) + 1j * rng.normal(size=len(moves))
         diagonal = rng.normal(size=basis.dim**n)
-        dense = hermitian_sum(list(zip(coeffs, moves)), diagonal, n, basis)
+        dense = hermitian_sum(moves, coeffs, diagonal, n, basis)
         blocks = pattern.fill(coeffs, diagonal)
         assert len(blocks) == len(pattern.indices) > 0
         for (idx, block), indices in zip(blocks, pattern.indices):
@@ -338,14 +341,14 @@ def test_block_pattern_fills_a_stack_row_by_row():
             assert np.array_equal(blocks[g], block)
 
 
-def test_hermitian_blocks_refuse_a_block_beyond_the_dense_budget():
+def test_block_pattern_refuses_a_block_beyond_the_dense_budget():
     # single-site moves that chain all five levels join all 5^6 indices
     chain = [("0", "1"), ("1", "up"), ("up", "down"), ("down", "r")]
-    terms = [(1.0, {site: pair}) for site in range(6) for pair in chain]
+    moves = [{site: pair} for site in range(6) for pair in chain]
     with pytest.raises(ValueError, match="block dimension 15625 exceeds the supported budget 4096"):
-        hermitian_blocks(terms, np.zeros(5**6), 6, PROTOCOL_BASIS, np.array([0]))
+        BlockPattern(moves, 6, PROTOCOL_BASIS, np.array([0]))
     with pytest.raises(ValueError, match="exceeds the supported budget 15625"):
-        hermitian_blocks([], np.zeros(5**7), 7, PROTOCOL_BASIS, np.array([0]))
+        BlockPattern([], 7, PROTOCOL_BASIS, np.array([0]))
 
 
 @pytest.mark.parametrize("basis", [EMISSION_BASIS, PROTOCOL_BASIS])

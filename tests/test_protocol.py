@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 import spingraph.protocol as protocol
-from spingraph.chain import (
-    ChainGeometry,
-    RydbergModel,
-    assemble_system,
-    build_control_hz,
-    rydberg_background,
-)
+from spingraph.chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz
 from spingraph.grape import ControlSchedule, GrapeError
 from spingraph.operators import (
     PROTOCOL_BASIS,
@@ -46,10 +40,10 @@ def switch_off_interactions(monkeypatch):
     """Every later stage runs its drives and field alone: the background
     has no exchange terms and a zero diagonal."""
 
-    def no_background(geometry, basis):
-        return [], np.zeros(basis.dim**geometry.n_sites)
+    def no_background(model, basis):
+        return [], np.zeros(0), np.zeros(basis.dim**model.n_sites)
 
-    monkeypatch.setattr(protocol, "rydberg_background", no_background)
+    monkeypatch.setattr(protocol, "drift_terms", no_background)
 
 
 @pytest.fixture
@@ -330,12 +324,12 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interaction
     reached index to an unreached one. A state on every basis index reaches
     every block, so there the blocks rebuild the whole reference."""
     blocks, seen = [], []
-    original_blocks = protocol.hermitian_blocks
 
-    def recording_blocks(*args):
-        out = original_blocks(*args)
-        blocks.extend(out)
-        return out
+    class RecordingPattern(protocol.BlockPattern):
+        def fill(self, *args):
+            out = super().fill(*args)
+            blocks.extend(out)
+            return out
 
     class RecordingPropagator:
         def __init__(self, h, hz_diag):
@@ -344,7 +338,7 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interaction
         def states(self, psi, t, area):
             return np.zeros((np.size(t), len(psi)), dtype=complex)
 
-    monkeypatch.setattr(protocol, "hermitian_blocks", recording_blocks)
+    monkeypatch.setattr(protocol, "BlockPattern", RecordingPattern)
     monkeypatch.setattr(protocol, "ClosedFormPropagator", RecordingPropagator)
     plan = plan_for(n, core_amplitudes=np.zeros(2))
     dim = PROTOCOL_BASIS.dim**n
@@ -492,25 +486,24 @@ def test_full_protocol_diagonalizes_once_per_stage(monkeypatch, core_result):
     """One eigh per reached block of each stage, never a d^N x d^N matrix;
     pins the largest block of every stage at N=3 and N=4."""
     calls, blocks = [], []
-    original_eigh, original_blocks, original_stage = (
-        np.linalg.eigh, protocol.hermitian_blocks, protocol.run_stage
-    )
+    original_eigh, original_stage = np.linalg.eigh, protocol.run_stage
 
     def counting_eigh(a, *args, **kwargs):
         calls[-1].append(a.shape[0])
         return original_eigh(a, *args, **kwargs)
 
-    def recording_blocks(*args):
-        out = original_blocks(*args)
-        blocks.append(sorted(len(idx) for idx, _ in out))
-        return out
+    class RecordingPattern(protocol.BlockPattern):
+        def fill(self, *args):
+            out = super().fill(*args)
+            blocks.append(sorted(len(idx) for idx, _ in out))
+            return out
 
     def marking_stage(*args, **kwargs):
         calls.append([])
         return original_stage(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(protocol, "hermitian_blocks", recording_blocks)
+    monkeypatch.setattr(protocol, "BlockPattern", RecordingPattern)
     monkeypatch.setattr(protocol, "run_stage", marking_stage)
     largest = {3: [8, 8, 3, 12, 12], 4: [16, 16, 6, 32, 32]}
     for n, schedule in ((3, core_result.schedule), (4, ControlSchedule(0.172, np.ones(4)))):
@@ -542,17 +535,18 @@ def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypa
         ChainGeometry.regular(n), ControlSchedule(t_total=0.1, amplitudes=np.ones(3))
     )
     # sigma_x on site 0, as a term of the background
-    transverse = (1.0, {0: ("up", "down")})
+    transverse = {0: ("up", "down")}
     assert np.array_equal(
-        hermitian_sum([transverse], np.zeros(PROTOCOL_BASIS.dim**n), n, PROTOCOL_BASIS),
+        hermitian_sum([transverse], [1.0], np.zeros(PROTOCOL_BASIS.dim**n), n, PROTOCOL_BASIS),
         embed_local_operator(spin_half_operator(SIGMA_X, PROTOCOL_BASIS), 0, n, PROTOCOL_BASIS),
     )
+    original = protocol.drift_terms
 
-    def background_with_transverse_field(geometry, basis):
-        terms, shifts = rydberg_background(geometry, basis)
-        return [*terms, transverse], shifts
+    def background_with_transverse_field(model, basis):
+        moves, coeffs, shifts = original(model, basis)
+        return [*moves, transverse], np.append(coeffs, 1.0), shifts
 
-    monkeypatch.setattr(protocol, "rydberg_background", background_with_transverse_field)
+    monkeypatch.setattr(protocol, "drift_terms", background_with_transverse_field)
     state = basis_ket_graph_state(n, *REFERENCE_ROLES["core"])
     with pytest.raises(ValueError, match="commute"):
         run_stage(state, plan.stages[2], plan)
