@@ -65,8 +65,9 @@ MAX_PHASE_PER_SUBSTEP = 0.1
 MAX_TOTAL_SUBSTEPS = 1_000_000
 
 #: Bound on the complex elements of an ensemble chunk's eigen-component
-#: tensor, samples x slice boundaries x largest sector block: 4 samples at
-#: N=6 with 101 boundaries, 27 at N=3.
+#: tensor per block, samples x slice boundaries x largest sector block: 4
+#: samples at N=6 with 101 boundaries, 27 at N=3. Sectors of one size
+#: share one tensor, so the two blocks of 15 at N=6 hold 1.5 times this.
 CHUNK_ELEMENTS = 2**13
 
 
@@ -384,10 +385,10 @@ def ensemble_average(
     ``grape.SpinSectors`` serves the ensemble: one evaluation of the pair
     law gives every sample geometry's drift, and the samples go in chunks
     of CHUNK_ELEMENTS / (boundaries x largest block), one stacked ``eigh``
-    call per sector and chunk. Field noise moves only the areas, so without
-    geometry noise one set of return amplitudes serves every sample. An
-    ensemble of more than MAX_TRACE_STACK populations is refused before
-    any draw.
+    call per sector size and chunk. Field noise moves only the areas, so
+    without geometry noise one set of return amplitudes serves every
+    sample. An ensemble of more than MAX_TRACE_STACK populations is refused
+    before any draw.
     """
     times = schedule.boundary_times
     spec.check_trace_budget(times.size)
@@ -401,7 +402,7 @@ def ensemble_average(
             for i in range(spec.samples)
         ])
     sectors = SpinSectors(model, psi0, positions)
-    largest = max(len(idx) for idx in sectors.indices)
+    largest = max(idx.shape[-1] for idx in sectors.indices)
     chunk = max(1, CHUNK_ELEMENTS // (times.size * largest))
     traces = np.empty((spec.samples, times.size))
     areas = schedule.boundary_areas

@@ -6,11 +6,12 @@ Hz, so the evolution under any schedule collapses to a closed form:
 
     U(t) = exp(-i H t) exp(-i A(t) Hz),   A(t) = integral of B up to t
 
-``ClosedFormPropagator`` owns that kernel on a block where Hz takes one
-value, one eigendecomposition per block for every duration and field
-area; it runs every stage of the staged protocol. ``SpinSectors`` and
-``spin_overlaps`` sum it over the magnetization sectors of a chain
-model, the whole spin path: ``optimize`` and the traces of ``dynamics``.
+``ClosedFormPropagator`` owns that kernel on blocks where Hz takes one
+value each, one stacked eigendecomposition of equal-size blocks for every
+duration and field area; it runs every stage of the staged protocol.
+``SpinSectors`` and ``spin_overlaps`` sum it over the magnetization
+sectors of a chain model, the whole spin path: ``optimize`` and the
+traces of ``dynamics``.
 The landscape depends on a schedule only through (T, A), and its
 gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. So the
 optimizer is gradient ascent on the scalar area A with a backtracking
@@ -225,17 +226,24 @@ class ClosedFormPropagator:
     """exp(-i H t) exp(-i A Hz) applied to a state, for a Hermitian H on a
     block where the diagonal Hz takes one value h: exp(-i A Hz) is then the
     phase exp(-i A h), and one eigendecomposition of H serves every (t, A),
-    broadcast against each other. Hz with several values raises
-    ``GrapeError``, as H need not commute with it. One gufunc ``eigh``
-    decomposes a (G, k, k) stack of drifts sharing ``hz_diag``; ``states``
-    and ``overlaps`` put its axes first, then the shape of (t, A).
+    broadcast against each other.
+
+    One gufunc ``eigh`` decomposes a (..., k, k) stack of blocks, such as
+    the equal-size blocks of an ``operators.BlockPattern`` fill. ``hz_diag``,
+    the states and the targets broadcast against the stack's (..., k) rows,
+    so each block takes its own Hz value and input row; a block on which
+    Hz takes two values raises ``GrapeError``, as H need not commute with
+    Hz there. ``states`` and ``overlaps`` put the stack axes first, then
+    the shape of (t, A).
     """
 
     def __init__(self, h: np.ndarray, hz_diag: np.ndarray):
-        if np.any(hz_diag != hz_diag[0]):
+        spans = np.any(hz_diag != hz_diag[..., :1], axis=-1)
+        if np.any(spans):
+            values = hz_diag[np.unravel_index(np.argmax(spans), spans.shape)]
             raise GrapeError(f"drift does not commute with the control: a block "
-                             f"spans Hz values {hz_diag.min()} to {hz_diag.max()}")
-        self._hz = hz_diag[0]
+                             f"spans Hz values {values.min()} to {values.max()}")
+        self._hz = hz_diag[..., 0, None, None]
         self._w, self._v = np.linalg.eigh(h)
 
     def _eigen_components(self, psi: np.ndarray, t, area) -> tuple[tuple, np.ndarray]:
@@ -247,7 +255,7 @@ class ClosedFormPropagator:
         phases = phases.astype(complex)
         phases *= -1j
         np.exp(phases, out=phases)
-        components = np.multiply((psi @ self._v.conj())[..., None, :], phases, out=phases)
+        components = np.multiply(psi[..., None, :] @ self._v.conj(), phases, out=phases)
         return self._v.shape[:-2] + t.shape, components
 
     def states(self, psi: np.ndarray, t, area) -> np.ndarray:
@@ -258,7 +266,8 @@ class ClosedFormPropagator:
     def overlaps(self, target: np.ndarray, psi: np.ndarray, t, area) -> np.ndarray:
         """<target| exp(-i H t) exp(-i A Hz) |psi>, one per (t, area)."""
         shape, components = self._eigen_components(psi, t, area)
-        return (components @ (target.conj() @ self._v)[..., None]).reshape(shape)
+        projected = target.conj()[..., None, :] @ self._v
+        return (components @ projected.swapaxes(-1, -2)).reshape(shape)
 
 
 class SpinSectors:
@@ -269,7 +278,10 @@ class SpinSectors:
     <target| exp(-i H0 t) exp(-i A Hz) |psi0> = sum_b exp(-i A h_b) c_b(t),
     with c_b(t) = <target| P_b exp(-i H0 t) |psi0> the block's return
     amplitude (Gorin et al., Phys. Rep. 435, 33 (2006)): ``returns`` gives
-    the c_b, ``spin_overlaps`` the sum. A (G, N, 3) stack of Rydberg atom
+    the c_b, ``spin_overlaps`` the sum, both listing the blocks by their
+    smallest basis index. Sectors m and N - m have one size, so one
+    ``eigh`` decomposes both (one per block size, see
+    ``operators.BlockPattern``). A (G, N, 3) stack of Rydberg atom
     ``positions`` gives one drift per geometry.
     """
 
@@ -280,17 +292,24 @@ class SpinSectors:
         self._psi0 = psi0
         self._pattern = BlockPattern(moves, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
         self._hz = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
+        #: the (S, k) basis indices of the S blocks of each size k
         self.indices = self._pattern.indices
-        self.hz = np.array([self._hz[idx[0]] for idx in self.indices])
+        # from the pattern's size order to smallest-index order, the order
+        # in which the sector sum adds the blocks up
+        first = np.concatenate([idx[:, 0] for idx in self.indices])
+        self._order = np.argsort(first)
+        self.hz = self._hz[first[self._order]]
 
     def returns(self, target: np.ndarray, t, rows=0) -> np.ndarray:
         """c_b(t) on the last axis, after the shape of t and, for a slice of
         geometry ``rows``, a first stack axis; an index gives one drift."""
-        blocks = self._pattern.fill(self._coeffs[rows], self._diagonals[rows])
-        return np.stack([
-            ClosedFormPropagator(h, self._hz[idx]).overlaps(target[idx], self._psi0[idx], t, 0.0)
-            for idx, h in blocks
-        ], axis=-1)
+        parts = []
+        for idx, h in self._pattern.fill(self._coeffs[rows], self._diagonals[rows]):
+            kernel = ClosedFormPropagator(h, self._hz[idx])
+            c = kernel.overlaps(target[idx], self._psi0[idx], t, 0.0)
+            # the stack's block axis, after any geometry axis, goes last
+            parts.append(np.moveaxis(c, h.ndim - 3, -1))
+        return np.concatenate(parts, axis=-1)[..., self._order]
 
 
 def spin_overlaps(hz: np.ndarray, returns: np.ndarray, area) -> np.ndarray:

@@ -22,7 +22,8 @@ Conventions
   returned read-only, so every caller shares one copy.
 * A Hamiltonian is one ``chain.drift_terms`` triple (term moves, their
   coefficients, a real diagonal): ``BlockPattern`` fills the blocks a
-  state reaches, and the dense ``hermitian_sum`` is their reference.
+  state reaches, one stack per block size, and the dense
+  ``hermitian_sum`` is their reference.
 * Three budgets: dense matrices (operators, Hamiltonians, blocks) stay
   within MAX_DIM, state vectors and the site-level table within
   MAX_STATE_DIM, and the population traces of one noise ensemble (samples
@@ -231,8 +232,11 @@ class BlockPattern:
     and h has no entry between two components. Each component holding an
     index of ``support`` gives one block: its indices ascending, and its
     matrix equal to h[np.ix_(idx, idx)], each entry summed in the same
-    order as ``hermitian_sum`` does. Refuses a block beyond MAX_DIM before
-    allocating any.
+    order as ``hermitian_sum`` does. Blocks of one size k, S of them, are
+    kept together as one (S, k, k) stack, so one gufunc call decomposes
+    them all: ``indices`` holds one (S, k) index array per size, sizes
+    ascending, blocks within a size in the order of their smallest index.
+    Refuses a block beyond MAX_DIM before allocating any.
     """
 
     def __init__(self, moves: Sequence[Mapping], n_sites: int, basis: LocalBasis, support):
@@ -242,15 +246,19 @@ class BlockPattern:
         labels = _component_labels(dim, edges)
         reached = np.isin(labels, labels[support])
         rows = np.flatnonzero(reached)
-        rows = rows[np.argsort(labels[rows], kind="stable")]
+        # by block size, then by block; lexsort is stable, so each block's
+        # indices stay ascending
+        block_size = np.bincount(labels[rows])[labels[rows]]
+        rows = rows[np.lexsort((labels[rows], block_size))]
         starts = np.flatnonzero(np.diff(labels[rows], prepend=-1))
         sizes = np.diff(starts, append=len(rows))
         if sizes.max(initial=0) > MAX_DIM:
             raise ValueError(
                 f"block dimension {sizes.max()} exceeds the supported budget {MAX_DIM}"
             )
-        # all blocks side by side in one flat buffer: a reached index's block
-        # starts at offset[index], has width[index] rows, and holds it at pos[index]
+        # all blocks side by side in one flat buffer, equal sizes adjacent: a
+        # reached index's block starts at offset[index], has width[index]
+        # rows, and holds it at pos[index]
         first = np.cumsum(sizes**2) - sizes**2
         block = np.repeat(np.arange(len(sizes)), sizes)
         offset, width, pos = np.zeros((3, dim), dtype=int)
@@ -269,15 +277,20 @@ class BlockPattern:
             ))
         self._rows = rows
         self._diagonal = offset[rows] + pos[rows] * (width[rows] + 1)
-        #: the basis indices of each block, ascending
-        self.indices = [rows[s : s + k] for s, k in zip(starts, sizes)]
-        self._spans = list(zip(first, sizes))
+        # the S blocks of size k are adjacent in rows and in the buffer
+        distinct, group, depths = np.unique(sizes, return_index=True, return_counts=True)
+        self.indices = [
+            rows[starts[b] : starts[b] + s * k].reshape(s, k)
+            for b, s, k in zip(group, depths, distinct)
+        ]
+        self._spans = list(zip(first[group], depths, distinct))
 
     def fill(self, coeffs: Sequence[complex], diagonal: np.ndarray) -> list[tuple]:
-        """The (idx, block) pairs of h = sum of coeff T + h.c. over the
-        pattern's moves, plus diag(diagonal). A (G, M) coefficient stack
-        with a (G, dim) diagonal stack gives (G, k, k) blocks, one row per
-        Hamiltonian."""
+        """The (idx, blocks) pairs of h = sum of coeff T + h.c. over the
+        pattern's moves, plus diag(diagonal): one pair per block size k,
+        idx the (S, k) ``indices`` and blocks the (S, k, k) stack, a view
+        of one buffer. A (G, M) coefficient stack with a (G, dim) diagonal
+        stack gives (G, S, k, k) stacks, one row per Hamiltonian."""
         coeffs, diagonal = np.asarray(coeffs), np.asarray(diagonal)
         stack = diagonal.shape[:-1]
         flat = np.zeros(stack + (self._size,), dtype=complex)
@@ -285,7 +298,9 @@ class BlockPattern:
             flat[..., entry] += coeffs[..., m, None]
             flat[..., mirror] += np.conj(coeffs[..., m, None])
         flat[..., self._diagonal] += diagonal[..., self._rows]
-        blocks = [flat[..., f : f + k * k].reshape(stack + (k, k)) for f, k in self._spans]
+        blocks = [
+            flat[..., f : f + s * k * k].reshape(stack + (s, k, k)) for f, s, k in self._spans
+        ]
         return list(zip(self.indices, blocks))
 
 

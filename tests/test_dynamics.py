@@ -462,14 +462,15 @@ def test_ensemble_decomposes_each_sector_block_once_per_geometry(n_sites, kind, 
 
 
 def test_position_ensemble_stacks_its_samples_into_few_eigh_calls(monkeypatch):
-    # N=6, 50 samples, 100 slices: one stacked eigh per sector and chunk
+    # N=6, 50 samples, 100 slices: one stacked eigh per sector size and
+    # chunk; sectors m and 6 - m share a size, so 4 sizes for 7 sectors
     spec = replace_spec(ENSEMBLE_SPECS["position"], samples=50)
     model, schedule, psi0, target = ensemble_case(6, n_slices=100)
     calls = spy_eigh(monkeypatch)
     ensemble_average(model, schedule, spec, psi0, target)
     chunk = dynamics.CHUNK_ELEMENTS // (101 * math.comb(6, 3))
     assert chunk >= 4
-    assert len(calls) <= 7 * math.ceil(50 / chunk)
+    assert len(calls) == 4 * math.ceil(50 / chunk)
 
 
 @pytest.mark.parametrize("kind", ["position", "field"])

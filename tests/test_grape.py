@@ -10,6 +10,7 @@ finite differences of the final population of
 dPhi/dB_k = dt dPhi/dA; frozen-scalar checks pin the guess-field formulas.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -428,7 +429,8 @@ def test_propagated_states_give_the_overlaps(n_sites):
     hz = build_control_hz_diagonal(n_sites)
     states = np.zeros((7, 2**n_sites), dtype=complex)
     for idx, h in BlockPattern(moves, n_sites, SPIN_BASIS, np.flatnonzero(psi)).fill(coeffs, diagonal):
-        states[:, idx] = ClosedFormPropagator(h, hz[idx]).states(psi[idx], t, area)
+        stack = ClosedFormPropagator(h, hz[idx]).states(psi[idx], t, area)
+        states[:, idx] = stack.swapaxes(0, 1)
     sectors = SpinSectors(model, psi)
     np.testing.assert_allclose(
         states @ target.conj(),
@@ -721,6 +723,47 @@ def test_a_stack_spanning_several_hz_values_is_refused():
             ClosedFormPropagator(drift, hz)
 
 
+@pytest.mark.parametrize("geometries", [(), (2,)])
+def test_each_block_of_a_stack_keeps_its_own_hz_value_and_input(geometries):
+    # the core stage's equal-size blocks differ from each other in Hz: a
+    # stack of S blocks, each with one Hz value, input row and target row
+    # of its own (after any geometry axis), against each block's own
+    # decomposition and the dense propagator
+    rng = np.random.default_rng(11)
+    s, k = 4, 5
+    h = random_hermitian(rng, geometries + (s, k, k))
+    hz = np.repeat(np.array([-1.5, 0.0, 2.0, 0.5])[:, None], k, axis=1)
+    psi = np.stack([random_state(rng, k) for _ in range(s)])
+    target = np.stack([random_state(rng, k) for _ in range(s)])
+    t, area = rng.uniform(0.1, 2.0, 6), rng.uniform(-4.0, 4.0, 6)
+    prop = ClosedFormPropagator(h, hz)
+    states, overlaps = prop.states(psi, t, area), prop.overlaps(target, psi, t, area)
+    assert states.shape == geometries + (s, 6, k) and overlaps.shape == geometries + (s, 6)
+    for row in np.ndindex(geometries + (s,)):
+        b = row[-1]
+        block = ClosedFormPropagator(h[row], hz[b])
+        np.testing.assert_allclose(
+            states[row], block.states(psi[b], t, area), rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            overlaps[row], block.overlaps(target[b], psi[b], t, area), rtol=0, atol=1e-13
+        )
+        for j in range(t.size):
+            dense = evolve_unitary(h[row] + np.diag(area[j] / t[j] * hz[b]), t[j], psi[b])
+            np.testing.assert_allclose(states[row][j], dense, rtol=0, atol=1e-12)
+
+
+def test_a_stack_is_refused_by_the_block_that_spans_two_hz_values():
+    # neighbours holding other single values are legal: the message names
+    # the offending block's values, not the extremes of the whole stack
+    h = random_hermitian(np.random.default_rng(12), (3, 2, 2))
+    hz = np.array([[-4.0, -4.0], [0.0, 1.0], [7.0, 7.0]])
+    with pytest.raises(GrapeError, match=r"does not commute.*Hz values 0\.0 to 1\.0$"):
+        ClosedFormPropagator(h, hz)
+    hz[1] = 1.0
+    ClosedFormPropagator(h, hz)
+
+
 @pytest.mark.parametrize("target_form", list(TargetForm), ids=lambda f: f.value)
 @pytest.mark.parametrize("kind", ["ideal", "rydberg"])
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6, 7])
@@ -747,12 +790,12 @@ def test_returns_match_the_dense_sector_projections(n_sites, kind, target_form):
 @pytest.mark.parametrize(
     "model", [IdealModel(6), RydbergModel(ChainGeometry.regular(6))], ids=["ideal", "rydberg"]
 )
-def test_spin_path_diagonalizes_one_magnetization_sector_at_a_time(model, monkeypatch):
-    sizes = []
+def test_spin_path_decomposes_equal_size_sectors_together(model, monkeypatch):
+    calls = []
     original_eigh = np.linalg.eigh
 
     def spying_eigh(a, *args, **kwargs):
-        sizes.append(a.shape[0])
+        calls.append(a.shape)
         return original_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spying_eigh)
@@ -764,8 +807,11 @@ def test_spin_path_diagonalizes_one_magnetization_sector_at_a_time(model, monkey
         lambda: closed_system_trace(model, schedule, psi0, target),
         lambda: open_system_trace(model, schedule, DEFAULT_JUMPS, psi0, target),
     ):
-        sizes.clear()
+        calls.clear()
         run()
         # C(6, m) spin configurations with m up-spins, the largest C(6, 3) = 20;
-        # never the 64-dimensional drift
+        # never the 64-dimensional drift. Sectors m and 6 - m share a size,
+        # so one stacked call per size decomposes each sector once
+        assert len(calls) == 4
+        sizes = [shape[-1] for shape in calls for _ in range(math.prod(shape[:-2]))]
         assert sorted(sizes) == [1, 1, 6, 6, 15, 15, 20]

@@ -290,10 +290,11 @@ def test_block_pattern_matches_the_dense_sum(n):
         pattern = BlockPattern(moves, n, PROTOCOL_BASIS, np.asarray(support))
         blocks = pattern.fill(coeffs, diagonal)
         got = np.zeros_like(dense)
-        for idx, block in blocks:
-            assert np.all(np.diff(idx) > 0)
-            got[np.ix_(idx, idx)] = block
-        reached = np.concatenate([idx for idx, _ in blocks])
+        for stack_idx, stack in blocks:
+            for idx, block in zip(stack_idx, stack, strict=True):
+                assert np.all(np.diff(idx) > 0)
+                got[np.ix_(idx, idx)] = block
+        reached = np.concatenate([idx.ravel() for idx, _ in blocks])
         assert len(np.unique(reached)) == len(reached)
         assert np.all(np.isin(support, reached))
         assert np.array_equal(got[reached], dense[reached])
@@ -318,9 +319,10 @@ def test_block_pattern_refilled_gives_each_dense_sum():
         dense = hermitian_sum(moves, coeffs, diagonal, n, basis)
         blocks = pattern.fill(coeffs, diagonal)
         assert len(blocks) == len(pattern.indices) > 0
-        for (idx, block), indices in zip(blocks, pattern.indices):
-            assert np.array_equal(idx, indices)
-            assert np.array_equal(block, dense[np.ix_(idx, idx)])
+        for (stack_idx, stack), indices in zip(blocks, pattern.indices):
+            assert stack_idx is indices
+            for idx, block in zip(stack_idx, stack, strict=True):
+                assert np.array_equal(block, dense[np.ix_(idx, idx)])
 
 
 def test_block_pattern_fills_a_stack_row_by_row():
@@ -339,6 +341,28 @@ def test_block_pattern_fills_a_stack_row_by_row():
             assert np.array_equal(idx, row_idx)
             assert blocks.shape == (5,) + block.shape
             assert np.array_equal(blocks[g], block)
+
+
+def test_block_pattern_stacks_equal_size_blocks_in_one_buffer():
+    # every reached index in exactly one (S, k) index row; one stack per
+    # distinct size, sizes ascending, blocks of a size by smallest index; all
+    # stacks views of one buffer
+    n, basis = 3, PROTOCOL_BASIS
+    moves = [{site: ("0", "up")} for site in range(n)]
+    moves += [{a: ("up", "down"), b: ("down", "up")} for a in range(n) for b in range(a + 1, n)]
+    pattern = BlockPattern(moves, n, basis, np.arange(basis.dim**n))
+    rng = np.random.default_rng(9)
+    blocks = pattern.fill(rng.normal(size=len(moves)), rng.normal(size=basis.dim**n))
+    sizes = [idx.shape[1] for idx, _ in blocks]
+    assert sizes == sorted(set(sizes)) and len(sizes) > 1
+    reached = np.concatenate([idx.ravel() for idx, _ in blocks])
+    assert np.array_equal(np.sort(reached), np.arange(basis.dim**n))
+    base = blocks[0][1].base
+    for idx, stack in blocks:
+        s, k = idx.shape
+        assert stack.shape == (s, k, k)
+        assert np.all(np.diff(idx[:, 0]) > 0)
+        assert stack.base is base
 
 
 def test_block_pattern_refuses_a_block_beyond_the_dense_budget():

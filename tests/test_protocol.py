@@ -336,7 +336,7 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interaction
             seen.append(h)
 
         def states(self, psi, t, area):
-            return np.zeros((np.size(t), len(psi)), dtype=complex)
+            return np.zeros(psi.shape[:-1] + (np.size(t), psi.shape[-1]), dtype=complex)
 
     monkeypatch.setattr(protocol, "BlockPattern", RecordingPattern)
     monkeypatch.setattr(protocol, "ClosedFormPropagator", RecordingPropagator)
@@ -348,10 +348,11 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interaction
             run_stage(state, stage, plan)
             reference = kron_drive_hamiltonian(stage.drives, n)
             got = np.zeros_like(reference)
-            for (idx, block), h in zip(blocks, seen, strict=True):
-                assert h is block
-                got[np.ix_(idx, idx)] = block
-            reached = np.concatenate([idx for idx, _ in blocks])
+            for (stack_idx, stack), h in zip(blocks, seen, strict=True):
+                assert h is stack
+                for idx, block in zip(stack_idx, stack, strict=True):
+                    got[np.ix_(idx, idx)] = block
+            reached = np.concatenate([idx.ravel() for idx, _ in blocks])
             assert len(np.unique(reached)) == len(reached)
             assert np.all(np.isin(np.flatnonzero(state), reached))
             assert np.array_equal(got[reached], reference[reached])
@@ -482,20 +483,22 @@ def test_timeline_is_the_stacks_run_stage_returns(n, monkeypatch):
     assert np.array_equal(result.final_state, stacks[-1][-1])
 
 
-def test_full_protocol_diagonalizes_once_per_stage(monkeypatch, core_result):
-    """One eigh per reached block of each stage, never a d^N x d^N matrix;
-    pins the largest block of every stage at N=3 and N=4."""
+def test_full_protocol_diagonalizes_once_per_block_size(monkeypatch, core_result):
+    """One stacked eigh per distinct block size of each stage, which
+    together decompose exactly the reached blocks, each once, and never a
+    d^N x d^N matrix; pins the call counts and the largest block of every
+    stage at N=3 and N=4."""
     calls, blocks = [], []
     original_eigh, original_stage = np.linalg.eigh, protocol.run_stage
 
     def counting_eigh(a, *args, **kwargs):
-        calls[-1].append(a.shape[0])
+        calls[-1].append(a.shape)
         return original_eigh(a, *args, **kwargs)
 
     class RecordingPattern(protocol.BlockPattern):
         def fill(self, *args):
             out = super().fill(*args)
-            blocks.append(sorted(len(idx) for idx, _ in out))
+            blocks.append([idx for idx, _ in out])
             return out
 
     def marking_stage(*args, **kwargs):
@@ -506,16 +509,44 @@ def test_full_protocol_diagonalizes_once_per_stage(monkeypatch, core_result):
     monkeypatch.setattr(protocol, "BlockPattern", RecordingPattern)
     monkeypatch.setattr(protocol, "run_stage", marking_stage)
     largest = {3: [8, 8, 3, 12, 12], 4: [16, 16, 6, 32, 32]}
+    eigh_calls = {3: 20, 4: 28}
     for n, schedule in ((3, core_result.schedule), (4, ControlSchedule(0.172, np.ones(4)))):
         calls.clear()
         blocks.clear()
         plan = standard_plan(ChainGeometry.regular(n), schedule)
         run_full_protocol(plan)
         assert len(calls) == len(blocks) == len(plan.stages)
-        assert [sorted(sizes) for sizes in calls] == blocks
-        assert [max(sizes) for sizes in calls] == largest[n]
-        # the last stage reaches every basis index, each in one block
-        assert sum(blocks[-1]) == PROTOCOL_BASIS.dim**n
+        for stage_calls, stacks in zip(calls, blocks):
+            # one (S, k, k) call per (S, k) stack of distinct size k, and
+            # every reached index in one block
+            assert stage_calls == [(s, k, k) for s, k in (idx.shape for idx in stacks)]
+            assert len({idx.shape[1] for idx in stacks}) == len(stacks)
+            reached = np.concatenate([idx.ravel() for idx in stacks])
+            assert len(np.unique(reached)) == len(reached)
+        assert sum(map(len, calls)) == eigh_calls[n]
+        assert [max(shape[-1] for shape in c) for c in calls] == largest[n]
+        # the last stage reaches every basis index
+        assert sum(idx.size for idx in blocks[-1]) == PROTOCOL_BASIS.dim**n
+
+
+def test_plan_evaluates_its_interactions_once(monkeypatch):
+    """The interactions are the same in every stage: a plan evaluates them
+    on first use, so a patch made after the plan is built still applies,
+    and keeps them for every later stage and run."""
+    calls = []
+    original = protocol.drift_terms
+
+    def counting_drift_terms(*args):
+        calls.append(args)
+        return original(*args)
+
+    plan = plan_for(3, core_amplitudes=[1.0, -2.0])
+    monkeypatch.setattr(protocol, "drift_terms", counting_drift_terms)
+    first = run_full_protocol(plan)
+    assert len(calls) == 1
+    again = run_full_protocol(plan)
+    assert len(calls) == 1
+    assert first.timeline == again.timeline
 
 
 def test_full_protocol_builds_each_level_table_once():
