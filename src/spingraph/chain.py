@@ -79,10 +79,22 @@ class ChainGeometry:
     Non-finite values, two atoms closer than 1 nm, and a delta_r that
     brings a pair's effective distance below 1 nm are refused here; the
     last two name the pair.
+
+    Two geometries are equal when their positions are (``np.array_equal``)
+    and their delta_r is; the hash agrees with that equality.
     """
 
     positions: np.ndarray
     delta_r: float = 0.0
+
+    # written out: the generated ones would compare and hash the array
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChainGeometry):
+            return NotImplemented
+        return np.array_equal(self.positions, other.positions) and self.delta_r == other.delta_r
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.positions.ravel().tolist()), self.delta_r))
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=float)

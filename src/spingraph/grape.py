@@ -10,8 +10,9 @@ Hz, so the evolution under any schedule collapses to a closed form:
 value each, one stacked eigendecomposition of equal-size blocks for every
 duration and field area; it runs every stage of the staged protocol.
 ``SpinSectors`` and ``spin_overlaps`` sum it over the magnetization
-sectors of a chain model, the whole spin path: ``optimize`` and the
-traces of ``dynamics``.
+sectors of a chain model, the whole spin path: ``optimize``,
+``scan_duration`` (one decomposition for its whole grid) and the traces
+of ``dynamics``.
 The landscape depends on a schedule only through (T, A), and its
 gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. So the
 optimizer is gradient ascent on the scalar area A with a backtracking
@@ -23,6 +24,7 @@ raises ``GrapeError``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping
@@ -31,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelKind, build_control_hz_diagonal, drift_terms
-from .operators import MAX_TRACE_STACK, SPIN_BASIS, BlockPattern
+from .operators import MAX_TRACE_STACK, SPIN_BASIS, block_pattern
 from .targets import TargetForm, plus_product_state, target_state
 
 __all__ = [
@@ -92,12 +94,23 @@ def _check_duration(t_total: float) -> None:
 @dataclass(frozen=True)
 class ControlSchedule:
     """Piecewise-constant field: duration ``t_total`` split into n equal
-    slices with per-slice amplitudes in rad/us (or J units in ideal mode)."""
+    slices with per-slice amplitudes in rad/us (or J units in ideal mode).
+    Two schedules are equal when their durations and their amplitudes
+    (``np.array_equal``) are; the hash agrees with that equality."""
 
     t_total: float
     amplitudes: np.ndarray
     #: Field area A_k = dt (B_0 + ... + B_{k-1}) at each slice boundary, read-only.
     boundary_areas: np.ndarray = field(init=False, repr=False, compare=False)
+
+    # written out: the generated ones would compare and hash the arrays
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ControlSchedule):
+            return NotImplemented
+        return self.t_total == other.t_total and np.array_equal(self.amplitudes, other.amplitudes)
+
+    def __hash__(self) -> int:
+        return hash((self.t_total, tuple(self.amplitudes.tolist())))
 
     def __post_init__(self) -> None:
         amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
@@ -283,6 +296,11 @@ class SpinSectors:
     ``eigh`` decomposes both (one per block size, see
     ``operators.BlockPattern``). A (G, N, 3) stack of Rydberg atom
     ``positions`` gives one drift per geometry.
+
+    The block layout comes from ``operators.block_pattern``, memoised per
+    (moves, N, basis, support of psi0) for the last 32 layouts, so every
+    sector sum of one chain shares it. The first drift is decomposed once,
+    on first use, and serves every later duration and target.
     """
 
     def __init__(self, model: ModelKind, psi0: np.ndarray, positions: np.ndarray | None = None):
@@ -290,7 +308,7 @@ class SpinSectors:
         # one row per geometry: every position set's, or the model's own
         self._coeffs, self._diagonals = np.atleast_2d(coeffs), np.atleast_2d(diagonals)
         self._psi0 = psi0
-        self._pattern = BlockPattern(moves, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
+        self._pattern = block_pattern(moves, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
         self._hz = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
         #: the (S, k) basis indices of the S blocks of each size k
         self.indices = self._pattern.indices
@@ -300,15 +318,28 @@ class SpinSectors:
         self._order = np.argsort(first)
         self.hz = self._hz[first[self._order]]
 
-    def returns(self, target: np.ndarray, t, rows=0) -> np.ndarray:
+    def _kernels(self, rows) -> list[tuple]:
+        # (idx, propagator, position of its block axis), one per block size
+        return [
+            (idx, ClosedFormPropagator(h, self._hz[idx]), h.ndim - 3)
+            for idx, h in self._pattern.fill(self._coeffs[rows], self._diagonals[rows])
+        ]
+
+    @functools.cached_property
+    def _first_kernels(self) -> list[tuple]:
+        return self._kernels(0)
+
+    def returns(self, target: np.ndarray, t, rows=None) -> np.ndarray:
         """c_b(t) on the last axis, after the shape of t and, for a slice of
-        geometry ``rows``, a first stack axis; an index gives one drift."""
+        geometry ``rows``, a first stack axis. Without ``rows``, the first
+        drift, decomposed once and kept; an index or a slice decomposes
+        those drifts for this call only."""
+        kernels = self._first_kernels if rows is None else self._kernels(rows)
         parts = []
-        for idx, h in self._pattern.fill(self._coeffs[rows], self._diagonals[rows]):
-            kernel = ClosedFormPropagator(h, self._hz[idx])
+        for idx, kernel, axis in kernels:
             c = kernel.overlaps(target[idx], self._psi0[idx], t, 0.0)
             # the stack's block axis, after any geometry axis, goes last
-            parts.append(np.moveaxis(c, h.ndim - 3, -1))
+            parts.append(np.moveaxis(c, axis, -1))
         return np.concatenate(parts, axis=-1)[..., self._order]
 
 
@@ -337,10 +368,14 @@ def optimize(config: GrapeConfig) -> GrapeResult:
     ``reduce_field_winding``); the landscape value is unchanged by the
     winding reduction.
     """
-    n_sites = config.model.n_sites
+    return _ascend(config, SpinSectors(config.model, plus_product_state(config.model.n_sites)))
+
+
+def _ascend(config: GrapeConfig, sectors: SpinSectors) -> GrapeResult:
+    """``optimize`` on the sectors of its model from |+>^N, which may
+    already hold their decomposition."""
     t = config.t_total
-    sectors = SpinSectors(config.model, plus_product_state(n_sites))
-    returns = sectors.returns(target_state(config.target, n_sites), t)
+    returns = sectors.returns(target_state(config.target, config.model.n_sites), t)
     # the overlap and its area derivative, one row each, formed once per run
     stacked = np.stack([returns, -1j * sectors.hz * returns])
 
@@ -412,9 +447,10 @@ def reduce_field_winding(schedule: ControlSchedule) -> ControlSchedule:
 
 
 #: Largest duration grid of ``scan_duration``. One grid point is one
-#: ``optimize`` run: 1.1-2.4 ms at N=3 and N=6 in either mode and from
-#: either guess (71-point scans, one thread of a 2-vCPU Xeon), so a grid
-#: at the cap takes 10-25 s.
+#: ascent on the scan's single decomposition: 0.3-0.7 ms at N=3 and N=6
+#: in either mode and from either guess (71-point scans over 0.05-0.75,
+#: best of five, one thread of a 2-vCPU Xeon), so a grid at the cap takes
+#: 3-8 s.
 MAX_SCAN_STEPS = 10_000
 
 
@@ -422,7 +458,9 @@ def scan_duration(
     config: GrapeConfig, t_min: float, t_max: float, steps: int
 ) -> ScanResult:
     """Optimize at each duration on a uniform grid of 2 to MAX_SCAN_STEPS
-    points.
+    points, every point's ascent on one ``SpinSectors``: the drift is
+    decomposed once for the whole grid, and each point's population equals
+    that of its own ``optimize`` run.
 
     Returns the (T, optimized population) curve in increasing T and its
     interior local maxima ranked by population, dominant first.
@@ -432,9 +470,11 @@ def scan_duration(
     if not 2 <= steps <= MAX_SCAN_STEPS:
         raise ValueError(f"the duration grid needs 2 to {MAX_SCAN_STEPS} points, not {steps}")
     grid = np.linspace(t_min, t_max, steps)
+    # one decomposition of the drift serves every duration of the grid
+    sectors = SpinSectors(config.model, plus_product_state(config.model.n_sites))
     points = []
     for t in grid:
-        result = optimize(replace(config, t_total=float(t)))
+        result = _ascend(replace(config, t_total=float(t)), sectors)
         points.append((float(t), result.final_population))
     maxima = [points[i] for (i,) in local_maxima([p for _, p in points])]
     return ScanResult(points=points, maxima=maxima)

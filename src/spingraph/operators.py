@@ -23,7 +23,8 @@ Conventions
 * A Hamiltonian is one ``chain.drift_terms`` triple (term moves, their
   coefficients, a real diagonal): ``BlockPattern`` fills the blocks a
   state reaches, one stack per block size, and the dense
-  ``hermitian_sum`` is their reference.
+  ``hermitian_sum`` is their reference. ``block_pattern`` memoises the
+  layouts, so every caller with the same moves and support shares one.
 * Three budgets: dense matrices (operators, Hamiltonians, blocks) stay
   within MAX_DIM, state vectors and the site-level table within
   MAX_STATE_DIM, and the population traces of one noise ensemble (samples
@@ -53,6 +54,7 @@ __all__ = [
     "transition_indices",
     "hermitian_sum",
     "BlockPattern",
+    "block_pattern",
     "evolve_unitary",
     "basis_state",
     "product_state",
@@ -236,7 +238,9 @@ class BlockPattern:
     kept together as one (S, k, k) stack, so one gufunc call decomposes
     them all: ``indices`` holds one (S, k) index array per size, sizes
     ascending, blocks within a size in the order of their smallest index.
-    Refuses a block beyond MAX_DIM before allocating any.
+    Refuses a block beyond MAX_DIM before allocating any. Every array a
+    pattern holds is read-only, so one pattern can be shared: callers take
+    theirs from ``block_pattern``, which memoises them.
     """
 
     def __init__(self, moves: Sequence[Mapping], n_sites: int, basis: LocalBasis, support):
@@ -272,17 +276,17 @@ class BlockPattern:
             keep = reached[src]
             dst, src = dst[keep], src[keep]
             self._entries.append((
-                offset[src] + pos[dst] * width[src] + pos[src],
-                offset[src] + pos[src] * width[src] + pos[dst],
+                _read_only(offset[src] + pos[dst] * width[src] + pos[src]),
+                _read_only(offset[src] + pos[src] * width[src] + pos[dst]),
             ))
-        self._rows = rows
-        self._diagonal = offset[rows] + pos[rows] * (width[rows] + 1)
+        self._rows = _read_only(rows)
+        self._diagonal = _read_only(offset[rows] + pos[rows] * (width[rows] + 1))
         # the S blocks of size k are adjacent in rows and in the buffer
         distinct, group, depths = np.unique(sizes, return_index=True, return_counts=True)
-        self.indices = [
+        self.indices = tuple(
             rows[starts[b] : starts[b] + s * k].reshape(s, k)
             for b, s, k in zip(group, depths, distinct)
-        ]
+        )
         self._spans = list(zip(first[group], depths, distinct))
 
     def fill(self, coeffs: Sequence[complex], diagonal: np.ndarray) -> list[tuple]:
@@ -302,6 +306,30 @@ class BlockPattern:
             flat[..., f : f + s * k * k].reshape(stack + (s, k, k)) for f, s, k in self._spans
         ]
         return list(zip(self.indices, blocks))
+
+
+def block_pattern(
+    moves: Sequence[Mapping], n_sites: int, basis: LocalBasis, support
+) -> BlockPattern:
+    """The ``BlockPattern`` of these moves and support indices, built once
+    and then shared. Memoised per (moves, n_sites, basis, support), the
+    last 32 of them: a layout is a pure index structure, the same for
+    every coefficient set, so a protocol stage or a spin-sector sum that
+    recurs on one chain reuses it."""
+    key = tuple(tuple(m.items()) for m in moves)
+    return _block_pattern(key, n_sites, basis, np.asarray(support, dtype=np.intp).tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _block_pattern(
+    moves: tuple[tuple[tuple[int, tuple[str, str]], ...], ...],
+    n_sites: int,
+    basis: LocalBasis,
+    support: bytes,
+) -> BlockPattern:
+    return BlockPattern(
+        [dict(m) for m in moves], n_sites, basis, np.frombuffer(support, dtype=np.intp)
+    )
 
 
 def _component_labels(dim: int, edges: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:

@@ -189,6 +189,23 @@ def test_geometry_refuses_pairs_below_one_nanometre():
         ChainGeometry(positions=pos)
 
 
+def test_geometries_and_models_compare_by_value():
+    # equal copies are equal and hash alike; a displaced atom, another
+    # offset or another atom count is unequal; no comparison raises
+    a, b = ChainGeometry.regular(3), ChainGeometry.regular(3)
+    assert a == b and hash(a) == hash(b)
+    assert RydbergModel(a) == RydbergModel(b) and hash(RydbergModel(a)) == hash(RydbergModel(b))
+    displaced = a.positions.copy()
+    displaced[1, 0] += 1e-9
+    for other in (ChainGeometry(displaced), a.with_delta_r(0.1), ChainGeometry.regular(4)):
+        assert a != other and RydbergModel(a) != RydbergModel(other)
+    assert a != a.positions.tolist() and RydbergModel(a) != IdealModel(3)
+    # -0.0 == 0.0 in the positions, and in the hash
+    flipped = a.positions.copy()
+    flipped[0] = -0.0
+    assert ChainGeometry(flipped) == a and hash(ChainGeometry(flipped)) == hash(a)
+
+
 def test_assemble_ideal_matches_xx_chain():
     # J on every pair of configurations one bond flip-flop apart, zero diagonal
     h = assemble_system(IdealModel(3, 1.4))

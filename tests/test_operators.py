@@ -7,6 +7,8 @@ local matrices of ``kron_reference`` are pinned here too.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingraph.operators import (
     EMISSION_BASIS,
@@ -15,6 +17,7 @@ from spingraph.operators import (
     BlockPattern,
     LocalBasis,
     basis_state,
+    block_pattern,
     check_hermitian,
     embed_local_operator,
     evolve_unitary,
@@ -363,6 +366,65 @@ def test_block_pattern_stacks_equal_size_blocks_in_one_buffer():
         assert stack.shape == (s, k, k)
         assert np.all(np.diff(idx[:, 0]) > 0)
         assert stack.base is base
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memoised_layout_equals_a_fresh_one(data):
+    # moves of one or two single-site transitions (projectors included) and
+    # any support: the shared layout gives the indices and the fill of a
+    # pattern built afresh, and a second request returns it
+    n = data.draw(st.integers(2, 3), label="n")
+    basis = data.draw(st.sampled_from([SPIN_BASIS, EMISSION_BASIS, PROTOCOL_BASIS]), label="basis")
+    pair = st.tuples(st.sampled_from(basis.levels), st.sampled_from(basis.levels))
+    move = st.dictionaries(st.integers(0, n - 1), pair, min_size=1, max_size=2)
+    moves = data.draw(st.lists(move, max_size=4), label="moves")
+    dim = basis.dim**n
+    support = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=6), label="support")
+    shared = block_pattern(moves, n, basis, np.array(support))
+    assert block_pattern([dict(m) for m in moves], n, basis, support) is shared
+    fresh = BlockPattern(moves, n, basis, np.array(support))
+    rng = np.random.default_rng(len(moves))
+    coeffs = rng.normal(size=len(moves)) + 1j * rng.normal(size=len(moves))
+    diagonal = rng.normal(size=dim)
+    got, expected = shared.fill(coeffs, diagonal), fresh.fill(coeffs, diagonal)
+    assert len(shared.indices) == len(fresh.indices) == len(got) == len(expected)
+    for (idx, blocks), (fresh_idx, fresh_blocks) in zip(got, expected):
+        assert np.array_equal(idx, fresh_idx)
+        assert np.array_equal(blocks, fresh_blocks)
+
+
+def test_layouts_are_shared_only_under_equal_keys():
+    # another support, move list, move direction, site order within a move,
+    # basis or atom count gives its own layout
+    n, basis = 3, PROTOCOL_BASIS
+    moves = [{0: ("up", "down"), 1: ("down", "up")}]
+    layout = block_pattern(moves, n, basis, np.array([16]))
+    assert block_pattern([{0: ("up", "down"), 1: ("down", "up")}], n, basis, [16]) is layout
+    others = [
+        block_pattern(moves, n, basis, np.array([0])),
+        block_pattern(moves, n, basis, np.array([16, 0])),
+        block_pattern(moves + [{2: ("0", "r")}], n, basis, np.array([16])),
+        block_pattern([{0: ("down", "up"), 1: ("up", "down")}], n, basis, np.array([16])),
+        block_pattern([{1: ("down", "up"), 0: ("up", "down")}], n, basis, np.array([16])),
+        block_pattern(moves, n, EMISSION_BASIS, np.array([16])),
+        block_pattern(moves, 2, basis, np.array([16])),
+    ]
+    assert len({id(p) for p in [layout, *others]}) == 1 + len(others)
+
+
+def test_shared_layout_arrays_are_read_only():
+    n, basis = 3, SPIN_BASIS
+    moves = [{0: ("up", "down"), 1: ("down", "up")}, {1: ("up", "down"), 2: ("down", "up")}]
+    layout = block_pattern(moves, n, basis, np.arange(basis.dim**n))
+    assert len(layout.indices) > 1
+    for idx in layout.indices:
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0, 0] = 0
+    # a fill is the caller's own: writing into it leaves the layout intact
+    (idx, blocks), *_ = layout.fill(np.ones(2), np.zeros(basis.dim**n))
+    blocks[:] = 7.0
+    assert not np.any(layout.fill(np.ones(2), np.zeros(basis.dim**n))[0][1] == 7.0)
 
 
 def test_block_pattern_refuses_a_block_beyond_the_dense_budget():

@@ -11,6 +11,7 @@ from spingraph.chain import ChainGeometry, RydbergModel, assemble_system, build_
 from spingraph.grape import ControlSchedule, GrapeError
 from spingraph.operators import (
     PROTOCOL_BASIS,
+    BlockPattern,
     basis_state,
     embed_local_operator,
     evolve_unitary,
@@ -325,11 +326,12 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interaction
     every block, so there the blocks rebuild the whole reference."""
     blocks, seen = [], []
 
-    class RecordingPattern(protocol.BlockPattern):
-        def fill(self, *args):
-            out = super().fill(*args)
-            blocks.extend(out)
-            return out
+    original_fill = BlockPattern.fill
+
+    def recording_fill(self, *args):
+        out = original_fill(self, *args)
+        blocks.extend(out)
+        return out
 
     class RecordingPropagator:
         def __init__(self, h, hz_diag):
@@ -338,7 +340,8 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interaction
         def states(self, psi, t, area):
             return np.zeros(psi.shape[:-1] + (np.size(t), psi.shape[-1]), dtype=complex)
 
-    monkeypatch.setattr(protocol, "BlockPattern", RecordingPattern)
+    # on the class, so the memoised layouts record their fills too
+    monkeypatch.setattr(BlockPattern, "fill", recording_fill)
     monkeypatch.setattr(protocol, "ClosedFormPropagator", RecordingPropagator)
     plan = plan_for(n, core_amplitudes=np.zeros(2))
     dim = PROTOCOL_BASIS.dim**n
@@ -490,23 +493,24 @@ def test_full_protocol_diagonalizes_once_per_block_size(monkeypatch, core_result
     stage at N=3 and N=4."""
     calls, blocks = [], []
     original_eigh, original_stage = np.linalg.eigh, protocol.run_stage
+    original_fill = BlockPattern.fill
 
     def counting_eigh(a, *args, **kwargs):
         calls[-1].append(a.shape)
         return original_eigh(a, *args, **kwargs)
 
-    class RecordingPattern(protocol.BlockPattern):
-        def fill(self, *args):
-            out = super().fill(*args)
-            blocks.append([idx for idx, _ in out])
-            return out
+    def recording_fill(self, *args):
+        out = original_fill(self, *args)
+        blocks.append([idx for idx, _ in out])
+        return out
 
     def marking_stage(*args, **kwargs):
         calls.append([])
         return original_stage(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(protocol, "BlockPattern", RecordingPattern)
+    # on the class, so the memoised layouts record their fills too
+    monkeypatch.setattr(BlockPattern, "fill", recording_fill)
     monkeypatch.setattr(protocol, "run_stage", marking_stage)
     largest = {3: [8, 8, 3, 12, 12], 4: [16, 16, 6, 32, 32]}
     eigh_calls = {3: 20, 4: 28}
@@ -547,6 +551,22 @@ def test_plan_evaluates_its_interactions_once(monkeypatch):
     again = run_full_protocol(plan)
     assert len(calls) == 1
     assert first.timeline == again.timeline
+
+
+def test_stages_and_plans_compare_by_value():
+    # equal copies are equal and hash alike, before and after a plan has
+    # evaluated its interactions; another core field or a displaced atom
+    # is unequal; no comparison raises
+    plan, same = plan_for(3, core_amplitudes=np.ones(3)), plan_for(3, core_amplitudes=np.ones(3))
+    run_full_protocol(plan)
+    assert plan == same and hash(plan) == hash(same)
+    assert all(a == b and hash(a) == hash(b) for a, b in zip(plan.stages, same.stages))
+    other_field = plan_for(3, core_amplitudes=[1.0, 2.0, 1.0])
+    assert plan != other_field and plan.stages[2] != other_field.stages[2]
+    assert plan.stages[0] == other_field.stages[0]
+    displaced = plan.geometry.positions.copy()
+    displaced[2, 2] += 1e-6
+    assert plan != standard_plan(ChainGeometry(displaced), plan.stages[2].schedule)
 
 
 def test_full_protocol_builds_each_level_table_once():
