@@ -26,6 +26,7 @@ from .operators import SPIN_BASIS, LocalBasis, hermitian_sum, site_levels, trans
 
 __all__ = [
     "ChainGeometry",
+    "check_positions",
     "IdealModel",
     "RydbergModel",
     "ModelKind",
@@ -76,9 +77,9 @@ class ChainGeometry:
         in the coupling laws while leaving all angles unchanged. Used for
         the systematic distance-mismatch sweeps; 0 for the nominal chain.
 
-    Non-finite values, two atoms closer than 1 nm, and a delta_r that
-    brings a pair's effective distance below 1 nm are refused here; the
-    last two name the pair.
+    Non-finite values are refused here, and so are two atoms closer than
+    1 nm and a delta_r that brings a pair's effective distance below 1 nm
+    (``check_positions``, which names the pair).
 
     Two geometries are equal when their positions are (``np.array_equal``)
     and their delta_r is; the hash agrees with that equality.
@@ -100,18 +101,8 @@ class ChainGeometry:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 2:
             raise ValueError("positions must be an (N >= 2, 3) array")
-        if not (np.all(np.isfinite(pos)) and np.isfinite(self.delta_r)):
-            raise ValueError("positions and delta_r must be finite")
+        check_positions(pos, self.delta_r)
         object.__setattr__(self, "positions", pos)
-        i, j = _pairs(pos.shape[0])
-        r = np.linalg.norm(pos[j] - pos[i], axis=1)
-        for too_short, message in (
-            (r < MIN_DISTANCE, "atoms ({}, {}) closer than 1 nm"),
-            (r + self.delta_r < MIN_DISTANCE, "effective distance of atoms ({}, {}) below 1 nm"),
-        ):
-            if np.any(too_short):
-                k = np.argmax(too_short)
-                raise ValueError(message.format(i[k], j[k]))
 
     @property
     def n_sites(self) -> int:
@@ -126,6 +117,30 @@ class ChainGeometry:
 
     def with_delta_r(self, delta_r_um: float) -> "ChainGeometry":
         return replace(self, delta_r=delta_r_um)
+
+
+def check_positions(positions: np.ndarray, delta_r: float = 0.0) -> None:
+    """Refuse a (..., N, 3) stack of atom positions, um, if a position or
+    delta_r is not finite, if two atoms of one geometry are closer than
+    1 nm, or if their distance plus delta_r is below 1 nm. The last two
+    name the pair, in the first geometry of the stack that has one; the
+    closer-than check comes first."""
+    if not (np.all(np.isfinite(positions)) and np.isfinite(delta_r)):
+        raise ValueError("positions and delta_r must be finite")
+    i, j = _pairs(positions.shape[-2])
+    r = np.linalg.norm(positions[..., j, :] - positions[..., i, :], axis=-1)
+    r = r.reshape(-1, i.size)
+    # a check fails on a geometry exactly where r + min(delta_r, 0) is below 1 nm
+    failing = np.flatnonzero(np.any(r + min(delta_r, 0.0) < MIN_DISTANCE, axis=1))
+    if failing.size:
+        r = r[failing[0]]
+        for too_short, message in (
+            (r < MIN_DISTANCE, "atoms ({}, {}) closer than 1 nm"),
+            (r + delta_r < MIN_DISTANCE, "effective distance of atoms ({}, {}) below 1 nm"),
+        ):
+            if np.any(too_short):
+                k = np.argmax(too_short)
+                raise ValueError(message.format(i[k], j[k]))
 
 
 @dataclass(frozen=True)
@@ -217,8 +232,25 @@ def drift_terms(
     ``positions``, a (G, N, 3) stack of atom positions for a Rydberg model
     (its delta_r kept), gives one row of coefficients and one diagonal per
     geometry from one evaluation of the pair law; the moves are the same
-    for all of them.
+    for all of them. Without ``positions`` the triple is memoised per
+    (model, basis), the last 32 of them, as models compare and hash by
+    value: its arrays are read-only, and each call gets its own copy of
+    the moves.
     """
+    if positions is None:
+        moves, coeffs, diagonal = _model_terms(model, basis)
+        return [dict(m) for m in moves], coeffs, diagonal
+    return _drift_terms(model, basis, positions)
+
+
+@functools.lru_cache(maxsize=32)
+def _model_terms(model: ModelKind, basis: LocalBasis) -> tuple:
+    moves, coeffs, diagonal = _drift_terms(model, basis, None)
+    coeffs.flags.writeable = diagonal.flags.writeable = False
+    return moves, coeffs, diagonal
+
+
+def _drift_terms(model: ModelKind, basis: LocalBasis, positions: np.ndarray | None) -> tuple:
     n = model.n_sites
     if isinstance(model, IdealModel):
         moves = [_flip_flop(i, i + 1) for i in range(n - 1)]

@@ -27,8 +27,9 @@ from .chain import (
     RydbergModel,
     assemble_system,
     build_control_hz_diagonal,
+    check_positions,
 )
-from .grape import ControlSchedule, SpinSectors, spin_overlaps
+from .grape import ControlSchedule, SpinSectors, boundary_areas, spin_overlaps
 from .operators import (
     EMISSION_BASIS,
     MAX_TRACE_STACK,
@@ -285,6 +286,23 @@ def _chain_frame(positions: np.ndarray) -> np.ndarray:
     return np.array([[ux, uy, uz], v, w])
 
 
+def _normal_draws(seeds, sigma, shape) -> np.ndarray:
+    """One row per seed: ``default_rng(seed).normal(0, sigma, shape)``."""
+    return np.stack([np.random.default_rng(seed).normal(0.0, sigma, shape) for seed in seeds])
+
+
+def _geometry_draws(geometry: ChainGeometry, spec: NoiseSpec, samples) -> np.ndarray:
+    """(S, N, 3) atom positions of the listed sample indices, one
+    ``sample_geometry_noise`` draw each, in one stack; a sample that
+    ``ChainGeometry`` would refuse is refused with its message."""
+    sigma_um = np.asarray(spec.position_sigma, dtype=float) / NM_PER_UM
+    seeds = [spec.base_seed + i for i in samples]
+    draws = _normal_draws(seeds, 1.0, (geometry.n_sites, 3)) * sigma_um
+    positions = geometry.positions + draws @ _chain_frame(geometry.positions)
+    check_positions(positions, geometry.delta_r)
+    return positions
+
+
 def sample_geometry_noise(
     geometry: ChainGeometry, spec: NoiseSpec, sample_index: int
 ) -> ChainGeometry:
@@ -294,13 +312,17 @@ def sample_geometry_noise(
     spec's sigmas, drawn from seed base_seed + sample_index and resolved
     in the chain frame. Displacements are static for the whole evolution.
     """
-    sigma_um = np.asarray(spec.position_sigma, dtype=float) / NM_PER_UM
-    if np.all(sigma_um == 0.0):
+    if not any(s > 0 for s in spec.position_sigma):
         return geometry
-    rng = np.random.default_rng(spec.base_seed + sample_index)
-    frame = _chain_frame(geometry.positions)
-    draws = rng.normal(0.0, 1.0, size=(geometry.n_sites, 3)) * sigma_um
-    return ChainGeometry(geometry.positions + draws @ frame, geometry.delta_r)
+    return ChainGeometry(_geometry_draws(geometry, spec, [sample_index])[0], geometry.delta_r)
+
+
+def _field_draws(schedule: ControlSchedule, field_sigma: float, seeds) -> np.ndarray:
+    """(S, n + 1) boundary areas of the schedule under one
+    ``sample_field_noise`` draw per seed, in one stack; non-finite areas
+    are refused as ``ControlSchedule`` refuses them."""
+    offsets = _normal_draws(seeds, field_sigma, schedule.n_slices)
+    return boundary_areas(schedule.t_total, schedule.amplitudes + offsets)
 
 
 def sample_field_noise(
@@ -311,8 +333,7 @@ def sample_field_noise(
         raise ValueError("field_sigma must be non-negative")
     if field_sigma == 0.0:
         return schedule
-    rng = np.random.default_rng(seed)
-    offsets = rng.normal(0.0, field_sigma, schedule.n_slices)
+    offsets = _normal_draws([seed], field_sigma, schedule.n_slices)[0]
     return ControlSchedule(schedule.t_total, schedule.amplitudes + offsets)
 
 
@@ -381,7 +402,11 @@ def ensemble_average(
     """Monte Carlo average over disorder samples.
 
     Sample i draws its noise from seed base_seed + i, so the result does
-    not depend on the order in which samples are evaluated. One
+    not depend on the order in which samples are evaluated. The draws come
+    as arrays, bit for bit those of ``sample_geometry_noise`` and
+    ``sample_field_noise``: one (samples, N, 3) stack of positions and one
+    running sum over the (samples, slices) amplitudes for the field areas;
+    a sample those would refuse is refused before any evolution. One
     ``grape.SpinSectors`` serves the ensemble: one evaluation of the pair
     law gives every sample geometry's drift, and the samples go in chunks
     of CHUNK_ELEMENTS / (boundaries x largest block), one stacked ``eigh``
@@ -393,33 +418,27 @@ def ensemble_average(
     times = schedule.boundary_times
     spec.check_trace_budget(times.size)
     geometry_noise = any(s > 0 for s in spec.position_sigma)
+    field_noise = spec.field_sigma > 0
     if geometry_noise and not isinstance(model, RydbergModel):
         raise ValueError("geometry noise requires a Rydberg model")
-    positions = None
-    if geometry_noise:
-        positions = np.stack([
-            sample_geometry_noise(model.geometry, spec, i).positions
-            for i in range(spec.samples)
-        ])
+    samples = range(spec.samples)
+    positions = _geometry_draws(model.geometry, spec, samples) if geometry_noise else None
+    areas = schedule.boundary_areas
+    if field_noise:
+        # disjoint seed block so field draws never reuse position draws
+        seeds = [spec.base_seed + spec.samples + i for i in samples]
+        areas = _field_draws(schedule, spec.field_sigma, seeds)
     sectors = SpinSectors(model, psi0, positions)
     largest = max(idx.shape[-1] for idx in sectors.indices)
     chunk = max(1, CHUNK_ELEMENTS // (times.size * largest))
     traces = np.empty((spec.samples, times.size))
-    areas = schedule.boundary_areas
     for start in range(0, spec.samples, chunk):
         rows = slice(start, start + chunk)
         if start == 0 or geometry_noise:
             # (samples in the chunk, boundaries, sectors)
             returns = sectors.returns(target, times, rows)
-        if spec.field_sigma > 0:
-            # disjoint seed block so field draws never reuse position draws
-            areas = np.stack([
-                sample_field_noise(
-                    schedule, spec.field_sigma, spec.base_seed + spec.samples + i
-                ).boundary_areas
-                for i in range(spec.samples)[rows]
-            ])
-        traces[rows] = np.abs(spin_overlaps(sectors.hz, returns, areas)) ** 2
+        chunk_areas = areas[rows] if field_noise else areas
+        traces[rows] = np.abs(spin_overlaps(sectors.hz, returns, chunk_areas)) ** 2
     finals = traces[:, -1]
     return EnsembleResult(
         times=times,

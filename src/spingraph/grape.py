@@ -38,6 +38,7 @@ from .targets import TargetForm, plus_product_state, target_state
 
 __all__ = [
     "ControlSchedule",
+    "boundary_areas",
     "GuessSpec",
     "GrapeConfig",
     "GrapeResult",
@@ -118,10 +119,7 @@ class ControlSchedule:
             raise ValueError("schedule needs at least one slice")
         _check_duration(self.t_total)
         object.__setattr__(self, "amplitudes", amps)
-        with np.errstate(all="ignore"):  # a non-finite area is refused below
-            areas = self.dt * np.concatenate(([0.0], np.cumsum(amps)))
-        if not np.isfinite(areas).all():
-            raise ValueError("slice amplitudes and their field areas must be finite")
+        areas = boundary_areas(self.t_total, amps)
         areas.flags.writeable = False
         object.__setattr__(self, "boundary_areas", areas)
 
@@ -143,6 +141,20 @@ class ControlSchedule:
         """Integrated field sum_k B_k dt; the landscape depends on the
         schedule only through (t_total, field_area) for commuting models."""
         return float(np.sum(self.amplitudes) * self.dt)
+
+
+def boundary_areas(t_total: float, amplitudes: np.ndarray) -> np.ndarray:
+    """Field areas A_k = dt (B_0 + ... + B_{k-1}) at the n + 1 slice
+    boundaries of each schedule of a (..., n) amplitude stack over one
+    duration, dt = t_total / n: one running sum along the last axis.
+    Refuses a stack with any non-finite amplitude or area."""
+    dt = t_total / amplitudes.shape[-1]
+    zeros = np.zeros(amplitudes.shape[:-1] + (1,))
+    with np.errstate(all="ignore"):  # a non-finite area is refused below
+        areas = dt * np.concatenate((zeros, np.cumsum(amplitudes, axis=-1)), axis=-1)
+    if not np.isfinite(areas).all():
+        raise ValueError("slice amplitudes and their field areas must be finite")
+    return areas
 
 
 @dataclass(frozen=True)
@@ -242,12 +254,17 @@ class ClosedFormPropagator:
     broadcast against each other.
 
     One gufunc ``eigh`` decomposes a (..., k, k) stack of blocks, such as
-    the equal-size blocks of an ``operators.BlockPattern`` fill. ``hz_diag``,
-    the states and the targets broadcast against the stack's (..., k) rows,
-    so each block takes its own Hz value and input row; a block on which
-    Hz takes two values raises ``GrapeError``, as H need not commute with
-    Hz there. ``states`` and ``overlaps`` put the stack axes first, then
-    the shape of (t, A).
+    the equal-size blocks of an ``operators.BlockPattern`` fill. A real
+    symmetric stack, which every real coupling fills, goes through the
+    real-symmetric driver and keeps real eigenvectors; a complex Hermitian
+    one through the Hermitian driver. ``hz_diag``, the states and the
+    targets broadcast against the stack's (..., k) rows, so each block
+    takes its own Hz value and input row; a block on which Hz takes two
+    values raises ``GrapeError``, as H need not commute with Hz there.
+    ``states`` and ``overlaps`` put the stack axes first, then the shape
+    of (t, A). ``overlaps`` folds the input state and the target into one
+    weight per eigenvector, (psi . V*) (target* . V), so each overlap is
+    one product of that weight row with the phases exp(-i (t w + A h)).
     """
 
     def __init__(self, h: np.ndarray, hz_diag: np.ndarray):
@@ -259,28 +276,28 @@ class ClosedFormPropagator:
         self._hz = hz_diag[..., 0, None, None]
         self._w, self._v = np.linalg.eigh(h)
 
-    def _eigen_components(self, psi: np.ndarray, t, area) -> tuple[tuple, np.ndarray]:
+    def _phases(self, t, area) -> tuple[tuple, np.ndarray]:
         # the results' shape, and the (stack..., one flat axis of the (t, area)
-        # pairs, k) components, built in place: the largest array of an ensemble
+        # pairs, k) phases, built in place: the largest array of an ensemble
         t, area = np.broadcast_arrays(t, area)
         phases = np.reshape(t, (-1, 1)) * self._w[..., None, :]
         phases += np.reshape(area, (-1, 1)) * self._hz
         phases = phases.astype(complex)
         phases *= -1j
         np.exp(phases, out=phases)
-        components = np.multiply(psi[..., None, :] @ self._v.conj(), phases, out=phases)
-        return self._v.shape[:-2] + t.shape, components
+        return self._v.shape[:-2] + t.shape, phases
 
     def states(self, psi: np.ndarray, t, area) -> np.ndarray:
         """exp(-i H t) exp(-i A Hz) psi, one state per (t, area)."""
-        shape, components = self._eigen_components(psi, t, area)
+        shape, phases = self._phases(t, area)
+        components = np.multiply(psi[..., None, :] @ self._v.conj(), phases, out=phases)
         return (components @ self._v.swapaxes(-1, -2)).reshape(shape + self._v.shape[-1:])
 
     def overlaps(self, target: np.ndarray, psi: np.ndarray, t, area) -> np.ndarray:
         """<target| exp(-i H t) exp(-i A Hz) |psi>, one per (t, area)."""
-        shape, components = self._eigen_components(psi, t, area)
-        projected = target.conj()[..., None, :] @ self._v
-        return (components @ projected.swapaxes(-1, -2)).reshape(shape)
+        shape, phases = self._phases(t, area)
+        weights = (psi[..., None, :] @ self._v.conj()) * (target.conj()[..., None, :] @ self._v)
+        return (phases @ weights.swapaxes(-1, -2)).reshape(shape)
 
 
 class SpinSectors:

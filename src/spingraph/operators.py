@@ -294,10 +294,14 @@ class BlockPattern:
         pattern's moves, plus diag(diagonal): one pair per block size k,
         idx the (S, k) ``indices`` and blocks the (S, k, k) stack, a view
         of one buffer. A (G, M) coefficient stack with a (G, dim) diagonal
-        stack gives (G, S, k, k) stacks, one row per Hamiltonian."""
+        stack gives (G, S, k, k) stacks, one row per Hamiltonian. The
+        blocks take the dtype of the coefficients and diagonal, at least
+        float64: real ones give real symmetric blocks, whose ``eigh`` is
+        the real-symmetric driver with real eigenvectors, and complex ones
+        give complex Hermitian blocks."""
         coeffs, diagonal = np.asarray(coeffs), np.asarray(diagonal)
         stack = diagonal.shape[:-1]
-        flat = np.zeros(stack + (self._size,), dtype=complex)
+        flat = np.zeros(stack + (self._size,), dtype=np.result_type(coeffs, diagonal, float))
         for m, (entry, mirror) in enumerate(self._entries):
             flat[..., entry] += coeffs[..., m, None]
             flat[..., mirror] += np.conj(coeffs[..., m, None])

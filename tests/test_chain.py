@@ -7,9 +7,12 @@ bookkeeping, and every index-built Hamiltonian against the dense
 kron-product reference of ``kron_reference``.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+import spingraph.chain as chain
 from spingraph.chain import (
     C3,
     C6_DOWN,
@@ -21,6 +24,7 @@ from spingraph.chain import (
     RydbergModel,
     assemble_system,
     build_control_hz,
+    check_positions,
     drift_terms,
 )
 from spingraph.operators import EMISSION_BASIS, PROTOCOL_BASIS, SPIN_BASIS, hermitian_sum
@@ -187,6 +191,48 @@ def test_geometry_refuses_pairs_below_one_nanometre():
     pos[2, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         ChainGeometry(positions=pos)
+
+
+def test_a_stack_of_positions_is_refused_by_its_first_failing_geometry():
+    # the first geometry with a short pair decides, and within it the
+    # closer-than check comes before the effective-distance one: the
+    # message ChainGeometry gives that geometry alone
+    stack = np.repeat(ChainGeometry.regular(4).positions[None], 4, axis=0)
+    stack[1, 3, 2] = 19.3 + 1.5e-3  # (1, 3) 1.5 nm apart
+    stack[2, 2, 2] = 19.3 + 5e-4  # (1, 2) 0.5 nm apart
+    stack[3, 0, 2] = np.inf
+    check_positions(stack[0], -1e-3)
+    closer = "atoms (1, 2) closer than 1 nm"
+    effective = "effective distance of atoms (1, 3) below 1 nm"
+    for rows, delta_r, first, message in (
+        ([0, 1, 2], -1e-3, 1, effective),
+        ([0, 2, 1], -1e-3, 2, closer),
+        ([0, 1, 2], 0.0, 2, closer),
+    ):
+        for refuse in (lambda: check_positions(stack[rows], delta_r),
+                       lambda: ChainGeometry(stack[first], delta_r)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                refuse()
+    with pytest.raises(ValueError, match="finite"):
+        check_positions(stack, 0.0)
+
+
+def test_model_drift_terms_are_memoised_read_only():
+    # a model without positions evaluates its terms once, shared by equal
+    # models; the arrays are read-only and every call gets its own copy of
+    # the moves; a positions stack is evaluated afresh
+    model = RydbergModel(ChainGeometry.regular(4).with_delta_r(0.02))
+    moves, coeffs, diagonal = drift_terms(model)
+    again = drift_terms(RydbergModel(ChainGeometry.regular(4).with_delta_r(0.02)))
+    assert again[1] is coeffs and again[2] is diagonal and again[0] == moves
+    assert again[0] is not moves and again[0][0] is not moves[0]
+    for array in (coeffs, diagonal):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert drift_terms(model, EMISSION_BASIS)[2].shape == (3**4,)
+    stacked = drift_terms(model, SPIN_BASIS, model.geometry.positions[None])
+    assert stacked[1].flags.writeable and np.array_equal(stacked[1][0], coeffs)
+    assert chain._model_terms.cache_info().maxsize == 32
 
 
 def test_geometries_and_models_compare_by_value():

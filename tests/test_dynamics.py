@@ -9,6 +9,7 @@ slice, and against the closed-system trace.
 """
 
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spingraph.chain import ChainGeometry, IdealModel, RydbergModel, assemble_system, build_control_hz
+from spingraph.chain import (
+    SPACING,
+    ChainGeometry,
+    IdealModel,
+    RydbergModel,
+    assemble_system,
+    build_control_hz,
+)
 import spingraph.dynamics as dynamics
 from spingraph.config import ExperimentConfig, build_jump_channels
 from spingraph.dynamics import (
@@ -509,10 +517,68 @@ def test_chunked_ensemble_matches_per_sample_closed_traces(samples, kind):
     assert_matches_sample_traces(result, traces, 1e-13)
 
 
+@pytest.mark.parametrize("samples", [1, 4, 5, 11])
+def test_stacked_draws_equal_the_per_sample_samplers_bit_for_bit(samples):
+    # the ensemble's (samples, N, 3) positions and (samples, n + 1) field
+    # areas against one sample_geometry_noise / sample_field_noise per
+    # sample, and against the documented per-sample draws written out:
+    # default_rng(base_seed + i) for positions, resolved in the chain frame
+    # (um = nm / 1000), and default_rng(seed) per slice offset, summed
+    model, schedule, _, _ = ensemble_case(6, n_slices=100)
+    geometry = model.geometry.with_delta_r(0.013)
+    spec = NoiseSpec(
+        position_sigma=(193.5, 193.5, 1242.9), field_sigma=2.0, samples=samples, base_seed=7
+    )
+    sigma_um = np.array(spec.position_sigma) / 1000.0
+    frame = dynamics._chain_frame(geometry.positions)
+    written_out = [
+        geometry.positions
+        + np.random.default_rng(7 + i).normal(0.0, 1.0, size=(6, 3)) * sigma_um @ frame
+        for i in range(samples)
+    ]
+    positions = dynamics._geometry_draws(geometry, spec, range(samples))
+    assert np.array_equal(positions, written_out)
+    assert np.array_equal(
+        positions, [sample_geometry_noise(geometry, spec, i).positions for i in range(samples)]
+    )
+    seeds = [spec.base_seed + samples + i for i in range(samples)]
+    offsets = [np.random.default_rng(s).normal(0.0, 2.0, schedule.n_slices) for s in seeds]
+    written_out = [
+        schedule.dt * np.concatenate(([0.0], np.cumsum(schedule.amplitudes + o))) for o in offsets
+    ]
+    areas = dynamics._field_draws(schedule, spec.field_sigma, seeds)
+    assert np.array_equal(areas, written_out)
+    assert np.array_equal(
+        areas, [sample_field_noise(schedule, spec.field_sigma, s).boundary_areas for s in seeds]
+    )
+
+
+def test_ensemble_refuses_a_sample_geometry_as_the_sampler_does():
+    # atoms (1, 2) start 1.5 nm apart and move along the chain by 1 nm
+    # sigma: the first sample that brings them within 1 nm is refused,
+    # naming the pair, with the message sample_geometry_noise gives
+    positions = np.zeros((3, 3))
+    positions[:, 2] = [0.0, SPACING, SPACING + 1.5e-3]
+    model = RydbergModel(ChainGeometry(positions))
+    spec = NoiseSpec(position_sigma=(1.0, 0.0, 0.0), samples=20)
+    schedule = ControlSchedule(t_total=0.1, amplitudes=np.ones(4))
+    messages = []
+    for i in range(spec.samples):
+        try:
+            sample_geometry_noise(model.geometry, spec, i)
+        except ValueError as error:
+            messages.append(str(error))
+    assert messages and messages[0] == "atoms (1, 2) closer than 1 nm"
+    psi0, target = plus_product_state(3), complete_graph_state(3)
+    with pytest.raises(ValueError, match=re.escape(messages[0])):
+        ensemble_average(model, schedule, spec, psi0, target)
+
+
 def test_ensemble_beyond_the_trace_budget_is_refused_before_any_draw(monkeypatch):
+    # every noise draw of an ensemble, geometry or field, goes through one
+    # stacked draw of per-sample generators
     drawn = []
-    monkeypatch.setattr(dynamics, "sample_geometry_noise", lambda *a: drawn.append(a))
-    monkeypatch.setattr(dynamics, "sample_field_noise", lambda *a: drawn.append(a))
+    monkeypatch.setattr(dynamics, "_normal_draws", lambda *a: drawn.append(a))
     model, schedule, psi0, target = ensemble_case(3, n_slices=99)
     samples = MAX_TRACE_STACK // 100 + 1
     spec = NoiseSpec(position_sigma=(1.0, 0.0, 0.0), field_sigma=1.0, samples=samples)

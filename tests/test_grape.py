@@ -835,6 +835,65 @@ def test_a_stack_is_refused_by_the_block_that_spans_two_hz_values():
     ClosedFormPropagator(h, hz)
 
 
+def block_returns(fill, hz, psi, target, t):
+    """c_b(t) of every block of a ``BlockPattern`` fill, one block per
+    column, ordered by smallest index."""
+    parts = {}
+    for idx, h in fill:
+        c = ClosedFormPropagator(h, hz[idx]).overlaps(target[idx], psi[idx], t, 0.0)
+        parts.update(zip(idx[:, 0], c))
+    return np.stack([parts[first] for first in sorted(parts)], axis=-1)
+
+
+@pytest.mark.parametrize("kind", ["ideal", "rydberg"])
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+def test_real_sector_kernels_match_the_complex_fill_and_the_kron_drift(n_sites, kind):
+    # every spin-path coupling is real, so the sectors are real symmetric
+    # blocks; the same blocks filled as complex Hermitian ones, and the kron
+    # drift exponentiated whole and projected on each block, give the same
+    # return amplitudes c_b(t)
+    if kind == "ideal":
+        model, t = IdealModel(n_sites), np.linspace(0.0, 3.0, 7)
+    else:
+        model = RydbergModel(ChainGeometry.regular(n_sites).with_delta_r(0.013))
+        t = np.linspace(0.0, 0.3, 7)
+    psi, target = plus_product_state(n_sites), complete_graph_state(n_sites)
+    moves, coeffs, diagonal = drift_terms(model)
+    hz = build_control_hz_diagonal(n_sites)
+    pattern = BlockPattern(moves, n_sites, SPIN_BASIS, np.flatnonzero(psi))
+    real_fill, complex_fill = pattern.fill(coeffs, diagonal), pattern.fill(coeffs + 0j, diagonal)
+    assert all(h.dtype == np.float64 for _, h in real_fill)
+    assert all(h.dtype == complex for _, h in complex_fill)
+    real, hermitian = (
+        block_returns(fill, hz, psi, target, t) for fill in (real_fill, complex_fill)
+    )
+    w, v = np.linalg.eigh(kron_drift(model, SPIN_BASIS))
+    evolved = (np.exp(-1j * np.outer(t, w)) * (v.conj().T @ psi)) @ v.T
+    blocks = sorted((row for idx in pattern.indices for row in idx), key=lambda row: row[0])
+    dense = np.stack([evolved[:, b] @ target[b].conj() for b in blocks], axis=-1)
+    returns = SpinSectors(model, psi).returns(target, t)
+    for oracle in (hermitian, dense):
+        np.testing.assert_allclose(real, oracle, rtol=0, atol=1e-13)
+    assert np.array_equal(returns, real)
+
+
+def test_real_block_overlaps_take_the_field_area():
+    # a real symmetric stack, with the field area given by keyword, against
+    # its complex Hermitian copy and the dense propagator of h + (A/t) Hz
+    rng = np.random.default_rng(13)
+    h = rng.normal(size=(3, 4, 4))
+    h += h.swapaxes(-1, -2)
+    hz = np.full(4, 1.5)
+    psi, target = random_state(rng, 4), random_state(rng, 4)
+    t, area = rng.uniform(0.1, 2.0, 5), rng.uniform(-4.0, 4.0, 5)
+    got = ClosedFormPropagator(h, hz).overlaps(target, psi, t, area=area)
+    hermitian = ClosedFormPropagator(h + 0j, hz).overlaps(target, psi, t, area=area)
+    np.testing.assert_allclose(got, hermitian, rtol=0, atol=1e-13)
+    for row, j in np.ndindex(3, 5):
+        dense = evolve_unitary(h[row] + np.diag(area[j] / t[j] * hz), t[j], psi)
+        assert abs(got[row, j] - np.vdot(target, dense)) < 1e-13
+
+
 @pytest.mark.parametrize("target_form", list(TargetForm), ids=lambda f: f.value)
 @pytest.mark.parametrize("kind", ["ideal", "rydberg"])
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6, 7])

@@ -346,6 +346,26 @@ def test_block_pattern_fills_a_stack_row_by_row():
             assert np.array_equal(blocks[g], block)
 
 
+def test_fill_is_real_for_real_coefficients_and_complex_otherwise():
+    # real coefficients and diagonal give float64 blocks, the real symmetric
+    # ones of every coupling in the package; a complex coefficient gives
+    # complex Hermitian blocks; both equal the dense sum entry for entry
+    n, basis = 3, PROTOCOL_BASIS
+    rng = np.random.default_rng(10)
+    moves = [{0: ("up", "down"), 2: ("down", "up")}, {1: ("0", "up")}, {2: ("up", "r")}]
+    support = np.arange(basis.dim**n)
+    pattern = BlockPattern(moves, n, basis, support)
+    diagonal = rng.normal(size=basis.dim**n)
+    real = rng.normal(size=len(moves))
+    for coeffs, dtype in ((real, np.float64), (real + 1j * rng.normal(size=len(moves)), complex)):
+        dense = hermitian_sum(moves, coeffs, diagonal, n, basis)
+        for idx, blocks in pattern.fill(coeffs, diagonal):
+            assert blocks.dtype == dtype
+            for row, block in zip(idx, blocks, strict=True):
+                assert np.array_equal(block, dense[np.ix_(row, row)])
+    assert all(b.dtype == np.float64 for _, b in pattern.fill([1, 2, 3], np.zeros(basis.dim**n)))
+
+
 def test_block_pattern_stacks_equal_size_blocks_in_one_buffer():
     # every reached index in exactly one (S, k) index row; one stack per
     # distinct size, sizes ascending, blocks of a size by smallest index; all

@@ -425,21 +425,47 @@ def stepwise_stage(state, stage, plan, interactions=True):
     return points
 
 
+def run_filled(state, stage, plan, cast, monkeypatch):
+    """``run_stage`` with each fill's coefficients passed through ``cast``,
+    and the dtypes of the blocks it filled."""
+    original, dtypes = protocol.block_pattern, set()
+
+    class Pattern:
+        def __init__(self, *args):
+            self.layout = original(*args)
+
+        def fill(self, coeffs, diagonal):
+            blocks = self.layout.fill(cast(np.asarray(coeffs)), diagonal)
+            dtypes.update(h.dtype for _, h in blocks)
+            return blocks
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "block_pattern", Pattern)
+        return run_stage(state, stage, plan), dtypes
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("interactions", [True, False])
 def test_run_stage_matches_stepwise_product(n, interactions, monkeypatch):
+    # drive rates and interactions are real, so every stage fills real
+    # symmetric blocks; the same stage on complex Hermitian blocks, and the
+    # stepwise product of dense kron-built slices, give the same states
     if not interactions:
         switch_off_interactions(monkeypatch)
     plan = plan_for(n, core_amplitudes=[-9.8, 3.1, -12.4], core_t=0.15)
     state = basis_state(["0"] * n, PROTOCOL_BASIS)
     for stage in plan.stages:
-        out = run_stage(state, stage, plan)
+        out, real = run_filled(state, stage, plan, lambda c: c, monkeypatch)
+        hermitian, filled = run_filled(state, stage, plan, lambda c: c + 0j, monkeypatch)
+        assert real == {np.dtype(np.float64)} and filled == {np.dtype(complex)}
+        assert np.array_equal(out, run_stage(state, stage, plan))
+        np.testing.assert_allclose(out, hermitian, rtol=0, atol=1e-13)
         reference = stepwise_stage(state, stage, plan, interactions)
         traced = 3 if stage.uses_core_schedule else TRACE_POINTS_PER_STAGE
         assert out.shape == (traced, PROTOCOL_BASIS.dim**n) and len(reference) == traced
         assert list(stage.schedule.boundary_times[1:]) == [t for t, _ in reference]
         for got, (_, want) in zip(out, reference):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         state = reference[-1][1]
 
 
