@@ -473,11 +473,15 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
 def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_prefix) -> None:
     """Constant-field closed-form benchmark and optional parameter scan."""
     cfg = _merged_config(config_path)
-    if scan and b_points * t_points > MAX_TRACE_STACK:
-        raise ValueError(
-            f"{b_points} x {t_points} grid points exceed the scan budget of "
-            f"{MAX_TRACE_STACK} populations"
-        )
+    if scan:
+        for option, points in (("--b-points", b_points), ("--t-points", t_points)):
+            if points < 1:
+                raise ValueError(f"{option} must be positive, not {points}")
+        if b_points * t_points > MAX_TRACE_STACK:
+            raise ValueError(
+                f"{b_points} x {t_points} grid points exceed the scan budget of "
+                f"{MAX_TRACE_STACK} populations"
+            )
     paths = _float_outputs(cfg, out_prefix, "grid", "maxima") if scan else None
     solution = constant_field_params(c1, c2, j_coupling)
     pop_closed = constant_field_population(j_coupling, solution.b, solution.t_star)

@@ -65,10 +65,14 @@ MAX_PHASE_PER_SUBSTEP = 0.1
 #: Refusal threshold on the total substep count of one run.
 MAX_TOTAL_SUBSTEPS = 1_000_000
 
-#: Bound on the complex elements of an ensemble chunk's eigen-component
-#: tensor per block, samples x slice boundaries x largest sector block: 4
-#: samples at N=6 with 101 boundaries, 27 at N=3. Sectors of one size
-#: share one tensor, so the two blocks of 15 at N=6 hold 1.5 times this.
+#: Bound on samples x slice boundaries x largest sector block of one
+#: ensemble chunk, which sets the chunk's sample count: 4 at N=6 with 101
+#: boundaries, 27 at N=3. A chunk's largest arrays are its return
+#: amplitudes and their sector phases, samples x boundaries x (N + 1)
+#: sectors complex elements: about (N + 1) / largest block times this,
+#: 0.35 at N=6 and 1.33 at N=3. The boundary ladder's phase rows, about
+#: 2 sqrt(boundaries) per block, and the chunk's eigenvectors stay well
+#: below it at 100 slices.
 CHUNK_ELEMENTS = 2**13
 
 
@@ -346,10 +350,11 @@ def closed_system_trace(
     """Target population at every slice boundary under unitary evolution.
 
     The sector sum (``grape.SpinSectors``) evaluates all of the schedule's
-    ``boundary_times`` and ``boundary_areas`` at once.
+    slice boundaries at once: the return amplitudes on the grid
+    (dt, n + 1), then the ``boundary_areas``.
     """
     sectors = SpinSectors(model, psi0)
-    returns = sectors.returns(target, schedule.boundary_times)
+    returns = sectors.grid_returns(target, schedule.dt, schedule.n_slices + 1)
     return np.abs(spin_overlaps(sectors.hz, returns, schedule.boundary_areas)) ** 2
 
 
@@ -385,7 +390,7 @@ def open_system_trace(
         rates[src] += rate
     sectors = SpinSectors(model, psi0)
     times, areas = schedule.boundary_times, schedule.boundary_areas
-    returns = sectors.returns(target, times)
+    returns = sectors.grid_returns(target, schedule.dt, times.size)
     half = 0.5 * model.n_sites
     decay = (half + sectors.hz) * rates["up"] + (half - sectors.hz) * rates["down"]
     damped = np.exp(-0.5 * np.outer(times, decay)) * returns
@@ -410,7 +415,9 @@ def ensemble_average(
     ``grape.SpinSectors`` serves the ensemble: one evaluation of the pair
     law gives every sample geometry's drift, and the samples go in chunks
     of CHUNK_ELEMENTS / (boundaries x largest block), one stacked ``eigh``
-    call per sector size and chunk. Field noise moves only the areas, so
+    call per sector size and chunk, whose return amplitudes at every slice
+    boundary come from one ``grid_returns`` ladder product per block
+    size. Field noise moves only the areas, so
     without geometry noise one set of return amplitudes serves every
     sample. An ensemble of more than MAX_TRACE_STACK populations is refused
     before any draw.
@@ -436,7 +443,7 @@ def ensemble_average(
         rows = slice(start, start + chunk)
         if start == 0 or geometry_noise:
             # (samples in the chunk, boundaries, sectors)
-            returns = sectors.returns(target, times, rows)
+            returns = sectors.grid_returns(target, schedule.dt, times.size, rows)
         chunk_areas = areas[rows] if field_noise else areas
         traces[rows] = np.abs(spin_overlaps(sectors.hz, returns, chunk_areas)) ** 2
     finals = traces[:, -1]

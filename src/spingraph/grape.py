@@ -12,7 +12,8 @@ duration and field area; it runs every stage of the staged protocol.
 ``SpinSectors`` and ``spin_overlaps`` sum it over the magnetization
 sectors of a chain model, the whole spin path: ``optimize``,
 ``scan_duration`` (one decomposition for its whole grid) and the traces
-of ``dynamics``.
+of ``dynamics``, which take all slice boundaries as one baby-step
+giant-step product.
 The landscape depends on a schedule only through (T, A), and its
 gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. So the
 optimizer is gradient ascent on the scalar area A with a backtracking
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping
 
@@ -228,7 +230,8 @@ def gaussian_guess(n_slices: int, t_total: float, b0: float) -> ControlSchedule:
     sigma = GAUSSIAN_WIDTH
     k = np.arange(n_slices)
     t_g = (k + 0.5) / n_slices - 0.5
-    amps = b0 / (np.sqrt(2.0 * np.pi) * sigma) * np.exp(-(t_g**2) / (2.0 * sigma**2))
+    with np.errstate(over="ignore"):  # ControlSchedule refuses an amplitude that overflows
+        amps = b0 / (np.sqrt(2.0 * np.pi) * sigma) * np.exp(-(t_g**2) / (2.0 * sigma**2))
     return ControlSchedule(t_total=t_total, amplitudes=amps)
 
 
@@ -263,8 +266,12 @@ class ClosedFormPropagator:
     values raises ``GrapeError``, as H need not commute with Hz there.
     ``states`` and ``overlaps`` put the stack axes first, then the shape
     of (t, A). ``overlaps`` folds the input state and the target into one
-    weight per eigenvector, (psi . V*) (target* . V), so each overlap is
-    one product of that weight row with the phases exp(-i (t w + A h)).
+    weight row W = (psi . V*) (target* . V) per eigenvector and evaluates
+    the durations t + s for every offset s at once: with the phase rows
+    big = exp(-i (t w + A h)) and small = exp(-i s w), the overlaps are the
+    one product big @ (W small)^T. A single duration per (t, A) is the
+    offset s = 0, whose row of ones leaves W as it is; ``SpinSectors``
+    lays a uniform grid out as giant steps t and baby steps s.
     """
 
     def __init__(self, h: np.ndarray, hz_diag: np.ndarray):
@@ -278,7 +285,7 @@ class ClosedFormPropagator:
 
     def _phases(self, t, area) -> tuple[tuple, np.ndarray]:
         # the results' shape, and the (stack..., one flat axis of the (t, area)
-        # pairs, k) phases, built in place: the largest array of an ensemble
+        # pairs, k) phases, built in place
         t, area = np.broadcast_arrays(t, area)
         phases = np.reshape(t, (-1, 1)) * self._w[..., None, :]
         phases += np.reshape(area, (-1, 1)) * self._hz
@@ -293,11 +300,15 @@ class ClosedFormPropagator:
         components = np.multiply(psi[..., None, :] @ self._v.conj(), phases, out=phases)
         return (components @ self._v.swapaxes(-1, -2)).reshape(shape + self._v.shape[-1:])
 
-    def overlaps(self, target: np.ndarray, psi: np.ndarray, t, area) -> np.ndarray:
-        """<target| exp(-i H t) exp(-i A Hz) |psi>, one per (t, area)."""
-        shape, phases = self._phases(t, area)
+    def overlaps(self, target: np.ndarray, psi: np.ndarray, t, area, offsets=0.0) -> np.ndarray:
+        """<target| exp(-i H (t + s)) exp(-i A Hz) |psi>, one per (t, area)
+        and time offset s, in the shape of (t, area) followed by that of
+        ``offsets``."""
+        shape, big = self._phases(t, area)
+        offsets = np.asarray(offsets, dtype=float)
+        small = np.exp(-1j * (np.reshape(offsets, (-1, 1)) * self._w[..., None, :]))
         weights = (psi[..., None, :] @ self._v.conj()) * (target.conj()[..., None, :] @ self._v)
-        return (phases @ weights.swapaxes(-1, -2)).reshape(shape)
+        return (big @ (weights * small).swapaxes(-1, -2)).reshape(shape + offsets.shape)
 
 
 class SpinSectors:
@@ -308,8 +319,12 @@ class SpinSectors:
     <target| exp(-i H0 t) exp(-i A Hz) |psi0> = sum_b exp(-i A h_b) c_b(t),
     with c_b(t) = <target| P_b exp(-i H0 t) |psi0> the block's return
     amplitude (Gorin et al., Phys. Rep. 435, 33 (2006)): ``returns`` gives
-    the c_b, ``spin_overlaps`` the sum, both listing the blocks by their
-    smallest basis index. Sectors m and N - m have one size, so one
+    the c_b at any durations, ``grid_returns`` on the uniform grid of a
+    schedule's slice boundaries, given as (dt, n + 1) and never inferred
+    from the times, and ``spin_overlaps`` the sum, all listing the blocks
+    by their smallest basis index. Both evaluate through the one
+    ``ClosedFormPropagator.overlaps`` product, arbitrary durations as its
+    single-offset case. Sectors m and N - m have one size, so one
     ``eigh`` decomposes both (one per block size, see
     ``operators.BlockPattern``). A (G, N, 3) stack of Rydberg atom
     ``positions`` gives one drift per geometry.
@@ -346,18 +361,31 @@ class SpinSectors:
     def _first_kernels(self) -> list[tuple]:
         return self._kernels(0)
 
-    def returns(self, target: np.ndarray, t, rows=None) -> np.ndarray:
-        """c_b(t) on the last axis, after the shape of t and, for a slice of
-        geometry ``rows``, a first stack axis. Without ``rows``, the first
-        drift, decomposed once and kept; an index or a slice decomposes
-        those drifts for this call only."""
+    def returns(self, target: np.ndarray, t, rows=None, offsets=0.0) -> np.ndarray:
+        """c_b(t + s) on the last axis, after the shapes of t and of the time
+        ``offsets`` s and, for a slice of geometry ``rows``, a first stack
+        axis. Without ``rows``, the first drift, decomposed once and kept;
+        an index or a slice decomposes those drifts for this call only."""
         kernels = self._first_kernels if rows is None else self._kernels(rows)
         parts = []
         for idx, kernel, axis in kernels:
-            c = kernel.overlaps(target[idx], self._psi0[idx], t, 0.0)
+            c = kernel.overlaps(target[idx], self._psi0[idx], t, 0.0, offsets)
             # the stack's block axis, after any geometry axis, goes last
             parts.append(np.moveaxis(c, axis, -1))
         return np.concatenate(parts, axis=-1)[..., self._order]
+
+    def grid_returns(self, target: np.ndarray, dt: float, count: int, rows=None) -> np.ndarray:
+        """``returns`` at the ``count`` times k dt of a uniform grid, such as
+        a schedule's slice boundaries (dt, n + 1), as a (count, blocks)
+        array after any geometry axis. The grid goes in ceil(count / B)
+        giant steps a B dt of B = ceil(sqrt(count)) baby steps b dt each,
+        exp(-i (a B + b) dt w) = exp(-i a B dt w) exp(-i b dt w) (the
+        baby-step giant-step split of Paterson & Stockmeyer, SIAM J.
+        Comput. 2, 60 (1973)): each block takes about 2 sqrt(count) phase
+        rows, not count."""
+        steps = math.isqrt(count - 1) + 1  # B
+        c = self.returns(target, dt * np.arange(0, count, steps), rows, dt * np.arange(steps))
+        return c.reshape(c.shape[:-3] + (-1, c.shape[-1]))[..., :count, :]
 
 
 def spin_overlaps(hz: np.ndarray, returns: np.ndarray, area) -> np.ndarray:

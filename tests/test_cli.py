@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -632,6 +633,9 @@ BAD_DURATIONS = ("0", "-1", "nan", "inf")
         ["optimize", "--n", "3", "--t", "0.141", "--slices", "300000000"],
         ["scan-t", "--n", "3", "--steps", "100000000"],
         ["analytic", "--scan", "--b-points", "100000", "--t-points", "100000"],
+        ["analytic", "--scan", "--b-points", "-3"],
+        ["analytic", "--scan", "--t-points", "0"],
+        ["analytic", "--scan", "--b-points", "-3", "--t-points", "-3"],
         *(["optimize", "--n", "3", "--t", t] for t in BAD_DURATIONS),
         *(["scan-t", "--t-min", t, "--t-max", "0.16", "--steps", "3"] for t in BAD_DURATIONS),
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1"],
@@ -643,7 +647,7 @@ BAD_DURATIONS = ("0", "-1", "nan", "inf")
     ids=lambda args: " ".join(args),
 )
 def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monkeypatch, args):
-    """Refused before any schedule is optimized."""
+    """Refused before any schedule is optimized or any result printed."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "negative_decay.yaml").write_text("jumps:\n  gamma_up: -1\n", encoding="utf-8")
     calls = []
@@ -652,10 +656,31 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
     assert calls == []
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert f"Error: {args[0]} failed: " in result.output
+    assert result.output.startswith(f"Error: {args[0]} failed: ")
+    assert result.output.count("\n") == 1
     assert "Traceback" not in result.output
     if args[0] == "table":
         assert "Error: table failed: decay rates must be non-negative" in result.output
+    if args[0] == "analytic" and "-3" in args:
+        assert result.output == "Error: analytic failed: --b-points must be positive, not -3\n"
+    if args[0] == "analytic" and "0" in args:
+        assert result.output == "Error: analytic failed: --t-points must be positive, not 0\n"
+
+
+def test_guess_amplitude_that_overflows_is_refused_without_a_warning(runner, tmp_path):
+    # b0 / (sqrt(2 pi) sigma) overflows for b0 = 1e308: the schedule's
+    # refusal is the whole output, with warnings turned into errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(
+            main, ["optimize", "--n", "3", "--t", "0.14", "--b0", "1e308",
+                   "--out", str(tmp_path / "s.json")],
+        )
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (
+        "Error: optimize failed: slice amplitudes and their field areas must be finite\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 SCHEDULE_N3 = str(INPUTS / "schedules" / "rydberg_n3.json")
@@ -707,6 +732,7 @@ def test_an_output_under_a_file_fails_before_any_work(runner, tmp_path, monkeypa
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith(f"Error: {command} failed: [Errno ")
     assert result.output.count("\n") == 1
+    assert "Traceback" not in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
 
 

@@ -894,6 +894,117 @@ def test_real_block_overlaps_take_the_field_area():
         assert abs(got[row, j] - np.vdot(target, dense)) < 1e-13
 
 
+#: Grid sizes of the ladder tests: one point, perfect squares and their
+#: neighbours, the 101 boundaries of a 100-slice schedule, and 10^4 slices.
+LADDER_COUNTS = [1, 2, 3, 4, 5, 10, 11, 101, 10001]
+
+
+@pytest.mark.parametrize("count", LADDER_COUNTS)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_ladder_product_matches_per_point_overlaps(dtype, count):
+    # a (G, S, k, k) stack of real symmetric or complex Hermitian blocks,
+    # each with its own Hz value and input: the grid k dt, k < count, as
+    # ceil(count / B) giant durations with B = ceil(sqrt(count)) offsets
+    # each, in one product, against one overlap per grid point
+    rng = np.random.default_rng(count)
+    h = random_hermitian(rng, (2, 3, 5, 5))
+    h = h.real if dtype is float else h
+    hz = np.repeat(np.array([-1.0, 0.0, 2.0])[:, None], 5, axis=1)
+    psi = np.stack([random_state(rng, 5) for _ in range(3)])
+    target = np.stack([random_state(rng, 5) for _ in range(3)])
+    dt, steps = 2.0 / count, math.ceil(math.sqrt(count))
+    prop = ClosedFormPropagator(h, hz)
+    ladder = prop.overlaps(target, psi, dt * np.arange(0, count, steps), 0.7, dt * np.arange(steps))
+    assert ladder.shape == (2, 3, math.ceil(count / steps), steps)
+    points = prop.overlaps(target, psi, dt * np.arange(count), 0.7)
+    np.testing.assert_allclose(
+        ladder.reshape(2, 3, -1)[..., :count], points, rtol=0, atol=1e-14
+    )
+
+
+def test_a_zero_offset_leaves_the_overlaps_bit_for_bit():
+    # arbitrary durations are the single-offset case: the default offset 0
+    # keeps the shape of (t, A), and its row of ones leaves the product of
+    # the phase rows with the weight row W = (psi V*) (target* V) exact
+    rng = np.random.default_rng(14)
+    h = random_hermitian(rng, (3, 4, 4))
+    psi, target = random_state(rng, 4), random_state(rng, 4)
+    t, area = np.broadcast_arrays(rng.uniform(0.1, 2.0, (2, 1)), rng.uniform(-4.0, 4.0, 5))
+    prop = ClosedFormPropagator(h, np.full(4, 1.5))
+    got = prop.overlaps(target, psi, t, area)
+    assert got.shape == (3, 2, 5)
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * (t.reshape(-1, 1) * w[:, None, :] + area.reshape(-1, 1) * 1.5))
+    weights = (psi[None, :] @ v.conj()) * (target.conj()[None, :] @ v)
+    assert np.array_equal(got, (phases @ weights.swapaxes(-1, -2)).reshape(3, 2, 5))
+
+
+@pytest.mark.parametrize("count", LADDER_COUNTS)
+@pytest.mark.parametrize("kind", ["ideal", "rydberg", "geometries"])
+def test_grid_returns_match_per_point_returns(kind, count):
+    # SpinSectors on the grid (dt, count) against ``returns`` at each grid
+    # point k dt: the model's own real blocks, and a (G, N, 3) stack of
+    # atom positions, whose drifts come as (G, S, k, k) stacks
+    n_sites, positions, rows = 5, None, None
+    if kind == "ideal":
+        model, t_total = IdealModel(n_sites), 3.0
+    else:
+        model, t_total = RydbergModel(ChainGeometry.regular(n_sites)), 0.3
+    if kind == "geometries":
+        rng = np.random.default_rng(count)
+        positions = model.geometry.positions + rng.normal(0.0, 0.2, (3, n_sites, 3))
+        rows = slice(None)
+    sectors = SpinSectors(model, plus_product_state(n_sites), positions)
+    target, dt = complete_graph_state(n_sites), t_total / count
+    got = sectors.grid_returns(target, dt, count, rows)
+    want = sectors.returns(target, dt * np.arange(count), rows)
+    assert got.shape == want.shape == (3,) * (kind == "geometries") + (count, n_sites + 1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_grid_returns_take_giant_and_baby_phase_rows(monkeypatch):
+    # B = ceil(sqrt(count)) baby steps and ceil(count / B) giant steps per
+    # kernel call, 10 + 11 phase rows for the 101 boundaries of 100 slices,
+    # never one row per grid point
+    calls = []
+    original = ClosedFormPropagator.overlaps
+
+    def spy(self, target, psi, t, area, offsets=0.0):
+        calls.append((np.size(t), np.size(offsets)))
+        return original(self, target, psi, t, area, offsets)
+
+    monkeypatch.setattr(ClosedFormPropagator, "overlaps", spy)
+    sectors = SpinSectors(IdealModel(4), plus_product_state(4))
+    for count in LADDER_COUNTS:
+        calls.clear()
+        sectors.grid_returns(complete_graph_state(4), 0.01, count)
+        steps = math.ceil(math.sqrt(count))
+        assert set(calls) == {(math.ceil(count / steps), steps)}
+    calls.clear()
+    sectors.grid_returns(complete_graph_state(4), 0.01, 101)
+    assert set(calls) == {(10, 11)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sites=st.integers(2, 5),
+    ideal=st.booleans(),
+    count=st.integers(1, 3000),
+    t_total=st.floats(1e-3, 1.0),
+)
+def test_grid_returns_match_per_point_returns_for_any_grid(n_sites, ideal, count, t_total):
+    """Any step dt and grid size: the ladder split equals one overlap per
+    point, for grids whose last point stays within a microsecond (three
+    in J units), where the phases t w round alike either way."""
+    model = IdealModel(n_sites) if ideal else RydbergModel(ChainGeometry.regular(n_sites))
+    dt = (3.0 if ideal else 1.0) * t_total / count
+    sectors = SpinSectors(model, plus_product_state(n_sites))
+    target = complete_graph_state(n_sites)
+    got = sectors.grid_returns(target, dt, count)
+    want = sectors.returns(target, dt * np.arange(count))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("target_form", list(TargetForm), ids=lambda f: f.value)
 @pytest.mark.parametrize("kind", ["ideal", "rydberg"])
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6, 7])
