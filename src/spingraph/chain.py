@@ -1,9 +1,10 @@
 """Hamiltonian builders: ideal XX chain, global-field control term, and the
 Rydberg dipolar chain with its long-range error terms.
 
-Every Hamiltonian here is one ``drift_terms`` triple (term moves, their
-coefficients, a real diagonal), summed densely by ``operators.hermitian_sum``
-or block by block by ``operators.BlockPattern``.
+Every Hamiltonian here is one ``drift_terms`` triple (a coupling list of
+(site, to, from) terms, their coefficients, a real diagonal), summed
+densely by ``operators.hermitian_sum`` or block by block by
+``operators.BlockPattern``.
 
 Two drift models are supported. The ideal model is a nearest-neighbor XX
 chain with a single coupling J (dimensionless units, J = 1 by default).
@@ -22,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .operators import SPIN_BASIS, LocalBasis, hermitian_sum, site_levels, transition_indices
+from .operators import SPIN_BASIS, LocalBasis, Term, hermitian_sum, site_levels, transition_indices
 
 __all__ = [
     "ChainGeometry",
@@ -196,10 +197,10 @@ def _pair_strengths(positions: np.ndarray, delta_r: float) -> tuple[np.ndarray, 
     return tuple(np.asarray(s, dtype=float) for s in strengths)
 
 
-def _flip_flop(i: int, j: int) -> dict[int, tuple[str, str]]:
-    """Moves of |up><down|_i |down><up|_j; ``hermitian_sum`` adds the
+def _flip_flop(i: int, j: int) -> Term:
+    """The term |up><down|_i |down><up|_j; ``hermitian_sum`` adds the
     conjugate, so the term with coefficient v is v (|ud><du| + h.c.)."""
-    return {i: ("up", "down"), j: ("down", "up")}
+    return (i, "up", "down"), (j, "down", "up")
 
 
 def build_control_hz_diagonal(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
@@ -216,14 +217,14 @@ def build_control_hz_diagonal(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> n
 def build_control_hz(n_sites: int, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:
     """Global control term sum_i S^z_i as a dense matrix; its diagonal is
     ``build_control_hz_diagonal``."""
-    return hermitian_sum([], [], build_control_hz_diagonal(n_sites, basis), n_sites, basis)
+    return hermitian_sum((), (), build_control_hz_diagonal(n_sites, basis), n_sites, basis)
 
 
 def drift_terms(
     model: ModelKind, basis: LocalBasis = SPIN_BASIS, positions: np.ndarray | None = None
-) -> tuple[list[dict[int, tuple[str, str]]], np.ndarray, np.ndarray]:
-    """H0 as the ``hermitian_sum`` moves of its terms, their coefficients
-    and its real diagonal.
+) -> tuple[tuple[Term, ...], np.ndarray, np.ndarray]:
+    """H0 as the ``hermitian_sum`` coupling list of its terms, their
+    coefficients and its real diagonal.
 
     Ideal: J times the flip-flop of every bond, and a zero diagonal.
     Rydberg: the dipolar flip-flop of every pair, nearest-neighbor bonds
@@ -231,30 +232,29 @@ def drift_terms(
     order), and the van der Waals shifts of like levels on the diagonal.
     ``positions``, a (G, N, 3) stack of atom positions for a Rydberg model
     (its delta_r kept), gives one row of coefficients and one diagonal per
-    geometry from one evaluation of the pair law; the moves are the same
+    geometry from one evaluation of the pair law; the terms are the same
     for all of them. Without ``positions`` the triple is memoised per
     (model, basis), the last 32 of them, as models compare and hash by
-    value: its arrays are read-only, and each call gets its own copy of
-    the moves.
+    value, and every call returns the same triple: its terms are a tuple
+    and its arrays are read-only.
     """
     if positions is None:
-        moves, coeffs, diagonal = _model_terms(model, basis)
-        return [dict(m) for m in moves], coeffs, diagonal
+        return _model_terms(model, basis)
     return _drift_terms(model, basis, positions)
 
 
 @functools.lru_cache(maxsize=32)
 def _model_terms(model: ModelKind, basis: LocalBasis) -> tuple:
-    moves, coeffs, diagonal = _drift_terms(model, basis, None)
+    terms, coeffs, diagonal = _drift_terms(model, basis, None)
     coeffs.flags.writeable = diagonal.flags.writeable = False
-    return moves, coeffs, diagonal
+    return terms, coeffs, diagonal
 
 
 def _drift_terms(model: ModelKind, basis: LocalBasis, positions: np.ndarray | None) -> tuple:
     n = model.n_sites
     if isinstance(model, IdealModel):
-        moves = [_flip_flop(i, i + 1) for i in range(n - 1)]
-        return moves, np.full(n - 1, model.coupling), np.zeros(basis.dim**n)
+        terms = tuple(_flip_flop(i, i + 1) for i in range(n - 1))
+        return terms, np.full(n - 1, model.coupling), np.zeros(basis.dim**n)
     if not isinstance(model, RydbergModel):
         raise TypeError(f"unknown model kind: {type(model).__name__}")
     geometry = model.geometry
@@ -265,10 +265,10 @@ def _drift_terms(model: ModelKind, basis: LocalBasis, positions: np.ndarray | No
     shifts = np.zeros(dipoles.shape[:-1] + (basis.dim**n,))
     for p, (i, j) in enumerate(pairs):
         for level, shift in zip(VDW_LEVELS, vdw):
-            _, both = transition_indices(n, basis, {i: (level, level), j: (level, level)})
+            _, both = transition_indices(n, basis, ((i, level, level), (j, level, level)))
             shifts[..., both] += shift[..., p, None]
     bonds_first = sorted(range(len(pairs)), key=lambda p: pairs[p][1] > pairs[p][0] + 1)
-    return [_flip_flop(*pairs[p]) for p in bonds_first], dipoles[..., bonds_first], shifts
+    return tuple(_flip_flop(*pairs[p]) for p in bonds_first), dipoles[..., bonds_first], shifts
 
 
 def assemble_system(model: ModelKind, basis: LocalBasis = SPIN_BASIS) -> np.ndarray:

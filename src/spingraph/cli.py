@@ -42,6 +42,7 @@ from .config import (
 from .dynamics import closed_system_trace, ensemble_average, open_system_trace
 from .grape import (
     GrapeConfig,
+    check_scan_grid,
     optimize as run_optimize,
     scan_duration,
     schedule_from_record,
@@ -49,7 +50,7 @@ from .grape import (
     save_result,
     load_result,
 )
-from .operators import MAX_TRACE_STACK, PROTOCOL_BASIS, site_levels
+from .operators import PROTOCOL_BASIS, check_trace_stack, site_levels
 from .protocol import run_full_protocol, standard_plan, write_timeline_csv
 from .targets import TargetForm, complete_graph_state, plus_product_state, target_state
 
@@ -426,6 +427,8 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
 def cmd_scan_t(config_path, out_prefix, **overrides) -> None:
     """Optimize across a duration grid and report the population peaks."""
     cfg = _merged_config(config_path, **overrides)
+    # bounds refused by name, before t_max stands in for each point's duration
+    check_scan_grid(cfg.t_min, cfg.t_max, cfg.scan_steps)
     grape_cfg = _grape_config(apply_overrides(cfg, t_total=cfg.t_max))
     paths = _float_outputs(cfg, out_prefix, "curve", "peaks")
     scan = scan_duration(grape_cfg, cfg.t_min, cfg.t_max, cfg.scan_steps)
@@ -477,11 +480,7 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
         for option, points in (("--b-points", b_points), ("--t-points", t_points)):
             if points < 1:
                 raise ValueError(f"{option} must be positive, not {points}")
-        if b_points * t_points > MAX_TRACE_STACK:
-            raise ValueError(
-                f"{b_points} x {t_points} grid points exceed the scan budget of "
-                f"{MAX_TRACE_STACK} populations"
-            )
+        check_trace_stack({"B points": b_points, "t points": t_points}, "scan")
     paths = _float_outputs(cfg, out_prefix, "grid", "maxima") if scan else None
     solution = constant_field_params(c1, c2, j_coupling)
     pop_closed = constant_field_population(j_coupling, solution.b, solution.t_star)

@@ -32,9 +32,9 @@ from .chain import (
 from .grape import ControlSchedule, SpinSectors, boundary_areas, spin_overlaps
 from .operators import (
     EMISSION_BASIS,
-    MAX_TRACE_STACK,
     SPIN_BASIS,
     LocalBasis,
+    check_trace_stack,
     transition_indices,
 )
 
@@ -126,11 +126,7 @@ class NoiseSpec:
     def check_trace_budget(self, boundaries: int) -> None:
         """Refuse an ensemble whose traces, ``samples`` x ``boundaries``
         populations, exceed MAX_TRACE_STACK."""
-        if self.samples * boundaries > MAX_TRACE_STACK:
-            raise ValueError(
-                f"{self.samples} samples x {boundaries} slice boundaries exceed the "
-                f"ensemble budget of {MAX_TRACE_STACK} populations"
-            )
+        check_trace_stack({"samples": self.samples, "slice boundaries": boundaries}, "ensemble")
 
 
 @dataclass
@@ -184,7 +180,7 @@ class _LindbladRhs:
             for src_name, dst_name, rate in jumps.channels:
                 if rate == 0.0:
                     continue
-                dst, src = transition_indices(n_sites, basis, {site: (dst_name, src_name)})
+                dst, src = transition_indices(n_sites, basis, ((site, dst_name, src_name),))
                 self.gains.append((rate, src, dst))
                 self.decay[src] += rate
 

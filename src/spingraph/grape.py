@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelKind, build_control_hz_diagonal, drift_terms
-from .operators import MAX_TRACE_STACK, SPIN_BASIS, block_pattern
+from .operators import MAX_TRACE_STACK, SPIN_BASIS, block_pattern, check_trace_stack
 from .targets import TargetForm, plus_product_state, target_state
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "make_guess",
     "optimize",
     "reduce_field_winding",
+    "check_scan_grid",
     "scan_duration",
     "local_maxima",
     "schedule_to_record",
@@ -89,9 +90,9 @@ class GrapeError(ValueError):
     non-finite landscape)."""
 
 
-def _check_duration(t_total: float) -> None:
+def _check_duration(t_total: float, name: str = "t_total") -> None:
     if not (np.isfinite(t_total) and t_total > 0.0):
-        raise ValueError("t_total must be finite and positive")
+        raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -330,17 +331,17 @@ class SpinSectors:
     ``positions`` gives one drift per geometry.
 
     The block layout comes from ``operators.block_pattern``, memoised per
-    (moves, N, basis, support of psi0) for the last 32 layouts, so every
+    (terms, N, basis, support of psi0) for the last 32 layouts, so every
     sector sum of one chain shares it. The first drift is decomposed once,
     on first use, and serves every later duration and target.
     """
 
     def __init__(self, model: ModelKind, psi0: np.ndarray, positions: np.ndarray | None = None):
-        moves, coeffs, diagonals = drift_terms(model, SPIN_BASIS, positions)
+        terms, coeffs, diagonals = drift_terms(model, SPIN_BASIS, positions)
         # one row per geometry: every position set's, or the model's own
         self._coeffs, self._diagonals = np.atleast_2d(coeffs), np.atleast_2d(diagonals)
         self._psi0 = psi0
-        self._pattern = block_pattern(moves, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
+        self._pattern = block_pattern(terms, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
         self._hz = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
         #: the (S, k) basis indices of the S blocks of each size k
         self.indices = self._pattern.indices
@@ -382,7 +383,10 @@ class SpinSectors:
         exp(-i (a B + b) dt w) = exp(-i a B dt w) exp(-i b dt w) (the
         baby-step giant-step split of Paterson & Stockmeyer, SIAM J.
         Comput. 2, 60 (1973)): each block takes about 2 sqrt(count) phase
-        rows, not count."""
+        rows, not count. More than MAX_TRACE_STACK amplitudes per drift
+        are refused before any is evaluated."""
+        sizes = {"slice boundaries": count, "sectors": self.hz.size}
+        check_trace_stack(sizes, "return", "amplitudes")
         steps = math.isqrt(count - 1) + 1  # B
         c = self.returns(target, dt * np.arange(0, count, steps), rows, dt * np.arange(steps))
         return c.reshape(c.shape[:-3] + (-1, c.shape[-1]))[..., :count, :]
@@ -499,6 +503,17 @@ def reduce_field_winding(schedule: ControlSchedule) -> ControlSchedule:
 MAX_SCAN_STEPS = 10_000
 
 
+def check_scan_grid(t_min: float, t_max: float, steps: int) -> None:
+    """Refuse a duration grid unless its bounds are finite and positive
+    (naming the bound), t_min < t_max, and it has 2 to MAX_SCAN_STEPS points."""
+    _check_duration(t_min, "t_min")
+    _check_duration(t_max, "t_max")
+    if not t_min < t_max:
+        raise ValueError("t_min must be below t_max")
+    if not 2 <= steps <= MAX_SCAN_STEPS:
+        raise ValueError(f"the duration grid needs 2 to {MAX_SCAN_STEPS} points, not {steps}")
+
+
 def scan_duration(
     config: GrapeConfig, t_min: float, t_max: float, steps: int
 ) -> ScanResult:
@@ -510,10 +525,7 @@ def scan_duration(
     Returns the (T, optimized population) curve in increasing T and its
     interior local maxima ranked by population, dominant first.
     """
-    if not t_min < t_max:
-        raise ValueError("t_min must be below t_max")
-    if not 2 <= steps <= MAX_SCAN_STEPS:
-        raise ValueError(f"the duration grid needs 2 to {MAX_SCAN_STEPS} points, not {steps}")
+    check_scan_grid(t_min, t_max, steps)
     grid = np.linspace(t_min, t_max, steps)
     # one decomposition of the drift serves every duration of the grid
     sectors = SpinSectors(config.model, plus_product_state(config.model.n_sites))

@@ -20,15 +20,17 @@ Conventions
   rule; every Hamiltonian, drive, jump and state is built from its table,
   mostly through ``transition_indices``. Both tables are memoised and
   returned read-only, so every caller shares one copy.
-* A Hamiltonian is one ``chain.drift_terms`` triple (term moves, their
-  coefficients, a real diagonal): ``BlockPattern`` fills the blocks a
-  state reaches, one stack per block size, and the dense
-  ``hermitian_sum`` is their reference. ``block_pattern`` memoises the
-  layouts, so every caller with the same moves and support shares one.
+* A Hamiltonian is one ``chain.drift_terms`` triple: a coupling list (a
+  tuple of terms, each a tuple of (site, to, from) triples on distinct
+  sites), its coefficients and a real diagonal. ``BlockPattern`` fills the
+  blocks a state reaches, one stack per block size; the dense
+  ``hermitian_sum`` is their reference. The memos key on the immutable
+  terms as they are; ``block_pattern`` shares one layout per (terms, support).
 * Three budgets: dense matrices (operators, Hamiltonians, blocks) stay
   within MAX_DIM, state vectors and the site-level table within
-  MAX_STATE_DIM, and the population traces of one noise ensemble (samples
-  times slice boundaries) within MAX_TRACE_STACK.
+  MAX_STATE_DIM, and one stack of traces (an ensemble's populations, a
+  drift's sector returns or a protocol stage's states at every slice
+  boundary) within MAX_TRACE_STACK.
 * ``sigma_z |up> = +|up>`` and ``S_z = sigma_z / 2``.
 * hbar = 1. Energies and Rabi rates are angular frequencies in rad/us,
   times in us. A value quoted as "2 pi x f MHz" enters as 2*pi*f rad/us.
@@ -38,8 +40,9 @@ Conventions
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +54,7 @@ __all__ = [
     "embed_local_operator",
     "two_site_operator",
     "site_levels",
+    "Term",
     "transition_indices",
     "hermitian_sum",
     "BlockPattern",
@@ -59,6 +63,7 @@ __all__ = [
     "basis_state",
     "product_state",
     "check_hermitian",
+    "check_trace_stack",
 ]
 
 #: Largest dense matrix dimension.
@@ -70,6 +75,9 @@ MAX_STATE_DIM = 5**6
 MAX_TRACE_STACK = 10**7
 
 HERMITICITY_TOL = 1e-9
+
+#: One term: a (site, to, from) triple per acted-on site, each site once.
+Term = tuple[tuple[int, str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -171,28 +179,24 @@ def site_levels(n_sites: int, d: int) -> np.ndarray:
     return _read_only(np.arange(d**n_sites)[:, None] // _place_values(n_sites, d) % d)
 
 
+@functools.lru_cache(maxsize=256)
 def transition_indices(
-    n_sites: int, basis: LocalBasis, moves: Mapping[int, tuple[str, str]]
+    n_sites: int, basis: LocalBasis, term: Term
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index form of a product of single-site transitions |to><from|.
 
-    ``moves`` maps each acted-on site to its (to, from) level names; the
-    other sites carry the identity. Returns (dst, src), src ascending, such
-    that the operator is sum_k |dst_k><src_k|; to == from on every site
-    gives a projector (dst == src). Memoised per (n_sites, basis, moves);
-    both arrays are read-only.
+    ``term`` holds one (site, to, from) triple per acted-on site, each site
+    once; the other sites carry the identity. Returns (dst, src), src
+    ascending, such that the operator is sum_k |dst_k><src_k|; to == from
+    on every site gives a projector (dst == src). Memoised per (n_sites,
+    basis, term); both arrays are read-only.
     """
-    return _transition_indices(n_sites, basis, tuple(moves.items()))
-
-
-@functools.lru_cache(maxsize=256)
-def _transition_indices(
-    n_sites: int, basis: LocalBasis, moves: tuple[tuple[int, tuple[str, str]], ...]
-) -> tuple[np.ndarray, np.ndarray]:
+    sites = [site for site, _, _ in term]
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"a term names each site once, not {sites}")
     levels = site_levels(n_sites, basis.dim)
-    sites = [site for site, _ in moves]
-    to = np.array([basis.index(pair[0]) for _, pair in moves], dtype=int)
-    frm = np.array([basis.index(pair[1]) for _, pair in moves], dtype=int)
+    to = np.array([basis.index(name) for _, name, _ in term], dtype=int)
+    frm = np.array([basis.index(name) for _, _, name in term], dtype=int)
     src = np.flatnonzero(np.all(levels[:, sites] == frm, axis=1))
     return _read_only(src + (to - frm) @ _place_values(n_sites, basis.dim)[sites]), _read_only(src)
 
@@ -203,20 +207,20 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 
 
 def hermitian_sum(
-    moves: Sequence[Mapping[int, tuple[str, str]]],
+    terms: Sequence[Term],
     coeffs: Sequence[complex],
     diagonal: np.ndarray,
     n_sites: int,
     basis: LocalBasis,
 ) -> np.ndarray:
-    """Dense h = sum of coeff T + h.c. over the (moves, coeffs) terms,
+    """Dense h = sum of coeff T + h.c. over the (terms, coeffs) pairs,
     plus diag(diagonal) added last, where T is the product of single-site
-    transitions of a term's moves (see ``transition_indices``). Refuses an
+    transitions of a term (see ``transition_indices``). Refuses an
     over-budget dimension before any d^N x d^N allocation."""
     _check_dim_budget(basis.dim, n_sites)
     dim = basis.dim**n_sites
     h = np.zeros((dim, dim), dtype=complex)
-    for term, coeff in zip(moves, coeffs, strict=True):
+    for term, coeff in zip(terms, coeffs, strict=True):
         dst, src = transition_indices(n_sites, basis, term)
         h[dst, src] += coeff
         h[src, dst] += np.conj(coeff)
@@ -226,9 +230,9 @@ def hermitian_sum(
 
 class BlockPattern:
     """Where the entries of the blocks of a ``hermitian_sum`` land, for
-    one list of term moves; ``fill`` sums any coefficients and diagonal
-    into them, so a stack of Hamiltonians that share their moves shares
-    one pattern.
+    one list of terms; ``fill`` sums any coefficients and diagonal into
+    them, so a stack of Hamiltonians that share their terms shares one
+    pattern.
 
     The terms' transitions join basis indices into connected components,
     and h has no entry between two components. Each component holding an
@@ -243,10 +247,10 @@ class BlockPattern:
     theirs from ``block_pattern``, which memoises them.
     """
 
-    def __init__(self, moves: Sequence[Mapping], n_sites: int, basis: LocalBasis, support):
+    def __init__(self, terms: Sequence[Term], n_sites: int, basis: LocalBasis, support):
         _check_dim_budget(basis.dim, n_sites, MAX_STATE_DIM)
         dim = basis.dim**n_sites
-        edges = [transition_indices(n_sites, basis, m) for m in moves]
+        edges = [transition_indices(n_sites, basis, term) for term in terms]
         labels = _component_labels(dim, edges)
         reached = np.isin(labels, labels[support])
         rows = np.flatnonzero(reached)
@@ -291,7 +295,7 @@ class BlockPattern:
 
     def fill(self, coeffs: Sequence[complex], diagonal: np.ndarray) -> list[tuple]:
         """The (idx, blocks) pairs of h = sum of coeff T + h.c. over the
-        pattern's moves, plus diag(diagonal): one pair per block size k,
+        pattern's terms, plus diag(diagonal): one pair per block size k,
         idx the (S, k) ``indices`` and blocks the (S, k, k) stack, a view
         of one buffer. A (G, M) coefficient stack with a (G, dim) diagonal
         stack gives (G, S, k, k) stacks, one row per Hamiltonian. The
@@ -312,28 +316,18 @@ class BlockPattern:
         return list(zip(self.indices, blocks))
 
 
-def block_pattern(
-    moves: Sequence[Mapping], n_sites: int, basis: LocalBasis, support
-) -> BlockPattern:
-    """The ``BlockPattern`` of these moves and support indices, built once
-    and then shared. Memoised per (moves, n_sites, basis, support), the
+def block_pattern(terms: Sequence[Term], n_sites: int, basis: LocalBasis, support) -> BlockPattern:
+    """The ``BlockPattern`` of these terms and support indices, built once
+    and then shared. Memoised per (terms, n_sites, basis, support), the
     last 32 of them: a layout is a pure index structure, the same for
     every coefficient set, so a protocol stage or a spin-sector sum that
     recurs on one chain reuses it."""
-    key = tuple(tuple(m.items()) for m in moves)
-    return _block_pattern(key, n_sites, basis, np.asarray(support, dtype=np.intp).tobytes())
+    return _block_pattern(tuple(terms), n_sites, basis, np.asarray(support, np.intp).tobytes())
 
 
 @functools.lru_cache(maxsize=32)
-def _block_pattern(
-    moves: tuple[tuple[tuple[int, tuple[str, str]], ...], ...],
-    n_sites: int,
-    basis: LocalBasis,
-    support: bytes,
-) -> BlockPattern:
-    return BlockPattern(
-        [dict(m) for m in moves], n_sites, basis, np.frombuffer(support, dtype=np.intp)
-    )
+def _block_pattern(terms: tuple, n_sites: int, basis: LocalBasis, support: bytes) -> BlockPattern:
+    return BlockPattern(terms, n_sites, basis, np.frombuffer(support, dtype=np.intp))
 
 
 def _component_labels(dim: int, edges: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -406,6 +400,15 @@ def product_state(local: np.ndarray, n_sites: int) -> np.ndarray:
     for column in site_levels(n_sites, local.size).T:
         out *= local[column]
     return out
+
+
+def check_trace_stack(counts: dict[str, int], stack: str, unit: str = "populations") -> None:
+    """Refuse a ``stack`` of as many entries as the product of ``counts``
+    (name -> count) beyond MAX_TRACE_STACK, naming each count; callers
+    check before they allocate the stack."""
+    if math.prod(counts.values()) > MAX_TRACE_STACK:
+        sizes = " x ".join(f"{count} {name}" for name, count in counts.items())
+        raise ValueError(f"{sizes} exceed the {stack} budget of {MAX_TRACE_STACK} {unit}")
 
 
 def _check_dim_budget(local_dim: int, n_sites: int, budget: int = MAX_DIM) -> None:

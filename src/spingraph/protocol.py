@@ -32,12 +32,12 @@ master-equation module.
 A stage's couplings (drive transitions and dipolar flip-flops) conserve
 per-site level classes, so its Hamiltonian splits into small blocks, and
 the stage fills and diagonalizes only the blocks the state reaches (one
-``operators.BlockPattern`` over the drives and the plan's
-``chain.drift_terms`` interactions, evaluated once per plan), never the
-d^N x d^N matrix; blocks the state does not reach stay exactly zero.
-The layouts come from ``operators.block_pattern``, memoised per (moves,
-N, basis, support of the stage's input state) for the last 32 of them: a
-run has five, and every later run on a chain of that size reuses them.
+``operators.BlockPattern`` over the drives and the chain's memoised
+``chain.drift_terms`` interactions), never the d^N x d^N matrix; blocks
+the state does not reach stay exactly zero. The layouts come from
+``operators.block_pattern``, memoised per (terms, N, basis, support of
+the stage's input state) for the last 32 of them: a run has five, and
+every later run on a chain of that size reuses them.
 This is symmetry-block exact diagonalization (Sandvik, AIP Conf. Proc.
 1297, 135 (2010)). Blocks of one size go through one stacked ``eigh``:
 20 calls per N=3 run for 69 blocks. The largest block per stage grows
@@ -62,7 +62,6 @@ stage starts from the last.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +73,7 @@ from .operators import (
     SPIN_BASIS,
     basis_state,
     block_pattern,
+    check_trace_stack,
     product_state,
     site_levels,
 )
@@ -152,13 +152,6 @@ class ProtocolPlan:
     def n_sites(self) -> int:
         return self.geometry.n_sites
 
-    @functools.cached_property
-    def interactions(self) -> tuple:
-        """The ``chain.drift_terms`` triple of the chain's dipolar and van
-        der Waals interactions on the protocol basis, the same in every
-        stage: evaluated on first use and kept."""
-        return drift_terms(RydbergModel(self.geometry), PROTOCOL_BASIS)
-
 
 @dataclass
 class StageReport:
@@ -192,7 +185,8 @@ def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> Pr
 def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np.ndarray:
     """Evolve through one stage: the (n_slices, d^N) stack of states at the
     slice boundaries of the stage's schedule after t = 0, its last row the
-    stage's end state.
+    stage's end state. A stack beyond MAX_TRACE_STACK amplitudes is refused
+    before it is allocated.
 
     One stacked eigendecomposition per size of the reached blocks (see
     the module docstring). The field's factorization needs one Hz value on
@@ -207,17 +201,19 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
     # written so that a NaN norm is refused too
     if not abs(norm - 1.0) <= 1e-8:
         raise ValueError(f"stage input state not normalized (norm {norm})")
-    moves, coeffs, diagonal = plan.interactions
-    # each drive's (rate/2)(|a><b| + h.c.) on every atom, ahead of the interactions
-    moves = [{site: (a, b)} for a, b, _ in stage.drives for site in range(n)] + moves
-    coeffs = np.concatenate([[0.5 * rate for *_, rate in stage.drives for _ in range(n)], coeffs])
     schedule = stage.schedule
+    sizes = {"slice boundaries": schedule.n_slices, "basis states": dim}
+    check_trace_stack(sizes, "stage", "amplitudes")
+    terms, coeffs, diagonal = drift_terms(RydbergModel(plan.geometry), PROTOCOL_BASIS)
+    # each drive's (rate/2)(|a><b| + h.c.) on every atom, ahead of the interactions
+    terms = tuple(((site, a, b),) for a, b, _ in stage.drives for site in range(n)) + terms
+    coeffs = np.concatenate([[0.5 * rate for *_, rate in stage.drives for _ in range(n)], coeffs])
     # Hz only under a field, since it does not commute with the drives
     field = schedule.amplitudes.any()
     hz = build_control_hz_diagonal(n, PROTOCOL_BASIS) if field else np.zeros(dim)
     times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
     states = np.zeros((len(times), dim), dtype=complex)
-    pattern = block_pattern(moves, n, PROTOCOL_BASIS, np.flatnonzero(state))
+    pattern = block_pattern(terms, n, PROTOCOL_BASIS, np.flatnonzero(state))
     for idx, h in pattern.fill(coeffs, diagonal):
         # (blocks, times, k) from the propagator, (times, blocks, k) here
         stack = ClosedFormPropagator(h, hz[idx]).states(state[idx], times, areas)

@@ -42,8 +42,8 @@ U_DOWN_NN = -0.4197418579084047
 
 def dipole(geo, i=0, j=1):
     """The flip-flop coefficient of pair (i, j) in the Rydberg drift."""
-    moves, coeffs, _ = drift_terms(RydbergModel(geo))
-    return dict(zip(map(tuple, moves), coeffs))[i, j]
+    terms, coeffs, _ = drift_terms(RydbergModel(geo))
+    return dict(zip((tuple(site for site, *_ in term) for term in terms), coeffs))[i, j]
 
 
 def vdw_shifts(geo):
@@ -123,8 +123,8 @@ def test_drift_commutes_with_control():
 
 def test_dipole_nearest_neighbor_value():
     geo = ChainGeometry.regular(2)
-    moves, _, _ = drift_terms(RydbergModel(geo))
-    assert moves == [{0: ("up", "down"), 1: ("down", "up")}]
+    terms, _, _ = drift_terms(RydbergModel(geo))
+    assert terms == (((0, "up", "down"), (1, "down", "up")),)
     assert abs(dipole(geo) - V_NN) < 1e-10
     assert abs(V_NN + TWO_PI * 2.44260130362021) < 1e-10
 
@@ -219,13 +219,13 @@ def test_a_stack_of_positions_is_refused_by_its_first_failing_geometry():
 
 def test_model_drift_terms_are_memoised_read_only():
     # a model without positions evaluates its terms once, shared by equal
-    # models; the arrays are read-only and every call gets its own copy of
-    # the moves; a positions stack is evaluated afresh
+    # models: every call returns the same triple, its terms an immutable
+    # tuple and its arrays read-only; a positions stack is evaluated afresh
     model = RydbergModel(ChainGeometry.regular(4).with_delta_r(0.02))
-    moves, coeffs, diagonal = drift_terms(model)
-    again = drift_terms(RydbergModel(ChainGeometry.regular(4).with_delta_r(0.02)))
-    assert again[1] is coeffs and again[2] is diagonal and again[0] == moves
-    assert again[0] is not moves and again[0][0] is not moves[0]
+    terms, coeffs, diagonal = triple = drift_terms(model)
+    assert drift_terms(RydbergModel(ChainGeometry.regular(4).with_delta_r(0.02))) is triple
+    assert isinstance(terms, tuple) and all(isinstance(term, tuple) for term in terms)
+    assert hash(terms) == hash(drift_terms(model)[0])
     for array in (coeffs, diagonal):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -297,12 +297,12 @@ def test_pair_law_on_a_stack_gives_each_geometry_its_own_drift_bit_for_bit(n):
     rng = np.random.default_rng(n)
     base = ChainGeometry.regular(n).with_delta_r(0.013)
     stack = base.positions + rng.normal(0.0, 0.5, size=(5, n, 3))
-    moves, coeffs, diagonals = drift_terms(RydbergModel(base), SPIN_BASIS, stack)
+    terms, coeffs, diagonals = drift_terms(RydbergModel(base), SPIN_BASIS, stack)
     assert coeffs.shape == (5, n * (n - 1) // 2) and diagonals.shape == (5, 2**n)
     for positions, row, diagonal in zip(stack, coeffs, diagonals):
         one = RydbergModel(ChainGeometry(positions, base.delta_r))
-        one_moves, one_row, shifts = drift_terms(one)
-        assert one_moves == moves
+        one_terms, one_row, shifts = drift_terms(one)
+        assert one_terms == terms
         assert np.array_equal(row, one_row)
         assert np.array_equal(diagonal, shifts)
 

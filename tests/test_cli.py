@@ -18,6 +18,7 @@ from click.testing import CliRunner
 
 import spingraph.cli as cli
 import spingraph.dynamics as dynamics
+import spingraph.operators as operators
 from spingraph import __version__
 from spingraph.analytic import scan_constant_field
 from spingraph.chain import ChainGeometry, RydbergModel
@@ -638,6 +639,7 @@ BAD_DURATIONS = ("0", "-1", "nan", "inf")
         ["analytic", "--scan", "--b-points", "-3", "--t-points", "-3"],
         *(["optimize", "--n", "3", "--t", t] for t in BAD_DURATIONS),
         *(["scan-t", "--t-min", t, "--t-max", "0.16", "--steps", "3"] for t in BAD_DURATIONS),
+        *(["scan-t", "--t-min", "0.12", "--t-max", t, "--steps", "3"] for t in BAD_DURATIONS),
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1"],
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "nan"],
         ["noise", "--n", "3", "--t", "0.141", "--field-sigma", "nan", "--samples", "3"],
@@ -665,6 +667,42 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
         assert result.output == "Error: analytic failed: --b-points must be positive, not -3\n"
     if args[0] == "analytic" and "0" in args:
         assert result.output == "Error: analytic failed: --t-points must be positive, not 0\n"
+    if args[0] == "analytic" and "100000" in args:
+        assert result.output == (
+            "Error: analytic failed: 100000 B points x 100000 t points exceed the scan "
+            "budget of 10000000 populations\n"
+        )
+    if args[0] == "scan-t" and set(args) & set(BAD_DURATIONS):
+        # the refusal names the bad bound, not the duration it stands in for
+        bound = "t_min" if args[2] in BAD_DURATIONS else "t_max"
+        assert result.output == f"Error: scan-t failed: {bound} must be finite and positive\n"
+
+
+@pytest.mark.parametrize(
+    "command, budget",
+    [
+        # 101 boundaries x 4 magnetization sectors of three atoms
+        ("master", 403),
+        # the 20-slice pulses pass; the 100-slice core's 100 x 5^3 states do not
+        ("protocol", 100 * 5**3 - 1),
+    ],
+    ids=["master", "protocol"],
+)
+def test_schedule_beyond_the_trace_budget_is_refused_in_one_line(
+    runner, tmp_path, monkeypatch, command, budget
+):
+    """A checked-in 100-slice schedule at a budget just below it: refused in
+    one line, before its amplitudes or states are allocated, and nothing is
+    written."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(operators, "MAX_TRACE_STACK", budget)
+    result = runner.invoke(main, [command, "--n", "3", "--schedule", SCHEDULE_N3])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    [line] = result.output.splitlines()
+    assert line.startswith(f"Error: {command} failed: ") and "Traceback" not in result.output
+    assert line.endswith(f"exceed the {'return' if command == 'master' else 'stage'} budget "
+                         f"of {budget} amplitudes")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_guess_amplitude_that_overflows_is_refused_without_a_warning(runner, tmp_path):

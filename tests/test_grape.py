@@ -49,6 +49,7 @@ from spingraph.grape import (
     spin_overlaps,
 )
 from spingraph.operators import (
+    MAX_TRACE_STACK,
     SPIN_BASIS,
     BlockPattern,
     embed_local_operator,
@@ -684,7 +685,7 @@ def test_non_commuting_drift_is_refused(monkeypatch):
     # rests: its flips join the sectors into blocks that span several Hz
     # values, and every spin-path entry refuses them
     original = grape.drift_terms
-    flips = [{site: ("up", "down")} for site in range(3)]
+    flips = tuple(((site, "up", "down"),) for site in range(3))
 
     def transverse_drift(model, basis=SPIN_BASIS, positions=None):
         moves, coeffs, diagonal = original(model, basis, positions)
@@ -983,6 +984,17 @@ def test_grid_returns_take_giant_and_baby_phase_rows(monkeypatch):
     calls.clear()
     sectors.grid_returns(complete_graph_state(4), 0.01, 101)
     assert set(calls) == {(10, 11)}
+
+
+def test_grid_returns_beyond_the_trace_budget_are_refused_before_any_phase(monkeypatch):
+    # six atoms have seven sectors: 10^7 // 7 boundaries fit the budget, one
+    # more is refused before the propagator is asked for a phase row
+    monkeypatch.setattr(ClosedFormPropagator, "overlaps", None)
+    sectors = SpinSectors(RydbergModel(ChainGeometry.regular(6)), plus_product_state(6))
+    count = MAX_TRACE_STACK // 7 + 1
+    message = f"{count} slice boundaries x 7 sectors exceed the return budget of 10000000"
+    with pytest.raises(ValueError, match=message):
+        sectors.grid_returns(complete_graph_state(6), 1e-6, count)
 
 
 @settings(max_examples=40, deadline=None)

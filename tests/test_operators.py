@@ -224,7 +224,7 @@ def test_site_levels_refuses_beyond_budget():
     with pytest.raises(ValueError, match="exceeds the supported budget 15625"):
         site_levels(7, 5)
     with pytest.raises(ValueError):
-        transition_indices(7, PROTOCOL_BASIS, {0: ("up", "down")})
+        transition_indices(7, PROTOCOL_BASIS, ((0, "up", "down"),))
 
 
 def test_index_tables_are_shared_and_read_only():
@@ -233,14 +233,27 @@ def test_index_tables_are_shared_and_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1
-    moves = {0: ("up", "down"), 2: ("down", "up")}
-    dst, src = transition_indices(3, PROTOCOL_BASIS, moves)
-    again = transition_indices(3, PROTOCOL_BASIS, dict(moves))
+    term = ((0, "up", "down"), (2, "down", "up"))
+    dst, src = transition_indices(3, PROTOCOL_BASIS, term)
+    again = transition_indices(3, PROTOCOL_BASIS, tuple(list(term)))
     assert again[0] is dst and again[1] is src
     for array in (dst, src):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_a_term_that_names_a_site_twice_is_refused():
+    # each site of a term acts once: a second transition on site 0 is
+    # refused, by itself, in a dense sum and in a layout
+    term = ((0, "up", "down"), (0, "down", "up"))
+    for build in (
+        lambda: transition_indices(2, SPIN_BASIS, term),
+        lambda: hermitian_sum([term], [1.0], np.zeros(4), 2, SPIN_BASIS),
+        lambda: block_pattern([term], 2, SPIN_BASIS, [0]),
+    ):
+        with pytest.raises(ValueError, match=r"a term names each site once, not \[0, 0\]"):
+            build()
 
 
 def dense_from_indices(dst, src, dim):
@@ -256,14 +269,14 @@ def test_transition_indices_match_kron_reference(basis, n):
     for site in range(n):
         for to in levels:
             for frm in levels:
-                dst, src = transition_indices(n, basis, {site: (to, frm)})
+                dst, src = transition_indices(n, basis, ((site, to, frm),))
                 reference = embed_local_operator(level_transition(to, frm, basis), site, n, basis)
                 assert np.array_equal(dense_from_indices(dst, src, dim), reference)
     rng = np.random.default_rng(n)
     for _ in range(20):
         i, j = rng.choice(n, size=2, replace=False)
         a_to, a_from, b_to, b_from = rng.choice(levels, size=4)
-        dst, src = transition_indices(n, basis, {i: (a_to, a_from), j: (b_to, b_from)})
+        dst, src = transition_indices(n, basis, ((i, a_to, a_from), (j, b_to, b_from)))
         assert np.all(np.diff(src) > 0)
         reference = two_site_operator(
             level_transition(a_to, a_from, basis), i,
@@ -279,10 +292,10 @@ def test_block_pattern_matches_the_dense_sum(n):
     rng = np.random.default_rng(n)
     levels = PROTOCOL_BASIS.levels
     terms = [
-        (complex(*rng.normal(size=2)), {site: tuple(rng.choice(levels, size=2, replace=False))})
+        (complex(*rng.normal(size=2)), ((site, *rng.choice(levels, size=2, replace=False)),))
         for site in rng.integers(n, size=3)
     ]
-    terms.append((0.7, {0: ("up", "down"), n - 1: ("down", "up")}))
+    terms.append((0.7, ((0, "up", "down"), (n - 1, "down", "up"))))
     coeffs, moves = [c for c, _ in terms], [m for _, m in terms]
     dim = PROTOCOL_BASIS.dim**n
     diagonal = rng.normal(size=dim)
@@ -310,9 +323,9 @@ def test_block_pattern_refilled_gives_each_dense_sum():
     n, basis = 3, PROTOCOL_BASIS
     rng = np.random.default_rng(7)
     moves = [
-        {0: ("up", "down"), 2: ("down", "up")},
-        {1: ("0", "r")},
-        {1: ("up", "down"), 2: ("down", "up")},
+        ((0, "up", "down"), (2, "down", "up")),
+        ((1, "0", "r"),),
+        ((1, "up", "down"), (2, "down", "up")),
     ]
     support = np.array([basis.index("up") * 25 + basis.index("down") * 5 + basis.index("r")])
     pattern = BlockPattern(moves, n, basis, support)
@@ -333,7 +346,7 @@ def test_block_pattern_fills_a_stack_row_by_row():
     # blocks whose rows equal one fill per row, entry for entry
     n, basis = 3, PROTOCOL_BASIS
     rng = np.random.default_rng(8)
-    moves = [{0: ("up", "down"), 1: ("down", "up")}, {1: ("up", "down"), 2: ("down", "up")}]
+    moves = [((0, "up", "down"), (1, "down", "up")), ((1, "up", "down"), (2, "down", "up"))]
     support = np.array([basis.index("up") * 25 + basis.index("down") * 5 + basis.index("up")])
     pattern = BlockPattern(moves, n, basis, support)
     coeffs = rng.normal(size=(5, len(moves))) + 1j * rng.normal(size=(5, len(moves)))
@@ -352,7 +365,7 @@ def test_fill_is_real_for_real_coefficients_and_complex_otherwise():
     # complex Hermitian blocks; both equal the dense sum entry for entry
     n, basis = 3, PROTOCOL_BASIS
     rng = np.random.default_rng(10)
-    moves = [{0: ("up", "down"), 2: ("down", "up")}, {1: ("0", "up")}, {2: ("up", "r")}]
+    moves = [((0, "up", "down"), (2, "down", "up")), ((1, "0", "up"),), ((2, "up", "r"),)]
     support = np.arange(basis.dim**n)
     pattern = BlockPattern(moves, n, basis, support)
     diagonal = rng.normal(size=basis.dim**n)
@@ -371,8 +384,8 @@ def test_block_pattern_stacks_equal_size_blocks_in_one_buffer():
     # distinct size, sizes ascending, blocks of a size by smallest index; all
     # stacks views of one buffer
     n, basis = 3, PROTOCOL_BASIS
-    moves = [{site: ("0", "up")} for site in range(n)]
-    moves += [{a: ("up", "down"), b: ("down", "up")} for a in range(n) for b in range(a + 1, n)]
+    moves = [((site, "0", "up"),) for site in range(n)]
+    moves += [((a, "up", "down"), (b, "down", "up")) for a in range(n) for b in range(a + 1, n)]
     pattern = BlockPattern(moves, n, basis, np.arange(basis.dim**n))
     rng = np.random.default_rng(9)
     blocks = pattern.fill(rng.normal(size=len(moves)), rng.normal(size=basis.dim**n))
@@ -391,18 +404,20 @@ def test_block_pattern_stacks_equal_size_blocks_in_one_buffer():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_memoised_layout_equals_a_fresh_one(data):
-    # moves of one or two single-site transitions (projectors included) and
-    # any support: the shared layout gives the indices and the fill of a
-    # pattern built afresh, and a second request returns it
+    # terms of one or two single-site transitions on distinct sites
+    # (projectors included) and any support: the shared layout gives the
+    # indices and the fill of a pattern built afresh, and a second request
+    # with equal terms returns it
     n = data.draw(st.integers(2, 3), label="n")
     basis = data.draw(st.sampled_from([SPIN_BASIS, EMISSION_BASIS, PROTOCOL_BASIS]), label="basis")
-    pair = st.tuples(st.sampled_from(basis.levels), st.sampled_from(basis.levels))
-    move = st.dictionaries(st.integers(0, n - 1), pair, min_size=1, max_size=2)
-    moves = data.draw(st.lists(move, max_size=4), label="moves")
+    level = st.sampled_from(basis.levels)
+    triple = st.tuples(st.integers(0, n - 1), level, level)
+    term = st.lists(triple, min_size=1, max_size=2, unique_by=lambda t: t[0]).map(tuple)
+    moves = data.draw(st.lists(term, max_size=4), label="moves")
     dim = basis.dim**n
     support = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=6), label="support")
     shared = block_pattern(moves, n, basis, np.array(support))
-    assert block_pattern([dict(m) for m in moves], n, basis, support) is shared
+    assert block_pattern([tuple(list(m)) for m in moves], n, basis, support) is shared
     fresh = BlockPattern(moves, n, basis, np.array(support))
     rng = np.random.default_rng(len(moves))
     coeffs = rng.normal(size=len(moves)) + 1j * rng.normal(size=len(moves))
@@ -418,15 +433,15 @@ def test_layouts_are_shared_only_under_equal_keys():
     # another support, move list, move direction, site order within a move,
     # basis or atom count gives its own layout
     n, basis = 3, PROTOCOL_BASIS
-    moves = [{0: ("up", "down"), 1: ("down", "up")}]
+    moves = [((0, "up", "down"), (1, "down", "up"))]
     layout = block_pattern(moves, n, basis, np.array([16]))
-    assert block_pattern([{0: ("up", "down"), 1: ("down", "up")}], n, basis, [16]) is layout
+    assert block_pattern([((0, "up", "down"), (1, "down", "up"))], n, basis, [16]) is layout
     others = [
         block_pattern(moves, n, basis, np.array([0])),
         block_pattern(moves, n, basis, np.array([16, 0])),
-        block_pattern(moves + [{2: ("0", "r")}], n, basis, np.array([16])),
-        block_pattern([{0: ("down", "up"), 1: ("up", "down")}], n, basis, np.array([16])),
-        block_pattern([{1: ("down", "up"), 0: ("up", "down")}], n, basis, np.array([16])),
+        block_pattern(moves + [((2, "0", "r"),)], n, basis, np.array([16])),
+        block_pattern([((0, "down", "up"), (1, "up", "down"))], n, basis, np.array([16])),
+        block_pattern([((1, "down", "up"), (0, "up", "down"))], n, basis, np.array([16])),
         block_pattern(moves, n, EMISSION_BASIS, np.array([16])),
         block_pattern(moves, 2, basis, np.array([16])),
     ]
@@ -435,7 +450,7 @@ def test_layouts_are_shared_only_under_equal_keys():
 
 def test_shared_layout_arrays_are_read_only():
     n, basis = 3, SPIN_BASIS
-    moves = [{0: ("up", "down"), 1: ("down", "up")}, {1: ("up", "down"), 2: ("down", "up")}]
+    moves = [((0, "up", "down"), (1, "down", "up")), ((1, "up", "down"), (2, "down", "up"))]
     layout = block_pattern(moves, n, basis, np.arange(basis.dim**n))
     assert len(layout.indices) > 1
     for idx in layout.indices:
@@ -450,7 +465,7 @@ def test_shared_layout_arrays_are_read_only():
 def test_block_pattern_refuses_a_block_beyond_the_dense_budget():
     # single-site moves that chain all five levels join all 5^6 indices
     chain = [("0", "1"), ("1", "up"), ("up", "down"), ("down", "r")]
-    moves = [{site: pair} for site in range(6) for pair in chain]
+    moves = [((site, *pair),) for site in range(6) for pair in chain]
     with pytest.raises(ValueError, match="block dimension 15625 exceeds the supported budget 4096"):
         BlockPattern(moves, 6, PROTOCOL_BASIS, np.array([0]))
     with pytest.raises(ValueError, match="exceeds the supported budget 15625"):

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import spingraph.chain as chain
 import spingraph.protocol as protocol
 from spingraph.chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz
 from spingraph.grape import ControlSchedule, GrapeError
@@ -42,7 +43,7 @@ def switch_off_interactions(monkeypatch):
     has no exchange terms and a zero diagonal."""
 
     def no_background(model, basis):
-        return [], np.zeros(0), np.zeros(basis.dim**model.n_sites)
+        return (), np.zeros(0), np.zeros(basis.dim**model.n_sites)
 
     monkeypatch.setattr(protocol, "drift_terms", no_background)
 
@@ -560,18 +561,20 @@ def test_full_protocol_diagonalizes_once_per_block_size(monkeypatch, core_result
 
 
 def test_plan_evaluates_its_interactions_once(monkeypatch):
-    """The interactions are the same in every stage: a plan evaluates them
-    on first use, so a patch made after the plan is built still applies,
-    and keeps them for every later stage and run."""
+    """The interactions are the same in every stage: the ``drift_terms``
+    memo evaluates them once per chain, on first use, so a patch made
+    after the plan is built still applies, and keeps them for every later
+    stage and run."""
     calls = []
-    original = protocol.drift_terms
+    original = chain._drift_terms
 
     def counting_drift_terms(*args):
         calls.append(args)
         return original(*args)
 
     plan = plan_for(3, core_amplitudes=[1.0, -2.0])
-    monkeypatch.setattr(protocol, "drift_terms", counting_drift_terms)
+    chain._model_terms.cache_clear()
+    monkeypatch.setattr(chain, "_drift_terms", counting_drift_terms)
     first = run_full_protocol(plan)
     assert len(calls) == 1
     again = run_full_protocol(plan)
@@ -581,8 +584,8 @@ def test_plan_evaluates_its_interactions_once(monkeypatch):
 
 def test_stages_and_plans_compare_by_value():
     # equal copies are equal and hash alike, before and after a plan has
-    # evaluated its interactions; another core field or a displaced atom
-    # is unequal; no comparison raises
+    # run; another core field or a displaced atom is unequal; no comparison
+    # raises
     plan, same = plan_for(3, core_amplitudes=np.ones(3)), plan_for(3, core_amplitudes=np.ones(3))
     run_full_protocol(plan)
     assert plan == same and hash(plan) == hash(same)
@@ -593,6 +596,17 @@ def test_stages_and_plans_compare_by_value():
     displaced = plan.geometry.positions.copy()
     displaced[2, 2] += 1e-6
     assert plan != standard_plan(ChainGeometry(displaced), plan.stages[2].schedule)
+
+
+def test_stage_beyond_the_trace_budget_is_refused_before_any_block(monkeypatch):
+    # a 20000-slice core on six atoms would stack 20000 x 5^6 states, 4.66 GiB
+    # of amplitudes: refused before any layout, fill or allocation
+    monkeypatch.setattr(protocol, "block_pattern", None)
+    plan = standard_plan(ChainGeometry.regular(6), ControlSchedule(0.233, np.ones(20000)))
+    state = basis_state(["up"] * 6, PROTOCOL_BASIS)
+    message = "20000 slice boundaries x 15625 basis states exceed the stage budget of 10000000"
+    with pytest.raises(ValueError, match=message):
+        run_stage(state, plan.stages[2], plan)
 
 
 def test_full_protocol_builds_each_level_table_once():
@@ -612,7 +626,7 @@ def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypa
         ChainGeometry.regular(n), ControlSchedule(t_total=0.1, amplitudes=np.ones(3))
     )
     # sigma_x on site 0, as a term of the background
-    transverse = {0: ("up", "down")}
+    transverse = ((0, "up", "down"),)
     assert np.array_equal(
         hermitian_sum([transverse], [1.0], np.zeros(PROTOCOL_BASIS.dim**n), n, PROTOCOL_BASIS),
         embed_local_operator(spin_half_operator(SIGMA_X, PROTOCOL_BASIS), 0, n, PROTOCOL_BASIS),
@@ -621,7 +635,7 @@ def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypa
 
     def background_with_transverse_field(model, basis):
         moves, coeffs, shifts = original(model, basis)
-        return [*moves, transverse], np.append(coeffs, 1.0), shifts
+        return (*moves, transverse), np.append(coeffs, 1.0), shifts
 
     monkeypatch.setattr(protocol, "drift_terms", background_with_transverse_field)
     state = basis_ket_graph_state(n, *REFERENCE_ROLES["core"])
