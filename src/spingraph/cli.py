@@ -42,6 +42,7 @@ from .config import (
 from .dynamics import closed_system_trace, ensemble_average, open_system_trace
 from .grape import (
     GrapeConfig,
+    check_return_budget,
     check_scan_grid,
     optimize as run_optimize,
     scan_duration,
@@ -51,7 +52,7 @@ from .grape import (
     load_result,
 )
 from .operators import PROTOCOL_BASIS, check_trace_stack, site_levels
-from .protocol import run_full_protocol, standard_plan, write_timeline_csv
+from .protocol import check_stage_budget, run_full_protocol, standard_plan, write_timeline_csv
 from .targets import TargetForm, complete_graph_state, plus_product_state, target_state
 
 TABLE_IDEAL = ((3, 2.3), (4, 2.808), (5, 3.386), (6, 3.952))
@@ -448,6 +449,9 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Open-system run with spontaneous emission; reports the closed-system delta."""
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
     jumps = build_jump_channels(cfg)
+    if schedule_path is None:
+        # the schedule to be optimized has the guess's slices; |+>^N reaches N + 1 sectors
+        check_return_budget(build_guess_spec(cfg).slice_count() + 1, cfg.n_sites + 1)
     paths = _float_outputs(cfg, out_prefix, "trace", "summary")
     schedule, stamp = _resolve_schedule(cfg, schedule_path)
     target = target_state(build_target_spec(cfg), cfg.n_sites)
@@ -517,6 +521,9 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     site_levels(cfg.n_sites, PROTOCOL_BASIS.dim)
     if schedule_path is None and cfg.t_total is None and cfg.n_sites in dict(TABLE_RYDBERG):
         cfg = _with_table_guess(apply_overrides(cfg, t_total=dict(TABLE_RYDBERG)[cfg.n_sites]))
+    if schedule_path is None:
+        # the core schedule to be optimized has the guess's slices
+        check_stage_budget(build_guess_spec(cfg).slice_count(), cfg.n_sites)
     timeline_path = _output_path(cfg, f"{out_prefix}_timeline.csv")
     summary_path = _output_path(cfg, f"{out_prefix}_summary.json")
     schedule, stamp = _resolve_schedule(cfg, schedule_path)

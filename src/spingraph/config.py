@@ -16,8 +16,6 @@ import json
 import typing
 from dataclasses import asdict, dataclass, replace
 
-import yaml
-
 from .chain import (
     CONSTANTS_VERSION,
     TWO_PI,
@@ -141,6 +139,8 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml  # only config files need it, so no other run pays for its import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

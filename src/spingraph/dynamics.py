@@ -122,6 +122,8 @@ class NoiseSpec:
             raise ValueError("noise sigmas must be non-negative")
         if self.samples < 1:
             raise ValueError("need at least one sample")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be a non-negative integer, not {self.base_seed}")
 
     def check_trace_budget(self, boundaries: int) -> None:
         """Refuse an ensemble whose traces, ``samples`` x ``boundaries``

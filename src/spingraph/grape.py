@@ -47,6 +47,7 @@ __all__ = [
     "ScanResult",
     "ClosedFormPropagator",
     "SpinSectors",
+    "check_return_budget",
     "spin_overlaps",
     "GrapeError",
     "gaussian_guess",
@@ -173,6 +174,8 @@ class GuessSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "random"):
             raise ValueError(f"unknown guess kind {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         # a trace holds one population per slice boundary
         if self.n_slices is not None and not 1 <= self.n_slices < MAX_TRACE_STACK:
             raise ValueError(
@@ -385,11 +388,16 @@ class SpinSectors:
         Comput. 2, 60 (1973)): each block takes about 2 sqrt(count) phase
         rows, not count. More than MAX_TRACE_STACK amplitudes per drift
         are refused before any is evaluated."""
-        sizes = {"slice boundaries": count, "sectors": self.hz.size}
-        check_trace_stack(sizes, "return", "amplitudes")
+        check_return_budget(count, self.hz.size)
         steps = math.isqrt(count - 1) + 1  # B
         c = self.returns(target, dt * np.arange(0, count, steps), rows, dt * np.arange(steps))
         return c.reshape(c.shape[:-3] + (-1, c.shape[-1]))[..., :count, :]
+
+
+def check_return_budget(boundaries: int, sectors: int) -> None:
+    """Refuse return amplitudes at ``boundaries`` slice boundaries x
+    ``sectors`` blocks beyond MAX_TRACE_STACK."""
+    check_trace_stack({"slice boundaries": boundaries, "sectors": sectors}, "return", "amplitudes")
 
 
 def spin_overlaps(hz: np.ndarray, returns: np.ndarray, area) -> np.ndarray:
@@ -420,23 +428,32 @@ def optimize(config: GrapeConfig) -> GrapeResult:
     return _ascend(config, SpinSectors(config.model, plus_product_state(config.model.n_sites)))
 
 
+def _landscape(sectors: SpinSectors, target: np.ndarray, t: float):
+    """Phi(A) and dPhi/dA at duration t, as one function of the area A. The
+    overlap and its area derivative, one row each, are formed once; each
+    call is one product with the area's phase row, after which the pair is
+    read back as Python complex numbers, whose abs and products round as
+    numpy's scalars do without their per-operation overhead."""
+    returns = sectors.returns(target, t)
+    stacked = np.stack([returns, -1j * sectors.hz * returns])
+
+    def landscape(area: float) -> tuple[float, float]:
+        overlap, d_overlap = (stacked @ np.exp(-1j * (area * sectors.hz))).tolist()
+        return abs(overlap) ** 2, 2.0 * (overlap.conjugate() * d_overlap).real
+
+    return landscape
+
+
 def _ascend(config: GrapeConfig, sectors: SpinSectors) -> GrapeResult:
     """``optimize`` on the sectors of its model from |+>^N, which may
     already hold their decomposition."""
     t = config.t_total
-    returns = sectors.returns(target_state(config.target, config.model.n_sites), t)
-    # the overlap and its area derivative, one row each, formed once per run
-    stacked = np.stack([returns, -1j * sectors.hz * returns])
-
-    def landscape(area: float) -> tuple[float, float]:
-        overlap, d_overlap = stacked @ np.exp(-1j * (area * sectors.hz))
-        return float(abs(overlap) ** 2), float(2.0 * np.real(np.conj(overlap) * d_overlap))
-
+    landscape = _landscape(sectors, target_state(config.target, config.model.n_sites), t)
     guess = make_guess(config.guess, t)
 
     area = guess.field_area
     phi, slope = landscape(area)
-    if not (np.isfinite(phi) and np.isfinite(slope)):
+    if not (math.isfinite(phi) and math.isfinite(slope)):
         raise GrapeError("non-finite landscape or gradient at the starting point")
     history = [phi]
 
@@ -447,7 +464,7 @@ def _ascend(config: GrapeConfig, sectors: SpinSectors) -> GrapeResult:
         while rate >= RATE_FLOOR:
             trial = area + rate * slope
             phi_trial, slope_trial = landscape(trial)
-            if not np.isfinite(phi_trial):
+            if not math.isfinite(phi_trial):
                 raise GrapeError(f"non-finite landscape during line search at rate {rate}")
             if phi_trial >= phi:
                 break
@@ -455,7 +472,7 @@ def _ascend(config: GrapeConfig, sectors: SpinSectors) -> GrapeResult:
         else:
             converged = True  # no ascent step above the rate floor
             break
-        if not np.isfinite(slope_trial):
+        if not math.isfinite(slope_trial):
             raise GrapeError("non-finite gradient after accepted step")
         flat = flat + 1 if abs(phi_trial - phi) < STOP_TOLERANCE else 0
         converged = flat >= FLAT_ITERATIONS
@@ -498,8 +515,9 @@ def reduce_field_winding(schedule: ControlSchedule) -> ControlSchedule:
 #: Largest duration grid of ``scan_duration``. One grid point is one
 #: ascent on the scan's single decomposition: 0.3-0.7 ms at N=3 and N=6
 #: in either mode and from either guess (71-point scans over 0.05-0.75,
-#: best of five, one thread of a 2-vCPU Xeon), so a grid at the cap takes
-#: 3-8 s.
+#: best of five, one thread of a 2-vCPU Xeon that takes 0.4-1.0 ms with
+#: the landscape's tail on numpy scalars), so a grid at the cap takes
+#: 3-7 s.
 MAX_SCAN_STEPS = 10_000
 
 

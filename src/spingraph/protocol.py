@@ -88,6 +88,7 @@ __all__ = [
     "OMEGA_MICROWAVE_A",
     "OMEGA_MICROWAVE_B",
     "standard_plan",
+    "check_stage_budget",
     "run_stage",
     "run_full_protocol",
     "write_timeline_csv",
@@ -182,6 +183,13 @@ def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> Pr
     return ProtocolPlan(stages=stages, geometry=geometry)
 
 
+def check_stage_budget(slices: int, n_sites: int) -> None:
+    """Refuse the states of a stage of ``slices`` slices on ``n_sites``
+    atoms, one d^N row per slice boundary after t = 0, beyond MAX_TRACE_STACK."""
+    sizes = {"slice boundaries": slices, "basis states": PROTOCOL_BASIS.dim**n_sites}
+    check_trace_stack(sizes, "stage", "amplitudes")
+
+
 def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np.ndarray:
     """Evolve through one stage: the (n_slices, d^N) stack of states at the
     slice boundaries of the stage's schedule after t = 0, its last row the
@@ -202,8 +210,7 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
     if not abs(norm - 1.0) <= 1e-8:
         raise ValueError(f"stage input state not normalized (norm {norm})")
     schedule = stage.schedule
-    sizes = {"slice boundaries": schedule.n_slices, "basis states": dim}
-    check_trace_stack(sizes, "stage", "amplitudes")
+    check_stage_budget(schedule.n_slices, n)
     terms, coeffs, diagonal = drift_terms(RydbergModel(plan.geometry), PROTOCOL_BASIS)
     # each drive's (rate/2)(|a><b| + h.c.) on every atom, ahead of the interactions
     terms = tuple(((site, a, b),) for a, b, _ in stage.drives for site in range(n)) + terms

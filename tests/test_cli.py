@@ -623,6 +623,20 @@ def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path, monkeypat
 BAD_DURATIONS = ("0", "-1", "nan", "inf")
 
 
+#: A negative seed -> its refusal, which names the seed's field.
+SEED_REFUSALS = {
+    ("optimize", "--n", "3", "--t", "0.141", "--guess", "random", "--seed", "-1"):
+        "seed must be a non-negative integer, not -1",
+    ("noise", "--n", "3", "--t", "0.141", "--base-seed", "-5", "--position-sigma", "1,1,1"):
+        "base_seed must be a non-negative integer, not -5",
+    ("noise", "--n", "3", "--t", "0.141", "--base-seed", "-60", "--field-sigma", "1"):
+        "base_seed must be a non-negative integer, not -60",
+    # field seeds start at base_seed + samples, so this one used to run
+    ("noise", "--n", "3", "--t", "0.141", "--base-seed", "-5", "--field-sigma", "1"):
+        "base_seed must be a non-negative integer, not -5",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -645,6 +659,7 @@ BAD_DURATIONS = ("0", "-1", "nan", "inf")
         ["noise", "--n", "3", "--t", "0.141", "--field-sigma", "nan", "--samples", "3"],
         ["noise", "--n", "3", "--t", "0.141", "--position-sigma", "nan,0,0"],
         ["table", "3", "--config", "negative_decay.yaml"],
+        *map(list, SEED_REFUSALS),
     ],
     ids=lambda args: " ".join(args),
 )
@@ -663,6 +678,8 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
     assert "Traceback" not in result.output
     if args[0] == "table":
         assert "Error: table failed: decay rates must be non-negative" in result.output
+    if tuple(args) in SEED_REFUSALS:
+        assert result.output == f"Error: {args[0]} failed: {SEED_REFUSALS[tuple(args)]}\n"
     if args[0] == "analytic" and "-3" in args:
         assert result.output == "Error: analytic failed: --b-points must be positive, not -3\n"
     if args[0] == "analytic" and "0" in args:
@@ -789,24 +806,44 @@ def test_noise_beyond_the_trace_budget_is_refused_at_once(runner, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
-def test_noise_to_be_optimized_is_held_to_the_trace_budget_first(runner, tmp_path, monkeypatch):
-    """Without a schedule the guess fixes the slice count, so the budget is
-    checked before any optimization."""
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["noise", "--n", "6", "--t", "0.233", "--guess", "random", "--samples", "100000000"],
+            "100000000 samples x 11 slice boundaries exceed the ensemble budget of "
+            "10000000 populations",
+        ),
+        (
+            ["master", "--n", "6", "--t", "0.233", "--config", "long_guess.yaml"],
+            "3000001 slice boundaries x 7 sectors exceed the return budget of "
+            "10000000 amplitudes",
+        ),
+        (
+            ["protocol", "--n", "6", "--config", "long_guess.yaml"],
+            "3000000 slice boundaries x 15625 basis states exceed the stage budget of "
+            "10000000 amplitudes",
+        ),
+    ],
+    ids=["noise", "master", "protocol"],
+)
+def test_noise_to_be_optimized_is_held_to_the_trace_budget_first(
+    runner, tmp_path, monkeypatch, args, message
+):
+    """Without a schedule the guess fixes the slice count, so each command's
+    budget is checked before any optimization."""
     monkeypatch.chdir(tmp_path)
+    config = tmp_path / "long_guess.yaml"
+    config.write_text("guess:\n  guess_slices: 3000000\n", encoding="utf-8")
     calls = []
     monkeypatch.setattr(cli, "run_optimize", lambda *a, **k: calls.append(a))
     start = time.perf_counter()
-    result = runner.invoke(
-        main, ["noise", "--n", "6", "--t", "0.233", "--guess", "random", "--samples", "100000000"]
-    )
+    result = runner.invoke(main, args)
     assert time.perf_counter() - start < 1.0
     assert calls == []
     assert result.exit_code == 1
-    assert result.output == (
-        "Error: noise failed: 100000000 samples x 11 slice boundaries exceed the "
-        "ensemble budget of 10000000 populations\n"
-    )
-    assert list(tmp_path.iterdir()) == []
+    assert result.output == f"Error: {args[0]} failed: {message}\n"
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_scan_t_small_grid(runner, tmp_path):

@@ -1,8 +1,14 @@
 """Config loading, override merging, hashing, and builder helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spingraph
 from spingraph.chain import ChainGeometry, IdealModel, RydbergModel
 from spingraph.config import (
     ConfigError,
@@ -33,6 +39,14 @@ def test_defaults():
     assert cfg.base_seed == 0
     assert cfg.gamma_up == pytest.approx(1.0 / 569.0)
     assert cfg.gamma_down == pytest.approx(1.0 / 1100.0)
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    # only load_config reads YAML, so a run without a config file never imports it
+    env = {**os.environ, "PYTHONPATH": str(Path(spingraph.__file__).resolve().parents[1])}
+    code = "import sys, spingraph.cli; print('yaml' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
 
 
 def test_validation():

@@ -533,6 +533,29 @@ def test_landscape_matches_the_dense_reference(n_sites, rydberg, cz, t_scale, ar
     assert slope == pytest.approx(2.0 * np.real(np.conj(overlap) * d_overlap), abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_sites=st.integers(2, 6),
+    rydberg=st.booleans(),
+    target=st.sampled_from(list(TargetForm)),
+    t_scale=st.floats(0.0, 1.0),
+    areas=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+)
+def test_ascent_landscape_equals_the_numpy_expression(n_sites, rydberg, target, t_scale, areas):
+    # the ascent reads each product back as Python complex numbers, whose
+    # abs and products must round as the numpy scalars of overlap_landscape
+    model = RydbergModel(ChainGeometry.regular(n_sites)) if rydberg else IdealModel(n_sites)
+    t = t_scale * (0.3 if rydberg else 4.0)
+    sectors = SpinSectors(model, plus_product_state(n_sites))
+    state = target_state(target, n_sites)
+    landscape = grape._landscape(sectors, state, t)
+    for area in areas:
+        phi, slope = landscape(area)
+        assert type(phi) is float and type(slope) is float
+        expected = overlap_landscape(sectors, state, t, area)
+        assert (phi.hex(), slope.hex()) == tuple(map(float.hex, expected))
+
+
 def test_scan_duration_grid_and_peaks():
     cfg = rydberg_config(3, 0.3, GuessSpec(kind="gaussian", b0=TWO_PI))
     scan = scan_duration(cfg, 0.1, 0.2, 11)
