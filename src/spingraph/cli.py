@@ -51,7 +51,7 @@ from .grape import (
     save_result,
     load_result,
 )
-from .operators import PROTOCOL_BASIS, check_trace_stack, site_levels
+from .operators import check_trace_stack
 from .protocol import check_stage_budget, run_full_protocol, standard_plan, write_timeline_csv
 from .targets import TargetForm, complete_graph_state, plus_product_state, target_state
 
@@ -153,13 +153,15 @@ def _schedule_record(cfg: ExperimentConfig, result) -> dict:
     return record
 
 
-def _resolve_schedule(cfg: ExperimentConfig, schedule_path):
-    """The run's schedule and the stamp of its outputs. A persisted
-    schedule (if one is given) must be for this run's atom count, duration
-    (when the run sets one), mode and target form; a record without a
-    target form was made for the operator-product one. The schedule is an
-    input the config does not hold, so it joins the config hash. Otherwise
-    one is optimized on demand from the config."""
+def _resolve_schedule(cfg: ExperimentConfig, schedule_path, check_budget, outputs):
+    """The run's schedule, its outputs' stamp and the paths ``outputs()``
+    makes, in one order: the slice count (the persisted schedule's, else
+    the guess's), ``check_budget(slices)``, ``outputs()``, and only then,
+    without a schedule file, the optimization. A persisted
+    schedule must be for this run's atom count, duration (when the run sets
+    one), mode and target form; a record without a target form was made for
+    the operator-product one. It joins the config hash, as an input the
+    config does not hold."""
     if schedule_path:
         record = load_result(schedule_path)
         schedule = schedule_from_record(record)  # refuses a malformed record first
@@ -168,8 +170,11 @@ def _resolve_schedule(cfg: ExperimentConfig, schedule_path):
         for key, value in run.items():
             if value is not None and record.get(key) != value:
                 _fail(f"schedule is for {key}={record.get(key)}, run is for {key}={value}")
-        return schedule, _stamp(cfg, schedule)
-    return run_optimize(_grape_config(cfg)).schedule, _stamp(cfg)
+        check_budget(schedule.n_slices)
+        return schedule, _stamp(cfg, schedule), outputs()
+    check_budget(build_guess_spec(cfg).slice_count())
+    grape_cfg, paths = _grape_config(cfg), outputs()
+    return run_optimize(grape_cfg).schedule, _stamp(cfg), paths
 
 
 def _operator_product_only(cfg: ExperimentConfig) -> None:
@@ -268,15 +273,9 @@ def _table_rows_closed(cfg: ExperimentConfig, mode: str):
     return rows
 
 
-def _open_system_run(jumps, model, schedule, target):
-    """Closed and spontaneous-emission target populations from |+>^N at
-    every slice boundary (exact no-jump traces)."""
-    return open_system_trace(model, schedule, jumps, plus_product_state(model.n_sites), target)
-
-
 def _dissipation_delta(jumps, model, result) -> float:
-    target = complete_graph_state(model.n_sites)
-    _, opened = _open_system_run(jumps, model, result.schedule, target)
+    psi0, target = plus_product_state(model.n_sites), complete_graph_state(model.n_sites)
+    _, opened = open_system_trace(model, result.schedule, jumps, psi0, target)
     return result.final_population - float(opened[-1])
 
 
@@ -297,6 +296,11 @@ def cmd_table(which, config_path, out, **overrides) -> None:
         cfg = _with_table_guess(cfg)
     if which == "3":
         _operator_product_only(cfg)
+        jumps = build_jump_channels(cfg)
+        # the largest row's traces (N + 1 sectors) and protocol stages
+        n, slices = max(dict(TABLE_RYDBERG)), build_guess_spec(cfg).slice_count()
+        check_return_budget(slices + 1, n + 1)
+        check_stage_budget(slices, n)
     csv_path = _output_path(cfg, f"table{which}.csv", out)
 
     if which in ("1", "2"):
@@ -307,7 +311,7 @@ def cmd_table(which, config_path, out, **overrides) -> None:
         for n, t, p in rows:
             _echo(f"{n:>3} {t:>8.3f} {p:>12.4f}")
     else:
-        rows = _error_budget_rows(cfg)
+        rows = _error_budget_rows(cfg, jumps)
         header = [
             "n", "T_us", "closed", "dissipation_delta", "vibration_delta",
             "prep_delta", "budgeted",
@@ -353,12 +357,10 @@ def _protocol_prep_delta(model: RydbergModel, result) -> float:
     return result.final_population - protocol.stage_reports[-1].reference_population
 
 
-def _error_budget_rows(cfg: ExperimentConfig):
+def _error_budget_rows(cfg: ExperimentConfig, jumps):
     """One optimization per (N, T) case, shared by every column of its row;
     the preparation loss comes from the staged protocol run on that row's
-    atoms and schedule. The decay channels are built first, so bad rates
-    are refused before any optimization."""
-    jumps = build_jump_channels(cfg)
+    atoms and schedule, the dissipation from the decay channels ``jumps``."""
     rows = []
     for n, t in TABLE_RYDBERG:
         case_cfg = apply_overrides(cfg, mode="rydberg", n_sites=n, t_total=t)
@@ -392,11 +394,10 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
     if cfg.mode != "rydberg" and any(s > 0 for s in cfg.position_sigma):
         _fail("geometry noise requires rydberg mode")
     spec = build_noise_spec(cfg)
-    if schedule_path is None:
-        # the schedule to be optimized has the guess's slices
-        spec.check_trace_budget(build_guess_spec(cfg).slice_count() + 1)
-    paths = _float_outputs(cfg, out_prefix, "trace", "summary")
-    schedule, stamp = _resolve_schedule(cfg, schedule_path)
+    schedule, stamp, paths = _resolve_schedule(
+        cfg, schedule_path, lambda slices: spec.check_trace_budget(slices + 1),
+        lambda: _float_outputs(cfg, out_prefix, "trace", "summary"),
+    )
     result = ensemble_average(
         build_model(cfg),
         schedule,
@@ -449,13 +450,15 @@ def cmd_master(config_path, schedule_path, out_prefix, **overrides) -> None:
     """Open-system run with spontaneous emission; reports the closed-system delta."""
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
     jumps = build_jump_channels(cfg)
-    if schedule_path is None:
-        # the schedule to be optimized has the guess's slices; |+>^N reaches N + 1 sectors
-        check_return_budget(build_guess_spec(cfg).slice_count() + 1, cfg.n_sites + 1)
-    paths = _float_outputs(cfg, out_prefix, "trace", "summary")
-    schedule, stamp = _resolve_schedule(cfg, schedule_path)
-    target = target_state(build_target_spec(cfg), cfg.n_sites)
-    closed_trace, open_trace = _open_system_run(jumps, build_model(cfg), schedule, target)
+    # |+>^N reaches N + 1 sectors
+    schedule, stamp, paths = _resolve_schedule(
+        cfg, schedule_path, lambda slices: check_return_budget(slices + 1, cfg.n_sites + 1),
+        lambda: _float_outputs(cfg, out_prefix, "trace", "summary"),
+    )
+    closed_trace, open_trace = open_system_trace(
+        build_model(cfg), schedule, jumps, plus_product_state(cfg.n_sites),
+        target_state(build_target_spec(cfg), cfg.n_sites),
+    )
     closed, opened = closed_trace[-1], open_trace[-1]
     _echo(f"closed {closed:.6f}  open {opened:.6f}  delta {closed - opened:.6f}")
     summary = {
@@ -516,17 +519,13 @@ def cmd_protocol(config_path, schedule_path, out_prefix, **overrides) -> None:
     """
     cfg = _merged_config(config_path, mode="rydberg", **overrides)
     _operator_product_only(cfg)
-    # the protocol's level table refuses more atoms than the state budget
-    # holds, before a schedule is loaded or optimized
-    site_levels(cfg.n_sites, PROTOCOL_BASIS.dim)
     if schedule_path is None and cfg.t_total is None and cfg.n_sites in dict(TABLE_RYDBERG):
         cfg = _with_table_guess(apply_overrides(cfg, t_total=dict(TABLE_RYDBERG)[cfg.n_sites]))
-    if schedule_path is None:
-        # the core schedule to be optimized has the guess's slices
-        check_stage_budget(build_guess_spec(cfg).slice_count(), cfg.n_sites)
-    timeline_path = _output_path(cfg, f"{out_prefix}_timeline.csv")
-    summary_path = _output_path(cfg, f"{out_prefix}_summary.json")
-    schedule, stamp = _resolve_schedule(cfg, schedule_path)
+    schedule, stamp, (timeline_path, summary_path) = _resolve_schedule(
+        cfg, schedule_path, lambda slices: check_stage_budget(slices, cfg.n_sites),
+        lambda: (_output_path(cfg, f"{out_prefix}_timeline.csv"),
+                 _output_path(cfg, f"{out_prefix}_summary.json")),
+    )
     result = run_full_protocol(standard_plan(build_model(cfg).geometry, schedule))
     write_timeline_csv(timeline_path, result.timeline)
     summary = {

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import ModelKind, build_control_hz_diagonal, drift_terms
-from .operators import MAX_TRACE_STACK, SPIN_BASIS, block_pattern, check_trace_stack
+from .operators import SPIN_BASIS, block_pattern, check_trace_stack
 from .targets import TargetForm, plus_product_state, target_state
 
 __all__ = [
@@ -176,12 +176,11 @@ class GuessSpec:
             raise ValueError(f"unknown guess kind {self.kind!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
-        # a trace holds one population per slice boundary
-        if self.n_slices is not None and not 1 <= self.n_slices < MAX_TRACE_STACK:
-            raise ValueError(
-                f"n_slices must be in [1, {MAX_TRACE_STACK - 1}], so that its "
-                f"boundaries fit the trace budget of {MAX_TRACE_STACK} populations"
-            )
+        if self.n_slices is not None:
+            if self.n_slices < 1:
+                raise ValueError(f"n_slices must be at least 1, not {self.n_slices}")
+            # a trace holds one population per slice boundary
+            check_trace_stack({"slice boundaries": self.n_slices + 1}, "trace")
 
     def slice_count(self) -> int:
         if self.n_slices is not None:

@@ -185,7 +185,9 @@ def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> Pr
 
 def check_stage_budget(slices: int, n_sites: int) -> None:
     """Refuse the states of a stage of ``slices`` slices on ``n_sites``
-    atoms, one d^N row per slice boundary after t = 0, beyond MAX_TRACE_STACK."""
+    atoms: d^N beyond MAX_STATE_DIM (the memoised level table refuses it),
+    or one d^N row per slice boundary after t = 0 beyond MAX_TRACE_STACK."""
+    site_levels(n_sites, PROTOCOL_BASIS.dim)
     sizes = {"slice boundaries": slices, "basis states": PROTOCOL_BASIS.dim**n_sites}
     check_trace_stack(sizes, "stage", "amplitudes")
 

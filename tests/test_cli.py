@@ -359,13 +359,28 @@ def test_protocol_honours_the_atom_count(runner, tmp_path):
         assert abs(stage["reference_population"] - value) <= 5e-7
 
 
-@pytest.mark.parametrize("command", ["master", "protocol"])
-def test_schedule_for_another_atom_count_is_refused(runner, core_schedule_path, command):
+@pytest.mark.parametrize(
+    "command, out_args",
+    [
+        ("master", []),
+        ("protocol", []),
+        # refused before the nested output directories are made
+        ("master", ["--out-prefix", "a/b/x"]),
+        ("noise", ["--out-prefix", "a/b/x"]),
+        ("protocol", ["--out-prefix", "a/b/x"]),
+    ],
+    ids=["master", "protocol", "master a/b", "noise a/b", "protocol a/b"],
+)
+def test_schedule_for_another_atom_count_is_refused(
+    runner, core_schedule_path, tmp_path, monkeypatch, command, out_args
+):
+    monkeypatch.chdir(tmp_path)
     result = runner.invoke(
-        main, [command, "--n", "4", "--schedule", str(core_schedule_path)]
+        main, [command, "--n", "4", "--schedule", str(core_schedule_path), *out_args]
     )
-    assert result.exit_code != 0
-    assert "schedule is for N=3, run is for N=4" in result.output
+    assert result.exit_code == 1
+    assert result.output == "Error: schedule is for N=3, run is for N=4\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -488,7 +503,9 @@ def test_checked_in_schedules_without_a_target_are_accepted(name):
     record = load_result(path)
     assert "target" not in record
     cfg = ExperimentConfig(mode="rydberg", n_sites=record["N"], t_total=record["T"])
-    schedule, stamp = cli._resolve_schedule(cfg, path)
+    budgets = []
+    schedule, stamp, paths = cli._resolve_schedule(cfg, path, budgets.append, lambda: "paths")
+    assert budgets == [len(record["amplitudes"])] and paths == "paths"
     assert schedule.t_total == record["T"]
     assert schedule.amplitudes.tolist() == record["amplitudes"]
     assert stamp["config_hash"] == config_hash(cfg, schedule)
@@ -659,12 +676,15 @@ SEED_REFUSALS = {
         ["noise", "--n", "3", "--t", "0.141", "--field-sigma", "nan", "--samples", "3"],
         ["noise", "--n", "3", "--t", "0.141", "--position-sigma", "nan,0,0"],
         ["table", "3", "--config", "negative_decay.yaml"],
+        ["table", "3", "--config", "negative_decay.yaml", "--out", "a/b/t.csv"],
+        ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1", "--out-prefix", "a/b/x"],
         *map(list, SEED_REFUSALS),
     ],
     ids=lambda args: " ".join(args),
 )
 def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monkeypatch, args):
-    """Refused before any schedule is optimized or any result printed."""
+    """Refused before any schedule is optimized, any result printed or any
+    output directory made."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "negative_decay.yaml").write_text("jumps:\n  gamma_up: -1\n", encoding="utf-8")
     calls = []
@@ -676,6 +696,7 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
     assert result.output.startswith(f"Error: {args[0]} failed: ")
     assert result.output.count("\n") == 1
     assert "Traceback" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["negative_decay.yaml"]
     if args[0] == "table":
         assert "Error: table failed: decay rates must be non-negative" in result.output
     if tuple(args) in SEED_REFUSALS:
@@ -695,30 +716,39 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
         assert result.output == f"Error: scan-t failed: {bound} must be finite and positive\n"
 
 
+#: 101 boundaries x 4 magnetization sectors of three atoms, just over the budget
+MASTER_BUDGET = (["master"], 403, "return budget of 403 amplitudes")
+#: the 20-slice pulses pass; the 100-slice core's 100 x 5^3 states do not
+PROTOCOL_BUDGET = (["protocol"], 100 * 5**3 - 1, "stage budget of 12499 amplitudes")
+NESTED = ["--out-prefix", "a/b/x"]
+
+
 @pytest.mark.parametrize(
-    "command, budget",
+    "args, budget, ending",
     [
-        # 101 boundaries x 4 magnetization sectors of three atoms
-        ("master", 403),
-        # the 20-slice pulses pass; the 100-slice core's 100 x 5^3 states do not
-        ("protocol", 100 * 5**3 - 1),
+        MASTER_BUDGET,
+        PROTOCOL_BUDGET,
+        # nor are nested output directories made
+        (MASTER_BUDGET[0] + NESTED, *MASTER_BUDGET[1:]),
+        (PROTOCOL_BUDGET[0] + NESTED, *PROTOCOL_BUDGET[1:]),
+        # 2 samples x 101 boundaries
+        (["noise", "--samples", "2", *NESTED], 201, "ensemble budget of 201 populations"),
     ],
-    ids=["master", "protocol"],
+    ids=["master", "protocol", "master a/b", "protocol a/b", "noise a/b"],
 )
 def test_schedule_beyond_the_trace_budget_is_refused_in_one_line(
-    runner, tmp_path, monkeypatch, command, budget
+    runner, tmp_path, monkeypatch, args, budget, ending
 ):
     """A checked-in 100-slice schedule at a budget just below it: refused in
     one line, before its amplitudes or states are allocated, and nothing is
     written."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(operators, "MAX_TRACE_STACK", budget)
-    result = runner.invoke(main, [command, "--n", "3", "--schedule", SCHEDULE_N3])
+    result = runner.invoke(main, [*args, "--n", "3", "--schedule", SCHEDULE_N3])
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1
     [line] = result.output.splitlines()
-    assert line.startswith(f"Error: {command} failed: ") and "Traceback" not in result.output
-    assert line.endswith(f"exceed the {'return' if command == 'master' else 'stage'} budget "
-                         f"of {budget} amplitudes")
+    assert line.startswith(f"Error: {args[0]} failed: ") and "Traceback" not in result.output
+    assert line.endswith(f"exceed the {ending}")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -806,35 +836,50 @@ def test_noise_beyond_the_trace_budget_is_refused_at_once(runner, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+RETURN_REFUSAL = (
+    "3000001 slice boundaries x 7 sectors exceed the return budget of 10000000 amplitudes"
+)
+
+
 @pytest.mark.parametrize(
-    "args, message",
+    "args, slices, message",
     [
         (
             ["noise", "--n", "6", "--t", "0.233", "--guess", "random", "--samples", "100000000"],
+            3000000,
             "100000000 samples x 11 slice boundaries exceed the ensemble budget of "
             "10000000 populations",
         ),
-        (
-            ["master", "--n", "6", "--t", "0.233", "--config", "long_guess.yaml"],
-            "3000001 slice boundaries x 7 sectors exceed the return budget of "
-            "10000000 amplitudes",
-        ),
+        (["master", "--n", "6", "--t", "0.233", "--config", "long_guess.yaml"], 3000000,
+         RETURN_REFUSAL),
         (
             ["protocol", "--n", "6", "--config", "long_guess.yaml"],
+            3000000,
             "3000000 slice boundaries x 15625 basis states exceed the stage budget of "
             "10000000 amplitudes",
         ),
+        # table 3 checks its largest row, N=6, before its first (N=3) row
+        (["table", "3", "--config", "long_guess.yaml"], 3000000, RETURN_REFUSAL),
+        (["table", "3", "--config", "long_guess.yaml", "--out", "a/b/t.csv"], 3000000,
+         RETURN_REFUSAL),
+        # within the return budget, beyond the stage budget of its protocol column
+        (
+            ["table", "3", "--config", "long_guess.yaml"],
+            500000,
+            "500000 slice boundaries x 15625 basis states exceed the stage budget of "
+            "10000000 amplitudes",
+        ),
     ],
-    ids=["noise", "master", "protocol"],
+    ids=["noise", "master", "protocol", "table", "table a/b", "table stage"],
 )
 def test_noise_to_be_optimized_is_held_to_the_trace_budget_first(
-    runner, tmp_path, monkeypatch, args, message
+    runner, tmp_path, monkeypatch, args, slices, message
 ):
     """Without a schedule the guess fixes the slice count, so each command's
-    budget is checked before any optimization."""
+    budget is checked before any optimization or output directory."""
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "long_guess.yaml"
-    config.write_text("guess:\n  guess_slices: 3000000\n", encoding="utf-8")
+    config.write_text(f"guess:\n  guess_slices: {slices}\n", encoding="utf-8")
     calls = []
     monkeypatch.setattr(cli, "run_optimize", lambda *a, **k: calls.append(a))
     start = time.perf_counter()
