@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 import click
 import numpy as np
@@ -27,7 +26,6 @@ from .analytic import (
 )
 from .chain import RydbergModel
 from .config import (
-    ConfigError,
     ExperimentConfig,
     apply_overrides,
     build_guess_spec,
@@ -62,10 +60,6 @@ TABLE_RYDBERG = ((3, 0.141), (4, 0.172), (5, 0.203), (6, 0.233))
 VIBRATION_OFFSETS_NM = (100.0, -100.0)
 
 
-def _fail(message: str) -> NoReturn:
-    raise click.ClickException(message)
-
-
 def _echo(message: str) -> None:
     # click.echo without a file caches sys.stdout in a weak-keyed map whose
     # value is the stream itself, so every stdout an in-process caller swaps
@@ -74,16 +68,13 @@ def _echo(message: str) -> None:
 
 
 def _merged_config(config_path, **overrides) -> ExperimentConfig:
-    try:
-        cfg = load_config(config_path) if config_path else ExperimentConfig()
-        return apply_overrides(cfg, **overrides)
-    except ConfigError as exc:
-        _fail(f"config error: {exc}")
+    cfg = load_config(config_path) if config_path else ExperimentConfig()
+    return apply_overrides(cfg, **overrides)
 
 
 def _grape_config(cfg: ExperimentConfig) -> GrapeConfig:
     if cfg.t_total is None:
-        _fail("no evolution time given (set run.t_total or pass --t)")
+        raise ValueError("no evolution time given (set run.t_total or pass --t)")
     return GrapeConfig(
         model=build_model(cfg),
         t_total=cfg.t_total,
@@ -169,7 +160,7 @@ def _resolve_schedule(cfg: ExperimentConfig, schedule_path, check_budget, output
         run = {"N": cfg.n_sites, "T": cfg.t_total, "mode": cfg.mode, "target": cfg.target_form}
         for key, value in run.items():
             if value is not None and record.get(key) != value:
-                _fail(f"schedule is for {key}={record.get(key)}, run is for {key}={value}")
+                raise ValueError(f"schedule is for {key}={record.get(key)}, run is for {key}={value}")
         check_budget(schedule.n_slices)
         return schedule, _stamp(cfg, schedule), outputs()
     check_budget(build_guess_spec(cfg).slice_count())
@@ -181,8 +172,8 @@ def _operator_product_only(cfg: ExperimentConfig) -> None:
     """Refuse a cz-circuit run where the staged protocol scores it: its
     references are built from the operator-product graph state."""
     if build_target_spec(cfg) is TargetForm.CZ_CIRCUIT:
-        _fail("the staged protocol scores the operator-product graph state; "
-              "it cannot run target_form cz-circuit")
+        raise ValueError("the staged protocol scores the operator-product graph state; "
+                         "it cannot run target_form cz-circuit")
 
 
 def _with_table_guess(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -220,15 +211,15 @@ def out_prefix_option(default: str):
 
 
 class _Commands(click.Group):
-    """Turns a ``ValueError`` (``GrapeError`` is one) or an ``OSError`` (an
-    output that cannot be written) raised by any command into a one-line
-    ``<command> failed: ...`` message and exit code 1."""
+    """The one printer of refusals: a ``ValueError`` (``ConfigError`` and
+    ``GrapeError`` are ones) or ``OSError`` (an unwritable output) from any
+    command becomes one line, ``<command> failed: ...``, and exit code 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (ValueError, OSError) as exc:
-            _fail(f"{ctx.invoked_subcommand} failed: {exc}")
+            raise click.ClickException(f"{ctx.invoked_subcommand} failed: {exc}")
 
 
 @click.group(cls=_Commands)
@@ -294,11 +285,12 @@ def cmd_table(which, config_path, out, **overrides) -> None:
     cfg = _merged_config(config_path, **overrides)
     if which in ("2", "3"):
         cfg = _with_table_guess(cfg)
+    guess = build_guess_spec(cfg)  # refused before the CSV directory is made
     if which == "3":
         _operator_product_only(cfg)
         jumps = build_jump_channels(cfg)
         # the largest row's traces (N + 1 sectors) and protocol stages
-        n, slices = max(dict(TABLE_RYDBERG)), build_guess_spec(cfg).slice_count()
+        n, slices = max(dict(TABLE_RYDBERG)), guess.slice_count()
         check_return_budget(slices + 1, n + 1)
         check_stage_budget(slices, n)
     csv_path = _output_path(cfg, f"table{which}.csv", out)
@@ -388,11 +380,11 @@ def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **override
     if position_sigma is not None:
         parts = position_sigma.split(",")
         if len(parts) != 3:
-            _fail("--position-sigma needs three comma-separated values")
+            raise ValueError("--position-sigma needs three comma-separated values")
         overrides["position_sigma"] = tuple(float(p) for p in parts)
     cfg = _merged_config(config_path, **overrides)
     if cfg.mode != "rydberg" and any(s > 0 for s in cfg.position_sigma):
-        _fail("geometry noise requires rydberg mode")
+        raise ValueError("geometry noise requires rydberg mode")
     spec = build_noise_spec(cfg)
     schedule, stamp, paths = _resolve_schedule(
         cfg, schedule_path, lambda slices: spec.check_trace_budget(slices + 1),
@@ -488,8 +480,8 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
             if points < 1:
                 raise ValueError(f"{option} must be positive, not {points}")
         check_trace_stack({"B points": b_points, "t points": t_points}, "scan")
-    paths = _float_outputs(cfg, out_prefix, "grid", "maxima") if scan else None
     solution = constant_field_params(c1, c2, j_coupling)
+    paths = _float_outputs(cfg, out_prefix, "grid", "maxima") if scan else None
     pop_closed = constant_field_population(j_coupling, solution.b, solution.t_star)
     pop_prop = propagated_population(j_coupling, solution.b, solution.t_star)
     _echo(

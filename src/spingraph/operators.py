@@ -26,11 +26,14 @@ Conventions
   blocks a state reaches, one stack per block size; the dense
   ``hermitian_sum`` is their reference. The memos key on the immutable
   terms as they are; ``block_pattern`` shares one layout per (terms, support).
-* Three budgets: dense matrices (operators, Hamiltonians, blocks) stay
-  within MAX_DIM, state vectors and the site-level table within
-  MAX_STATE_DIM, and one stack of traces (an ensemble's populations, a
-  drift's sector returns or a protocol stage's states at every slice
-  boundary) within MAX_TRACE_STACK.
+* Two memory budgets, each refused by ``check_trace_stack`` before the
+  allocation: MAX_STATE_DIM basis states for a state vector or the
+  site-level table, and MAX_TRACE_STACK entries for a stack of traces (an
+  ensemble's populations, a drift's sector returns, a protocol stage's
+  states), a dense d^N x d^N matrix or a ``BlockPattern`` buffer. The
+  work caps ``targets.MAX_TARGET_SITES``, ``grape.MAX_SCAN_STEPS``,
+  ``dynamics.MAX_TOTAL_SUBSTEPS`` and ``dynamics.CHUNK_ELEMENTS`` bound
+  run time and chunk size, not an allocation.
 * ``sigma_z |up> = +|up>`` and ``S_z = sigma_z / 2``.
 * hbar = 1. Energies and Rabi rates are angular frequencies in rad/us,
   times in us. A value quoted as "2 pi x f MHz" enters as 2*pi*f rad/us.
@@ -66,12 +69,11 @@ __all__ = [
     "check_trace_stack",
 ]
 
-#: Largest dense matrix dimension.
-MAX_DIM = 4096
 #: Largest state-vector and site-level-table dimension: 5^6, six atoms on
 #: the protocol's five levels.
 MAX_STATE_DIM = 5**6
-#: Largest trace stack of one ensemble, in populations: 80 MB of floats.
+#: Largest trace stack, dense matrix or block buffer, in entries: 80 MB of
+#: floats, 160 MB of complex values.
 MAX_TRACE_STACK = 10**7
 
 HERMITICITY_TOL = 1e-9
@@ -142,7 +144,8 @@ def embed_local_operator(
         raise ValueError(f"operator shape {op.shape} does not match local dim {d}")
     if not 0 <= site < n_sites:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
-    _check_dim_budget(d, n_sites)
+    dim = d**n_sites
+    check_trace_stack({"rows": dim, "columns": dim}, "matrix", "entries")
     left = np.eye(d**site, dtype=complex)
     right = np.eye(d ** (n_sites - site - 1), dtype=complex)
     return np.kron(np.kron(left, op), right)
@@ -159,8 +162,8 @@ def two_site_operator(
     """Embedded product op_a(site_a) op_b(site_b) for distinct sites."""
     if site_a == site_b:
         raise ValueError("sites must be distinct")
-    d = basis.dim
-    _check_dim_budget(d, n_sites)
+    d, dim = basis.dim, basis.dim**n_sites
+    check_trace_stack({"rows": dim, "columns": dim}, "matrix", "entries")
     factors = [np.eye(d, dtype=complex)] * n_sites
     factors[site_a] = np.asarray(op_a, dtype=complex)
     factors[site_b] = np.asarray(op_b, dtype=complex)
@@ -175,7 +178,7 @@ def site_levels(n_sites: int, d: int) -> np.ndarray:
     """(d**N, N) table: row k holds the site levels of basis state k, in
     C order (site 0 most significant). Memoised and read-only. Refuses
     dimensions beyond MAX_STATE_DIM."""
-    _check_dim_budget(d, n_sites, MAX_STATE_DIM)
+    check_trace_stack({"basis states": d**n_sites}, "state", "amplitudes", MAX_STATE_DIM)
     return _read_only(np.arange(d**n_sites)[:, None] // _place_values(n_sites, d) % d)
 
 
@@ -216,9 +219,9 @@ def hermitian_sum(
     """Dense h = sum of coeff T + h.c. over the (terms, coeffs) pairs,
     plus diag(diagonal) added last, where T is the product of single-site
     transitions of a term (see ``transition_indices``). Refuses an
-    over-budget dimension before any d^N x d^N allocation."""
-    _check_dim_budget(basis.dim, n_sites)
+    over-budget matrix before any d^N x d^N allocation."""
     dim = basis.dim**n_sites
+    check_trace_stack({"rows": dim, "columns": dim}, "matrix", "entries")
     h = np.zeros((dim, dim), dtype=complex)
     for term, coeff in zip(terms, coeffs, strict=True):
         dst, src = transition_indices(n_sites, basis, term)
@@ -242,14 +245,15 @@ class BlockPattern:
     kept together as one (S, k, k) stack, so one gufunc call decomposes
     them all: ``indices`` holds one (S, k) index array per size, sizes
     ascending, blocks within a size in the order of their smallest index.
-    Refuses a block beyond MAX_DIM before allocating any. Every array a
+    Refuses d^N beyond MAX_STATE_DIM, and a filled buffer (every block's
+    k^2 entries) beyond MAX_TRACE_STACK, before allocating it. Every array a
     pattern holds is read-only, so one pattern can be shared: callers take
     theirs from ``block_pattern``, which memoises them.
     """
 
     def __init__(self, terms: Sequence[Term], n_sites: int, basis: LocalBasis, support):
-        _check_dim_budget(basis.dim, n_sites, MAX_STATE_DIM)
         dim = basis.dim**n_sites
+        check_trace_stack({"basis states": dim}, "state", "amplitudes", MAX_STATE_DIM)
         edges = [transition_indices(n_sites, basis, term) for term in terms]
         labels = _component_labels(dim, edges)
         reached = np.isin(labels, labels[support])
@@ -260,10 +264,8 @@ class BlockPattern:
         rows = rows[np.lexsort((labels[rows], block_size))]
         starts = np.flatnonzero(np.diff(labels[rows], prepend=-1))
         sizes = np.diff(starts, append=len(rows))
-        if sizes.max(initial=0) > MAX_DIM:
-            raise ValueError(
-                f"block dimension {sizes.max()} exceeds the supported budget {MAX_DIM}"
-            )
+        self._size = int(np.sum(sizes**2))
+        check_trace_stack({"block entries": self._size}, "block", "entries")
         # all blocks side by side in one flat buffer, equal sizes adjacent: a
         # reached index's block starts at offset[index], has width[index]
         # rows, and holds it at pos[index]
@@ -273,7 +275,6 @@ class BlockPattern:
         offset[rows] = first[block]
         width[rows] = sizes[block]
         pos[rows] = np.arange(len(rows)) - starts[block]
-        self._size = int(np.sum(sizes**2))
         # flat positions of each term's entries and of their conjugates
         self._entries = []
         for dst, src in edges:
@@ -386,7 +387,7 @@ def basis_state(labels: Sequence[str], basis: LocalBasis) -> np.ndarray:
     """Computational basis ket |l_0 l_1 ... l_{N-1}> (site 0 leftmost)."""
     n = len(labels)
     d = basis.dim
-    _check_dim_budget(d, n, MAX_STATE_DIM)
+    check_trace_stack({"basis states": d**n}, "state", "amplitudes", MAX_STATE_DIM)
     levels = np.array([basis.index(name) for name in labels], dtype=int)
     out = np.zeros(d**n, dtype=complex)
     out[levels @ _place_values(n, d)] = 1.0
@@ -402,17 +403,14 @@ def product_state(local: np.ndarray, n_sites: int) -> np.ndarray:
     return out
 
 
-def check_trace_stack(counts: dict[str, int], stack: str, unit: str = "populations") -> None:
+def check_trace_stack(
+    counts: dict[str, int], stack: str, unit: str = "populations", budget: int | None = None
+) -> None:
     """Refuse a ``stack`` of as many entries as the product of ``counts``
-    (name -> count) beyond MAX_TRACE_STACK, naming each count; callers
-    check before they allocate the stack."""
-    if math.prod(counts.values()) > MAX_TRACE_STACK:
+    (name -> count) beyond ``budget`` ``unit``, naming each count; callers
+    check before they allocate the stack. ``budget`` defaults to
+    MAX_TRACE_STACK, read at each call."""
+    budget = MAX_TRACE_STACK if budget is None else budget
+    if math.prod(counts.values()) > budget:
         sizes = " x ".join(f"{count} {name}" for name, count in counts.items())
-        raise ValueError(f"{sizes} exceed the {stack} budget of {MAX_TRACE_STACK} {unit}")
-
-
-def _check_dim_budget(local_dim: int, n_sites: int, budget: int = MAX_DIM) -> None:
-    if local_dim**n_sites > budget:
-        raise ValueError(
-            f"dimension {local_dim}^{n_sites} exceeds the supported budget {budget}"
-        )
+        raise ValueError(f"{sizes} exceed the {stack} budget of {budget} {unit}")

@@ -41,9 +41,9 @@ every later run on a chain of that size reuses them.
 This is symmetry-block exact diagonalization (Sandvik, AIP Conf. Proc.
 1297, 135 (2010)). Blocks of one size go through one stacked ``eigh``:
 20 calls per N=3 run for 69 blocks. The largest block per stage grows
-from 8 / 8 / 3 / 12 / 12 at N=3 to 64 / 64 / 20 / 240 / 240 at N=6, well
-within the dense budget; the d^N state vectors cap the protocol at six
-atoms (``MAX_STATE_DIM``).
+from 8 / 8 / 3 / 12 / 12 at N=3 to 64 / 64 / 20 / 240 / 240 at N=6 (the
+largest filled buffer, 1436681 entries, is within the block budget); the
+d^N state vectors cap the protocol at six atoms (``MAX_STATE_DIM``).
 
 Each stage is its drives over its own schedule: TRACE_POINTS_PER_STAGE
 zero-field slices over a pulse, or the optimized field for the core.
@@ -69,6 +69,7 @@ import numpy as np
 from .chain import TWO_PI, ChainGeometry, RydbergModel, build_control_hz_diagonal, drift_terms
 from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import (
+    MAX_STATE_DIM,
     PROTOCOL_BASIS,
     SPIN_BASIS,
     basis_state,
@@ -185,11 +186,11 @@ def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> Pr
 
 def check_stage_budget(slices: int, n_sites: int) -> None:
     """Refuse the states of a stage of ``slices`` slices on ``n_sites``
-    atoms: d^N beyond MAX_STATE_DIM (the memoised level table refuses it),
-    or one d^N row per slice boundary after t = 0 beyond MAX_TRACE_STACK."""
-    site_levels(n_sites, PROTOCOL_BASIS.dim)
-    sizes = {"slice boundaries": slices, "basis states": PROTOCOL_BASIS.dim**n_sites}
-    check_trace_stack(sizes, "stage", "amplitudes")
+    atoms: d^N beyond MAX_STATE_DIM, or one d^N row per slice boundary
+    after t = 0 beyond MAX_TRACE_STACK."""
+    dim = PROTOCOL_BASIS.dim**n_sites
+    check_trace_stack({"basis states": dim}, "state", "amplitudes", MAX_STATE_DIM)
+    check_trace_stack({"slice boundaries": slices, "basis states": dim}, "stage", "amplitudes")
 
 
 def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np.ndarray:

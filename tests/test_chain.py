@@ -335,7 +335,8 @@ def test_index_builders_match_kron_reference(basis, n):
     ],
 )
 def test_builders_refuse_beyond_dimension_budget(build):
-    # 5^6 = 15625 and 2^13 = 8192 exceed 4096: refused before any dense
+    # 15625^2 and 8192^2 entries exceed 10^7: refused before any dense
     # matrix is allocated
-    with pytest.raises(ValueError, match="exceeds the supported budget"):
+    message = r"^(15625 rows x 15625|8192 rows x 8192) columns exceed the matrix budget of 10000000 entries$"
+    with pytest.raises(ValueError, match=message):
         build()

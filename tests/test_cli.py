@@ -129,8 +129,8 @@ def test_malformed_config_fails_cleanly(runner, tmp_path):
     result = runner.invoke(
         main, ["optimize", "--config", str(config), "--t", "2.3", "--out", str(out)]
     )
-    assert result.exit_code != 0
-    assert "config error" in result.output
+    assert result.exit_code == 1
+    assert result.output == "Error: optimize failed: unknown config section 'simulation'\n"
     assert not out.exists()
 
 
@@ -151,22 +151,21 @@ def test_config_keys_are_the_cli_flags(runner):
 @pytest.mark.parametrize(
     "case",
     [
-        ("run.t_total", '"0.141"', ["optimize"]),
-        ("noise.samples", '"5"', ["noise", "--t", "0.141"]),
-        ("guess.seed", "1.5", ["optimize", "--t", "0.141", "--guess", "random"]),
-        ("scan.scan_steps", "3.0", ["scan-t"]),
+        ("run.t_total", '"0.141"', ["optimize"], "float or null, not '0.141'"),
+        ("noise.samples", '"5"', ["noise", "--t", "0.141"], "int, not '5'"),
+        ("guess.seed", "1.5", ["optimize", "--t", "0.141", "--guess", "random"], "int, not 1.5"),
+        ("scan.scan_steps", "3.0", ["scan-t"], "int, not 3.0"),
     ],
     ids=lambda case: case[0],
 )
 def test_config_value_of_the_wrong_type_ends_in_one_line(runner, tmp_path, case):
-    key, value, args = case
+    key, value, args, wanted = case
     section, name = key.split(".")
     path = tmp_path / "cfg.yaml"
     path.write_text(f"{section}:\n  {name}: {value}\n", encoding="utf-8")
     result = runner.invoke(main, [*args, "--config", str(path)])
     assert result.exit_code == 1
-    assert f"Error: config error: {key} must be " in result.output
-    assert "Traceback" not in result.output
+    assert result.output == f"Error: {args[0]} failed: {key} must be {wanted}\n"
 
 
 def test_analytic_family_point(runner):
@@ -379,7 +378,7 @@ def test_schedule_for_another_atom_count_is_refused(
         main, [command, "--n", "4", "--schedule", str(core_schedule_path), *out_args]
     )
     assert result.exit_code == 1
-    assert result.output == "Error: schedule is for N=3, run is for N=4\n"
+    assert result.output == f"Error: {command} failed: schedule is for N=3, run is for N=4\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -399,7 +398,7 @@ def test_schedule_for_another_duration_is_refused(
         args = ["--config", str(config)]
     result = runner.invoke(main, [command, *args, "--schedule", str(core_schedule_path)])
     assert result.exit_code == 1
-    assert result.output == "Error: schedule is for T=0.141, run is for T=0.5\n"
+    assert result.output == f"Error: {command} failed: schedule is for T=0.141, run is for T=0.5\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.yaml"] if source == "config" else [])
 
 
@@ -437,7 +436,7 @@ def test_schedule_for_another_mode_or_target_is_refused(
     assert load_result(path)["target"] == ("cz-circuit" if kind == "cz" else "operator-product")
     result = runner.invoke(main, [command, "--n", "3", "--t", "0.141", "--schedule", str(path)])
     assert result.exit_code == 1
-    assert result.output == f"Error: {FOREIGN_REFUSALS[kind]}\n"
+    assert result.output == f"Error: {command} failed: {FOREIGN_REFUSALS[kind]}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -490,8 +489,8 @@ def test_runs_of_the_staged_protocol_refuse_the_cz_target(
     result = runner.invoke(main, [*args, "--config", str(config)])
     assert result.exit_code == 1
     assert result.output == (
-        "Error: the staged protocol scores the operator-product graph state; "
-        "it cannot run target_form cz-circuit\n"
+        f"Error: {args[0]} failed: the staged protocol scores the operator-product graph "
+        "state; it cannot run target_form cz-circuit\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -632,7 +631,10 @@ def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path, monkeypat
         )
         assert calls == []
         assert result.exit_code == 1
-        assert "protocol failed: dimension 5^7 exceeds the supported budget 15625" in result.output
+        assert result.output == (
+            "Error: protocol failed: 78125 basis states exceed the state budget of "
+            "15625 amplitudes\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
 
@@ -651,6 +653,19 @@ SEED_REFUSALS = {
     # field seeds start at base_seed + samples, so this one used to run
     ("noise", "--n", "3", "--t", "0.141", "--base-seed", "-5", "--field-sigma", "1"):
         "base_seed must be a non-negative integer, not -5",
+}
+
+
+#: Inputs checked before a nested output directory -> their refusal.
+NESTED_REFUSALS = {
+    ("table", "1", "--seed", "-1", "--out", "a/b/t.csv"):
+        "seed must be a non-negative integer, not -1",
+    ("table", "2", "--config", "zero_slices.yaml", "--out", "q/t.csv"):
+        "n_slices must be at least 1, not 0",
+    ("analytic", "--c1", "5", "--c2", "3", "--scan", "--out-prefix", "d/e/x"):
+        "requires c2 >= c1",
+    ("analytic", "--j", "-1", "--scan", "--out-prefix", "d/e/x"):
+        "requires a finite j > 0",
 }
 
 
@@ -679,6 +694,7 @@ SEED_REFUSALS = {
         ["table", "3", "--config", "negative_decay.yaml", "--out", "a/b/t.csv"],
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1", "--out-prefix", "a/b/x"],
         *map(list, SEED_REFUSALS),
+        *map(list, NESTED_REFUSALS),
     ],
     ids=lambda args: " ".join(args),
 )
@@ -687,6 +703,7 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
     output directory made."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "negative_decay.yaml").write_text("jumps:\n  gamma_up: -1\n", encoding="utf-8")
+    (tmp_path / "zero_slices.yaml").write_text("guess:\n  guess_slices: 0\n", encoding="utf-8")
     calls = []
     monkeypatch.setattr(cli, "run_optimize", lambda *a, **k: calls.append(a))
     result = runner.invoke(main, args)
@@ -696,11 +713,12 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
     assert result.output.startswith(f"Error: {args[0]} failed: ")
     assert result.output.count("\n") == 1
     assert "Traceback" not in result.output
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["negative_decay.yaml"]
-    if args[0] == "table":
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["negative_decay.yaml", "zero_slices.yaml"]
+    if "negative_decay.yaml" in args:
         assert "Error: table failed: decay rates must be non-negative" in result.output
-    if tuple(args) in SEED_REFUSALS:
-        assert result.output == f"Error: {args[0]} failed: {SEED_REFUSALS[tuple(args)]}\n"
+    for refusals in (SEED_REFUSALS, NESTED_REFUSALS):
+        if tuple(args) in refusals:
+            assert result.output == f"Error: {args[0]} failed: {refusals[tuple(args)]}\n"
     if args[0] == "analytic" and "-3" in args:
         assert result.output == "Error: analytic failed: --b-points must be positive, not -3\n"
     if args[0] == "analytic" and "0" in args:

@@ -5,6 +5,8 @@ leftmost factor; up has local index 0 and sigma_z eigenvalue +1). The
 local matrices of ``kron_reference`` are pinned here too.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,9 @@ from spingraph.operators import (
     transition_indices,
     two_site_operator,
 )
+from spingraph.dynamics import NoiseSpec
+from spingraph.grape import check_return_budget
+from spingraph.protocol import check_stage_budget
 
 from kron_reference import (
     SIGMA_X,
@@ -221,7 +226,8 @@ def test_site_levels_rows_are_base_d_digits(d, n):
 def test_site_levels_refuses_beyond_budget():
     # the table shares the state-vector budget 5^6, above the dense one
     assert site_levels(6, 5).shape == (15625, 6)
-    with pytest.raises(ValueError, match="exceeds the supported budget 15625"):
+    message = "^78125 basis states exceed the state budget of 15625 amplitudes$"
+    with pytest.raises(ValueError, match=message):
         site_levels(7, 5)
     with pytest.raises(ValueError):
         transition_indices(7, PROTOCOL_BASIS, ((0, "up", "down"),))
@@ -462,14 +468,60 @@ def test_shared_layout_arrays_are_read_only():
     assert not np.any(layout.fill(np.ones(2), np.zeros(basis.dim**n))[0][1] == 7.0)
 
 
+#: Single-site moves that chain all five protocol levels, joining all 5^N indices.
+ALL_LEVEL_MOVES = [
+    ((site, *pair),)
+    for site in range(6)
+    for pair in [("0", "1"), ("1", "up"), ("up", "down"), ("down", "r")]
+]
+
+
 def test_block_pattern_refuses_a_block_beyond_the_dense_budget():
-    # single-site moves that chain all five levels join all 5^6 indices
-    chain = [("0", "1"), ("1", "up"), ("up", "down"), ("down", "r")]
-    moves = [((site, *pair),) for site in range(6) for pair in chain]
-    with pytest.raises(ValueError, match="block dimension 15625 exceeds the supported budget 4096"):
-        BlockPattern(moves, 6, PROTOCOL_BASIS, np.array([0]))
-    with pytest.raises(ValueError, match="exceeds the supported budget 15625"):
+    message = "^244140625 block entries exceed the block budget of 10000000 entries$"
+    with pytest.raises(ValueError, match=message):
+        BlockPattern(ALL_LEVEL_MOVES, 6, PROTOCOL_BASIS, np.array([0]))
+    message = "^78125 basis states exceed the state budget of 15625 amplitudes$"
+    with pytest.raises(ValueError, match=message):
         BlockPattern([], 7, PROTOCOL_BASIS, np.array([0]))
+
+
+#: ``<n> <what>[ x <n> <what>] exceed the <stack> budget of <B> <unit>``
+BUDGET_REFUSAL = r"\d+ [A-Za-z ]+( x \d+ [A-Za-z ]+)* exceed the [a-z]+ budget of \d+ [a-z]+"
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: site_levels(7, 5),
+        lambda: basis_state(["0"] * 7, PROTOCOL_BASIS),
+        lambda: BlockPattern(ALL_LEVEL_MOVES, 6, PROTOCOL_BASIS, np.array([0])),
+        # 13 spins' flip-flops: sum over m of C(13, m)^2 = 10400600 entries
+        lambda: BlockPattern(
+            [((i, "up", "down"), (i + 1, "down", "up")) for i in range(12)], 13, SPIN_BASIS,
+            np.arange(2**13),
+        ),
+        lambda: embed_local_operator(np.eye(2), 0, 13, SPIN_BASIS),
+        lambda: two_site_operator(np.eye(2), 0, np.eye(2), 1, 13, SPIN_BASIS),
+        lambda: hermitian_sum([], [], np.zeros(2**13), 13, SPIN_BASIS),
+        lambda: embed_local_operator(np.eye(5), 0, 6, PROTOCOL_BASIS),
+        lambda: two_site_operator(np.eye(5), 0, np.eye(5), 1, 6, PROTOCOL_BASIS),
+        lambda: hermitian_sum([], [], np.zeros(5**6), 6, PROTOCOL_BASIS),
+        lambda: check_stage_budget(100, 7),
+        lambda: check_stage_budget(10**6, 3),
+        lambda: check_return_budget(10**7, 2),
+        lambda: NoiseSpec(field_sigma=1.0, samples=10**6).check_trace_budget(101),
+    ],
+    ids=[
+        "site_levels", "basis_state", "block_pattern", "spin-layout-13",
+        "embed-2^13", "two_site-2^13", "hermitian_sum-2^13",
+        "embed-5^6", "two_site-5^6", "hermitian_sum-5^6",
+        "stage-state", "stage", "return", "ensemble",
+    ],
+)
+def test_every_memory_refusal_has_one_form(refused):
+    with pytest.raises(ValueError) as refusal:
+        refused()
+    assert re.fullmatch(BUDGET_REFUSAL, str(refusal.value)), str(refusal.value)
 
 
 @pytest.mark.parametrize("basis", [EMISSION_BASIS, PROTOCOL_BASIS])

@@ -241,7 +241,8 @@ def test_dimension_budget():
         ControlSchedule(t_total=0.1, amplitudes=np.zeros(2)),
     )
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="5\\^7 exceeds the supported budget 15625"):
+    message = "^78125 basis states exceed the state budget of 15625 amplitudes$"
+    with pytest.raises(ValueError, match=message):
         run_full_protocol(plan)
     assert time.perf_counter() - start < 1.0
 
