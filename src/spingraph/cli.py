@@ -378,10 +378,15 @@ def _error_budget_rows(cfg: ExperimentConfig, jumps):
 def cmd_noise(config_path, position_sigma, schedule_path, out_prefix, **overrides) -> None:
     """Monte Carlo ensemble under geometric and/or field noise."""
     if position_sigma is not None:
-        parts = position_sigma.split(",")
-        if len(parts) != 3:
-            raise ValueError("--position-sigma needs three comma-separated values")
-        overrides["position_sigma"] = tuple(float(p) for p in parts)
+        try:
+            sigma = tuple(float(p) for p in position_sigma.split(","))
+        except ValueError:
+            sigma = ()
+        if len(sigma) != 3:
+            raise ValueError(
+                f"--position-sigma needs three comma-separated values in nm, not {position_sigma!r}"
+            )
+        overrides["position_sigma"] = sigma
     cfg = _merged_config(config_path, **overrides)
     if cfg.mode != "rydberg" and any(s > 0 for s in cfg.position_sigma):
         raise ValueError("geometry noise requires rydberg mode")

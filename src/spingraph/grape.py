@@ -274,7 +274,9 @@ class ClosedFormPropagator:
     big = exp(-i (t w + A h)) and small = exp(-i s w), the overlaps are the
     one product big @ (W small)^T. A single duration per (t, A) is the
     offset s = 0, whose row of ones leaves W as it is; ``SpinSectors``
-    lays a uniform grid out as giant steps t and baby steps s.
+    lays a uniform grid out as giant steps t and baby steps s. Every array
+    a propagator holds is read-only, so one can be shared, as the protocol's
+    memoised post-core kernels are.
     """
 
     def __init__(self, h: np.ndarray, hz_diag: np.ndarray):
@@ -285,6 +287,8 @@ class ClosedFormPropagator:
                              f"spans Hz values {values.min()} to {values.max()}")
         self._hz = hz_diag[..., 0, None, None]
         self._w, self._v = np.linalg.eigh(h)
+        for array in (self._hz, self._w, self._v):
+            array.flags.writeable = False
 
     def _phases(self, t, area) -> tuple[tuple, np.ndarray]:
         # the results' shape, and the (stack..., one flat axis of the (t, area)

@@ -45,6 +45,21 @@ from 8 / 8 / 3 / 12 / 12 at N=3 to 64 / 64 / 20 / 240 / 240 at N=6 (the
 largest filled buffer, 1436681 entries, is within the block budget); the
 d^N state vectors cap the protocol at six atoms (``MAX_STATE_DIM``).
 
+One builder, ``_stage_kernels``, turns a stage's Hamiltonian into its
+kernels: layout, fill, and one ``grape.ClosedFormPropagator`` per block
+size, every array of which is read-only. ``run_stage`` builds them afresh
+on every call. ``run_full_protocol`` does so up to and including the
+core: the stages before it start from the fixed all-zero state, and the
+core carries the schedule. The stages after it, decouple and
+map-to-clock, are the same operators on every run on a chain and hold
+its largest blocks, so their kernels come from a process-wide memo of 8
+entries, the post-core stages of four chains. Its key is the stage
+Hamiltonian's content (terms, coefficients, diagonal, field flag), N and
+the support of the stage's input state, never the geometry object, so a
+displaced atom, another delta_r or a patched background misses. A first
+run makes 20 ``eigh`` calls at N=3 and 28 at N=4; a repeat run on the
+chain makes 8 and 11, with the same output bits.
+
 Each stage is its drives over its own schedule: TRACE_POINTS_PER_STAGE
 zero-field slices over a pulse, or the optimized field for the core.
 Each stack of equal-size reached blocks runs through
@@ -62,6 +77,7 @@ stage starts from the last.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,10 +216,17 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
     before it is allocated.
 
     One stacked eigendecomposition per size of the reached blocks (see
-    the module docstring). The field's factorization needs one Hz value on
-    every block; drives or a background that break it raise
-    ``GrapeError``, a ValueError.
+    the module docstring), made afresh on every call. The field's
+    factorization needs one Hz value on every block; drives or a
+    background that break it raise ``GrapeError``, a ValueError.
     """
+    return _evolve(state, stage, plan, _stage_kernels)
+
+
+def _evolve(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan, kernels) -> np.ndarray:
+    """``run_stage`` with the stage's kernels taken from ``kernels``: the
+    kernel builder or its memo, called with the stage's Hamiltonian
+    content, N and the support of the input state."""
     n, dim = plan.n_sites, PROTOCOL_BASIS.dim**plan.n_sites
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
@@ -219,16 +242,43 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
     terms = tuple(((site, a, b),) for a, b, _ in stage.drives for site in range(n)) + terms
     coeffs = np.concatenate([[0.5 * rate for *_, rate in stage.drives for _ in range(n)], coeffs])
     # Hz only under a field, since it does not commute with the drives
-    field = schedule.amplitudes.any()
-    hz = build_control_hz_diagonal(n, PROTOCOL_BASIS) if field else np.zeros(dim)
+    field = bool(schedule.amplitudes.any())
     times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
     states = np.zeros((len(times), dim), dtype=complex)
-    pattern = block_pattern(terms, n, PROTOCOL_BASIS, np.flatnonzero(state))
-    for idx, h in pattern.fill(coeffs, diagonal):
+    for idx, kernel in kernels(terms, coeffs, diagonal, field, n, np.flatnonzero(state)):
         # (blocks, times, k) from the propagator, (times, blocks, k) here
-        stack = ClosedFormPropagator(h, hz[idx]).states(state[idx], times, areas)
-        states[:, idx] = stack.swapaxes(0, 1)
+        states[:, idx] = kernel.states(state[idx], times, areas).swapaxes(0, 1)
     return states
+
+
+def _stage_kernels(terms, coeffs, diagonal, field: bool, n_sites: int, support) -> tuple:
+    """The one kernel builder: the (idx, ``ClosedFormPropagator``) pair of
+    each size of the blocks that ``support`` reaches, idx the (S, k) block
+    indices, for the Hamiltonian sum of coeff T + h.c. over ``terms`` plus
+    diag(``diagonal``), with Hz where ``field`` is set. Every array a
+    kernel holds is read-only, so kernels can be shared."""
+    dim = PROTOCOL_BASIS.dim**n_sites
+    hz = build_control_hz_diagonal(n_sites, PROTOCOL_BASIS) if field else np.zeros(dim)
+    pattern = block_pattern(terms, n_sites, PROTOCOL_BASIS, support)
+    blocks = pattern.fill(coeffs, diagonal)
+    return tuple((idx, ClosedFormPropagator(h, hz[idx])) for idx, h in blocks)
+
+
+def _post_core_kernels(terms, coeffs, diagonal, field: bool, n_sites: int, support) -> tuple:
+    """``_stage_kernels`` for the stages after the core, memoised on the
+    content of its arguments: the terms, the field flag and N as they are,
+    and the coefficients, the diagonal and the support as their dtypes and
+    bytes. The memo keeps the last 8 entries, the post-core stages of four
+    chains; at worst, an N=6 chain's two hold about 1.69 M eigenvector
+    entries, roughly 13.5 MB."""
+    key = ((a.dtype.str, a.tobytes()) for a in (coeffs, diagonal, support))
+    return _kernel_memo(terms, field, n_sites, *key)
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_memo(terms: tuple, field: bool, n_sites: int, *arrays: tuple[str, bytes]) -> tuple:
+    coeffs, diagonal, support = (np.frombuffer(data, dtype) for dtype, data in arrays)
+    return _stage_kernels(terms, coeffs, diagonal, field, n_sites, support)
 
 
 def _on_levels(spin_state: np.ndarray, level_for_up: str, level_for_down: str) -> np.ndarray:
@@ -280,14 +330,19 @@ def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
     timeline = [(0.0, *pops(state), "start")]
     reports: list[StageReport] = []
     elapsed = 0.0
+    # the stages before the core and the core run afresh; those after it
+    # take their kernels from the memo, as they recur on every run
+    kernels = _stage_kernels
     for stage in plan.stages:
-        states = run_stage(state, stage, plan)
+        states = _evolve(state, stage, plan, kernels)
         for t, s in zip(stage.schedule.boundary_times[1:], states):
             timeline.append((elapsed + float(t), *pops(s), stage.label))
         state = states[-1]
         elapsed += stage.duration
         end_pops = dict(zip(refs, timeline[-1][1:5]))
         reports.append(StageReport(stage.label, elapsed, end_pops.get(stage.label)))
+        if stage.uses_core_schedule:
+            kernels = _post_core_kernels
     return ProtocolResult(
         final_state=state,
         stage_reports=reports,

@@ -656,6 +656,14 @@ SEED_REFUSALS = {
 }
 
 
+#: A --position-sigma that is not three numbers -> its refusal, which names the option.
+SIGMA_REFUSALS = {
+    ("noise", "--n", "3", "--t", "0.141", "--position-sigma", sigma):
+        f"--position-sigma needs three comma-separated values in nm, not '{sigma}'"
+    for sigma in ("1,a,2", "1,2", "1,2,3,4")
+}
+
+
 #: Inputs checked before a nested output directory -> their refusal.
 NESTED_REFUSALS = {
     ("table", "1", "--seed", "-1", "--out", "a/b/t.csv"):
@@ -694,6 +702,7 @@ NESTED_REFUSALS = {
         ["table", "3", "--config", "negative_decay.yaml", "--out", "a/b/t.csv"],
         ["master", "--n", "3", "--t", "0.141", "--gamma-up", "-1", "--out-prefix", "a/b/x"],
         *map(list, SEED_REFUSALS),
+        *map(list, SIGMA_REFUSALS),
         *map(list, NESTED_REFUSALS),
     ],
     ids=lambda args: " ".join(args),
@@ -716,7 +725,7 @@ def test_invalid_values_end_in_a_message_not_a_traceback(runner, tmp_path, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["negative_decay.yaml", "zero_slices.yaml"]
     if "negative_decay.yaml" in args:
         assert "Error: table failed: decay rates must be non-negative" in result.output
-    for refusals in (SEED_REFUSALS, NESTED_REFUSALS):
+    for refusals in (SEED_REFUSALS, SIGMA_REFUSALS, NESTED_REFUSALS):
         if tuple(args) in refusals:
             assert result.output == f"Error: {args[0]} failed: {refusals[tuple(args)]}\n"
     if args[0] == "analytic" and "-3" in args:

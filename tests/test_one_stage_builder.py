@@ -1,0 +1,72 @@
+"""Every protocol stage gets its kernels from one builder,
+``protocol._stage_kernels``: the stage's terms go through
+``operators.block_pattern`` and ``BlockPattern.fill`` into one
+``grape.ClosedFormPropagator`` per block size. The post-core memo wraps
+that builder, so a fresh run and a memoised one decompose the same blocks
+the same way.
+
+So no other function in ``protocol`` may name ``ClosedFormPropagator``,
+``BlockPattern`` or ``block_pattern``, or call a ``.fill``, and
+``protocol`` may not import those names under another name.
+"""
+
+import ast
+from pathlib import Path
+
+PROTOCOL = Path(__file__).resolve().parents[1] / "src" / "spingraph" / "protocol.py"
+
+NAMES = {"ClosedFormPropagator", "BlockPattern", "block_pattern", "fill"}
+BUILDER = "_stage_kernels"
+
+
+def kernel_builds(source: str) -> list[str]:
+    """``scope:line name`` for each use of a kernel-building name outside
+    the builder (``<module>`` for module level), and for each import of one
+    under another name."""
+    out = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = [*scope, node.name]
+        names = []
+        if isinstance(node, ast.ImportFrom):
+            out.extend(
+                f"{scope[-1]}:{node.lineno} {alias.name} as {alias.asname}"
+                for alias in node.names
+                if alias.name in NAMES and alias.asname not in (None, alias.name)
+            )
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        if BUILDER not in scope:
+            out.extend(f"{scope[-1]}:{node.lineno} {name}" for name in names if name in NAMES)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ["<module>"])
+    return out
+
+
+def test_the_scan_finds_kernel_builds():
+    source = (
+        "from .grape import ClosedFormPropagator\n"
+        "from .operators import block_pattern as layout\n"
+        "def _stage_kernels(terms, coeffs, diagonal, support):\n"
+        "    pattern = block_pattern(terms, 3, None, support)\n"
+        "    return [ClosedFormPropagator(h, 0) for _, h in pattern.fill(coeffs, diagonal)]\n"
+        "def _evolve(state, terms, coeffs, diagonal):\n"
+        "    blocks = layout(terms, 3, None, [0]).fill(coeffs, diagonal)\n"
+        "    return [grape.ClosedFormPropagator(h, 0) for _, h in blocks]\n"
+        "kernel = ClosedFormPropagator\n"
+    )
+    assert kernel_builds(source) == [
+        "<module>:2 block_pattern as layout",
+        "_evolve:7 fill",
+        "_evolve:8 ClosedFormPropagator",
+        "<module>:9 ClosedFormPropagator",
+    ]
+
+
+def test_only_the_builder_fills_and_decomposes_a_stage():
+    assert kernel_builds(PROTOCOL.read_text(encoding="utf-8")) == []

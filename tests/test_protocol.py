@@ -479,21 +479,20 @@ def stage_references(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_timeline_is_the_stacks_run_stage_returns(n, monkeypatch):
+def test_timeline_is_the_stacks_run_stage_returns(n):
     """Each stage's timeline rows are the tracked populations of exactly
-    the rows run_stage returns, at elapsed + boundary_times[1:], and each
-    report's population is its reference's value on the stage's last row."""
-    stacks = []
-    original_stage = protocol.run_stage
-
-    def recording_stage(*args):
-        stacks.append(original_stage(*args))
-        return stacks[-1]
-
-    monkeypatch.setattr(protocol, "run_stage", recording_stage)
+    the rows run_stage returns, chained from the all-zero start, at
+    elapsed + boundary_times[1:], and each report's population is its
+    reference's value on the stage's last row; the memoised post-core
+    kernels give run_stage's bits."""
     core = ControlSchedule(t_total=0.15, amplitudes=np.array([-9.8, 3.1, -12.4]))
     plan = standard_plan(ChainGeometry.regular(n), core)
+    protocol._kernel_memo.cache_clear()
     result = run_full_protocol(plan)
+    stacks, state = [], basis_state(["0"] * n, PROTOCOL_BASIS)
+    for stage in plan.stages:
+        stacks.append(run_stage(state, stage, plan))
+        state = stacks[-1][-1]
     refs = stage_references(n)
     assert len(stacks) == len(plan.stages)
     assert result.timeline[0][5] == "start"
@@ -515,12 +514,14 @@ def test_timeline_is_the_stacks_run_stage_returns(n, monkeypatch):
 
 
 def test_full_protocol_diagonalizes_once_per_block_size(monkeypatch, core_result):
-    """One stacked eigh per distinct block size of each stage, which
-    together decompose exactly the reached blocks, each once, and never a
-    d^N x d^N matrix; pins the call counts and the largest block of every
-    stage at N=3 and N=4."""
+    """One stacked eigh per distinct block size of each stage it builds,
+    which together decompose exactly the reached blocks, each once, and
+    never a d^N x d^N matrix; pins the call counts and the largest block
+    of every stage at N=3 and N=4. A first run builds all five stages; a
+    repeat run on the chain builds only those up to the core, as decouple
+    and map-to-clock come from the memo."""
     calls, blocks = [], []
-    original_eigh, original_stage = np.linalg.eigh, protocol.run_stage
+    original_eigh, original_kernels = np.linalg.eigh, protocol._stage_kernels
     original_fill = BlockPattern.fill
 
     def counting_eigh(a, *args, **kwargs):
@@ -532,33 +533,132 @@ def test_full_protocol_diagonalizes_once_per_block_size(monkeypatch, core_result
         blocks.append([idx for idx, _ in out])
         return out
 
-    def marking_stage(*args, **kwargs):
+    def marking_kernels(*args):
         calls.append([])
-        return original_stage(*args, **kwargs)
+        return original_kernels(*args)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     # on the class, so the memoised layouts record their fills too
     monkeypatch.setattr(BlockPattern, "fill", recording_fill)
-    monkeypatch.setattr(protocol, "run_stage", marking_stage)
+    monkeypatch.setattr(protocol, "_stage_kernels", marking_kernels)
     largest = {3: [8, 8, 3, 12, 12], 4: [16, 16, 6, 32, 32]}
-    eigh_calls = {3: 20, 4: 28}
+    # (first run, repeat run)
+    eigh_calls = {3: (20, 8), 4: (28, 11)}
+    protocol._kernel_memo.cache_clear()
     for n, schedule in ((3, core_result.schedule), (4, ControlSchedule(0.172, np.ones(4)))):
-        calls.clear()
-        blocks.clear()
         plan = standard_plan(ChainGeometry.regular(n), schedule)
-        run_full_protocol(plan)
-        assert len(calls) == len(blocks) == len(plan.stages)
-        for stage_calls, stacks in zip(calls, blocks):
-            # one (S, k, k) call per (S, k) stack of distinct size k, and
-            # every reached index in one block
-            assert stage_calls == [(s, k, k) for s, k in (idx.shape for idx in stacks)]
-            assert len({idx.shape[1] for idx in stacks}) == len(stacks)
-            reached = np.concatenate([idx.ravel() for idx in stacks])
-            assert len(np.unique(reached)) == len(reached)
-        assert sum(map(len, calls)) == eigh_calls[n]
-        assert [max(shape[-1] for shape in c) for c in calls] == largest[n]
-        # the last stage reaches every basis index
-        assert sum(idx.size for idx in blocks[-1]) == PROTOCOL_BASIS.dim**n
+        for built, eigh_count in zip((len(plan.stages), 3), eigh_calls[n], strict=True):
+            calls.clear()
+            blocks.clear()
+            run_full_protocol(plan)
+            assert len(calls) == len(blocks) == built
+            for stage_calls, stacks in zip(calls, blocks):
+                # one (S, k, k) call per (S, k) stack of distinct size k, and
+                # every reached index in one block
+                assert stage_calls == [(s, k, k) for s, k in (idx.shape for idx in stacks)]
+                assert len({idx.shape[1] for idx in stacks}) == len(stacks)
+                reached = np.concatenate([idx.ravel() for idx in stacks])
+                assert len(np.unique(reached)) == len(reached)
+            assert sum(map(len, calls)) == eigh_count
+            assert [max(shape[-1] for shape in c) for c in calls] == largest[n][:built]
+            if built == len(plan.stages):
+                # the last stage reaches every basis index
+                assert sum(idx.size for idx in blocks[-1]) == PROTOCOL_BASIS.dim**n
+
+
+def protocol_bits(result):
+    """Everything a run returns, compared bit for bit."""
+    return (result.final_state.tobytes(), result.stage_reports, result.timeline,
+            result.total_duration)
+
+
+def memo_counts():
+    info = protocol._kernel_memo.cache_info()
+    return info.hits, info.misses
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_repeat_run_equals_a_run_on_a_cleared_memo(n):
+    """A repeat run takes decouple and map-to-clock from the memo and
+    returns the bits of a run that decomposed them afresh."""
+    plan = plan_for(n, core_amplitudes=[-9.8, 3.1, -12.4], core_t=0.15)
+    protocol._kernel_memo.cache_clear()
+    fresh = run_full_protocol(plan)
+    assert memo_counts() == (0, 2)
+    repeat = run_full_protocol(plan)
+    assert memo_counts() == (2, 2)
+    assert protocol_bits(repeat) == protocol_bits(fresh)
+
+
+def test_a_second_core_schedule_hits_the_memo():
+    """The post-core kernels do not depend on the core's field: another
+    schedule on the chain reuses them and equals its fresh run."""
+    first, second = plan_for(4, [1.0, -2.0]), plan_for(4, [-9.8, 3.1, -12.4], core_t=0.15)
+    protocol._kernel_memo.cache_clear()
+    run_full_protocol(first)
+    reused = run_full_protocol(second)
+    assert memo_counts() == (2, 2)
+    protocol._kernel_memo.cache_clear()
+    assert protocol_bits(reused) == protocol_bits(run_full_protocol(second))
+
+
+def test_a_displaced_atom_or_delta_r_misses_the_memo():
+    plan = plan_for(3, [1.0, -2.0])
+    displaced = plan.geometry.positions.copy()
+    displaced[2, 2] += 1e-6
+    protocol._kernel_memo.cache_clear()
+    run_full_protocol(plan)
+    for geometry in (ChainGeometry(displaced), plan.geometry.with_delta_r(0.01)):
+        moved = standard_plan(geometry, plan.stages[2].schedule)
+        hits, misses = memo_counts()
+        after = protocol_bits(run_full_protocol(moved))
+        assert memo_counts() == (hits, misses + 2)
+        protocol._kernel_memo.cache_clear()
+        assert after == protocol_bits(run_full_protocol(moved))
+
+
+def test_a_patched_background_and_the_real_one_never_share_kernels(monkeypatch):
+    """A run without interactions before and after a real run on one
+    chain: each run's post-core kernels are its own, so each equals its
+    run on a cleared memo."""
+    plan = plan_for(3, [1.0, -2.0])
+
+    def run(interactions):
+        with monkeypatch.context() as patch:
+            if not interactions:
+                switch_off_interactions(patch)
+            return protocol_bits(run_full_protocol(plan))
+
+    protocol._kernel_memo.cache_clear()
+    runs = [run(False), run(True), run(False), run(True)]
+    assert memo_counts() == (4, 4)
+    for interactions in (False, True):
+        protocol._kernel_memo.cache_clear()
+        fresh = run(interactions)
+        assert runs[interactions] == runs[2 + interactions] == fresh
+    assert runs[0][2] != runs[1][2]
+
+
+def test_memoised_kernels_are_read_only(monkeypatch):
+    """Both runs are served the same kernels, and writing into any array
+    they hold raises."""
+    memo, served = protocol._kernel_memo, []
+
+    def serving_memo(*key):
+        served.append(memo(*key))
+        return served[-1]
+
+    monkeypatch.setattr(protocol, "_kernel_memo", serving_memo)
+    plan = plan_for(3, [1.0, -2.0])
+    memo.cache_clear()
+    run_full_protocol(plan)
+    run_full_protocol(plan)
+    assert len(served) == 4 and all(a is b for a, b in zip(served[:2], served[2:]))
+    for kernels in served[:2]:
+        for idx, kernel in kernels:
+            for array in (idx, kernel._w, kernel._v, kernel._hz):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
 
 
 def test_plan_evaluates_its_interactions_once(monkeypatch):
