@@ -626,10 +626,9 @@ def schedule_from_record(record: dict) -> ControlSchedule:
 
 def save_result(path, record: dict) -> None:
     """Write a JSON record (indent 1, trailing newline); every JSON output
-    of the package goes through here."""
+    of the package goes through here, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(record, indent=1) + "\n")
 
 
 def load_result(path) -> dict:

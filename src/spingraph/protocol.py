@@ -70,14 +70,16 @@ where the schedule carries a field; the interactions conserve
 magnetization, so the field is one phase per block (blocks of one stack
 may differ in it), while drives join levels of different Hz: a stage
 with both is refused. ``run_stage`` returns the states at those
-boundaries; the timeline is their reference populations, and the next
-stage starts from the last.
+boundaries, and the next stage starts from the last. The references
+live on two levels per site, at most 3 * 2^N nonzero rows in all, so a
+stage's timeline is one product there, |states[:, rows] @ bras|^2.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,20 +314,28 @@ def _reference_states(n_sites: int) -> dict[str, np.ndarray]:
     }
 
 
+def _reference_bras(refs: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The references' nonzero rows (at most 3 * 2^N) and their conjugates there, (rows, 4)."""
+    stacked = np.array(list(refs.values()))
+    rows = np.flatnonzero(stacked.any(axis=0))
+    return rows, stacked[:, rows].conj().T
+
+
 def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
     """Execute all stages from the all-zero start.
 
     The timeline holds the populations of all four reference states at
-    the start and at every slice boundary of every stage, for the trace
-    CSV. Each stage's report takes its own reference's population from
-    the stage's last row (none for prepare-up, which has no reference);
-    the final report's is the graph state placed on the clock levels.
+    the start and at every slice boundary, one product per stage on the
+    references' nonzero rows, for the trace CSV. Each stage's report takes
+    its own reference's population from the stage's last row (none for
+    prepare-up); the final report's is the graph state on the clock levels.
     """
     refs = _reference_states(plan.n_sites)
+    rows, bras = _reference_bras(refs)
     state = basis_state(["0"] * plan.n_sites, PROTOCOL_BASIS)
 
-    def pops(s: np.ndarray) -> tuple[float, float, float, float]:
-        return tuple(float(abs(np.vdot(r, s)) ** 2) for r in refs.values())
+    def pops(states: np.ndarray) -> list:
+        return (np.abs(states[..., rows] @ bras) ** 2).tolist()
 
     timeline = [(0.0, *pops(state), "start")]
     reports: list[StageReport] = []
@@ -335,8 +345,8 @@ def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
     kernels = _stage_kernels
     for stage in plan.stages:
         states = _evolve(state, stage, plan, kernels)
-        for t, s in zip(stage.schedule.boundary_times[1:], states):
-            timeline.append((elapsed + float(t), *pops(s), stage.label))
+        times = (elapsed + stage.schedule.boundary_times[1:]).tolist()
+        timeline.extend((t, *p, stage.label) for t, p in zip(times, pops(states)))
         state = states[-1]
         elapsed += stage.duration
         end_pops = dict(zip(refs, timeline[-1][1:5]))
@@ -352,10 +362,14 @@ def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
 
 
 def write_timeline_csv(path, timeline) -> None:
+    """Write the timeline in one write, as ``csv.writer`` would: values as
+    repr(float(x)), each stage label quoted by ``csv`` once."""
+    labels = {}
+    for label in {row[5] for row in timeline}:  # behind an empty field: csv quotes a lone ""
+        csv.writer(buf := io.StringIO()).writerow(["", label])
+        labels[label] = buf.getvalue()[1:-2]
+    lines = ["time_us,pop_product,pop_core_graph,pop_decoupled,pop_clock,stage\r\n"]
+    lines += (f"{float(t)!r},{float(a)!r},{float(b)!r},{float(c)!r},{float(d)!r},{labels[s]}\r\n"
+              for t, a, b, c, d, s in timeline)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["time_us", "pop_product", "pop_core_graph", "pop_decoupled", "pop_clock", "stage"]
-        )
-        for row in timeline:
-            writer.writerow([repr(float(x)) for x in row[:5]] + [row[5]])
+        fh.write("".join(lines))

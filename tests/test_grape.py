@@ -10,6 +10,7 @@ finite differences of the final population of
 dPhi/dB_k = dt dPhi/dA; frozen-scalar checks pin the guess-field formulas.
 """
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -655,6 +656,25 @@ def test_schedule_record_round_trip(tmp_path):
     path2 = tmp_path / "schedule2.json"
     save_result(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_result_writes_json_dumps_bytes(tmp_path):
+    """save_result's single write gives exactly the bytes of json.dump with
+    indent 1 followed by a newline, for nested lists, None, bools, NaN,
+    infinities and a non-ASCII string."""
+    record = {
+        "label": "π/2 → clock, \"quoted\"\n",
+        "nested": [[1.0, -0.0, 5e-324], [], [[None, True, False]]],
+        "values": [math.nan, math.inf, -math.inf, 0.1 + 0.2],
+        "empty": {},
+        "count": 3,
+    }
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    save_result(got, record)
+    with open(want, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_schedule_record_validates_slice_count():

@@ -320,6 +320,31 @@ def test_write_timeline_csv(tmp_path, core_result):
     assert float(rows[-1][4]) == pytest.approx(0.993114, abs=5e-4)
 
 
+def test_timeline_csv_is_csv_writers_bytes(tmp_path):
+    """write_timeline_csv writes exactly the bytes of csv.writer given each
+    value as repr(float(x)): np.float64 values, signed zeros, subnormals
+    and non-finite values, and labels csv must quote (a comma, a double
+    quote, a newline, a carriage return) or may not (empty, non-ASCII),
+    each over several rows."""
+    labels = ["start", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "π/2 → clock"]
+    values = np.random.default_rng(7).random((3 * len(labels), 5))
+    values[:3, 2:] = [[-0.0, 5e-324, np.inf], [np.nan, -np.inf, 1.0], [0.0, 1e300, -1e-7]]
+    timeline = [(*row, labels[i // 3]) for i, row in enumerate(values)]
+    assert all(type(x) is np.float64 for row in timeline for x in row[:5])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_timeline_csv(got, timeline)
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["time_us", "pop_product", "pop_core_graph", "pop_decoupled", "pop_clock", "stage"]
+        )
+        for row in timeline:
+            writer.writerow([repr(float(x)) for x in row[:5]] + [row[5]])
+    assert got.read_bytes() == want.read_bytes()
+    with open(got, newline="", encoding="utf-8") as fh:
+        assert [row[5] for row in list(csv.reader(fh))[1:]] == [row[5] for row in timeline]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interactions):
     """The blocks run_stage hands to the propagator, interactions off: each
@@ -478,13 +503,15 @@ def stage_references(n):
     return {label: basis_ket_graph_state(n, *REFERENCE_ROLES[label]) for label in labels}
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 6])
 def test_timeline_is_the_stacks_run_stage_returns(n):
     """Each stage's timeline rows are the tracked populations of exactly
     the rows run_stage returns, chained from the all-zero start, at
-    elapsed + boundary_times[1:], and each report's population is its
-    reference's value on the stage's last row; the memoised post-core
-    kernels give run_stage's bits."""
+    elapsed + boundary_times[1:]: each population within 1e-15 of the
+    per-row vdot, as the timeline sums its overlaps in one product per
+    stage, and the times, labels, end times and final state bit for bit.
+    Each report's population is its reference's value on the stage's last
+    row; the memoised post-core kernels give run_stage's bits."""
     core = ControlSchedule(t_total=0.15, amplitudes=np.array([-9.8, 3.1, -12.4]))
     plan = standard_plan(ChainGeometry.regular(n), core)
     protocol._kernel_memo.cache_clear()
@@ -494,6 +521,7 @@ def test_timeline_is_the_stacks_run_stage_returns(n):
         stacks.append(run_stage(state, stage, plan))
         state = stacks[-1][-1]
     refs = stage_references(n)
+    column = {label: 1 + i for i, label in enumerate(refs)}
     assert len(stacks) == len(plan.stages)
     assert result.timeline[0][5] == "start"
     rows = iter(result.timeline[1:])
@@ -501,16 +529,36 @@ def test_timeline_is_the_stacks_run_stage_returns(n):
     for stage, stack, report in zip(plan.stages, stacks, result.stage_reports, strict=True):
         for t, state in zip(stage.schedule.boundary_times[1:], stack, strict=True):
             row = next(rows)
-            assert row[0] == elapsed + t
-            assert row[1:] == (*(abs(np.vdot(r, state)) ** 2 for r in refs.values()), stage.label)
+            assert (row[0], row[5]) == (elapsed + t, stage.label)
+            oracle = [abs(np.vdot(r, state)) ** 2 for r in refs.values()]
+            assert all(type(pop) is float for pop in row[1:5])
+            np.testing.assert_allclose(row[1:5], oracle, rtol=0, atol=1e-15)
         elapsed += stage.duration
         assert (report.label, report.end_time) == (stage.label, elapsed)
         if stage.label in refs:
-            assert report.reference_population == abs(np.vdot(refs[stage.label], stack[-1])) ** 2
+            assert report.reference_population == row[column[stage.label]]
+            oracle = abs(np.vdot(refs[stage.label], stack[-1])) ** 2
+            assert abs(report.reference_population - oracle) <= 1e-15
         else:
             assert report.reference_population is None
     assert next(rows, None) is None
     assert np.array_equal(result.final_state, stacks[-1][-1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_references_vanish_outside_the_timeline_rows(n):
+    """Every reference state is exactly zero outside the rows the timeline's
+    product reads, so that product leaves out no term of any overlap; the
+    rows are the three two-level sets, (up, down), (up, r) and (0, 1),
+    which share only the all-up row."""
+    refs = protocol._reference_states(n)
+    rows, bras = protocol._reference_bras(refs)
+    outside = np.ones(PROTOCOL_BASIS.dim**n, dtype=bool)
+    outside[rows] = False
+    for ref in refs.values():
+        assert not ref[outside].any()
+    assert len(rows) == 3 * 2**n - 1
+    assert np.array_equal(bras, np.array([ref[rows].conj() for ref in refs.values()]).T)
 
 
 def test_full_protocol_diagonalizes_once_per_block_size(monkeypatch, core_result):
