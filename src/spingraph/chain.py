@@ -23,7 +23,15 @@ from typing import Union
 
 import numpy as np
 
-from .operators import SPIN_BASIS, LocalBasis, Term, hermitian_sum, site_levels, transition_indices
+from .operators import (
+    SPIN_BASIS,
+    LocalBasis,
+    Term,
+    check_trace_stack,
+    hermitian_sum,
+    site_levels,
+    transition_indices,
+)
 
 __all__ = [
     "ChainGeometry",
@@ -152,6 +160,8 @@ class IdealModel:
     coupling: float = 1.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.coupling):
+            raise ValueError(f"ideal coupling must be finite, not {self.coupling}")
         if self.coupling == 0.0:
             raise ValueError("ideal coupling must be nonzero")
         if self.n_sites < 2:
@@ -262,6 +272,8 @@ def _drift_terms(model: ModelKind, basis: LocalBasis, positions: np.ndarray | No
         geometry.positions if positions is None else positions, geometry.delta_r
     )
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    stack = {} if positions is None else {"geometries": len(positions)}
+    check_trace_stack({**stack, "basis states": basis.dim**n}, "diagonal", "entries")
     shifts = np.zeros(dipoles.shape[:-1] + (basis.dim**n,))
     for p, (i, j) in enumerate(pairs):
         for level, shift in zip(VDW_LEVELS, vdw):

@@ -26,11 +26,11 @@ Conventions
   blocks a state reaches, one stack per block size; the dense
   ``hermitian_sum`` is their reference. The memos key on the immutable
   terms as they are; ``block_pattern`` shares one layout per (terms, support).
-* Two memory budgets, each refused by ``check_trace_stack`` before the
-  allocation: MAX_STATE_DIM basis states for a state vector or the
-  site-level table, and MAX_TRACE_STACK entries for a stack of traces (an
-  ensemble's populations, a drift's sector returns, a protocol stage's
-  states), a dense d^N x d^N matrix or a ``BlockPattern`` buffer. The
+* One memory budget, MAX_TRACE_STACK entries, refused by
+  ``check_trace_stack`` before the allocation it guards: a state vector,
+  the site-level table, a ``BlockPattern``'s index tables and buffer, a
+  dense d^N x d^N matrix, or a stack of traces (an ensemble's
+  populations, a drift's sector returns, a protocol stage's states). The
   work caps ``targets.MAX_TARGET_SITES``, ``grape.MAX_SCAN_STEPS``,
   ``dynamics.MAX_TOTAL_SUBSTEPS`` and ``dynamics.CHUNK_ELEMENTS`` bound
   run time and chunk size, not an allocation.
@@ -69,10 +69,7 @@ __all__ = [
     "check_trace_stack",
 ]
 
-#: Largest state-vector and site-level-table dimension: 5^6, six atoms on
-#: the protocol's five levels.
-MAX_STATE_DIM = 5**6
-#: Largest trace stack, dense matrix or block buffer, in entries: 80 MB of
+#: Largest allocation a budget check lets through, in entries: 80 MB of
 #: floats, 160 MB of complex values.
 MAX_TRACE_STACK = 10**7
 
@@ -176,9 +173,9 @@ def two_site_operator(
 @functools.lru_cache(maxsize=16)
 def site_levels(n_sites: int, d: int) -> np.ndarray:
     """(d**N, N) table: row k holds the site levels of basis state k, in
-    C order (site 0 most significant). Memoised and read-only. Refuses
-    dimensions beyond MAX_STATE_DIM."""
-    check_trace_stack({"basis states": d**n_sites}, "state", "amplitudes", MAX_STATE_DIM)
+    C order (site 0 most significant). Memoised and read-only. Refuses a
+    table of d^N x N entries beyond MAX_TRACE_STACK."""
+    check_trace_stack({"basis states": d**n_sites, "sites": n_sites}, "table", "entries")
     return _read_only(np.arange(d**n_sites)[:, None] // _place_values(n_sites, d) % d)
 
 
@@ -245,19 +242,20 @@ class BlockPattern:
     kept together as one (S, k, k) stack, so one gufunc call decomposes
     them all: ``indices`` holds one (S, k) index array per size, sizes
     ascending, blocks within a size in the order of their smallest index.
-    Refuses d^N beyond MAX_STATE_DIM, and a filled buffer (every block's
-    k^2 entries) beyond MAX_TRACE_STACK, before allocating it. Every array a
-    pattern holds is read-only, so one pattern can be shared: callers take
-    theirs from ``block_pattern``, which memoises them.
+    ``reached`` holds the indices of all those blocks, ascending. Refuses
+    its three d^N index tables, and a filled buffer (every block's k^2
+    entries), beyond MAX_TRACE_STACK, before allocating them. Every array
+    a pattern holds is read-only, so one pattern can be shared: callers
+    take theirs from ``block_pattern``, which memoises them.
     """
 
     def __init__(self, terms: Sequence[Term], n_sites: int, basis: LocalBasis, support):
         dim = basis.dim**n_sites
-        check_trace_stack({"basis states": dim}, "state", "amplitudes", MAX_STATE_DIM)
+        check_trace_stack({"index tables": 3, "basis states": dim}, "layout", "entries")
         edges = [transition_indices(n_sites, basis, term) for term in terms]
         labels = _component_labels(dim, edges)
         reached = np.isin(labels, labels[support])
-        rows = np.flatnonzero(reached)
+        rows = self.reached = _read_only(np.flatnonzero(reached))
         # by block size, then by block; lexsort is stable, so each block's
         # indices stay ascending
         block_size = np.bincount(labels[rows])[labels[rows]]
@@ -387,7 +385,7 @@ def basis_state(labels: Sequence[str], basis: LocalBasis) -> np.ndarray:
     """Computational basis ket |l_0 l_1 ... l_{N-1}> (site 0 leftmost)."""
     n = len(labels)
     d = basis.dim
-    check_trace_stack({"basis states": d**n}, "state", "amplitudes", MAX_STATE_DIM)
+    check_trace_stack({"basis states": d**n}, "state", "amplitudes")
     levels = np.array([basis.index(name) for name in labels], dtype=int)
     out = np.zeros(d**n, dtype=complex)
     out[levels @ _place_values(n, d)] = 1.0
@@ -403,14 +401,10 @@ def product_state(local: np.ndarray, n_sites: int) -> np.ndarray:
     return out
 
 
-def check_trace_stack(
-    counts: dict[str, int], stack: str, unit: str = "populations", budget: int | None = None
-) -> None:
+def check_trace_stack(counts: dict[str, int], stack: str, unit: str = "populations") -> None:
     """Refuse a ``stack`` of as many entries as the product of ``counts``
-    (name -> count) beyond ``budget`` ``unit``, naming each count; callers
-    check before they allocate the stack. ``budget`` defaults to
-    MAX_TRACE_STACK, read at each call."""
-    budget = MAX_TRACE_STACK if budget is None else budget
-    if math.prod(counts.values()) > budget:
+    (name -> count) beyond MAX_TRACE_STACK ``unit``, read at each call,
+    naming each count; callers check before they allocate the stack."""
+    if math.prod(counts.values()) > MAX_TRACE_STACK:
         sizes = " x ".join(f"{count} {name}" for name, count in counts.items())
-        raise ValueError(f"{sizes} exceed the {stack} budget of {budget} {unit}")
+        raise ValueError(f"{sizes} exceed the {stack} budget of {MAX_TRACE_STACK} {unit}")

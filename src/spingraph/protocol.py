@@ -37,28 +37,32 @@ the stage fills and diagonalizes only the blocks the state reaches (one
 the state does not reach stay exactly zero. The layouts come from
 ``operators.block_pattern``, memoised per (terms, N, basis, support of
 the stage's input state) for the last 32 of them: a run has five, and
-every later run on a chain of that size reuses them.
+every later run on a chain of that size reuses them. As a stage moves
+the state only within the blocks it reaches, ``_stage_layouts`` walks
+them all from the all-zero start before any state is evolved, each
+stage's support the rows the layout before it reaches.
 This is symmetry-block exact diagonalization (Sandvik, AIP Conf. Proc.
 1297, 135 (2010)). Blocks of one size go through one stacked ``eigh``:
 20 calls per N=3 run for 69 blocks. The largest block per stage grows
-from 8 / 8 / 3 / 12 / 12 at N=3 to 64 / 64 / 20 / 240 / 240 at N=6 (the
-largest filled buffer, 1436681 entries, is within the block budget); the
-d^N state vectors cap the protocol at six atoms (``MAX_STATE_DIM``).
+from 8 / 8 / 3 / 12 / 12 at N=3 to 64 / 64 / 20 / 240 / 240 at N=6; the
+largest filled buffer, map-to-clock's, from 1436681 entries at N=6 to
+17233281 at N=7, beyond the block budget, so the walk caps the protocol
+at six atoms.
 
-One builder, ``_stage_kernels``, turns a stage's Hamiltonian into its
-kernels: layout, fill, and one ``grape.ClosedFormPropagator`` per block
-size, every array of which is read-only. ``run_stage`` builds them afresh
+One builder, ``_stage_kernels``, turns a stage's layout into its
+kernels: fill, and one ``grape.ClosedFormPropagator`` per block size,
+every array of which is read-only. ``run_stage`` builds them afresh
 on every call. ``run_full_protocol`` does so up to and including the
 core: the stages before it start from the fixed all-zero state, and the
 core carries the schedule. The stages after it, decouple and
 map-to-clock, are the same operators on every run on a chain and hold
 its largest blocks, so their kernels come from a process-wide memo of 8
-entries, the post-core stages of four chains. Its key is the stage
-Hamiltonian's content (terms, coefficients, diagonal, field flag), N and
-the support of the stage's input state, never the geometry object, so a
-displaced atom, another delta_r or a patched background misses. A first
-run makes 20 ``eigh`` calls at N=3 and 28 at N=4; a repeat run on the
-chain makes 8 and 11, with the same output bits.
+entries, the post-core stages of four chains. Its key is the stage's
+layout, the one object ``block_pattern`` shares per (terms, N, support),
+and the content of its coefficients, diagonal and field flag, never the
+geometry object, so a displaced atom, another delta_r or a patched
+background misses. A first run makes 20 ``eigh`` calls at N=3 and 28 at
+N=4; a repeat run on the chain makes 8 and 11, with the same output bits.
 
 Each stage is its drives over its own schedule: TRACE_POINTS_PER_STAGE
 zero-field slices over a pulse, or the optimized field for the core.
@@ -87,7 +91,6 @@ import numpy as np
 from .chain import TWO_PI, ChainGeometry, RydbergModel, build_control_hz_diagonal, drift_terms
 from .grape import ClosedFormPropagator, ControlSchedule
 from .operators import (
-    MAX_STATE_DIM,
     PROTOCOL_BASIS,
     SPIN_BASIS,
     basis_state,
@@ -188,26 +191,36 @@ class ProtocolResult:
     total_duration: float
 
 
+#: The drives of the standard plan's five stages, in order; the core has none.
+STANDARD_DRIVES = (
+    (("up", "0", OMEGA_TWO_PHOTON),),
+    (("down", "up", OMEGA_MICROWAVE_A),),
+    (),
+    (("r", "down", OMEGA_MICROWAVE_B),),
+    (("0", "up", OMEGA_TWO_PHOTON), ("1", "r", OMEGA_TWO_PHOTON)),
+)
+
+
 def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> ProtocolPlan:
     """The five stages of the module docstring at the OMEGA_* rates."""
-    omega, omega_a, omega_b = OMEGA_TWO_PHOTON, OMEGA_MICROWAVE_A, OMEGA_MICROWAVE_B
     pulse = ProtocolStage.pulse
+    up, half, _, decouple, clock = STANDARD_DRIVES
     stages = (
-        pulse("prepare-up", np.pi / omega, (("up", "0", omega),)),
-        pulse("half-rotate", np.pi / (2.0 * omega_a), (("down", "up", omega_a),)),
+        pulse("prepare-up", np.pi / OMEGA_TWO_PHOTON, up),
+        pulse("half-rotate", np.pi / (2.0 * OMEGA_MICROWAVE_A), half),
         ProtocolStage("core", core_schedule),
-        pulse("decouple", np.pi / omega_b, (("r", "down", omega_b),)),
-        pulse("map-to-clock", np.pi / omega, (("0", "up", omega), ("1", "r", omega))),
+        pulse("decouple", np.pi / OMEGA_MICROWAVE_B, decouple),
+        pulse("map-to-clock", np.pi / OMEGA_TWO_PHOTON, clock),
     )
     return ProtocolPlan(stages=stages, geometry=geometry)
 
 
 def check_stage_budget(slices: int, n_sites: int) -> None:
-    """Refuse the states of a stage of ``slices`` slices on ``n_sites``
-    atoms: d^N beyond MAX_STATE_DIM, or one d^N row per slice boundary
-    after t = 0 beyond MAX_TRACE_STACK."""
+    """Refuse a standard-plan run on a regular chain of ``n_sites`` atoms:
+    a stage layout beyond the budget (``_stage_layouts``), then one d^N row
+    per boundary of the core's ``slices`` slices beyond MAX_TRACE_STACK."""
+    _stage_layouts(STANDARD_DRIVES, ChainGeometry.regular(n_sites))
     dim = PROTOCOL_BASIS.dim**n_sites
-    check_trace_stack({"basis states": dim}, "state", "amplitudes", MAX_STATE_DIM)
     check_trace_stack({"slice boundaries": slices, "basis states": dim}, "stage", "amplitudes")
 
 
@@ -225,10 +238,10 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
     return _evolve(state, stage, plan, _stage_kernels)
 
 
-def _evolve(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan, kernels) -> np.ndarray:
+def _evolve(state, stage: ProtocolStage, plan: ProtocolPlan, kernels, layout=None) -> np.ndarray:
     """``run_stage`` with the stage's kernels taken from ``kernels``: the
-    kernel builder or its memo, called with the stage's Hamiltonian
-    content, N and the support of the input state."""
+    kernel builder or its memo, called with ``layout`` (by default, the
+    input state's), the stage's coefficients and diagonal, field and N."""
     n, dim = plan.n_sites, PROTOCOL_BASIS.dim**plan.n_sites
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
@@ -238,49 +251,65 @@ def _evolve(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan, kernels
     if not abs(norm - 1.0) <= 1e-8:
         raise ValueError(f"stage input state not normalized (norm {norm})")
     schedule = stage.schedule
-    check_stage_budget(schedule.n_slices, n)
-    terms, coeffs, diagonal = drift_terms(RydbergModel(plan.geometry), PROTOCOL_BASIS)
-    # each drive's (rate/2)(|a><b| + h.c.) on every atom, ahead of the interactions
-    terms = tuple(((site, a, b),) for a, b, _ in stage.drives for site in range(n)) + terms
+    times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
+    check_trace_stack({"slice boundaries": len(times), "basis states": dim}, "stage", "amplitudes")
+    if layout is None:
+        [layout] = _stage_layouts([stage.drives], plan.geometry, np.flatnonzero(state))
+    _, coeffs, diagonal = drift_terms(RydbergModel(plan.geometry), PROTOCOL_BASIS)
+    # each drive's rate/2 on every atom, ahead of the interactions, as in the layout's terms
     coeffs = np.concatenate([[0.5 * rate for *_, rate in stage.drives for _ in range(n)], coeffs])
     # Hz only under a field, since it does not commute with the drives
     field = bool(schedule.amplitudes.any())
-    times, areas = schedule.boundary_times[1:], schedule.boundary_areas[1:]
     states = np.zeros((len(times), dim), dtype=complex)
-    for idx, kernel in kernels(terms, coeffs, diagonal, field, n, np.flatnonzero(state)):
+    for idx, kernel in kernels(layout, coeffs, diagonal, field, n):
         # (blocks, times, k) from the propagator, (times, blocks, k) here
         states[:, idx] = kernel.states(state[idx], times, areas).swapaxes(0, 1)
     return states
 
 
-def _stage_kernels(terms, coeffs, diagonal, field: bool, n_sites: int, support) -> tuple:
+def _stage_layouts(drives, geometry: ChainGeometry, support=(0,)) -> list:
+    """The one layout lookup, before any state is evolved: the
+    ``block_pattern`` of each stage's drives on every atom, ahead of the
+    interactions, on ``geometry``. The first stage's support is
+    ``support`` (the all-zero ket's row), each later one the ``reached``
+    rows of the layout before it. Refuses a layout beyond the budget as
+    it is built."""
+    interactions = drift_terms(RydbergModel(geometry), PROTOCOL_BASIS)[0]
+    n, layouts = geometry.n_sites, []
+    for stage in drives:
+        terms = tuple(((site, a, b),) for a, b, _ in stage for site in range(n)) + interactions
+        layouts.append(block_pattern(terms, n, PROTOCOL_BASIS, support))
+        support = layouts[-1].reached
+    return layouts
+
+
+def _stage_kernels(layout, coeffs, diagonal, field: bool, n_sites: int) -> tuple:
     """The one kernel builder: the (idx, ``ClosedFormPropagator``) pair of
-    each size of the blocks that ``support`` reaches, idx the (S, k) block
-    indices, for the Hamiltonian sum of coeff T + h.c. over ``terms`` plus
+    each size of ``layout``'s blocks, idx the (S, k) block indices, for
+    the Hamiltonian sum of coeff T + h.c. over the layout's terms plus
     diag(``diagonal``), with Hz where ``field`` is set. Every array a
     kernel holds is read-only, so kernels can be shared."""
     dim = PROTOCOL_BASIS.dim**n_sites
     hz = build_control_hz_diagonal(n_sites, PROTOCOL_BASIS) if field else np.zeros(dim)
-    pattern = block_pattern(terms, n_sites, PROTOCOL_BASIS, support)
-    blocks = pattern.fill(coeffs, diagonal)
+    blocks = layout.fill(coeffs, diagonal)
     return tuple((idx, ClosedFormPropagator(h, hz[idx])) for idx, h in blocks)
 
 
-def _post_core_kernels(terms, coeffs, diagonal, field: bool, n_sites: int, support) -> tuple:
+def _post_core_kernels(layout, coeffs, diagonal, field: bool, n_sites: int) -> tuple:
     """``_stage_kernels`` for the stages after the core, memoised on the
-    content of its arguments: the terms, the field flag and N as they are,
-    and the coefficients, the diagonal and the support as their dtypes and
-    bytes. The memo keeps the last 8 entries, the post-core stages of four
-    chains; at worst, an N=6 chain's two hold about 1.69 M eigenvector
-    entries, roughly 13.5 MB."""
-    key = ((a.dtype.str, a.tobytes()) for a in (coeffs, diagonal, support))
-    return _kernel_memo(terms, field, n_sites, *key)
+    layout object (``block_pattern`` shares one per terms, N and support),
+    the field flag and N, and the coefficients and the diagonal as their
+    dtypes and bytes. The memo keeps the last 8 entries, the post-core
+    stages of four chains; at worst, an N=6 chain's two hold about 1.69 M
+    eigenvector entries, roughly 13.5 MB."""
+    key = ((a.dtype.str, a.tobytes()) for a in (coeffs, diagonal))
+    return _kernel_memo(layout, field, n_sites, *key)
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel_memo(terms: tuple, field: bool, n_sites: int, *arrays: tuple[str, bytes]) -> tuple:
-    coeffs, diagonal, support = (np.frombuffer(data, dtype) for dtype, data in arrays)
-    return _stage_kernels(terms, coeffs, diagonal, field, n_sites, support)
+def _kernel_memo(layout, field: bool, n_sites: int, *arrays: tuple[str, bytes]) -> tuple:
+    coeffs, diagonal = (np.frombuffer(data, dtype) for dtype, data in arrays)
+    return _stage_kernels(layout, coeffs, diagonal, field, n_sites)
 
 
 def _on_levels(spin_state: np.ndarray, level_for_up: str, level_for_down: str) -> np.ndarray:
@@ -330,6 +359,7 @@ def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
     its own reference's population from the stage's last row (none for
     prepare-up); the final report's is the graph state on the clock levels.
     """
+    layouts = _stage_layouts([stage.drives for stage in plan.stages], plan.geometry)
     refs = _reference_states(plan.n_sites)
     rows, bras = _reference_bras(refs)
     state = basis_state(["0"] * plan.n_sites, PROTOCOL_BASIS)
@@ -343,8 +373,8 @@ def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
     # the stages before the core and the core run afresh; those after it
     # take their kernels from the memo, as they recur on every run
     kernels = _stage_kernels
-    for stage in plan.stages:
-        states = _evolve(state, stage, plan, kernels)
+    for stage, layout in zip(plan.stages, layouts):
+        states = _evolve(state, stage, plan, kernels, layout)
         times = (elapsed + stage.schedule.boundary_times[1:]).tolist()
         timeline.extend((t, *p, stage.label) for t, p in zip(times, pops(states)))
         state = states[-1]

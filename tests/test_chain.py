@@ -78,6 +78,13 @@ def test_geometry_validation():
         IdealModel(n_sites=1)
 
 
+@pytest.mark.parametrize("coupling", [float("nan"), float("inf"), -float("inf")])
+def test_ideal_model_refuses_a_non_finite_coupling(coupling):
+    # named at construction, not left to the first eigensolver call
+    with pytest.raises(ValueError, match=f"^ideal coupling must be finite, not {coupling}$"):
+        IdealModel(n_sites=3, coupling=coupling)
+
+
 def test_xx_chain_two_sites_structure():
     j = 1.7
     h = assemble_system(IdealModel(2, j))

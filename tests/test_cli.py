@@ -632,8 +632,8 @@ def test_protocol_beyond_the_level_budget_is_refused(runner, tmp_path, monkeypat
         assert calls == []
         assert result.exit_code == 1
         assert result.output == (
-            "Error: protocol failed: 78125 basis states exceed the state budget of "
-            "15625 amplitudes\n"
+            "Error: protocol failed: 17233281 block entries exceed the block budget of "
+            "10000000 entries\n"
         )
         assert list(tmp_path.iterdir()) == []
 

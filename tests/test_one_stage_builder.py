@@ -1,12 +1,13 @@
-"""Every protocol stage gets its kernels from one builder,
-``protocol._stage_kernels``: the stage's terms go through
-``operators.block_pattern`` and ``BlockPattern.fill`` into one
-``grape.ClosedFormPropagator`` per block size. The post-core memo wraps
-that builder, so a fresh run and a memoised one decompose the same blocks
-the same way.
+"""Every protocol stage gets its layout from one lookup,
+``protocol._stage_layouts`` (``operators.block_pattern`` on the stage's
+terms), and its kernels from one builder, ``protocol._stage_kernels``:
+``BlockPattern.fill`` into one ``grape.ClosedFormPropagator`` per block
+size. A full run and ``run_stage`` share that lookup, and the
+post-core memo wraps that builder, so a fresh run and a memoised one
+decompose the same blocks the same way.
 
-So no other function in ``protocol`` may name ``ClosedFormPropagator``,
-``BlockPattern`` or ``block_pattern``, or call a ``.fill``, and
+So no other function in ``protocol`` may name ``BlockPattern`` or
+``block_pattern``, nor ``ClosedFormPropagator`` or call a ``.fill``, and
 ``protocol`` may not import those names under another name.
 """
 
@@ -15,14 +16,19 @@ from pathlib import Path
 
 PROTOCOL = Path(__file__).resolve().parents[1] / "src" / "spingraph" / "protocol.py"
 
-NAMES = {"ClosedFormPropagator", "BlockPattern", "block_pattern", "fill"}
-BUILDER = "_stage_kernels"
+#: kernel-building name -> the one function allowed to use it
+OWNERS = {
+    "BlockPattern": "_stage_layouts",
+    "block_pattern": "_stage_layouts",
+    "ClosedFormPropagator": "_stage_kernels",
+    "fill": "_stage_kernels",
+}
 
 
 def kernel_builds(source: str) -> list[str]:
     """``scope:line name`` for each use of a kernel-building name outside
-    the builder (``<module>`` for module level), and for each import of one
-    under another name."""
+    the function that owns it (``<module>`` for module level), and for
+    each import of one under another name."""
     out = []
 
     def visit(node: ast.AST, scope: list[str]) -> None:
@@ -33,14 +39,17 @@ def kernel_builds(source: str) -> list[str]:
             out.extend(
                 f"{scope[-1]}:{node.lineno} {alias.name} as {alias.asname}"
                 for alias in node.names
-                if alias.name in NAMES and alias.asname not in (None, alias.name)
+                if alias.name in OWNERS and alias.asname not in (None, alias.name)
             )
         elif isinstance(node, ast.Name):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
-        if BUILDER not in scope:
-            out.extend(f"{scope[-1]}:{node.lineno} {name}" for name in names if name in NAMES)
+        out.extend(
+            f"{scope[-1]}:{node.lineno} {name}"
+            for name in names
+            if name in OWNERS and OWNERS[name] not in scope
+        )
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -52,19 +61,26 @@ def test_the_scan_finds_kernel_builds():
     source = (
         "from .grape import ClosedFormPropagator\n"
         "from .operators import block_pattern as layout\n"
-        "def _stage_kernels(terms, coeffs, diagonal, support):\n"
-        "    pattern = block_pattern(terms, 3, None, support)\n"
-        "    return [ClosedFormPropagator(h, 0) for _, h in pattern.fill(coeffs, diagonal)]\n"
+        "def _stage_layouts(terms, support):\n"
+        "    return block_pattern(terms, 3, None, support)\n"
+        "def _stage_kernels(layout, coeffs, diagonal):\n"
+        "    return [ClosedFormPropagator(h, 0) for _, h in layout.fill(coeffs, diagonal)]\n"
         "def _evolve(state, terms, coeffs, diagonal):\n"
         "    blocks = layout(terms, 3, None, [0]).fill(coeffs, diagonal)\n"
         "    return [grape.ClosedFormPropagator(h, 0) for _, h in blocks]\n"
+        "def _stage_layout(terms):\n"
+        "    return [block_pattern(terms, 3, None, [0])]\n"
+        "def _stage_kernels_too(layout):\n"
+        "    return _stage_layouts(layout).fill([], [])\n"
         "kernel = ClosedFormPropagator\n"
     )
     assert kernel_builds(source) == [
         "<module>:2 block_pattern as layout",
-        "_evolve:7 fill",
-        "_evolve:8 ClosedFormPropagator",
-        "<module>:9 ClosedFormPropagator",
+        "_evolve:8 fill",
+        "_evolve:9 ClosedFormPropagator",
+        "_stage_layout:11 block_pattern",
+        "_stage_kernels_too:13 fill",
+        "<module>:14 ClosedFormPropagator",
     ]
 
 

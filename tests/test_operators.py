@@ -29,9 +29,10 @@ from spingraph.operators import (
     transition_indices,
     two_site_operator,
 )
+from spingraph.chain import ChainGeometry, RydbergModel, drift_terms
 from spingraph.dynamics import NoiseSpec
-from spingraph.grape import check_return_budget
-from spingraph.protocol import check_stage_budget
+from spingraph.grape import ControlSchedule, check_return_budget
+from spingraph.protocol import check_stage_budget, run_stage, standard_plan
 
 from kron_reference import (
     SIGMA_X,
@@ -224,13 +225,13 @@ def test_site_levels_rows_are_base_d_digits(d, n):
 
 
 def test_site_levels_refuses_beyond_budget():
-    # the table shares the state-vector budget 5^6, above the dense one
-    assert site_levels(6, 5).shape == (15625, 6)
-    message = "^78125 basis states exceed the state budget of 15625 amplitudes$"
+    # the table's d^N x N entries share the one budget: 5^8 x 8 fit, 5^9 x 9 do not
+    assert site_levels(7, 5).shape == (78125, 7)
+    message = "^1953125 basis states x 9 sites exceed the table budget of 10000000 entries$"
     with pytest.raises(ValueError, match=message):
-        site_levels(7, 5)
+        site_levels(9, 5)
     with pytest.raises(ValueError):
-        transition_indices(7, PROTOCOL_BASIS, ((0, "up", "down"),))
+        transition_indices(9, PROTOCOL_BASIS, ((0, "up", "down"),))
 
 
 def test_index_tables_are_shared_and_read_only():
@@ -480,10 +481,15 @@ def test_block_pattern_refuses_a_block_beyond_the_dense_budget():
     message = "^244140625 block entries exceed the block budget of 10000000 entries$"
     with pytest.raises(ValueError, match=message):
         BlockPattern(ALL_LEVEL_MOVES, 6, PROTOCOL_BASIS, np.array([0]))
-    message = "^78125 basis states exceed the state budget of 15625 amplitudes$"
+    # its three d^N index tables: 3 x 5^10 entries, before any label
+    message = "^3 index tables x 9765625 basis states exceed the layout budget of 10000000 entries$"
     with pytest.raises(ValueError, match=message):
-        BlockPattern([], 7, PROTOCOL_BASIS, np.array([0]))
+        BlockPattern([], 10, PROTOCOL_BASIS, np.array([0]))
 
+
+#: A six-atom chain whose core has 1000 slices, and that core.
+SIX_ATOM_PLAN = standard_plan(ChainGeometry.regular(6), ControlSchedule(0.233, np.ones(1000)))
+SIX_ATOM_CORE = SIX_ATOM_PLAN.stages[2]
 
 #: ``<n> <what>[ x <n> <what>] exceed the <stack> budget of <B> <unit>``
 BUDGET_REFUSAL = r"\d+ [A-Za-z ]+( x \d+ [A-Za-z ]+)* exceed the [a-z]+ budget of \d+ [a-z]+"
@@ -492,8 +498,8 @@ BUDGET_REFUSAL = r"\d+ [A-Za-z ]+( x \d+ [A-Za-z ]+)* exceed the [a-z]+ budget o
 @pytest.mark.parametrize(
     "refused",
     [
-        lambda: site_levels(7, 5),
-        lambda: basis_state(["0"] * 7, PROTOCOL_BASIS),
+        lambda: site_levels(9, 5),
+        lambda: basis_state(["0"] * 11, PROTOCOL_BASIS),
         lambda: BlockPattern(ALL_LEVEL_MOVES, 6, PROTOCOL_BASIS, np.array([0])),
         # 13 spins' flip-flops: sum over m of C(13, m)^2 = 10400600 entries
         lambda: BlockPattern(
@@ -506,8 +512,12 @@ BUDGET_REFUSAL = r"\d+ [A-Za-z ]+( x \d+ [A-Za-z ]+)* exceed the [a-z]+ budget o
         lambda: embed_local_operator(np.eye(5), 0, 6, PROTOCOL_BASIS),
         lambda: two_site_operator(np.eye(5), 0, np.eye(5), 1, 6, PROTOCOL_BASIS),
         lambda: hermitian_sum([], [], np.zeros(5**6), 6, PROTOCOL_BASIS),
-        lambda: check_stage_budget(100, 7),
+        # 1000 x 5^6 states of a six-atom core stage
+        lambda: run_stage(basis_state(["up"] * 6, PROTOCOL_BASIS), SIX_ATOM_CORE, SIX_ATOM_PLAN),
         lambda: check_stage_budget(10**6, 3),
+        # seven atoms: the map-to-clock layout's 17233281 block entries
+        lambda: check_stage_budget(20, 7),
+        lambda: drift_terms(RydbergModel(ChainGeometry.regular(15)), PROTOCOL_BASIS),
         lambda: check_return_budget(10**7, 2),
         lambda: NoiseSpec(field_sigma=1.0, samples=10**6).check_trace_budget(101),
     ],
@@ -515,7 +525,7 @@ BUDGET_REFUSAL = r"\d+ [A-Za-z ]+( x \d+ [A-Za-z ]+)* exceed the [a-z]+ budget o
         "site_levels", "basis_state", "block_pattern", "spin-layout-13",
         "embed-2^13", "two_site-2^13", "hermitian_sum-2^13",
         "embed-5^6", "two_site-5^6", "hermitian_sum-5^6",
-        "stage-state", "stage", "return", "ensemble",
+        "stage-state", "stage", "stage-layout", "drift-diagonal-5^15", "return", "ensemble",
     ],
 )
 def test_every_memory_refusal_has_one_form(refused):

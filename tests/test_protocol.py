@@ -2,6 +2,7 @@
 
 import csv
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import spingraph.chain as chain
 import spingraph.protocol as protocol
 from spingraph.chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz
-from spingraph.grape import ControlSchedule, GrapeError
+from spingraph.grape import ControlSchedule, GrapeError, load_result, schedule_from_record
 from spingraph.operators import (
     PROTOCOL_BASIS,
     BlockPattern,
@@ -234,14 +235,14 @@ def test_stage_refuses_drives_during_a_field():
 
 
 def test_dimension_budget():
-    # six atoms run (see the block tests); seven exceed the state budget 5^6
-    # and are refused at once, before any stage
+    # six atoms run (see the block tests); seven are refused at once, before
+    # any stage, by the map-to-clock layout's buffer
     plan = standard_plan(
         ChainGeometry.regular(7),
         ControlSchedule(t_total=0.1, amplitudes=np.zeros(2)),
     )
     start = time.perf_counter()
-    message = "^78125 basis states exceed the state budget of 15625 amplitudes$"
+    message = "^17233281 block entries exceed the block budget of 10000000 entries$"
     with pytest.raises(ValueError, match=message):
         run_full_protocol(plan)
     assert time.perf_counter() - start < 1.0
@@ -460,6 +461,7 @@ def run_filled(state, stage, plan, cast, monkeypatch):
     class Pattern:
         def __init__(self, *args):
             self.layout = original(*args)
+            self.reached = self.layout.reached
 
         def fill(self, coeffs, diagonal):
             blocks = self.layout.fill(cast(np.asarray(coeffs)), diagonal)
@@ -745,6 +747,41 @@ def test_stages_and_plans_compare_by_value():
     displaced = plan.geometry.positions.copy()
     displaced[2, 2] += 1e-6
     assert plan != standard_plan(ChainGeometry(displaced), plan.stages[2].schedule)
+
+
+#: The checked-in schedules the benchmark runs, N=3..6.
+SCHEDULES = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "schedules"
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SCHEDULES.glob("*.json")))
+def test_the_layout_walk_predicts_every_stage_of_a_run(name, monkeypatch):
+    """Before any state is evolved, the walk gives each stage's input
+    support (the all-zero row, then the rows the layout before it
+    reaches), np.flatnonzero of the state the stage starts from, and the
+    layout the run fills for it, the same object."""
+    record = load_result(SCHEDULES / name)
+    plan = standard_plan(ChainGeometry.regular(record["N"]), schedule_from_record(record))
+    walked = protocol._stage_layouts([stage.drives for stage in plan.stages], plan.geometry)
+    supports = [[0]] + [layout.reached for layout in walked[:-1]]
+    inputs, filled = [], []
+    original_evolve, original_fill = protocol._evolve, BlockPattern.fill
+
+    def recording_evolve(state, *args):
+        inputs.append(np.flatnonzero(state))
+        return original_evolve(state, *args)
+
+    def recording_fill(self, *args):
+        filled.append(self)
+        return original_fill(self, *args)
+
+    monkeypatch.setattr(protocol, "_evolve", recording_evolve)
+    monkeypatch.setattr(BlockPattern, "fill", recording_fill)
+    protocol._kernel_memo.cache_clear()  # so the post-core stages fill too
+    run_full_protocol(plan)
+    assert len(walked) == len(inputs) == len(filled) == len(plan.stages)
+    for support, layout, given, fill in zip(supports, walked, inputs, filled):
+        assert np.array_equal(support, given)
+        assert layout is fill
 
 
 def test_stage_beyond_the_trace_budget_is_refused_before_any_block(monkeypatch):
