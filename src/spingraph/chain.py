@@ -272,8 +272,7 @@ def _drift_terms(model: ModelKind, basis: LocalBasis, positions: np.ndarray | No
         geometry.positions if positions is None else positions, geometry.delta_r
     )
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    stack = {} if positions is None else {"geometries": len(positions)}
-    check_trace_stack({**stack, "basis states": basis.dim**n}, "diagonal", "entries")
+    check_trace_stack({"basis states": basis.dim**n}, "diagonal", "entries")
     shifts = np.zeros(dipoles.shape[:-1] + (basis.dim**n,))
     for p, (i, j) in enumerate(pairs):
         for level, shift in zip(VDW_LEVELS, vdw):

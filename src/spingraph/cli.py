@@ -11,7 +11,6 @@ reproduce every numeric output bit for bit.
 from __future__ import annotations
 
 import csv
-import io
 import sys
 from pathlib import Path
 
@@ -95,9 +94,10 @@ def _output_path(cfg: ExperimentConfig, name: str, out=None) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """``csv.writer``'s text of the header and rows, in one write."""
-    csv.writer(text := io.StringIO()).writerows([header, *rows])
-    path.write_text(text.getvalue(), encoding="utf-8", newline="")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _float_outputs(cfg, prefix, csv_name, json_name) -> dict[str, Path]:

