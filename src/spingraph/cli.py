@@ -484,6 +484,9 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
             if points < 1:
                 raise ValueError(f"{option} must be positive, not {points}")
         check_trace_stack({"B points": b_points, "t points": t_points}, "scan")
+        # the closed form's (B, t, 8) amplitude stack, before its temporaries
+        counts = {"B points": b_points, "t points": t_points, "configurations": 8}
+        check_trace_stack(counts, "closed-form", "amplitudes")
     solution = constant_field_params(c1, c2, j_coupling)
     paths = _float_outputs(cfg, out_prefix, "grid", "maxima") if scan else None
     pop_closed = constant_field_population(j_coupling, solution.b, solution.t_star)

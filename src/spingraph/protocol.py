@@ -49,20 +49,22 @@ largest filled buffer, map-to-clock's, from 1436681 entries at N=6 to
 17233281 at N=7, beyond the block budget, so the walk caps the protocol
 at six atoms.
 
-One builder, ``_stage_kernels``, turns a stage's layout into its
-kernels: fill, and one ``grape.ClosedFormPropagator`` per block size,
-every array of which is read-only. ``run_stage`` builds them afresh
-on every call. ``run_full_protocol`` does so up to and including the
-core: the stages before it start from the fixed all-zero state, and the
-core carries the schedule. The stages after it, decouple and
-map-to-clock, are the same operators on every run on a chain and hold
-its largest blocks, so their kernels come from a process-wide memo of 8
-entries, the post-core stages of four chains. Its key is the stage's
-layout, the one object ``block_pattern`` shares per (terms, N, support),
-and the content of its coefficients, diagonal and field flag, never the
-geometry object, so a displaced atom, another delta_r or a patched
-background misses. A first run makes 20 ``eigh`` calls at N=3 and 28 at
-N=4; a repeat run on the chain makes 8 and 11, with the same output bits.
+Each standard stage is written once, in ``STANDARD_STAGES``, and a
+stage's Hamiltonian is assembled once, by ``_stage_terms``: the layout
+walk reads its terms, and the one kernel builder, ``_stage_kernels``,
+fills its coefficients and diagonal into one read-only
+``grape.ClosedFormPropagator`` per block size. ``run_stage`` builds the
+kernels afresh on every call, and ``run_full_protocol`` up to and
+including the core, which carries the schedule. The stages after it,
+decouple and map-to-clock, are the same operators on every run on a
+chain and hold its largest blocks, so their kernels come from a
+process-wide memo of 8 entries (four chains), keyed on the stage's
+description: layout, chain, drives and field flag. The coefficients
+follow from the chain and the drives, the key the ``drift_terms`` memo
+trusts too, so a displaced atom or another delta_r misses (another
+chain), and so does a background patched to other terms (another
+layout). A first run makes 20 ``eigh`` calls at N=3 and 28 at N=4; a
+repeat run on the chain makes 8 and 11, with the same output bits.
 
 Each stage is its drives over its own schedule: TRACE_POINTS_PER_STAGE
 zero-field slices over a pulse, or the optimized field for the core.
@@ -143,6 +145,8 @@ class ProtocolStage:
     drives: tuple[tuple[str, str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        # tuples, so that a stage hashes and keys the kernel memo
+        object.__setattr__(self, "drives", tuple(map(tuple, self.drives)))
         # the only outside value in a stage's blocks; the geometry's
         # interaction strengths are finite by its own checks
         for _, _, rate in self.drives:
@@ -191,26 +195,24 @@ class ProtocolResult:
     total_duration: float
 
 
-#: The drives of the standard plan's five stages, in order; the core has none.
-STANDARD_DRIVES = (
-    (("up", "0", OMEGA_TWO_PHOTON),),
-    (("down", "up", OMEGA_MICROWAVE_A),),
-    (),
-    (("r", "down", OMEGA_MICROWAVE_B),),
-    (("0", "up", OMEGA_TWO_PHOTON), ("1", "r", OMEGA_TWO_PHOTON)),
+#: The standard plan's five stages in order, each written once: label,
+#: drives and duration (None for the core, which runs the optimized schedule).
+STANDARD_STAGES = (
+    ("prepare-up", (("up", "0", OMEGA_TWO_PHOTON),), np.pi / OMEGA_TWO_PHOTON),
+    ("half-rotate", (("down", "up", OMEGA_MICROWAVE_A),), np.pi / (2.0 * OMEGA_MICROWAVE_A)),
+    ("core", (), None),
+    ("decouple", (("r", "down", OMEGA_MICROWAVE_B),), np.pi / OMEGA_MICROWAVE_B),
+    ("map-to-clock", (("0", "up", OMEGA_TWO_PHOTON), ("1", "r", OMEGA_TWO_PHOTON)),
+     np.pi / OMEGA_TWO_PHOTON),
 )
 
 
 def standard_plan(geometry: ChainGeometry, core_schedule: ControlSchedule) -> ProtocolPlan:
     """The five stages of the module docstring at the OMEGA_* rates."""
-    pulse = ProtocolStage.pulse
-    up, half, _, decouple, clock = STANDARD_DRIVES
-    stages = (
-        pulse("prepare-up", np.pi / OMEGA_TWO_PHOTON, up),
-        pulse("half-rotate", np.pi / (2.0 * OMEGA_MICROWAVE_A), half),
-        ProtocolStage("core", core_schedule),
-        pulse("decouple", np.pi / OMEGA_MICROWAVE_B, decouple),
-        pulse("map-to-clock", np.pi / OMEGA_TWO_PHOTON, clock),
+    stages = tuple(
+        ProtocolStage(label, core_schedule, drives) if duration is None
+        else ProtocolStage.pulse(label, duration, drives)
+        for label, drives, duration in STANDARD_STAGES
     )
     return ProtocolPlan(stages=stages, geometry=geometry)
 
@@ -222,7 +224,7 @@ def check_stage_budget(slices: int, n_sites: int) -> None:
     Seven atoms are refused at map-to-clock, after the walk has built the
     four layouts before it: about 0.13 s and a 33 MB peak on a 2-core
     Xeon, of which 18.6 MB stays in the layout memos after the refusal."""
-    _stage_layouts(STANDARD_DRIVES, ChainGeometry.regular(n_sites))
+    _stage_layouts([drives for _, drives, _ in STANDARD_STAGES], ChainGeometry.regular(n_sites))
     dim = PROTOCOL_BASIS.dim**n_sites
     check_trace_stack({"slice boundaries": slices, "basis states": dim}, "stage", "amplitudes")
 
@@ -244,8 +246,8 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
 def _evolve(state, stage: ProtocolStage, plan: ProtocolPlan, kernels, layout=None) -> np.ndarray:
     """``run_stage`` with the stage's kernels taken from ``kernels``: the
     kernel builder or its memo, called with ``layout`` (by default, the
-    input state's), the stage's coefficients and diagonal, field and N."""
-    n, dim = plan.n_sites, PROTOCOL_BASIS.dim**plan.n_sites
+    input state's), the chain, the stage's drives and its field flag."""
+    dim = PROTOCOL_BASIS.dim**plan.n_sites
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
         raise ValueError(f"state dim {state.shape} does not match operator dim {dim}")
@@ -258,67 +260,57 @@ def _evolve(state, stage: ProtocolStage, plan: ProtocolPlan, kernels, layout=Non
     check_trace_stack({"slice boundaries": len(times), "basis states": dim}, "stage", "amplitudes")
     if layout is None:
         [layout] = _stage_layouts([stage.drives], plan.geometry, np.flatnonzero(state))
-    _, coeffs, diagonal = drift_terms(RydbergModel(plan.geometry), PROTOCOL_BASIS)
-    coeffs = np.concatenate([_drive_terms(stage.drives, n)[1], coeffs])
     # Hz only under a field, since it does not commute with the drives
     field = bool(schedule.amplitudes.any())
     states = np.zeros((len(times), dim), dtype=complex)
-    for idx, kernel in kernels(layout, coeffs, diagonal, field, n):
+    for idx, kernel in kernels(layout, plan.geometry, stage.drives, field):
         # (blocks, times, k) from the propagator, (times, blocks, k) here
         states[:, idx] = kernel.states(state[idx], times, areas).swapaxes(0, 1)
     return states
 
 
+def _stage_terms(drives, geometry: ChainGeometry) -> tuple:
+    """A stage's Hamiltonian as a ``hermitian_sum`` triple: each drive's
+    (rate/2)(|a><b| + h.c.) on every atom, then the interactions of
+    ``chain.drift_terms`` (the sums' rounding depends on that order)."""
+    terms, coeffs, diagonal = drift_terms(RydbergModel(geometry), PROTOCOL_BASIS)
+    sites = range(geometry.n_sites)
+    moves = [(((site, a, b),), 0.5 * rate) for a, b, rate in drives for site in sites]
+    return (tuple(term for term, _ in moves) + terms,
+            np.concatenate([[coeff for _, coeff in moves], coeffs]), diagonal)
+
+
 def _stage_layouts(drives, geometry: ChainGeometry, support=(0,)) -> list:
     """The one layout lookup, before any state is evolved: the
-    ``block_pattern`` of each stage's ``_drive_terms`` and the
-    interactions on ``geometry``. The first stage's support is
-    ``support`` (the all-zero ket's row), each later one the ``reached``
-    rows of the layout before it. Refuses a layout beyond the budget as
-    it is built."""
-    interactions = drift_terms(RydbergModel(geometry), PROTOCOL_BASIS)[0]
-    n, layouts = geometry.n_sites, []
+    ``block_pattern`` of each stage's ``_stage_terms`` on ``geometry``.
+    The first stage's support is ``support`` (the all-zero ket's row),
+    each later one the ``reached`` rows of the layout before it. Refuses a
+    layout beyond the budget as it is built."""
+    layouts = []
     for stage in drives:
-        terms = _drive_terms(stage, n)[0] + interactions
-        layouts.append(block_pattern(terms, n, PROTOCOL_BASIS, support))
+        terms = _stage_terms(stage, geometry)[0]
+        layouts.append(block_pattern(terms, geometry.n_sites, PROTOCOL_BASIS, support))
         support = layouts[-1].reached
     return layouts
 
 
-def _drive_terms(drives, n_sites: int) -> tuple[tuple, list]:
-    """Each drive's (rate/2)(|a><b| + h.c.) on every atom: the terms and
-    coefficients a stage lists ahead of its interactions, in one order."""
-    moves = [(((site, a, b),), 0.5 * rate) for a, b, rate in drives for site in range(n_sites)]
-    return tuple(term for term, _ in moves), [coeff for _, coeff in moves]
-
-
-def _stage_kernels(layout, coeffs, diagonal, field: bool, n_sites: int) -> tuple:
-    """The one kernel builder: the (idx, ``ClosedFormPropagator``) pair of
-    each size of ``layout``'s blocks, idx the (S, k) block indices, for
-    the Hamiltonian sum of coeff T + h.c. over the layout's terms plus
-    diag(``diagonal``), with Hz where ``field`` is set. Every array a
-    kernel holds is read-only, so kernels can be shared."""
-    dim = PROTOCOL_BASIS.dim**n_sites
-    hz = build_control_hz_diagonal(n_sites, PROTOCOL_BASIS) if field else np.zeros(dim)
-    blocks = layout.fill(coeffs, diagonal)
+def _stage_kernels(layout, geometry: ChainGeometry, drives, field: bool) -> tuple:
+    """The (idx, ``ClosedFormPropagator``) pair of each size of ``layout``'s
+    blocks, idx the (S, k) block indices, for the ``_stage_terms`` of
+    ``drives`` on ``geometry``, with Hz where ``field`` is set. Every array
+    a kernel holds is read-only, so kernels can be shared."""
+    n = geometry.n_sites
+    hz = build_control_hz_diagonal(n, PROTOCOL_BASIS) if field else np.zeros(PROTOCOL_BASIS.dim**n)
+    blocks = layout.fill(*_stage_terms(drives, geometry)[1:])
     return tuple((idx, ClosedFormPropagator(h, hz[idx])) for idx, h in blocks)
 
 
-def _post_core_kernels(layout, coeffs, diagonal, field: bool, n_sites: int) -> tuple:
-    """``_stage_kernels`` for the stages after the core, memoised on the
-    layout object (``block_pattern`` shares one per terms, N and support),
-    the field flag and N, and the coefficients and the diagonal as their
-    dtypes and bytes. The memo keeps the last 8 entries, the post-core
-    stages of four chains; at worst, an N=6 chain's two hold about 1.69 M
-    eigenvector entries, roughly 13.5 MB."""
-    key = ((a.dtype.str, a.tobytes()) for a in (coeffs, diagonal))
-    return _kernel_memo(layout, field, n_sites, *key)
-
-
 @functools.lru_cache(maxsize=8)
-def _kernel_memo(layout, field: bool, n_sites: int, *arrays: tuple[str, bytes]) -> tuple:
-    coeffs, diagonal = (np.frombuffer(data, dtype) for dtype, data in arrays)
-    return _stage_kernels(layout, coeffs, diagonal, field, n_sites)
+def _kernel_memo(layout, geometry: ChainGeometry, drives, field: bool) -> tuple:
+    """``_stage_kernels`` memoised on the stage's description (see the
+    module docstring); at worst, an N=6 chain's two post-core stages hold
+    about 1.69 M eigenvector entries, roughly 13.5 MB."""
+    return _stage_kernels(layout, geometry, drives, field)
 
 
 def _on_levels(spin_state: np.ndarray, level_for_up: str, level_for_down: str) -> np.ndarray:
@@ -391,7 +383,7 @@ def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
         end_pops = dict(zip(refs, timeline[-1][1:5]))
         reports.append(StageReport(stage.label, elapsed, end_pops.get(stage.label)))
         if stage.uses_core_schedule:
-            kernels = _post_core_kernels
+            kernels = _kernel_memo
     return ProtocolResult(
         final_state=state,
         stage_reports=reports,

@@ -183,6 +183,28 @@ def test_analytic_rejects_bad_family(runner):
     assert "c2 >= c1" in result.output
 
 
+def test_analytic_scan_refuses_the_amplitude_stack_before_any_output(runner, tmp_path, monkeypatch):
+    """1000 x 1251 points pass the scan budget, but the closed form would
+    hold 8 amplitudes per point, 10008000 in all: refused before an output
+    directory or any amplitude exists. 21 x 31 points still run."""
+    monkeypatch.chdir(tmp_path)
+    scans = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "scan_constant_field", lambda *a: scans.append(a))
+        args = ["analytic", "--scan", "--b-points", "1000", "--t-points", "1251",
+                "--out-prefix", "a/x"]
+        result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: analytic failed: 1000 B points x 1251 t points x 8 configurations exceed the "
+        "closed-form budget of 10000000 amplitudes\n"
+    )
+    assert scans == [] and list(tmp_path.iterdir()) == []
+    args = ["analytic", "--scan", "--b-points", "21", "--t-points", "31", "--out-prefix", "a/x"]
+    assert runner.invoke(main, args, catch_exceptions=False).exit_code == 0
+    assert (tmp_path / "a" / "x_grid.csv").exists()
+
+
 def test_analytic_scan_outputs(runner, tmp_path):
     config = tmp_path / "cfg.yaml"
     config.write_text(f"output:\n  output_dir: {tmp_path}\n", encoding="utf-8")

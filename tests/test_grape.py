@@ -1083,6 +1083,28 @@ def test_returns_match_the_dense_sector_projections(n_sites, kind, target_form):
             assert abs(got - projected) < 1e-13
 
 
+@pytest.mark.parametrize("target_form", list(TargetForm), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", ["ideal", "rydberg"])
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6, 7])
+def test_returns_are_signed_dicke_returns(n_sites, kind, target_form):
+    """Both targets carry one sign s_m on every configuration of up-count m,
+    so c_m = s_m <+|P_m exp(-i H0 t)|+> = s_m C(N,m)/2^N L_m(t), with L_m
+    the return amplitude of the Dicke state D_m (Dicke, Phys. Rev. 93, 99
+    (1954)): s_m = (-1)^{m(m-1)/2} for the operator-product form and
+    (-1)^{k(k-1)/2}, k = N - m, for the CZ circuit. The sign flips are
+    exact, so the two sides agree bit for bit."""
+    model = IdealModel(n_sites) if kind == "ideal" else RydbergModel(ChainGeometry.regular(n_sites))
+    plus = plus_product_state(n_sites)
+    t = np.linspace(0.0, 4.0 if kind == "ideal" else 0.75, 13)
+    sectors = SpinSectors(model, plus)
+    m = (sectors.hz + n_sites / 2).astype(int)
+    assert np.array_equal(m, sectors.hz + n_sites / 2)
+    count = m if target_form is TargetForm.OPERATOR_PRODUCT else n_sites - m
+    signs = (-1.0) ** (count * (count - 1) // 2)
+    returns = sectors.returns(target_state(target_form, n_sites), t)
+    assert np.array_equal(returns, signs * sectors.returns(plus, t))
+
+
 @pytest.mark.parametrize(
     "model", [IdealModel(6), RydbergModel(ChainGeometry.regular(6))], ids=["ideal", "rydberg"]
 )

@@ -1,14 +1,18 @@
-"""Every protocol stage gets its layout from one lookup,
-``protocol._stage_layouts`` (``operators.block_pattern`` on the stage's
-terms), and its kernels from one builder, ``protocol._stage_kernels``:
-``BlockPattern.fill`` into one ``grape.ClosedFormPropagator`` per block
-size. A full run and ``run_stage`` share that lookup, and the
-post-core memo wraps that builder, so a fresh run and a memoised one
-decompose the same blocks the same way.
+"""Every protocol stage gets its Hamiltonian from one assembler,
+``protocol._stage_terms`` (the drives, then ``chain.drift_terms``), its
+layout from one lookup, ``protocol._stage_layouts``
+(``operators.block_pattern`` on the stage's terms), and its kernels from
+one builder, ``protocol._stage_kernels``: ``BlockPattern.fill`` into one
+``grape.ClosedFormPropagator`` per block size. A full run and
+``run_stage`` share that lookup, and the post-core memo wraps that
+builder, keyed on the stage's description, so a fresh run and a
+memoised one decompose the same blocks the same way.
 
-So no other function in ``protocol`` may name ``BlockPattern`` or
-``block_pattern``, nor ``ClosedFormPropagator`` or call a ``.fill``, and
-``protocol`` may not import those names under another name.
+So no other function in ``protocol`` may name ``drift_terms``,
+``BlockPattern`` or ``block_pattern``, nor ``ClosedFormPropagator`` or
+call a ``.fill``, and ``protocol`` may not import those names under
+another name. No function may name ``tobytes`` or ``frombuffer``: a memo
+key is a stage's description, not its arrays' bytes.
 """
 
 import ast
@@ -16,12 +20,15 @@ from pathlib import Path
 
 PROTOCOL = Path(__file__).resolve().parents[1] / "src" / "spingraph" / "protocol.py"
 
-#: kernel-building name -> the one function allowed to use it
+#: kernel-building name -> the one function allowed to use it (None: none)
 OWNERS = {
+    "drift_terms": "_stage_terms",
     "BlockPattern": "_stage_layouts",
     "block_pattern": "_stage_layouts",
     "ClosedFormPropagator": "_stage_kernels",
     "fill": "_stage_kernels",
+    "tobytes": None,
+    "frombuffer": None,
 }
 
 
@@ -73,6 +80,14 @@ def test_the_scan_finds_kernel_builds():
         "def _stage_kernels_too(layout):\n"
         "    return _stage_layouts(layout).fill([], [])\n"
         "kernel = ClosedFormPropagator\n"
+        "def _stage_terms(drives, geometry):\n"
+        "    return drift_terms(RydbergModel(geometry), PROTOCOL_BASIS)\n"
+        "def _evolve_too(state, geometry):\n"
+        "    return chain.drift_terms(RydbergModel(geometry), PROTOCOL_BASIS)[1]\n"
+        "def _kernel_memo(layout, coeffs):\n"
+        "    return _memo(layout, coeffs.tobytes())\n"
+        "def _memo(layout, data):\n"
+        "    return _stage_kernels(layout, np.frombuffer(data), [])\n"
     )
     assert kernel_builds(source) == [
         "<module>:2 block_pattern as layout",
@@ -81,6 +96,9 @@ def test_the_scan_finds_kernel_builds():
         "_stage_layout:11 block_pattern",
         "_stage_kernels_too:13 fill",
         "<module>:14 ClosedFormPropagator",
+        "_evolve_too:18 drift_terms",
+        "_kernel_memo:20 tobytes",
+        "_memo:22 frombuffer",
     ]
 
 

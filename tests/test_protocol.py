@@ -10,6 +10,7 @@ import pytest
 import spingraph.chain as chain
 import spingraph.protocol as protocol
 from spingraph.chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz
+from spingraph.dynamics import closed_system_trace
 from spingraph.grape import ControlSchedule, GrapeError, load_result, schedule_from_record
 from spingraph.operators import (
     PROTOCOL_BASIS,
@@ -25,6 +26,7 @@ from spingraph.protocol import (
     OMEGA_MICROWAVE_A,
     OMEGA_MICROWAVE_B,
     OMEGA_TWO_PHOTON,
+    STANDARD_STAGES,
     TRACE_POINTS_PER_STAGE,
     ProtocolStage,
     run_full_protocol,
@@ -32,7 +34,7 @@ from spingraph.protocol import (
     standard_plan,
     write_timeline_csv,
 )
-from spingraph.targets import complete_graph_state
+from spingraph.targets import complete_graph_state, plus_product_state
 
 from kron_reference import SIGMA_X, kron_drive_hamiltonian, spin_half_operator
 
@@ -106,6 +108,10 @@ def test_each_stage_lasts_its_own_schedule():
     )
     assert plan.stages[2].duration == plan.stages[2].schedule.t_total == 0.141
     assert [s.uses_core_schedule for s in plan.stages] == [False, False, True, False, False]
+    # each stage is the one row of the table that describes it
+    for stage, (label, drives, duration) in zip(plan.stages, STANDARD_STAGES, strict=True):
+        assert (stage.label, stage.drives) == (label, drives)
+        assert stage.duration == (0.141 if duration is None else duration)
     stages = list(plan.stages)
     stages[0] = ProtocolStage.pulse(stages[0].label, 1.0, stages[0].drives)
     assert sum(s.duration for s in stages) == pytest.approx(
@@ -749,8 +755,46 @@ def test_stages_and_plans_compare_by_value():
     assert plan != standard_plan(ChainGeometry(displaced), plan.stages[2].schedule)
 
 
+def test_drives_given_as_lists_run_as_the_standard_plan():
+    """A stage stores its drives as tuples, so a plan written with lists
+    hashes, keys the post-core memo, and runs to the standard plan's bits."""
+    plan = plan_for(3, core_amplitudes=[1.0, -2.0])
+    listed = [ProtocolStage(s.label, s.schedule, [list(d) for d in s.drives]) for s in plan.stages]
+    assert tuple(listed) == plan.stages and hash(tuple(listed)) == hash(plan.stages)
+    protocol._kernel_memo.cache_clear()
+    fresh = protocol_bits(run_full_protocol(plan))
+    again = protocol_bits(run_full_protocol(protocol.ProtocolPlan(tuple(listed), plan.geometry)))
+    assert memo_counts() == (2, 2) and again == fresh
+
+
 #: The checked-in schedules the benchmark runs, N=3..6.
 SCHEDULES = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "schedules"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pulse_free_protocol_is_the_spin_path(n, monkeypatch):
+    """With the interactions off in the four pulse stages only, every pulse
+    is an exact single-atom rotation, so the standard plan, run stage by
+    stage, ends on the clock levels with the spin path's closed-system
+    population of the core schedule from |+>^N (0.998648, 0.991956,
+    0.973115 and 0.929391 on the checked-in schedules): the oracle that
+    ties the protocol to the spin path."""
+    record = load_result(SCHEDULES / f"rydberg_n{n}.json")
+    schedule = schedule_from_record(record)
+    plan = standard_plan(ChainGeometry.regular(n), schedule)
+    state = basis_state(["0"] * n, PROTOCOL_BASIS)
+    for stage in plan.stages:
+        with monkeypatch.context() as patch:
+            if not stage.uses_core_schedule:
+                switch_off_interactions(patch)
+            state = run_stage(state, stage, plan)[-1]
+    clock = abs(np.vdot(stage_references(n)["map-to-clock"], state)) ** 2
+    spin_path = closed_system_trace(
+        RydbergModel(plan.geometry), schedule, plus_product_state(n), complete_graph_state(n)
+    )[-1]
+    assert abs(clock - spin_path) <= 1e-12
+    expected = {3: 0.998648, 4: 0.991956, 5: 0.973115, 6: 0.929391}
+    assert spin_path == pytest.approx(expected[n], abs=5e-7)
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in SCHEDULES.glob("*.json")))
