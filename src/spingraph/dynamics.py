@@ -415,10 +415,10 @@ def ensemble_average(
     of CHUNK_ELEMENTS / (boundaries x largest block), one stacked ``eigh``
     call per sector size and chunk, whose return amplitudes at every slice
     boundary come from one ``grid_returns`` ladder product per block
-    size. Field noise moves only the areas, so
-    without geometry noise one set of return amplitudes serves every
-    sample. An ensemble of more than MAX_TRACE_STACK populations is refused
-    before any draw.
+    size. Field noise moves only the areas, so without geometry noise one
+    set of return amplitudes, from the model's memoised sectors
+    (``grape._sector_kernels``), serves every sample. An ensemble of more
+    than MAX_TRACE_STACK populations is refused before any draw.
     """
     times = schedule.boundary_times
     spec.check_trace_budget(times.size)
@@ -440,8 +440,9 @@ def ensemble_average(
     for start in range(0, spec.samples, chunk):
         rows = slice(start, start + chunk)
         if start == 0 or geometry_noise:
-            # (samples in the chunk, boundaries, sectors)
-            returns = sectors.grid_returns(target, schedule.dt, times.size, rows)
+            # (samples in the chunk, boundaries, sectors), or the model's own (boundaries, sectors)
+            own = rows if geometry_noise else None
+            returns = sectors.grid_returns(target, schedule.dt, times.size, own)
         chunk_areas = areas[rows] if field_noise else areas
         traces[rows] = np.abs(spin_overlaps(sectors.hz, returns, chunk_areas)) ** 2
     finals = traces[:, -1]

@@ -11,9 +11,9 @@ value each, one stacked eigendecomposition of equal-size blocks for every
 duration and field area; it runs every stage of the staged protocol.
 ``SpinSectors`` and ``spin_overlaps`` sum it over the magnetization
 sectors of a chain model, the whole spin path: ``optimize``,
-``scan_duration`` (one decomposition for its whole grid) and the traces
-of ``dynamics``, which take all slice boundaries as one baby-step
-giant-step product.
+``scan_duration`` and the traces of ``dynamics``, which take all slice
+boundaries as one baby-step giant-step product. Each chain's sectors are
+decomposed once per process (``_sector_kernels``).
 The landscape depends on a schedule only through (T, A), and its
 gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. So the
 optimizer is gradient ascent on the scalar area A with a backtracking
@@ -338,8 +338,8 @@ class SpinSectors:
 
     The block layout comes from ``operators.block_pattern``, memoised per
     (terms, N, basis, support of psi0) for the last 32 layouts, so every
-    sector sum of one chain shares it. The first drift is decomposed once,
-    on first use, and serves every later duration and target.
+    sector sum of one chain shares it. The model's own drift is decomposed
+    once per process (``_sector_kernels``) for every duration and target.
     """
 
     def __init__(self, model: ModelKind, psi0: np.ndarray, positions: np.ndarray | None = None):
@@ -347,6 +347,7 @@ class SpinSectors:
         # one row per geometry: every position set's, or the model's own
         self._coeffs, self._diagonals = np.atleast_2d(coeffs), np.atleast_2d(diagonals)
         self._psi0 = psi0
+        self._model = model
         self._pattern = block_pattern(terms, model.n_sites, SPIN_BASIS, np.flatnonzero(psi0))
         self._hz = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
         #: the (S, k) basis indices of the S blocks of each size k
@@ -357,23 +358,17 @@ class SpinSectors:
         self._order = np.argsort(first)
         self.hz = self._hz[first[self._order]]
 
-    def _kernels(self, rows) -> list[tuple]:
-        # (idx, propagator, position of its block axis), one per block size
-        return [
-            (idx, ClosedFormPropagator(h, self._hz[idx]), h.ndim - 3)
-            for idx, h in self._pattern.fill(self._coeffs[rows], self._diagonals[rows])
-        ]
-
-    @functools.cached_property
-    def _first_kernels(self) -> list[tuple]:
-        return self._kernels(0)
-
     def returns(self, target: np.ndarray, t, rows=None, offsets=0.0) -> np.ndarray:
         """c_b(t + s) on the last axis, after the shapes of t and of the time
         ``offsets`` s and, for a slice of geometry ``rows``, a first stack
-        axis. Without ``rows``, the first drift, decomposed once and kept;
-        an index or a slice decomposes those drifts for this call only."""
-        kernels = self._first_kernels if rows is None else self._kernels(rows)
+        axis. Without ``rows``, the model's own drift, from the
+        ``_sector_kernels`` memo; an index or a slice decomposes those
+        drifts for this call only."""
+        if rows is None:
+            kernels = _sector_kernels(self._model, self._pattern)
+        else:
+            drifts = self._coeffs[rows], self._diagonals[rows]
+            kernels = _build_sector_kernels(self._pattern, self._hz, *drifts)
         parts = []
         for idx, kernel, axis in kernels:
             c = kernel.overlaps(target[idx], self._psi0[idx], t, 0.0, offsets)
@@ -395,6 +390,25 @@ class SpinSectors:
         steps = math.isqrt(count - 1) + 1  # B
         c = self.returns(target, dt * np.arange(0, count, steps), rows, dt * np.arange(steps))
         return c.reshape(c.shape[:-3] + (-1, c.shape[-1]))[..., :count, :]
+
+
+def _build_sector_kernels(layout, hz: np.ndarray, coeffs, diagonals) -> tuple:
+    """(idx, ``ClosedFormPropagator``, position of its block axis) per
+    block size of ``layout``, idx the (S, k) block indices, for one drift's
+    coefficients and diagonal or a geometry stack of them."""
+    blocks = layout.fill(coeffs, diagonals)
+    return tuple((idx, ClosedFormPropagator(h, hz[idx]), h.ndim - 3) for idx, h in blocks)
+
+
+@functools.lru_cache(maxsize=32)
+def _sector_kernels(model: ModelKind, layout) -> tuple:
+    """A chain model's own sector kernels, memoised on the chain's
+    description, the last 32: the model, which hashes by value, and its
+    memoised ``block_pattern`` layout, so another geometry, delta_r or
+    coupling, another support of psi0 or other drift terms miss. Every
+    array a kernel holds is read-only, so kernels can be shared."""
+    hz = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
+    return _build_sector_kernels(layout, hz, *drift_terms(model, SPIN_BASIS)[1:])
 
 
 def check_return_budget(boundaries: int, sectors: int) -> None:
@@ -428,30 +442,9 @@ def optimize(config: GrapeConfig) -> GrapeResult:
     ``reduce_field_winding``); the landscape value is unchanged by the
     winding reduction.
     """
-    return _ascend(config, SpinSectors(config.model, plus_product_state(config.model.n_sites)))
-
-
-def _landscape(sectors: SpinSectors, target: np.ndarray, t: float):
-    """Phi(A) and dPhi/dA at duration t, as one function of the area A. The
-    overlap and its area derivative, one row each, are formed once; each
-    call is one product with the area's phase row, after which the pair is
-    read back as Python complex numbers, whose abs and products round as
-    numpy's scalars do without their per-operation overhead."""
-    returns = sectors.returns(target, t)
-    stacked = np.stack([returns, -1j * sectors.hz * returns])
-
-    def landscape(area: float) -> tuple[float, float]:
-        overlap, d_overlap = (stacked @ np.exp(-1j * (area * sectors.hz))).tolist()
-        return abs(overlap) ** 2, 2.0 * (overlap.conjugate() * d_overlap).real
-
-    return landscape
-
-
-def _ascend(config: GrapeConfig, sectors: SpinSectors) -> GrapeResult:
-    """``optimize`` on the sectors of its model from |+>^N, which may
-    already hold their decomposition."""
-    t = config.t_total
-    landscape = _landscape(sectors, target_state(config.target, config.model.n_sites), t)
+    t, n_sites = config.t_total, config.model.n_sites
+    sectors = SpinSectors(config.model, plus_product_state(n_sites))
+    landscape = _landscape(sectors, target_state(config.target, n_sites), t)
     guess = make_guess(config.guess, t)
 
     area = guess.field_area
@@ -495,6 +488,24 @@ def _ascend(config: GrapeConfig, sectors: SpinSectors) -> GrapeResult:
     )
 
 
+def _landscape(sectors: SpinSectors, target: np.ndarray, t: float):
+    """Phi(A) and dPhi/dA at duration t, as one function of the area A. The
+    overlap and its area derivative, one row each, and the phase row
+    -i h_b are formed once; each call is one product with the area's
+    phases exp(-i A h_b), after which the pair is read back as Python
+    complex numbers, whose abs and products round as numpy's scalars do
+    without their per-operation overhead."""
+    returns = sectors.returns(target, t)
+    phase = -1j * sectors.hz
+    stacked = np.stack([returns, phase * returns])
+
+    def landscape(area: float) -> tuple[float, float]:
+        overlap, d_overlap = (stacked @ np.exp(area * phase)).tolist()
+        return abs(overlap) ** 2, 2.0 * (overlap.conjugate() * d_overlap).real
+
+    return landscape
+
+
 def reduce_field_winding(schedule: ControlSchedule) -> ControlSchedule:
     """Subtract whole 2 pi windings of the field area as a uniform offset.
 
@@ -516,11 +527,11 @@ def reduce_field_winding(schedule: ControlSchedule) -> ControlSchedule:
 
 
 #: Largest duration grid of ``scan_duration``. One grid point is one
-#: ascent on the scan's single decomposition: 0.3-0.7 ms at N=3 and N=6
-#: in either mode and from either guess (71-point scans over 0.05-0.75,
-#: best of five, one thread of a 2-vCPU Xeon that takes 0.4-1.0 ms with
-#: the landscape's tail on numpy scalars), so a grid at the cap takes
-#: 3-7 s.
+#: ascent on the chain's memoised decomposition: 0.3-0.65 ms at N=3 and
+#: N=6 in either mode and from either guess (71-point scans over
+#: 0.05-0.75, best of five, one thread of a 2-vCPU Xeon; 0.3-0.7 ms with
+#: the phase row formed per call, interleaved in one process), so a grid
+#: at the cap takes 3-6.5 s.
 MAX_SCAN_STEPS = 10_000
 
 
@@ -539,20 +550,17 @@ def scan_duration(
     config: GrapeConfig, t_min: float, t_max: float, steps: int
 ) -> ScanResult:
     """Optimize at each duration on a uniform grid of 2 to MAX_SCAN_STEPS
-    points, every point's ascent on one ``SpinSectors``: the drift is
-    decomposed once for the whole grid, and each point's population equals
-    that of its own ``optimize`` run.
+    points, one ``optimize`` run per point; the chain's sectors come from
+    the ``_sector_kernels`` memo, so the drift is decomposed at most once
+    for the whole grid.
 
     Returns the (T, optimized population) curve in increasing T and its
     interior local maxima ranked by population, dominant first.
     """
     check_scan_grid(t_min, t_max, steps)
-    grid = np.linspace(t_min, t_max, steps)
-    # one decomposition of the drift serves every duration of the grid
-    sectors = SpinSectors(config.model, plus_product_state(config.model.n_sites))
     points = []
-    for t in grid:
-        result = _ascend(replace(config, t_total=float(t)), sectors)
+    for t in np.linspace(t_min, t_max, steps):
+        result = optimize(replace(config, t_total=float(t)))
         points.append((float(t), result.final_population))
     maxima = [points[i] for (i,) in local_maxima([p for _, p in points])]
     return ScanResult(points=points, maxima=maxima)

@@ -27,6 +27,7 @@ from spingraph.chain import (
     build_control_hz,
 )
 import spingraph.dynamics as dynamics
+import spingraph.grape as grape
 import spingraph.operators as operators
 from spingraph.config import ExperimentConfig, build_jump_channels
 from spingraph.dynamics import (
@@ -503,6 +504,7 @@ def test_ensemble_decomposes_each_sector_block_once_per_geometry(n_sites, kind, 
     # eigh sees the 2^N-dimensional drift.
     spec = ENSEMBLE_SPECS[kind]
     model, schedule, psi0, target = ensemble_case(n_sites)
+    grape._sector_kernels.cache_clear()
     calls = spy_eigh(monkeypatch)
     ensemble_average(model, schedule, spec, psi0, target)
     dims = [dim for dim, depth in calls for _ in range(depth)]
@@ -510,6 +512,12 @@ def test_ensemble_decomposes_each_sector_block_once_per_geometry(n_sites, kind, 
     geometries = 1 if kind == "field" else spec.samples
     assert sorted(dims) == sorted(sectors * geometries)
     assert max(dims) < 2**n_sites
+    # a repeat field-only ensemble takes the model's memoised sectors;
+    # geometry samples are decomposed afresh
+    first = list(calls)
+    calls.clear()
+    ensemble_average(model, schedule, spec, psi0, target)
+    assert calls == ([] if kind == "field" else first)
 
 
 def test_position_ensemble_stacks_its_samples_into_few_eigh_calls(monkeypatch):

@@ -28,7 +28,12 @@ from spingraph.chain import (
     build_control_hz_diagonal,
     drift_terms,
 )
-from spingraph.dynamics import closed_system_trace, open_system_trace
+from spingraph.dynamics import (
+    NoiseSpec,
+    closed_system_trace,
+    ensemble_average,
+    open_system_trace,
+)
 from spingraph.grape import (
     ClosedFormPropagator,
     ControlSchedule,
@@ -53,6 +58,7 @@ from spingraph.operators import (
     MAX_TRACE_STACK,
     SPIN_BASIS,
     BlockPattern,
+    block_pattern,
     embed_local_operator,
     evolve_unitary,
     hermitian_sum,
@@ -604,13 +610,20 @@ def test_scan_decomposes_the_drift_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spying_eigh)
     config = rydberg_config(3, 0.141, GuessSpec(kind="gaussian", b0=TWO_PI))
+    grape._sector_kernels.cache_clear()
     optimize(config)
     one_run = list(calls)
     calls.clear()
+    grape._sector_kernels.cache_clear()
     scan_duration(config, 0.05, 0.75, 71)
     # sectors of 1, 3, 3 and 1 configurations: one stacked call per size,
     # for the whole grid as for one optimize run
     assert calls == one_run == [(2, 1, 1), (2, 3, 3)]
+    # on the warm memo a repeat scan and a repeat run decompose nothing
+    calls.clear()
+    scan_duration(config, 0.05, 0.75, 71)
+    optimize(config)
+    assert calls == []
 
 
 def test_schedules_compare_by_value():
@@ -740,6 +753,9 @@ def test_non_commuting_drift_is_refused(monkeypatch):
         hermitian_sum(moves, coeffs, diagonal, 3, SPIN_BASIS),
         kron_drift(IdealModel(3), SPIN_BASIS) + transverse,
     )
+    # the memo holds the real chain's sectors: a key on the model alone
+    # would hand them to the patched drift
+    optimize(ideal_config(3, 2.3, GuessSpec(kind="gaussian", b0=1.0)))
     monkeypatch.setattr(grape, "drift_terms", transverse_drift)
     schedule = ControlSchedule(t_total=2.3, amplitudes=np.ones(5))
     psi0, target = plus_product_state(3), complete_graph_state(3)
@@ -1125,6 +1141,7 @@ def test_spin_path_decomposes_equal_size_sectors_together(model, monkeypatch):
         lambda: closed_system_trace(model, schedule, psi0, target),
         lambda: open_system_trace(model, schedule, DEFAULT_JUMPS, psi0, target),
     ):
+        grape._sector_kernels.cache_clear()
         calls.clear()
         run()
         # C(6, m) spin configurations with m up-spins, the largest C(6, 3) = 20;
@@ -1133,3 +1150,106 @@ def test_spin_path_decomposes_equal_size_sectors_together(model, monkeypatch):
         assert len(calls) == 4
         sizes = [shape[-1] for shape in calls for _ in range(math.prod(shape[:-2]))]
         assert sorted(sizes) == [1, 1, 6, 6, 15, 15, 20]
+        # a repeat run takes the memoised sectors
+        calls.clear()
+        run()
+        assert calls == []
+
+
+#: (N, duration) of the memo oracle, N=2..6 in each mode.
+MEMO_CASES = {
+    "ideal": ((2, 1.6), *IDEAL_CASES),
+    "rydberg": ((2, 0.1), *RYDBERG_CASES),
+}
+
+
+def spin_path_runs(model, t):
+    """Every spin-path caller on one chain: an ascent, a short duration
+    scan, the closed and open traces and a field-only ensemble."""
+    n = model.n_sites
+    b0 = 1.0 if isinstance(model, IdealModel) else TWO_PI
+    config = GrapeConfig(model, t, GuessSpec(kind="random", b0=b0, seed=1), TargetForm.OPERATOR_PRODUCT)
+    psi0, target = plus_product_state(n), complete_graph_state(n)
+    schedule = random_guess(10, t, b0, 2)
+    field = NoiseSpec(field_sigma=b0, samples=4, base_seed=5)
+    ensemble = ensemble_average(model, schedule, field, psi0, target)
+    return (
+        optimize(config),
+        scan_duration(config, 0.5 * t, 1.5 * t, 5),
+        closed_system_trace(model, schedule, psi0, target).tolist(),
+        [trace.tolist() for trace in open_system_trace(model, schedule, DEFAULT_JUMPS, psi0, target)],
+        [ensemble.mean_trace.tolist(), ensemble.sample_finals.tolist()],
+    )
+
+
+@pytest.mark.parametrize("mode", MEMO_CASES)
+def test_a_repeat_run_equals_a_run_on_a_cleared_memo(mode):
+    # the memo changes no bit: every caller on a warm memo, after the other
+    # chains of its mode, equals its run on a cleared one
+    make = IdealModel if mode == "ideal" else lambda n: RydbergModel(ChainGeometry.regular(n))
+    cold = {}
+    for n, t in MEMO_CASES[mode]:
+        grape._sector_kernels.cache_clear()
+        cold[n] = spin_path_runs(make(n), t)
+    for n, t in MEMO_CASES[mode]:
+        assert spin_path_runs(make(n), t) == cold[n]
+    assert grape._sector_kernels.cache_info().hits > 0
+
+
+def test_another_chain_misses_the_sector_memo():
+    # the key is the chain's description: an equal chain hits, and a
+    # displaced atom, another delta_r or another ideal coupling misses, and
+    # gets its own drift's returns, as an explicit row decomposes them
+    regular = ChainGeometry.regular(3)
+    displaced = regular.positions.copy()
+    displaced[1, 0] += 0.5
+    psi0, target, t = plus_product_state(3), complete_graph_state(3), 0.141
+    grape._sector_kernels.cache_clear()
+    for model in (RydbergModel(regular), IdealModel(3)):
+        SpinSectors(model, psi0).returns(target, t)
+    for model, misses in (
+        (RydbergModel(ChainGeometry.regular(3)), 0),
+        (IdealModel(3, 1.0), 0),
+        (RydbergModel(ChainGeometry(displaced)), 1),
+        (RydbergModel(regular.with_delta_r(0.02)), 1),
+        (IdealModel(3, 1.5), 1),
+    ):
+        before = grape._sector_kernels.cache_info()
+        sectors = SpinSectors(model, psi0)
+        got = sectors.returns(target, t)
+        after = grape._sector_kernels.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (misses, 1 - misses)
+        assert np.array_equal(got, sectors.returns(target, t, 0))
+
+
+def test_memoised_sector_kernels_are_read_only():
+    model, psi0 = RydbergModel(ChainGeometry.regular(4)), plus_product_state(4)
+    layout = block_pattern(drift_terms(model)[0], 4, SPIN_BASIS, np.flatnonzero(psi0))
+    kernels = grape._sector_kernels(model, layout)
+    assert grape._sector_kernels(model, layout) is kernels
+    assert grape._sector_kernels.cache_info().maxsize == 32
+    assert isinstance(kernels, tuple)
+    for idx, kernel, _ in kernels:
+        for array in (idx, kernel._hz, kernel._w, kernel._v):
+            assert not array.flags.writeable
+
+
+def test_a_warm_memo_serves_every_spin_path_caller(monkeypatch):
+    # N=3 Rydberg: the first optimize on a cleared memo decomposes the two
+    # block sizes; a repeat optimize, a scan, master's traces and a
+    # field-only ensemble on that chain decompose nothing
+    calls = []
+    original_eigh = np.linalg.eigh
+
+    def spying_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spying_eigh)
+    model = RydbergModel(ChainGeometry.regular(3))
+    grape._sector_kernels.cache_clear()
+    optimize(rydberg_config(3, 0.141, GuessSpec(kind="random", b0=TWO_PI, seed=1)))
+    assert calls == [(2, 1, 1), (2, 3, 3)]
+    calls.clear()
+    spin_path_runs(model, 0.141)
+    assert calls == []
