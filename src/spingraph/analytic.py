@@ -32,6 +32,7 @@ from .grape import SpinSectors, local_maxima, spin_overlaps
 from .targets import complete_graph_state, plus_product_state
 
 __all__ = [
+    "CLOSED_FORM_AMPLITUDES",
     "FIELD_SIGN",
     "PRINTED_TO_CANONICAL",
     "ConstantFieldSolution",
@@ -52,6 +53,9 @@ FIELD_SIGN = -1.0
 #: printed index -> computational basis index (up = bit 0).
 PRINTED_TO_CANONICAL = (7, 6, 5, 4, 3, 2, 1, 0)
 
+#: Amplitudes the closed form holds per grid point: its stack's 8 and 2 temporaries.
+CLOSED_FORM_AMPLITUDES = 10
+
 
 @dataclass(frozen=True)
 class ConstantFieldSolution:
@@ -64,45 +68,44 @@ class ConstantFieldSolution:
 
 def analytic_n3_amplitudes(j: float, b, t) -> np.ndarray:
     """Eight closed-form amplitudes, printed configuration order, on a
-    last axis after the broadcast shape of (b, t).
+    last axis after the broadcast shape of (b, t): the reversed view of one
+    stack in the computational basis, into which each is written as evaluated.
 
     ``j`` is the coupling of H_con (no 1/2); all frequencies below are
     multiples of 4 j / sqrt(2) = 2 sqrt(2) j, the single-excitation
     bandwidth of the open three-site chain at this coupling.
     """
     e = np.exp
-    psi1 = e(-1.5j * t * b) / (2.0 * SQRT2)
-    psi2 = (
+    stack = np.empty(np.broadcast_shapes(np.shape(b), np.shape(t)) + (8,), dtype=complex)
+    at = PRINTED_TO_CANONICAL
+    stack[..., at[0]] = e(-1.5j * t * b) / (2.0 * SQRT2)
+    stack[..., at[1]] = stack[..., at[4]] = (
         e(-0.5j * t * (4.0 * SQRT2 * j + b))
         * (2.0 + SQRT2 - (SQRT2 - 2.0) * e(4.0j * SQRT2 * j * t))
         / (8.0 * SQRT2)
     )
-    psi3 = (
+    stack[..., at[2]] = (
         e(-0.5j * t * (4.0 * SQRT2 * j + b))
         * (1.0 + SQRT2 - (SQRT2 - 1.0) * e(4.0j * SQRT2 * j * t))
         / (4.0 * SQRT2)
     )
-    psi4 = (
+    stack[..., at[3]] = stack[..., at[6]] = (
         0.25
         * e(0.5j * t * b)
         * (SQRT2 * np.cos(4.0 * j * t / SQRT2) - 1.0j * np.sin(4.0 * j * t / SQRT2))
     )
-    psi6 = (
+    stack[..., at[5]] = (
         0.25
         * e(0.5j * t * b)
         * (SQRT2 * np.cos(4.0 * j * t / SQRT2) - 2.0j * np.sin(4.0 * j * t / SQRT2))
     )
-    psi8 = e(1.5j * t * b) / (2.0 * SQRT2)
-    amps = (psi1, psi2, psi3, psi4, psi2, psi6, psi4, psi8)
-    return np.stack(np.broadcast_arrays(*amps), axis=-1)
+    stack[..., at[7]] = e(1.5j * t * b) / (2.0 * SQRT2)
+    return stack[..., ::-1]
 
 
 def analytic_state(j: float, b, t) -> np.ndarray:
-    """Closed-form state reordered into the computational basis."""
-    printed = analytic_n3_amplitudes(j, b, t)
-    out = np.empty_like(printed)
-    out[..., list(PRINTED_TO_CANONICAL)] = printed
-    return out
+    """Closed-form state in the computational basis: the amplitude stack."""
+    return analytic_n3_amplitudes(j, b, t)[..., ::-1]
 
 
 def constant_field_params(c1: int, c2: int, j: float) -> ConstantFieldSolution:

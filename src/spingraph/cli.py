@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
+    CLOSED_FORM_AMPLITUDES,
     constant_field_params,
     constant_field_population,
     propagated_population,
@@ -484,8 +485,9 @@ def cmd_analytic(config_path, c1, c2, j_coupling, scan, b_points, t_points, out_
             if points < 1:
                 raise ValueError(f"{option} must be positive, not {points}")
         check_trace_stack({"B points": b_points, "t points": t_points}, "scan")
-        # the closed form's (B, t, 8) amplitude stack, before its temporaries
-        counts = {"B points": b_points, "t points": t_points, "configurations": 8}
+        # the closed form's (B, t, 8) amplitude stack and its temporaries
+        counts = {"B points": b_points, "t points": t_points,
+                  "stacked and temporary amplitudes per point": CLOSED_FORM_AMPLITUDES}
         check_trace_stack(counts, "closed-form", "amplitudes")
     solution = constant_field_params(c1, c2, j_coupling)
     paths = _float_outputs(cfg, out_prefix, "grid", "maxima") if scan else None

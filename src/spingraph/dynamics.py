@@ -416,8 +416,8 @@ def ensemble_average(
     call per sector size and chunk, whose return amplitudes at every slice
     boundary come from one ``grid_returns`` ladder product per block
     size. Field noise moves only the areas, so without geometry noise one
-    set of return amplitudes, from the model's memoised sectors
-    (``grape._sector_kernels``), serves every sample. An ensemble of more
+    set of return amplitudes, from the model's memoised kernels
+    (``grape._stage_kernels``), serves every sample. An ensemble of more
     than MAX_TRACE_STACK populations is refused before any draw.
     """
     times = schedule.boundary_times

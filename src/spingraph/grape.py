@@ -8,12 +8,13 @@ Hz, so the evolution under any schedule collapses to a closed form:
 
 ``ClosedFormPropagator`` owns that kernel on blocks where Hz takes one
 value each, one stacked eigendecomposition of equal-size blocks for every
-duration and field area; it runs every stage of the staged protocol.
-``SpinSectors`` and ``spin_overlaps`` sum it over the magnetization
-sectors of a chain model, the whole spin path: ``optimize``,
+duration and field area. Every evolution is such a stage: ``_stage_terms``
+assembles it, ``_build_kernels`` decomposes it and ``_stage_kernels``
+memoises the last 8. The spin path is the drive-free stage on the spin
+basis: ``SpinSectors`` and ``spin_overlaps`` sum it over the
+magnetization sectors of a chain model, for ``optimize``,
 ``scan_duration`` and the traces of ``dynamics``, which take all slice
-boundaries as one baby-step giant-step product. Each chain's sectors are
-decomposed once per process (``_sector_kernels``).
+boundaries as one baby-step giant-step product.
 The landscape depends on a schedule only through (T, A), and its
 gradient dPhi/dB_k = dt dPhi/dA is the same on every slice. So the
 optimizer is gradient ascent on the scalar area A with a backtracking
@@ -275,8 +276,8 @@ class ClosedFormPropagator:
     one product big @ (W small)^T. A single duration per (t, A) is the
     offset s = 0, whose row of ones leaves W as it is; ``SpinSectors``
     lays a uniform grid out as giant steps t and baby steps s. Every array
-    a propagator holds is read-only, so one can be shared, as the protocol's
-    memoised post-core kernels are.
+    a propagator holds is read-only, so one can be shared, as the kernels
+    of the ``_stage_kernels`` memo are.
     """
 
     def __init__(self, h: np.ndarray, hz_diag: np.ndarray):
@@ -337,9 +338,9 @@ class SpinSectors:
     ``positions`` gives one drift per geometry.
 
     The block layout comes from ``operators.block_pattern``, memoised per
-    (terms, N, basis, support of psi0) for the last 32 layouts, so every
-    sector sum of one chain shares it. The model's own drift is decomposed
-    once per process (``_sector_kernels``) for every duration and target.
+    (terms, N, basis, support of psi0) for the last 32 layouts, and the
+    model's own kernels, for every duration and target, from the
+    ``_stage_kernels`` memo, as the drive-free stage on SPIN_BASIS.
     """
 
     def __init__(self, model: ModelKind, psi0: np.ndarray, positions: np.ndarray | None = None):
@@ -362,13 +363,13 @@ class SpinSectors:
         """c_b(t + s) on the last axis, after the shapes of t and of the time
         ``offsets`` s and, for a slice of geometry ``rows``, a first stack
         axis. Without ``rows``, the model's own drift, from the
-        ``_sector_kernels`` memo; an index or a slice decomposes those
+        ``_stage_kernels`` memo; an index or a slice decomposes those
         drifts for this call only."""
         if rows is None:
-            kernels = _sector_kernels(self._model, self._pattern)
+            kernels = _stage_kernels(self._pattern, self._model, SPIN_BASIS, (), True)
         else:
             drifts = self._coeffs[rows], self._diagonals[rows]
-            kernels = _build_sector_kernels(self._pattern, self._hz, *drifts)
+            kernels = _build_kernels(self._pattern, self._hz, *drifts)
         parts = []
         for idx, kernel, axis in kernels:
             c = kernel.overlaps(target[idx], self._psi0[idx], t, 0.0, offsets)
@@ -392,23 +393,35 @@ class SpinSectors:
         return c.reshape(c.shape[:-3] + (-1, c.shape[-1]))[..., :count, :]
 
 
-def _build_sector_kernels(layout, hz: np.ndarray, coeffs, diagonals) -> tuple:
+def _stage_terms(model: ModelKind, basis, drives) -> tuple:
+    """A stage's Hamiltonian as a ``hermitian_sum`` triple: each drive's
+    (rate/2)(|a><b| + h.c.) on every atom, then ``chain.drift_terms`` (the
+    sums' rounding depends on that order); the spin path's has no drives."""
+    terms, coeffs, diagonal = drift_terms(model, basis)
+    sites = range(model.n_sites)
+    moves = [(((site, a, b),), 0.5 * rate) for a, b, rate in drives for site in sites]
+    return (tuple(term for term, _ in moves) + terms,
+            np.concatenate([[coeff for _, coeff in moves], coeffs]), diagonal)
+
+
+def _build_kernels(layout, hz: np.ndarray, coeffs, diagonals) -> tuple:
     """(idx, ``ClosedFormPropagator``, position of its block axis) per
-    block size of ``layout``, idx the (S, k) block indices, for one drift's
-    coefficients and diagonal or a geometry stack of them."""
+    block size of ``layout``, idx the (S, k) block indices, for one
+    Hamiltonian's coefficients and diagonal or a geometry stack of them."""
     blocks = layout.fill(coeffs, diagonals)
     return tuple((idx, ClosedFormPropagator(h, hz[idx]), h.ndim - 3) for idx, h in blocks)
 
 
-@functools.lru_cache(maxsize=32)
-def _sector_kernels(model: ModelKind, layout) -> tuple:
-    """A chain model's own sector kernels, memoised on the chain's
-    description, the last 32: the model, which hashes by value, and its
-    memoised ``block_pattern`` layout, so another geometry, delta_r or
-    coupling, another support of psi0 or other drift terms miss. Every
-    array a kernel holds is read-only, so kernels can be shared."""
-    hz = build_control_hz_diagonal(model.n_sites, SPIN_BASIS)
-    return _build_sector_kernels(layout, hz, *drift_terms(model, SPIN_BASIS)[1:])
+@functools.lru_cache(maxsize=8)
+def _stage_kernels(layout, model: ModelKind, basis, drives, field: bool) -> tuple:
+    """The kernels of the ``_stage_terms`` of ``drives`` on ``model`` in
+    ``layout``, with Hz where ``field`` is set; ``__wrapped__`` builds them
+    afresh. Memoised on that description, never on array bytes: an entry
+    holds 0.14-8.5 KB for a spin chain (N=2..6) and up to 13.86 MB for an
+    N=6 chain's two post-core stages, so 8 entries stay under 56 MB."""
+    n = model.n_sites
+    hz = build_control_hz_diagonal(n, basis) if field else np.zeros(basis.dim**n)
+    return _build_kernels(layout, hz, *_stage_terms(model, basis, drives)[1:])
 
 
 def check_return_budget(boundaries: int, sectors: int) -> None:
@@ -551,7 +564,7 @@ def scan_duration(
 ) -> ScanResult:
     """Optimize at each duration on a uniform grid of 2 to MAX_SCAN_STEPS
     points, one ``optimize`` run per point; the chain's sectors come from
-    the ``_sector_kernels`` memo, so the drift is decomposed at most once
+    the ``_stage_kernels`` memo, so the drift is decomposed at most once
     for the whole grid.
 
     Returns the (T, optimized population) curve in increasing T and its

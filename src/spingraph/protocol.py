@@ -49,22 +49,16 @@ largest filled buffer, map-to-clock's, from 1436681 entries at N=6 to
 17233281 at N=7, beyond the block budget, so the walk caps the protocol
 at six atoms.
 
-Each standard stage is written once, in ``STANDARD_STAGES``, and a
-stage's Hamiltonian is assembled once, by ``_stage_terms``: the layout
-walk reads its terms, and the one kernel builder, ``_stage_kernels``,
-fills its coefficients and diagonal into one read-only
-``grape.ClosedFormPropagator`` per block size. ``run_stage`` builds the
-kernels afresh on every call, and ``run_full_protocol`` up to and
-including the core, which carries the schedule. The stages after it,
-decouple and map-to-clock, are the same operators on every run on a
-chain and hold its largest blocks, so their kernels come from a
-process-wide memo of 8 entries (four chains), keyed on the stage's
-description: layout, chain, drives and field flag. The coefficients
-follow from the chain and the drives, the key the ``drift_terms`` memo
-trusts too, so a displaced atom or another delta_r misses (another
-chain), and so does a background patched to other terms (another
-layout). A first run makes 20 ``eigh`` calls at N=3 and 28 at N=4; a
-repeat run on the chain makes 8 and 11, with the same output bits.
+Each standard stage is written once, in ``STANDARD_STAGES``, and built as
+every evolution is, in ``grape``: ``_stage_terms`` gives the Hamiltonian
+the layout walk reads, and ``_stage_kernels`` its read-only kernels.
+``run_stage`` builds them afresh on every call, and ``run_full_protocol``
+up to and including the core, which carries the schedule. The stages
+after it, decouple and map-to-clock, are the same operators on every run
+on a chain and hold its largest blocks, so they come from the one kernel
+memo, which another geometry, delta_r or patched background misses. A
+first run makes 20 ``eigh`` calls at N=3 and 28 at N=4; a repeat run on
+the chain makes 8 and 11, with the same output bits.
 
 Each stage is its drives over its own schedule: TRACE_POINTS_PER_STAGE
 zero-field slices over a pulse, or the optimized field for the core.
@@ -84,14 +78,13 @@ stage's timeline is one product there, |states[:, rows] @ bras|^2.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TWO_PI, ChainGeometry, RydbergModel, build_control_hz_diagonal, drift_terms
-from .grape import ClosedFormPropagator, ControlSchedule
+from .chain import TWO_PI, ChainGeometry, RydbergModel
+from .grape import ControlSchedule, _stage_kernels, _stage_terms
 from .operators import (
     PROTOCOL_BASIS,
     SPIN_BASIS,
@@ -240,13 +233,14 @@ def run_stage(state: np.ndarray, stage: ProtocolStage, plan: ProtocolPlan) -> np
     factorization needs one Hz value on every block; drives or a
     background that break it raise ``GrapeError``, a ValueError.
     """
-    return _evolve(state, stage, plan, _stage_kernels)
+    return _evolve(state, stage, plan, _stage_kernels.__wrapped__)
 
 
 def _evolve(state, stage: ProtocolStage, plan: ProtocolPlan, kernels, layout=None) -> np.ndarray:
-    """``run_stage`` with the stage's kernels taken from ``kernels``: the
-    kernel builder or its memo, called with ``layout`` (by default, the
-    input state's), the chain, the stage's drives and its field flag."""
+    """``run_stage`` with the stage's kernels taken from ``kernels``:
+    ``grape._stage_kernels`` or its unmemoised builder, called with
+    ``layout`` (by default, the input state's), the chain's model, the
+    protocol basis, the stage's drives and its field flag."""
     dim = PROTOCOL_BASIS.dim**plan.n_sites
     state = np.asarray(state, dtype=complex)
     if state.shape != (dim,):
@@ -263,21 +257,11 @@ def _evolve(state, stage: ProtocolStage, plan: ProtocolPlan, kernels, layout=Non
     # Hz only under a field, since it does not commute with the drives
     field = bool(schedule.amplitudes.any())
     states = np.zeros((len(times), dim), dtype=complex)
-    for idx, kernel in kernels(layout, plan.geometry, stage.drives, field):
+    model = RydbergModel(plan.geometry)
+    for idx, kernel, _ in kernels(layout, model, PROTOCOL_BASIS, stage.drives, field):
         # (blocks, times, k) from the propagator, (times, blocks, k) here
         states[:, idx] = kernel.states(state[idx], times, areas).swapaxes(0, 1)
     return states
-
-
-def _stage_terms(drives, geometry: ChainGeometry) -> tuple:
-    """A stage's Hamiltonian as a ``hermitian_sum`` triple: each drive's
-    (rate/2)(|a><b| + h.c.) on every atom, then the interactions of
-    ``chain.drift_terms`` (the sums' rounding depends on that order)."""
-    terms, coeffs, diagonal = drift_terms(RydbergModel(geometry), PROTOCOL_BASIS)
-    sites = range(geometry.n_sites)
-    moves = [(((site, a, b),), 0.5 * rate) for a, b, rate in drives for site in sites]
-    return (tuple(term for term, _ in moves) + terms,
-            np.concatenate([[coeff for _, coeff in moves], coeffs]), diagonal)
 
 
 def _stage_layouts(drives, geometry: ChainGeometry, support=(0,)) -> list:
@@ -288,29 +272,10 @@ def _stage_layouts(drives, geometry: ChainGeometry, support=(0,)) -> list:
     layout beyond the budget as it is built."""
     layouts = []
     for stage in drives:
-        terms = _stage_terms(stage, geometry)[0]
+        terms = _stage_terms(RydbergModel(geometry), PROTOCOL_BASIS, stage)[0]
         layouts.append(block_pattern(terms, geometry.n_sites, PROTOCOL_BASIS, support))
         support = layouts[-1].reached
     return layouts
-
-
-def _stage_kernels(layout, geometry: ChainGeometry, drives, field: bool) -> tuple:
-    """The (idx, ``ClosedFormPropagator``) pair of each size of ``layout``'s
-    blocks, idx the (S, k) block indices, for the ``_stage_terms`` of
-    ``drives`` on ``geometry``, with Hz where ``field`` is set. Every array
-    a kernel holds is read-only, so kernels can be shared."""
-    n = geometry.n_sites
-    hz = build_control_hz_diagonal(n, PROTOCOL_BASIS) if field else np.zeros(PROTOCOL_BASIS.dim**n)
-    blocks = layout.fill(*_stage_terms(drives, geometry)[1:])
-    return tuple((idx, ClosedFormPropagator(h, hz[idx])) for idx, h in blocks)
-
-
-@functools.lru_cache(maxsize=8)
-def _kernel_memo(layout, geometry: ChainGeometry, drives, field: bool) -> tuple:
-    """``_stage_kernels`` memoised on the stage's description (see the
-    module docstring); at worst, an N=6 chain's two post-core stages hold
-    about 1.69 M eigenvector entries, roughly 13.5 MB."""
-    return _stage_kernels(layout, geometry, drives, field)
 
 
 def _on_levels(spin_state: np.ndarray, level_for_up: str, level_for_down: str) -> np.ndarray:
@@ -373,7 +338,7 @@ def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
     elapsed = 0.0
     # the stages before the core and the core run afresh; those after it
     # take their kernels from the memo, as they recur on every run
-    kernels = _stage_kernels
+    kernels = _stage_kernels.__wrapped__
     for stage, layout in zip(plan.stages, layouts):
         states = _evolve(state, stage, plan, kernels, layout)
         times = (elapsed + stage.schedule.boundary_times[1:]).tolist()
@@ -383,7 +348,7 @@ def run_full_protocol(plan: ProtocolPlan) -> ProtocolResult:
         end_pops = dict(zip(refs, timeline[-1][1:5]))
         reports.append(StageReport(stage.label, elapsed, end_pops.get(stage.label)))
         if stage.uses_core_schedule:
-            kernels = _kernel_memo
+            kernels = _stage_kernels
     return ProtocolResult(
         final_state=state,
         stage_reports=reports,

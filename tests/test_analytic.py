@@ -2,6 +2,7 @@
 dense expm."""
 
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from spingraph.analytic import (
+    CLOSED_FORM_AMPLITUDES,
     PRINTED_TO_CANONICAL,
     analytic_n3_amplitudes,
     analytic_state,
@@ -39,6 +41,37 @@ def test_printed_order_mapping():
     labels = [".".join(row) for row in np.array(SPIN_BASIS.levels)[site_levels(3, 2)]]
     for printed_idx, canonical_idx in enumerate(PRINTED_TO_CANONICAL):
         assert labels[canonical_idx] == PRINTED_ORDER_LABELS[printed_idx]
+
+
+def test_state_is_the_printed_amplitudes_through_the_mapping():
+    # bit for bit the printed amplitudes placed at PRINTED_TO_CANONICAL,
+    # and the amplitude stack itself, in C order
+    b, t = np.array([-3.0, 0.5, 7.25])[:, None], np.array([0.0, 0.4, 1.3, 2.9])
+    printed = analytic_n3_amplitudes(1.3, b, t)
+    mapped = np.empty_like(printed)
+    mapped[..., list(PRINTED_TO_CANONICAL)] = printed
+    state = analytic_state(1.3, b, t)
+    assert state.tobytes() == mapped.tobytes()
+    assert state.flags.c_contiguous and state.base is not None
+
+
+def test_a_scan_holds_no_more_than_the_counted_amplitudes():
+    """At 10^5 grid points the scan's traced peak stays within the
+    CLOSED_FORM_AMPLITUDES the refusal counts per point, plus what does not
+    grow with the grid: numpy's casting buffer of ``np.getbufsize()``
+    amplitudes and a few rows along each axis."""
+    b_grid, t_grid = np.linspace(-10.0, 10.0, 250), np.linspace(0.01, 3.5, 400)
+    scan_constant_field(1.0, b_grid[:3], t_grid[:3])  # caches, outside the count
+    tracemalloc.start()
+    try:
+        scan_constant_field(1.0, b_grid, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    amplitude = np.dtype(complex).itemsize
+    counted = CLOSED_FORM_AMPLITUDES * amplitude * b_grid.size * t_grid.size
+    fixed = amplitude * (np.getbufsize() + 8 * (b_grid.size + t_grid.size))
+    assert counted - amplitude * b_grid.size * t_grid.size < peak <= counted + fixed
 
 
 def test_initial_state_is_plus_product():

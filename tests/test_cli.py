@@ -185,8 +185,9 @@ def test_analytic_rejects_bad_family(runner):
 
 def test_analytic_scan_refuses_the_amplitude_stack_before_any_output(runner, tmp_path, monkeypatch):
     """1000 x 1251 points pass the scan budget, but the closed form would
-    hold 8 amplitudes per point, 10008000 in all: refused before an output
-    directory or any amplitude exists. 21 x 31 points still run."""
+    hold 10 amplitudes per point (its stack's 8 and 2 temporaries),
+    12510000 in all: refused before an output directory or any amplitude
+    exists. 21 x 31 points still run."""
     monkeypatch.chdir(tmp_path)
     scans = []
     with monkeypatch.context() as patch:
@@ -196,8 +197,8 @@ def test_analytic_scan_refuses_the_amplitude_stack_before_any_output(runner, tmp
         result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert result.output == (
-        "Error: analytic failed: 1000 B points x 1251 t points x 8 configurations exceed the "
-        "closed-form budget of 10000000 amplitudes\n"
+        "Error: analytic failed: 1000 B points x 1251 t points x 10 stacked and temporary "
+        "amplitudes per point exceed the closed-form budget of 10000000 amplitudes\n"
     )
     assert scans == [] and list(tmp_path.iterdir()) == []
     args = ["analytic", "--scan", "--b-points", "21", "--t-points", "31", "--out-prefix", "a/x"]

@@ -504,7 +504,7 @@ def test_ensemble_decomposes_each_sector_block_once_per_geometry(n_sites, kind, 
     # eigh sees the 2^N-dimensional drift.
     spec = ENSEMBLE_SPECS[kind]
     model, schedule, psi0, target = ensemble_case(n_sites)
-    grape._sector_kernels.cache_clear()
+    grape._stage_kernels.cache_clear()
     calls = spy_eigh(monkeypatch)
     ensemble_average(model, schedule, spec, psi0, target)
     dims = [dim for dim, depth in calls for _ in range(depth)]

@@ -610,11 +610,11 @@ def test_scan_decomposes_the_drift_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spying_eigh)
     config = rydberg_config(3, 0.141, GuessSpec(kind="gaussian", b0=TWO_PI))
-    grape._sector_kernels.cache_clear()
+    grape._stage_kernels.cache_clear()
     optimize(config)
     one_run = list(calls)
     calls.clear()
-    grape._sector_kernels.cache_clear()
+    grape._stage_kernels.cache_clear()
     scan_duration(config, 0.05, 0.75, 71)
     # sectors of 1, 3, 3 and 1 configurations: one stacked call per size,
     # for the whole grid as for one optimize run
@@ -1141,7 +1141,7 @@ def test_spin_path_decomposes_equal_size_sectors_together(model, monkeypatch):
         lambda: closed_system_trace(model, schedule, psi0, target),
         lambda: open_system_trace(model, schedule, DEFAULT_JUMPS, psi0, target),
     ):
-        grape._sector_kernels.cache_clear()
+        grape._stage_kernels.cache_clear()
         calls.clear()
         run()
         # C(6, m) spin configurations with m up-spins, the largest C(6, 3) = 20;
@@ -1189,11 +1189,11 @@ def test_a_repeat_run_equals_a_run_on_a_cleared_memo(mode):
     make = IdealModel if mode == "ideal" else lambda n: RydbergModel(ChainGeometry.regular(n))
     cold = {}
     for n, t in MEMO_CASES[mode]:
-        grape._sector_kernels.cache_clear()
+        grape._stage_kernels.cache_clear()
         cold[n] = spin_path_runs(make(n), t)
     for n, t in MEMO_CASES[mode]:
         assert spin_path_runs(make(n), t) == cold[n]
-    assert grape._sector_kernels.cache_info().hits > 0
+    assert grape._stage_kernels.cache_info().hits > 0
 
 
 def test_another_chain_misses_the_sector_memo():
@@ -1204,7 +1204,7 @@ def test_another_chain_misses_the_sector_memo():
     displaced = regular.positions.copy()
     displaced[1, 0] += 0.5
     psi0, target, t = plus_product_state(3), complete_graph_state(3), 0.141
-    grape._sector_kernels.cache_clear()
+    grape._stage_kernels.cache_clear()
     for model in (RydbergModel(regular), IdealModel(3)):
         SpinSectors(model, psi0).returns(target, t)
     for model, misses in (
@@ -1214,10 +1214,10 @@ def test_another_chain_misses_the_sector_memo():
         (RydbergModel(regular.with_delta_r(0.02)), 1),
         (IdealModel(3, 1.5), 1),
     ):
-        before = grape._sector_kernels.cache_info()
+        before = grape._stage_kernels.cache_info()
         sectors = SpinSectors(model, psi0)
         got = sectors.returns(target, t)
-        after = grape._sector_kernels.cache_info()
+        after = grape._stage_kernels.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (misses, 1 - misses)
         assert np.array_equal(got, sectors.returns(target, t, 0))
 
@@ -1225,9 +1225,10 @@ def test_another_chain_misses_the_sector_memo():
 def test_memoised_sector_kernels_are_read_only():
     model, psi0 = RydbergModel(ChainGeometry.regular(4)), plus_product_state(4)
     layout = block_pattern(drift_terms(model)[0], 4, SPIN_BASIS, np.flatnonzero(psi0))
-    kernels = grape._sector_kernels(model, layout)
-    assert grape._sector_kernels(model, layout) is kernels
-    assert grape._sector_kernels.cache_info().maxsize == 32
+    key = layout, model, SPIN_BASIS, (), True
+    kernels = grape._stage_kernels(*key)
+    assert grape._stage_kernels(*key) is kernels
+    assert grape._stage_kernels.cache_info().maxsize == 8
     assert isinstance(kernels, tuple)
     for idx, kernel, _ in kernels:
         for array in (idx, kernel._hz, kernel._w, kernel._v):
@@ -1247,9 +1248,22 @@ def test_a_warm_memo_serves_every_spin_path_caller(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spying_eigh)
     model = RydbergModel(ChainGeometry.regular(3))
-    grape._sector_kernels.cache_clear()
+    grape._stage_kernels.cache_clear()
     optimize(rydberg_config(3, 0.141, GuessSpec(kind="random", b0=TWO_PI, seed=1)))
     assert calls == [(2, 1, 1), (2, 3, 3)]
     calls.clear()
     spin_path_runs(model, 0.141)
     assert calls == []
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["ideal", "rydberg"])
+def test_the_drive_free_spin_stage_is_the_drift(n_sites, kind):
+    # the spin path's kernels come from the stage assembler with no drives:
+    # its triple is the model's drift_terms, bit for bit
+    model = IdealModel(n_sites) if kind == "ideal" else RydbergModel(ChainGeometry.regular(n_sites))
+    terms, coeffs, diagonal = grape._stage_terms(model, SPIN_BASIS, ())
+    want_terms, want_coeffs, want_diagonal = drift_terms(model, SPIN_BASIS)
+    assert terms == want_terms
+    for got, want in ((coeffs, want_coeffs), (diagonal, want_diagonal)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

@@ -8,10 +8,19 @@ import numpy as np
 import pytest
 
 import spingraph.chain as chain
+import spingraph.grape as grape
 import spingraph.protocol as protocol
 from spingraph.chain import ChainGeometry, RydbergModel, assemble_system, build_control_hz
 from spingraph.dynamics import closed_system_trace
-from spingraph.grape import ControlSchedule, GrapeError, load_result, schedule_from_record
+from spingraph.grape import (
+    ControlSchedule,
+    GrapeConfig,
+    GrapeError,
+    GuessSpec,
+    load_result,
+    optimize,
+    schedule_from_record,
+)
 from spingraph.operators import (
     PROTOCOL_BASIS,
     BlockPattern,
@@ -34,7 +43,7 @@ from spingraph.protocol import (
     standard_plan,
     write_timeline_csv,
 )
-from spingraph.targets import complete_graph_state, plus_product_state
+from spingraph.targets import TargetForm, complete_graph_state, plus_product_state
 
 from kron_reference import SIGMA_X, kron_drive_hamiltonian, spin_half_operator
 
@@ -42,13 +51,18 @@ TWO_PI = 2.0 * np.pi
 
 
 def switch_off_interactions(monkeypatch):
-    """Every later stage runs its drives and field alone: the background
-    has no exchange terms and a zero diagonal."""
+    """Every later protocol stage runs its drives and field alone: the
+    background on the protocol basis has no exchange terms and a zero
+    diagonal. The spin basis keeps its drift, so the spin path is not
+    silenced with it."""
+    original = grape.drift_terms
 
-    def no_background(model, basis):
+    def no_background(model, basis, *positions):
+        if basis != PROTOCOL_BASIS:
+            return original(model, basis, *positions)
         return (), np.zeros(0), np.zeros(basis.dim**model.n_sites)
 
-    monkeypatch.setattr(protocol, "drift_terms", no_background)
+    monkeypatch.setattr(grape, "drift_terms", no_background)
 
 
 @pytest.fixture
@@ -376,7 +390,7 @@ def test_drive_hamiltonian_matches_kron_reference(n, monkeypatch, no_interaction
 
     # on the class, so the memoised layouts record their fills too
     monkeypatch.setattr(BlockPattern, "fill", recording_fill)
-    monkeypatch.setattr(protocol, "ClosedFormPropagator", RecordingPropagator)
+    monkeypatch.setattr(grape, "ClosedFormPropagator", RecordingPropagator)
     plan = plan_for(n, core_amplitudes=np.zeros(2))
     dim = PROTOCOL_BASIS.dim**n
     starts = (basis_state(["0"] * n, PROTOCOL_BASIS), np.full(dim, dim**-0.5, dtype=complex))
@@ -522,7 +536,7 @@ def test_timeline_is_the_stacks_run_stage_returns(n):
     row; the memoised post-core kernels give run_stage's bits."""
     core = ControlSchedule(t_total=0.15, amplitudes=np.array([-9.8, 3.1, -12.4]))
     plan = standard_plan(ChainGeometry.regular(n), core)
-    protocol._kernel_memo.cache_clear()
+    grape._stage_kernels.cache_clear()
     result = run_full_protocol(plan)
     stacks, state = [], basis_state(["0"] * n, PROTOCOL_BASIS)
     for stage in plan.stages:
@@ -577,7 +591,7 @@ def test_full_protocol_diagonalizes_once_per_block_size(monkeypatch, core_result
     repeat run on the chain builds only those up to the core, as decouple
     and map-to-clock come from the memo."""
     calls, blocks = [], []
-    original_eigh, original_kernels = np.linalg.eigh, protocol._stage_kernels
+    original_eigh, original_kernels = np.linalg.eigh, grape._build_kernels
     original_fill = BlockPattern.fill
 
     def counting_eigh(a, *args, **kwargs):
@@ -596,11 +610,11 @@ def test_full_protocol_diagonalizes_once_per_block_size(monkeypatch, core_result
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     # on the class, so the memoised layouts record their fills too
     monkeypatch.setattr(BlockPattern, "fill", recording_fill)
-    monkeypatch.setattr(protocol, "_stage_kernels", marking_kernels)
+    monkeypatch.setattr(grape, "_build_kernels", marking_kernels)
     largest = {3: [8, 8, 3, 12, 12], 4: [16, 16, 6, 32, 32]}
     # (first run, repeat run)
     eigh_calls = {3: (20, 8), 4: (28, 11)}
-    protocol._kernel_memo.cache_clear()
+    grape._stage_kernels.cache_clear()
     for n, schedule in ((3, core_result.schedule), (4, ControlSchedule(0.172, np.ones(4)))):
         plan = standard_plan(ChainGeometry.regular(n), schedule)
         for built, eigh_count in zip((len(plan.stages), 3), eigh_calls[n], strict=True):
@@ -629,8 +643,35 @@ def protocol_bits(result):
 
 
 def memo_counts():
-    info = protocol._kernel_memo.cache_info()
+    info = grape._stage_kernels.cache_info()
     return info.hits, info.misses
+
+
+@pytest.mark.parametrize("first", ["optimize", "protocol"])
+def test_the_spin_path_and_the_protocol_keep_separate_memo_entries(first):
+    """On the N=3 chain the ascent and the full protocol share one kernel
+    memo: in either order on a cleared memo, each returns the bits of its
+    run alone, from its own entries (one spin chain, two post-core stages)."""
+    config = GrapeConfig(
+        RydbergModel(ChainGeometry.regular(3)), 0.141,
+        GuessSpec(kind="random", b0=TWO_PI, seed=1), TargetForm.OPERATOR_PRODUCT,
+    )
+    plan = plan_for(3, core_amplitudes=[-9.8, 3.1, -12.4], core_t=0.15)
+
+    def ascent_bits():
+        result = optimize(config)
+        return (result.schedule.amplitudes.tobytes(), result.phi_history,
+                result.final_population, result.converged)
+
+    runs = {"optimize": ascent_bits, "protocol": lambda: protocol_bits(run_full_protocol(plan))}
+    alone = {}
+    for name, run in runs.items():
+        grape._stage_kernels.cache_clear()
+        alone[name] = run()
+    grape._stage_kernels.cache_clear()
+    together = {name: runs[name]() for name in sorted(runs, key=lambda name: name != first)}
+    assert together == alone
+    assert memo_counts() == (0, 3) and grape._stage_kernels.cache_info().currsize == 3
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -638,7 +679,7 @@ def test_repeat_run_equals_a_run_on_a_cleared_memo(n):
     """A repeat run takes decouple and map-to-clock from the memo and
     returns the bits of a run that decomposed them afresh."""
     plan = plan_for(n, core_amplitudes=[-9.8, 3.1, -12.4], core_t=0.15)
-    protocol._kernel_memo.cache_clear()
+    grape._stage_kernels.cache_clear()
     fresh = run_full_protocol(plan)
     assert memo_counts() == (0, 2)
     repeat = run_full_protocol(plan)
@@ -650,11 +691,11 @@ def test_a_second_core_schedule_hits_the_memo():
     """The post-core kernels do not depend on the core's field: another
     schedule on the chain reuses them and equals its fresh run."""
     first, second = plan_for(4, [1.0, -2.0]), plan_for(4, [-9.8, 3.1, -12.4], core_t=0.15)
-    protocol._kernel_memo.cache_clear()
+    grape._stage_kernels.cache_clear()
     run_full_protocol(first)
     reused = run_full_protocol(second)
     assert memo_counts() == (2, 2)
-    protocol._kernel_memo.cache_clear()
+    grape._stage_kernels.cache_clear()
     assert protocol_bits(reused) == protocol_bits(run_full_protocol(second))
 
 
@@ -662,14 +703,14 @@ def test_a_displaced_atom_or_delta_r_misses_the_memo():
     plan = plan_for(3, [1.0, -2.0])
     displaced = plan.geometry.positions.copy()
     displaced[2, 2] += 1e-6
-    protocol._kernel_memo.cache_clear()
+    grape._stage_kernels.cache_clear()
     run_full_protocol(plan)
     for geometry in (ChainGeometry(displaced), plan.geometry.with_delta_r(0.01)):
         moved = standard_plan(geometry, plan.stages[2].schedule)
         hits, misses = memo_counts()
         after = protocol_bits(run_full_protocol(moved))
         assert memo_counts() == (hits, misses + 2)
-        protocol._kernel_memo.cache_clear()
+        grape._stage_kernels.cache_clear()
         assert after == protocol_bits(run_full_protocol(moved))
 
 
@@ -685,11 +726,11 @@ def test_a_patched_background_and_the_real_one_never_share_kernels(monkeypatch):
                 switch_off_interactions(patch)
             return protocol_bits(run_full_protocol(plan))
 
-    protocol._kernel_memo.cache_clear()
+    grape._stage_kernels.cache_clear()
     runs = [run(False), run(True), run(False), run(True)]
     assert memo_counts() == (4, 4)
     for interactions in (False, True):
-        protocol._kernel_memo.cache_clear()
+        grape._stage_kernels.cache_clear()
         fresh = run(interactions)
         assert runs[interactions] == runs[2 + interactions] == fresh
     assert runs[0][2] != runs[1][2]
@@ -698,20 +739,21 @@ def test_a_patched_background_and_the_real_one_never_share_kernels(monkeypatch):
 def test_memoised_kernels_are_read_only(monkeypatch):
     """Both runs are served the same kernels, and writing into any array
     they hold raises."""
-    memo, served = protocol._kernel_memo, []
+    memo, served = grape._stage_kernels, []
 
     def serving_memo(*key):
         served.append(memo(*key))
         return served[-1]
 
-    monkeypatch.setattr(protocol, "_kernel_memo", serving_memo)
+    serving_memo.__wrapped__ = memo.__wrapped__
+    monkeypatch.setattr(protocol, "_stage_kernels", serving_memo)
     plan = plan_for(3, [1.0, -2.0])
     memo.cache_clear()
     run_full_protocol(plan)
     run_full_protocol(plan)
     assert len(served) == 4 and all(a is b for a, b in zip(served[:2], served[2:]))
     for kernels in served[:2]:
-        for idx, kernel in kernels:
+        for idx, kernel, _ in kernels:
             for array in (idx, kernel._w, kernel._v, kernel._hz):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
@@ -761,7 +803,7 @@ def test_drives_given_as_lists_run_as_the_standard_plan():
     plan = plan_for(3, core_amplitudes=[1.0, -2.0])
     listed = [ProtocolStage(s.label, s.schedule, [list(d) for d in s.drives]) for s in plan.stages]
     assert tuple(listed) == plan.stages and hash(tuple(listed)) == hash(plan.stages)
-    protocol._kernel_memo.cache_clear()
+    grape._stage_kernels.cache_clear()
     fresh = protocol_bits(run_full_protocol(plan))
     again = protocol_bits(run_full_protocol(protocol.ProtocolPlan(tuple(listed), plan.geometry)))
     assert memo_counts() == (2, 2) and again == fresh
@@ -820,7 +862,7 @@ def test_the_layout_walk_predicts_every_stage_of_a_run(name, monkeypatch):
 
     monkeypatch.setattr(protocol, "_evolve", recording_evolve)
     monkeypatch.setattr(BlockPattern, "fill", recording_fill)
-    protocol._kernel_memo.cache_clear()  # so the post-core stages fill too
+    grape._stage_kernels.cache_clear()  # so the post-core stages fill too
     run_full_protocol(plan)
     assert len(walked) == len(inputs) == len(filled) == len(plan.stages)
     for support, layout, given, fill in zip(supports, walked, inputs, filled):
@@ -861,13 +903,13 @@ def test_core_stage_refuses_a_background_that_breaks_the_field_symmetry(monkeypa
         hermitian_sum([transverse], [1.0], np.zeros(PROTOCOL_BASIS.dim**n), n, PROTOCOL_BASIS),
         embed_local_operator(spin_half_operator(SIGMA_X, PROTOCOL_BASIS), 0, n, PROTOCOL_BASIS),
     )
-    original = protocol.drift_terms
+    original = grape.drift_terms
 
     def background_with_transverse_field(model, basis):
         moves, coeffs, shifts = original(model, basis)
         return (*moves, transverse), np.append(coeffs, 1.0), shifts
 
-    monkeypatch.setattr(protocol, "drift_terms", background_with_transverse_field)
+    monkeypatch.setattr(grape, "drift_terms", background_with_transverse_field)
     state = basis_ket_graph_state(n, *REFERENCE_ROLES["core"])
     with pytest.raises(ValueError, match="commute"):
         run_stage(state, plan.stages[2], plan)
